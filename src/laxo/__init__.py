@@ -7,10 +7,9 @@ shock anatomy and long-time asymptotics directly computable.
 
 from . import flux, initial_data
 from .characteristics import CharacteristicAnalyzer, F_l, phi_l
-from .errors import (BracketError, CflViolation, ConditionFailed,
-                     CriterionInconclusive, FitError, HullInfinite,
-                     LaxoError, LostCurve, NoDivides, RootNotBracketed,
-                     UnsupportedTail)
+from .errors import (BracketError, CflViolation, ConditionFailed, FitError,
+                     HullInfinite, LaxoError, LostCurve, NoDivides,
+                     RootNotBracketed, UnsupportedTail)
 from .global_structure import GlobalStructure
 from .reference_oracle import FvGrid, GodunovSolver, compare
 from .shock_analysis import ShockAnalyzer
@@ -28,7 +27,7 @@ __all__ = [
     "GlobalStructure",
     "FvGrid", "GodunovSolver", "compare",
     "LaxoError", "BracketError", "FitError", "UnsupportedTail",
-    "CriterionInconclusive", "ConditionFailed", "RootNotBracketed",
+    "ConditionFailed", "RootNotBracketed",
     "LostCurve", "HullInfinite", "NoDivides", "CflViolation",
     "__version__",
 ]

@@ -17,13 +17,6 @@ _GL_W = np.array([
 ])
 
 
-def gauss5(f, a, b):
-    """Fixed 5-point Gauss-Legendre integral of ``f`` over ``[a, b]``."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * np.sum(_GL_W * f(mid + half * _GL_X))
-
-
 def _simpson(fa, fm, fb, h):
     return h * (fa + 4.0 * fm + fb) / 6.0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import bisect
 from .errors import FitError
 
 T_CAP = 1e4
@@ -202,12 +203,8 @@ class CharacteristicAnalyzer:
                 hi = t
                 break
             t *= 2.0
-        while hi - lo > t_tol:
-            m = 0.5 * (lo + hi)
-            if self._on_characteristic(x0, c, m):
-                lo = m
-            else:
-                hi = m
+        lo, hi = bisect(lambda m: self._on_characteristic(x0, c, m),
+                        lo, hi, t_tol)
         return 0.5 * (lo + hi)
 
     def lifespans(self, x0, c, t_cap=T_CAP, t_tol=T_TOL):

@@ -17,10 +17,6 @@ class UnsupportedTail(LaxoError):
     """Data declares neither constant tails nor a period."""
 
 
-class CriterionInconclusive(LaxoError):
-    """A membership criterion cannot be decided from finitely many scales."""
-
-
 class ConditionFailed(LaxoError):
     """The shock-formation uniqueness condition fails at the candidate point."""
 

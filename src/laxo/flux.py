@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import adaptive_simpson
+from ._search import bisect
 from .errors import BracketError, FitError
 
 TOL_U = 1e-12
@@ -66,16 +67,12 @@ class Flux:
         if np.any(v < flo - TOL_V) or np.any(v > fhi + TOL_V):
             raise BracketError(
                 f"value outside image of f' on [{lo}, {hi}]")
-        a = np.full_like(v, lo)
-        b = np.full_like(v, hi)
-        # bisection on the monotone residual f'(u) - v
-        for _ in range(64):
-            m = 0.5 * (a + b)
-            high = self.deriv(m) >= v
-            b = np.where(high, m, b)
-            a = np.where(high, a, m)
-            if np.max(b - a) <= TOL_U:
-                break
+        a = np.empty_like(v)
+        b = np.empty_like(v)
+        # bisection on the monotone residual f'(u) - v, one value at a time
+        for i, vi in enumerate(v):
+            b[i], a[i] = bisect(lambda m: self.deriv(m) >= vi, hi, lo,
+                                TOL_U, 64)
         u = 0.5 * (a + b)
         # one safeguarded Newton step where f'' is healthy
         fpp = self.second(u)
@@ -152,27 +149,6 @@ class GeneralFluxPair:
         self.H = H
         self.Hprime = Hprime
         self.domain_hint = tuple(domain_hint)
-
-    def invert_H(self, v, bracket=None):
-        if bracket is None:
-            bracket = self.domain_hint
-        lo, hi = float(bracket[0]), float(bracket[1])
-        v = np.asarray(v, dtype=float)
-        scalar = v.ndim == 0
-        v = np.atleast_1d(v)
-        if np.any(v < self.H(lo) - TOL_V) or np.any(v > self.H(hi) + TOL_V):
-            raise BracketError(f"value outside image of H on [{lo}, {hi}]")
-        a = np.full_like(v, lo)
-        b = np.full_like(v, hi)
-        for _ in range(64):
-            m = 0.5 * (a + b)
-            high = np.asarray(self.H(m)) >= v
-            b = np.where(high, m, b)
-            a = np.where(high, a, m)
-            if np.max(b - a) <= TOL_U:
-                break
-        u = 0.5 * (a + b)
-        return float(u[0]) if scalar else u
 
 
 def burgers():

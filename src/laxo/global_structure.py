@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import bisect, golden_min, runs
 from .errors import HullInfinite, NoDivides
 
 HULL_TOL_SCALE = 1e-9
@@ -64,18 +65,16 @@ class HullReport:
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(g))))
         b0 = float(np.min(g))
         # golden refinement of each discrete minimizer cluster
-        mask = g - b0 <= max(self.hull_tol, np.min(g - b0) + 1e-15)
-        comps = _mask_components(xs, g - b0 <= self.hull_tol)
         refined = []
-        for lo, hi in comps:
+        for i, j in runs(g - b0 <= self.hull_tol):
+            lo, hi = float(xs[i]), float(xs[j])
             if hi - lo <= h * 1.5:
-                x_star = _golden_min(lambda x: float(data.primitive(x) - m * x),
-                                     lo - h, hi + h)
+                x_star = golden_min(lambda x: float(data.primitive(x) - m * x),
+                                    lo - h, hi + h, 1e-12)
                 b0 = min(b0, float(data.primitive(x_star) - m * x_star))
                 refined.append((x_star, x_star))
             else:
                 refined.append((lo, hi))
-        del mask
         self.b0 = b0
         if (len(refined) > 1
                 and abs(refined[-1][0] - data.period - refined[0][0]) <= 2 * h):
@@ -108,8 +107,8 @@ class HullReport:
         self.vertices = tuple(vs[i_l:i_r + 1])
         self.xs = xs
         hull_ys = self.value(xs)
-        comps = _mask_components(xs, ys - hull_ys <= self.hull_tol)
-        self.K0 = tuple(comps)
+        self.K0 = tuple((float(xs[i]), float(xs[j]))
+                        for i, j in runs(ys - hull_ys <= self.hull_tol))
         self.left_unbounded = abs(
             float(data.primitive(data.w_lo)) - sl * data.w_lo
             - self.b_left) <= self.hull_tol
@@ -177,39 +176,6 @@ def _lower_hull(xs, ys):
                 break
         hull.append(p)
     return hull
-
-
-def _mask_components(xs, mask):
-    comps = []
-    i = 0
-    n = len(xs)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            comps.append((float(xs[i]), float(xs[j])))
-            i = j + 1
-        else:
-            i += 1
-    return comps
-
-
-def _golden_min(f, a, b, tol=1e-12):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 class GlobalStructure:
@@ -298,17 +264,10 @@ class GlobalStructure:
         lo = min(hull.vertices[0][0], x) - span
         hi = max(hull.vertices[-1][0], x) + span
 
-        def g(xi):
-            return xi + t * fl.deriv(hull.envelope_derivative(xi)) - x
+        def left_of_foot(xi):
+            return xi + t * fl.deriv(hull.envelope_derivative(xi)) - x <= 0
 
-        for _ in range(100):
-            m = 0.5 * (lo + hi)
-            if g(m) <= 0:
-                lo = m
-            else:
-                hi = m
-            if hi - lo <= 1e-13 * (1.0 + abs(x)):
-                break
+        lo, hi = bisect(left_of_foot, lo, hi, 1e-13 * (1.0 + abs(x)), 100)
         xi = 0.5 * (lo + hi)
         v = (x - xi) / t
         vlo, vhi = fl.deriv(-M), fl.deriv(M)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from ._search import bisect
 from .characteristics import CharacteristicAnalyzer, phi_l
 from .errors import ConditionFailed, LostCurve, RootNotBracketed
 
@@ -281,12 +282,8 @@ class ShockAnalyzer:
                 > self.problem.solve(hi, t).u_plus):
             raise LostCurve(
                 f"no jump through {mid:g} in window around {x_hat:g} at t={t:g}")
-        while hi - lo > 1e-12:
-            m = 0.5 * (lo + hi)
-            if self.problem.solve(m, t).u_plus > mid:
-                lo = m
-            else:
-                hi = m
+        lo, hi = bisect(lambda m: self.problem.solve(m, t).u_plus > mid,
+                        lo, hi, 1e-12)
         return 0.5 * (lo + hi)
 
     def _node(self, x, t, um, up, prev_slope):

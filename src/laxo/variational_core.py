@@ -17,13 +17,12 @@ pipeline serves the general pair U(u)_t + F(u)_x = 0 with H = F'/U', where
 Phi is replaced by a primitive of U(phi).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import _GL_W, _GL_X, adaptive_simpson
+from ._search import bisect, golden_min, runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData
 
@@ -70,8 +69,6 @@ class _NumericPrimitive:
     def __init__(self, U, data, knots_per_segment=256):
         self._U = U
         self._d = data
-        g = U(data.phi(np.asarray([0.0])))  # smoke evaluation
-        del g
         if data.is_sampled:
             # phi is constant between knots: cumulative sums are exact
             self._k = np.asarray(data.xs, dtype=float)
@@ -156,11 +153,11 @@ class GeneralProblem:
         gi = np.asarray(self._Hp(nodes)) * np.asarray(self._U(nodes))
         panel = (half[:, 0]) * (gi @ _GL_W)
         self._P2 = np.concatenate([[0.0], np.cumsum(panel)])
-        self._P2 -= self._p2_raw(0.0)
+        self._P2 -= self._p2(0.0)
 
     # -- scalar helpers ---------------------------------------------------
 
-    def _p2_raw(self, u):
+    def _p2(self, u):
         """int from s[0] to u of H'(s)U(s) ds, u inside the scan range."""
         k = int(np.clip(np.searchsorted(self._s, u) - 1, 0, self.n_scan - 1))
         a = self._s[k]
@@ -168,9 +165,6 @@ class GeneralProblem:
         nodes = mid + half * _GL_X
         return self._P2[k] + half * float(
             (np.asarray(self._Hp(nodes)) * np.asarray(self._U(nodes))) @ _GL_W)
-
-    def _p2(self, u):
-        return self._p2_raw(u)
 
     def eval_E(self, u, x, t):
         """E(u; x, t), exact up to the smooth Gauss panels."""
@@ -199,22 +193,16 @@ class GeneralProblem:
         h = s[1] - s[0]
         Emax_grid = float(np.max(Ev))
 
-        # local maxima (group plateaus, keep representatives)
-        lm = np.zeros(len(s), dtype=bool)
+        # local maxima; a plateau is represented by its middle point
+        n = len(s)
+        lm = np.zeros(n, dtype=bool)
         lm[1:-1] = (Ev[1:-1] >= Ev[:-2]) & (Ev[1:-1] >= Ev[2:])
         lm[0] = Ev[0] >= Ev[1]
         lm[-1] = Ev[-1] >= Ev[-2]
-        idxs = np.flatnonzero(lm)
-        reps = []
-        for j in idxs:
-            if reps and j - reps[-1][-1] == 1:
-                reps[-1].append(j)
-            else:
-                reps.append([j])
         cands = []
-        for grp in reps:
-            j = grp[len(grp) // 2]
-            lo, hi = max(j - 1, 0), min(j + 1, len(s) - 1)
+        for first, last in runs(lm):
+            j = first + (last - first + 1) // 2
+            lo, hi = max(j - 1, 0), min(j + 1, n - 1)
             gloc = float(np.max(g[lo:hi + 1]))
             if Ev[j] + t * h * gloc < Emax_grid - 10.0 * self.val_tol:
                 continue
@@ -227,21 +215,13 @@ class GeneralProblem:
         Emax = max([Emax_grid] + [e for _, e in refined])
         thresh = Emax - self.val_tol
 
-        # value-band runs on the grid
-        mask = Ev >= thresh
-        runs = []
-        j = 0
-        while j < len(s):
-            if mask[j]:
-                j0 = j
-                while j + 1 < len(s) and mask[j + 1]:
-                    j += 1
-                runs.append((s[max(j0 - 1, 0)], s[j0], s[j], s[min(j + 1, len(s) - 1)]))
-            j += 1
         pts = sorted(u for u, e in refined if e >= thresh)
         flat_tol = 1e-11 * (1.0 + abs(Emax))
         comps = []
-        for out_lo, lo, hi, out_hi in runs:
+        # value-band runs on the grid
+        for first, last in runs(Ev >= thresh):
+            out_lo, lo = s[max(first - 1, 0)], s[first]
+            hi, out_hi = s[last], s[min(last + 1, n - 1)]
             inside = [u for u in pts if lo - 1.5 * h <= u <= hi + 1.5 * h]
             if hi - lo > 2.5 * h:
                 # genuine maximizer intervals have exactly constant E;
@@ -274,49 +254,18 @@ class GeneralProblem:
     def _refine_bracket(self, lo, hi, x, t):
         pl, ph = self._psi(lo, x, t), self._psi(hi, x, t)
         if pl > 0.0 >= ph or pl >= 0.0 > ph:
-            a, b = lo, hi
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                if self._psi(m, x, t) > 0.0:
-                    a = m
-                else:
-                    b = m
-                if b - a <= self.tol_u:
-                    break
+            a, b = bisect(lambda u: self._psi(u, x, t) > 0.0, lo, hi,
+                          self.tol_u, 60)
             return 0.5 * (a + b)
         return self._golden(lo, hi, x, t)
 
     def _golden(self, lo, hi, x, t):
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = self.eval_E(c, x, t), self.eval_E(d, x, t)
-        while b - a > self.tol_u:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = self.eval_E(c, x, t)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = self.eval_E(d, x, t)
-        return 0.5 * (a + b)
+        return golden_min(lambda u: -self.eval_E(u, x, t), lo, hi, self.tol_u)
 
     def _edge_refine(self, u_out, u_in, x, t, thresh):
         """Boundary of {E >= thresh} between an outside and an inside point."""
-        if u_out == u_in:
-            return u_in
-        a, b = u_out, u_in
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            if self.eval_E(m, x, t) >= thresh:
-                b = m
-            else:
-                a = m
-            if abs(b - a) <= self.tol_u:
-                break
-        return b
+        return bisect(lambda u: self.eval_E(u, x, t) >= thresh, u_in, u_out,
+                      self.tol_u, 60)[0]
 
     # -- public solution API ----------------------------------------------
 
@@ -326,11 +275,6 @@ class GeneralProblem:
                               ms.u_minus - ms.u_plus > self.jump_tol, ms)
 
     def solve_grid(self, xs, t):
-        xs = list(xs)
-        n_threads = int(os.environ.get("LAXO_THREADS", "1") or "1")
-        if n_threads > 1 and len(xs) > 8:
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                return list(ex.map(lambda x: self.solve(x, t), xs))
         return [self.solve(x, t) for x in xs]
 
     def e_hat(self, x, t):
@@ -342,10 +286,7 @@ class Problem(GeneralProblem):
     """Scalar conservation law u_t + f(u)_x = 0 with data phi."""
 
     def __init__(self, flux, data, **kw):
-        pair = GeneralFluxPair(_identity, _ones, H=flux.deriv,
-                               Hprime=flux.second,
-                               domain_hint=flux.domain_hint)
-        super().__init__(pair, data, **kw)
+        super().__init__(identity_pair(flux), data, **kw)
         self.flux = flux
 
     def restart(self, tau, xs=None):

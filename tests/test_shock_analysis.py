@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,26 @@ def test_track_rh_consistency_with_polyline(sin_sa):
     slopes = np.diff(xs) / np.diff(ts)
     speeds = np.array([n.speed_right for n in cur.nodes[:-1]])
     assert np.max(np.abs(slopes - speeds)) < 0.05   # O(dt) agreement
+
+
+def test_track_far_from_origin_terminates():
+    # beyond |x| = 2**13 neighbouring floats lie more than the 1e-12 jump
+    # tolerance apart, so the jump search must stop on lack of progress
+    x0 = 1e4
+    sa = ShockAnalyzer(Problem(flux.burgers(), idata.step(1.0, 0.0, x0=x0)))
+
+    def hang(signum, frame):
+        pytest.fail("track_forward did not terminate")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        cur = sa.track_forward(x0 + 0.25, 0.5, 0.6, 0.05)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert [n.x - x0 for n in cur.nodes] == pytest.approx(
+        [0.25, 0.275, 0.3], abs=1e-8)
 
 
 def test_backward_feet_nesting(riemann_sa):

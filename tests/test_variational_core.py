@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,20 +134,13 @@ def test_constant_data_e_hat():
         assert p.e_hat(x, t) == pytest.approx(0.5 * t - x, abs=1e-9)
 
 
-def test_solve_grid_matches_solve_and_threads(neg_sin):
+def test_solve_grid_matches_solve(neg_sin):
     xs = np.linspace(-2, 2, 41)
-    seq = neg_sin.solve_grid(xs, 1.4)
-    old = os.environ.get("LAXO_THREADS")
-    os.environ["LAXO_THREADS"] = "4"
-    try:
-        par = neg_sin.solve_grid(xs, 1.4)
-    finally:
-        if old is None:
-            os.environ.pop("LAXO_THREADS")
-        else:
-            os.environ["LAXO_THREADS"] = old
-    assert [s.u_plus for s in seq] == [s.u_plus for s in par]
-    assert [s.u_minus for s in seq] == [s.u_minus for s in par]
+    grid = neg_sin.solve_grid(xs, 1.4)
+    point = [neg_sin.solve(x, 1.4) for x in xs]
+    assert [s.u_plus for s in grid] == [s.u_plus for s in point]
+    assert [s.u_minus for s in grid] == [s.u_minus for s in point]
+    assert [s.maximizer for s in grid] == [s.maximizer for s in point]
 
 
 def test_restart_reproduces_solution(riemann_down):
