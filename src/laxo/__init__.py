@@ -9,7 +9,7 @@ from . import flux, initial_data
 from .characteristics import CharacteristicAnalyzer, F_l, phi_l
 from .errors import (BracketError, CflViolation, ConditionFailed, FitError,
                      HullInfinite, LaxoError, LostCurve, NoDivides,
-                     RootNotBracketed, UnsupportedTail)
+                     RootNotBracketed)
 from .global_structure import GlobalStructure
 from .reference_oracle import FvGrid, GodunovSolver, compare
 from .shock_analysis import ShockAnalyzer
@@ -26,7 +26,7 @@ __all__ = [
     "ShockAnalyzer",
     "GlobalStructure",
     "FvGrid", "GodunovSolver", "compare",
-    "LaxoError", "BracketError", "FitError", "UnsupportedTail",
+    "LaxoError", "BracketError", "FitError",
     "ConditionFailed", "RootNotBracketed",
     "LostCurve", "HullInfinite", "NoDivides", "CflViolation",
     "__version__",

@@ -65,6 +65,8 @@ def _numerics(fn):
             return fn(*a, **kw)
         except LaxoError as e:
             _fail(3, e)
+        except ValueError as e:
+            _fail(2, e)
     return wrapped
 
 

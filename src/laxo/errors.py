@@ -13,10 +13,6 @@ class FitError(LaxoError):
     """A local power-law fit is undefined or degenerate on its window."""
 
 
-class UnsupportedTail(LaxoError):
-    """Data declares neither constant tails nor a period."""
-
-
 class ConditionFailed(LaxoError):
     """The shock-formation uniqueness condition fails at the candidate point."""
 

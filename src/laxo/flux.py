@@ -64,7 +64,8 @@ class Flux:
         scalar = v.ndim == 0
         v = np.atleast_1d(v)
         flo, fhi = self.deriv(lo), self.deriv(hi)
-        if np.any(v < flo - TOL_V) or np.any(v > fhi + TOL_V):
+        # written so that NaN fails the check
+        if not (np.all(v >= flo - TOL_V) and np.all(v <= fhi + TOL_V)):
             raise BracketError(
                 f"value outside image of f' on [{lo}, {hi}]")
         a = np.empty_like(v)

@@ -42,7 +42,6 @@ class HullReport:
     def __init__(self, structure, N, grid_h):
         data = structure.data
         self.period = data.period
-        self.window = (data.w_lo - 0.0, data.w_hi + 0.0)
         ti = data.tail_invariants()
         self.slope_left = ti.ubar_l
         self.slope_right = ti.ulow_r
@@ -197,14 +196,8 @@ class GlobalStructure:
         gap = float(self.data.primitive(x0)) - float(hull.value(x0))
         if gap > hull.hull_tol:
             return DivideFan(float(x0), True)
-        lo, hi = hull.slopes_at(self._reduce(x0, hull))
+        lo, hi = hull.slopes_at(x0)
         return DivideFan(float(x0), False, lo, hi)
-
-    def _reduce(self, x0, hull):
-        if hull.period is None:
-            return x0
-        d = self.data
-        return d.w_lo + (x0 - d.w_lo) % d.period
 
     def verify_divide(self, x0, c, L, n=4001, check_tol=None):
         ls = np.linspace(-L, L, n)

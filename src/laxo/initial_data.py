@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, UnsupportedTail
+from .errors import FitError
 
 _EPS = 1e-12
 _KMAX = 12
@@ -126,7 +126,94 @@ def _pderivs(p, x0, kmax=_KMAX):
     raise ValueError(f"unknown piece kind {p.kind!r}")
 
 
-class InitialData:
+def _check_finite(what, *vals):
+    if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
+        raise ValueError(f"{what} must be finite")
+
+
+class _Extended:
+    """Data on the window [w_lo, w_hi], extended to the whole line.
+
+    Beyond the window the data tile periodically (``period``) or continue
+    as the constants ``left_tail`` and ``right_tail``; ``_win`` is the
+    integral of phi over the window.  ``phi``, ``primitive`` and
+    ``tail_invariants`` follow from this one rule.  Subclasses set the
+    window, the extension (``_set_extension`` validates it) and ``_win``,
+    then call ``_normalize``; they evaluate in-window points through
+    ``_inner_phi(r)`` and ``_inner_primitive(r)``.
+    """
+
+    left_tail = right_tail = None
+    _norm = 0.0
+    # the right tail already holds at w_hi itself (a left-constant
+    # interpolant takes its last value at the last knot)
+    _tail_from_w_hi = False
+
+    def _set_extension(self, period, left_tail, right_tail):
+        """Tile [w_lo, w_hi] with the period, or continue it by the tails."""
+        _check_finite("window", self.w_lo, self.w_hi)
+        self.period = float(period) if period is not None else None
+        if self.period is not None:
+            if not (self.period > 0.0
+                    and abs((self.w_hi - self.w_lo) - self.period) <= 1e-9):
+                raise ValueError("the window must span exactly one period")
+        else:
+            self.left_tail, self.right_tail = float(left_tail), float(right_tail)
+            _check_finite("tails", self.left_tail, self.right_tail)
+
+    def _normalize(self):
+        """Fix the additive constant of the primitive so that Phi(0) = 0."""
+        self._norm = float(self.primitive(0.0))
+
+    def _reduce(self, x):
+        """Map x into the window for periodic data; return (r, k)."""
+        k = np.floor((x - self.w_lo) / self.period)
+        return x - k * self.period, k
+
+    def _extend(self, x, inner, integrated):
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x).astype(float)
+        if self.period is not None:
+            r, k = self._reduce(x)
+            out = inner(np.clip(r, self.w_lo, self.w_hi))
+            if integrated:
+                out = out + k * self._win
+        else:
+            left = x < self.w_lo
+            right = x >= self.w_hi if self._tail_from_w_hi else x > self.w_hi
+            mid = ~(left | right)
+            out = np.empty_like(x)
+            if integrated:
+                out[left] = self.left_tail * (x[left] - self.w_lo)
+                out[right] = self._win + self.right_tail * (x[right] - self.w_hi)
+            else:
+                out[left] = self.left_tail
+                out[right] = self.right_tail
+            if np.any(mid):
+                out[mid] = inner(x[mid])
+        if integrated:
+            out = out - self._norm
+        return float(out[0]) if scalar else out
+
+    def phi(self, x):
+        return self._extend(x, self._inner_phi, False)
+
+    __call__ = phi
+
+    def primitive(self, x):
+        """Phi(x) = int_0^x phi, continuity-stitched, Phi(0) = 0."""
+        return self._extend(x, self._inner_primitive, True)
+
+    def tail_invariants(self):
+        if self.period is not None:
+            m = float(self._win / self.period)
+            return TailInvariants(m, m, m, m)
+        return TailInvariants(self.left_tail, self.left_tail,
+                              self.right_tail, self.right_tail)
+
+
+class InitialData(_Extended):
     """phi in L-infinity from the representable class; immutable."""
 
     is_sampled = False
@@ -144,16 +231,9 @@ class InitialData:
         else:
             raise ValueError("empty data needs an explicit window point")
         self.pieces = tuple(pieces)
-        self.period = float(period) if period is not None else None
-        if self.period is not None:
-            if abs((self.w_hi - self.w_lo) - self.period) > 1e-9:
-                raise ValueError("pieces must cover exactly one period")
-            self.left_tail = self.right_tail = None
-        else:
-            if left_tail is None or right_tail is None:
-                raise ValueError("non-periodic data needs both constant tails")
-            self.left_tail = float(left_tail)
-            self.right_tail = float(right_tail)
+        if period is None and (left_tail is None or right_tail is None):
+            raise ValueError("non-periodic data needs both constant tails")
+        self._set_extension(period, left_tail, right_tail)
 
         # continuity-stitched primitive offsets
         offs, run = [], 0.0
@@ -161,21 +241,16 @@ class InitialData:
             offs.append(run - float(_pantideriv(p, p.lo)))
             run = run + float(_pantideriv(p, p.hi)) - float(_pantideriv(p, p.lo))
         self._offsets = np.asarray(offs)
-        self._phi_win_hi = run                  # integral of phi over the window
+        self._win = run
         self._breaks = np.asarray([p.lo for p in self.pieces] + [self.w_hi])
-        self._norm = 0.0
-        self._norm = float(self.primitive(0.0))
+        self._normalize()
         self.bound = float(bound) if bound is not None else self._estimate_bound()
+        _check_finite("bound", self.bound)
 
     # -- evaluation -------------------------------------------------------
 
-    def _reduce(self, x):
-        """Map x into the window for periodic data; return (r, k)."""
-        k = np.floor((x - self.w_lo) / self.period)
-        r = x - k * self.period
-        return r, k
-
-    def _window_phi(self, x):
+    def _window_eval(self, x, integrated):
+        """phi (or its stitched antiderivative) piece by piece in the window."""
         if not self.pieces:
             return np.zeros_like(x)
         idx = np.clip(np.searchsorted(self._breaks, x, side="right") - 1,
@@ -184,61 +259,15 @@ class InitialData:
         for i, p in enumerate(self.pieces):
             m = idx == i
             if np.any(m):
-                out[m] = _pval(p, x[m])
+                out[m] = (_pantideriv(p, x[m]) + self._offsets[i] if integrated
+                          else _pval(p, x[m]))
         return out
 
-    def _window_primitive(self, x):
-        if not self.pieces:
-            return np.zeros_like(x)
-        idx = np.clip(np.searchsorted(self._breaks, x, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        out = np.empty_like(x)
-        for i, p in enumerate(self.pieces):
-            m = idx == i
-            if np.any(m):
-                out[m] = _pantideriv(p, x[m]) + self._offsets[i]
-        return out
+    def _inner_phi(self, r):
+        return self._window_eval(r, False)
 
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        if self.period is not None:
-            r, _ = self._reduce(x)
-            out = self._window_phi(np.clip(r, self.w_lo, self.w_hi))
-        else:
-            out = np.empty_like(x)
-            left = x < self.w_lo
-            right = x > self.w_hi
-            mid = ~(left | right)
-            out[left] = self.left_tail
-            out[right] = self.right_tail
-            if np.any(mid):
-                out[mid] = self._window_phi(x[mid])
-        return float(out[0]) if scalar else out
-
-    __call__ = phi
-
-    def primitive(self, x):
-        """Phi(x) = int_0^x phi, exact and continuity-stitched, Phi(0)=0."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        if self.period is not None:
-            r, k = self._reduce(x)
-            out = self._window_primitive(np.clip(r, self.w_lo, self.w_hi)) \
-                + k * self._phi_win_hi
-        else:
-            out = np.empty_like(x)
-            left = x < self.w_lo
-            right = x > self.w_hi
-            mid = ~(left | right)
-            out[left] = self.left_tail * (x[left] - self.w_lo)
-            out[right] = self._phi_win_hi + self.right_tail * (x[right] - self.w_hi)
-            if np.any(mid):
-                out[mid] = self._window_primitive(x[mid])
-        out = out - self._norm
-        return float(out[0]) if scalar else out
+    def _inner_primitive(self, r):
+        return self._window_eval(r, True)
 
     def _estimate_bound(self):
         vals = []
@@ -254,9 +283,12 @@ class InitialData:
     def _side_piece(self, x0, side):
         """Piece (or tail constant) governing phi just left/right of x0."""
         if self.period is not None:
+            # % keeps r in [w_lo, w_lo + P); _reduce's floor can land 1 ulp below
             r = self.w_lo + (x0 - self.w_lo) % self.period
             if side == "left" and r - self.w_lo < 1e-12:
                 r = self.w_hi
+            elif side == "right" and r >= self.w_hi - 1e-14:
+                r = self.w_lo
             x0 = r
         if side == "left":
             if x0 <= self.w_lo + 1e-14:
@@ -281,15 +313,6 @@ class InitialData:
 
     def dini(self, x0):
         return DiniPack(x0, self.phi_side(x0, "left"), self.phi_side(x0, "right"))
-
-    def tail_invariants(self):
-        if self.period is not None:
-            m = self._phi_win_hi / self.period
-            return TailInvariants(m, m, m, m)
-        if self.left_tail is None:
-            raise UnsupportedTail("data declares neither tails nor a period")
-        return TailInvariants(self.left_tail, self.left_tail,
-                              self.right_tail, self.right_tail)
 
     def local_expansion(self, x0, c, side):
         """phi(x0+l) - c = (C+o(1)) sgn(l)|l|^gamma on the given side.
@@ -363,79 +386,44 @@ def sin_wave(a=-1.0, b=1.0, c=0.0):
                        period=p)
 
 
-class SampledData:
+class SampledData(_Extended):
     """Sampled u-values on a grid; piecewise-linear primitive.
 
     ``xs`` are knot positions and ``us`` the sampled values; phi is the
     left-constant interpolant (so Phi is the piecewise-linear interpolant
-    through the knots).  Supports constant tails or periodicity.
+    through the knots).  Supports constant tails or periodicity; the right
+    tail starts at the last knot, so phi(w_hi) = us[-1] on tailed data.
     """
 
     is_sampled = True
+    _tail_from_w_hi = True
 
     def __init__(self, xs, us, period=None):
         xs = np.asarray(xs, dtype=float)
         us = np.asarray(us, dtype=float)
         if xs.ndim != 1 or xs.shape != us.shape or len(xs) < 2:
             raise ValueError("need matching 1-D arrays with >= 2 samples")
+        _check_finite("xs and us", xs, us)
         if np.any(np.diff(xs) <= 0):
             raise ValueError("xs must be strictly increasing")
         self.xs = xs
         self.us = us
-        self.period = float(period) if period is not None else None
         self.w_lo, self.w_hi = float(xs[0]), float(xs[-1])
-        if self.period is not None and abs((self.w_hi - self.w_lo) - self.period) > 1e-9:
-            raise ValueError("samples must span exactly one period")
+        self._set_extension(period, us[0], us[-1])
         # knot primitive values (left-constant phi between knots)
         self._P = np.concatenate([[0.0], np.cumsum(self.us[:-1] * np.diff(xs))])
-        self._norm = 0.0
-        self._norm = float(self.primitive(0.0))
+        self._win = self._P[-1]
+        self._normalize()
         self.bound = float(np.max(np.abs(us))) + 1e-12
 
-    def _reduce(self, x):
-        k = np.floor((x - self.w_lo) / self.period)
-        return x - k * self.period, k
+    def _knot(self, r):
+        """Index of the knot interval [xs[i], xs[i+1]) holding r."""
+        return np.clip(np.searchsorted(self.xs, r, side="right") - 1,
+                       0, len(self.xs) - 2)
 
-    def tail_invariants(self):
-        if self.period is not None:
-            m = float(self._P[-1] / self.period)
-            return TailInvariants(m, m, m, m)
-        return TailInvariants(float(self.us[0]), float(self.us[0]),
-                              float(self.us[-1]), float(self.us[-1]))
+    def _inner_phi(self, r):
+        return self.us[self._knot(r)]
 
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        if self.period is not None:
-            r, _ = self._reduce(x)
-            x = np.clip(r, self.w_lo, self.w_hi)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
-        out = self.us[idx]
-        if self.period is None:
-            out = np.where(x < self.w_lo, self.us[0], out)
-            out = np.where(x >= self.w_hi, self.us[-1], out)
-        return float(out[0]) if scalar else out
-
-    __call__ = phi
-
-    def primitive(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        if self.period is not None:
-            r, k = self._reduce(x)
-            xc = np.clip(r, self.w_lo, self.w_hi)
-            idx = np.clip(np.searchsorted(self.xs, xc, side="right") - 1,
-                          0, len(self.xs) - 2)
-            out = self._P[idx] + self.us[idx] * (xc - self.xs[idx]) + k * self._P[-1]
-        else:
-            xc = np.clip(x, self.w_lo, self.w_hi)
-            idx = np.clip(np.searchsorted(self.xs, xc, side="right") - 1,
-                          0, len(self.xs) - 2)
-            out = self._P[idx] + self.us[idx] * (xc - self.xs[idx])
-            out = np.where(x < self.w_lo, self.us[0] * (x - self.w_lo), out)
-            out = np.where(x > self.w_hi,
-                           self._P[-1] + self.us[-1] * (x - self.w_hi), out)
-        out = out - self._norm
-        return float(out[0]) if scalar else out
+    def _inner_primitive(self, r):
+        idx = self._knot(r)
+        return self._P[idx] + self.us[idx] * (r - self.xs[idx])

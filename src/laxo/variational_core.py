@@ -17,6 +17,7 @@ pipeline serves the general pair U(u)_t + F(u)_x = 0 with H = F'/U', where
 Phi is replaced by a primitive of U(phi).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from ._quad import _GL_W, _GL_X, adaptive_simpson
 from ._search import bisect, golden_min, runs
 from .flux import GeneralFluxPair
-from .initial_data import SampledData
+from .initial_data import SampledData, _Extended
 
 N_SCAN = 2048
 VAL_TOL = 1e-9
@@ -58,17 +59,18 @@ class SolutionSample:
     maximizer: MaximizerSet
 
 
-class _NumericPrimitive:
+class _NumericPrimitive(_Extended):
     """Vectorized primitive of U(phi) for piecewise data, W(0) = 0.
 
     Precomputes cumulative integrals at dense knots inside each smooth
-    segment of the data window; off-window behaviour follows the data's
-    constant tails or periodicity.
+    segment of the data window; off the window it follows the data's
+    periodicity or the constant tails U(phi(w_lo - 1)) and U(phi(w_hi + 1)).
     """
 
     def __init__(self, U, data, knots_per_segment=256):
         self._U = U
         self._d = data
+        self.w_lo, self.w_hi, self.period = data.w_lo, data.w_hi, data.period
         if data.is_sampled:
             # phi is constant between knots: cumulative sums are exact
             self._k = np.asarray(data.xs, dtype=float)
@@ -83,42 +85,30 @@ class _NumericPrimitive:
                 if b > a:
                     knots.append(np.linspace(a, b, knots_per_segment + 1)[1:])
             self._k = np.concatenate(knots)
-            f = lambda y: U(data.phi(y))
             vals = [0.0]
             for a, b in zip(self._k[:-1], self._k[1:]):
-                vals.append(vals[-1] + adaptive_simpson(f, a, b, 1e-13, max_depth=24))
+                vals.append(vals[-1] + adaptive_simpson(self._inner_phi, a, b,
+                                                        1e-13, max_depth=24))
             self._v = np.asarray(vals)
         self._win = self._v[-1]
-        self._ul = U(data.phi(data.w_lo - 1.0)) if data.period is None else None
-        self._ur = U(data.phi(data.w_hi + 1.0)) if data.period is None else None
-        self._norm = 0.0
-        self._norm = float(self(0.0))
+        if self.period is None:
+            self.left_tail = U(data.phi(data.w_lo - 1.0))
+            self.right_tail = U(data.phi(data.w_hi + 1.0))
+        self._normalize()
 
-    def __call__(self, x):
-        d = self._d
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
-        if d.period is not None:
-            kk = np.floor((x - d.w_lo) / d.period)
-            r = np.clip(x - kk * d.period, d.w_lo, d.w_hi)
-            out = self._interior(r) + kk * self._win
-        else:
-            r = np.clip(x, d.w_lo, d.w_hi)
-            out = self._interior(r)
-            out = np.where(x < d.w_lo, self._ul * (x - d.w_lo), out)
-            out = np.where(x > d.w_hi, self._win + self._ur * (x - d.w_hi), out)
-        out = out - self._norm
-        return float(out[0]) if scalar else out
+    def _inner_phi(self, r):
+        return self._U(self._d.phi(r))
 
-    def _interior(self, r):
+    def _inner_primitive(self, r):
         idx = np.clip(np.searchsorted(self._k, r, side="right") - 1,
                       0, len(self._k) - 2)
         x0 = self._k[idx]
         h = r - x0
-        f = lambda y: self._U(self._d.phi(y))
+        f = self._inner_phi
         # Simpson from the base knot; knots never straddle data breakpoints
         return self._v[idx] + h / 6.0 * (f(x0) + 4.0 * f(x0 + 0.5 * h) + f(r))
+
+    __call__ = _Extended.primitive
 
 
 class GeneralProblem:
@@ -180,8 +170,8 @@ class GeneralProblem:
     # -- maximization ------------------------------------------------------
 
     def maximize(self, x, t):
-        if t <= 0:
-            raise ValueError("t must be positive")
+        if not (math.isfinite(x) and math.isfinite(t) and t > 0):
+            raise ValueError("x and t must be finite, with t positive")
         s, Hs = self._s, self._Hs
         W = self._W
         feet = x - t * Hs

@@ -71,6 +71,13 @@ def test_spectrum_singleton(sin_analyzer):
     assert sin_analyzer.classify_initial_wave(0.0) == "characteristic"
 
 
+def test_spectrum_just_left_of_period_boundary(sin_analyzer):
+    # the right-side limit wraps across the period instead of reading a
+    # tail that periodic data does not have
+    near = sin_analyzer.char_spectrum(np.pi - 5e-15)
+    assert near.kind == sin_analyzer.char_spectrum(np.pi).kind
+
+
 def test_spectrum_srs_with_root_data():
     # sqrt-steep decrease on both sides of an up-jump: gamma = 1/2 gives
     # gamma (1 + alpha) = 1/2 < 1 with C < 0, so both endpoints drop out

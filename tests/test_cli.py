@@ -121,3 +121,27 @@ def test_byte_determinism(files):
     args = ("solve", files["sin"], "--t", "2.5", "--x-range", "-3:3",
             "--n", "41")
     assert run(*args).output == run(*args).output
+
+
+def _assert_exit_2_json(r):
+    assert r.exit_code == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+def test_nan_tail_exit_2(tmp_path):
+    bad = tmp_path / "nan_tail.json"
+    bad.write_text(json.dumps({"flux": {"kind": "burgers"},
+                               "data": {"pieces": [], "left_tail": np.nan,
+                                        "right_tail": 0.0,
+                                        "window": [0.0, 0.0]}}))
+    _assert_exit_2_json(run("solve", str(bad), "--t", "1",
+                            "--x-range", "0:1"))
+
+
+@pytest.mark.parametrize("t, xr", [("nan", "-1:1"), ("-1", "-1:1"),
+                                   ("1", "nan:1")])
+def test_solve_bad_point_exit_2(files, t, xr):
+    _assert_exit_2_json(run("solve", files["down"], "--t", t,
+                            "--x-range", xr, "--n", "3"))

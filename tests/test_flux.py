@@ -30,6 +30,13 @@ def test_invert_deriv_bracket_error():
         flux.exponential(1.0).invert_deriv(-0.5)  # e^u is never negative
 
 
+def test_invert_deriv_rejects_nan():
+    with pytest.raises(BracketError):
+        flux.burgers().invert_deriv(float("nan"))
+    with pytest.raises(BracketError):
+        flux.burgers().invert_deriv(np.array([0.5, np.nan]))
+
+
 def test_invert_deriv_vectorized(quartic):
     v = np.array([-1.0, 0.0, 0.125, 1.0])
     u = quartic.invert_deriv(v, (-2, 2))

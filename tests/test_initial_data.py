@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from laxo import initial_data as idata
 from laxo.errors import FitError
+from laxo.flux import GeneralFluxPair
+from laxo.variational_core import GeneralProblem
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +157,114 @@ def test_sampled_data_matches_exact():
     d = idata.sin_wave()
     xs = np.linspace(-np.pi, np.pi, 20001)
     mids = 0.5 * (xs[:-1] + xs[1:])
-    sd = idata.SampledData(xs[:-1], d.phi(xs[:-1]), period=None) \
-        if False else idata.SampledData(xs, np.append(d.phi(mids), d.phi(mids)[-1]), period=2 * np.pi)
+    sd = idata.SampledData(xs, np.append(d.phi(mids), d.phi(mids)[-1]),
+                           period=2 * np.pi)
     q = np.linspace(-10, 10, 500)
     assert np.max(np.abs(sd.primitive(q) - d.primitive(q))) < 1e-6
     assert sd.primitive(0.0) == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: idata.InitialData([], left_tail=np.nan, right_tail=0.0,
+                              window=(0.0, 0.0)),
+    lambda: idata.InitialData([], left_tail=0.0, right_tail=np.inf,
+                              window=(0.0, 0.0)),
+    lambda: idata.InitialData([], left_tail=0.0, right_tail=0.0,
+                              window=(np.nan, np.nan)),
+    lambda: idata.InitialData([], left_tail=0.0, right_tail=0.0,
+                              window=(0.0, 0.0), bound=np.nan),
+    lambda: idata.InitialData([idata.Piece(0.0, 1.0, "const", {"c": 1.0})],
+                              period=np.nan),
+    lambda: idata.from_descriptor({"pieces": [], "left_tail": np.nan,
+                                   "right_tail": 0.0, "window": [0.0, 0.0]}),
+    lambda: idata.SampledData([0.0, 1.0, 2.0], [1.0, np.nan, 0.0]),
+    lambda: idata.SampledData([0.0, np.inf], [1.0, 0.0]),
+    lambda: idata.SampledData([0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                              period=np.nan),
+], ids=["nan_left_tail", "inf_right_tail", "nan_window", "nan_bound",
+         "nan_period", "nan_tail_descriptor", "nan_us", "inf_xs",
+         "sampled_nan_period"])
+def test_nonfinite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_side_limits_across_period_boundary():
+    # just left of a period boundary the right-side limit wraps to w_lo
+    d = idata.sin_wave()
+    for x0, side in ((np.pi - 5e-15, "left"), (np.pi - 5e-15, "right"),
+                     (3 * np.pi - 1e-15, "right"),
+                     (-np.pi - 1e-15, "right")):
+        assert d.phi_side(x0, side) == pytest.approx(
+            d.phi_side(np.pi, side), abs=1e-12)
+
+
+# -- the periodic / constant-tail extension, shared by every primitive -----
+
+def _cube(u):
+    u = np.asarray(u, dtype=float)
+    return u ** 3 + u
+
+
+_CUBE_PAIR = GeneralFluxPair(
+    _cube, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2 + 1.0,
+    H=lambda u: np.asarray(u, dtype=float),
+    Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+_PIECES = [idata.Piece(0.0, 1.0, "poly", {"coeffs": [0.5, 1.0]}),
+           idata.Piece(1.0, 2.0, "poly", {"coeffs": [2.0, -0.75]})]
+_SX = np.linspace(0.0, 2.0, 41)
+_SU = np.cos(3.0 * _SX) + 0.3
+
+
+def _window_integral(U):
+    return (quad(lambda y: float(U(0.5 + y)), 0.0, 1.0)[0]
+            + quad(lambda y: float(U(2.0 - 0.75 * y)), 1.0, 2.0)[0])
+
+
+# case -> (Phi, period, integral over the window or the two tail slopes);
+# the window is [0, 2]
+_EXTENDED = {
+    "initial_periodic": lambda: (
+        idata.InitialData(_PIECES, period=2.0).primitive, 2.0,
+        _window_integral(lambda u: u)),
+    "initial_tailed": lambda: (
+        idata.InitialData(_PIECES, left_tail=-0.5, right_tail=0.25).primitive,
+        None, (-0.5, 0.25)),
+    "sampled_periodic": lambda: (
+        idata.SampledData(_SX, _SU, period=2.0).primitive, 2.0,
+        float(np.dot(_SU[:-1], np.diff(_SX)))),
+    "sampled_tailed": lambda: (
+        idata.SampledData(_SX, _SU).primitive, None, (_SU[0], _SU[-1])),
+    "general_periodic": lambda: (
+        GeneralProblem(_CUBE_PAIR, idata.InitialData(_PIECES, period=2.0))._W,
+        2.0, _window_integral(_cube)),
+    "general_tailed": lambda: (
+        GeneralProblem(_CUBE_PAIR, idata.InitialData(
+            _PIECES, left_tail=-0.5, right_tail=0.25))._W,
+        None, (float(_cube(-0.5)), float(_cube(0.25)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTENDED))
+def test_extension_far_outside_window(case):
+    Phi, period, expect = _EXTENDED[case]()
+    rng = np.random.default_rng(3)
+    if period is not None:
+        # Phi(x + kP) = Phi(x) + k * (integral over one window)
+        for x in rng.uniform(0.0, 2.0, 20):
+            for k in range(-20, 20):
+                assert Phi(x + k * period) == pytest.approx(
+                    Phi(x) + k * expect, abs=1e-9)
+        return
+    # tailed: Phi is affine beyond the window with the tail slopes
+    for (lo, hi), slope in (((-40.0, 0.0), expect[0]),
+                            ((2.0, 40.0), expect[1])):
+        a, b = np.sort(rng.uniform(lo, hi, (2, 50)), axis=0)
+        assert np.allclose((Phi(b) - Phi(a)) / (b - a), slope,
+                           rtol=0.0, atol=1e-9)
+
+
+def test_sampled_right_tail_starts_at_last_knot():
+    sd = idata.SampledData(_SX, _SU)
+    assert sd.phi(sd.w_hi) == _SU[-1]
+    assert np.all(sd.phi(np.array([sd.w_hi, 7.0, 40.0])) == _SU[-1])
