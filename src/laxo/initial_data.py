@@ -282,6 +282,7 @@ class InitialData(_Extended):
 
     def _side_piece(self, x0, side):
         """Piece (or tail constant) governing phi just left/right of x0."""
+        _check_finite("x0", x0)
         if self.period is not None:
             # % keeps r in [w_lo, w_lo + P); _reduce's floor can land 1 ulp below
             r = self.w_lo + (x0 - self.w_lo) % self.period

@@ -8,6 +8,7 @@ limits at shock points; and the five-way classification of points on the
 shock set.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,6 +230,10 @@ class ShockAnalyzer:
 
     def track_forward(self, x0, t0, t_end, dt, x_tol=1e-10):
         """Follow the discontinuity (or characteristic) issued at (x0, t0)."""
+        if not (math.isfinite(x0) and math.isfinite(t0) and t0 >= 0
+                and math.isfinite(t_end) and math.isfinite(dt) and dt > 0):
+            raise ValueError("x0, t0, t_end and dt must be finite, with "
+                             "t0 >= 0 and dt > 0")
         fl = self.flux
         M = self.problem.M
         w = 2.0 * dt * max(abs(fl.deriv(-M)), abs(fl.deriv(M))) + 1e-12

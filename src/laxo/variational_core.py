@@ -163,9 +163,8 @@ class GeneralProblem:
                      - t * self._p2(u))
 
     def _psi(self, u, x, t):
-        """sign(dE/du) carrier: U(phi(x - t H(u))) - U(u)."""
-        return float(self._U(self.data.phi(x - t * self._H(u)))
-                     - self._U(u))
+        """sign(dE/du) carrier U(phi(x - t H(u))) - U(u) on an array of u."""
+        return self._U(self.data.phi(x - t * self._H(u))) - self._U(u)
 
     # -- maximization ------------------------------------------------------
 
@@ -242,10 +241,10 @@ class GeneralProblem:
                             float(Emax))
 
     def _refine_bracket(self, lo, hi, x, t):
-        pl, ph = self._psi(lo, x, t), self._psi(hi, x, t)
+        pl, ph = self._psi(np.array([lo, hi]), x, t).tolist()
         if pl > 0.0 >= ph or pl >= 0.0 > ph:
             a, b = bisect(lambda u: self._psi(u, x, t) > 0.0, lo, hi,
-                          self.tol_u, 60)
+                          self.tol_u, 60, vectorized=True)
             return 0.5 * (a + b)
         return self._golden(lo, hi, x, t)
 

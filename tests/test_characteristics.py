@@ -78,6 +78,15 @@ def test_spectrum_just_left_of_period_boundary(sin_analyzer):
     assert near.kind == sin_analyzer.char_spectrum(np.pi).kind
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_nonfinite_x0(sin_analyzer, x0):
+    # periodic data has no tail for a NaN reduction to fall through to
+    with pytest.raises(ValueError):
+        sin_analyzer.char_spectrum(x0)
+    with pytest.raises(ValueError):
+        sin_analyzer.data.phi_side(x0, "right")
+
+
 def test_spectrum_srs_with_root_data():
     # sqrt-steep decrease on both sides of an up-jump: gamma = 1/2 gives
     # gamma (1 + alpha) = 1/2 < 1 with C < 0, so both endpoints drop out

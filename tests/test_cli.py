@@ -145,3 +145,16 @@ def test_nan_tail_exit_2(tmp_path):
 def test_solve_bad_point_exit_2(files, t, xr):
     _assert_exit_2_json(run("solve", files["down"], "--t", t,
                             "--x-range", xr, "--n", "3"))
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_classify_nonfinite_x0_exit_2(files, x0):
+    _assert_exit_2_json(run("classify", files["sin"], "--x0", x0))
+
+
+@pytest.mark.parametrize("extra", [
+    ("--seed", "0.5,nan", "--t-end", "1"), ("--seed", "0.5", "--t-end", "nan"),
+    ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "0"),
+    ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1")])
+def test_shock_bad_input_exit_2(files, extra):
+    _assert_exit_2_json(run("shock", files["sin"], *extra))

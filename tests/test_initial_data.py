@@ -268,3 +268,56 @@ def test_sampled_right_tail_starts_at_last_knot():
     sd = idata.SampledData(_SX, _SU)
     assert sd.phi(sd.w_hi) == _SU[-1]
     assert np.all(sd.phi(np.array([sd.w_hi, 7.0, 40.0])) == _SU[-1])
+
+
+# -- an array evaluates each point as the scalar call does ---------------------
+# Batched bisection evaluates its midpoints in one array and reproduces the
+# one-step search only if each element is bitwise the scalar value.
+
+_ALL_KINDS = [
+    idata.Piece(-2.0, -1.0, "const", {"c": 0.75}),
+    idata.Piece(-1.0, 0.0, "poly", {"coeffs": [0.3, -1.0, 0.5, 2.0]}),
+    idata.Piece(0.0, 1.0, "sin", {"a": -1.3, "b": 2.7, "c": 0.4}),
+    idata.Piece(1.0, 2.0, "cos", {"a": 0.8, "b": 3.1, "c": -0.2}),
+    idata.Piece(2.0, 3.0, "power", {"a": -0.9, "g": 1.0 / 3.0,
+                                    "x_ref": 2.4, "b": 0.1}),
+]
+_KNOTS = np.linspace(-2.0, 3.0, 33)
+_VALUES = np.sin(2.3 * _KNOTS) - 0.2
+_BITWISE = {
+    "initial_periodic": lambda: idata.InitialData(_ALL_KINDS, period=5.0),
+    "initial_tailed": lambda: idata.InitialData(
+        _ALL_KINDS, left_tail=-0.5, right_tail=0.25),
+    "sampled_periodic": lambda: idata.SampledData(_KNOTS, _VALUES, period=5.0),
+    "sampled_tailed": lambda: idata.SampledData(_KNOTS, _VALUES),
+}
+
+
+def _probe_points(d):
+    rng = np.random.default_rng(11)
+    marks = np.concatenate([[d.w_lo, d.w_hi],
+                            d.xs if d.is_sampled else d._breaks])
+    shifts = (np.arange(-3, 4) * d.period if d.period is not None
+              else np.array([0.0]))
+    pts = (marks[:, None] + shifts[None, :]).ravel()
+    pts = np.concatenate([pts, np.nextafter(pts, np.inf),
+                          np.nextafter(pts, -np.inf),
+                          rng.uniform(d.w_lo - 12.0, d.w_hi + 12.0, 400)])
+    return rng.permutation(pts)
+
+
+@pytest.mark.parametrize("case", sorted(_BITWISE))
+def test_phi_array_matches_scalar_bitwise(case):
+    d = _BITWISE[case]()
+    xs = _probe_points(d)
+    scalar = np.array([d.phi(float(x)) for x in xs])
+    assert d.phi(xs).tobytes() == scalar.tobytes()
+
+
+def test_general_psi_array_matches_scalar_bitwise():
+    gp = GeneralProblem(_CUBE_PAIR, _BITWISE["initial_tailed"]())
+    rng = np.random.default_rng(12)
+    for x, t in ((0.3, 0.7), (-1.9, 2.5), (2.6, 0.05)):
+        us = np.concatenate([rng.uniform(-gp.M, gp.M, 300), gp._s[::64]])
+        scalar = np.array([gp._psi(float(u), x, t) for u in us])
+        assert gp._psi(us, x, t).tobytes() == scalar.tobytes()

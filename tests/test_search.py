@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
-from laxo._search import bisect, golden_min, runs
+from laxo._search import _BATCH, bisect, golden_min, runs
 from laxo.variational_core import Problem
 
 
@@ -103,6 +103,125 @@ def test_bisect_float_floor_far_from_origin():
     a, b = bisect(pred, 1e4, 1e4 + 1.0, 1e-12)
     assert a < 1e4 + 0.25 <= b
     assert b == np.nextafter(a, np.inf)
+
+
+# -- batched bisection --------------------------------------------------------
+
+def _bisect_loop(pred, a, b, tol, maxiter=None):
+    """Reference: the one-step loop, with the (point, answer) of each step."""
+    steps = []
+    while abs(b - a) > tol and (maxiter is None or len(steps) < maxiter):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        ok = bool(pred(m))
+        steps.append((m, ok))
+        if ok:
+            a = m
+        else:
+            b = m
+    return (a, b), steps
+
+
+def _batched(pred, a, b, tol, maxiter=None):
+    """Run the vectorized path, keeping every array it hands the predicate."""
+    batches = []
+
+    def vpred(xs):
+        assert len(batches) <= 1000, "search did not terminate"
+        batches.append(xs.copy())
+        return pred(xs)
+
+    return bisect(vpred, a, b, tol, maxiter, vectorized=True), batches
+
+
+def _assert_same_walk(batches, steps):
+    """Each batch is a full dyadic tree whose walk visits the next steps."""
+    pos = 0
+    for j, pts in enumerate(batches):
+        k = len(pts).bit_length()
+        assert len(pts) == 2 ** k - 1
+        lo, hi = 0, len(pts) + 1
+        chunk = steps[pos:pos + k]
+        # only the last batch may end early, on a tol or float-floor stop
+        assert chunk and (len(chunk) == k or j == len(batches) - 1)
+        for m, ok in chunk:
+            i = (lo + hi) // 2
+            assert pts[i - 1] == m
+            lo, hi = (i, hi) if ok else (lo, i)
+        pos += len(chunk)
+    assert pos == len(steps)
+
+
+_MONOTONE = (lambda c: (lambda x: x < c), lambda c: (lambda x: x > c))
+
+
+def _several_changes(c):
+    # exact arithmetic only, so a point reads the same alone or in an array
+    return lambda x: np.floor((x - c) * 7.3) % 2 == 0
+
+
+def _check_against_loop(pred, a, b, tol, maxiter=None):
+    ref, steps = _bisect_loop(pred, a, b, tol, maxiter)
+    got, batches = _batched(pred, a, b, tol, maxiter)
+    assert got == ref
+    assert bisect(pred, a, b, tol, maxiter) == ref
+    _assert_same_walk(batches, steps)
+    return steps, batches
+
+
+def test_batched_bisect_matches_loop_on_random_brackets():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        a, b = rng.uniform(-5.0, 5.0, 2)       # either orientation
+        c = float(rng.uniform(min(a, b), max(a, b)))
+        tol = float(10.0 ** rng.uniform(-14.0, -1.0))
+        maxiter = None if rng.random() < 0.5 else int(rng.integers(1, 70))
+        for make in _MONOTONE + (_several_changes,):
+            _check_against_loop(make(c), float(a), float(b), tol, maxiter)
+
+
+def test_batched_bisect_stops_mid_batch():
+    # a bracket a few ulps wide far from the origin: rounded midpoints can
+    # shrink it faster than halving, so the tol (or float-floor) stop falls
+    # inside a batch sized from |b - a| / tol
+    base = 1e4
+    ulp = float(np.spacing(base))
+    mid_batch = 0
+    for w in range(3, 120):
+        for tf in (1.5, 2.2, 3.7):
+            for cf in (0.1, 0.37, 0.81):
+                a, b = base, base + w * ulp
+                steps, batches = _check_against_loop(
+                    _MONOTONE[0](a + cf * (b - a)), a, b, tf * ulp)
+                covered = sum(len(p).bit_length() for p in batches)
+                mid_batch += covered > len(steps)
+    assert mid_batch > 0
+
+
+def test_batched_bisect_maxiter_stops():
+    # a batch never runs past maxiter, so this stop is always a batch end
+    for maxiter in range(1, 25):
+        for make in _MONOTONE + (_several_changes,):
+            steps, batches = _check_against_loop(make(0.3), 0.0, 1.0, 0.0,
+                                                 maxiter)
+            assert len(steps) == maxiter
+            assert sum(len(p).bit_length() for p in batches) == maxiter
+
+
+def test_batched_bisect_one_ulp_bracket():
+    a0 = 1e4
+    b0 = np.nextafter(a0, np.inf)
+    got, batches = _batched(lambda x: x < a0, a0, b0, 1e-12)
+    assert got == (a0, b0) and batches == []
+
+
+def test_batched_bisect_call_budget():
+    # a 60-step run pays for up to _BATCH steps per predicate call
+    steps, batches = _check_against_loop(_MONOTONE[0](1e-30), -1.0, 1.0,
+                                         0.0, 60)
+    assert len(steps) == 60
+    assert len(batches) <= -(-60 // _BATCH) + 1
 
 
 # -- golden_min ---------------------------------------------------------------

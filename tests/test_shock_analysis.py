@@ -201,6 +201,15 @@ def test_track_far_from_origin_terminates():
         [0.25, 0.275, 0.3], abs=1e-8)
 
 
+@pytest.mark.parametrize("x0, t0, t_end, dt", [
+    (0.5, np.nan, 1.0, 0.1), (np.nan, 1.0, 1.5, 0.1), (0.5, 1.0, np.nan, 0.1),
+    (0.5, 1.0, np.inf, 0.1), (0.5, -1.0, 1.5, 0.1), (0.5, 1.0, 1.5, 0.0),
+    (0.5, 1.0, 1.5, -0.1), (0.5, 1.0, 1.5, np.nan)])
+def test_track_rejects_bad_input(sin_sa, x0, t0, t_end, dt):
+    with pytest.raises(ValueError):
+        sin_sa.track_forward(x0, t0, t_end, dt)
+
+
 def test_backward_feet_nesting(riemann_sa):
     cur = riemann_sa.track_forward(0.0, 0.0, 3.0, 0.1)
     feet_minus, feet_plus = [], []
