@@ -33,7 +33,6 @@ class CharSpectrum:
     b: float             # lower right Dini derivative of Phi at x0
     includes_a: bool
     includes_b: bool
-    inconclusive: bool = False
 
 
 @dataclass(frozen=True)
@@ -78,77 +77,43 @@ class CharacteristicAnalyzer:
         self.flux = problem.flux
         self.data = problem.data
 
-    # -- one-sided data access --------------------------------------------
-
-    def _phi_side(self, x0, side):
-        d = self.data
-        if hasattr(d, "phi_side"):
-            return d.phi_side(x0, side)
-        off = -1e-12 if side == "left" else 1e-12
-        return float(d.phi(x0 + off))
-
     # -- endpoint membership ----------------------------------------------
 
     def _endpoint(self, x0, c, data_side):
         """Membership of an endpoint value c via the power-law criterion.
 
         The data side pairs with the flux expansion on the opposite side of
-        c in u (left data side with u -> c+, right with u -> c-).  Returns
-        (included, inconclusive).
+        c in u (left data side with u -> c+, right with u -> c-).
         """
         flux_side = "right" if data_side == "left" else "left"
         dg = self.flux.fit_degeneracy(c, flux_side)
-        if hasattr(self.data, "local_expansion"):
-            try:
-                le = self.data.local_expansion(x0, c, data_side)
-            except FitError as err:
-                if "identically" in str(err):
-                    return True, False       # phi == c: Phi(l) = 0 > F
-                raise
-            ok = le.C_gamma > 0 or le.gamma * (1.0 + dg.alpha) >= 1.0 - _EPS
-            return ok, False
-        return self._ladder_endpoint(x0, c, data_side)
-
-    def _ladder_endpoint(self, x0, c, data_side):
-        """Direct comparison Phi(l) > F(l; t1) on a dyadic ladder of l."""
-        sgn = -1.0 if data_side == "left" else 1.0
-        ls = sgn * 0.1 * 2.0 ** -np.arange(21.0)
-        phis = np.array([phi_l(self.data, l, x0, c) for l in ls])
-        verdicts = []
-        for t1 in np.logspace(-4, 4, 9):
-            Fs = np.array([F_l(self.flux, l, t1, c) for l in ls])
-            verdicts.append(bool(np.all(phis[-8:] > Fs[-8:])))
-        if any(verdicts):
-            return True, False
-        for t1 in np.logspace(-4, 4, 9):
-            Fs = np.array([F_l(self.flux, l, t1, c) for l in ls])
-            if not np.all(phis[-8:] < Fs[-8:]):
-                return False, True           # scales disagree
-        return False, False
+        try:
+            le = self.data.local_expansion(x0, c, data_side)
+        except FitError as err:
+            if "identically" in str(err):
+                return True              # phi == c: Phi(l) = 0 > F
+            raise
+        return le.C_gamma > 0 or le.gamma * (1.0 + dg.alpha) >= 1.0 - _EPS
 
     # -- the spectrum and the six wave types -------------------------------
 
     def char_spectrum(self, x0):
-        a = self._phi_side(x0, "left")
-        b = self._phi_side(x0, "right")
+        a = self.data.phi_side(x0, "left")
+        b = self.data.phi_side(x0, "right")
         if a > b + _EPS:
             return CharSpectrum(x0, "empty", a, b, False, False)
         if abs(a - b) <= _EPS:
-            in_l, bad_l = self._endpoint(x0, a, "left")
-            in_r, bad_r = self._endpoint(x0, a, "right")
-            flagged = bad_l or bad_r
             # excluded as soon as either side triggers the exclusion
-            if in_l and in_r:
-                return CharSpectrum(x0, "singleton", a, b, True, True, flagged)
-            return CharSpectrum(x0, "empty", a, b, False, False, flagged)
-        in_a, bad_a = self._endpoint(x0, a, "left")
-        in_b, bad_b = self._endpoint(x0, b, "right")
-        flagged = bad_a or bad_b
+            if self._endpoint(x0, a, "left") and self._endpoint(x0, a, "right"):
+                return CharSpectrum(x0, "singleton", a, b, True, True)
+            return CharSpectrum(x0, "empty", a, b, False, False)
+        in_a = self._endpoint(x0, a, "left")
+        in_b = self._endpoint(x0, b, "right")
         kind = {(True, True): "closed_interval",
                 (False, True): "half_open_left",
                 (True, False): "half_open_right",
                 (False, False): "open_interval"}[(in_a, in_b)]
-        return CharSpectrum(x0, kind, a, b, in_a, in_b, flagged)
+        return CharSpectrum(x0, kind, a, b, in_a, in_b)
 
     def classify_initial_wave(self, x0):
         sp = self.char_spectrum(x0)

@@ -10,10 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect, golden_min, runs
+from ._search import golden_min, runs
 from .errors import HullInfinite, NoDivides
 
 HULL_TOL_SCALE = 1e-9
+
+
+def _check_point(x, t):
+    if not (np.isfinite(x) and np.isfinite(t) and t > 0):
+        raise ValueError("x and t must be finite, with t > 0")
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,13 @@ class Partition:
 
 
 class HullReport:
-    """Lower convex envelope of the primitive with its contact set."""
+    """Lower convex envelope of the primitive with its contact set.
+
+    The envelope is stored as its vertices ``vx``, ``vy`` and ``slopes``:
+    ``slopes[i]`` holds left of ``vx[i]``, so it reads ``slope_left``, the
+    segment slopes, then ``slope_right``.  A periodic envelope is the line
+    of the mean slope, one vertex at w_lo with both tails on it.
+    """
 
     def __init__(self, structure, N, grid_h):
         data = structure.data
@@ -74,36 +85,39 @@ class HullReport:
                 refined.append((x_star, x_star))
             else:
                 refined.append((lo, hi))
-        self.b0 = b0
         if (len(refined) > 1
                 and abs(refined[-1][0] - data.period - refined[0][0]) <= 2 * h):
             refined = refined[:-1]     # same divide modulo the period
         self.K0 = tuple(refined)
         self.xs = xs
         self.left_unbounded = self.right_unbounded = False
-        self._m = m
+        self.b_left = self.b_right = b0
+        self._set_vertices([data.w_lo], [m * data.w_lo + b0])
 
     def _build_tailed(self, data, N, h):
         lo = data.w_lo if N is None else -abs(N)
         hi = data.w_hi if N is None else abs(N)
         lo, hi = min(lo, data.w_lo), max(hi, data.w_hi)
-        xs = np.unique(np.concatenate([
-            np.arange(lo, hi + 0.5 * h, h),
-            [data.w_lo, data.w_hi],
-            [p.lo for p in getattr(data, "pieces", ())],
-        ]))
+        # one node per breakpoint: drop grid nodes that round onto one
+        brk = np.unique([data.w_lo, data.w_hi]
+                        + [p.lo for p in getattr(data, "pieces", ())])
+        grid = np.arange(lo, hi + 0.5 * h, h)
+        ends = np.concatenate([[-np.inf], brk, [np.inf]])
+        i = np.searchsorted(ends, grid)
+        near = np.minimum(grid - ends[i - 1], ends[i] - grid) <= 1e-9 * h
+        xs = np.union1d(grid[~near], brk)
         ys = data.primitive(xs)
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(ys))))
-        vs = _lower_hull(xs, ys)
+        vx, vy = _lower_hull(xs, ys)
         sl, sr = self.slope_left, self.slope_right
         # tangency of the tail lines with the window hull
-        gl = np.array([y - sl * x for x, y in vs])
-        gr = np.array([y - sr * x for x, y in vs])
+        gl = vy - sl * vx
+        gr = vy - sr * vx
         i_l = int(np.argmin(gl))
-        i_r = len(vs) - 1 - int(np.argmin(gr[::-1]))
+        i_r = len(vx) - 1 - int(np.argmin(gr[::-1]))
         self.b_left = float(gl[i_l])
         self.b_right = float(gr[i_r])
-        self.vertices = tuple(vs[i_l:i_r + 1])
+        self._set_vertices(vx[i_l:i_r + 1], vy[i_l:i_r + 1])
         self.xs = xs
         hull_ys = self.value(xs)
         self.K0 = tuple((float(xs[i]), float(xs[j]))
@@ -115,17 +129,21 @@ class HullReport:
             float(data.primitive(data.w_hi)) - sr * data.w_hi
             - self.b_right) <= self.hull_tol
 
+    def _set_vertices(self, vx, vy):
+        """Store the envelope: vertices, and slopes[i] left of vertex i."""
+        self.vx = np.asarray(vx, dtype=float)
+        self.vy = np.asarray(vy, dtype=float)
+        self.slopes = np.concatenate([[self.slope_left],
+                                      np.diff(self.vy) / np.diff(self.vx),
+                                      [self.slope_right]])
+
     # -- evaluation --------------------------------------------------------
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if self.period is not None:
-            out = self._m * x + self.b0
-            return float(out[0]) if scalar else out
-        vx = np.array([v[0] for v in self.vertices])
-        vy = np.array([v[1] for v in self.vertices])
+        vx = self.vx
         out = np.empty_like(x)
         left = x <= vx[0]
         right = x >= vx[-1]
@@ -133,40 +151,25 @@ class HullReport:
         out[left] = self.slope_left * x[left] + self.b_left
         out[right] = self.slope_right * x[right] + self.b_right
         if np.any(midm):
-            out[midm] = np.interp(x[midm], vx, vy)
+            out[midm] = np.interp(x[midm], vx, self.vy)
         return float(out[0]) if scalar else out
 
     def slopes_at(self, x0):
         """One-sided derivatives of the envelope at x0."""
-        if self.period is not None:
-            return self._m, self._m
-        vx = np.array([v[0] for v in self.vertices])
-        vy = np.array([v[1] for v in self.vertices])
-        segs_x = np.concatenate([[-np.inf], vx, [np.inf]])
-        slopes = np.concatenate([[self.slope_left],
-                                 np.diff(vy) / np.diff(vx)
-                                 if len(vx) > 1 else [],
-                                 [self.slope_right]])
-        # slope on segment i covers (segs_x[i], segs_x[i+1])
-        i = int(np.searchsorted(segs_x, x0, side="right")) - 1
-        i = min(max(i, 0), len(slopes) - 1)
-        on_vertex = np.any(np.abs(vx - x0) <= 1e-12)
-        if on_vertex:
-            j = int(np.argmin(np.abs(vx - x0)))
-            left = slopes[j] if j >= 0 else self.slope_left
-            right = slopes[j + 1] if j + 1 < len(slopes) else self.slope_right
-            return float(left), float(right)
+        vx, slopes = self.vx, self.slopes
+        dist = np.abs(vx - x0)
+        j = int(np.argmin(dist))
+        if dist[j] <= 1e-12:
+            return float(slopes[j]), float(slopes[j + 1])
+        # slopes[i] covers (vx[i-1], vx[i])
+        i = int(np.searchsorted(vx, x0, side="right"))
         return float(slopes[i]), float(slopes[i])
-
-    def envelope_derivative(self, xi):
-        """Right-continuous derivative of the envelope (the profile data)."""
-        return self.slopes_at(xi)[1]
 
 
 def _lower_hull(xs, ys):
-    pts = list(zip(xs, ys))
+    """Vertices (vx, vy) of the lower convex hull of sorted points."""
     hull = []
-    for p in pts:
+    for p in zip(xs, ys):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
@@ -174,7 +177,8 @@ def _lower_hull(xs, ys):
             else:
                 break
         hull.append(p)
-    return hull
+    vx, vy = zip(*hull)
+    return np.array(vx), np.array(vy)
 
 
 class GlobalStructure:
@@ -242,43 +246,43 @@ class GlobalStructure:
 
     # -- asymptotic profiles ----------------------------------------------
 
+    def _fan(self, x, foot, t):
+        """Value at x of the centred rarefaction fan from (foot, 0)."""
+        fl = self.flux
+        M = self.data.bound + 1.0
+        v = min(max((x - foot) / t, fl.deriv(-M)), fl.deriv(M))
+        return float(fl.invert_deriv(v, (-M, M)))
+
     def profile_u_tilde(self, x, t):
         """Rarefaction-constant profile: the solution with envelope data.
 
-        Solves the monotone characteristic relation xi + t f'(phibar(xi)) = x
-        for the foot xi, then returns (f')^{-1}((x - xi)/t).
+        The envelope's derivative is slopes[i] between vertices i-1 and i,
+        so the solution is slopes[i] on the band its segment's
+        characteristics sweep and a centred fan at each vertex.
         """
+        _check_point(x, t)
         hull = self.convex_hull()
-        fl = self.flux
-        if hull.period is not None:
-            return float(hull._m)
-        M = self.data.bound + 1.0
-        span = abs(t) * max(abs(fl.deriv(-M)), abs(fl.deriv(M))) + 1.0
-        lo = min(hull.vertices[0][0], x) - span
-        hi = max(hull.vertices[-1][0], x) + span
-
-        def left_of_foot(xi):
-            return xi + t * fl.deriv(hull.envelope_derivative(xi)) - x <= 0
-
-        lo, hi = bisect(left_of_foot, lo, hi, 1e-13 * (1.0 + abs(x)), 100)
-        xi = 0.5 * (lo + hi)
-        v = (x - xi) / t
-        vlo, vhi = fl.deriv(-M), fl.deriv(M)
-        v = min(max(v, vlo), vhi)
-        return float(fl.invert_deriv(v, (-M, M)))
+        vx = hull.vx
+        d = t * self.flux.deriv(hull.slopes)
+        # vertex j fans out over [vx[j] + d[j], vx[j] + d[j + 1])
+        j = int(np.searchsorted(vx + d[1:], x, side="right"))
+        if j < len(vx) and x >= vx[j] + d[j]:
+            return self._fan(x, vx[j], t)
+        return float(hull.slopes[j])
 
     def nwave(self, x, t, shock_positions=None):
         """Generalized N-wave profile; shock positions supplied per gap."""
+        _check_point(x, t)
         hull = self.convex_hull()
         fl = self.flux
         part = self.partition()
         gaps = [r for r in part.regions if r.kind == "gap"]
-        M = self.data.bound + 1.0
         xq = x
         if hull.period is not None:
             # work in the tile containing the backward foot
             p = self.data.period
-            shift = np.floor((x - t * fl.deriv(hull._m) - self.data.w_lo) / p)
+            shift = np.floor((x - t * fl.deriv(hull.slope_left)
+                              - self.data.w_lo) / p)
             xq = x - shift * p
         for n, r in enumerate(gaps):
             e, h = r.interval
@@ -291,12 +295,7 @@ class GlobalStructure:
                         else shock_positions[n]
                 if xn is None:
                     xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
-                foot = e if xq < xn else h
-                v = (xq - foot) / t
-                v = min(max(v, fl.deriv(-M)), fl.deriv(M))
-                return float(fl.invert_deriv(v, (-M, M)))
-        if hull.period is not None:
-            return float(hull._m)
+                return self._fan(xq, e if xq < xn else h, t)
         return self.profile_u_tilde(x, t)
 
     # -- decay measurement -------------------------------------------------

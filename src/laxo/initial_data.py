@@ -192,6 +192,9 @@ class _Extended:
                 out[right] = self.right_tail
             if np.any(mid):
                 out[mid] = inner(x[mid])
+        # a NaN point fell through to the window, where a piece or knot
+        # claimed it
+        out[np.isnan(x)] = np.nan
         if integrated:
             out = out - self._norm
         return float(out[0]) if scalar else out
@@ -428,3 +431,22 @@ class SampledData(_Extended):
     def _inner_primitive(self, r):
         idx = self._knot(r)
         return self._P[idx] + self.us[idx] * (r - self.xs[idx])
+
+    # -- one-sided structure ----------------------------------------------
+
+    def phi_side(self, x0, side):
+        """One-sided limit of phi at x0 (phi is right-continuous)."""
+        _check_finite("x0", x0)
+        if side == "left":
+            x0 = np.nextafter(x0, -np.inf)
+        return float(self.phi(x0))
+
+    def local_expansion(self, x0, c, side):
+        """phi is constant on each side of x0, so no power law applies.
+
+        Raises the FitError of ``InitialData.local_expansion``: phi is
+        identically c on the side, or its one-sided limit differs from c.
+        """
+        if abs(self.phi_side(x0, side) - c) <= 1e-12:
+            raise FitError("phi is identically c on this side")
+        raise FitError("one-sided limit of phi differs from c")

@@ -104,8 +104,8 @@ class ShockAnalyzer:
         if not np.isfinite(t_p):
             return None
         self._check_uniqueness(x0, c, t_p)
-        a = self.chars._phi_side(x0, "left")
-        b = self.chars._phi_side(x0, "right")
+        a = self.data.phi_side(x0, "left")
+        b = self.data.phi_side(x0, "right")
         if abs(tm - tp) <= 1e-9 * (1.0 + t_p):
             case = "I"
         elif tp < tm:       # the right data side compresses first
@@ -242,8 +242,8 @@ class ShockAnalyzer:
         if t > 0:
             um, up = self._traces(x, t)
         else:
-            um = self.chars._phi_side(x, "left")
-            up = self.chars._phi_side(x, "right")
+            um = self.data.phi_side(x, "left")
+            up = self.data.phi_side(x, "right")
         prev_slope = None
         if t > 0:
             curve.nodes.append(self._node(x, t, um, up, prev_slope))

@@ -227,3 +227,32 @@ def test_spectrum_membership_sandwich():
         sp = ca.char_spectrum(0.0)
         if sp.kind != "empty":
             assert sp.a <= sp.b
+
+
+_KNOT_US = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.5, -0.25, 0.0, 0.0, 0.75,
+                     0.75, -1.0, -1.0, 0.25, 0.25, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("period", [None, 4.0], ids=["tailed", "periodic"])
+def test_sampled_data_wave_types(period):
+    # phi is constant between knots: a knot where it drops is a shock (S),
+    # one where it rises a fan (R), anything else a single characteristic
+    xs = np.linspace(-2.0, 2.0, 17)
+    d = idata.SampledData(xs, _KNOT_US, period=period)
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), d))
+    # left and right limits at each knot; the periodic w_lo sees w_hi's left
+    left = np.concatenate([[_KNOT_US[0] if period is None else _KNOT_US[-2]],
+                           _KNOT_US[:-1]])
+    right = _KNOT_US.copy()
+    if period is not None:
+        right[-1] = _KNOT_US[0]
+    for x0, a, b in zip(xs, left, right):
+        expect = "S" if a > b else "R" if a < b else "characteristic"
+        assert ca.classify_initial_wave(x0) == expect
+        sp = ca.char_spectrum(x0)
+        assert (sp.a, sp.b) == (a, b)
+    for x0 in 0.5 * (xs[:-1] + xs[1:]) + 0.1:
+        assert ca.classify_initial_wave(x0) == "characteristic"
+        assert ca.lifespan_upper(x0, float(d.phi(x0))) == (np.inf, np.inf)
+    with pytest.raises(ValueError):
+        d.phi_side(np.nan, "left")

@@ -158,3 +158,12 @@ def test_classify_nonfinite_x0_exit_2(files, x0):
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1")])
 def test_shock_bad_input_exit_2(files, extra):
     _assert_exit_2_json(run("shock", files["sin"], *extra))
+
+
+@pytest.mark.parametrize("t, xr", [("0", "-1:1"), ("-1", "-1:1"),
+                                   ("nan", "-1:1"), ("inf", "-1:1"),
+                                   ("1", "nan:1")])
+@pytest.mark.parametrize("kind", ["utilde", "nwave"])
+def test_profile_bad_point_exit_2(files, t, xr, kind):
+    _assert_exit_2_json(run("profile", files["up"], "--t", t,
+                            "--x-range", xr, "--n", "3", "--kind", kind))

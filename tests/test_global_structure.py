@@ -178,3 +178,48 @@ def test_decay_degenerate_flux():
     e, c, series = gs.measure_decay(
         "sup", (-np.pi, np.pi), [20.0, 40.0, 80.0, 160.0])
     assert e == pytest.approx(-1.0 / 3.0, abs=0.05)
+
+
+def _sin3():
+    # sin 3x on [-2, 2] between the tails -1/2 and 1/2
+    return idata.InitialData(
+        [idata.Piece(-2.0, 2.0, "sin", {"a": 1.0, "b": 3.0, "c": 0.0})],
+        left_tail=-0.5, right_tail=0.5)
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2)],
+                         ids=["burgers", "quartic"])
+def test_profile_matches_envelope_solution(fl):
+    # the profile is the entropy solution whose data is the envelope's
+    # derivative: constant on each segment, the tail slopes outside
+    gs = GlobalStructure(Problem(fl, _sin3()))
+    h = gs.convex_hull()
+    pieces = [idata.Piece(a, b, "const", {"c": c})
+              for a, b, c in zip(h.vx, h.vx[1:], h.slopes[1:-1])]
+    env = Problem(fl, idata.InitialData(
+        pieces, left_tail=h.slope_left, right_tail=h.slope_right,
+        window=(h.vx[0], h.vx[-1])))
+    for t in (0.5, 3.0, 20.0):
+        for x in np.linspace(-10.0, 10.0, 41):
+            assert abs(gs.profile_u_tilde(x, t)
+                       - env.solve(x, t).u_plus) <= 1e-9
+
+
+def test_tailed_hull_one_node_per_breakpoint():
+    d = _sin3()
+    h = GlobalStructure(Problem(flux.burgers(), d)).convex_hull()
+    grid_h = 1e-3 * (d.w_hi - d.w_lo)
+    assert np.all(np.diff(h.vx) > 1e-9 * grid_h)
+    assert np.all(np.diff(h.xs) > 1e-9 * grid_h)
+    assert h.K0[-1] == (2.0, 2.0)
+
+
+@pytest.mark.parametrize("x, t", [(np.nan, 1.0), (np.inf, 1.0),
+                                  (0.0, np.nan), (0.0, np.inf),
+                                  (0.0, 0.0), (0.0, -1.0)])
+def test_profile_rejects_bad_point(sin_gs, fan_gs, x, t):
+    for gs in (sin_gs, fan_gs):
+        with pytest.raises(ValueError):
+            gs.profile_u_tilde(x, t)
+        with pytest.raises(ValueError):
+            gs.nwave(x, t, {0: 0.0})

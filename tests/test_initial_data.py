@@ -321,3 +321,16 @@ def test_general_psi_array_matches_scalar_bitwise():
         us = np.concatenate([rng.uniform(-gp.M, gp.M, 300), gp._s[::64]])
         scalar = np.array([gp._psi(float(u), x, t) for u in us])
         assert gp._psi(us, x, t).tobytes() == scalar.tobytes()
+
+
+_NAN_CASES = dict(_BITWISE, step=lambda: idata.step(1.0, 0.0))
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_CASES))
+def test_nan_point_gives_nan(case):
+    # NaN lies in neither tail nor the window; no piece or knot may claim it
+    d = _NAN_CASES[case]()
+    for fn in (d.phi, d.primitive):
+        assert np.isnan(fn(np.nan))
+        out = fn(np.array([np.nan, d.w_lo, np.nan]))
+        assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
