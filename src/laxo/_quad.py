@@ -1,20 +1,7 @@
-"""One-dimensional quadrature helpers.
+"""Adaptive Simpson quadrature for scalar integrands.
 
-Adaptive Simpson for scalar integrands plus a fixed high-order Gauss rule
-used for smooth short panels.
+Used only by the numeric primitive of U(phi) for general pairs.
 """
-
-import numpy as np
-
-# 5-point Gauss-Legendre nodes/weights on [-1, 1].
-_GL_X = np.array([
-    -0.9061798459386640, -0.5384693101056831, 0.0,
-    0.5384693101056831, 0.9061798459386640,
-])
-_GL_W = np.array([
-    0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-    0.4786286704993665, 0.2369268850561891,
-])
 
 
 def _simpson(fa, fm, fb, h):

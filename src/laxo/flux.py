@@ -9,13 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_simpson
 from ._search import bisect
 from .errors import BracketError, FitError
 
 TOL_U = 1e-12
 TOL_V = 1e-10
-QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,11 @@ class Flux:
     # -- inverse of f' ----------------------------------------------------
 
     def invert_deriv(self, v, bracket=None):
-        """Solve f'(u) = v on the bracket by bisection plus a Newton polish.
+        """Solve f'(u) = v on the bracket, in closed form for named kinds.
 
-        Accepts scalars or arrays; raises :class:`BracketError` when some v
-        lies outside the image of the bracket.
+        A custom flux uses bisection plus a Newton polish.  Accepts scalars
+        or arrays; raises :class:`BracketError` when some v lies more than
+        ``TOL_V`` outside the image of the bracket.
         """
         if bracket is None:
             bracket = self.domain_hint
@@ -68,34 +67,52 @@ class Flux:
         if not (np.all(v >= flo - TOL_V) and np.all(v <= fhi + TOL_V)):
             raise BracketError(
                 f"value outside image of f' on [{lo}, {hi}]")
-        a = np.empty_like(v)
-        b = np.empty_like(v)
-        # bisection on the monotone residual f'(u) - v, one value at a time
-        for i, vi in enumerate(v):
-            b[i], a[i] = bisect(lambda m: self.deriv(m) >= vi, hi, lo,
-                                TOL_U, 64)
-        u = 0.5 * (a + b)
-        # one safeguarded Newton step where f'' is healthy
-        fpp = self.second(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fpp > 0.0, (self.deriv(u) - v) / np.where(fpp > 0, fpp, 1.0), 0.0)
-        un = u - step
-        ok = (un >= a) & (un <= b)
-        u = np.where(ok, un, u)
+        # keep the tolerated overshoot out of the closed forms (log of v < 0)
+        v = np.clip(v, flo, fhi)
+        if self.kind == "burgers":
+            u = v
+        elif self.kind == "power2n":
+            u = np.sign(v) * np.abs(v) ** (1.0 / (2 * self.params["n"] - 1))
+        elif self.kind == "exponential":
+            with np.errstate(divide="ignore"):   # f'(lo) may underflow to 0
+                u = np.log(v) / self.params["k"]
+        else:
+            a = np.empty_like(v)
+            b = np.empty_like(v)
+            # bisection on the monotone residual f'(u) - v, one value at a time
+            for i, vi in enumerate(v):
+                b[i], a[i] = bisect(lambda m: self.deriv(m) >= vi, hi, lo,
+                                    TOL_U, 64)
+            u = 0.5 * (a + b)
+            # one safeguarded Newton step where f'' is healthy
+            fpp = self.second(u)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(fpp > 0.0, (self.deriv(u) - v)
+                                / np.where(fpp > 0, fpp, 1.0), 0.0)
+            un = u - step
+            ok = (un >= a) & (un <= b)
+            u = np.where(ok, un, u)
+        u = np.clip(u, lo, hi)
         return float(u[0]) if scalar else u
 
     # -- rho(u, v) --------------------------------------------------------
 
     def rho(self, u, v):
-        """The flux mean rho(u,v) = int_v^u s f'' ds / int_v^u f'' ds."""
+        """The flux mean rho(u,v) = int_v^u s f'' ds / int_v^u f'' ds.
+
+        Exact: int s f'' = [s f' - f] and int f'' = [f'].  Rounding errs by
+        about eps |u f'(u) - f(u)| / |f'(u) - f'(v)|; the mean is clamped to
+        the interval between u and v, where it lies.
+        """
         if abs(u - v) <= TOL_U:
             return float(v)
         lo, hi = (u, v) if u < v else (v, u)
-        num = adaptive_simpson(lambda s: s * self.second(s), lo, hi, QUAD_TOL)
-        den = adaptive_simpson(self.second, lo, hi, QUAD_TOL)
+        fplo, fphi = self.deriv(lo), self.deriv(hi)
+        den = fphi - fplo
         if den <= 0.0:
             raise FitError("f'' integrates to zero between the arguments")
-        return num / den
+        num = hi * fphi - self.eval(hi) - (lo * fplo - self.eval(lo))
+        return float(min(max(num / den, lo), hi))
 
     # -- degeneracy expansion --------------------------------------------
 
@@ -132,7 +149,11 @@ class Flux:
 
 
 class GeneralFluxPair:
-    """General pair U(u)_t + F(u)_x = 0 with H = F'/U' strictly increasing."""
+    """General pair U(u)_t + F(u)_x = 0 with H = F'/U' strictly increasing.
+
+    Without F, F(u) = int_0^u H U' ds by 24-point Gauss-Legendre quadrature
+    at every call: pass F when it is known.
+    """
 
     def __init__(self, U, Uprime, F=None, Fprime=None, H=None, Hprime=None,
                  domain_hint=(-16.0, 16.0)):
@@ -143,10 +164,16 @@ class GeneralFluxPair:
         if Hprime is None:
             h = 1e-6
             Hprime = lambda u: (H(u + h) - H(u - h)) / (2.0 * h)
+        if F is None:
+            nodes, weights = np.polynomial.legendre.leggauss(24)
+
+            def F(u):
+                u = np.asarray(u, dtype=float)
+                s = 0.5 * u[..., None] * (1.0 + nodes)
+                return 0.5 * u * ((H(s) * Uprime(s)) @ weights)
         self.U = U
         self.Uprime = Uprime
         self.F = F
-        self.Fprime = Fprime
         self.H = H
         self.Hprime = Hprime
         self.domain_hint = tuple(domain_hint)

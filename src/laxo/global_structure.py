@@ -196,6 +196,8 @@ class GlobalStructure:
         return self._hull
 
     def divide_fan(self, x0):
+        if not np.isfinite(x0):
+            raise ValueError("x0 must be finite")
         hull = self.convex_hull()
         gap = float(self.data.primitive(x0)) - float(hull.value(x0))
         if gap > hull.hull_tol:

@@ -175,6 +175,8 @@ class _Extended:
         scalar = x.ndim == 0
         x = np.atleast_1d(x).astype(float)
         if self.period is not None:
+            # +-inf has no phase in the period: it evaluates as NaN does
+            x[np.isinf(x)] = np.nan
             r, k = self._reduce(x)
             out = inner(np.clip(r, self.w_lo, self.w_hi))
             if integrated:

@@ -6,7 +6,6 @@ uL <= uR and max f on [uR, uL] otherwise.  Used only on small instances
 to sanity-check the closed-form solver.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +90,6 @@ class GodunovSolver:
 
     def mass(self):
         return float(np.sum(self.u) * self.grid.dx)
-
-    def dump_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "u"])
-            for x, u in zip(self.grid.centers(), self.u):
-                w.writerow([f"{x:.17g}", f"{u:.17g}"])
 
 
 def _detect_jump(xs, us, jump_tol=1e-2):

@@ -11,10 +11,12 @@ E is evaluated in closed form through the substitution y = x - t f'(s):
 
     E(u; x, t) = Phi(x - t f'(0)) - Phi(x - t f'(u)) - t * int_0^u s f''(s) ds,
 
-with the exact primitive Phi carrying all the data roughness; the remaining
-integrand is smooth and handled by fixed high-order Gauss panels.  The same
-pipeline serves the general pair U(u)_t + F(u)_x = 0 with H = F'/U', where
-Phi is replaced by a primitive of U(phi).
+with the exact primitive Phi carrying all the data roughness.  The flux
+term is closed form, int_0^u s f''(s) ds = u f'(u) - f(u) + f(0), the
+Legendre conjugate of the Hopf-Lax formula.  The same pipeline serves the
+general pair U(u)_t + F(u)_x = 0 with H = F'/U', where Phi is replaced by a
+primitive of U(phi) and the flux term by
+int_0^u H'U ds = H(u)U(u) - F(u) - (H(0)U(0) - F(0)).
 """
 
 import math
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import _GL_W, _GL_X, adaptive_simpson
+from ._quad import adaptive_simpson
 from ._search import bisect, golden_min, runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended
@@ -125,6 +127,7 @@ class GeneralProblem:
         self._H = pair.H
         self._Hp = pair.Hprime
         self._U = pair.U
+        self._F = pair.F
         if pair.U is _identity:
             self._W = data.primitive
         else:
@@ -135,32 +138,18 @@ class GeneralProblem:
         self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
         self._Hs = np.asarray(self._H(self._s), dtype=float)
         self._H0 = float(self._H(0.0))
-        # cumulative int H'(s) U(s) ds along the grid (5-point Gauss panels)
-        a, b = self._s[:-1], self._s[1:]
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        nodes = mid + half * _GL_X[None, :]
-        gi = np.asarray(self._Hp(nodes)) * np.asarray(self._U(nodes))
-        panel = (half[:, 0]) * (gi @ _GL_W)
-        self._P2 = np.concatenate([[0.0], np.cumsum(panel)])
-        self._P2 -= self._p2(0.0)
+        self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
+        # int_0^s H'(r) U(r) dr along the grid
+        self._Is = (self._Hs * np.asarray(self._U(self._s))
+                    - np.asarray(self._F(self._s)) - self._I0)
 
     # -- scalar helpers ---------------------------------------------------
 
-    def _p2(self, u):
-        """int from s[0] to u of H'(s)U(s) ds, u inside the scan range."""
-        k = int(np.clip(np.searchsorted(self._s, u) - 1, 0, self.n_scan - 1))
-        a = self._s[k]
-        mid, half = 0.5 * (a + u), 0.5 * (u - a)
-        nodes = mid + half * _GL_X
-        return self._P2[k] + half * float(
-            (np.asarray(self._Hp(nodes)) * np.asarray(self._U(nodes))) @ _GL_W)
-
     def eval_E(self, u, x, t):
-        """E(u; x, t), exact up to the smooth Gauss panels."""
-        W = self._W
-        return float(W(x - t * self._H0) - W(x - t * self._H(u))
-                     - t * self._p2(u))
+        """E(u; x, t), exact given the primitive and the pair's F."""
+        Hu = self._H(u)
+        return float(self._W(x - t * self._H0) - self._W(x - t * Hu)
+                     - t * (Hu * self._U(u) - self._F(u) - self._I0))
 
     def _psi(self, u, x, t):
         """sign(dE/du) carrier U(phi(x - t H(u))) - U(u) on an array of u."""
@@ -175,7 +164,7 @@ class GeneralProblem:
         W = self._W
         feet = x - t * Hs
         Wf = np.asarray(W(feet))
-        Ev = (W(x - t * self._H0) - Wf) - t * self._P2
+        Ev = (W(x - t * self._H0) - Wf) - t * self._Is
         g = np.abs(np.asarray(self._Hp(s))
                    * (np.asarray(self._U(self.data.phi(feet)))
                       - np.asarray(self._U(s))))
@@ -325,9 +314,8 @@ class RestartedProblem:
 
 def identity_pair(flux):
     """GeneralFluxPair reducing to the scalar flux (U = id)."""
-    return GeneralFluxPair(_identity, _ones, F=flux.eval, Fprime=flux.deriv,
-                           H=flux.deriv, Hprime=flux.second,
-                           domain_hint=flux.domain_hint)
+    return GeneralFluxPair(_identity, _ones, F=flux.eval, H=flux.deriv,
+                           Hprime=flux.second, domain_hint=flux.domain_hint)
 
 
 def solve_general(pair, data, x, t, **kw):

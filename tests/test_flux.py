@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from laxo import flux
 from laxo.errors import BracketError, FitError
+from laxo.flux import GeneralFluxPair
+
+_NAMED = {"burgers": flux.burgers, "power2n_2": lambda: flux.power2n(2),
+          "power2n_3": lambda: flux.power2n(3),
+          "exponential": lambda: flux.exponential(0.7)}
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +49,32 @@ def test_invert_deriv_vectorized(quartic):
     assert np.allclose(quartic.deriv(u), v, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", sorted(_NAMED))
+def test_invert_deriv_closed_form_matches_bisection(kind):
+    # the custom twin has the same f, f', f'' and inverts f' by bisection
+    fl = _NAMED[kind]()
+    twin = flux.custom(fl.eval, fl.deriv, fl.second)
+    for lo, hi in ((-2.0, 2.0), (-0.5, 1.5), (0.25, 3.0)):
+        v = np.linspace(fl.deriv(lo), fl.deriv(hi), 41)   # ends included
+        got = fl.invert_deriv(v, (lo, hi))
+        assert np.max(np.abs(got - twin.invert_deriv(v, (lo, hi)))) <= 1e-12
+        assert got[0] == pytest.approx(lo, abs=1e-12)
+        assert got[-1] == pytest.approx(hi, abs=1e-12)
+
+
+def test_invert_deriv_tolerated_overshoot_stays_in_bracket():
+    # values within TOL_V outside the image map to the bracket ends; e^(2u)
+    # is never negative, and log of a negative value must not be taken
+    assert flux.exponential(2.0).invert_deriv(-5e-11) == -16.0
+    u = flux.exponential(2.0).invert_deriv(np.array([-5e-11, np.exp(32.0)]))
+    assert np.all((-16.0 <= u) & (u <= 16.0))
+    for fl in (flux.burgers(), flux.power2n(2)):
+        lo, hi = -1.0, 2.0
+        u = fl.invert_deriv(np.array([fl.deriv(lo) - 5e-11,
+                                      fl.deriv(hi) + 5e-11]), (lo, hi))
+        assert list(u) == [lo, hi]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-8.0, 8.0))
 def test_invert_roundtrip_burgers(v):
@@ -64,6 +96,20 @@ def test_rho_examples(quartic):
     assert b.rho(0.3, 0.3) == 0.3
     # int_0^1 3 s^3 ds / int_0^1 3 s^2 ds = (3/4) / 1
     assert quartic.rho(1.0, 0.0) == pytest.approx(0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(_NAMED))
+def test_rho_argument_order(kind):
+    # the denominator is taken on the ordered pair, so u < v is no error
+    fl = _NAMED[kind]()
+    for u, v in ((0.0, 1.0), (-1.2, 0.4), (0.3, 1.9), (-1.5, -0.2)):
+        assert fl.rho(u, v) == fl.rho(v, u)
+        assert u < fl.rho(u, v) < v
+    # nearly equal arguments: rounding must not leave the interval
+    for u in (-1.9, 0.7, 1.9):
+        v = u + 3e-9
+        assert fl.rho(u, v) == fl.rho(v, u)
+        assert u <= fl.rho(u, v) <= v
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,3 +195,30 @@ def test_descriptor_roundtrip():
         fl2 = flux.from_descriptor(d)
         assert fl2.kind == fl.kind
         assert fl2.eval(0.7) == pytest.approx(fl.eval(0.7))
+
+
+def _arr(u):
+    return np.asarray(u, dtype=float)
+
+
+# (U, U', H) of pairs given without F
+_H_ONLY = {
+    "cube_U_identity_H": (lambda u: _arr(u) ** 3 + _arr(u),
+                          lambda u: 3.0 * _arr(u) ** 2 + 1.0, _arr),
+    "exp_U_cube_H": (lambda u: np.exp(_arr(u) / 2.0),
+                     lambda u: 0.5 * np.exp(_arr(u) / 2.0),
+                     lambda u: _arr(u) ** 3 + _arr(u)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_H_ONLY))
+def test_general_pair_F_matches_quad(name):
+    # F = int_0^u H U' ds by Gauss-Legendre against adaptive quadrature
+    U, Up, H = _H_ONLY[name]
+    pair = GeneralFluxPair(U, Up, H=H)
+    us = np.linspace(-2.5, 2.5, 21)
+    want = np.array([quad(lambda s: float(H(s) * Up(s)), 0.0, u,
+                          epsabs=1e-13, epsrel=1e-13)[0] for u in us])
+    assert np.max(np.abs(pair.F(us) - want)) <= 1e-12
+    assert pair.F(float(us[3])) == pytest.approx(want[3], abs=1e-12)
+    assert pair.F(0.0) == 0.0

@@ -65,6 +65,13 @@ def test_divide_fan_full(fan_gs):
     assert (f.lo, f.hi) == (-1.0, 1.0)
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_divide_fan_rejects_non_finite(sin_gs, fan_gs, x0):
+    for gs in (sin_gs, fan_gs):
+        with pytest.raises(ValueError):
+            gs.divide_fan(x0)
+
+
 def test_hull_infinite_for_downward_step():
     gs = GlobalStructure(Problem(flux.burgers(), idata.step(1.0, 0.0)))
     with pytest.raises(HullInfinite):

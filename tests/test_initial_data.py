@@ -334,3 +334,14 @@ def test_nan_point_gives_nan(case):
         assert np.isnan(fn(np.nan))
         out = fn(np.array([np.nan, d.w_lo, np.nan]))
         assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
+
+
+@pytest.mark.parametrize("case", ["initial_periodic", "sampled_periodic"])
+def test_infinite_point_on_periodic_data_gives_nan(case):
+    # +-inf has no phase in the period; the reduction must not warn
+    d = _BITWISE[case]()
+    for fn in (d.phi, d.primitive):
+        for x in (np.inf, -np.inf):
+            assert np.isnan(fn(x))
+        out = fn(np.array([np.inf, d.w_lo, -np.inf]))
+        assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])

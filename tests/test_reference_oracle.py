@@ -89,13 +89,3 @@ def test_convergence_monotone_all_canonical():
         errs = [compare(p, t, FvGrid(g0.x_lo, g0.x_hi, n, boundary=g0.boundary))["l1"]
                 for n in (100, 200, 400)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_csv_dump(tmp_path):
-    g = FvGrid(-1.0, 1.0, 10)
-    s = GodunovSolver(flux.burgers(), idata.step(1.0, 0.0), g)
-    path = tmp_path / "cells.csv"
-    s.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,u"
-    assert len(lines) == 11

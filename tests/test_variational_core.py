@@ -51,16 +51,18 @@ def test_quartic_riemann_shock_speed():
 def test_eval_E_against_direct_quadrature(neg_sin):
     # independent oracle: E = t int_0^u f''(s)(phi(x - t f'(s)) - s) ds by
     # dense trapezoid sums (smooth integrand for sine data)
-    p = neg_sin
-    rng = np.random.default_rng(3)
-    for _ in range(12):
-        x = rng.uniform(-3.0, 3.0)
-        t = rng.uniform(0.2, 3.0)
-        u = rng.uniform(-1.0, 1.0)
-        s = np.linspace(0.0, u, 20001)
-        g = p.data.phi(x - t * s) - s     # f'' = 1, f' = s for Burgers
-        oracle = t * np.trapezoid(g, s)
-        assert p.eval_E(u, x, t) == pytest.approx(oracle, abs=1e-7)
+    for p in (neg_sin, Problem(flux.power2n(2), neg_sin.data),
+              Problem(flux.exponential(0.7), neg_sin.data)):
+        fl = p.flux
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            x = rng.uniform(-3.0, 3.0)
+            t = rng.uniform(0.2, 3.0)
+            u = rng.uniform(-1.0, 1.0)
+            s = np.linspace(0.0, u, 20001)
+            g = fl.second(s) * (p.data.phi(x - t * fl.deriv(s)) - s)
+            oracle = t * np.trapezoid(g, s)
+            assert p.eval_E(u, x, t) == pytest.approx(oracle, abs=1e-7)
 
 
 def test_maximize_against_brute_force_scan(neg_sin):
@@ -177,6 +179,25 @@ def test_general_pair_riemann():
     assert solve_general(pair, d, 0.7, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
     assert solve_general(pair, d, 0.62, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
     assert solve_general(pair, d, 0.63, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
+
+
+def test_general_eval_E_against_direct_quadrature(neg_sin):
+    # E = t int_0^u H'(s)(U(phi(x - t H(s))) - U(s)) ds; H(0)U(0) = 1 and F
+    # comes from the pair's own quadrature
+    U = lambda u: np.exp(np.asarray(u, dtype=float) / 2.0)
+    pair = GeneralFluxPair(U, lambda u: 0.5 * U(u),
+                           H=lambda u: np.asarray(u, dtype=float) + 1.0,
+                           Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+    p = GeneralProblem(pair, neg_sin.data)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        x = rng.uniform(-3.0, 3.0)
+        t = rng.uniform(0.2, 3.0)
+        u = rng.uniform(-1.0, 1.0)
+        s = np.linspace(0.0, u, 20001)
+        g = U(p.data.phi(x - t * (s + 1.0))) - U(s)     # H' = 1
+        oracle = t * np.trapezoid(g, s)
+        assert p.eval_E(u, x, t) == pytest.approx(oracle, abs=1e-7)
 
 
 def test_interval_maximizer_at_compression_point():
