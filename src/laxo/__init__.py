@@ -14,14 +14,14 @@ from .global_structure import GlobalStructure
 from .reference_oracle import FvGrid, GodunovSolver, compare
 from .shock_analysis import ShockAnalyzer
 from .variational_core import (GeneralProblem, Problem, SolutionSample,
-                               identity_pair, solve_general)
+                               identity_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "flux", "initial_data",
     "Problem", "GeneralProblem", "SolutionSample",
-    "identity_pair", "solve_general",
+    "identity_pair",
     "CharacteristicAnalyzer", "phi_l", "F_l",
     "ShockAnalyzer",
     "GlobalStructure",

@@ -8,7 +8,7 @@ def _simpson(fa, fm, fb, h):
     return h * (fa + 4.0 * fm + fb) / 6.0
 
 
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
+def adaptive_simpson(f, a, b, tol, max_depth):
     """Adaptive Simpson integral of the scalar callable ``f`` over ``[a, b]``.
 
     Absolute tolerance ``tol``; recursion hard-capped at ``max_depth``.

@@ -155,13 +155,13 @@ class CharacteristicAnalyzer:
         tol = min(self.problem.val_tol, 1e-12 * (1.0 + abs(ms.max_value)))
         return ms.max_value - self.problem.eval_E(c, x, t) <= tol
 
-    def lifespan_exact(self, x0, c, t_cap=T_CAP, t_tol=T_TOL):
-        """t* = sup{t : c in U(x0 + t f'(c), t)} by bisection."""
-        if self._on_characteristic(x0, c, t_cap):
+    def lifespan_exact(self, x0, c):
+        """t* = sup{t : c in U(x0 + t f'(c), t)} to T_TOL; inf past T_CAP."""
+        if self._on_characteristic(x0, c, T_CAP):
             return np.inf
-        lo, hi = 0.0, t_cap
+        lo, hi = 0.0, T_CAP
         t = 1.0
-        while t < t_cap:
+        while t < T_CAP:
             if self._on_characteristic(x0, c, t):
                 lo = t
             else:
@@ -169,22 +169,21 @@ class CharacteristicAnalyzer:
                 break
             t *= 2.0
         lo, hi = bisect(lambda m: self._on_characteristic(x0, c, m),
-                        lo, hi, t_tol)
+                        lo, hi, T_TOL)
         return 0.5 * (lo + hi)
 
-    def lifespans(self, x0, c, t_cap=T_CAP, t_tol=T_TOL):
+    def lifespans(self, x0, c):
         tm, tp = self.lifespan_upper(x0, c)
-        return Lifespans(tm, tp, min(tm, tp),
-                         self.lifespan_exact(x0, c, t_cap, t_tol))
+        return Lifespans(tm, tp, min(tm, tp), self.lifespan_exact(x0, c))
 
     # -- termination -------------------------------------------------------
 
-    def classify_termination(self, x0, c, t_cap=T_CAP, t_tol=T_TOL):
-        ls = self.lifespans(x0, c, t_cap, t_tol)
+    def classify_termination(self, x0, c):
+        ls = self.lifespans(x0, c)
         if not np.isfinite(ls.t_star):
             return TerminationClass("immortal")
         x_star = x0 + ls.t_star * self.flux.deriv(c)
-        if ls.t_star < ls.t_p - 10.0 * t_tol:
+        if ls.t_star < ls.t_p - 10.0 * T_TOL:
             return TerminationClass("collision_with_shock", x_star, ls.t_star)
         # just past t* a continuous generation point carries an opening jump
         # of width O(sqrt(t - t*)), while a discontinuous one jumps by a

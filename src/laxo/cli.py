@@ -43,8 +43,10 @@ def load_problem(path):
             desc = json.load(fh)
         fl = _flux.from_descriptor(desc["flux"])
         data = _idata.from_descriptor(desc["data"])
-        tols = {k: v for k, v in desc.get("tolerances", {}).items()
-                if k in _TOL_KEYS}
+        tols = desc.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ValueError("tolerances must be an object")
+        tols = {k: v for k, v in tols.items() if k in _TOL_KEYS}
         return Problem(fl, data, **tols)
     except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         _fail(2, e)
@@ -62,8 +64,11 @@ def _numerics(fn):
     @functools.wraps(fn)
     def wrapped(*a, **kw):
         try:
-            return fn(*a, **kw)
-        except LaxoError as e:
+            # an overflow or invalid operation is a numerical sentinel, not
+            # a warning line on stderr
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*a, **kw)
+        except (LaxoError, FloatingPointError) as e:
             _fail(3, e)
         except ValueError as e:
             _fail(2, e)

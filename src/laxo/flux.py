@@ -14,6 +14,10 @@ from .errors import BracketError, FitError
 
 TOL_U = 1e-12
 TOL_V = 1e-10
+# default bracket of invert_deriv
+DOMAIN = (-16.0, 16.0)
+# below this width rho uses a Gauss-Legendre rule: the closed form cancels
+RHO_QUAD_WIDTH = 0.2
 
 
 @dataclass(frozen=True)
@@ -32,32 +36,26 @@ class Flux:
     or :func:`custom`.
     """
 
-    def __init__(self, f, fp, fpp, kind="custom", params=None,
-                 domain_hint=(-16.0, 16.0)):
+    def __init__(self, f, fp, fpp, kind="custom", params=None):
         self._raw = f
         self._f0 = float(f(0.0))
         self.deriv = fp
         self.second = fpp
         self.kind = kind
         self.params = dict(params or {})
-        self.domain_hint = tuple(domain_hint)
 
     def eval(self, u):
         return self._raw(u) - self._f0
 
-    __call__ = eval
-
     # -- inverse of f' ----------------------------------------------------
 
-    def invert_deriv(self, v, bracket=None):
+    def invert_deriv(self, v, bracket=DOMAIN):
         """Solve f'(u) = v on the bracket, in closed form for named kinds.
 
         A custom flux uses bisection plus a Newton polish.  Accepts scalars
         or arrays; raises :class:`BracketError` when some v lies more than
         ``TOL_V`` outside the image of the bracket.
         """
-        if bracket is None:
-            bracket = self.domain_hint
         lo, hi = float(bracket[0]), float(bracket[1])
         v = np.asarray(v, dtype=float)
         scalar = v.ndim == 0
@@ -100,18 +98,26 @@ class Flux:
     def rho(self, u, v):
         """The flux mean rho(u,v) = int_v^u s f'' ds / int_v^u f'' ds.
 
-        Exact: int s f'' = [s f' - f] and int f'' = [f'].  Rounding errs by
-        about eps |u f'(u) - f(u)| / |f'(u) - f'(v)|; the mean is clamped to
-        the interval between u and v, where it lies.
+        From int s f'' = [s f' - f] and int f'' = [f'] at widths of at least
+        ``RHO_QUAD_WIDTH``; that form errs by about
+        eps |u f'(u) - f(u)| / |f'(u) - f'(v)|, so narrower intervals take
+        an 8-point Gauss-Legendre rule.  The mean is clamped to the
+        interval between u and v, where it lies.
         """
         if abs(u - v) <= TOL_U:
             return float(v)
         lo, hi = (u, v) if u < v else (v, u)
-        fplo, fphi = self.deriv(lo), self.deriv(hi)
-        den = fphi - fplo
+        if hi - lo < RHO_QUAD_WIDTH:
+            xg, wg = np.polynomial.legendre.leggauss(8)
+            s = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+            w = wg * self.second(s)
+            num, den = float(w @ s), float(np.sum(w))
+        else:
+            fplo, fphi = self.deriv(lo), self.deriv(hi)
+            num = hi * fphi - self.eval(hi) - (lo * fplo - self.eval(lo))
+            den = fphi - fplo
         if den <= 0.0:
             raise FitError("f'' integrates to zero between the arguments")
-        num = hi * fphi - self.eval(hi) - (lo * fplo - self.eval(lo))
         return float(min(max(num / den, lo), hi))
 
     # -- degeneracy expansion --------------------------------------------
@@ -151,16 +157,12 @@ class Flux:
 class GeneralFluxPair:
     """General pair U(u)_t + F(u)_x = 0 with H = F'/U' strictly increasing.
 
+    H is required; H' defaults to a central difference of step 1e-6.
     Without F, F(u) = int_0^u H U' ds by 24-point Gauss-Legendre quadrature
     at every call: pass F when it is known.
     """
 
-    def __init__(self, U, Uprime, F=None, Fprime=None, H=None, Hprime=None,
-                 domain_hint=(-16.0, 16.0)):
-        if H is None:
-            if Fprime is None:
-                raise ValueError("need either H or Fprime")
-            H = lambda u: Fprime(u) / Uprime(u)
+    def __init__(self, U, Uprime, F=None, *, H, Hprime=None):
         if Hprime is None:
             h = 1e-6
             Hprime = lambda u: (H(u + h) - H(u - h)) / (2.0 * h)
@@ -172,11 +174,9 @@ class GeneralFluxPair:
                 s = 0.5 * u[..., None] * (1.0 + nodes)
                 return 0.5 * u * ((H(s) * Uprime(s)) @ weights)
         self.U = U
-        self.Uprime = Uprime
         self.F = F
         self.H = H
         self.Hprime = Hprime
-        self.domain_hint = tuple(domain_hint)
 
 
 def burgers():
@@ -207,20 +207,22 @@ def exponential(k=1.0):
     For k = 1 this is the classical exponential flux with f'(u) = e^u.
     """
     k = float(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0.0 < k < np.inf:
+        raise ValueError("k must be positive and finite")
     return Flux(lambda u: np.exp(k * np.asarray(u, dtype=float)) / k,
                 lambda u: np.exp(k * np.asarray(u, dtype=float)),
                 lambda u: k * np.exp(k * np.asarray(u, dtype=float)),
                 kind="exponential", params={"k": k})
 
 
-def custom(f, fp, fpp, domain_hint=(-16.0, 16.0)):
-    return Flux(f, fp, fpp, kind="custom", domain_hint=domain_hint)
+def custom(f, fp, fpp):
+    return Flux(f, fp, fpp, kind="custom")
 
 
 def from_descriptor(desc):
     """Build a flux from a JSON descriptor dict."""
+    if not isinstance(desc, dict):
+        raise ValueError("a flux descriptor must be an object")
     kind = desc.get("kind")
     if kind == "burgers":
         return burgers()

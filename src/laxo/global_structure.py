@@ -47,11 +47,12 @@ class HullReport:
     The envelope is stored as its vertices ``vx``, ``vy`` and ``slopes``:
     ``slopes[i]`` holds left of ``vx[i]``, so it reads ``slope_left``, the
     segment slopes, then ``slope_right``.  A periodic envelope is the line
-    of the mean slope, one vertex at w_lo with both tails on it.
+    of the mean slope, one vertex at w_lo with both tails on it.  The
+    primitive is sampled at steps of 1e-3 max(window width, 1), over the
+    window joined with [-N, N] when N is given.
     """
 
-    def __init__(self, structure, N, grid_h):
-        data = structure.data
+    def __init__(self, data, N):
         self.period = data.period
         ti = data.tail_invariants()
         self.slope_left = ti.ubar_l
@@ -59,8 +60,7 @@ class HullReport:
         if self.slope_left > self.slope_right + 1e-12:
             raise HullInfinite("left tail mean exceeds right tail mean")
         self.finite = True
-        w = max(data.w_hi - data.w_lo, 1.0)
-        h = grid_h if grid_h is not None else 1e-3 * w
+        h = 1e-3 * max(data.w_hi - data.w_lo, 1.0)
         if self.period is not None:
             self._build_periodic(data, h)
         else:
@@ -190,9 +190,12 @@ class GlobalStructure:
         self.data = problem.data
         self._hull = None
 
-    def convex_hull(self, N=None, grid_h=None):
-        if self._hull is None or N is not None or grid_h is not None:
-            self._hull = HullReport(self, N, grid_h)
+    def convex_hull(self, N=None):
+        """Envelope of the primitive; a half-width N builds an uncached one."""
+        if N is not None:
+            return HullReport(self.data, N)
+        if self._hull is None:
+            self._hull = HullReport(self.data, None)
         return self._hull
 
     def divide_fan(self, x0):
@@ -205,12 +208,12 @@ class GlobalStructure:
         lo, hi = hull.slopes_at(x0)
         return DivideFan(float(x0), False, lo, hi)
 
-    def verify_divide(self, x0, c, L, n=4001, check_tol=None):
-        ls = np.linspace(-L, L, n)
+    def verify_divide(self, x0, c, L):
+        """Phi(x0 + l) - Phi(x0) - c l >= 0 on 4001 points of [-L, L]."""
+        ls = np.linspace(-L, L, 4001)
         vals = (self.data.primitive(x0 + ls) - self.data.primitive(x0)
                 - c * ls)
-        tol = check_tol if check_tol is not None else \
-            1e-9 * (1.0 + float(np.max(np.abs(vals))))
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(vals))))
         return bool(np.min(vals) >= -tol)
 
     def partition(self):

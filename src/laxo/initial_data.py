@@ -15,6 +15,7 @@ from .errors import FitError
 
 _EPS = 1e-12
 _KMAX = 12
+_FMAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -85,25 +86,25 @@ def _pantideriv(p, x):
     raise ValueError(f"unknown piece kind {p.kind!r}")
 
 
-def _pderivs(p, x0, kmax=_KMAX):
-    """Derivatives (phi, phi', ..., phi^(kmax)) of the piece term at x0.
+def _pderivs(p, x0):
+    """Derivatives (phi, phi', ..., phi^(_KMAX)) of the piece term at x0.
 
     Only valid where the term is smooth (power terms away from x_ref).
     """
     q = p.params
     out = []
     if p.kind == "const":
-        return [float(q["c"])] + [0.0] * kmax
+        return [float(q["c"])] + [0.0] * _KMAX
     if p.kind == "poly":
         cs = np.asarray(q["coeffs"], dtype=float)
-        for k in range(kmax + 1):
+        for k in range(_KMAX + 1):
             d = np.polynomial.polynomial.polyder(cs, k) if k else cs
             out.append(float(np.polynomial.polynomial.polyval(x0, d)) if len(d) else 0.0)
         return out
     if p.kind in ("sin", "cos"):
         a, b, c = q["a"], q["b"], q["c"]
         shift = 0.0 if p.kind == "sin" else math.pi / 2.0
-        for k in range(kmax + 1):
+        for k in range(_KMAX + 1):
             out.append(a * b ** k * math.sin(b * x0 + c + shift + k * math.pi / 2.0))
         return out
     if p.kind == "power":
@@ -114,7 +115,7 @@ def _pderivs(p, x0, kmax=_KMAX):
         sgn = math.copysign(1.0, s0)
         # h(s) = a*sgn(s)|s|^g: for s>0 a*s^g; for s<0 -a*(-s)^g
         coef = a * sgn
-        for k in range(kmax + 1):
+        for k in range(_KMAX + 1):
             fall = 1.0
             for i in range(k):
                 fall *= (g - i)
@@ -129,6 +130,27 @@ def _pderivs(p, x0, kmax=_KMAX):
 def _check_finite(what, *vals):
     if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
         raise ValueError(f"{what} must be finite")
+
+
+def _check_piece(p):
+    """Reject an empty or reversed piece, or one the closed forms divide by."""
+    _check_finite("piece ends", p.lo, p.hi)
+    if not p.lo < p.hi:
+        raise ValueError("a piece needs lo < hi")
+    q = p.params
+    if p.kind in ("sin", "cos") and q["b"] == 0:
+        raise ValueError(f"a {p.kind} piece needs b != 0")
+    if p.kind == "poly" and len(q["coeffs"]) == 0:
+        raise ValueError("a poly piece needs coefficients")
+    if p.kind == "power" and not q["g"] >= 0:
+        raise ValueError("a power piece needs g >= 0")
+
+
+def _tail_line(slope, d):
+    """slope * d; a zero slope gives 0 also at d = +-inf, where 0 * inf is NaN."""
+    if slope == 0.0:
+        d = np.clip(d, -_FMAX, _FMAX)      # keeps the sign of the zero
+    return slope * d
 
 
 class _Extended:
@@ -187,8 +209,9 @@ class _Extended:
             mid = ~(left | right)
             out = np.empty_like(x)
             if integrated:
-                out[left] = self.left_tail * (x[left] - self.w_lo)
-                out[right] = self._win + self.right_tail * (x[right] - self.w_hi)
+                out[left] = _tail_line(self.left_tail, x[left] - self.w_lo)
+                out[right] = self._win + _tail_line(self.right_tail,
+                                                    x[right] - self.w_hi)
             else:
                 out[left] = self.left_tail
                 out[right] = self.right_tail
@@ -203,8 +226,6 @@ class _Extended:
 
     def phi(self, x):
         return self._extend(x, self._inner_phi, False)
-
-    __call__ = phi
 
     def primitive(self, x):
         """Phi(x) = int_0^x phi, continuity-stitched, Phi(0) = 0."""
@@ -225,6 +246,8 @@ class InitialData(_Extended):
 
     def __init__(self, pieces, left_tail=None, right_tail=None, period=None,
                  bound=None, window=None):
+        for p in pieces:
+            _check_piece(p)
         pieces = sorted(pieces, key=lambda p: p.lo)
         for a, b in zip(pieces, pieces[1:]):
             if abs(a.hi - b.lo) > 1e-9:
@@ -365,13 +388,20 @@ class InitialData(_Extended):
 
 
 def from_descriptor(desc):
+    if not isinstance(desc, dict):
+        raise ValueError("a data descriptor must be an object")
     pieces = []
-    for d in desc.get("pieces", []):
+    ds = desc.get("pieces", [])
+    if not (isinstance(ds, list) and all(isinstance(d, dict) for d in ds)):
+        raise ValueError("data pieces must be a list of objects")
+    for d in ds:
         params = {k: v for k, v in d.items() if k not in ("lo", "hi", "kind")}
         if d["kind"] == "poly":
             params["coeffs"] = list(params["coeffs"])
         pieces.append(Piece(float(d["lo"]), float(d["hi"]), d["kind"], params))
     window = desc.get("window")
+    if window is not None and not (isinstance(window, list) and window):
+        raise ValueError("window must be a non-empty list")
     return InitialData(pieces,
                        left_tail=desc.get("left_tail"),
                        right_tail=desc.get("right_tail"),

@@ -92,11 +92,11 @@ class GodunovSolver:
         return float(np.sum(self.u) * self.grid.dx)
 
 
-def _detect_jump(xs, us, jump_tol=1e-2):
-    """Location of the steepest admissible (downward) jump, or None."""
+def _detect_jump(xs, us):
+    """Location of the steepest downward step of at least 1e-2, or None."""
     d = np.diff(us)
     i = int(np.argmin(d))
-    if d[i] > -jump_tol:
+    if d[i] > -1e-2:
         return None
     return 0.5 * (xs[i] + xs[i + 1])
 

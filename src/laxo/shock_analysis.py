@@ -18,6 +18,9 @@ from ._search import bisect
 from .characteristics import CharacteristicAnalyzer, phi_l
 from .errors import ConditionFailed, LostCurve, RootNotBracketed
 
+# offset of the one-sided probes in directional_limits
+DELTA = 1e-4
+
 
 @dataclass(frozen=True)
 class GenerationPoint:
@@ -228,8 +231,12 @@ class ShockAnalyzer:
 
     # -- forward tracking --------------------------------------------------
 
-    def track_forward(self, x0, t0, t_end, dt, x_tol=1e-10):
-        """Follow the discontinuity (or characteristic) issued at (x0, t0)."""
+    def track_forward(self, x0, t0, t_end, dt):
+        """Follow the discontinuity (or characteristic) issued at (x0, t0).
+
+        Each step of ``dt`` moves by the Rankine-Hugoniot speed, then
+        bisects for the jump to 1e-12; traces are read 1e-7 to each side.
+        """
         if not (math.isfinite(x0) and math.isfinite(t0) and t0 >= 0
                 and math.isfinite(t_end) and math.isfinite(dt) and dt > 0):
             raise ValueError("x0, t0, t_end and dt must be finite, with "
@@ -268,11 +275,11 @@ class ShockAnalyzer:
             curve.nodes.append(self._node(x, t, um, up, prev_slope))
         return curve
 
-    def _traces(self, x, t, eps=1e-7):
+    def _traces(self, x, t):
         # sample a hair to each side: the located position sits at the edge
         # of the val_tol capture band, where on-point traces are unreliable
-        um = self.problem.solve(x - eps, t).u_minus
-        up = self.problem.solve(x + eps, t).u_plus
+        um = self.problem.solve(x - 1e-7, t).u_minus
+        up = self.problem.solve(x + 1e-7, t).u_plus
         return um, up
 
     def _rh_speed(self, um, up):
@@ -319,15 +326,16 @@ class ShockAnalyzer:
                                      (ms.u_plus, ms.u_minus),
                                      rarefactions, tuple(gaps))
 
-    def directional_limits(self, x0, t0, deltas=(1e-2, 1e-3, 1e-4)):
+    def directional_limits(self, x0, t0):
+        """Traces at x0 -+ DELTA, and per maximizer gap the solution DELTA
+        back in time along the gap's Rankine-Hugoniot direction."""
         tri = self.backward_triangle(x0, t0)
-        d = deltas[-1]
-        left = self.problem.solve(x0 - d, t0).u_minus
-        right = self.problem.solve(x0 + d, t0).u_plus
+        left = self.problem.solve(x0 - DELTA, t0).u_minus
+        right = self.problem.solve(x0 + DELTA, t0).u_plus
         gap_limits = []
         for c_n, d_n in tri.gaps:
             v = self._rh_speed(d_n, c_n)
-            s = self.problem.solve(x0 - d * v, t0 - d)
+            s = self.problem.solve(x0 - DELTA * v, t0 - DELTA)
             gap_limits.append((s.u_minus, s.u_plus))
         return DirectionalLimits(float(left), float(right),
                                  tri.gaps, tuple(gap_limits))

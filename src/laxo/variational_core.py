@@ -69,7 +69,7 @@ class _NumericPrimitive(_Extended):
     periodicity or the constant tails U(phi(w_lo - 1)) and U(phi(w_hi + 1)).
     """
 
-    def __init__(self, U, data, knots_per_segment=256):
+    def __init__(self, U, data):
         self._U = U
         self._d = data
         self.w_lo, self.w_hi, self.period = data.w_lo, data.w_hi, data.period
@@ -84,13 +84,13 @@ class _NumericPrimitive(_Extended):
                 bks = [data.w_lo, data.w_hi]
             knots = [np.asarray(bks[:1])]
             for a, b in zip(bks[:-1], bks[1:]):
-                if b > a:
-                    knots.append(np.linspace(a, b, knots_per_segment + 1)[1:])
+                if b > a:     # 256 Simpson panels per smooth segment
+                    knots.append(np.linspace(a, b, 257)[1:])
             self._k = np.concatenate(knots)
             vals = [0.0]
             for a, b in zip(self._k[:-1], self._k[1:]):
                 vals.append(vals[-1] + adaptive_simpson(self._inner_phi, a, b,
-                                                        1e-13, max_depth=24))
+                                                        1e-13, 24))
             self._v = np.asarray(vals)
         self._win = self._v[-1]
         if self.period is None:
@@ -110,8 +110,6 @@ class _NumericPrimitive(_Extended):
         # Simpson from the base knot; knots never straddle data breakpoints
         return self._v[idx] + h / 6.0 * (f(x0) + 4.0 * f(x0 + 0.5 * h) + f(r))
 
-    __call__ = _Extended.primitive
-
 
 class GeneralProblem:
     """Variational problem for the pair (U, F); U = id gives the scalar case."""
@@ -124,6 +122,9 @@ class GeneralProblem:
         self.val_tol = float(val_tol)
         self.jump_tol = float(jump_tol)
         self.tol_u = float(tol_u)
+        if not (self.n_scan >= 2 and all(0.0 < v < np.inf for v in (
+                self.val_tol, self.jump_tol, self.tol_u))):
+            raise ValueError("need n_scan >= 2 and finite positive tolerances")
         self._H = pair.H
         self._Hp = pair.Hprime
         self._U = pair.U
@@ -131,7 +132,7 @@ class GeneralProblem:
         if pair.U is _identity:
             self._W = data.primitive
         else:
-            self._W = _NumericPrimitive(pair.U, data)
+            self._W = _NumericPrimitive(pair.U, data).primitive
         M = data.bound
         self.M = M
         delta = 1e-6 * (1.0 + M)
@@ -193,14 +194,13 @@ class GeneralProblem:
         Emax = max([Emax_grid] + [e for _, e in refined])
         thresh = Emax - self.val_tol
 
-        pts = sorted(u for u, e in refined if e >= thresh)
+        pts = [u for u, e in refined if e >= thresh]
         flat_tol = 1e-11 * (1.0 + abs(Emax))
-        comps = []
+        comps = [[u, u] for u in pts]
         # value-band runs on the grid
         for first, last in runs(Ev >= thresh):
             out_lo, lo = s[max(first - 1, 0)], s[first]
             hi, out_hi = s[last], s[min(last + 1, n - 1)]
-            inside = [u for u in pts if lo - 1.5 * h <= u <= hi + 1.5 * h]
             if hi - lo > 2.5 * h:
                 # genuine maximizer intervals have exactly constant E;
                 # otherwise the band is a flat peak of a degenerate flux
@@ -211,13 +211,10 @@ class GeneralProblem:
                     b = self._edge_refine(out_hi, hi, x, t, thresh)
                     comps.append([min(a, b), max(a, b)])
                     continue
-            if inside:
-                comps.extend([u, u] for u in inside)
-                pts = [u for u in pts if u not in inside]
-            else:
+            # a band no refined point reached
+            if not any(lo - 1.5 * h <= u <= hi + 1.5 * h for u in pts):
                 u = self._golden(lo, hi, x, t)
                 comps.append([u, u])
-        comps.extend([u, u] for u in pts)   # refined points missed by the band
         comps.sort()
         merged = []
         for c in comps:
@@ -267,22 +264,21 @@ class Problem(GeneralProblem):
         super().__init__(identity_pair(flux), data, **kw)
         self.flux = flux
 
-    def restart(self, tau, xs=None):
+    def restart(self, tau):
         """Problem restarted from the computed solution at time tau.
 
         Returns a wrapper whose ``solve(x, t)`` (absolute time t > tau)
-        evaluates the variational formula for the sampled data u(., tau).
+        evaluates the variational formula for the sampled data u(., tau) on
+        4097 knots: one period, or the window padded by tau * max|f'| + 1.
         """
         if tau <= 0:
             raise ValueError("tau must be positive")
-        if xs is None:
-            if self.data.period is not None:
-                xs = np.linspace(self.data.w_lo, self.data.w_hi, 4097)
-            else:
-                speed = max(abs(self._H(self.M)), abs(self._H(-self.M)))
-                pad = tau * speed + 1.0
-                xs = np.linspace(self.data.w_lo - pad, self.data.w_hi + pad, 4097)
-        xs = np.asarray(xs, dtype=float)
+        lo, hi = self.data.w_lo, self.data.w_hi
+        if self.data.period is None:
+            speed = max(abs(self._H(self.M)), abs(self._H(-self.M)))
+            pad = tau * speed + 1.0
+            lo, hi = lo - pad, hi + pad
+        xs = np.linspace(lo, hi, 4097)
         mids = 0.5 * (xs[:-1] + xs[1:])
         us = np.array([self.solve(x, tau).u_plus for x in mids])
         us = np.append(us, us[-1] if self.data.period is None else us[0])
@@ -315,9 +311,4 @@ class RestartedProblem:
 def identity_pair(flux):
     """GeneralFluxPair reducing to the scalar flux (U = id)."""
     return GeneralFluxPair(_identity, _ones, F=flux.eval, H=flux.deriv,
-                           Hprime=flux.second, domain_hint=flux.domain_hint)
-
-
-def solve_general(pair, data, x, t, **kw):
-    """One-shot solve for the general pair U(u)_t + F(u)_x = 0."""
-    return GeneralProblem(pair, data, **kw).solve(x, t)
+                           Hprime=flux.second)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from laxo.cli import main
 
@@ -167,3 +168,102 @@ def test_shock_bad_input_exit_2(files, extra):
 def test_profile_bad_point_exit_2(files, t, xr, kind):
     _assert_exit_2_json(run("profile", files["up"], "--t", t,
                             "--x-range", xr, "--n", "3", "--kind", kind))
+
+
+_SIN_PIECE = {"lo": -1.0, "hi": 1.0, "kind": "sin", "a": 1.0, "b": 1.0,
+              "c": 0.0}
+
+
+@pytest.mark.parametrize("desc", [
+    {"flux": {"kind": "burgers"},
+     "data": {"pieces": [dict(_SIN_PIECE, b=0)], "period": 2.0}},
+    {"flux": {"kind": "burgers"},
+     "data": {"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "poly",
+                          "coeffs": []}], "left_tail": 0.0, "right_tail": 0.0}},
+    {"flux": {"kind": "burgers"}, "data": {"pieces": "x", "period": 2.0}},
+    {"flux": "burgers", "data": SIN["data"]},
+    {"flux": {"kind": "burgers"}, "data": 5},
+    {"flux": {"kind": "burgers"},
+     "data": {"pieces": [dict(_SIN_PIECE, lo=1.0, hi=0.0)],
+              "left_tail": 0.0, "right_tail": 0.0}},
+], ids=["sin_b_zero", "empty_coeffs", "pieces_not_list", "flux_not_object",
+        "data_not_object", "reversed_piece"])
+def test_malformed_problem_file_exit_2(tmp_path, desc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    _assert_exit_2_json(run("solve", str(bad), "--t", "1",
+                            "--x-range", "-1:1", "--n", "3"))
+
+
+# finite numbers up to 1e3 in magnitude, subnormals included
+_NUM = st.floats(-1e3, 1e3)
+_JUNK = st.one_of(st.none(), st.text(max_size=2), st.lists(_NUM, max_size=2),
+                  st.dictionaries(st.text(max_size=1), _NUM, max_size=1))
+_KEYS = {"const": ["c"], "poly": ["coeffs"], "sin": ["a", "b", "c"],
+         "cos": ["a", "b", "c"], "power": ["a", "g", "x_ref", "b"]}
+
+
+@st.composite
+def _mutated(draw, obj):
+    """obj, or a value of the wrong type, or obj with one key dropped or
+    given a value of the wrong type."""
+    how = draw(st.sampled_from(["keep"] * 6 + ["replace", "drop", "junk"]))
+    if how == "replace":
+        return draw(_JUNK)
+    obj = dict(obj)
+    if how != "keep" and obj:
+        key = draw(st.sampled_from(sorted(obj)))
+        if how == "drop":
+            del obj[key]
+        else:
+            obj[key] = draw(_JUNK)
+    return obj
+
+
+@st.composite
+def _piece(draw, lo, hi):
+    kind = draw(st.sampled_from(sorted(_KEYS)))
+    lo, hi = draw(st.sampled_from([(lo, hi)] * 4 + [(hi, lo), (lo, lo)]))
+    d = {"lo": lo, "hi": hi, "kind": kind}
+    for k in _KEYS[kind]:
+        d[k] = draw(st.lists(_NUM, max_size=3)) if k == "coeffs" else draw(_NUM)
+    return draw(_mutated(d))
+
+
+@st.composite
+def _problem(draw):
+    fl = {"kind": draw(st.sampled_from(["burgers", "power2n", "exponential"])),
+          "n": draw(st.one_of(st.integers(1, 4), _NUM)),
+          "k": draw(st.one_of(st.floats(0.1, 2.0), _NUM))}
+    xs = sorted(draw(st.lists(_NUM, min_size=1, max_size=4, unique=True)))
+    pieces = [draw(_piece(a, b)) for a, b in zip(xs, xs[1:])]
+    data = {"pieces": pieces}
+    if draw(st.booleans()) and pieces:
+        data["period"] = xs[-1] - xs[0]
+    else:
+        data.update(left_tail=draw(_NUM), right_tail=draw(_NUM))
+    if not pieces:
+        data["window"] = draw(st.one_of(st.just(xs[:1]), st.just([]), _JUNK))
+    desc = {"flux": draw(_mutated(fl)), "data": draw(_mutated(data))}
+    if draw(st.booleans()):
+        desc["tolerances"] = draw(st.one_of(
+            _JUNK, st.fixed_dictionaries({"val_tol": _NUM, "n_scan": _NUM})))
+    return draw(_mutated(desc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_problem())
+def test_any_problem_file_exits_cleanly(tmp_path_factory, desc):
+    # 0 on success, 2 on a malformed file, 3 on a numerical sentinel; a
+    # failure is one line of JSON on stderr, never a traceback
+    path = tmp_path_factory.mktemp("hyp") / "p.json"
+    path.write_text(json.dumps(desc))
+    for args in (("solve", str(path), "--t", "1", "--x-range", "-1:1",
+                  "--n", "3"),
+                 ("divides", str(path))):
+        r = run(*args)
+        assert r.exit_code in (0, 2, 3), (r.exception, desc)
+        if r.exit_code:
+            lines = r.stderr.strip().splitlines()
+            assert len(lines) == 1
+            assert "error" in json.loads(lines[0])

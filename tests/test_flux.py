@@ -222,3 +222,24 @@ def test_general_pair_F_matches_quad(name):
     assert np.max(np.abs(pair.F(us) - want)) <= 1e-12
     assert pair.F(float(us[3])) == pytest.approx(want[3], abs=1e-12)
     assert pair.F(0.0) == 0.0
+
+
+_RHO_FLUXES = dict(_NAMED, power2n_4=lambda: flux.power2n(4),
+                   exponential_2=lambda: flux.exponential(2.0))
+
+
+@pytest.mark.parametrize("kind", sorted(_RHO_FLUXES))
+def test_rho_narrow_intervals_against_gauss_reference(kind):
+    # the closed form cancels as v -> u; against a 30-point Gauss-Legendre
+    # ratio of int s f'' and int f'' on [lo, hi], at widths 1e-9 to 1
+    fl = _RHO_FLUXES[kind]()
+    xg, wg = np.polynomial.legendre.leggauss(30)
+    rng = np.random.default_rng(11)
+    for width in 10.0 ** np.arange(-9.0, 0.5, 0.5):
+        for lo in rng.uniform(-3.0, 3.0 - width, 20):
+            hi = lo + width
+            s = 0.5 * (lo + hi) + 0.5 * width * xg
+            w = wg * fl.second(s)
+            want = (w @ s) / np.sum(w)
+            assert abs(fl.rho(lo, hi) - want) <= 1e-13
+            assert abs(fl.rho(hi, lo) - want) <= 1e-13

@@ -230,3 +230,18 @@ def test_profile_rejects_bad_point(sin_gs, fan_gs, x, t):
             gs.profile_u_tilde(x, t)
         with pytest.raises(ValueError):
             gs.nwave(x, t, {0: 0.0})
+
+
+def test_windowed_hull_leaves_default_answers_alone():
+    # convex_hull(N) builds its own report; the cached default one that
+    # K0, the profile and the divide fans read must stay as it was
+    d = idata.InitialData([idata.Piece(-2.0, 2.0, "sin",
+                                       {"a": 1.0, "b": 3.0, "c": 0.0})],
+                          left_tail=-0.5, right_tail=0.5)
+    gs = GlobalStructure(Problem(flux.burgers(), d))
+    before = (gs.convex_hull().K0, gs.profile_u_tilde(0.3, 5.0),
+              gs.divide_fan(0.001))
+    wide = gs.convex_hull(N=5.3)
+    assert wide is not gs.convex_hull()
+    assert (gs.convex_hull().K0, gs.profile_u_tilde(0.3, 5.0),
+            gs.divide_fan(0.001)) == before

@@ -345,3 +345,13 @@ def test_infinite_point_on_periodic_data_gives_nan(case):
             assert np.isnan(fn(x))
         out = fn(np.array([np.inf, d.w_lo, -np.inf]))
         assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
+
+
+@pytest.mark.parametrize("tails, x, want", [
+    ((1.0, 0.0), np.inf, 0.0), ((0.0, 1.0), -np.inf, 0.0),
+    ((1.0, 0.0), -np.inf, -np.inf), ((0.0, 1.0), np.inf, np.inf)])
+def test_tailed_primitive_at_infinity(tails, x, want):
+    # a zero tail adds nothing out to +-inf; 0 * inf must not warn or give NaN
+    d = idata.step(*tails)
+    assert d.primitive(x) == want
+    assert d.primitive(np.array([x, 0.5]))[0] == want

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from laxo import flux, initial_data as idata
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import (
-    GeneralProblem, Problem, identity_pair, solve_general)
+    GeneralProblem, Problem, identity_pair)
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +175,10 @@ def test_general_pair_riemann():
                            H=lambda u: np.asarray(u, dtype=float),
                            Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
     d = idata.step(1.0, 0.0)
-    assert solve_general(pair, d, 0.5, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
-    assert solve_general(pair, d, 0.7, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
-    assert solve_general(pair, d, 0.62, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
-    assert solve_general(pair, d, 0.63, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
+    assert GeneralProblem(pair, d).solve(0.5, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
+    assert GeneralProblem(pair, d).solve(0.7, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
+    assert GeneralProblem(pair, d).solve(0.62, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
+    assert GeneralProblem(pair, d).solve(0.63, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
 
 
 def test_general_eval_E_against_direct_quadrature(neg_sin):
