@@ -5,6 +5,8 @@ with f(0) = 0, together with the monotone inverse of f' and the local
 degeneracy expansion f''(u) = (N + o(1))|u - c|^alpha.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +161,9 @@ class GeneralFluxPair:
 
     H is required; H' defaults to a central difference of step 1e-6.
     Without F, F(u) = int_0^u H U' ds by 24-point Gauss-Legendre quadrature
-    at every call: pass F when it is known.
+    at every call: pass F when it is known.  All four act elementwise on
+    arrays, each element's value independent of the array it sits in, so a
+    point solved within a block of ``solve_grid`` equals a point solved alone.
     """
 
     def __init__(self, U, Uprime, F=None, *, H, Hprime=None):
@@ -170,9 +174,14 @@ class GeneralFluxPair:
             nodes, weights = np.polynomial.legendre.leggauss(24)
 
             def F(u):
+                # node by node: a matrix product's summation order depends
+                # on the array's shape, so an element's F would too
                 u = np.asarray(u, dtype=float)
-                s = 0.5 * u[..., None] * (1.0 + nodes)
-                return 0.5 * u * ((H(s) * Uprime(s)) @ weights)
+                acc = 0.0
+                for x, w in zip(nodes.tolist(), weights.tolist()):
+                    s = 0.5 * u * (1.0 + x)
+                    acc = acc + w * (H(s) * Uprime(s))
+                return 0.5 * u * acc
         self.U = U
         self.F = F
         self.H = H
@@ -188,10 +197,14 @@ def burgers():
 
 
 def power2n(n):
-    """f(u) = u^(2n)/(2n); degenerate at 0 with alpha = 2n-2."""
+    """f(u) = u^(2n)/(2n); degenerate at 0 with alpha = 2n-2.
+
+    ``n`` is a whole number >= 1, given as an int or an integral float.
+    """
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not (math.isfinite(n) and n == int(n) and n >= 1)):
+        raise ValueError("n must be a whole number >= 1")
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n == 1:
         return burgers()
     return Flux(lambda u: np.asarray(u, dtype=float) ** (2 * n) / (2 * n),

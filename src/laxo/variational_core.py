@@ -20,12 +20,12 @@ int_0^u H'U ds = H(u)U(u) - F(u) - (H(0)U(0) - F(0)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quad import adaptive_simpson
-from ._search import bisect, golden_min, runs
+from ._search import bisect, bisect_many, golden_min, row_runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended
 
@@ -33,6 +33,17 @@ N_SCAN = 2048
 VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
+# scan elements one block of solve_grid holds, rows x n_scan: 8 rows of the
+# default grid, which keeps a block's arrays within a few hundred kB
+BLOCK_ELEMS = 1 << 14
+# offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
+_NEIGHBOURS = np.array([[-1], [0], [1]])
+
+
+def _checked_t(t):
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("x and t must be finite, with t positive")
+    return float(t)
 
 
 def _identity(a):
@@ -138,6 +149,7 @@ class GeneralProblem:
         delta = 1e-6 * (1.0 + M)
         self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
         self._Hs = np.asarray(self._H(self._s), dtype=float)
+        self._Hps = np.asarray(self._Hp(self._s), dtype=float)
         self._H0 = float(self._H(0.0))
         self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
         # int_0^s H'(r) U(r) dr along the grid
@@ -148,9 +160,13 @@ class GeneralProblem:
 
     def eval_E(self, u, x, t):
         """E(u; x, t), exact given the primitive and the pair's F."""
+        return float(self._E(self._W(x - t * self._H0), u, x, t))
+
+    def _E(self, W0, u, x, t):
+        """E(u; x, t) given W0 = W(x - t H(0)); elementwise on arrays."""
         Hu = self._H(u)
-        return float(self._W(x - t * self._H0) - self._W(x - t * Hu)
-                     - t * (Hu * self._U(u) - self._F(u) - self._I0))
+        return (W0 - self._W(x - t * Hu)
+                - t * (Hu * self._U(u) - self._F(u) - self._I0))
 
     def _psi(self, u, x, t):
         """sign(dE/du) carrier U(phi(x - t H(u))) - U(u) on an array of u."""
@@ -159,46 +175,92 @@ class GeneralProblem:
     # -- maximization ------------------------------------------------------
 
     def maximize(self, x, t):
-        if not (math.isfinite(x) and math.isfinite(t) and t > 0):
+        """Certified maximizer set of E(.; x, t).
+
+        This is the block routine of ``solve_grid`` on the one point x, so
+        a point gets the same ``MaximizerSet``, bit for bit, alone or in a
+        grid.
+        """
+        if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
-        s, Hs = self._s, self._Hs
-        W = self._W
-        feet = x - t * Hs
-        Wf = np.asarray(W(feet))
-        Ev = (W(x - t * self._H0) - Wf) - t * self._Is
-        g = np.abs(np.asarray(self._Hp(s))
-                   * (np.asarray(self._U(self.data.phi(feet)))
-                      - np.asarray(self._U(s))))
+        return self._maximize_block(np.array([x], dtype=float),
+                                    _checked_t(t))[0]
+
+    def _maximize_grid(self, xs, t):
+        """The MaximizerSet at each x of a checked grid, block by block."""
+        rows = max(1, BLOCK_ELEMS // self.n_scan)
+        for k in range(0, len(xs), rows):
+            yield from self._maximize_block(xs[k:k + rows], t)
+
+    def _maximize_block(self, xs, t):
+        """MaximizerSets at the points of the array xs, all at time t.
+
+        Every phase runs on the whole block: one W call scans the feet of
+        every row, local maxima and their runs are found row-wise, one
+        lockstep bisection refines every sign-change bracket, and one E
+        call values the refined points.  Rows never mix, and numpy's
+        elementwise results do not depend on the array around an element,
+        so each row's answer is the one a block of one gives.
+        """
+        s, n, rows = self._s, len(self._s), len(xs)
         h = s[1] - s[0]
-        Emax_grid = float(np.max(Ev))
+        pts = np.empty((rows, n + 1))
+        feet = pts[:, :n]
+        np.subtract(xs[:, None], t * self._Hs, out=feet)
+        pts[:, n] = xs - t * self._H0
+        Wp = self._W(pts.ravel()).reshape(rows, n + 1)
+        Ev = (Wp[:, n:] - Wp[:, :n]) - t * self._Is
+        Emax_grid = Ev.max(axis=1)
 
         # local maxima; a plateau is represented by its middle point
-        n = len(s)
-        lm = np.zeros(n, dtype=bool)
-        lm[1:-1] = (Ev[1:-1] >= Ev[:-2]) & (Ev[1:-1] >= Ev[2:])
-        lm[0] = Ev[0] >= Ev[1]
-        lm[-1] = Ev[-1] >= Ev[-2]
-        cands = []
-        for first, last in runs(lm):
-            j = first + (last - first + 1) // 2
-            lo, hi = max(j - 1, 0), min(j + 1, n - 1)
-            gloc = float(np.max(g[lo:hi + 1]))
-            if Ev[j] + t * h * gloc < Emax_grid - 10.0 * self.val_tol:
-                continue
-            cands.append((s[lo], s[hi]))
+        lm = np.empty((rows, n), dtype=bool)
+        lm[:, 1:-1] = (Ev[:, 1:-1] >= Ev[:, :-2]) & (Ev[:, 1:-1] >= Ev[:, 2:])
+        lm[:, 0] = Ev[:, 0] >= Ev[:, 1]
+        lm[:, -1] = Ev[:, -1] >= Ev[:, -2]
+        r, first, last = row_runs(lm)
+        j = first + (last - first + 1) // 2
+        nb = np.minimum(np.maximum(j + _NEIGHBOURS, 0), n - 1)
+        carrier = (self._U(self.data.phi(feet[r, nb].ravel()))
+                   - self._U(s[nb].ravel())).reshape(nb.shape)
+        gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
+        keep = ~(Ev[r, j] + t * h * gloc < Emax_grid[r] - 10.0 * self.val_tol)
+        r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
 
-        refined = []
-        for lo, hi in cands:
-            u_star = self._refine_bracket(lo, hi, x, t)
-            refined.append((u_star, self.eval_E(u_star, x, t)))
-        Emax = max([Emax_grid] + [e for _, e in refined])
-        thresh = Emax - self.val_tol
+        # refine: psi at the bracket ends is the carrier there
+        lo, hi = s[nb[0]], s[nb[2]]
+        pl, ph = carrier[0], carrier[2]
+        sign = ((pl > 0.0) & (0.0 >= ph)) | ((pl >= 0.0) & (0.0 > ph))
+        u_star = np.empty(len(r))
+        xb = xs[r[sign]]
+        a, b = bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
+                           lo[sign], hi[sign], self.tol_u, 60)
+        u_star[sign] = 0.5 * (a + b)
+        for i in np.flatnonzero(~sign).tolist():
+            u_star[i] = self._golden(lo[i], hi[i], float(xs[r[i]]), t)
+        E_star = self._E(Wp[r, n], u_star, xs[r], t)
 
+        # per row: the best value, then the grid bands within val_tol of it
+        rcut = np.searchsorted(r, np.arange(rows + 1)).tolist()
+        refined = list(zip(u_star.tolist(), E_star.tolist()))
+        refined = [refined[rcut[q]:rcut[q + 1]] for q in range(rows)]
+        Emax = [max([eg] + [e for _, e in ref])
+                for eg, ref in zip(Emax_grid.tolist(), refined)]
+        thresh = [e - self.val_tol for e in Emax]
+        br, first, last = row_runs(Ev >= np.array(thresh)[:, None])
+        bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
+        bands = list(zip(first.tolist(), last.tolist()))
+        return [self._assemble(float(xs[q]), t, Emax[q], thresh[q], refined[q],
+                               bands[bcut[q]:bcut[q + 1]])
+                for q in range(rows)]
+
+    def _assemble(self, x, t, Emax, thresh, refined, bands):
+        """One row's MaximizerSet from its refined points and value bands."""
+        s, n = self._s, len(self._s)
+        h = s[1] - s[0]
         pts = [u for u, e in refined if e >= thresh]
         flat_tol = 1e-11 * (1.0 + abs(Emax))
         comps = [[u, u] for u in pts]
-        # value-band runs on the grid
-        for first, last in runs(Ev >= thresh):
+        for first, last in bands:
             out_lo, lo = s[max(first - 1, 0)], s[first]
             hi, out_hi = s[last], s[min(last + 1, n - 1)]
             if hi - lo > 2.5 * h:
@@ -226,14 +288,6 @@ class GeneralProblem:
         return MaximizerSet(components, components[0][0], components[-1][1],
                             float(Emax))
 
-    def _refine_bracket(self, lo, hi, x, t):
-        pl, ph = self._psi(np.array([lo, hi]), x, t).tolist()
-        if pl > 0.0 >= ph or pl >= 0.0 > ph:
-            a, b = bisect(lambda u: self._psi(u, x, t) > 0.0, lo, hi,
-                          self.tol_u, 60, vectorized=True)
-            return 0.5 * (a + b)
-        return self._golden(lo, hi, x, t)
-
     def _golden(self, lo, hi, x, t):
         return golden_min(lambda u: -self.eval_E(u, x, t), lo, hi, self.tol_u)
 
@@ -244,13 +298,27 @@ class GeneralProblem:
 
     # -- public solution API ----------------------------------------------
 
-    def solve(self, x, t):
-        ms = self.maximize(x, t)
+    def _sample(self, x, t, ms):
         return SolutionSample(float(x), float(t), ms.u_minus, ms.u_plus,
                               ms.u_minus - ms.u_plus > self.jump_tol, ms)
 
+    def solve(self, x, t):
+        return self._sample(x, t, self.maximize(x, t))
+
     def solve_grid(self, xs, t):
-        return [self.solve(x, t) for x in xs]
+        """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
+
+        The xs are maximized in blocks of ``BLOCK_ELEMS // n_scan`` points
+        (8 at the default n_scan), one pass of array phases per block;
+        each sample equals ``solve(x, t)`` bit for bit.  A non-finite x or
+        t, or t <= 0, raises ValueError before any work.
+        """
+        t = _checked_t(t)
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1 or not np.all(np.isfinite(xs)):
+            raise ValueError("xs must be a 1-D sequence of finite values")
+        return [self._sample(x, t, ms)
+                for x, ms in zip(xs.tolist(), self._maximize_grid(xs, t))]
 
     def e_hat(self, x, t):
         ms = self.maximize(x, t)
@@ -270,9 +338,12 @@ class Problem(GeneralProblem):
         Returns a wrapper whose ``solve(x, t)`` (absolute time t > tau)
         evaluates the variational formula for the sampled data u(., tau) on
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
+        The knot values are u+ at the 4096 interval midpoints, maximized in
+        the blocks of ``solve_grid``, so each equals ``solve(x, tau).u_plus``
+        bit for bit.
         """
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError("tau must be finite and positive")
         lo, hi = self.data.w_lo, self.data.w_hi
         if self.data.period is None:
             speed = max(abs(self._H(self.M)), abs(self._H(-self.M)))
@@ -280,7 +351,7 @@ class Problem(GeneralProblem):
             lo, hi = lo - pad, hi + pad
         xs = np.linspace(lo, hi, 4097)
         mids = 0.5 * (xs[:-1] + xs[1:])
-        us = np.array([self.solve(x, tau).u_plus for x in mids])
+        us = np.array([ms.u_plus for ms in self._maximize_grid(mids, tau)])
         us = np.append(us, us[-1] if self.data.period is None else us[0])
         sd = SampledData(xs, us, period=self.data.period)
         inner = Problem(self.flux, sd, n_scan=self.n_scan,
@@ -300,12 +371,12 @@ class RestartedProblem:
         return self.problem.maximize(x, t - self.tau)
 
     def solve(self, x, t):
-        s = self.problem.solve(x, t - self.tau)
-        return SolutionSample(s.x, float(t), s.u_minus, s.u_plus, s.is_shock,
-                              s.maximizer)
+        return replace(self.problem.solve(x, t - self.tau), t=float(t))
 
     def solve_grid(self, xs, t):
-        return [self.solve(x, t) for x in xs]
+        """The inner problem's ``solve_grid`` at t - tau, in absolute time."""
+        return [replace(s, t=float(t))
+                for s in self.problem.solve_grid(xs, t - self.tau)]
 
 
 def identity_pair(flux):

@@ -195,6 +195,16 @@ def test_malformed_problem_file_exit_2(tmp_path, desc):
                             "--x-range", "-1:1", "--n", "3"))
 
 
+@pytest.mark.parametrize("n", [np.inf, np.nan, 2.5, True],
+                         ids=["inf", "nan", "fraction", "bool"])
+def test_power2n_bad_exponent_exit_2(tmp_path, n):
+    bad = tmp_path / "bad_n.json"
+    bad.write_text(json.dumps({"flux": {"kind": "power2n", "n": n},
+                               "data": SIN["data"]}))
+    _assert_exit_2_json(run("solve", str(bad), "--t", "1",
+                            "--x-range", "-1:1", "--n", "3"))
+
+
 # finite numbers up to 1e3 in magnitude, subnormals included
 _NUM = st.floats(-1e3, 1e3)
 _JUNK = st.one_of(st.none(), st.text(max_size=2), st.lists(_NUM, max_size=2),

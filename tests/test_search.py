@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
-from laxo._search import _BATCH, bisect, golden_min, runs
+from laxo._search import (_BATCH, bisect, bisect_many, golden_min, row_runs,
+                          runs)
 from laxo.variational_core import Problem
 
 
@@ -53,6 +54,17 @@ def test_runs_matches_loop():
         for p in (0.1, 0.5, 0.9):
             mask = rng.random(n) < p
             assert runs(mask) == _runs_loop(mask)
+
+
+def test_row_runs_matches_runs_per_row():
+    rng = np.random.default_rng(8)
+    for rows, n in ((1, 1), (1, 2049), (3, 1), (5, 2), (8, 17), (8, 2049)):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            mask = rng.random((rows, n)) < p
+            row, first, last = row_runs(mask)
+            got = list(zip(row.tolist(), first.tolist(), last.tolist()))
+            assert got == [(r, a, b) for r in range(rows)
+                           for a, b in runs(mask[r])]
 
 
 def test_maximize_flags_boundary_maxima_at_both_ends():
@@ -222,6 +234,79 @@ def test_batched_bisect_call_budget():
                                          0.0, 60)
     assert len(steps) == 60
     assert len(batches) <= -(-60 // _BATCH) + 1
+
+
+# -- lockstep bisection of many brackets --------------------------------------
+
+def _many_against_bisect(preds, a, b, tol, maxiter=None):
+    """bisect_many on all brackets against bisect on each, bit for bit."""
+    calls = []
+
+    def pred(xs, owner):
+        assert len(calls) <= 1000, "search did not terminate"
+        calls.append(len(xs))
+        out = np.empty(len(xs), dtype=bool)
+        for i in set(owner.tolist()):
+            sel = owner == i
+            out[sel] = preds[i](xs[sel])
+        return out
+
+    got_a, got_b = bisect_many(pred, a, b, tol, maxiter)
+    for i, p in enumerate(preds):
+        ref = bisect(p, float(a[i]), float(b[i]), tol, maxiter,
+                     vectorized=True)
+        assert (got_a[i], got_b[i]) == ref
+        assert got_a[i].tobytes() + got_b[i].tobytes() == (
+            np.float64(ref[0]).tobytes() + np.float64(ref[1]).tobytes())
+    return calls
+
+
+def test_bisect_many_matches_bisect_on_mixed_brackets():
+    # widths from 1e-11 to 10 take different depths k in the same round; one
+    # bracket a few ulps wide at 1e6 stops on m == a; one predicate has
+    # several sign changes; one bracket is reversed and one is already done
+    rng = np.random.default_rng(34)
+    base = 1e6
+    ulp = float(np.spacing(base))
+    a = [0.0, -1.0, 3.0, 0.25, base, 2.0, -4.0, 0.5]
+    b = [10.0, -1.0 + 1e-11, 2.0, 0.25 + 3e-9, base + 5 * ulp, 2.5, 4.0,
+         0.5 + 1e-13]
+    cs = [float(rng.uniform(min(x, y), max(x, y))) for x, y in zip(a, b)]
+    preds = [(lambda c: (lambda x: x < c))(c) for c in cs]
+    preds[4] = lambda x: x < base + 0.3 * ulp
+    preds[6] = _several_changes(0.1)
+    # the float floor stops that bracket one ulp wide, above tol
+    ref = bisect(preds[4], base, base + 5 * ulp, 1e-12, vectorized=True)
+    assert ref[1] - ref[0] == ulp
+    a, b = np.array(a), np.array(b)
+    for tol in (1e-12, 1e-9, 0.0):
+        for maxiter in (None, 60, 13):
+            if tol == 0.0 and maxiter is None:
+                continue
+            calls = _many_against_bisect(preds, a, b, tol, maxiter)
+            # one predicate call per round, never one per bracket and round
+            assert len(calls) <= -(-(maxiter or 64) // _BATCH) + 1
+
+
+def test_bisect_many_random_brackets():
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        m = int(rng.integers(1, 12))
+        a = rng.uniform(-5.0, 5.0, m)
+        b = a + rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-12, 1, m)
+        preds = []
+        for x, y in zip(a, b):
+            c = float(rng.uniform(min(x, y), max(x, y)))
+            make = (_MONOTONE + (_several_changes,))[int(rng.integers(3))]
+            preds.append(make(c))
+        tol = float(10.0 ** rng.uniform(-14.0, -3.0))
+        _many_against_bisect(preds, a, b, tol, 60)
+
+
+def test_bisect_many_no_brackets():
+    a, b = bisect_many(lambda xs, owner: xs > 0, np.empty(0), np.empty(0),
+                       1e-12)
+    assert a.shape == b.shape == (0,)
 
 
 # -- golden_min ---------------------------------------------------------------

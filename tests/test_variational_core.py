@@ -145,6 +145,50 @@ def test_solve_grid_matches_solve(neg_sin):
     assert [s.maximizer for s in grid] == [s.maximizer for s in point]
 
 
+def test_solve_grid_rejects_bad_input_before_work(neg_sin):
+    for xs, t in (([0.0, np.nan], 1.0), ([np.inf, 0.0], 1.0),
+                  ([0.0] * 20 + [-np.inf], 1.0), ([0.0], 0.0),
+                  ([0.0], -1.0), ([0.0], np.nan), ([0.0], np.inf),
+                  ([], 0.0), (np.zeros((2, 2)), 1.0)):
+        with pytest.raises(ValueError):
+            neg_sin.solve_grid(xs, t)
+    assert neg_sin.solve_grid([], 1.0) == []
+    assert neg_sin.solve_grid(np.empty(0), 1.0) == []
+
+
+def test_solve_grid_partial_block_on_sampled_data():
+    # 41 points: five full blocks and a last block of one
+    rng = np.random.default_rng(17)
+    us = rng.uniform(-1.0, 1.0, 17)
+    us[0] = us[-1] = 0.0
+    p = Problem(flux.burgers(), idata.SampledData(np.linspace(-2, 2, 17), us))
+    xs = np.linspace(-2.5, 2.5, 41)
+    for t in (0.3, 1.7):
+        grid = p.solve_grid(xs, t)
+        assert [s.x for s in grid] == xs.tolist()
+        assert grid == [p.solve(x, t) for x in xs]
+
+
+def test_general_pair_solve_grid_matches_solve(neg_sin):
+    # F comes from the pair's own quadrature, which must not depend on how
+    # many points one call values
+    U = lambda u: np.asarray(u, dtype=float) ** 3 + np.asarray(u, dtype=float)
+    pair = GeneralFluxPair(U, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2
+                           + 1.0, H=lambda u: np.asarray(u, dtype=float))
+    p = GeneralProblem(pair, neg_sin.data)
+    xs = np.linspace(-3.0, 3.0, 19)
+    assert p.solve_grid(xs, 0.8) == [p.solve(x, 0.8) for x in xs]
+
+
+def test_restart_knots_equal_pointwise_solves():
+    p = Problem(flux.burgers(), idata.step(1.0, -0.5))
+    d = p.restart(0.5).problem.data
+    mids = 0.5 * (d.xs[:-1] + d.xs[1:])
+    ref = np.array([p.solve(x, 0.5).u_plus for x in mids])
+    assert d.us[:-1].tobytes() == ref.tobytes()
+    assert d.us[-1] == ref[-1]
+
+
 def test_restart_reproduces_solution(riemann_down):
     rp = riemann_down.restart(1.0)
     s = rp.solve(1.0, 2.0)          # shock sits at x = t/2
