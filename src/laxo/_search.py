@@ -1,11 +1,15 @@
 """One-dimensional search kernels shared by every layer.
 
-Bisection on a predicate (one step per call, or several dyadic steps per
-call of a vectorized predicate, for one bracket or for many in lockstep),
-golden-section minimization, and the maximal runs of True in a boolean
-mask.  Both loops also stop once the bracket can no longer shrink in
-floating point, so a tolerance finer than the float spacing at the bracket
-ends cannot make them spin forever.
+Bisection on a predicate and golden-section minimization, each written
+once as a step generator that yields the points its next steps need and
+is sent their answers.  One driver feeds one bracket from a scalar
+function (or, for bisection, from a vectorized predicate that pays for
+several dyadic steps per call); the ``_many`` drivers feed many brackets
+in lockstep, one call per round for every live bracket.  Both searches
+also stop once the bracket can no longer shrink in floating point, so a
+tolerance finer than the float spacing at the bracket ends cannot make
+them spin forever.  ``runs`` and ``row_runs`` give the maximal runs of
+True in a boolean mask.
 """
 
 import math
@@ -37,12 +41,13 @@ def _dyadic(a, b, k):
     return g[1:n]
 
 
-def _walk(a, b, tol, maxiter, batched):
+def _walk(a, b, tol, maxiter, steps):
     """The bisection of [a, b] as a generator of the answers it needs.
 
     Yields ``(a, b, k)`` when its next k steps need the predicate at the
     points ``_dyadic(a, b, k)``; a list of those answers is sent back.
-    ``k`` is 1 unless ``batched``.  Returns the final ``(a, b)``.
+    ``k`` is at most ``steps``, fewer when ``maxiter`` or ``tol`` stops the
+    walk sooner.  Returns the final ``(a, b)``.
     """
     n = 0
     left = 0                # steps the current answers still cover
@@ -51,13 +56,11 @@ def _walk(a, b, tol, maxiter, batched):
         if m == a or m == b:
             break
         if not left:
-            left = 1
-            if batched:
-                left = _BATCH if maxiter is None else min(_BATCH, maxiter - n)
-                if tol > 0.0:
-                    # about the steps that remain until |b - a| <= tol
-                    left = max(1, math.ceil(
-                        min(left, math.log2(abs(b - a) / tol))))
+            left = steps if maxiter is None else min(steps, maxiter - n)
+            if tol > 0.0 and left > 1:
+                # about the steps that remain until |b - a| <= tol
+                left = max(1, math.ceil(
+                    min(left, math.log2(abs(b - a) / tol))))
             ans = yield a, b, left
             lo, hi = 0, len(ans) + 1    # positions of a and b in the batch
         i = (lo + hi) >> 1
@@ -75,16 +78,18 @@ def bisect(pred, a, b, tol, maxiter=None, vectorized=False):
 
     ``a`` may lie on either side of ``b``.  Stops when ``|b - a| <= tol``,
     when the midpoint equals an endpoint, or after ``maxiter`` steps, and
-    returns the final ``(a, b)``.  A ``vectorized`` predicate maps an array
-    of points to an array of booleans; it is called once for up to
-    ``_BATCH`` steps, on every midpoint they can reach, and the steps then
-    read their answers, so the result is the one-step result.
+    returns the final ``(a, b)``.  ``vectorized`` is the most steps one
+    predicate call pays for: False or 1 calls ``pred`` on each midpoint
+    alone; k > 1 (True means ``_BATCH``) calls it once for up to k steps,
+    on the array of every midpoint they can reach, and the steps then read
+    their answers, so the result is the one-step result.
     """
-    walk = _walk(a, b, tol, maxiter, vectorized)
+    steps = _BATCH if vectorized is True else max(1, int(vectorized))
+    walk = _walk(a, b, tol, maxiter, steps)
     try:
         c, d, k = next(walk)
         while True:
-            if vectorized:
+            if steps > 1:
                 ans = pred(_dyadic(c, d, k)).tolist()
             else:
                 ans = [pred(0.5 * (c + d))]
@@ -107,7 +112,7 @@ def bisect_many(pred, a, b, tol, maxiter=None):
     b = np.array(b, dtype=float)
     live = []                   # (bracket, walk, its request (a, b, k))
     for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        walk = _walk(ai, bi, tol, maxiter, True)
+        walk = _walk(ai, bi, tol, maxiter, _BATCH)
         try:
             live.append((i, walk, next(walk)))
         except StopIteration as stop:
@@ -141,28 +146,78 @@ def bisect_many(pred, a, b, tol, maxiter=None):
     return a, b
 
 
+def _golden(a, b, tol):
+    """Golden-section search of [a, b] as a generator of the values it needs.
+
+    Yields the points whose values its next step needs, two at the start
+    and one per step after, and is sent a list of those values.  Stops
+    when ``b - a <= tol`` or the bracket stops shrinking, and returns the
+    midpoint of the final bracket.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = yield c, d
+    while b - a > tol:
+        width = b - a
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            (fc,) = yield (c,)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            (fd,) = yield (d,)
+        if b - a >= width:
+            break
+    return 0.5 * (a + b)
+
+
 def golden_min(f, a, b, tol):
     """Minimizer of a unimodal ``f`` on ``[a, b]`` by golden-section search.
 
     Stops when ``b - a <= tol`` or the bracket stops shrinking, and returns
     the midpoint of the final bracket.
     """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        width = b - a
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a >= width:
-            break
-    return 0.5 * (a + b)
+    walk = _golden(a, b, tol)
+    try:
+        pts = next(walk)
+        while True:
+            pts = walk.send([f(p) for p in pts])
+    except StopIteration as stop:
+        return stop.value
+
+
+def golden_many(f, a, b, tol):
+    """``golden_min`` on many brackets in lockstep.
+
+    ``a`` and ``b`` are arrays of bracket ends.  ``f(points, owner)`` maps
+    points, and the index of the bracket each one serves, to values; it is
+    called once per round, on the points every live bracket's next step
+    needs.  Each bracket keeps its own tol and float-floor stops, so the
+    returned array holds, per bracket, exactly the float ``golden_min``
+    returns for it.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.empty(len(a))
+    live = []                   # (bracket, walk, the points it needs)
+    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+        walk = _golden(ai, bi, tol)
+        live.append((i, walk, next(walk)))
+    while live:
+        pts = np.array([p for _, _, req in live for p in req])
+        owner = np.array([i for i, _, req in live for _ in req])
+        vals = f(pts, owner).tolist()
+        nxt = []
+        pos = 0
+        for i, walk, req in live:
+            try:
+                nxt.append((i, walk, walk.send(vals[pos:pos + len(req)])))
+            except StopIteration as stop:
+                out[i] = stop.value
+            pos += len(req)
+        live = nxt
+    return out
 
 
 def runs(mask):

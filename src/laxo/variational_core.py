@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import adaptive_simpson
-from ._search import bisect, bisect_many, golden_min, row_runs
+from ._search import bisect, bisect_many, golden_many, row_runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended
 
@@ -197,10 +197,11 @@ class GeneralProblem:
 
         Every phase runs on the whole block: one W call scans the feet of
         every row, local maxima and their runs are found row-wise, one
-        lockstep bisection refines every sign-change bracket, and one E
-        call values the refined points.  Rows never mix, and numpy's
-        elementwise results do not depend on the array around an element,
-        so each row's answer is the one a block of one gives.
+        lockstep bisection refines every sign-change bracket, one lockstep
+        golden-section search maximizes E on the kept runs with no sign
+        change, and one E call values the refined points.  Rows never mix,
+        and numpy's elementwise results do not depend on the array around
+        an element, so each row's answer is the one a block of one gives.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         h = s[1] - s[0]
@@ -235,8 +236,12 @@ class GeneralProblem:
         a, b = bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
                            lo[sign], hi[sign], self.tol_u, 60)
         u_star[sign] = 0.5 * (a + b)
-        for i in np.flatnonzero(~sign).tolist():
-            u_star[i] = self._golden(lo[i], hi[i], float(xs[r[i]]), t)
+        if not sign.all():
+            # no sign change: maximize E itself, at the scan's W(x - tH(0))
+            g = ~sign
+            W0g, xg = Wp[r[g], n], xs[r[g]]
+            u_star[g] = golden_many(lambda u, i: -self._E(W0g[i], u, xg[i], t),
+                                    lo[g], hi[g], self.tol_u)
         E_star = self._E(Wp[r, n], u_star, xs[r], t)
 
         # per row: the best value, then the grid bands within val_tol of it
@@ -249,17 +254,22 @@ class GeneralProblem:
         br, first, last = row_runs(Ev >= np.array(thresh)[:, None])
         bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
         bands = list(zip(first.tolist(), last.tolist()))
-        return [self._assemble(float(xs[q]), t, Emax[q], thresh[q], refined[q],
+        return [self._assemble(float(xs[q]), t, float(Wp[q, n]), Emax[q],
+                               thresh[q], refined[q],
                                bands[bcut[q]:bcut[q + 1]])
                 for q in range(rows)]
 
-    def _assemble(self, x, t, Emax, thresh, refined, bands):
-        """One row's MaximizerSet from its refined points and value bands."""
+    def _assemble(self, x, t, W0, Emax, thresh, refined, bands):
+        """One row's MaximizerSet from its refined points and value bands.
+
+        ``W0`` is the row's W(x - t H(0)) from the scan.
+        """
         s, n = self._s, len(self._s)
         h = s[1] - s[0]
         pts = [u for u, e in refined if e >= thresh]
         flat_tol = 1e-11 * (1.0 + abs(Emax))
         comps = [[u, u] for u in pts]
+        unreached = []
         for first, last in bands:
             out_lo, lo = s[max(first - 1, 0)], s[first]
             hi, out_hi = s[last], s[min(last + 1, n - 1)]
@@ -267,7 +277,7 @@ class GeneralProblem:
                 # genuine maximizer intervals have exactly constant E;
                 # otherwise the band is a flat peak of a degenerate flux
                 probes = np.linspace(lo, hi, 7)[1:-1]
-                spread = Emax - min(self.eval_E(u, x, t) for u in probes)
+                spread = Emax - float(self._E(W0, probes, x, t).min())
                 if spread <= flat_tol:
                     a = self._edge_refine(out_lo, lo, x, t, thresh)
                     b = self._edge_refine(out_hi, hi, x, t, thresh)
@@ -275,8 +285,12 @@ class GeneralProblem:
                     continue
             # a band no refined point reached
             if not any(lo - 1.5 * h <= u <= hi + 1.5 * h for u in pts):
-                u = self._golden(lo, hi, x, t)
-                comps.append([u, u])
+                unreached.append((lo, hi))
+        if unreached:
+            lo, hi = zip(*unreached)
+            us = golden_many(lambda u, i: -self._E(W0, u, x, t), lo, hi,
+                             self.tol_u)
+            comps += [[u, u] for u in us.tolist()]
         comps.sort()
         merged = []
         for c in comps:
@@ -287,9 +301,6 @@ class GeneralProblem:
         components = tuple((float(a), float(b)) for a, b in merged)
         return MaximizerSet(components, components[0][0], components[-1][1],
                             float(Emax))
-
-    def _golden(self, lo, hi, x, t):
-        return golden_min(lambda u: -self.eval_E(u, x, t), lo, hi, self.tol_u)
 
     def _edge_refine(self, u_out, u_in, x, t, thresh):
         """Boundary of {E >= thresh} between an outside and an inside point."""

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
-from laxo._search import (_BATCH, bisect, bisect_many, golden_min, row_runs,
-                          runs)
+from laxo._search import (_BATCH, bisect, bisect_many, golden_many,
+                          golden_min, row_runs, runs)
 from laxo.variational_core import Problem
 
 
@@ -321,3 +321,73 @@ def test_golden_min_stops_far_from_origin():
     f, _ = _counted(lambda x: (x - c) ** 2)
     assert golden_min(f, 1e4 - 1.0, 1e4 + 2.0, 1e-12) == pytest.approx(
         c, abs=1e-6)
+
+
+# -- lockstep golden-section search -------------------------------------------
+
+def _golden_calls(f, a, b, tol):
+    """golden_min on one bracket, with the number of f calls it makes."""
+    g, calls = _counted(f)
+    return golden_min(g, a, b, tol), len(calls)
+
+
+def test_golden_many_matches_golden_min():
+    # exact arithmetic only, so a point reads the same alone or in an array
+    def unimodal(c):
+        return lambda x: (x - c) ** 2
+
+    def multimodal(c):
+        return lambda x: np.floor((x - c) * 7.3) % 3 + 1e-3 * (x - c) ** 2
+
+    def double_well(c):
+        return lambda x: ((x - c) ** 2 - 0.25) ** 2 + 0.01 * x
+
+    makes = (unimodal, multimodal, double_well)
+    rng = np.random.default_rng(89)
+    base = 1e4
+    ulp = float(np.spacing(base))
+    for trial in range(12):
+        m = int(rng.integers(1, 10))
+        a = rng.uniform(-5.0, 5.0, m)
+        b = a + 10.0 ** rng.uniform(-6.0, 1.0, m)
+        fs = [makes[int(rng.integers(3))](float(rng.uniform(x, y)))
+              for x, y in zip(a, b)]
+        tol = float(10.0 ** rng.uniform(-13.0, -4.0))
+        if trial % 2:
+            # a bracket a few ulps wide near 1e4: tol is below the float
+            # spacing there, so only the float-floor stop can end it,
+            # while the other brackets of the call stop on tol
+            a = np.append(a, base)
+            b = np.append(b, base + 5 * ulp)
+            fs.append(unimodal(base + 2.3 * ulp))
+            tol = min(tol, 0.5 * ulp)
+        calls = []
+
+        def f(xs, owner):
+            assert len(calls) <= 1000, "search did not terminate"
+            calls.append(len(xs))
+            out = np.empty(len(xs))
+            for i in set(owner.tolist()):
+                sel = owner == i
+                out[sel] = fs[i](xs[sel])
+            return out
+
+        got = golden_many(f, a, b, tol)
+        assert got.shape == (len(fs),)
+        rounds = 0
+        for i, fi in enumerate(fs):
+            ref, n_calls = _golden_calls(fi, float(a[i]), float(b[i]), tol)
+            assert got[i].tobytes() == np.float64(ref).tobytes()
+            # two points in the first round, one per round after
+            rounds = max(rounds, n_calls - 1)
+        assert len(calls) == rounds
+        if trial % 2:
+            assert base <= got[-1] <= base + 5 * ulp
+
+
+def test_golden_many_no_brackets():
+    def f(xs, owner):
+        raise AssertionError("called without brackets")
+
+    got = golden_many(f, np.empty(0), np.empty(0), 1e-12)
+    assert got.shape == (0,)

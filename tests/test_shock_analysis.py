@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
-from laxo.errors import ConditionFailed, RootNotBracketed
+from laxo._search import bisect
+from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import Problem
 
@@ -168,6 +169,36 @@ def test_track_merging_shocks(merging_sa):
         if a.t > 1.01:
             assert a.x == pytest.approx(b.x, abs=1e-9)
             assert a.speed_right == pytest.approx(1.0, abs=1e-8)
+
+
+class _OnePointTracker(ShockAnalyzer):
+    """Reference: the jump search and the traces at one solve per point."""
+
+    def _traces(self, x, t):
+        return (self.problem.solve(x - 1e-7, t).u_minus,
+                self.problem.solve(x + 1e-7, t).u_plus)
+
+    def _locate_jump(self, x_hat, t, mid, w):
+        lo, hi = x_hat - w, x_hat + w
+        if not (self.problem.solve(lo, t).u_plus > mid
+                > self.problem.solve(hi, t).u_plus):
+            raise LostCurve("no jump in the window")
+        lo, hi = bisect(lambda m: self.problem.solve(m, t).u_plus > mid,
+                        lo, hi, 1e-12)
+        return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("data, x0, t0, t_end, n_nodes", [
+    (idata.step(1.0, 0.0), 0.4, 0.8, 1.0, 5),
+    (idata.sin_wave(c=0.5), -0.5, 2.0, 2.15, 4)])
+def test_track_nodes_equal_one_point_search(data, x0, t0, t_end, n_nodes):
+    # the blocked search visits the one-step walk's floats, and solve_grid
+    # equals solve, so every node is the reference's bit for bit
+    p = Problem(flux.burgers(), data)
+    got = ShockAnalyzer(p).track_forward(x0, t0, t_end, 0.05)
+    ref = _OnePointTracker(p).track_forward(x0, t0, t_end, 0.05)
+    assert len(got.nodes) == n_nodes
+    assert [repr(n) for n in got.nodes] == [repr(n) for n in ref.nodes]
 
 
 def test_track_rh_consistency_with_polyline(sin_sa):

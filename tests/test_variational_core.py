@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxo import flux, initial_data as idata
+from laxo import flux, initial_data as idata, variational_core as vc
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import (
     GeneralProblem, Problem, identity_pair)
@@ -259,3 +259,37 @@ def test_determinism_byte_identical(neg_sin):
     a = neg_sin.solve(0.37, 1.9)
     b = Problem(flux.burgers(), idata.sin_wave()).solve(0.37, 1.9)
     assert (a.u_plus, a.u_minus, a.maximizer) == (b.u_plus, b.u_minus, b.maximizer)
+
+
+def test_solve_grid_matches_solve_at_late_times(monkeypatch):
+    # late on sine data the scan keeps runs with no psi sign change, and
+    # one lockstep golden-section search per block maximizes all of them
+    rows_per_call = []          # the x of the rows each search served
+    inside = []
+    real_golden = vc.golden_many
+
+    def golden_many(f, a, b, tol):
+        rows_per_call.append(set())
+        inside.append(True)
+        try:
+            return real_golden(f, a, b, tol)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(vc, "golden_many", golden_many)
+    xs = np.linspace(-3.0, 3.0, 16)
+    for fl in (flux.burgers(), flux.power2n(2)):
+        p = Problem(fl, idata.sin_wave())
+        real_E = p._E
+
+        def E(W0, u, x, t, real_E=real_E):
+            if inside:
+                rows_per_call[-1].update(np.atleast_1d(x).tolist())
+            return real_E(W0, u, x, t)
+
+        monkeypatch.setattr(p, "_E", E)
+        for t in (1e3, 1e4):
+            grid = p.solve_grid(xs, t)
+            point = [p.solve(x, t) for x in xs]
+            assert [repr(s) for s in grid] == [repr(s) for s in point]
+    assert max(len(rows) for rows in rows_per_call) >= 2
