@@ -162,7 +162,21 @@ class _Extended:
     ``tail_invariants`` follow from this one rule.  Subclasses set the
     window, the extension (``_set_extension`` validates it) and ``_win``,
     then call ``_normalize``; they evaluate in-window points through
-    ``_inner_phi(r)`` and ``_inner_primitive(r)``.
+    ``_inner_phi(r)`` and ``_inner_primitive(r)``, which take a 1-D array,
+    must not write to it, and return a new array.
+
+    Evaluation contract of ``phi`` and ``primitive``:
+
+    * An all-finite argument takes the direct path: no copy of it, no
+      masks on periodic data or where no point (or every point) lies in a
+      tail, and one inner call on the points the window holds.
+    * An argument holding NaN or +-inf takes a branch that runs only then.
+      NaN, and +-inf on periodic data, give NaN; +-inf on tailed data give
+      the tail's limit.  No ``RuntimeWarning`` is raised.
+    * An element's value does not depend on the array around it: each one
+      goes through the same ufunc sequence as the one-point call, so array
+      and point calls agree bit for bit.  ``_maximize_block``'s bit-for-bit
+      agreement between blocks and single solves rests on this.
     """
 
     left_tail = right_tail = None
@@ -187,41 +201,65 @@ class _Extended:
         """Fix the additive constant of the primitive so that Phi(0) = 0."""
         self._norm = float(self.primitive(0.0))
 
-    def _reduce(self, x):
-        """Map x into the window for periodic data; return (r, k)."""
-        k = np.floor((x - self.w_lo) / self.period)
-        return x - k * self.period, k
-
     def _extend(self, x, inner, integrated):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
+        if scalar:
+            x = x.reshape(1)
+        if not np.isfinite(x).all():
+            # finite entries as in an all-finite call; NaN has no value,
+            # nor has +-inf a phase in a period
+            fin = np.isfinite(x)
+            out = np.full_like(x, np.nan)
+            if fin.any():
+                out[fin] = self._extend(x[fin], inner, integrated)
+            if self.period is None:
+                lo, hi = x == -np.inf, x == np.inf
+                if integrated:
+                    out[lo] = (_tail_line(self.left_tail, x[lo] - self.w_lo)
+                               - self._norm)
+                    out[hi] = (self._win + _tail_line(self.right_tail,
+                                                      x[hi] - self.w_hi)
+                               - self._norm)
+                else:
+                    out[lo] = self.left_tail
+                    out[hi] = self.right_tail
+            return float(out[0]) if scalar else out
         if self.period is not None:
-            # +-inf has no phase in the period: it evaluates as NaN does
-            x[np.isinf(x)] = np.nan
-            r, k = self._reduce(x)
-            out = inner(np.clip(r, self.w_lo, self.w_hi))
+            # reduce into the window, clamp the float floor's 1-ulp misses
+            k = np.floor((x - self.w_lo) / self.period)
+            r = x - k * self.period
+            np.maximum(self.w_lo, r, out=r)
+            np.minimum(self.w_hi, r, out=r)
+            out = inner(r)
             if integrated:
-                out = out + k * self._win
+                out += k * self._win
         else:
             left = x < self.w_lo
             right = x >= self.w_hi if self._tail_from_w_hi else x > self.w_hi
-            mid = ~(left | right)
-            out = np.empty_like(x)
-            if integrated:
-                out[left] = _tail_line(self.left_tail, x[left] - self.w_lo)
-                out[right] = self._win + _tail_line(self.right_tail,
-                                                    x[right] - self.w_hi)
+            n_left, n_right = np.count_nonzero(left), np.count_nonzero(right)
+            if n_left == x.size:
+                out = (self.left_tail * (x - self.w_lo) if integrated
+                       else np.full_like(x, self.left_tail))
+            elif n_right == x.size:
+                out = (self._win + self.right_tail * (x - self.w_hi)
+                       if integrated else np.full_like(x, self.right_tail))
+            elif n_left + n_right == 0:
+                out = inner(x)
             else:
-                out[left] = self.left_tail
-                out[right] = self.right_tail
-            if np.any(mid):
-                out[mid] = inner(x[mid])
-        # a NaN point fell through to the window, where a piece or knot
-        # claimed it
-        out[np.isnan(x)] = np.nan
+                out = np.empty_like(x)
+                if integrated:
+                    out[left] = self.left_tail * (x[left] - self.w_lo)
+                    out[right] = self._win + self.right_tail * (x[right]
+                                                                - self.w_hi)
+                else:
+                    out[left] = self.left_tail
+                    out[right] = self.right_tail
+                if n_left + n_right < x.size:
+                    mid = ~(left | right)
+                    out[mid] = inner(x[mid])
         if integrated:
-            out = out - self._norm
+            out -= self._norm
         return float(out[0]) if scalar else out
 
     def phi(self, x):
@@ -281,8 +319,14 @@ class InitialData(_Extended):
         """phi (or its stitched antiderivative) piece by piece in the window."""
         if not self.pieces:
             return np.zeros_like(x)
-        idx = np.clip(np.searchsorted(self._breaks, x, side="right") - 1,
-                      0, len(self.pieces) - 1)
+        if len(self.pieces) == 1:
+            p = self.pieces[0]
+            return (_pantideriv(p, x) + self._offsets[0] if integrated
+                    else _pval(p, x))
+        idx = np.searchsorted(self._breaks, x, side="right")
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, len(self.pieces) - 1, out=idx)
         out = np.empty_like(x)
         for i, p in enumerate(self.pieces):
             m = idx == i
@@ -454,8 +498,10 @@ class SampledData(_Extended):
 
     def _knot(self, r):
         """Index of the knot interval [xs[i], xs[i+1]) holding r."""
-        return np.clip(np.searchsorted(self.xs, r, side="right") - 1,
-                       0, len(self.xs) - 2)
+        idx = np.searchsorted(self.xs, r, side="right")
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        return np.minimum(idx, len(self.xs) - 2, out=idx)
 
     def _inner_phi(self, r):
         return self.us[self._knot(r)]

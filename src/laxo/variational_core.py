@@ -113,8 +113,10 @@ class _NumericPrimitive(_Extended):
         return self._U(self._d.phi(r))
 
     def _inner_primitive(self, r):
-        idx = np.clip(np.searchsorted(self._k, r, side="right") - 1,
-                      0, len(self._k) - 2)
+        idx = np.searchsorted(self._k, r, side="right")
+        idx -= 1
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, len(self._k) - 2, out=idx)
         x0 = self._k[idx]
         h = r - x0
         f = self._inner_phi
