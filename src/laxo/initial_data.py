@@ -127,6 +127,30 @@ def _pderivs(p, x0):
     raise ValueError(f"unknown piece kind {p.kind!r}")
 
 
+def _critical_points(p):
+    """Points where the piece term can peak inside the piece.
+
+    For sin and cos every extremum has the same |value|, so one maximum
+    and one minimum stand for all of them; points that fall outside
+    [lo, hi] are clipped by the caller.
+    """
+    q = p.params
+    if p.kind in ("sin", "cos"):
+        # b x + c = base + k pi at an extremum
+        base = math.pi / 2.0 if p.kind == "sin" else 0.0
+        lo, hi = sorted(((q["b"] * p.lo + q["c"] - base) / math.pi,
+                         (q["b"] * p.hi + q["c"] - base) / math.pi))
+        ks = np.arange(math.ceil(lo), min(math.ceil(lo) + 1, math.floor(hi)) + 1)
+        return (base + ks * math.pi - q["c"]) / q["b"]
+    if p.kind == "poly":
+        d = np.polynomial.polynomial.polyder(np.asarray(q["coeffs"], dtype=float))
+        d = np.polynomial.polynomial.polytrim(d)
+        return np.polynomial.polynomial.polyroots(d).real if len(d) > 1 else []
+    if p.kind == "power":
+        return [q["x_ref"]]
+    return []
+
+
 def _check_finite(what, *vals):
     if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
         raise ValueError(f"{what} must be finite")
@@ -344,7 +368,8 @@ class InitialData(_Extended):
     def _estimate_bound(self):
         vals = []
         for p in self.pieces:
-            xs = np.linspace(p.lo, p.hi, 4097)
+            xs = np.concatenate([np.linspace(p.lo, p.hi, 4097),
+                                 np.clip(_critical_points(p), p.lo, p.hi)])
             vals.append(np.max(np.abs(_pval(p, xs))))
         if self.period is None:
             vals += [abs(self.left_tail), abs(self.right_tail)]

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from laxo import initial_data as idata
+from laxo import flux, initial_data as idata
 from laxo.errors import FitError
 from laxo.flux import GeneralFluxPair
-from laxo.variational_core import GeneralProblem
+from laxo.variational_core import GeneralProblem, Problem
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,29 @@ def test_bound(neg_sin):
     assert neg_sin.bound == pytest.approx(1.0, abs=1e-6)
     xs = np.random.default_rng(0).uniform(-30, 30, 1000)
     assert np.all(np.abs(neg_sin.phi(xs)) <= neg_sin.bound)
+
+
+def test_bound_sees_peaks_between_samples():
+    # sin(2048 x) vanishes at every point of a 4097-point grid on [-pi, pi];
+    # a bound read off that grid alone scans u on +-1e-6 and misses the foot
+    d = idata.InitialData(
+        [idata.Piece(-np.pi, np.pi, "sin", {"a": 1.0, "b": 2048.0, "c": 0.0})],
+        period=2.0 * np.pi)
+    assert d.bound >= 1.0
+    x, t = 0.3, 1e-4
+    s = Problem(flux.burgers(), d).solve(x, t)
+    for u in (s.u_minus, s.u_plus):
+        assert abs(u - d.phi(x - t * u)) <= 1e-9
+
+
+@pytest.mark.parametrize("piece, peak", [
+    (idata.Piece(-1.0, 1.1, "poly", {"coeffs": [1.0, 0.0, -1.0]}), 1.0),
+    (idata.Piece(0.0, 3.0, "cos", {"a": 2.0, "b": 1.0, "c": -1.0}), 2.0),
+], ids=["poly", "cos"])
+def test_bound_reaches_interior_peaks(piece, peak):
+    # neither peak (x = 0, x = 1) lies on the 4097-point grid of the piece
+    d = idata.InitialData([piece], left_tail=0.0, right_tail=0.0)
+    assert peak <= d.bound <= peak + 1e-9
 
 
 def test_descriptor_roundtrip(neg_sin):
