@@ -151,6 +151,15 @@ def _critical_points(p):
     return []
 
 
+def _interval(edges, x, last):
+    """Index i of the interval [edges[i], edges[i + 1]) holding each x,
+    clamped to 0..last."""
+    idx = np.searchsorted(edges, x, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, last, out=idx)
+
+
 def _check_finite(what, *vals):
     if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
         raise ValueError(f"{what} must be finite")
@@ -253,6 +262,7 @@ class _Extended:
             # reduce into the window, clamp the float floor's 1-ulp misses
             k = np.floor((x - self.w_lo) / self.period)
             r = x - k * self.period
+            # bound first, so that a tie keeps r's signed zero as np.clip does
             np.maximum(self.w_lo, r, out=r)
             np.minimum(self.w_hi, r, out=r)
             out = inner(r)
@@ -347,10 +357,7 @@ class InitialData(_Extended):
             p = self.pieces[0]
             return (_pantideriv(p, x) + self._offsets[0] if integrated
                     else _pval(p, x))
-        idx = np.searchsorted(self._breaks, x, side="right")
-        idx -= 1
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, len(self.pieces) - 1, out=idx)
+        idx = _interval(self._breaks, x, len(self.pieces) - 1)
         out = np.empty_like(x)
         for i, p in enumerate(self.pieces):
             m = idx == i
@@ -523,10 +530,7 @@ class SampledData(_Extended):
 
     def _knot(self, r):
         """Index of the knot interval [xs[i], xs[i+1]) holding r."""
-        idx = np.searchsorted(self.xs, r, side="right")
-        idx -= 1
-        np.maximum(idx, 0, out=idx)
-        return np.minimum(idx, len(self.xs) - 2, out=idx)
+        return _interval(self.xs, r, len(self.xs) - 2)
 
     def _inner_phi(self, r):
         return self.us[self._knot(r)]

@@ -27,7 +27,7 @@ import numpy as np
 from ._quad import adaptive_simpson
 from ._search import bisect, bisect_many, golden_many, row_runs
 from .flux import GeneralFluxPair
-from .initial_data import SampledData, _Extended
+from .initial_data import SampledData, _Extended, _interval
 
 N_SCAN = 2048
 VAL_TOL = 1e-9
@@ -113,10 +113,7 @@ class _NumericPrimitive(_Extended):
         return self._U(self._d.phi(r))
 
     def _inner_primitive(self, r):
-        idx = np.searchsorted(self._k, r, side="right")
-        idx -= 1
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, len(self._k) - 2, out=idx)
+        idx = _interval(self._k, r, len(self._k) - 2)
         x0 = self._k[idx]
         h = r - x0
         f = self._inner_phi
