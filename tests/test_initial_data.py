@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from scipy.integrate import quad
 from laxo import flux, initial_data as idata
 from laxo.errors import FitError
 from laxo.flux import GeneralFluxPair
-from laxo.variational_core import GeneralProblem, Problem
+from laxo.variational_core import GeneralProblem, Problem, _NumericPrimitive
 
 
 @pytest.fixture(scope="module")
@@ -378,3 +381,87 @@ def test_tailed_primitive_at_infinity(tails, x, want):
     d = idata.step(*tails)
     assert d.primitive(x) == want
     assert d.primitive(np.array([x, 0.5]))[0] == want
+
+
+# -- array and point calls agree for every data class --------------------------
+
+def _general(data):
+    return _NumericPrimitive(_CUBE_PAIR.U, data)
+
+
+_AGREE = {
+    "one_piece_periodic": lambda: idata.sin_wave(c=0.5),
+    "multi_piece_periodic": _BITWISE["initial_periodic"],
+    "multi_piece_tailed": _BITWISE["initial_tailed"],
+    "step": lambda: idata.step(1.0, -0.5, x0=0.25),
+    "sampled_periodic": _BITWISE["sampled_periodic"],
+    "sampled_tailed": _BITWISE["sampled_tailed"],
+    "general_periodic": lambda: _general(
+        idata.InitialData(_PIECES, period=2.0)),
+    "general_tailed": lambda: _general(_BITWISE["initial_tailed"]()),
+}
+
+
+@functools.cache
+def _built(case):
+    return _AGREE[case]()
+
+
+def _marks(d):
+    """Window ends, knots or breaks, and exact multiples of the period."""
+    if hasattr(d, "xs"):
+        marks = list(d.xs)
+    elif hasattr(d, "_breaks"):
+        marks = list(d._breaks)
+    else:
+        marks = list(d._k)
+    marks += [d.w_lo, d.w_hi, 0.0, -0.0]
+    if d.period is not None:
+        marks += [k * d.period for k in range(-4, 5)]
+        marks += [d.w_lo + k * d.period for k in (-3, 1, 7)]
+    return marks
+
+
+@pytest.mark.parametrize("case", sorted(_AGREE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_array_and_point_calls_agree_bitwise(case, data):
+    d = _built(case)
+    point = st.one_of(st.sampled_from(_marks(d)),
+                      st.floats(d.w_lo - 10.0, d.w_hi + 10.0),
+                      st.floats(-1e6, 1e6))
+    xs = np.array(data.draw(st.lists(point, min_size=1, max_size=24)))
+    for fn in (d.phi, d.primitive):
+        one = np.array([fn(float(x)) for x in xs])
+        assert fn(xs).tobytes() == one.tobytes()
+
+
+_MIXED = {
+    "periodic": _BITWISE["initial_periodic"],
+    "zero_tails": lambda: idata.InitialData(_ALL_KINDS, left_tail=0.0,
+                                            right_tail=0.0),
+    "sampled_tailed": lambda: idata.SampledData(
+        _KNOTS, np.concatenate([[0.0], _VALUES[1:-1], [0.0]])),
+    "sampled_periodic": _BITWISE["sampled_periodic"],
+    "step": lambda: idata.step(1.0, -0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIXED))
+def test_nonfinite_entries_leave_finite_ones_alone(case):
+    d = _MIXED[case]()
+    xs = _probe_points(d)[:60]
+    bad = np.array([np.nan, np.inf, -np.inf] * 5)
+    mixed = np.random.default_rng(13).permutation(np.concatenate([xs, bad]))
+    fin = np.isfinite(mixed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn in (d.phi, d.primitive):
+            out = fn(mixed)
+            assert out[fin].tobytes() == fn(mixed[fin]).tobytes()
+            one = np.array([fn(float(x)) for x in mixed[~fin]])
+            assert out[~fin].tobytes() == one.tobytes()
+    if d.period is None:
+        # +-inf lies in the tails
+        assert d.phi(np.array([-np.inf, np.inf])).tolist() == [d.left_tail,
+                                                               d.right_tail]
