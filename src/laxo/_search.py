@@ -1,15 +1,12 @@
 """One-dimensional search kernels shared by every layer.
 
-Bisection on a predicate and golden-section minimization, each written
-once as a step generator that yields the points its next steps need and
-is sent their answers.  One driver feeds one bracket from a scalar
-function (or, for bisection, from a vectorized predicate that pays for
-several dyadic steps per call); the ``_many`` drivers feed many brackets
-in lockstep, one call per round for every live bracket.  Both searches
-also stop once the bracket can no longer shrink in floating point, so a
-tolerance finer than the float spacing at the bracket ends cannot make
-them spin forever.  ``runs`` and ``row_runs`` give the maximal runs of
-True in a boolean mask.
+Bisection on a predicate and golden-section minimization are each one
+step generator, which yields the points its next steps need and is sent
+their answers, and one driver, ``bisect_many`` or ``golden_many``, which
+runs many brackets in lockstep with one call per round; ``bisect`` and
+``golden_min`` are those drivers on one bracket.  Both searches stop once
+the bracket cannot shrink in floating point, whatever the tolerance.
+``runs`` and ``row_runs`` give the maximal runs of True in a boolean mask.
 """
 
 import math
@@ -73,46 +70,21 @@ def _walk(a, b, tol, maxiter, steps):
     return a, b
 
 
-def bisect(pred, a, b, tol, maxiter=None, vectorized=False):
-    """Shrink the bracket keeping ``pred(a)`` true and ``pred(b)`` false.
+def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
+    """Shrink brackets [a, b] in lockstep, keeping ``pred`` true at each a.
 
-    ``a`` may lie on either side of ``b``.  Stops when ``|b - a| <= tol``,
-    when the midpoint equals an endpoint, or after ``maxiter`` steps, and
-    returns the final ``(a, b)``.  ``vectorized`` is the most steps one
-    predicate call pays for: False or 1 calls ``pred`` on each midpoint
-    alone; k > 1 (True means ``_BATCH``) calls it once for up to k steps,
-    on the array of every midpoint they can reach, and the steps then read
-    their answers, so the result is the one-step result.
-    """
-    steps = _BATCH if vectorized is True else max(1, int(vectorized))
-    walk = _walk(a, b, tol, maxiter, steps)
-    try:
-        c, d, k = next(walk)
-        while True:
-            if steps > 1:
-                ans = pred(_dyadic(c, d, k)).tolist()
-            else:
-                ans = [pred(0.5 * (c + d))]
-            c, d, k = walk.send(ans)
-    except StopIteration as stop:
-        return stop.value
-
-
-def bisect_many(pred, a, b, tol, maxiter=None):
-    """``bisect(..., vectorized=True)`` on many brackets in lockstep.
-
-    ``a`` and ``b`` are arrays of bracket ends.  ``pred(points, owner)``
-    maps points, and the index of the bracket each one serves, to booleans;
-    it is called once per round, on the midpoints every live bracket's next
-    steps can reach.  Each bracket keeps its own step, depth, float-floor
-    and ``maxiter`` rules, so the returned arrays of final ends hold, per
-    bracket, exactly what ``bisect`` returns for it.
+    ``a`` and ``b`` are arrays of ends, a on either side of b.
+    ``pred(points, owner)`` maps points, and the bracket each serves, to
+    booleans; one call per round sees the midpoints that every live
+    bracket's next ``steps`` steps can reach.  Each bracket stops on its
+    own at ``|b - a| <= tol``, the float floor or ``maxiter`` steps, with
+    the ends that one step per predicate call gives.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     live = []                   # (bracket, walk, its request (a, b, k))
     for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        walk = _walk(ai, bi, tol, maxiter, _BATCH)
+        walk = _walk(ai, bi, tol, maxiter, steps)
         try:
             live.append((i, walk, next(walk)))
         except StopIteration as stop:
@@ -127,8 +99,7 @@ def bisect_many(pred, a, b, tol, maxiter=None):
             # one column of midpoints per bracket
             g = _dyadic(ends[0], ends[1], k)
             pts.append(g.ravel())
-            owner.append(np.repeat([[live[j][0] for j in js]], len(g),
-                                   axis=0).ravel())
+            owner.append(np.tile([live[j][0] for j in js], len(g)))
         ans = pred(np.concatenate(pts), np.concatenate(owner))
         nxt = []
         pos = 0
@@ -144,6 +115,20 @@ def bisect_many(pred, a, b, tol, maxiter=None):
                     a[i], b[i] = stop.value
         live = nxt
     return a, b
+
+
+def bisect(pred, a, b, tol, maxiter=None, vectorized=False):
+    """``bisect_many`` on the one bracket [a, b]; returns its final ends.
+
+    ``vectorized`` is the most steps one predicate call pays for: False or
+    1 calls ``pred`` on each midpoint alone; k > 1 (True means ``_BATCH``)
+    calls it on the array of every midpoint the next k steps can reach.
+    """
+    steps = _BATCH if vectorized is True else max(1, int(vectorized))
+    many = ((lambda xs, _: pred(xs)) if steps > 1
+            else (lambda xs, _: np.array([pred(xs.item())])))
+    a, b = bisect_many(many, [a], [b], tol, maxiter, steps)
+    return float(a[0]), float(b[0])
 
 
 def _golden(a, b, tol):
@@ -172,30 +157,15 @@ def _golden(a, b, tol):
     return 0.5 * (a + b)
 
 
-def golden_min(f, a, b, tol):
-    """Minimizer of a unimodal ``f`` on ``[a, b]`` by golden-section search.
-
-    Stops when ``b - a <= tol`` or the bracket stops shrinking, and returns
-    the midpoint of the final bracket.
-    """
-    walk = _golden(a, b, tol)
-    try:
-        pts = next(walk)
-        while True:
-            pts = walk.send([f(p) for p in pts])
-    except StopIteration as stop:
-        return stop.value
-
-
 def golden_many(f, a, b, tol):
-    """``golden_min`` on many brackets in lockstep.
+    """Minimizers of a unimodal ``f`` on many brackets, in lockstep.
 
     ``a`` and ``b`` are arrays of bracket ends.  ``f(points, owner)`` maps
     points, and the index of the bracket each one serves, to values; it is
     called once per round, on the points every live bracket's next step
-    needs.  Each bracket keeps its own tol and float-floor stops, so the
-    returned array holds, per bracket, exactly the float ``golden_min``
-    returns for it.
+    needs.  Each bracket stops on its own when ``b - a <= tol`` or the
+    bracket stops shrinking, and the returned array holds the midpoint of
+    each final bracket.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -218,6 +188,12 @@ def golden_many(f, a, b, tol):
             pos += len(req)
         live = nxt
     return out
+
+
+def golden_min(f, a, b, tol):
+    """``golden_many`` on the one bracket [a, b] of a scalar ``f``."""
+    return golden_many(lambda xs, _: np.array([f(x) for x in xs.tolist()]),
+                       [a], [b], tol)[0]
 
 
 def runs(mask):

@@ -156,7 +156,12 @@ class CharacteristicAnalyzer:
         return ms.max_value - self.problem.eval_E(c, x, t) <= tol
 
     def lifespan_exact(self, x0, c):
-        """t* = sup{t : c in U(x0 + t f'(c), t)} to T_TOL; inf past T_CAP."""
+        """t* = sup{t : c in U(x0 + t f'(c), t)}; inf past T_CAP.
+
+        ``T_TOL`` is the bisection tolerance in t.  The value-gap test of
+        membership limits the accuracy at continuous generation points:
+        at (0, 0) on Burgers/sine, where t* = 1, this returns 1 + 8.2e-7.
+        """
         if self._on_characteristic(x0, c, T_CAP):
             return np.inf
         lo, hi = 0.0, T_CAP

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect
+from ._search import bisect_many
 from .errors import BracketError, FitError
 
 TOL_U = 1e-12
@@ -77,12 +77,10 @@ class Flux:
             with np.errstate(divide="ignore"):   # f'(lo) may underflow to 0
                 u = np.log(v) / self.params["k"]
         else:
-            a = np.empty_like(v)
-            b = np.empty_like(v)
-            # bisection on the monotone residual f'(u) - v, one value at a time
-            for i, vi in enumerate(v):
-                b[i], a[i] = bisect(lambda m: self.deriv(m) >= vi, hi, lo,
-                                    TOL_U, 64)
+            # bisection on the monotone residual f'(u) - v, every v in lockstep
+            b, a = bisect_many(lambda m, i: self.deriv(m) >= v[i],
+                               np.full(len(v), hi), np.full(len(v), lo),
+                               TOL_U, 64)
             u = 0.5 * (a + b)
             # one safeguarded Newton step where f'' is healthy
             fpp = self.second(u)

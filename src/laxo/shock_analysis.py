@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._search import bisect
 from .characteristics import CharacteristicAnalyzer, phi_l
@@ -203,7 +202,9 @@ class ShockAnalyzer:
         if fl * fh > 0:
             raise RootNotBracketed(
                 "lambda equation has no sign change on the proven bracket")
-        return float(brentq(F, lo, hi, xtol=1e-14, rtol=1e-14))
+        # to the float floor: hi can lie far above the root
+        lo, hi = bisect(lambda lam: (F(lam) > 0) == (fl > 0), lo, hi, 0.0)
+        return 0.5 * (lo + hi)
 
     def _case23(self, gp, inputs):
         g = float(inputs["gamma"])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._quad import adaptive_simpson
-from ._search import bisect, bisect_many, golden_many, row_runs
+from ._search import bisect_many, golden_many, row_runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended, _interval
 
@@ -36,6 +36,10 @@ TOL_U = 1e-12
 # scan elements one block of solve_grid holds, rows x n_scan: 8 rows of the
 # default grid, which keeps a block's arrays within a few hundred kB
 BLOCK_ELEMS = 1 << 14
+# glibc's malloc serves blocks above its mmap threshold (128 kB at start)
+# by mmap and unmaps them on free, so each block's ~130 kB temporaries would
+# be faulted back in; freeing one 1 MB array raises the threshold past them
+np.empty(1 << 17)
 # offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
 _NEIGHBOURS = np.array([[-1], [0], [1]])
 
@@ -268,6 +272,7 @@ class GeneralProblem:
         pts = [u for u, e in refined if e >= thresh]
         flat_tol = 1e-11 * (1.0 + abs(Emax))
         comps = [[u, u] for u in pts]
+        edges = []              # (outside, inside) grid points of flat bands
         unreached = []
         for first, last in bands:
             out_lo, lo = s[max(first - 1, 0)], s[first]
@@ -278,13 +283,18 @@ class GeneralProblem:
                 probes = np.linspace(lo, hi, 7)[1:-1]
                 spread = Emax - float(self._E(W0, probes, x, t).min())
                 if spread <= flat_tol:
-                    a = self._edge_refine(out_lo, lo, x, t, thresh)
-                    b = self._edge_refine(out_hi, hi, x, t, thresh)
-                    comps.append([min(a, b), max(a, b)])
+                    edges += [(out_lo, lo), (out_hi, hi)]
                     continue
             # a band no refined point reached
             if not any(lo - 1.5 * h <= u <= hi + 1.5 * h for u in pts):
                 unreached.append((lo, hi))
+        if edges:
+            # each edge is the boundary of {E >= thresh} between the points
+            out, inside = zip(*edges)
+            us, _ = bisect_many(lambda u, i: self._E(W0, u, x, t) >= thresh,
+                                inside, out, self.tol_u, 60)
+            comps += [[min(a, b), max(a, b)]
+                      for a, b in us.reshape(-1, 2).tolist()]
         if unreached:
             lo, hi = zip(*unreached)
             us = golden_many(lambda u, i: -self._E(W0, u, x, t), lo, hi,
@@ -300,11 +310,6 @@ class GeneralProblem:
         components = tuple((float(a), float(b)) for a, b in merged)
         return MaximizerSet(components, components[0][0], components[-1][1],
                             float(Emax))
-
-    def _edge_refine(self, u_out, u_in, x, t, thresh):
-        """Boundary of {E >= thresh} between an outside and an inside point."""
-        return bisect(lambda u: self.eval_E(u, x, t) >= thresh, u_in, u_out,
-                      self.tol_u, 60)[0]
 
     # -- public solution API ----------------------------------------------
 

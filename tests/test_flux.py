@@ -62,6 +62,23 @@ def test_invert_deriv_closed_form_matches_bisection(kind):
         assert got[-1] == pytest.approx(hi, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(_NAMED))
+def test_custom_invert_deriv_array_equals_scalar_calls(kind):
+    # every v is bisected in lockstep: each must get the float its own
+    # one-value search gives, bracket ends and tolerated overshoot included
+    fl = _NAMED[kind]()
+    twin = flux.custom(fl.eval, fl.deriv, fl.second)
+    rng = np.random.default_rng(3)
+    for lo, hi in ((-2.0, 2.0), (0.25, 3.0), flux.DOMAIN):
+        flo, fhi = float(fl.deriv(lo)), float(fl.deriv(hi))
+        v = np.concatenate([
+            [flo, fhi, flo - 0.5 * flux.TOL_V, fhi + 0.5 * flux.TOL_V],
+            rng.uniform(flo, fhi, 40), [flo, fhi]])
+        got = twin.invert_deriv(v, (lo, hi))
+        ref = np.array([twin.invert_deriv(float(x), (lo, hi)) for x in v])
+        assert got.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+
 def test_invert_deriv_tolerated_overshoot_stays_in_bracket():
     # values within TOL_V outside the image map to the bracket ends; e^(2u)
     # is never negative, and log of a negative value must not be taken

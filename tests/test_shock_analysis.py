@@ -2,6 +2,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from laxo import flux, initial_data as idata
 from laxo._search import bisect
@@ -129,6 +130,30 @@ def test_development_root_not_bracketed(sin_sa):
         sin_sa.development_asymptotics(
             gp, {"gamma": 1.0, "sigma": 2.0, "Cbar_sigma_plus": -1.0,
                  "Cbar_sigma_minus": 1.0})
+
+
+def test_solve_lambda_matches_brentq():
+    # the bracket end lam0^(1/sigma) can lie many orders of magnitude above
+    # the root, where a bisection tolerance scaled by it would stop coarse
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20)
+    far = 0
+    for _ in range(2000):
+        g, s = rng.uniform(0.05, 4.0, 2).tolist()
+        lam0 = float(10.0 ** rng.uniform(-4.0, 4.0))
+
+        def F(lam):
+            return (g * s * (1 + lam) * (lam0 - lam ** (1 + g + s))
+                    - (1 + g + s) * lam * (1 + lam ** g) * (lam ** s - lam0))
+
+        lo = lam0 ** (1.0 / (1 + g + s))
+        hi = lam0 ** (1.0 / s)
+        lo, hi = min(lo, hi), max(lo, hi)
+        got = ShockAnalyzer._solve_lambda(g, s, lam0)
+        ref = brentq(F, lo, hi, xtol=1e-300, rtol=4 * eps, maxiter=1000)
+        assert abs(got - ref) <= 1e-13 * ref, (g, s, lam0)
+        far += 1e-14 * (1.0 + hi) > 1e-11 * ref
+    assert far >= 100
 
 
 # -- forward tracking ------------------------------------------------------
