@@ -75,7 +75,16 @@ def _numerics(fn):
     return wrapped
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        """Run a subcommand; a usage error exits 2 with one JSON line."""
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            _fail(2, ValueError(e.format_message()))
+
+
+@click.group(cls=_Group)
 def main():
     """Meshless solver for 1-D scalar conservation laws."""
 

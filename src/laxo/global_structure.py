@@ -114,7 +114,8 @@ class HullReport:
         gl = vy - sl * vx
         gr = vy - sr * vx
         i_l = int(np.argmin(gl))
-        i_r = len(vx) - 1 - int(np.argmin(gr[::-1]))
+        # tail slopes within 1e-12 can cross the tangencies: keep one vertex
+        i_r = max(i_l, len(vx) - 1 - int(np.argmin(gr[::-1])))
         self.b_left = float(gl[i_l])
         self.b_right = float(gr[i_r])
         self._set_vertices(vx[i_l:i_r + 1], vy[i_l:i_r + 1])
@@ -310,8 +311,10 @@ class GlobalStructure:
 
         ``norm`` in {"sup", "l1", "l2"}; target defaults to the
         rarefaction-constant profile.  Returns (exponent, constant, series)
-        with series = [(t, value)].
+        with series = [(t, value)].  The fit needs two distinct times.
         """
+        if len({float(t) for t in t_list}) < 2:
+            raise ValueError("need at least two distinct times")
         lo, hi = region
         xs = np.linspace(lo, hi, 801)
         series = []

@@ -24,6 +24,8 @@ class FvGrid:
     def __post_init__(self):
         if self.n_cells < 4:
             raise ValueError("need at least 4 cells")
+        if not self.x_lo < self.x_hi:     # written so that NaN fails
+            raise ValueError("need x_lo < x_hi")
         if not 0.0 < self.cfl < 1.0 or self.cfl > 0.9:
             raise ValueError("cfl must lie in (0, 0.9]")
         if self.boundary not in ("constant", "periodic"):

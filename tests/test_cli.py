@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import laxo
 from laxo.cli import main
 
 
@@ -277,3 +281,80 @@ def test_any_problem_file_exits_cleanly(tmp_path_factory, desc):
             lines = r.stderr.strip().splitlines()
             assert len(lines) == 1
             assert "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--t", "abc", "--x-range", "-1:1"),
+    ("solve", "--x-range", "-1:1"),
+    ("solve", "--t", "1", "--x-range", "-1:1", "--bogus", "1"),
+    ("profile", "--t", "1", "--x-range", "-1:1", "--kind", "x"),
+    ("compare", "--t", "1", "--x-range", "0:0"),
+    ("decay", "--t-list", "10", "--x-range", "-3:3"),
+], ids=["bad_float", "missing_option", "unknown_option", "bad_choice",
+        "empty_range", "one_time"])
+def test_usage_errors_exit_2_json(files, args):
+    _assert_exit_2_json(run(args[0], files["sin"], *args[1:]))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves the tests as an oracle; the program must start without it
+    src = os.path.dirname(os.path.dirname(laxo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys, laxo.cli; print([m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')])")
+    r = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
+# each option gets a well-formed value, a bad one (non-finite, signs, empty
+# or non-numeric text) or none; magnitudes stay small to keep each run's
+# work small, and --dt stays coarse because track_forward's work grows as
+# (t_end - t0) / dt
+_BAD = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", ""]),
+                 st.text(".,:-+eax ", min_size=1, max_size=3))
+_X = st.floats(-5.0, 5.0).map(repr)
+_T = st.floats(0.01, 5.0).map(repr)
+_COUNT = st.integers(-2, 24).map(str)
+_OPTIONS = {
+    "solve": {"--t": _T, "--x-range": st.tuples(_X, _X).map(":".join),
+              "--n": _COUNT},
+    "classify": {"--x0": _X},
+    "shock": {"--seed": st.one_of(_X, st.tuples(_X, _T).map(",".join)),
+              "--t-end": _T, "--dt": st.floats(0.25, 2.0).map(repr)},
+    "profile": {"--t": _T, "--x-range": st.tuples(_X, _X).map(":".join),
+                "--n": _COUNT, "--kind": st.sampled_from(["utilde", "nwave"])},
+    "decay": {"--t-list": st.lists(_T, min_size=1, max_size=3).map(",".join),
+              "--x-range": st.tuples(_X, _X).map(":".join)},
+    "compare": {"--t": _T, "--n-cells": _COUNT,
+                "--x-range": st.tuples(_X, _X).map(":".join)},
+}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [cmd, draw(st.sampled_from(["down", "up", "sin"]))]
+    for opt, good in _OPTIONS[cmd].items():
+        k = draw(st.integers(0, 9))
+        if k:                             # k == 0 leaves the option out
+            argv += [opt, draw(good if k > 2 else _BAD)]
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(_argv())
+def test_any_argv_exits_cleanly(tmp_path_factory, argv):
+    # 0 on success, 2 on a parse error, 3 on a numerical sentinel; a
+    # failure is one line of JSON on stderr, never a traceback
+    path = tmp_path_factory.getbasetemp() / f"argv_{argv[1]}.json"
+    if not path.exists():
+        path.write_text(json.dumps(
+            {"down": RIEMANN_DOWN, "up": RIEMANN_UP, "sin": SIN}[argv[1]]))
+    r = run(argv[0], str(path), *argv[2:])
+    assert r.exit_code in (0, 2, 3), (r.exception, argv)
+    if r.exit_code:
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1, (lines, argv)
+        assert "error" in json.loads(lines[0])

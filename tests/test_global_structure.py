@@ -245,3 +245,21 @@ def test_windowed_hull_leaves_default_answers_alone():
     assert wide is not gs.convex_hull()
     assert (gs.convex_hull().K0, gs.profile_u_tilde(0.3, 5.0),
             gs.divide_fan(0.001)) == before
+
+
+def test_decay_needs_two_distinct_times(sin_gs):
+    # a line through one log-time is no fit: reject it before any solve
+    for ts in ([10.0], [10.0, 10.0]):
+        with pytest.raises(ValueError):
+            sin_gs.measure_decay("sup", (-np.pi, np.pi), ts)
+
+
+def test_hull_with_tail_slopes_a_rounding_apart():
+    # tails 0 and -7e-138 pass the 1e-12 finiteness test although the
+    # right one is lower: the envelope keeps one vertex instead of none
+    d = idata.InitialData([idata.Piece(0.0, 1.0, "const", {"c": -4e-274})],
+                          left_tail=0.0, right_tail=-7.5e-138)
+    h = GlobalStructure(Problem(flux.burgers(), d)).convex_hull()
+    assert h.finite and len(h.vx) == 1
+    xs = np.linspace(-2.0, 3.0, 11)
+    assert np.all(np.abs(d.primitive(xs) - h.value(xs)) <= h.hull_tol)

@@ -89,3 +89,9 @@ def test_convergence_monotone_all_canonical():
         errs = [compare(p, t, FvGrid(g0.x_lo, g0.x_hi, n, boundary=g0.boundary))["l1"]
                 for n in (100, 200, 400)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (1.0, 0.0), (np.nan, 1.0)])
+def test_grid_rejects_empty_or_reversed_range(lo, hi):
+    with pytest.raises(ValueError):
+        FvGrid(lo, hi, 10)
