@@ -99,7 +99,8 @@ def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
             # one column of midpoints per bracket
             g = _dyadic(ends[0], ends[1], k)
             pts.append(g.ravel())
-            owner.append(np.tile([live[j][0] for j in js], len(g)))
+            owner.append(np.repeat([[live[j][0] for j in js]], len(g),
+                                   axis=0).ravel())
         ans = pred(np.concatenate(pts), np.concatenate(owner))
         nxt = []
         pos = 0

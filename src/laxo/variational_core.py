@@ -36,9 +36,8 @@ TOL_U = 1e-12
 # scan elements one block of solve_grid holds, rows x n_scan: 8 rows of the
 # default grid, which keeps a block's arrays within a few hundred kB
 BLOCK_ELEMS = 1 << 14
-# glibc's malloc serves blocks above its mmap threshold (128 kB at start)
-# by mmap and unmaps them on free, so each block's ~130 kB temporaries would
-# be faulted back in; freeing one 1 MB array raises the threshold past them
+# freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
+# a block's ~130 kB temporaries, else unmapped on free and faulted in anew
 np.empty(1 << 17)
 # offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
 _NEIGHBOURS = np.array([[-1], [0], [1]])
