@@ -310,8 +310,8 @@ def test_cli_import_loads_no_scipy():
 
 # each option gets a well-formed value, a bad one (non-finite, signs, empty
 # or non-numeric text) or none; magnitudes stay small to keep each run's
-# work small, and --dt stays coarse because track_forward's work grows as
-# (t_end - t0) / dt
+# work small, and a valid --dt stays >= 0.25: track_forward's work grows as
+# (t_end - t0) / dt, and a dt below the float spacing of t never ends
 _BAD = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", ""]),
                  st.text(".,:-+eax ", min_size=1, max_size=3))
 _X = st.floats(-5.0, 5.0).map(repr)
