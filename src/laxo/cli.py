@@ -8,6 +8,7 @@ as single-line JSON.
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -54,8 +55,10 @@ def load_problem(path):
 
 def _parse_range(text):
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(v) for v in text.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("range ends must be finite")
+        return lo, hi
     except ValueError as e:
         _fail(2, e)
 

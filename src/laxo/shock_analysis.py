@@ -22,6 +22,10 @@ DELTA = 1e-4
 # bisection steps one solve_grid call of _locate_jump pays for: its three
 # points cost about 1.3 times one solve
 _JUMP_STEPS = 2
+# most steps one track_forward call takes: a step maximizes a few dozen rows
+# (about 20 ms on a 2-vCPU host), so 10^5 steps already run for about half
+# an hour, and a longer run is taken for a mistyped dt or t_end
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -242,12 +246,17 @@ class ShockAnalyzer:
         bisects for the jump to 1e-12; traces are read 1e-7 to each side.
         The jump search and the traces solve their points in blocks of
         ``solve_grid``, so each node equals the one-point-per-solve search
-        bit for bit.
+        bit for bit.  A dt too small to advance t_end, or more than
+        ``MAX_STEPS`` steps, raises ValueError before any solve.
         """
         if not (math.isfinite(x0) and math.isfinite(t0) and t0 >= 0
                 and math.isfinite(t_end) and math.isfinite(dt) and dt > 0):
             raise ValueError("x0, t0, t_end and dt must be finite, with "
                              "t0 >= 0 and dt > 0")
+        if t_end > t0 and (t_end + dt == t_end
+                           or (t_end - t0) / dt > MAX_STEPS):
+            raise ValueError(f"dt must advance t_end and give at most "
+                             f"{MAX_STEPS} steps")
         fl = self.flux
         M = self.problem.M
         w = 2.0 * dt * max(abs(fl.deriv(-M)), abs(fl.deriv(M))) + 1e-12

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quad import adaptive_simpson
 from ._search import bisect_many, golden_many, row_runs
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended, _interval
@@ -76,36 +75,44 @@ class SolutionSample:
 
 
 class _NumericPrimitive(_Extended):
-    """Vectorized primitive of U(phi) for piecewise data, W(0) = 0.
+    """Vectorized primitive of U(phi) for piecewise-analytic data, W(0) = 0.
 
-    Precomputes cumulative integrals at dense knots inside each smooth
-    segment of the data window; off the window it follows the data's
-    periodicity or the constant tails U(phi(w_lo - 1)) and U(phi(w_hi + 1)).
+    The knot table holds W at 256 panels per piece, plus, for a power piece,
+    its reference point and knots graded geometrically toward it, where U(phi)
+    may have a kink or a jump.  Every panel is integrated in one call by an
+    8-point Gauss-Legendre rule; a point between knots adds a Simpson step
+    from its base knot, with U(phi) at the knots tabulated.  Off the window W
+    follows the data's periodicity or the constant tails U(phi(w_lo - 1)) and
+    U(phi(w_hi + 1)).  Sampled data need no quadrature: U(phi) is piecewise
+    constant there, so ``GeneralProblem`` builds W as a ``SampledData``
+    primitive.
     """
 
     def __init__(self, U, data):
         self._U = U
         self._d = data
         self.w_lo, self.w_hi, self.period = data.w_lo, data.w_hi, data.period
-        if data.is_sampled:
-            # phi is constant between knots: cumulative sums are exact
-            self._k = np.asarray(data.xs, dtype=float)
-            seg = np.asarray(U(data.us[:-1])) * np.diff(self._k)
-            self._v = np.concatenate([[0.0], np.cumsum(seg)])
-        else:
-            bks = [p.lo for p in data.pieces] + [data.w_hi]
-            if not data.pieces:
-                bks = [data.w_lo, data.w_hi]
-            knots = [np.asarray(bks[:1])]
-            for a, b in zip(bks[:-1], bks[1:]):
-                if b > a:     # 256 Simpson panels per smooth segment
-                    knots.append(np.linspace(a, b, 257)[1:])
-            self._k = np.concatenate(knots)
-            vals = [0.0]
-            for a, b in zip(self._k[:-1], self._k[1:]):
-                vals.append(vals[-1] + adaptive_simpson(self._inner_phi, a, b,
-                                                        1e-13, 24))
-            self._v = np.asarray(vals)
+        bks = [p.lo for p in data.pieces] + [data.w_hi]
+        knots = [np.array([data.w_lo])]
+        for p, a, b in zip(data.pieces, bks[:-1], bks[1:]):
+            ks = np.linspace(a, b, 257)[1:]
+            if p.kind == "power":
+                # graded toward the kink or jump at x_ref (Davis & Rabinowitz,
+                # Methods of Numerical Integration, 2.12)
+                x_ref = p.params["x_ref"]
+                d = (ks[0] - a) * 0.5 ** np.arange(41)
+                g = np.concatenate([[x_ref], x_ref - d, x_ref + d])
+                ks = np.concatenate([ks, g[(a < g) & (g < b)]])
+            knots.append(ks)
+        self._k = np.unique(np.concatenate(knots))
+        # the rule is built here, not at import: its first call loads LAPACK
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * np.diff(self._k)
+        pts = (self._k[:-1] + half)[:, None] + half[:, None] * nodes
+        panels = half * (self._inner_phi(pts.ravel()).reshape(pts.shape)
+                         @ weights)
+        self._v = np.concatenate([[0.0], np.cumsum(panels)])
+        self._fk = self._inner_phi(self._k)
         self._win = self._v[-1]
         if self.period is None:
             self.left_tail = U(data.phi(data.w_lo - 1.0))
@@ -113,7 +120,7 @@ class _NumericPrimitive(_Extended):
         self._normalize()
 
     def _inner_phi(self, r):
-        return self._U(self._d.phi(r))
+        return self._U(self._d._inner_phi(r))
 
     def _inner_primitive(self, r):
         idx = _interval(self._k, r, len(self._k) - 2)
@@ -121,7 +128,8 @@ class _NumericPrimitive(_Extended):
         h = r - x0
         f = self._inner_phi
         # Simpson from the base knot; knots never straddle data breakpoints
-        return self._v[idx] + h / 6.0 * (f(x0) + 4.0 * f(x0 + 0.5 * h) + f(r))
+        return self._v[idx] + h / 6.0 * (self._fk[idx]
+                                         + 4.0 * f(x0 + 0.5 * h) + f(r))
 
 
 class GeneralProblem:
@@ -144,6 +152,10 @@ class GeneralProblem:
         self._F = pair.F
         if pair.U is _identity:
             self._W = data.primitive
+        elif data.is_sampled:
+            # U(phi) is piecewise constant between knots, like phi
+            self._W = SampledData(data.xs, pair.U(data.us),
+                                  data.period).primitive
         else:
             self._W = _NumericPrimitive(pair.U, data).primitive
         M = data.bound

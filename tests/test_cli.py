@@ -146,7 +146,8 @@ def test_nan_tail_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("t, xr", [("nan", "-1:1"), ("-1", "-1:1"),
-                                   ("1", "nan:1")])
+                                   ("1", "nan:1"), ("1", "inf:inf"),
+                                   ("1", "0:inf"), ("1", "-inf:0")])
 def test_solve_bad_point_exit_2(files, t, xr):
     _assert_exit_2_json(run("solve", files["down"], "--t", t,
                             "--x-range", xr, "--n", "3"))
@@ -160,18 +161,27 @@ def test_classify_nonfinite_x0_exit_2(files, x0):
 @pytest.mark.parametrize("extra", [
     ("--seed", "0.5,nan", "--t-end", "1"), ("--seed", "0.5", "--t-end", "nan"),
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "0"),
-    ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1")])
+    ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1"),
+    ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "1e-300"),
+    ("--seed", "0.5,0.5", "--t-end", "1e300", "--dt", "1")])
 def test_shock_bad_input_exit_2(files, extra):
     _assert_exit_2_json(run("shock", files["sin"], *extra))
 
 
 @pytest.mark.parametrize("t, xr", [("0", "-1:1"), ("-1", "-1:1"),
                                    ("nan", "-1:1"), ("inf", "-1:1"),
-                                   ("1", "nan:1")])
+                                   ("1", "nan:1"), ("1", "inf:inf"),
+                                   ("1", "0:inf"), ("1", "-inf:0")])
 @pytest.mark.parametrize("kind", ["utilde", "nwave"])
 def test_profile_bad_point_exit_2(files, t, xr, kind):
     _assert_exit_2_json(run("profile", files["up"], "--t", t,
                             "--x-range", xr, "--n", "3", "--kind", kind))
+
+
+@pytest.mark.parametrize("xr", ["inf:inf", "0:inf", "-inf:0"])
+def test_decay_nonfinite_range_exit_2(files, xr):
+    _assert_exit_2_json(run("decay", files["sin"], "--t-list", "1,2",
+                            "--x-range", xr))
 
 
 _SIN_PIECE = {"lo": -1.0, "hi": 1.0, "kind": "sin", "a": 1.0, "b": 1.0,
@@ -310,8 +320,9 @@ def test_cli_import_loads_no_scipy():
 
 # each option gets a well-formed value, a bad one (non-finite, signs, empty
 # or non-numeric text) or none; magnitudes stay small to keep each run's
-# work small, and a valid --dt stays >= 0.25: track_forward's work grows as
-# (t_end - t0) / dt, and a dt below the float spacing of t never ends
+# work small, and a valid --dt stays >= 0.25: track_forward rejects a dt
+# that cannot advance t and step counts past its cap, but below the cap its
+# work still grows as the step count (t_end - t0) / dt
 _BAD = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-1", ""]),
                  st.text(".,:-+eax ", min_size=1, max_size=3))
 _X = st.floats(-5.0, 5.0).map(repr)

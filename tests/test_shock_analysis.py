@@ -266,6 +266,15 @@ def test_track_rejects_bad_input(sin_sa, x0, t0, t_end, dt):
         sin_sa.track_forward(x0, t0, t_end, dt)
 
 
+@pytest.mark.parametrize("t0, t_end, dt", [
+    (1.0, 2.0, 1e-300),           # t + dt == t: the steps never reach t_end
+    (1e5, 1e5 + 1e-10, 1e-12),    # the same in a hundred nominal steps
+    (1.0, 1e300, 1.0)])           # past MAX_STEPS
+def test_track_rejects_endless_steps(sin_sa, t0, t_end, dt):
+    with pytest.raises(ValueError):
+        sin_sa.track_forward(0.5, t0, t_end, dt)
+
+
 def test_backward_feet_nesting(riemann_sa):
     cur = riemann_sa.track_forward(0.0, 0.0, 3.0, 0.1)
     feet_minus, feet_plus = [], []
