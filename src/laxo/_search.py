@@ -75,10 +75,11 @@ def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
 
     ``a`` and ``b`` are arrays of ends, a on either side of b.
     ``pred(points, owner)`` maps points, and the bracket each serves, to
-    booleans; one call per round sees the midpoints that every live
-    bracket's next ``steps`` steps can reach.  Each bracket stops on its
-    own at ``|b - a| <= tol``, the float floor or ``maxiter`` steps, with
-    the ends that one step per predicate call gives.
+    booleans; one call per round sees one dyadic tree per live bracket, as
+    deep as the deepest request.  A walk that asked for fewer steps reads
+    the top levels of its tree, the very floats a shallower tree holds.
+    Each bracket stops on its own at ``|b - a| <= tol``, the float floor or
+    ``maxiter`` steps, with the ends that one step per predicate call gives.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -90,30 +91,17 @@ def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
         except StopIteration as stop:
             a[i], b[i] = stop.value
     while live:
-        groups = {}             # depth -> positions in live
-        for j, (_, _, req) in enumerate(live):
-            groups.setdefault(req[2], []).append(j)
-        pts, owner = [], []
-        for k, js in groups.items():
-            ends = np.array([live[j][2] for j in js]).T
-            # one column of midpoints per bracket
-            g = _dyadic(ends[0], ends[1], k)
-            pts.append(g.ravel())
-            owner.append(np.repeat([[live[j][0] for j in js]], len(g),
-                                   axis=0).ravel())
-        ans = pred(np.concatenate(pts), np.concatenate(owner))
+        ends = np.array([req for _, _, req in live]).T
+        # one column of midpoints per bracket
+        g = _dyadic(ends[0], ends[1], int(ends[2].max()))
+        owner = np.repeat([[i for i, _, _ in live]], len(g), axis=0)
+        cols = pred(g.ravel(), owner.ravel()).reshape(g.shape).T.tolist()
         nxt = []
-        pos = 0
-        for k, js in groups.items():
-            m = ((1 << k) - 1) * len(js)
-            cols = ans[pos:pos + m].reshape(-1, len(js)).T.tolist()
-            pos += m
-            for j, col in zip(js, cols):
-                i, walk, _ = live[j]
-                try:
-                    nxt.append((i, walk, walk.send(col)))
-                except StopIteration as stop:
-                    a[i], b[i] = stop.value
+        for (i, walk, _), col in zip(live, cols):
+            try:
+                nxt.append((i, walk, walk.send(col)))
+            except StopIteration as stop:
+                a[i], b[i] = stop.value
         live = nxt
     return a, b
 

@@ -54,13 +54,10 @@ def load_problem(path):
 
 
 def _parse_range(text):
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("range ends must be finite")
-        return lo, hi
-    except ValueError as e:
-        _fail(2, e)
+    lo, hi = (float(v) for v in text.split(":"))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("range ends must be finite")
+    return lo, hi
 
 
 def _numerics(fn):
@@ -150,11 +147,8 @@ def shock(problem_file, seed, t_end, dt):
     """Track a shock curve forward: CSV rows t,x,u_minus,u_plus,speed."""
     p = load_problem(problem_file)
     parts = seed.split(",")
-    try:
-        x0 = float(parts[0])
-        t0 = float(parts[1]) if len(parts) > 1 else dt
-    except (ValueError, IndexError) as e:
-        _fail(2, e)
+    x0 = float(parts[0])
+    t0 = float(parts[1]) if len(parts) > 1 else dt
     curve = ShockAnalyzer(p).track_forward(x0, t0, t_end, dt)
     click.echo("t,x,u_minus,u_plus,speed")
     for nd in curve.nodes:
@@ -214,10 +208,7 @@ def decay(problem_file, norm, t_list, x_range):
     p = load_problem(problem_file)
     gs = GlobalStructure(p)
     lo, hi = _parse_range(x_range)
-    try:
-        ts = [float(s) for s in t_list.split(",")]
-    except ValueError as e:
-        _fail(2, e)
+    ts = [float(s) for s in t_list.split(",")]
     e, c, series = gs.measure_decay(norm, (lo, hi), ts)
     click.echo("t,value")
     for t, v in series:

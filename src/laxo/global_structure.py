@@ -277,7 +277,8 @@ class GlobalStructure:
         return float(hull.slopes[j])
 
     def nwave(self, x, t, shock_positions=None):
-        """Generalized N-wave profile; shock positions supplied per gap."""
+        """Generalized N-wave profile; ``shock_positions`` is a dict from gap
+        index to x, and a gap it leaves out moves its midpoint at its speed."""
         _check_point(x, t)
         hull = self.convex_hull()
         fl = self.flux
@@ -295,10 +296,7 @@ class GlobalStructure:
             left = e + t * fl.deriv(r.speed)
             right = h + t * fl.deriv(r.speed)
             if left < xq < right:
-                xn = None
-                if shock_positions is not None:
-                    xn = shock_positions.get(n) if hasattr(shock_positions, "get") \
-                        else shock_positions[n]
+                xn = (shock_positions or {}).get(n)
                 if xn is None:
                     xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
                 return self._fan(xq, e if xq < xn else h, t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation
+from .errors import BracketError, CflViolation
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class GodunovSolver:
         try:
             c = flux.invert_deriv(0.0, (-data.bound - 1.0, data.bound + 1.0))
             self._sonic = float(c)
-        except Exception:
+        except BracketError:
             self._sonic = None    # f monotone on the data range
 
     def _interface_flux(self, ul, ur):

@@ -15,7 +15,8 @@ import numpy as np
 
 from ._search import bisect
 from .characteristics import CharacteristicAnalyzer, phi_l
-from .errors import ConditionFailed, LostCurve, RootNotBracketed
+from .errors import (BracketError, ConditionFailed, LostCurve,
+                     RootNotBracketed)
 
 # offset of the one-sided probes in directional_limits
 DELTA = 1e-4
@@ -53,12 +54,12 @@ class DevelopmentAsymptotics:
 
 @dataclass(frozen=True)
 class ShockNode:
+    """A tracked point: its traces and their Rankine-Hugoniot speed."""
     t: float
     x: float
     u_minus: float
     u_plus: float
     speed_right: float
-    speed_left: float
 
 
 @dataclass
@@ -135,7 +136,7 @@ class ShockAnalyzer:
         for l in np.concatenate([-ls, ls]):
             try:
                 u = self.flux.invert_deriv(self.flux.deriv(c) - l / t_p)
-            except Exception:
+            except BracketError:
                 continue        # beyond the flux range: no constraint
             lhs = phi_l(self.data, l, x0, c)
             rhs = (self.flux.rho(u, c) - c) * l
@@ -243,8 +244,9 @@ class ShockAnalyzer:
         """Follow the discontinuity (or characteristic) issued at (x0, t0).
 
         Each step of ``dt`` moves by the Rankine-Hugoniot speed, then
-        bisects for the jump to 1e-12; traces are read 1e-7 to each side.
-        The jump search and the traces solve their points in blocks of
+        bisects for the jump to 1e-12; traces are read 1e-7 to each side,
+        and a node holds them with their Rankine-Hugoniot speed.  The jump
+        search and the traces solve their points in blocks of
         ``solve_grid``, so each node equals the one-point-per-solve search
         bit for bit.  A dt too small to advance t_end, or more than
         ``MAX_STEPS`` steps, raises ValueError before any solve.
@@ -267,9 +269,8 @@ class ShockAnalyzer:
         else:
             um = self.data.phi_side(x, "left")
             up = self.data.phi_side(x, "right")
-        prev_slope = None
         if t > 0:
-            curve.nodes.append(self._node(x, t, um, up, prev_slope))
+            curve.nodes.append(self._node(x, t, um, up))
         while t < t_end - 1e-12:
             step = min(dt, t_end - t)
             speed = self._rh_speed(um, up)
@@ -285,10 +286,9 @@ class ShockAnalyzer:
                 if s.is_shock:
                     x_new = self._locate_jump(
                         x_hat, t_next, 0.5 * (s.u_minus + s.u_plus), w)
-            prev_slope = (x_new - x) / step
             x, t = x_new, t_next
             um, up = self._traces(x, t)
-            curve.nodes.append(self._node(x, t, um, up, prev_slope))
+            curve.nodes.append(self._node(x, t, um, up))
         return curve
 
     def _traces(self, x, t):
@@ -318,24 +318,17 @@ class ShockAnalyzer:
             lo, hi, 1e-12, vectorized=_JUMP_STEPS)
         return 0.5 * (lo + hi)
 
-    def _node(self, x, t, um, up, prev_slope):
-        sr = self._rh_speed(um, up)
-        sl = sr
-        if prev_slope is not None and um - up > self.problem.jump_tol:
-            tri = self.backward_triangle(x, t)
-            for c_n, d_n in tri.gaps:
-                vlo = self.flux.deriv(c_n)
-                vhi = self.flux.deriv(d_n)
-                if vlo - 1e-6 <= prev_slope <= vhi + 1e-6:
-                    sl = self._rh_speed(d_n, c_n)
-                    break
+    def _node(self, x, t, um, up):
         return ShockNode(float(t), float(x), float(um), float(up),
-                         float(sr), float(sl))
+                         self._rh_speed(um, up))
 
     # -- backward structure ------------------------------------------------
 
     def backward_triangle(self, x0, t0):
-        ms = self.problem.maximize(x0, t0)
+        return self._triangle(x0, t0, self.problem.maximize(x0, t0))
+
+    def _triangle(self, x0, t0, ms):
+        """The backward triangle at (x0, t0) from its maximizer set ms."""
         wide = 10.0 * self.problem.jump_tol
         rarefactions = tuple((lo, hi) for lo, hi in ms.components
                              if hi - lo > wide)
@@ -380,7 +373,7 @@ class ShockAnalyzer:
             if self._value_survives(x, t, s.u_plus):
                 return PointClass("interior_characteristic")
             return PointClass("continuous_shock_generation")
-        tri = self.backward_triangle(x, t)
+        tri = self._triangle(x, t, s.maximizer)
         n = len(tri.gaps)
         if n == 0:
             return PointClass("discontinuous_shock_generation")

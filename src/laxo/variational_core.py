@@ -52,10 +52,6 @@ def _identity(a):
     return a
 
 
-def _ones(a):
-    return np.ones_like(np.asarray(a, dtype=float))
-
-
 @dataclass(frozen=True)
 class MaximizerSet:
     components: tuple          # sorted tuple of (lo, hi) closed intervals
@@ -77,15 +73,15 @@ class SolutionSample:
 class _NumericPrimitive(_Extended):
     """Vectorized primitive of U(phi) for piecewise-analytic data, W(0) = 0.
 
-    The knot table holds W at 256 panels per piece, plus, for a power piece,
-    its reference point and knots graded geometrically toward it, where U(phi)
-    may have a kink or a jump.  Every panel is integrated in one call by an
-    8-point Gauss-Legendre rule; a point between knots adds a Simpson step
-    from its base knot, with U(phi) at the knots tabulated.  Off the window W
-    follows the data's periodicity or the constant tails U(phi(w_lo - 1)) and
-    U(phi(w_hi + 1)).  Sampled data need no quadrature: U(phi) is piecewise
-    constant there, so ``GeneralProblem`` builds W as a ``SampledData``
-    primitive.
+    The knot table holds W at 256 panels per piece, 64 per period for a
+    faster sin or cos piece, plus, for a power piece, its reference point and
+    knots graded geometrically toward it, where U(phi) may have a kink or a
+    jump.  Every panel is integrated in one call by an 8-point Gauss-Legendre
+    rule; a point between knots adds a Simpson step from its base knot, with
+    U(phi) at the knots tabulated.  Off the window W follows the data's
+    periodicity or the constant tails U(phi(w_lo - 1)) and U(phi(w_hi + 1)).
+    Sampled data need no quadrature: U(phi) is piecewise constant there, so
+    ``GeneralProblem`` builds W as a ``SampledData`` primitive.
     """
 
     def __init__(self, U, data):
@@ -95,7 +91,11 @@ class _NumericPrimitive(_Extended):
         bks = [p.lo for p in data.pieces] + [data.w_hi]
         knots = [np.array([data.w_lo])]
         for p, a, b in zip(data.pieces, bks[:-1], bks[1:]):
-            ks = np.linspace(a, b, 257)[1:]
+            n = 256
+            if p.kind in ("sin", "cos"):    # 64 panels per period
+                n = max(n, math.ceil(64.0 * abs(p.params["b"]) * (b - a)
+                                     / (2.0 * math.pi)))
+            ks = np.linspace(a, b, n + 1)[1:]
             if p.kind == "power":
                 # graded toward the kink or jump at x_ref (Davis & Rabinowitz,
                 # Methods of Numerical Integration, 2.12)
@@ -393,9 +393,6 @@ class RestartedProblem:
         self.problem = problem
         self.tau = float(tau)
 
-    def maximize(self, x, t):
-        return self.problem.maximize(x, t - self.tau)
-
     def solve(self, x, t):
         return replace(self.problem.solve(x, t - self.tau), t=float(t))
 
@@ -406,6 +403,6 @@ class RestartedProblem:
 
 
 def identity_pair(flux):
-    """GeneralFluxPair reducing to the scalar flux (U = id)."""
-    return GeneralFluxPair(_identity, _ones, F=flux.eval, H=flux.deriv,
+    """GeneralFluxPair reducing to the scalar flux (U = id, F given: no U')."""
+    return GeneralFluxPair(_identity, None, F=flux.eval, H=flux.deriv,
                            Hprime=flux.second)

@@ -128,11 +128,22 @@ def test_byte_determinism(files):
     assert run(*args).output == run(*args).output
 
 
-def _assert_exit_2_json(r):
+# junk text in a range, seed or time list: the float parse's own error,
+# through the CLI's one ValueError path
+_JUNK_TEXT = {"abc": "could not convert string to float: 'abc'",
+              "1:2:3": "too many values to unpack (expected 2)",
+              "0.5,x": "could not convert string to float: 'x'",
+              "1,x": "could not convert string to float: 'x'"}
+
+
+def _assert_exit_2_json(r, message=None):
     assert r.exit_code == 2
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert "error" in json.loads(lines[0])
+    payload = json.loads(lines[0])
+    assert "error" in payload
+    if message is not None:
+        assert payload == {"error": "ValueError", "message": message}
 
 
 def test_nan_tail_exit_2(tmp_path):
@@ -147,10 +158,11 @@ def test_nan_tail_exit_2(tmp_path):
 
 @pytest.mark.parametrize("t, xr", [("nan", "-1:1"), ("-1", "-1:1"),
                                    ("1", "nan:1"), ("1", "inf:inf"),
-                                   ("1", "0:inf"), ("1", "-inf:0")])
+                                   ("1", "0:inf"), ("1", "-inf:0"),
+                                   ("1", "abc"), ("1", "1:2:3")])
 def test_solve_bad_point_exit_2(files, t, xr):
     _assert_exit_2_json(run("solve", files["down"], "--t", t,
-                            "--x-range", xr, "--n", "3"))
+                            "--x-range", xr, "--n", "3"), _JUNK_TEXT.get(xr))
 
 
 @pytest.mark.parametrize("x0", ["nan", "inf"])
@@ -163,9 +175,11 @@ def test_classify_nonfinite_x0_exit_2(files, x0):
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "0"),
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1"),
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "1e-300"),
-    ("--seed", "0.5,0.5", "--t-end", "1e300", "--dt", "1")])
+    ("--seed", "0.5,0.5", "--t-end", "1e300", "--dt", "1"),
+    ("--seed", "abc", "--t-end", "1"), ("--seed", "0.5,x", "--t-end", "1")])
 def test_shock_bad_input_exit_2(files, extra):
-    _assert_exit_2_json(run("shock", files["sin"], *extra))
+    _assert_exit_2_json(run("shock", files["sin"], *extra),
+                        _JUNK_TEXT.get(extra[1]))
 
 
 @pytest.mark.parametrize("t, xr", [("0", "-1:1"), ("-1", "-1:1"),
@@ -300,10 +314,13 @@ def test_any_problem_file_exits_cleanly(tmp_path_factory, desc):
     ("profile", "--t", "1", "--x-range", "-1:1", "--kind", "x"),
     ("compare", "--t", "1", "--x-range", "0:0"),
     ("decay", "--t-list", "10", "--x-range", "-3:3"),
+    ("decay", "--t-list", "1,x", "--x-range", "-3:3"),
 ], ids=["bad_float", "missing_option", "unknown_option", "bad_choice",
-        "empty_range", "one_time"])
+        "empty_range", "one_time", "bad_time_list"])
 def test_usage_errors_exit_2_json(files, args):
-    _assert_exit_2_json(run(args[0], files["sin"], *args[1:]))
+    junk = args[2] if args[1] == "--t-list" else None
+    _assert_exit_2_json(run(args[0], files["sin"], *args[1:]),
+                        _JUNK_TEXT.get(junk))
 
 
 def test_cli_import_loads_no_scipy():

@@ -421,6 +421,20 @@ def test_general_primitive_against_quadrature(data):
                                                rel=0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("freq", [20.0, 200.0])
+def test_general_primitive_resolves_fast_sine(freq):
+    # a sin piece gets 64 panels per period, so W keeps up with fast
+    # oscillation
+    data = idata.InitialData(
+        [idata.Piece(-2.0, 2.0, "sin", {"a": 1.0, "b": freq, "c": 0.0})],
+        left_tail=0.0, right_tail=0.0)
+    W = _NumericPrimitive(_cube, data)
+    for x in np.linspace(-2.0, 2.0, 21):
+        want = quad(lambda y: float(_cube(data.phi(y))), 0.0, x,
+                    epsabs=1e-12, epsrel=1e-12, limit=2000)[0]
+        assert W.primitive(x) == pytest.approx(want, rel=0.0, abs=1e-8)
+
+
 @pytest.mark.parametrize("period", [None, 2.0])
 def test_general_sampled_primitive_is_sampled_primitive(period):
     # U(phi) is piecewise constant between knots like phi itself, so W is

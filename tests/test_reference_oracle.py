@@ -16,6 +16,17 @@ def test_grid_validation():
         FvGrid(0.0, 1.0, 10, boundary="absorbing")
 
 
+def test_sonic_point_passes_flux_faults_on():
+    # only a BracketError means "f' has no zero on the data range"
+    def broken_inverse(v, bracket=None):
+        raise RuntimeError("broken inverse")
+
+    fl = flux.burgers()
+    fl.invert_deriv = broken_inverse
+    with pytest.raises(RuntimeError, match="broken inverse"):
+        GodunovSolver(fl, idata.step(1.0, 0.0), FvGrid(-1.0, 2.0, 16))
+
+
 def test_constant_data_unchanged():
     d = idata.InitialData([], left_tail=0.7, right_tail=0.7, window=(0.0, 0.0))
     s = GodunovSolver(flux.burgers(), d, FvGrid(-1.0, 1.0, 32))

@@ -244,7 +244,7 @@ def _many_against_bisect(preds, a, b, tol, maxiter=None):
 
     def pred(xs, owner):
         assert len(calls) <= 1000, "search did not terminate"
-        calls.append(len(xs))
+        calls.append(owner.copy())
         out = np.empty(len(xs), dtype=bool)
         for i in set(owner.tolist()):
             sel = owner == i
@@ -286,6 +286,12 @@ def test_bisect_many_matches_bisect_on_mixed_brackets():
             calls = _many_against_bisect(preds, a, b, tol, maxiter)
             # one predicate call per round, never one per bracket and round
             assert len(calls) <= -(-(maxiter or 64) // _BATCH) + 1
+            # each round is one dyadic tree per live bracket, all of one
+            # depth K: 2**K - 1 points per bracket
+            for owner in calls:
+                _, per = np.unique(owner, return_counts=True)
+                assert len(set(per.tolist())) == 1
+                assert int(per[0]) & (int(per[0]) + 1) == 0
 
 
 def test_bisect_many_random_brackets():

@@ -8,7 +8,7 @@ from laxo import flux, initial_data as idata
 from laxo._search import bisect
 from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
-from laxo.variational_core import Problem
+from laxo.variational_core import GeneralProblem, Problem
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,19 @@ def test_generation_point_one_sided(one_sided_sa):
 def test_generation_point_none_for_rarefaction():
     sa = ShockAnalyzer(Problem(flux.burgers(), idata.step(-1.0, 1.0)))
     assert sa.generation_point(0.0, 0.5) is None
+
+
+def test_generation_uniqueness_passes_flux_faults_on():
+    # only a BracketError means "beyond the flux range"; any other error
+    # from invert_deriv is a fault of the flux and must surface
+    def broken_inverse(v, bracket=None):
+        raise RuntimeError("broken inverse")
+
+    fl = flux.burgers()
+    fl.invert_deriv = broken_inverse
+    sa = ShockAnalyzer(Problem(fl, idata.sin_wave()))
+    with pytest.raises(RuntimeError, match="broken inverse"):
+        sa.generation_point(0.0, 0.0)
 
 
 def test_generation_uniqueness_fails_for_focusing():
@@ -167,6 +180,18 @@ def test_track_riemann_shock(riemann_sa):
         assert n.speed_right == pytest.approx(0.5, abs=1e-8)
         # Lax admissibility
         assert n.u_plus - 1e-8 <= n.speed_right <= n.u_minus + 1e-8
+
+
+def test_track_solves_no_point_alone(riemann_sa, monkeypatch):
+    # a node is its traces and their Rankine-Hugoniot speed: a tracked
+    # shock needs solve_grid blocks only, never a backward triangle
+    def alone(*args):
+        raise AssertionError("tracking maximized a point on its own")
+
+    monkeypatch.setattr(ShockAnalyzer, "backward_triangle", alone)
+    monkeypatch.setattr(GeneralProblem, "maximize", alone)
+    cur = riemann_sa.track_forward(0.0, 0.0, 0.5, 0.1)
+    assert len(cur.nodes) == 5
 
 
 def test_track_stationary_sine_shock(sin_sa):
@@ -355,6 +380,21 @@ def test_classify_points(riemann_sa, sin_sa, merging_sa):
     assert sin_sa.classify_point(0.0, 1.0).kind == "continuous_shock_generation"
     pc = merging_sa.classify_point(0.5, 1.0)
     assert pc.kind == "multi_shock_collision" and pc.detail == 2
+
+
+def test_classify_shock_point_maximizes_once(riemann_sa, monkeypatch):
+    # the backward triangle comes from the solve's own maximizer set
+    rows = []
+    block = GeneralProblem._maximize_block
+
+    def counted(self, xs, t):
+        rows.append(len(xs))
+        return block(self, xs, t)
+
+    monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
+    pc = riemann_sa.classify_point(0.5, 1.0)
+    assert (pc.kind, pc.detail) == ("single_shock_point", "regular")
+    assert rows == [1]
 
 
 def test_classify_discontinuous_generation():
