@@ -1,12 +1,27 @@
 """One-dimensional search kernels shared by every layer.
 
-Bisection on a predicate and golden-section minimization are each one
-step generator, which yields the points its next steps need and is sent
-their answers, and one driver, ``bisect_many`` or ``golden_many``, which
-runs many brackets in lockstep with one call per round; ``bisect`` and
-``golden_min`` are those drivers on one bracket.  Both searches stop once
-the bracket cannot shrink in floating point, whatever the tolerance.
-``runs`` and ``row_runs`` give the maximal runs of True in a boolean mask.
+Three kernels each run many brackets in lockstep, with one call of a
+vectorized function per round:
+
+* ``bisect_many`` bisects on a predicate.  Each bracket is a step
+  generator, ``_walk``, which yields the points its next steps need and is
+  sent their answers; one call sees a dyadic tree of midpoints per live
+  bracket, up to ``_BATCH`` steps deep.
+* ``secant_many`` finds a root in each bracket with f(a) > 0 >= f(b).  Its
+  brackets are arrays, and each round probes a pair c -+ e around each
+  bracket's secant point c, sized by a bound on f'' so that the root lies
+  between the two and the bracket collapses to width 2e (a safeguarded
+  secant in the manner of Dekker, 1969, and Brent, *Algorithms for
+  Minimization without Derivatives*, 1973, ch. 4).  A bracket whose pair
+  would not pay, or misses, goes on as a ``bisect_many`` walk, in the
+  same calls.
+* ``golden_many`` minimizes a unimodal function by golden sections, one
+  step generator per bracket.
+
+``bisect`` and ``golden_min`` are ``bisect_many`` and ``golden_many`` on
+one bracket.  Every search stops once the bracket cannot shrink in
+floating point, whatever the tolerance.  ``runs`` and ``row_runs`` give
+the maximal runs of True in a boolean mask.
 """
 
 import math
@@ -70,6 +85,119 @@ def _walk(a, b, tol, maxiter, steps):
     return a, b
 
 
+def _start(live, idx, a, b, tol, maxiter, steps):
+    """Start the bisection walk of each bracket i in idx onto ``live``.
+
+    A walk with nothing to do writes its final ends into ``a`` and ``b``.
+    """
+    for i in idx:
+        walk = _walk(float(a[i]), float(b[i]), tol, maxiter, steps)
+        try:
+            live.append((i, walk, next(walk)))
+        except StopIteration as stop:
+            a[i], b[i] = stop.value
+    return live
+
+
+def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
+    """The round loop of ``bisect_many`` and ``secant_many``.
+
+    Brackets with f(a) > 0 >= f(b), room above tol and a first pair that
+    pays (the test in the loop) start as probe pairs, the others as
+    bisection walks; ``curv`` None starts every bracket as a walk.  The
+    pairs' state (A, B, FA, FB, K) is kept for the live pairs ``sec``
+    only, and a bracket's final ends are written into ``a`` and ``b`` when
+    it leaves that state.
+    """
+    if curv is None:
+        live = _start([], range(len(a)), a, b, tol, maxiter, steps)
+        sec = ()
+    else:
+        w = np.abs(b - a)
+        pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
+        # the first pair's test, as in the loop (0 stands in for curv where
+        # the bracket has no width, since inf * 0 is invalid)
+        pair &= np.where(pair, curv, 0.0) * w * w < fa - fb
+        live = _start([], (~pair).nonzero()[0].tolist(), a, b, tol, maxiter,
+                      steps)
+        sec = pair.nonzero()[0]
+    if len(sec):
+        A, B, FA, FB, K = a[sec], b[sec], fa[sec], fb[sec], curv[sec]
+        D = B - A
+        w = np.abs(D)
+    while True:
+        m = len(sec)
+        if m:
+            s = FA - FB                         # > 0
+            # e = K |c - A| |B - c| / |f'| bounds the secant point c's
+            # error; a pair is tried where e at the middle stays below w / 4
+            cw2 = K * w * w
+            ok = cw2 < s
+            if not ok.all():
+                _start(live, sec[~ok].tolist(), a, b, tol, maxiter, steps)
+                sec, A, B, FA, FB, K, D, w, s, cw2 = (v[ok] for v in (
+                    sec, A, B, FA, FB, K, D, w, s, cw2))
+                m = len(sec)
+        if m:
+            th = FA / s                         # c = A + th D
+            # e / w, at least tol / 4; the pair shifts inside the bracket
+            # when c lies near an end
+            eps = np.maximum(cw2 * th * (1.0 - th) / s, 0.25 * tol / w)
+            th = np.minimum(np.maximum(th, eps), 1.0 - eps)
+            c = A + th * D
+            e = eps * D
+            q = np.concatenate([c - e, c + e])
+        if live:
+            ends = np.array([req for _, _, req in live]).T
+            # one column of midpoints per walk
+            g = _dyadic(ends[0], ends[1], int(ends[2].max()))
+            owner = np.repeat([[i for i, _, _ in live]], len(g), axis=0)
+            if m:
+                vals = f(np.concatenate([q, g.ravel()]),
+                         np.concatenate([sec, sec, owner.ravel()]))
+                ans = vals[2 * m:]
+            else:
+                vals = ans = f(g.ravel(), owner.ravel())
+            if curv is not None:                # values, not answers
+                ans = ans > 0.0
+            cols = ans.reshape(g.shape).T.tolist()
+            nxt = []
+            for (i, walk, _), col in zip(live, cols):
+                try:
+                    nxt.append((i, walk, walk.send(col)))
+                except StopIteration as stop:
+                    a[i], b[i] = stop.value
+            live = nxt
+        elif m:
+            vals = f(q, np.concatenate([sec, sec]))
+        else:
+            return a, b
+        if m:
+            q1, q2, v1, v2 = q[:m], q[m:], vals[:m], vals[m:2 * m]
+            p1, p2 = v1 > 0.0, v2 > 0.0
+            w2 = np.abs(q2 - q1)
+            # a hit: f changes sign between the pair, which shrank the bracket
+            hit = p1 & ~p2 & (w2 < w)
+            if not hit.all():
+                # the sign change lies in [A, q1], [q1, q2] or [q2, B]; a
+                # missed pair leaves that bracket to the bisection
+                miss = ~hit
+                i = sec[miss]
+                a[i] = np.where(p1, np.where(p2, q2, q1), A)[miss]
+                b[i] = np.where(p1, np.where(p2, B, q2), q1)[miss]
+                _start(live, i.tolist(), a, b, tol, maxiter, steps)
+                sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
+                    sec, q1, q2, v1, v2, w2, K))
+            A, B, FA, FB, w = q1, q2, v1, v2, w2
+            D = B - A
+            done = w <= tol
+            if done.any():
+                a[sec[done]], b[sec[done]] = A[done], B[done]
+                more = ~done
+                sec, A, B, FA, FB, K, D, w = (v[more] for v in (
+                    sec, A, B, FA, FB, K, D, w))
+
+
 def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
     """Shrink brackets [a, b] in lockstep, keeping ``pred`` true at each a.
 
@@ -83,27 +211,30 @@ def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    live = []                   # (bracket, walk, its request (a, b, k))
-    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        walk = _walk(ai, bi, tol, maxiter, steps)
-        try:
-            live.append((i, walk, next(walk)))
-        except StopIteration as stop:
-            a[i], b[i] = stop.value
-    while live:
-        ends = np.array([req for _, _, req in live]).T
-        # one column of midpoints per bracket
-        g = _dyadic(ends[0], ends[1], int(ends[2].max()))
-        owner = np.repeat([[i for i, _, _ in live]], len(g), axis=0)
-        cols = pred(g.ravel(), owner.ravel()).reshape(g.shape).T.tolist()
-        nxt = []
-        for (i, walk, _), col in zip(live, cols):
-            try:
-                nxt.append((i, walk, walk.send(col)))
-            except StopIteration as stop:
-                a[i], b[i] = stop.value
-        live = nxt
-    return a, b
+    return _lockstep(pred, a, b, None, None, None, tol, maxiter, steps)
+
+
+def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
+    """Roots of ``f`` in brackets [a, b] with f(a) > 0 >= f(b), in lockstep.
+
+    ``fa`` and ``fb`` are f at the ends, a on either side of b, and
+    ``curv`` bounds |f''| / 2 on each bracket.  ``f(points, owner)`` maps
+    points, and the bracket each serves, to values; it is called once per
+    round.  A live bracket sends it the pair c -+ e around its secant point
+    c, where e = curv |c - a| |b - c| / |f'| (f' the bracket's secant
+    slope, e at least tol / 4) bounds the secant's error; when f changes
+    sign between the two, the bracket collapses to them, and the next e is
+    about curv e**2 / |f'|.  A bracket whose pair misses, or would not at
+    least halve it, goes on as ``bisect_many``'s walk on f > 0 from its
+    narrowed bracket, served in the same calls; so does every bracket whose
+    ``curv`` is not finite or whose end values are not f(a) > 0 >= f(b).
+    Each bracket ends with f(a) > 0 >= f(b) and ``|b - a| <= tol``, or at
+    the float floor or ``maxiter`` bisection steps.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
+    return _lockstep(f, a, b, fa, fb, curv, tol, maxiter, _BATCH)
 
 
 def bisect(pred, a, b, tol, maxiter=None, vectorized=False):

@@ -206,6 +206,11 @@ class _Extended:
     * An argument holding NaN or +-inf takes a branch that runs only then.
       NaN, and +-inf on periodic data, give NaN; +-inf on tailed data give
       the tail's limit.  No ``RuntimeWarning`` is raised.
+    * Periodic data take finite x only within ``_x_max`` = max(|w_lo|,
+      |w_hi|) + 2**32 periods, and raise ``ValueError`` past it: there the
+      float spacing of x exceeds 2**-20 periods, so the reduction into the
+      window would lose the phase (at 1e16 with period 2 pi, every x maps
+      to w_lo).  The same test that finds NaN and inf finds such an x.
     * An element's value does not depend on the array around it: each one
       goes through the same ufunc sequence as the one-point call, so array
       and point calls agree bit for bit.  ``_maximize_block``'s bit-for-bit
@@ -214,6 +219,7 @@ class _Extended:
 
     left_tail = right_tail = None
     _norm = 0.0
+    _x_max = np.inf
     # the right tail already holds at w_hi itself (a left-constant
     # interpolant takes its last value at the last knot)
     _tail_from_w_hi = False
@@ -226,6 +232,8 @@ class _Extended:
             if not (self.period > 0.0
                     and abs((self.w_hi - self.w_lo) - self.period) <= 1e-9):
                 raise ValueError("the window must span exactly one period")
+            self._x_max = (max(abs(self.w_lo), abs(self.w_hi))
+                           + 2.0 ** 32 * self.period)
         else:
             self.left_tail, self.right_tail = float(left_tail), float(right_tail)
             _check_finite("tails", self.left_tail, self.right_tail)
@@ -239,10 +247,13 @@ class _Extended:
         scalar = x.ndim == 0
         if scalar:
             x = x.reshape(1)
-        if not np.isfinite(x).all():
+        if not np.abs(x).max(initial=0.0) < self._x_max:
             # finite entries as in an all-finite call; NaN has no value,
             # nor has +-inf a phase in a period
             fin = np.isfinite(x)
+            if not (np.abs(x[fin]) < self._x_max).all():
+                raise ValueError(
+                    f"|x| must stay below {self._x_max:.6g} on periodic data")
             out = np.full_like(x, np.nan)
             if fin.any():
                 out[fin] = self._extend(x[fin], inner, integrated)
@@ -388,6 +399,9 @@ class InitialData(_Extended):
         """Piece (or tail constant) governing phi just left/right of x0."""
         _check_finite("x0", x0)
         if self.period is not None:
+            if not abs(x0) < self._x_max:       # as in _extend
+                raise ValueError(
+                    f"|x| must stay below {self._x_max:.6g} on periodic data")
             # % keeps r in [w_lo, w_lo + P); _reduce's floor can land 1 ulp below
             r = self.w_lo + (x0 - self.w_lo) % self.period
             if side == "left" and r - self.w_lo < 1e-12:

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import BracketError, CflViolation
 
+# most time steps one ``advance`` may take; a grid far finer than any
+# check needs (an x range of 1e-300, say) would otherwise step for ever
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class FvGrid:
@@ -83,6 +87,12 @@ class GodunovSolver:
         self.t += dt
 
     def advance(self, t_end):
+        """Step to t_end.  Raises ValueError, before any step, when the
+        present speed would take more than ``MAX_STEPS`` steps there."""
+        g = self.grid
+        if not (t_end - self.t) * self.max_speed() <= MAX_STEPS * g.cfl * g.dx:
+            raise ValueError(f"t={t_end:g} is more than {MAX_STEPS} time "
+                             f"steps away on this grid")
         while self.t < t_end - 1e-14:
             a = self.max_speed()
             dt = self.grid.cfl * self.grid.dx / a if a > 0 else t_end - self.t

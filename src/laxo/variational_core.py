@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._search import bisect_many, golden_many, row_runs
+from ._search import bisect_many, golden_many, row_runs, secant_many
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended, _interval
 
@@ -40,6 +40,8 @@ BLOCK_ELEMS = 1 << 14
 np.empty(1 << 17)
 # offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
 _NEIGHBOURS = np.array([[-1], [0], [1]])
+# |psi''| / 2 on a bracket is taken as this many times the grid's estimate
+_SECANT_SAFETY = 4.0
 
 
 def _checked_t(t):
@@ -88,6 +90,7 @@ class _NumericPrimitive(_Extended):
         self._U = U
         self._d = data
         self.w_lo, self.w_hi, self.period = data.w_lo, data.w_hi, data.period
+        self._x_max = data._x_max
         bks = [p.lo for p in data.pieces] + [data.w_hi]
         knots = [np.array([data.w_lo])]
         for p, a, b in zip(data.pieces, bks[:-1], bks[1:]):
@@ -235,27 +238,26 @@ class GeneralProblem:
         r, first, last = row_runs(lm)
         j = first + (last - first + 1) // 2
         nb = np.minimum(np.maximum(j + _NEIGHBOURS, 0), n - 1)
-        carrier = (self._U(self.data.phi(feet[r, nb].ravel()))
-                   - self._U(s[nb].ravel())).reshape(nb.shape)
+        Uphi = self._U(self.data.phi(feet[r, nb].ravel())).reshape(nb.shape)
+        carrier = Uphi - self._U(s[nb].ravel()).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
         keep = ~(Ev[r, j] + t * h * gloc < Emax_grid[r] - 10.0 * self.val_tol)
         r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
 
         # refine: psi at the bracket ends is the carrier there
-        lo, hi = s[nb[0]], s[nb[2]]
         pl, ph = carrier[0], carrier[2]
         sign = ((pl > 0.0) & (0.0 >= ph)) | ((pl >= 0.0) & (0.0 > ph))
         u_star = np.empty(len(r))
-        xb = xs[r[sign]]
-        a, b = bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
-                           lo[sign], hi[sign], self.tol_u, 60)
+        a, b = self._roots(xs[r[sign]], t, nb[:, sign], carrier[:, sign],
+                           Uphi[:, keep][:, sign] if self.data.is_sampled
+                           else None)
         u_star[sign] = 0.5 * (a + b)
         if not sign.all():
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
             W0g, xg = Wp[r[g], n], xs[r[g]]
             u_star[g] = golden_many(lambda u, i: -self._E(W0g[i], u, xg[i], t),
-                                    lo[g], hi[g], self.tol_u)
+                                    s[nb[0, g]], s[nb[2, g]], self.tol_u)
         E_star = self._E(Wp[r, n], u_star, xs[r], t)
 
         # per row: the best value, then the grid bands within val_tol of it
@@ -272,6 +274,38 @@ class GeneralProblem:
                                thresh[q], refined[q],
                                bands[bcut[q]:bcut[q + 1]])
                 for q in range(rows)]
+
+    def _roots(self, xb, t, nb, carrier, Uphi):
+        """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
+
+        Column k serves the point xb[k].  ``carrier`` holds psi at the grid
+        points nb, and ``Uphi`` U(phi) at their feet, on sampled data only.
+        The middle value halves each bracket, and the second difference of
+        the three bounds psi'' for ``secant_many``.  Where psi jumps, that
+        difference is about the jump, and ``secant_many``'s test sends the
+        bracket to the bisection; so it does at an end of the grid, where
+        two of the three points coincide and the difference is a first
+        one.  On sampled data phi is a staircase, whose steps a smooth
+        difference can hide: a bracket is bisected there unless U(phi) is
+        the same at the three feet.
+        """
+        pl, pm, ph = carrier
+        # the half of each bracket where psi changes sign, ends (a, b)
+        up = pm > 0.0
+        ends = self._s[np.where(up, nb[1:], nb[:2])]
+        if Uphi is not None:
+            steady = (Uphi[0] == Uphi[1]) & (Uphi[1] == Uphi[2])
+            if not steady.any():
+                # no bracket can take a pair: spare their set-up
+                return bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
+                                   ends[0], ends[1], self.tol_u, 60)
+        h = self._s[1] - self._s[0]
+        curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(pl - 2.0 * pm + ph)
+        if Uphi is not None:
+            curv[~steady] = np.inf
+        vals = np.where(up, carrier[1:], carrier[:2])
+        return secant_many(lambda u, i: self._psi(u, xb[i], t), ends[0],
+                           ends[1], vals[0], vals[1], curv, self.tol_u, 60)
 
     def _assemble(self, x, t, W0, Emax, thresh, refined, bands):
         """One row's MaximizerSet from its refined points and value bands.

@@ -146,6 +146,21 @@ def _assert_exit_2_json(r, message=None):
         assert payload == {"error": "ValueError", "message": message}
 
 
+def test_solve_past_periodic_range_exit_2(files):
+    # periodic data lose their phase at |x| ~ 1e16: exit 2, not wrong values
+    for xr in ("1e16:1e16", "-1e15:0"):
+        r = run("solve", files["sin"], "--t", "1", "--x-range", xr, "--n", "3")
+        _assert_exit_2_json(r)
+        assert json.loads(r.stderr)["error"] == "ValueError"
+
+
+def test_compare_on_a_needle_grid_exit_2(files):
+    # 24 cells over 1e-12 would need about 1e13 Godunov steps to reach t = 1
+    r = run("compare", files["sin"], "--t", "1", "--n-cells", "24",
+            "--x-range", "1:1.000000000001")
+    _assert_exit_2_json(r)
+
+
 def test_nan_tail_exit_2(tmp_path):
     bad = tmp_path / "nan_tail.json"
     bad.write_text(json.dumps({"flux": {"kind": "burgers"},

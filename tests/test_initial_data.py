@@ -373,6 +373,30 @@ def test_infinite_point_on_periodic_data_gives_nan(case):
         assert np.isnan(out[[0, 2]]).all() and np.isfinite(out[1])
 
 
+@pytest.mark.parametrize("x", [1e15, 1e16])
+@pytest.mark.parametrize("case", ["sin_wave", "initial_periodic",
+                                  "sampled_periodic"])
+def test_periodic_point_past_safe_range_raises(case, x):
+    # the float spacing is 0.125 at 1e15 and 2 at 1e16: no phase is left,
+    # and sin_wave().phi(1e16) used to give phi(w_lo) without a word
+    d = idata.sin_wave() if case == "sin_wave" else _BITWISE[case]()
+    assert d.w_lo + 2.0 ** 30 * d.period < d._x_max < 1e15
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="periodic data"):
+            d.phi_side(-x, side)
+    for fn in (d.phi, d.primitive):
+        for v in (x, -x, np.array([d.w_lo, x]), np.array([np.nan, -x])):
+            with pytest.raises(ValueError, match="periodic data"):
+                fn(v)
+        # within the range the reduction keeps the phase to its float spacing
+        near = d.w_lo + 0.3 * d.period
+        far = near + 2.0 ** 30 * d.period
+        if case != "sampled_periodic":
+            assert fn(far) == pytest.approx(
+                fn(near) + (2.0 ** 30 * d._win if fn == d.primitive else 0.0),
+                rel=1e-12, abs=1e-6)
+
+
 @pytest.mark.parametrize("tails, x, want", [
     ((1.0, 0.0), np.inf, 0.0), ((0.0, 1.0), -np.inf, 0.0),
     ((1.0, 0.0), -np.inf, -np.inf), ((0.0, 1.0), np.inf, np.inf)])

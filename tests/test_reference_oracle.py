@@ -106,3 +106,14 @@ def test_convergence_monotone_all_canonical():
 def test_grid_rejects_empty_or_reversed_range(lo, hi):
     with pytest.raises(ValueError):
         FvGrid(lo, hi, 10)
+
+
+@pytest.mark.parametrize("hi, t", [(1.0 + 1e-12, 1.0), (2.0, np.inf),
+                                   (2.0, np.nan)])
+def test_advance_rejects_endless_stepping(hi, t):
+    # a 1e-12 wide grid needs about 1e13 steps to reach t = 1, and t = inf
+    # never comes: both used to step for ever
+    s = GodunovSolver(flux.burgers(), idata.sin_wave(), FvGrid(1.0, hi, 8))
+    with pytest.raises(ValueError, match="time steps"):
+        s.advance(t)
+    assert s.t == 0.0

@@ -1,9 +1,11 @@
+import signal
+
 import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
 from laxo._search import (_BATCH, bisect, bisect_many, golden_many,
-                          golden_min, row_runs, runs)
+                          golden_min, row_runs, runs, secant_many)
 from laxo.variational_core import Problem
 
 
@@ -312,6 +314,138 @@ def test_bisect_many_random_brackets():
 def test_bisect_many_no_brackets():
     a, b = bisect_many(lambda xs, owner: xs > 0, np.empty(0), np.empty(0),
                        1e-12)
+    assert a.shape == b.shape == (0,)
+
+
+# -- lockstep secant probe pairs ----------------------------------------------
+
+def _secant(fs, a, b, curv, tol=1e-12, maxiter=60):
+    """secant_many on brackets of the functions fs, with each call's owners."""
+    calls = []
+
+    def f(xs, owner):
+        assert len(calls) <= 1000, "search did not terminate"
+        calls.append(owner.copy())
+        out = np.empty(len(xs))
+        for i in set(owner.tolist()):
+            sel = owner == i
+            out[sel] = fs[i](xs[sel])
+        return out
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a.tolist())])
+    fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b.tolist())])
+    got = secant_many(f, a, b, fa, fb, curv, tol, maxiter)
+    return got, calls
+
+
+def _assert_certified(fs, got, tol):
+    for g, x, y in zip(fs, *got):
+        assert g(np.array([x]))[0] > 0.0 >= g(np.array([y]))[0]
+        assert abs(y - x) <= tol
+
+
+def _smooth_roots(rng, m):
+    """m smooth functions with one simple root each, bracketed 1e-3 wide.
+
+    Half decrease from a to b and half increase, so that half the brackets
+    have a above b; |f''| / 2 <= 1.5 on every bracket.
+    """
+    fs, a, b = [], [], []
+    for k in range(m):
+        r = float(rng.uniform(-2.0, 2.0))
+        sgn = 1.0 if k % 2 else -1.0
+        # f = sgn (x - r) (1 + (x - r)^2 / 2 + sin(x) / 3): f'(r) = sgn
+        fs.append(lambda x, r=r, sgn=sgn: sgn * (x - r) * (
+            1.0 + 0.5 * (x - r) ** 2 + np.sin(x) / 3.0))
+        lo = r - float(rng.uniform(0.0, 1e-3))
+        a.append(lo + 1e-3 if sgn > 0 else lo)
+        b.append(lo if sgn > 0 else lo + 1e-3)
+    return fs, a, b
+
+
+def test_secant_smooth_converges_in_three_calls():
+    rng = np.random.default_rng(3)
+    fs, a, b = _smooth_roots(rng, 9)
+    got, calls = _secant(fs, a, b, np.full(9, 1.5))
+    _assert_certified(fs, got, 1e-12)
+    assert len(calls) <= 3
+    # every call holds the probe pair of each live bracket, nothing else
+    for owner in calls:
+        _, per = np.unique(owner, return_counts=True)
+        assert set(per.tolist()) == {2}
+
+
+def test_secant_certified_on_exit():
+    rng = np.random.default_rng(4)
+    for tol in (1e-12, 1e-9, 1e-6):
+        fs, a, b = _smooth_roots(rng, 12)
+        # a curvature bound too small for some brackets, so their pairs miss
+        curv = rng.choice([0.0, 1e-3, 1.5, 40.0, np.inf], 12)
+        got, _ = _secant(fs, a, b, curv, tol)
+        _assert_certified(fs, got, tol)
+
+
+def test_secant_step_falls_back_within_tol():
+    # a jump inside each bracket: a claimed curvature of 0 sends the pair,
+    # which misses, and the bisection ends the search from the narrowed
+    # bracket; an infinite curvature bisects from the start
+    cs = [0.3e-3, 0.77e-3, 0.5e-3]
+    fs = [(lambda c: (lambda x: np.where(x < c, 1.0, -2.0)))(c) for c in cs]
+    a, b = [0.0] * 3, [1e-3] * 3
+    for curv, pairs in ((np.zeros(3), 1), (np.full(3, np.inf), 0)):
+        got, calls = _secant(fs, a, b, curv)
+        _assert_certified(fs, got, 1e-12)
+        for c, x, y in zip(cs, *got):
+            assert x < c <= y
+        # one pair per bracket, if any, then one dyadic tree per bracket
+        per = [set(np.unique(o, return_counts=True)[1].tolist())
+               for o in calls]
+        assert per[:pairs] == [{2}] * pairs
+        for n, in per[pairs:]:
+            assert n & (n + 1) == 0
+    # pairs and trees share calls: a smooth bracket beside the steps adds
+    # no call to what the steps need
+    sm, sa, sb = _smooth_roots(np.random.default_rng(5), 1)
+    both, calls_both = _secant(fs + sm, a + sa, b + sb,
+                               [np.inf] * 3 + [1.5])
+    _assert_certified(fs + sm, both, 1e-12)
+    steps, calls_steps = _secant(fs, a, b, np.full(3, np.inf))
+    assert len(calls_both) == len(calls_steps)
+    assert both[0][:3].tolist() == steps[0].tolist()
+
+
+def test_secant_far_from_origin_terminates():
+    # near 1e5 the float spacing (1.5e-11) exceeds tol: the pair collapses
+    # onto one float, and the bisection must stop at the float floor
+    base = 1e5
+    r = base + 0.123
+    fs = [lambda x: r - x, lambda x: (r - x) * (1.0 + (x - base) ** 2),
+          lambda x: np.where(x < r, 1.0, -1.0)]
+
+    def hang(signum, frame):
+        pytest.fail("secant_many did not terminate")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for tol in (1e-12, 0.0):
+            got, _ = _secant(fs, [base] * 3, [base + 1.0] * 3,
+                             [0.0, 1.0, 0.0], tol)
+            for g, x, y in zip(fs, *got):
+                assert g(np.array([x]))[0] > 0.0 >= g(np.array([y]))[0]
+                assert y == np.nextafter(x, np.inf)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_secant_many_no_brackets():
+    def f(xs, owner):
+        raise AssertionError("called without brackets")
+
+    a, b = secant_many(f, np.empty(0), np.empty(0), np.empty(0),
+                       np.empty(0), np.empty(0), 1e-12)
     assert a.shape == b.shape == (0,)
 
 

@@ -180,6 +180,58 @@ def test_general_pair_solve_grid_matches_solve(neg_sin):
     assert p.solve_grid(xs, 0.8) == [p.solve(x, 0.8) for x in xs]
 
 
+def _bisect_psi(f, a, b, fa, fb, curv, tol, maxiter=None):
+    """Reference refinement: each bracket alone, one midpoint per step."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    for i in range(len(a)):
+        lo, hi, owner = float(a[i]), float(b[i]), np.array([i])
+        while abs(hi - lo) > tol:
+            m = 0.5 * (lo + hi)
+            if m == lo or m == hi:
+                break
+            if f(np.array([m]), owner)[0] > 0.0:
+                lo = m
+            else:
+                hi = m
+        a[i], b[i] = lo, hi
+    return a, b
+
+
+def _cube_plus_id_pair():
+    U = lambda u: np.asarray(u, dtype=float) ** 3 + np.asarray(u, dtype=float)
+    return GeneralFluxPair(U, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2
+                           + 1.0, H=lambda u: np.asarray(u, dtype=float))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Problem(flux.burgers(), idata.sin_wave()),
+    lambda: Problem(flux.power2n(2), idata.sin_wave()),
+    lambda: Problem(flux.burgers(), idata.step(1.0, 0.0)),
+    lambda: Problem(flux.burgers(), idata.step(-1.0, 1.0)),
+    lambda: Problem(flux.burgers(), idata.SampledData(
+        np.linspace(-2.0, 2.0, 17),
+        np.concatenate([[0.0], np.random.default_rng(17).uniform(
+            -1.0, 1.0, 15), [0.0]]))),
+    lambda: GeneralProblem(_cube_plus_id_pair(), idata.sin_wave()),
+], ids=["burgers_sine", "quartic_sine", "step_down", "step_up", "sampled",
+        "cube_plus_id"])
+def test_secant_refinement_matches_bisection_of_psi(make, monkeypatch):
+    # the probe pairs against one-midpoint bisection of psi on the same
+    # brackets: both end within tol_u of a root of psi
+    p = make()
+    xs = np.linspace(-3.0, 3.0, 25)
+    for t in (0.4, 1.3, 3.1):
+        got = p.solve_grid(xs, t)
+        with monkeypatch.context() as m:
+            m.setattr(vc, "secant_many", _bisect_psi)
+            ref = p.solve_grid(xs, t)
+        for g, r in zip(got, ref):
+            assert abs(g.u_minus - r.u_minus) <= p.tol_u
+            assert abs(g.u_plus - r.u_plus) <= p.tol_u
+            assert g.is_shock == r.is_shock
+            assert len(g.maximizer.components) == len(r.maximizer.components)
+
+
 def test_restart_knots_equal_pointwise_solves():
     p = Problem(flux.burgers(), idata.step(1.0, -0.5))
     d = p.restart(0.5).problem.data
