@@ -32,9 +32,13 @@ N_SCAN = 2048
 VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
-# scan elements one block of solve_grid holds, rows x n_scan: 8 rows of the
-# default grid, which keeps a block's arrays within a few hundred kB
+# scan cells one block of solve_grid holds, rows x (widest window - 1):
+# 8 rows over the whole default grid of n_scan cells, or as many rows of
+# narrower u-windows, which keeps a block's arrays within a few hundred kB
 BLOCK_ELEMS = 1 << 14
+# rows one block holds at most: each row's lists and records take about
+# half a kB while its block lives
+BLOCK_ROWS = 256
 # freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
 # a block's ~130 kB temporaries, else unmapped on free and faulted in anew
 np.empty(1 << 17)
@@ -165,13 +169,18 @@ class GeneralProblem:
         self.M = M
         delta = 1e-6 * (1.0 + M)
         self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
-        self._Hs = np.asarray(self._H(self._s), dtype=float)
+        self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
         self._Hps = np.asarray(self._Hp(self._s), dtype=float)
         self._H0 = float(self._H(0.0))
         self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
         # int_0^s H'(r) U(r) dr along the grid
-        self._Is = (self._Hs * np.asarray(self._U(self._s))
-                    - np.asarray(self._F(self._s)) - self._I0)
+        Us = np.asarray(self._U(self._s), dtype=float)
+        self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
+        # the window of one row over the whole grid: start 0, width n
+        self._whole = np.zeros(1, dtype=np.intp), np.full(1, len(self._s))
+        # backward characteristics keep their order where H and U rise
+        self._ordered = bool((np.diff(self._Hs) >= 0.0).all()
+                             and (np.diff(Us) >= 0.0).all())
 
     # -- scalar helpers ---------------------------------------------------
 
@@ -194,54 +203,189 @@ class GeneralProblem:
     def maximize(self, x, t):
         """Certified maximizer set of E(.; x, t).
 
-        This is the block routine of ``solve_grid`` on the one point x, so
-        a point gets the same ``MaximizerSet``, bit for bit, alone or in a
-        grid.
+        This is the block routine of ``solve_grid`` on the one point x,
+        scanned over the whole u-grid.  A point of a long grid that is
+        scanned over a u-window only gets the same ``MaximizerSet``, bit for
+        bit, wherever its kept runs and value bands lie inside the window
+        (see ``_maximize_block``); a grid of at most 8 points is one block
+        over the whole grid.
         """
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
-        return self._maximize_block(np.array([x], dtype=float),
-                                    _checked_t(t))[0]
+        return self._maximize_block(np.array([x], dtype=float), _checked_t(t),
+                                    *self._whole)[0]
 
     def _maximize_grid(self, xs, t):
-        """The MaximizerSet at each x of a checked grid, block by block."""
-        rows = max(1, BLOCK_ELEMS // self.n_scan)
-        for k in range(0, len(xs), rows):
-            yield from self._maximize_block(xs[k:k + rows], t)
+        """The MaximizerSet at each x of a checked grid, in the order of xs.
 
-    def _maximize_block(self, xs, t):
+        A grid of at most ``BLOCK_ELEMS // n_scan`` points is one block,
+        scanned over the whole u-grid.  A longer one is maximized in levels
+        on its distinct points, sorted.  Level 0 scans up to that many evenly
+        spaced points, both ends included, over the whole grid.  Each later
+        level maximizes the middle point q of every unsolved gap (a, b) over
+        the u-window that the ordering of backward characteristics leaves it
+        (Lax 1957): for x_a < x_q < x_b every maximizer foot x - t H(u) at x_q
+        lies between the rightmost foot at x_a and the leftmost at x_b, so
+        H(u) lies in [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The
+        window takes the grid indices whose H lies there, widened by 2 cells.
+        Once the unsolved rows' windows hold at most four blocks of cells,
+        one level takes them all: a further level costs blocks that the
+        narrower windows would not pay back.  Rows that ``_blocks`` cannot
+        certify in their window are scanned over the whole grid.  The
+        ordering needs H and U nondecreasing; where either is not on the
+        grid (a ``custom`` flux, say), every row scans the whole grid.
+        """
+        n = len(self._s)
+        rows = max(1, BLOCK_ELEMS // self.n_scan)
+        whole = np.zeros(len(xs), dtype=np.intp), np.full(len(xs), n)
+        if len(xs) <= rows:
+            return self._maximize_block(xs, t, *whole) if len(xs) else []
+        if not self._ordered:
+            return self._blocks(xs, t, *whole)
+        xu, inv = xs, None
+        if not (xs[1:] > xs[:-1]).all():
+            xu, inv = np.unique(xs, return_inverse=True)
+        m = len(xu)
+        res = [None] * m
+        Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
+        solved = np.zeros(m, dtype=bool)
+        k = min(max(2, rows), m)
+        q = np.arange(k) * (m - 1) // max(k - 1, 1)
+        start, width = whole[0][:k], whole[1][:k]
+        while len(q):
+            out = self._blocks(xu[q], t, start, width)
+            for i, ms in zip(q.tolist(), out):
+                res[i] = ms
+            Hp[q], Hm[q] = self._H(np.array([[ms.u_plus for ms in out],
+                                             [ms.u_minus for ms in out]]))
+            solved[q] = True
+            # every unsolved row's window from its solved neighbours a, b
+            ends = solved.nonzero()[0]
+            q = (~solved).nonzero()[0]
+            b = ends[np.searchsorted(ends, q)]
+            a = ends[np.searchsorted(ends, q) - 1]
+            with np.errstate(over="ignore"):    # a tiny t: the whole grid
+                lo = Hm[b] - (xu[b] - xu[q]) / t
+                hi = Hp[a] + (xu[q] - xu[a]) / t
+            # the grid indices where lo <= H <= hi, widened by 2 cells
+            start = np.minimum(np.maximum(
+                np.searchsorted(self._Hs, lo, "left") - 2, 0), n - 2)
+            stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2, n)
+            width = np.maximum(stop - start, 2)
+            if (width - 1).sum() > 4 * BLOCK_ELEMS:
+                # more than four blocks of cells: the middle row of each gap
+                mid = q == (a + b) // 2
+                q, start, width = q[mid], start[mid], width[mid]
+        return res if inv is None else [res[i] for i in inv.tolist()]
+
+    def _blocks(self, xs, t, start, width):
+        """``_maximize_block`` on rows packed in blocks of few enough cells.
+
+        Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
+        The rows are packed in the order of their widths, each block while
+        its count times its widest window's cells stays within
+        ``BLOCK_ELEMS``, at least one row.  A row the block cannot certify
+        in its window is maximized again over the whole grid.  Returns the
+        MaximizerSets in the order of xs.
+        """
+        n = len(self._s)
+        order = np.argsort(width, kind="stable")
+        cells = np.maximum(width[order] - 1, 1)
+        out = [None] * len(xs)
+        k = 0
+        while k < len(xs):
+            c = cells[k:k + BLOCK_ROWS]
+            fit = np.arange(1, len(c) + 1) * np.maximum.accumulate(c)
+            c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
+            i = order[k:k + c]
+            for q, ms in zip(i.tolist(),
+                             self._maximize_block(xs[i], t, start[i], width[i])):
+                out[q] = ms
+            k += c
+        redo = [q for q, ms in enumerate(out) if ms is None]
+        if redo:
+            full = self._blocks(xs[redo], t, np.zeros(len(redo), dtype=np.intp),
+                                np.full(len(redo), n))
+            for q, ms in zip(redo, full):
+                out[q] = ms
+        return out
+
+    def _maximize_block(self, xs, t, start, width):
         """MaximizerSets at the points of the array xs, all at time t.
 
-        Every phase runs on the whole block: one W call scans the feet of
-        every row, local maxima and their runs are found row-wise, one
-        lockstep bisection refines every sign-change bracket, one lockstep
-        golden-section search maximizes E on the kept runs with no sign
-        change, and one E call values the refined points.  Rows never mix,
-        and numpy's elementwise results do not depend on the array around
-        an element, so each row's answer is the one a block of one gives.
+        Row q scans the u-grid indices start[q] ... start[q] + width[q] - 1;
+        the whole grid is the window [0, n).  Each row reads the w grid
+        points from min(start, n - w) on, w the widest window of the block,
+        and E off its own window is -inf.  Every phase runs on the whole
+        block: one W call scans the feet of every row, local maxima and
+        their runs are found row-wise, one lockstep bisection refines every
+        sign-change bracket, one lockstep golden-section search maximizes E
+        on the kept runs with no sign change, and one E call values the
+        refined points.  Rows never mix, and numpy's elementwise results do
+        not depend on the array around an element, so each row's answer is
+        the one a block of one gives.  Each windowed value of E is the float
+        the whole scan computes, so a row whose kept runs and bands lie
+        inside its window gets the whole scan's MaximizerSet, bit for bit.
+
+        A window edge that is not a grid end is never a local maximum.  The
+        row's result is None, for a scan of the whole grid, when its best
+        grid value, or its band within ``val_tol`` of the maximum, reaches
+        such an edge.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         h = s[1] - s[0]
-        pts = np.empty((rows, n + 1))
-        feet = pts[:, :n]
-        np.subtract(xs[:, None], t * self._Hs, out=feet)
-        pts[:, n] = xs - t * self._H0
-        Wp = self._W(pts.ravel()).reshape(rows, n + 1)
-        Ev = (Wp[:, n:] - Wp[:, :n]) - t * self._Is
+        # a window other than the whole grid: row q reads the w grid points
+        # from rs[q] on, and its window is the columns lo[q] .. hi[q]
+        cut = np.count_nonzero(start) or np.count_nonzero(width - n)
+        w = int(width.max()) if cut else n
+        rs = np.minimum(start, n - w) if cut else start
+        if not cut:
+            Hw, Iw = self._Hs, self._Is
+        elif (rs == rs[0]).all():
+            Hw, Iw = self._Hs[rs[0]:rs[0] + w], self._Is[rs[0]:rs[0] + w]
+        else:
+            # a strided view whose row k is the grid from index k on
+            Hw, Iw = (np.ndarray((n - w + 1, w), float, v, 0, (v.itemsize,) * 2)
+                      [rs] for v in (self._Hs, self._Is))
+        pts = np.empty((rows, w + 1))
+        feet = pts[:, :w]
+        np.subtract(xs[:, None], t * Hw, out=feet)
+        pts[:, w] = xs - t * self._H0
+        Wp = self._W(pts.ravel()).reshape(rows, w + 1)
+        Ev = (Wp[:, w:] - Wp[:, :w]) - t * Iw
+        if cut:
+            lo = start - rs
+            hi = lo + width - 1
+            padded = (width < w).any()
+            if padded:
+                c = np.arange(w)
+                Ev[(c < lo[:, None]) | (c > hi[:, None])] = -np.inf
         Emax_grid = Ev.max(axis=1)
 
         # local maxima; a plateau is represented by its middle point
-        lm = np.empty((rows, n), dtype=bool)
+        lm = np.empty((rows, w), dtype=bool)
         lm[:, 1:-1] = (Ev[:, 1:-1] >= Ev[:, :-2]) & (Ev[:, 1:-1] >= Ev[:, 2:])
         lm[:, 0] = Ev[:, 0] >= Ev[:, 1]
         lm[:, -1] = Ev[:, -1] >= Ev[:, -2]
+        if cut:
+            # the window edges that are no grid end, at (row er, column
+            # ec), and the reads off the window hold none
+            in_lo, in_hi = start > 0, start + width < n
+            er = np.concatenate([in_lo.nonzero()[0], in_hi.nonzero()[0]])
+            ec = np.concatenate([lo[in_lo], hi[in_hi]])
+            lm[er, ec] = False
+            if padded:
+                lm &= Ev > -np.inf
         r, first, last = row_runs(lm)
-        j = first + (last - first + 1) // 2
-        nb = np.minimum(np.maximum(j + _NEIGHBOURS, 0), n - 1)
-        Uphi = self._U(self.data.phi(feet[r, nb].ravel())).reshape(nb.shape)
+        col = first + (last - first + 1) // 2
+        # the neighbours of each run's middle, as columns and grid indices;
+        # a run's middle is a grid end or lies inside its window
+        nbc = np.minimum(np.maximum(col + _NEIGHBOURS, 0), w - 1)
+        nb = nbc + rs[r] if cut else nbc
+        Uphi = self._U(self.data.phi(feet[r, nbc].ravel())).reshape(nb.shape)
         carrier = Uphi - self._U(s[nb].ravel()).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
-        keep = ~(Ev[r, j] + t * h * gloc < Emax_grid[r] - 10.0 * self.val_tol)
+        keep = ~(Ev[r, col] + t * h * gloc < Emax_grid[r] - 10.0 * self.val_tol)
         r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
 
         # refine: psi at the bracket ends is the carrier there
@@ -255,10 +399,10 @@ class GeneralProblem:
         if not sign.all():
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
-            W0g, xg = Wp[r[g], n], xs[r[g]]
+            W0g, xg = Wp[r[g], w], xs[r[g]]
             u_star[g] = golden_many(lambda u, i: -self._E(W0g[i], u, xg[i], t),
                                     s[nb[0, g]], s[nb[2, g]], self.tol_u)
-        E_star = self._E(Wp[r, n], u_star, xs[r], t)
+        E_star = self._E(Wp[r, w], u_star, xs[r], t)
 
         # per row: the best value, then the grid bands within val_tol of it
         rcut = np.searchsorted(r, np.arange(rows + 1)).tolist()
@@ -268,9 +412,18 @@ class GeneralProblem:
                 for eg, ref in zip(Emax_grid.tolist(), refined)]
         thresh = [e - self.val_tol for e in Emax]
         br, first, last = row_runs(Ev >= np.array(thresh)[:, None])
+        redo = ()
+        if cut:
+            first += rs[br]
+            last += rs[br]
+            # a window that may have cut off a maximizer: E at an inner
+            # edge reaches the band or the best grid value
+            reach = np.minimum(thresh, Emax_grid)[er]
+            redo = set(er[Ev[er, ec] >= reach].tolist())
         bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
         bands = list(zip(first.tolist(), last.tolist()))
-        return [self._assemble(float(xs[q]), t, float(Wp[q, n]), Emax[q],
+        return [None if q in redo else
+                self._assemble(float(xs[q]), t, float(Wp[q, w]), Emax[q],
                                thresh[q], refined[q],
                                bands[bcut[q]:bcut[q + 1]])
                 for q in range(rows)]
@@ -281,26 +434,39 @@ class GeneralProblem:
         Column k serves the point xb[k].  ``carrier`` holds psi at the grid
         points nb, and ``Uphi`` U(phi) at their feet, on sampled data only.
         The middle value halves each bracket, and the second difference of
-        the three bounds psi'' for ``secant_many``.  Where psi jumps, that
-        difference is about the jump, and ``secant_many``'s test sends the
-        bracket to the bisection; so it does at an end of the grid, where
-        two of the three points coincide and the difference is a first
-        one.  On sampled data phi is a staircase, whose steps a smooth
-        difference can hide: a bracket is bisected there unless U(phi) is
-        the same at the three feet.
+        three grid values bounds psi'' for ``secant_many``.  At an end of
+        the grid two of the points nb coincide, so the difference is taken
+        from the three innermost grid points there, s[0..2] or s[n-3..n-1],
+        at one more psi value.  Where psi jumps, the difference is about
+        the jump, and ``secant_many``'s test sends the bracket to the
+        bisection.  On sampled data phi is a staircase, whose steps a
+        smooth difference can hide: a bracket is bisected there unless
+        U(phi) is the same at its three feet.
         """
+        s, n = self._s, len(self._s)
         pl, pm, ph = carrier
-        # the half of each bracket where psi changes sign, ends (a, b)
-        up = pm > 0.0
-        ends = self._s[np.where(up, nb[1:], nb[:2])]
+        d2 = pl - 2.0 * pm + ph
         if Uphi is not None:
             steady = (Uphi[0] == Uphi[1]) & (Uphi[1] == Uphi[2])
-            if not steady.any():
-                # no bracket can take a pair: spare their set-up
-                return bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
-                                   ends[0], ends[1], self.tol_u, 60)
-        h = self._s[1] - self._s[0]
-        curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(pl - 2.0 * pm + ph)
+        e = np.flatnonzero(nb[2] - nb[0] < 2)    # brackets at a grid end
+        if len(e):
+            at_lo = nb[0, e] == nb[1, e]
+            k = np.where(at_lo, 2, n - 3)
+            Ux = self._U(self.data.phi(xb[e] - t * self._Hs[k]))
+            px = Ux - self._U(s[k])
+            d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
+                             px - 2.0 * pl[e] + ph[e])
+            if Uphi is not None:
+                steady[e] = (Uphi[0, e] == Uphi[2, e]) & (Ux == Uphi[0, e])
+        # the half of each bracket where psi changes sign, ends (a, b)
+        up = pm > 0.0
+        ends = s[np.where(up, nb[1:], nb[:2])]
+        if Uphi is not None and not steady.any():
+            # no bracket can take a pair: spare their set-up
+            return bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
+                               ends[0], ends[1], self.tol_u, 60)
+        h = s[1] - s[0]
+        curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(d2)
         if Uphi is not None:
             curv[~steady] = np.inf
         vals = np.where(up, carrier[1:], carrier[:2])
@@ -368,10 +534,18 @@ class GeneralProblem:
     def solve_grid(self, xs, t):
         """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
 
-        The xs are maximized in blocks of ``BLOCK_ELEMS // n_scan`` points
-        (8 at the default n_scan), one pass of array phases per block;
-        each sample equals ``solve(x, t)`` bit for bit.  A non-finite x or
-        t, or t <= 0, raises ValueError before any work.
+        Up to ``BLOCK_ELEMS // n_scan`` points (8 at the default n_scan)
+        are one block over the whole u-grid, one pass of array phases.  A
+        longer grid is maximized in levels: 8 evenly spaced points over the
+        whole grid, then each unsolved point over the u-window that its
+        solved neighbours' characteristic feet leave it, rows packed in
+        blocks of at most ``BLOCK_ELEMS`` cells; a row whose best value or
+        ``val_tol`` band reaches an inner window edge, and every row of a
+        flux whose f' is not nondecreasing, is scanned over the whole grid.
+        A windowed value of E is the float the whole scan computes, so each
+        sample equals ``solve(x, t)`` bit for bit wherever its kept runs and
+        bands lie inside its window, as on every tested problem.  A
+        non-finite x or t, or t <= 0, raises ValueError before any work.
         """
         t = _checked_t(t)
         xs = np.asarray(xs, dtype=float)
@@ -398,9 +572,11 @@ class Problem(GeneralProblem):
         Returns a wrapper whose ``solve(x, t)`` (absolute time t > tau)
         evaluates the variational formula for the sampled data u(., tau) on
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
-        The knot values are u+ at the 4096 interval midpoints, maximized in
-        the blocks of ``solve_grid``, so each equals ``solve(x, tau).u_plus``
-        bit for bit.
+        The knot values are u+ at the 4096 interval midpoints, maximized as
+        ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
+        cells that the neighbouring knots' feet leave them.  Each equals
+        ``solve(x, tau).u_plus`` bit for bit wherever the knot's kept runs
+        and bands lie inside its window, as in every tested restart.
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")

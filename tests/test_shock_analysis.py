@@ -387,9 +387,9 @@ def test_classify_shock_point_maximizes_once(riemann_sa, monkeypatch):
     rows = []
     block = GeneralProblem._maximize_block
 
-    def counted(self, xs, t):
+    def counted(self, xs, *args):
         rows.append(len(xs))
-        return block(self, xs, t)
+        return block(self, xs, *args)
 
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
     pc = riemann_sa.classify_point(0.5, 1.0)

@@ -136,13 +136,111 @@ def test_constant_data_e_hat():
         assert p.e_hat(x, t) == pytest.approx(0.5 * t - x, abs=1e-9)
 
 
-def test_solve_grid_matches_solve(neg_sin):
-    xs = np.linspace(-2, 2, 41)
-    grid = neg_sin.solve_grid(xs, 1.4)
-    point = [neg_sin.solve(x, 1.4) for x in xs]
-    assert [s.u_plus for s in grid] == [s.u_plus for s in point]
-    assert [s.u_minus for s in grid] == [s.u_minus for s in point]
-    assert [s.maximizer for s in grid] == [s.maximizer for s in point]
+def _sampled_17():
+    us = np.random.default_rng(17).uniform(-1.0, 1.0, 15)
+    return idata.SampledData(np.linspace(-2.0, 2.0, 17),
+                             np.concatenate([[0.0], us, [0.0]]))
+
+
+def _cube_plus_id_pair():
+    U = lambda u: np.asarray(u, dtype=float) ** 3 + np.asarray(u, dtype=float)
+    return GeneralFluxPair(U, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2
+                           + 1.0, H=lambda u: np.asarray(u, dtype=float))
+
+
+_GRID_PROBLEMS = {
+    "burgers_sine": lambda: Problem(flux.burgers(), idata.sin_wave()),
+    "quartic_sine": lambda: Problem(flux.power2n(2), idata.sin_wave()),
+    "step_down": lambda: Problem(flux.burgers(), idata.step(1.0, 0.0)),
+    "step_up": lambda: Problem(flux.burgers(), idata.step(-1.0, 1.0)),
+    "sampled": lambda: Problem(flux.burgers(), _sampled_17()),
+    "cube_plus_id": lambda: GeneralProblem(_cube_plus_id_pair(),
+                                           idata.sin_wave()),
+    "restart": lambda: Problem(flux.burgers(), idata.sin_wave()).restart(0.5),
+}
+
+
+@pytest.mark.parametrize("t", [0.4, 1.4, 3.0])
+@pytest.mark.parametrize("name", list(_GRID_PROBLEMS))
+def test_solve_grid_matches_solve(name, t):
+    # 129 points: level 0 and several levels of windowed rows, each the
+    # sample a whole-grid solve of the point alone gives, bit for bit
+    p = _GRID_PROBLEMS[name]()
+    t += getattr(p, "tau", 0.0)
+    xs = np.linspace(-3.0, 3.0, 129)
+    assert p.solve_grid(xs, t) == [p.solve(x, t) for x in xs]
+
+
+def test_solve_grid_keeps_order_and_repeats(neg_sin):
+    xs = np.concatenate([np.linspace(2.0, -2.0, 30), [0.5, 0.5, -1.0]])
+    assert neg_sin.solve_grid(xs, 1.4) == [neg_sin.solve(x, 1.4) for x in xs]
+
+
+def _count_blocks(monkeypatch):
+    """Record each block's rows as (start, width, scanned again)."""
+    calls = []
+    block = GeneralProblem._maximize_block
+
+    def counted(self, xs, t, start, width):
+        out = block(self, xs, t, start, width)
+        calls.append(list(zip(start.tolist(), width.tolist(),
+                              [ms is None for ms in out])))
+        return out
+
+    monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
+    return calls
+
+
+def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
+                                                          monkeypatch):
+    # every window of 20 cells ends 4 cells short of its row's maximizer: E
+    # rises toward that edge, and the row is scanned over the whole grid
+    n = len(neg_sin._s)
+    blocks = GeneralProblem._blocks
+
+    def missing(self, xs, t, start, width):
+        part = width < n
+        if part.any():
+            j = np.searchsorted(self._s, [self.solve(x, t).u_plus for x in
+                                          xs[part].tolist()])
+            start, width = start.copy(), width.copy()
+            start[part] = np.where(j < n // 2, j + 4, j - 24)
+            width[part] = 20
+        return blocks(self, xs, t, start, width)
+
+    monkeypatch.setattr(GeneralProblem, "_blocks", missing)
+    calls = _count_blocks(monkeypatch)
+    xs = np.linspace(-3.0, 3.0, 65)
+    assert neg_sin.solve_grid(xs, 0.4) == [neg_sin.solve(x, 0.4) for x in xs]
+    windowed = [redo for c in calls for _, width, redo in c if width < n]
+    assert len(windowed) > 40 and all(windowed)
+
+
+def test_custom_flux_with_nonmonotone_speed_scans_whole_grid(monkeypatch):
+    cubic = flux.custom(lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
+                        lambda u: np.asarray(u, dtype=float) ** 2,
+                        lambda u: 2.0 * np.asarray(u, dtype=float))
+    p = Problem(cubic, idata.sin_wave())
+    calls = _count_blocks(monkeypatch)
+    xs = np.linspace(-3.0, 3.0, 40)
+    assert p.solve_grid(xs, 0.7) == [p.solve(x, 0.7) for x in xs]
+    n = len(p._s)
+    assert {(start, width) for c in calls for start, width, _ in c} == {(0, n)}
+    assert [len(c) for c in calls[:5]] == [8] * 5
+
+
+def test_restart_scans_a_tenth_of_the_whole_grid():
+    p = Problem(flux.burgers(), idata.sin_wave())
+    sizes = []
+    W = p._W
+
+    def spy(y):
+        sizes.append(np.size(y))
+        return W(y)
+
+    p._W = spy
+    p.restart(0.5)
+    assert sum(sizes) <= 4096 * 2050 / 10
 
 
 def test_solve_grid_rejects_bad_input_before_work(neg_sin):
@@ -197,28 +295,11 @@ def _bisect_psi(f, a, b, fa, fb, curv, tol, maxiter=None):
     return a, b
 
 
-def _cube_plus_id_pair():
-    U = lambda u: np.asarray(u, dtype=float) ** 3 + np.asarray(u, dtype=float)
-    return GeneralFluxPair(U, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2
-                           + 1.0, H=lambda u: np.asarray(u, dtype=float))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: Problem(flux.burgers(), idata.sin_wave()),
-    lambda: Problem(flux.power2n(2), idata.sin_wave()),
-    lambda: Problem(flux.burgers(), idata.step(1.0, 0.0)),
-    lambda: Problem(flux.burgers(), idata.step(-1.0, 1.0)),
-    lambda: Problem(flux.burgers(), idata.SampledData(
-        np.linspace(-2.0, 2.0, 17),
-        np.concatenate([[0.0], np.random.default_rng(17).uniform(
-            -1.0, 1.0, 15), [0.0]]))),
-    lambda: GeneralProblem(_cube_plus_id_pair(), idata.sin_wave()),
-], ids=["burgers_sine", "quartic_sine", "step_down", "step_up", "sampled",
-        "cube_plus_id"])
-def test_secant_refinement_matches_bisection_of_psi(make, monkeypatch):
+@pytest.mark.parametrize("name", [k for k in _GRID_PROBLEMS if k != "restart"])
+def test_secant_refinement_matches_bisection_of_psi(name, monkeypatch):
     # the probe pairs against one-midpoint bisection of psi on the same
     # brackets: both end within tol_u of a root of psi
-    p = make()
+    p = _GRID_PROBLEMS[name]()
     xs = np.linspace(-3.0, 3.0, 25)
     for t in (0.4, 1.3, 3.1):
         got = p.solve_grid(xs, t)
