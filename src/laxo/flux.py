@@ -69,14 +69,8 @@ class Flux:
                 f"value outside image of f' on [{lo}, {hi}]")
         # keep the tolerated overshoot out of the closed forms (log of v < 0)
         v = np.clip(v, flo, fhi)
-        if self.kind == "burgers":
-            u = v
-        elif self.kind == "power2n":
-            u = np.sign(v) * np.abs(v) ** (1.0 / (2 * self.params["n"] - 1))
-        elif self.kind == "exponential":
-            with np.errstate(divide="ignore"):   # f'(lo) may underflow to 0
-                u = np.log(v) / self.params["k"]
-        else:
+        u = self.closed_inverse(v)
+        if u is None:
             # bisection on the monotone residual f'(u) - v, every v in lockstep
             b, a = bisect_many(lambda m, i: self.deriv(m) >= v[i],
                                np.full(len(v), hi), np.full(len(v), lo),
@@ -92,6 +86,20 @@ class Flux:
             u = np.where(ok, un, u)
         u = np.clip(u, lo, hi)
         return float(u[0]) if scalar else u
+
+    def closed_inverse(self, v):
+        """(f')^-1 of an array v inside the image of f', in closed form.
+
+        None for a custom flux.  No checks: ``invert_deriv`` adds them.
+        """
+        if self.kind == "burgers":
+            return v
+        if self.kind == "power2n":
+            return np.sign(v) * np.abs(v) ** (1.0 / (2 * self.params["n"] - 1))
+        if self.kind == "exponential":
+            with np.errstate(divide="ignore"):   # f'(lo) may underflow to 0
+                return np.log(v) / self.params["k"]
+        return None
 
     # -- rho(u, v) --------------------------------------------------------
 

@@ -383,6 +383,37 @@ class InitialData(_Extended):
     def _inner_primitive(self, r):
         return self._window_eval(r, True)
 
+    def breakpoints(self):
+        """The points of the window where phi is not smooth, and its limits.
+
+        Returns sorted arrays ``(y, left, right)`` of the points and of
+        phi(y-) and phi(y+) there: every piece end where phi jumps (a window
+        end against a tail, and the seam of periodic data, included) and
+        every power piece's x_ref inside its piece.  A jump below 1e-12 of
+        phi's size there counts as none, so the seam of ``sin_wave`` is no
+        breakpoint.  Periodic data give the points of [w_lo, w_hi).
+        """
+        ps = self.pieces
+        y = [p.lo for p in ps] + [self.w_hi]
+        left = [float(_pval(p, p.hi)) for p in ps]
+        right = [float(_pval(p, p.lo)) for p in ps]
+        if self.period is None:
+            left, right = [self.left_tail] + left, right + [self.right_tail]
+        else:
+            y, left = y[:-1], left[-1:] + left[:-1]
+        rows = [(b, lv, rv) for b, lv, rv in zip(y, left, right)
+                if abs(lv - rv) > 1e-12 * (1.0 + abs(lv) + abs(rv))]
+        for p in ps:
+            q = p.params
+            if p.kind == "power" and p.lo < q["x_ref"] < p.hi:
+                # a sgn(s) |s|^g + b: a jump of 2a for g = 0, else continuous
+                jump = q["a"] if q["g"] == 0 else 0.0
+                b = q.get("b", 0.0)
+                rows.append((q["x_ref"], b - jump, b + jump))
+        rows.sort()
+        return tuple(np.array(v, dtype=float).reshape(-1)
+                     for v in (zip(*rows) if rows else ([], [], [])))
+
     def _estimate_bound(self):
         vals = []
         for p in self.pieces:
@@ -552,6 +583,21 @@ class SampledData(_Extended):
     def _inner_primitive(self, r):
         idx = self._knot(r)
         return self._P[idx] + self.us[idx] * (r - self.xs[idx])
+
+    def breakpoints(self):
+        """The knots where phi jumps, and its limits there.
+
+        Returns sorted arrays ``(y, left, right)`` of the knots and of
+        phi(y-) and phi(y+); periodic data give the knots of [w_lo, w_hi).
+        """
+        us = self.us
+        if self.period is None:
+            y, left, right = self.xs, np.concatenate([us[:1], us[:-1]]), us
+        else:
+            y, left = self.xs[:-1], np.concatenate([us[-2:-1], us[:-2]])
+            right = us[:-1]
+        jump = left != right
+        return y[jump], left[jump], right[jump]
 
     # -- one-sided structure ----------------------------------------------
 

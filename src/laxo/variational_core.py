@@ -181,6 +181,16 @@ class GeneralProblem:
         # backward characteristics keep their order where H and U rise
         self._ordered = bool((np.diff(self._Hs) >= 0.0).all()
                              and (np.diff(Us) >= 0.0).all())
+        # phi's breakpoints y, its limits there and H of them, for the
+        # exact roots of psi; on periodic data y runs on over a second
+        # period, and breakpoint j of it is breakpoint j % len(left)
+        self._jumps = None
+        y, left, right = data.breakpoints()
+        if self._ordered and len(y):
+            if data.period is not None:
+                y = np.concatenate([y, y + data.period])
+            self._jumps = (y, left, right, np.asarray(self._H(left), float),
+                           np.asarray(self._H(right), float))
 
     # -- scalar helpers ---------------------------------------------------
 
@@ -318,14 +328,17 @@ class GeneralProblem:
         points from min(start, n - w) on, w the widest window of the block,
         and E off its own window is -inf.  Every phase runs on the whole
         block: one W call scans the feet of every row, local maxima and
-        their runs are found row-wise, one lockstep bisection refines every
-        sign-change bracket, one lockstep golden-section search maximizes E
-        on the kept runs with no sign change, and one E call values the
-        refined points.  Rows never mix, and numpy's elementwise results do
-        not depend on the array around an element, so each row's answer is
-        the one a block of one gives.  Each windowed value of E is the float
-        the whole scan computes, so a row whose kept runs and bands lie
-        inside its window gets the whole scan's MaximizerSet, bit for bit.
+        their runs are found row-wise, ``_roots`` refines every sign-change
+        bracket (in closed form where the feet cross a jump of the data,
+        checked by one psi call, else by lockstep probe pairs and
+        bisection), one lockstep golden-section search maximizes E on the
+        kept runs with no sign change, and one E call values the refined
+        points.  Rows never mix, no bracket's root reads another's, and
+        numpy's elementwise results do not depend on the array around an
+        element, so each row's answer is the one a block of one gives.
+        Each windowed value of E is the float the whole scan computes, so a
+        row whose kept runs and bands lie inside its window gets the whole
+        scan's MaximizerSet, bit for bit.
 
         A window edge that is not a grid end is never a local maximum.  The
         row's result is None, for a scan of the whole grid, when its best
@@ -392,10 +405,11 @@ class GeneralProblem:
         pl, ph = carrier[0], carrier[2]
         sign = ((pl > 0.0) & (0.0 >= ph)) | ((pl >= 0.0) & (0.0 > ph))
         u_star = np.empty(len(r))
-        a, b = self._roots(xs[r[sign]], t, nb[:, sign], carrier[:, sign],
-                           Uphi[:, keep][:, sign] if self.data.is_sampled
-                           else None)
-        u_star[sign] = 0.5 * (a + b)
+        if sign.any():
+            a, b = self._roots(xs[r[sign]], t, nb[:, sign], carrier[:, sign],
+                               Uphi[:, keep][:, sign] if self.data.is_sampled
+                               else None)
+            u_star[sign] = 0.5 * (a + b)
         if not sign.all():
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
@@ -433,15 +447,40 @@ class GeneralProblem:
 
         Column k serves the point xb[k].  ``carrier`` holds psi at the grid
         points nb, and ``Uphi`` U(phi) at their feet, on sampled data only.
-        The middle value halves each bracket, and the second difference of
-        three grid values bounds psi'' for ``secant_many``.  At an end of
-        the grid two of the points nb coincide, so the difference is taken
-        from the three innermost grid points there, s[0..2] or s[n-3..n-1],
-        at one more psi value.  Where psi jumps, the difference is about
-        the jump, and ``secant_many``'s test sends the bracket to the
-        bisection.  On sampled data phi is a staircase, whose steps a
-        smooth difference can hide: a bracket is bisected there unless
-        U(phi) is the same at its three feet.
+        The middle value halves each bracket.  Psi jumps only where the
+        foot x - t H(u) crosses a breakpoint of phi, so a half whose feet
+        hold one takes its root in closed form (``_exact_roots``).  Every
+        other half, and every exact root that fails its check, goes to
+        ``_refine_roots``.  Returns the two rows of ends.
+        """
+        # the half of each bracket where psi changes sign, ends (a, b)
+        up = carrier[1] > 0.0
+        ie = np.where(up, nb[1:], nb[:2])
+        ends = self._s[ie]
+        vals = np.where(up, carrier[1:], carrier[:2])
+        if self._jumps is not None:
+            done = self._exact_roots(xb, t, ie, vals, ends)
+            if np.count_nonzero(done):
+                k = (~done).nonzero()[0]
+                if len(k):
+                    ends[:, k] = self._refine_roots(
+                        xb[k], t, nb[:, k], carrier[:, k],
+                        None if Uphi is None else Uphi[:, k], ends[:, k],
+                        vals[:, k])
+                return ends
+        return self._refine_roots(xb, t, nb, carrier, Uphi, ends, vals)
+
+    def _refine_roots(self, xb, t, nb, carrier, Uphi, ends, vals):
+        """``secant_many`` on the halves ``ends`` of the brackets nb.
+
+        ``vals`` holds psi at the ends; the second difference of three grid
+        values bounds psi''.  At an end of the grid two of the points nb
+        coincide, so the difference is taken from the three innermost grid
+        points there, s[0..2] or s[n-3..n-1], at one more psi value.  Where
+        psi jumps, the difference is about the jump, and ``secant_many``'s
+        test sends the bracket to the bisection.  On sampled data phi is a
+        staircase, whose steps a smooth difference can hide: a bracket is
+        bisected there unless U(phi) is the same at its three feet.
         """
         s, n = self._s, len(self._s)
         pl, pm, ph = carrier
@@ -458,20 +497,131 @@ class GeneralProblem:
                              px - 2.0 * pl[e] + ph[e])
             if Uphi is not None:
                 steady[e] = (Uphi[0, e] == Uphi[2, e]) & (Ux == Uphi[0, e])
-        # the half of each bracket where psi changes sign, ends (a, b)
-        up = pm > 0.0
-        ends = s[np.where(up, nb[1:], nb[:2])]
-        if Uphi is not None and not steady.any():
-            # no bracket can take a pair: spare their set-up
-            return bisect_many(lambda u, i: self._psi(u, xb[i], t) > 0.0,
-                               ends[0], ends[1], self.tol_u, 60)
         h = s[1] - s[0]
         curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(d2)
         if Uphi is not None:
             curv[~steady] = np.inf
-        vals = np.where(up, carrier[1:], carrier[:2])
         return secant_many(lambda u, i: self._psi(u, xb[i], t), ends[0],
                            ends[1], vals[0], vals[1], curv, self.tol_u, 60)
+
+    def _exact_roots(self, xb, t, ie, vals, ends):
+        """Roots of psi in closed form where its feet cross phi's jumps.
+
+        Bracket k is [a, b] = ends[:, k], the grid points ie[:, k], with
+        psi > 0 at a and <= 0 at b (``vals``), for the point xb[k].  Its
+        feet sweep (x - t H(b), x - t H(a)], and each breakpoint y of phi in
+        there (one ``searchsorted``; periodic data shifted by whole periods
+        onto the table of two periods) is crossed at H(u) = (x - y) / t; a
+        breakpoint at the foot of a, where psi(a) reads phi(y+), may put
+        the jump at a itself.  In the order of rising u, the first
+        breakpoint whose phi(y+) gives psi <= 0 just below its preimage ends
+        the sub-bracket that holds the sign change; H being increasing,
+        that is the test H(phi(y+)) <= (x - y) / t, which needs no
+        preimage.  The root is then:
+
+        * the preimage below, where psi <= 0 also just above it: psi jumps
+          down there, a fan's maximizer (one inversion of H);
+        * on sampled data, the plateau value c, where U(phi) - U(u) =
+          U(c) - U(u) vanishes, with no call of the data;
+        * else the ``secant_many`` root of the smooth sub-bracket, from
+          phi's limits at its ends and a bound on psi'' from the second
+          difference through its midpoint, all on its own side of the jumps.
+
+        An exact root r stands as the bracket r -+ 0.45 tol_u.  One psi
+        call checks every bracket: psi > 0 at its lower end, <= 0 at its
+        upper end, width at most tol_u.  Those that pass are written into
+        ``ends``, and the mask of them returned; the others, and the
+        brackets whose feet hold no breakpoint or span a period, are left
+        to ``_roots``.  Each bracket's result reads only its own column.
+        """
+        y, left, right, Hl, Hr = self._jumps
+        fa, fb = vals
+        # the feet of a and of b, periodic data shifted by whole periods so
+        # that the foot of b lies in the window
+        feet = xb - t * self._Hs[ie]
+        xr = xb
+        P = self.data.period
+        if P is not None:
+            shift = np.floor((feet[1] - self.data.w_lo) / P) * P
+            feet -= shift
+            xr = xb - shift
+        j1, j0 = np.searchsorted(y, feet, "right")
+        go = j1 > j0
+        if not np.count_nonzero(go):
+            return go
+        go &= (fa > 0.0) & (fb <= 0.0)
+        if P is not None:
+            go &= feet[0] - feet[1] < P
+        g = go.nonzero()[0]
+        if not len(g):
+            return go
+        # the breakpoints of each foot range, falling, so that u rises, and
+        # H at their preimages
+        c = (j1 - j0)[g]
+        off = np.cumsum(c) - c
+        own = np.repeat(np.arange(len(g)), c)
+        n = len(own)
+        j = np.repeat(j1[g] - 1 + off, c) - np.arange(n)
+        v = (xr[g][own] - y[j]) / t
+        j %= len(left)
+        # the first preimage with psi <= 0 just below it ends the sub-bracket
+        # that holds the sign change; m breakpoints lie below it
+        m = np.minimum.reduceat(np.where(Hr[j] <= v, np.arange(n), n), off)
+        m = np.minimum(m - off, c)
+        has_l, has_r = m > 0, m < c
+        el = off + m - 1                        # the preimage below it
+        er = np.minimum(off + m, n - 1)         # and the one above it
+        jl, jr = j[el], j[er]
+        jump = has_l & (Hl[jl] <= v[el])
+        (ag, bg), xg = ends[:, g], xb[g]
+        d = 0.45 * self.tol_u
+        if self.data.is_sampled:
+            r = np.where(has_l, left[jl], right[jr])
+            if jump.any():
+                r[jump] = self._preimage(v[el[jump]], ag[jump], bg[jump])
+            lo, hi = r - d, r + d
+        else:
+            # the preimages at the ends of the sub-brackets, in one call
+            smooth_r = has_r & ~jump
+            u = self._preimage(np.concatenate([v[el[has_l]], v[er[smooth_r]]]),
+                               np.concatenate([ag[has_l], ag[smooth_r]]),
+                               np.concatenate([bg[has_l], bg[smooth_r]]))
+            ul, ur = ag.copy(), bg.copy()
+            ul[has_l], ur[smooth_r] = np.split(u, [np.count_nonzero(has_l)])
+            lo, hi = ul - d, ul + d
+            sm = (~jump).nonzero()[0]
+            if len(sm):
+                ul, ur, xs = ul[sm], ur[sm], xg[sm]
+                # psi at the sub-brackets' ends from phi's limits, and in
+                # the middle
+                fl = np.where(has_l[sm], self._U(left[jl[sm]]) - self._U(ul),
+                              fa[g[sm]])
+                fr = np.where(has_r[sm], self._U(right[jr[sm]]) - self._U(ur),
+                              fb[g[sm]])
+                hh = 0.5 * (ur - ul)
+                fm = self._psi(ul + hh, xs, t)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    curv = (_SECANT_SAFETY / (2.0 * hh * hh)
+                            * np.abs(fl - 2.0 * fm + fr))
+                lo[sm], hi[sm] = secant_many(
+                    lambda u, i: self._psi(u, xs[i], t), ul, ur, fl, fr,
+                    curv, self.tol_u, 60)
+        # the check, one psi call for every bracket
+        k = len(g)
+        pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]), t)
+        ok = ((pv[:k] > 0.0) & (pv[k:] <= 0.0) & (lo < hi)
+              & (hi - lo <= self.tol_u))
+        ends[:, g[ok]] = lo[ok], hi[ok]
+        go[g[~ok]] = False
+        return go
+
+    def _preimage(self, v, a, b):
+        """u in [a, b] with H(u) = v, or the end of [a, b] nearer to it.
+
+        A bisection of H alone, which reads no data, to the float floor.
+        """
+        lo, hi = bisect_many(lambda u, i: self._H(u) < v[i], a, b, 0.0, 64)
+        return 0.5 * (lo + hi)
 
     def _assemble(self, x, t, W0, Emax, thresh, refined, bands):
         """One row's MaximizerSet from its refined points and value bands.
@@ -565,6 +715,14 @@ class Problem(GeneralProblem):
     def __init__(self, flux, data, **kw):
         super().__init__(identity_pair(flux), data, **kw)
         self.flux = flux
+
+    def _preimage(self, v, a, b):
+        """``GeneralProblem._preimage``, in closed form for named fluxes."""
+        u = self.flux.closed_inverse(np.minimum(np.maximum(v, self._Hs[0]),
+                                                self._Hs[-1]))
+        if u is None:
+            return super()._preimage(v, a, b)
+        return np.minimum(np.maximum(u, a), b)
 
     def restart(self, tau):
         """Problem restarted from the computed solution at time tau.

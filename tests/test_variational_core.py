@@ -313,6 +313,188 @@ def test_secant_refinement_matches_bisection_of_psi(name, monkeypatch):
             assert len(g.maximizer.components) == len(r.maximizer.components)
 
 
+def _nwave():
+    return idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, 1.0]})],
+        left_tail=0.0, right_tail=0.0)
+
+
+def _power_jump():
+    # 0.1 + 0.5 sgn(x - 0.2): a jump up at x_ref = 0.2, and two at the ends
+    return idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "power",
+                     {"a": 0.5, "g": 0.0, "x_ref": 0.2, "b": 0.1})],
+        left_tail=-0.5, right_tail=0.3)
+
+
+# problems whose psi jumps, each with its times
+_JUMP_PROBLEMS = {
+    "restart": (lambda: Problem(flux.burgers(), idata.sin_wave())
+                .restart(0.5), (10.0, 15.0, 20.0)),
+    "sampled": (lambda: Problem(flux.burgers(), _sampled_17()),
+                (0.4, 1.3, 3.1)),
+    "sampled_quartic": (lambda: Problem(flux.power2n(2), _sampled_17()),
+                        (0.4, 1.3, 3.1)),
+    "fan": (lambda: Problem(flux.burgers(), idata.step(-1.0, 1.0)),
+            (0.4, 1.3, 3.1)),
+    # the fan's edges u = -+1 inside the u-grid, not at its ends
+    "fan_inside_grid": (lambda: Problem(flux.burgers(), idata.InitialData(
+        [], left_tail=-1.0, right_tail=1.0, window=(0.0, 0.0), bound=1.5)),
+        (0.4, 1.3, 3.1)),
+    "fan_exponential": (lambda: Problem(flux.exponential(0.7),
+                                        idata.step(-1.0, 1.0)),
+                        (0.4, 1.3, 3.1)),
+    "shock": (lambda: Problem(flux.burgers(), idata.step(1.0, 0.0)),
+              (0.4, 1.3, 3.1)),
+    "nwave": (lambda: Problem(flux.burgers(), _nwave()), (0.4, 1.3, 3.1)),
+    "power_jump": (lambda: Problem(flux.burgers(), _power_jump()),
+                   (0.4, 1.3, 3.1)),
+    "cube_plus_id_sampled": (lambda: GeneralProblem(_cube_plus_id_pair(),
+                                                    _sampled_17()),
+                             (0.4, 1.3, 3.1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_JUMP_PROBLEMS))
+def test_exact_roots_match_bisection_of_psi(name, monkeypatch):
+    # the closed-form roots where the feet cross a jump of the data,
+    # against one-midpoint bisection of psi on the same brackets with the
+    # exact roots switched off
+    make, ts = _JUMP_PROBLEMS[name]
+    p = make()
+    inner = getattr(p, "problem", p)
+    certified = []
+    exact = GeneralProblem._exact_roots
+
+    def counted(self, *args):
+        done = exact(self, *args)
+        certified.append(int(done.sum()))
+        return done
+
+    monkeypatch.setattr(GeneralProblem, "_exact_roots", counted)
+    for t in ts:
+        # a grid, and points just outside the edges of a Riemann fan, where
+        # the root lies on the smooth side next to the jump's preimage
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 25),
+                             t * np.array([-1.0003, -0.9997, 0.9997, 1.0003])])
+        got = p.solve_grid(xs, t)
+        with monkeypatch.context() as m:
+            m.setattr(inner, "_jumps", None)
+            m.setattr(vc, "secant_many", _bisect_psi)
+            ref = p.solve_grid(xs, t)
+        for g, r in zip(got, ref):
+            assert abs(g.u_minus - r.u_minus) <= inner.tol_u
+            assert abs(g.u_plus - r.u_plus) <= inner.tol_u
+            assert g.is_shock == r.is_shock
+            assert len(g.maximizer.components) == len(r.maximizer.components)
+    # a step(1, 0) shock and the N-wave keep their roots off the jumps'
+    # preimages; every other problem takes closed-form roots
+    assert (sum(certified) > 0) == (name not in ("shock", "nwave"))
+
+
+def _count_psi(monkeypatch):
+    """The number of psi points evaluated, as a one-element list."""
+    n = [0]
+    psi = GeneralProblem._psi
+
+    def counted(self, u, x, t):
+        n[0] += np.size(u)
+        return psi(self, u, x, t)
+
+    monkeypatch.setattr(GeneralProblem, "_psi", counted)
+    return n
+
+
+def test_jump_roots_take_few_psi_points(monkeypatch):
+    fan = Problem(flux.burgers(), idata.step(-1.0, 1.0))
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
+    n = _count_psi(monkeypatch)
+    for x, t in ((0.3, 1.3), (-0.5, 1.0), (0.1, 0.4)):
+        n[0] = 0
+        assert fan.solve(x, t).u_plus == pytest.approx(x / t, abs=1e-12)
+        assert n[0] <= 10           # 828 by bisection of psi
+    for t in (10.0, 15.0, 20.0):
+        n[0] = 0
+        rp.solve_grid(np.linspace(-np.pi, np.pi, 17), t)
+        assert n[0] <= 14904 // 10  # 14 904 by bisection of psi
+
+
+def test_breakpoints_of_sampled_and_piece_data():
+    y, left, right = idata.step(1.0, 0.0, x0=0.5).breakpoints()
+    assert (y.tolist(), left.tolist(), right.tolist()) == ([0.5], [1.0], [0.0])
+    assert all(len(v) == 0 for v in idata.sin_wave().breakpoints())
+    assert all(len(v) == 0 for v in idata.step(0.3, 0.3).breakpoints())
+    y, left, right = _power_jump().breakpoints()
+    assert y.tolist() == [-1.0, 0.2, 1.0]
+    assert left.tolist() == [-0.5, -0.4, 0.6]
+    assert right.tolist() == [-0.4, 0.6, 0.3]
+    y, left, right = _nwave().breakpoints()
+    assert (y.tolist(), left.tolist(), right.tolist()) == (
+        [-1.0, 1.0], [0.0, 1.0], [-1.0, 0.0])
+    # periodic pieces: the seam and an inner jump
+    d = idata.InitialData([idata.Piece(0.0, 1.0, "const", {"c": 1.0}),
+                           idata.Piece(1.0, 2.0, "const", {"c": -1.0})],
+                          period=2.0)
+    y, left, right = d.breakpoints()
+    assert (y.tolist(), left.tolist(), right.tolist()) == (
+        [0.0, 1.0], [-1.0, 1.0], [1.0, -1.0])
+    # knots where phi steps; phi(y-) and phi(y+) as phi reads them
+    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    us = np.array([1.0, 1.0, -2.0, 0.5])
+    for period in (None, 3.0):
+        d = idata.SampledData(xs, us, period=period)
+        y, left, right = d.breakpoints()
+        assert y.tolist() == ([2.0, 3.0] if period is None else [0.0, 2.0])
+        assert d.phi(y).tolist() == right.tolist()
+        assert d.phi(y - 1e-9).tolist() == left.tolist()
+
+
+@st.composite
+def _random_data(draw):
+    """Random sampled or piecewise data, periodic or with tails."""
+    lo = draw(st.floats(-3.0, 0.0))
+    hi = lo + draw(st.floats(0.5, 5.0))
+    period = hi - lo if draw(st.booleans()) else None
+    tails = {} if period else {"left_tail": draw(st.floats(-1.0, 1.0)),
+                               "right_tail": draw(st.floats(-1.0, 1.0))}
+    value = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        return idata.SampledData(np.linspace(lo, hi, n),
+                                 draw(st.lists(value, min_size=n, max_size=n)),
+                                 period=period)
+    k = draw(st.integers(1, 4))
+    ends = np.linspace(lo, hi, k + 1).tolist()
+    pieces = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        kind = draw(st.sampled_from(["const", "poly", "sin", "cos", "power"]))
+        c0, c1 = draw(value), draw(value)
+        if kind == "const":
+            params = {"c": c0}
+        elif kind == "poly":
+            params = {"coeffs": [c0, c1]}
+        elif kind == "power":
+            params = {"a": c0, "b": c1, "x_ref": draw(st.floats(a, b)),
+                      "g": draw(st.sampled_from([0.0, 0.5, 1.0]))}
+        else:
+            params = {"a": c0, "b": draw(st.floats(0.5, 3.0)), "c": c1}
+        pieces.append(idata.Piece(a, b, kind, params))
+    return idata.InitialData(pieces, period=period, **tails)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_grid_equals_solve_on_random_problems(data):
+    # the blocks, windows and closed-form roots of solve_grid give each
+    # point the sample a solve of it alone gives, bit for bit
+    fl = data.draw(st.sampled_from([flux.burgers(), flux.power2n(2),
+                                    flux.exponential(0.7)]))
+    p = Problem(fl, data.draw(_random_data()))
+    t = float(np.exp(data.draw(st.floats(np.log(0.05), np.log(50.0)))))
+    xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=40))
+    assert p.solve_grid(xs, t) == [p.solve(x, t) for x in xs]
+
+
 def test_restart_knots_equal_pointwise_solves():
     p = Problem(flux.burgers(), idata.step(1.0, -0.5))
     d = p.restart(0.5).problem.data
