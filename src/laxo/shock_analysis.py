@@ -20,12 +20,15 @@ from .errors import (BracketError, ConditionFailed, LostCurve,
 
 # offset of the one-sided probes in directional_limits
 DELTA = 1e-4
-# bisection steps one solve_grid call of _locate_jump pays for: its three
+# bisection steps one solve_grid call of _bisect_jump pays for: its three
 # points cost about 1.3 times one solve
 _JUMP_STEPS = 2
-# most steps one track_forward call takes: a step maximizes a few dozen rows
-# (about 20 ms on a 2-vCPU host), so 10^5 steps already run for about half
-# an hour, and a longer run is taken for a mistyped dt or t_end
+# most Newton steps _newton_jump takes on the branch value gap
+_NEWTON_STEPS = 6
+# most steps one track_forward call takes: a step maximizes about 8 rows
+# (about 1.5 ms on a 2-vCPU host), or a few dozen (about 20 ms) where the
+# jump is bisected, so 10^5 steps already run for minutes, and a longer run
+# is taken for a mistyped dt or t_end
 MAX_STEPS = 100_000
 
 
@@ -244,11 +247,14 @@ class ShockAnalyzer:
         """Follow the discontinuity (or characteristic) issued at (x0, t0).
 
         Each step of ``dt`` moves by the Rankine-Hugoniot speed, then
-        bisects for the jump to 1e-12; traces are read 1e-7 to each side,
-        and a node holds them with their Rankine-Hugoniot speed.  The jump
-        search and the traces solve their points in blocks of
-        ``solve_grid``, so each node equals the one-point-per-solve search
-        bit for bit.  A dt too small to advance t_end, or more than
+        ``_locate_jump`` places the jump; traces are read 1e-7 to each side,
+        and a node holds them with their Rankine-Hugoniot speed.  Node x is
+        where u+ drops through the middle of the traces: the edge of the
+        ``val_tol`` capture band, where the gap G between the values of E at
+        the left and the right maximizer branch is ``val_tol``, about
+        val_tol / [U] left of the exact tie G = 0.  It is placed there
+        within 1e-12 (one ulp far from the origin), by Newton steps on G or
+        else by bisection.  A dt too small to advance t_end, or more than
         ``MAX_STEPS`` steps, raises ValueError before any solve.
         """
         if not (math.isfinite(x0) and math.isfinite(t0) and t0 >= 0
@@ -260,34 +266,31 @@ class ShockAnalyzer:
             raise ValueError(f"dt must advance t_end and give at most "
                              f"{MAX_STEPS} steps")
         fl = self.flux
+        jump_tol = self.problem.jump_tol
         M = self.problem.M
         w = 2.0 * dt * max(abs(fl.deriv(-M)), abs(fl.deriv(M))) + 1e-12
         curve = ShockCurve(origin=(float(x0), float(t0)))
         t, x = float(t0), float(x0)
         if t > 0:
             um, up = self._traces(x, t)
+            curve.nodes.append(self._node(x, t, um, up))
         else:
             um = self.data.phi_side(x, "left")
             up = self.data.phi_side(x, "right")
-        if t > 0:
-            curve.nodes.append(self._node(x, t, um, up))
         while t < t_end - 1e-12:
             step = min(dt, t_end - t)
-            speed = self._rh_speed(um, up)
-            x_hat = x + step * speed
-            t_next = t + step
-            if um - up > self.problem.jump_tol:
-                x_new = self._locate_jump(x_hat, t_next, 0.5 * (um + up), w)
-            else:
+            x_hat = x + step * self._rh_speed(um, up)
+            t += step
+            if um - up <= jump_tol:
                 # pre-shock: ride the classical characteristic, then check
                 # whether a jump has opened underneath it
-                x_new = x_hat
-                s = self.problem.solve(x_new, t_next)
-                if s.is_shock:
-                    x_new = self._locate_jump(
-                        x_hat, t_next, 0.5 * (s.u_minus + s.u_plus), w)
-            x, t = x_new, t_next
-            um, up = self._traces(x, t)
+                s = self.problem.solve(x_hat, t)
+                um, up = s.u_minus, s.u_plus
+            if um - up > jump_tol:
+                x, um, up = self._locate_jump(x_hat, t, um, up, w)
+            else:
+                x = x_hat
+                um, up = self._traces(x, t)
             curve.nodes.append(self._node(x, t, um, up))
         return curve
 
@@ -302,7 +305,61 @@ class ShockAnalyzer:
             return float(self.flux.deriv(0.5 * (um + up)))
         return float((self.flux.eval(um) - self.flux.eval(up)) / (um - up))
 
-    def _locate_jump(self, x_hat, t, mid, w):
+    def _locate_jump(self, x_hat, t, um, up, w):
+        """The node (x, u-, u+) of the jump near x_hat at time t.
+
+        The jump is where u+ drops through mid = (um + up) / 2 in the window
+        [x_hat - w, x_hat + w]; um and up seed the two maximizer branches.
+        ``_newton_jump`` places it; where that gives up, ``_bisect_jump``
+        bisects for it and ``_traces`` reads the traces.  Raises LostCurve
+        when the window holds no such drop.
+        """
+        mid = 0.5 * (um + up)
+        node = self._newton_jump(x_hat, t, um, up, mid, w)
+        if node is None:
+            x = self._bisect_jump(x_hat, t, mid, w)
+            node = (x,) + self._traces(x, t)
+        return node
+
+    def _newton_jump(self, x_hat, t, um, up, mid, w):
+        """Newton steps on the branch value gap G(x) toward G = val_tol.
+
+        u+ drops through mid where the right branch enters the val_tol band
+        of the left one, G = val_tol.  Each step reads G and its slope
+        U(u+) - U(u-) from ``branch_gap`` (one 2-row block, each branch
+        followed from the last), until a step is at most 2e-13 (1 + |x|).
+        One 4-row block then certifies x by the bisection's own test,
+        u+(x - eps) > mid > u+(x + eps) with eps = max(5e-13, ulp(x)), and
+        reads the traces 1e-7 to each side.  Returns (x, u-, u+), or None
+        when a branch pair does not straddle mid, an iterate leaves
+        [x_hat - w, x_hat + w], the steps do not settle in
+        ``_NEWTON_STEPS``, or the test fails.
+        """
+        p = self.problem
+        x = x_hat
+        for _ in range(_NEWTON_STEPS):
+            g = p.branch_gap(x, t, um, up, mid)
+            if g is None:
+                return None
+            gap, slope, um, up = g
+            if not (um > mid > up and slope < 0.0):
+                return None
+            dx = (gap - p.val_tol) / slope
+            x -= dx
+            if not abs(x - x_hat) <= w:
+                return None
+            if abs(dx) <= 2e-13 * (1.0 + abs(x)):
+                break
+        else:
+            return None
+        eps = max(5e-13, math.ulp(x))
+        a, b, left, right = p.solve_grid([x - eps, x + eps, x - 1e-7,
+                                          x + 1e-7], t)
+        if not a.u_plus > mid > b.u_plus:
+            return None
+        return x, left.u_minus, right.u_plus
+
+    def _bisect_jump(self, x_hat, t, mid, w):
         """Bisect for the position where u_plus drops through ``mid``.
 
         The window ends are solved as one block, and each predicate call

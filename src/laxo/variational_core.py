@@ -39,6 +39,9 @@ BLOCK_ELEMS = 1 << 14
 # rows one block holds at most: each row's lists and records take about
 # half a kB while its block lives
 BLOCK_ROWS = 256
+# grid cells to each side of its seed that branch_gap first scans a branch
+# over
+BRANCH_CELLS = 16
 # freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
 # a block's ~130 kB temporaries, else unmapped on free and faulted in anew
 np.empty(1 << 17)
@@ -614,6 +617,45 @@ class GeneralProblem:
         ends[:, g[ok]] = lo[ok], hi[ok]
         go[g[~ok]] = False
         return go
+
+    def branch_gap(self, x, t, um, up, mid):
+        """The value gap between two maximizer branches of E(.; x, t).
+
+        Branch u- is the largest maximizer of E over the u-grid at or above
+        mid in a window around the seed um, and branch u+ the smallest below
+        mid in a window around up: one ``_maximize_block`` row each, over
+        ``BRANCH_CELLS`` cells to each side of its seed, cut at mid.  A row
+        whose best value or band reaches an inner window edge is scanned
+        again over a window 4 times wider.  Returns (G, dG/dx, u-, u+) with
+        G = E(u-) - E(u+); by the envelope theorem dG/dx = U(u+) - U(u-)
+        (Lax 1957).  None when a row still reaches an edge of its whole side
+        of mid, or a side of mid holds less than two grid points.
+        """
+        s, n = self._s, len(self._s)
+        iu, im, ip = np.minimum(np.searchsorted(s, [um, mid, up]), n - 1)
+        # each row's side of mid, as grid indices [side_lo, side_hi)
+        side_lo, side_hi = np.array([im, 0]), np.array([n, im])
+        seed = np.array([iu, ip])
+        res = [None, None]
+        todo = np.arange(2)
+        half = BRANCH_CELLS
+        while len(todo):
+            start = np.maximum(seed - half, side_lo)[todo]
+            stop = np.minimum(seed + half + 1, side_hi)[todo]
+            if (stop - start < 2).any():
+                return None
+            for q, ms in zip(todo.tolist(), self._maximize_block(
+                    np.full(len(todo), float(x)), t, start, stop - start)):
+                res[q] = ms
+            cut = np.array([res[q] is None for q in todo.tolist()])
+            whole = (start == side_lo[todo]) & (stop == side_hi[todo])
+            if (cut & whole).any():
+                return None
+            todo = todo[cut]
+            half *= 4
+        um, up = res[0].u_minus, res[1].u_plus
+        return (res[0].max_value - res[1].max_value,
+                float(self._U(up) - self._U(um)), um, up)
 
     def _preimage(self, v, a, b):
         """u in [a, b] with H(u) = v, or the end of [a, b] nearer to it.

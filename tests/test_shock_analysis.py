@@ -1,3 +1,4 @@
+import math
 import signal
 
 import numpy as np
@@ -222,13 +223,17 @@ def test_track_merging_shocks(merging_sa):
 
 
 class _OnePointTracker(ShockAnalyzer):
-    """Reference: the jump search and the traces at one solve per point."""
+    """Reference: the jump bisected and the traces read at one solve per
+    point, with no Newton step."""
 
     def _traces(self, x, t):
         return (self.problem.solve(x - 1e-7, t).u_minus,
                 self.problem.solve(x + 1e-7, t).u_plus)
 
-    def _locate_jump(self, x_hat, t, mid, w):
+    def _newton_jump(self, *args):
+        return None
+
+    def _bisect_jump(self, x_hat, t, mid, w):
         lo, hi = x_hat - w, x_hat + w
         if not (self.problem.solve(lo, t).u_plus > mid
                 > self.problem.solve(hi, t).u_plus):
@@ -238,17 +243,115 @@ class _OnePointTracker(ShockAnalyzer):
         return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("data, x0, t0, t_end, n_nodes", [
-    (idata.step(1.0, 0.0), 0.4, 0.8, 1.0, 5),
-    (idata.sin_wave(c=0.5), -0.5, 2.0, 2.15, 4)])
-def test_track_nodes_equal_one_point_search(data, x0, t0, t_end, n_nodes):
-    # the blocked search visits the one-step walk's floats, and solve_grid
-    # equals solve, so every node is the reference's bit for bit
-    p = Problem(flux.burgers(), data)
-    got = ShockAnalyzer(p).track_forward(x0, t0, t_end, 0.05)
-    ref = _OnePointTracker(p).track_forward(x0, t0, t_end, 0.05)
-    assert len(got.nodes) == n_nodes
+_MERGING = idata.InitialData([idata.Piece(-1.0, 0.0, "const", {"c": 1.0})],
+                             left_tail=2.0, right_tail=0.0)
+# flux, data, x0, t0, t_end, dt, nodes; exponential(0.7) on sin_wave() has
+# its jump at t = 2 on x = 2.15879067195 (bisected)
+_TRACKS = {
+    "step": (flux.burgers(), idata.step(1.0, 0.0), 0.4, 0.8, 1.0, 0.05, 5),
+    "phase_sine": (flux.burgers(), idata.sin_wave(c=0.5), -0.5, 2.0, 2.15,
+                   0.05, 4),
+    "merging": (flux.burgers(), _MERGING, 0.0, 0.0, 1.2, 0.1, 12),
+    "quartic": (flux.power2n(2), idata.sin_wave(), 0.0, 1.5, 2.0, 0.1, 6),
+    "exponential": (flux.exponential(0.7), idata.sin_wave(), 2.15879067195,
+                    2.0, 2.3, 0.05, 7),
+    "far": (flux.burgers(), idata.step(1.0, 0.0, x0=1e4), 1e4 + 0.25, 0.5,
+            0.6, 0.05, 3),
+}
+
+
+def _tracks(name):
+    f, data, x0, t0, t_end, dt, n_nodes = _TRACKS[name]
+    p = Problem(f, data)
+    got = ShockAnalyzer(p).track_forward(x0, t0, t_end, dt)
+    ref = _OnePointTracker(p).track_forward(x0, t0, t_end, dt)
+    assert len(got.nodes) == len(ref.nodes) == n_nodes
+    return got, ref
+
+
+@pytest.mark.parametrize("name", sorted(_TRACKS))
+def test_track_nodes_match_one_point_bisection(name):
+    # the Newton node is certified by the bisection's own test one ulp or
+    # 5e-13 to each side, so it lies within about 1e-12 of the bisection's
+    got, ref = _tracks(name)
+    for g, r in zip(got.nodes, ref.nodes):
+        assert g.t == r.t
+        assert abs(g.x - r.x) <= max(1e-12, 2.0 * math.ulp(r.x))
+        assert g.u_minus == pytest.approx(r.u_minus, abs=1e-10)
+        assert g.u_plus == pytest.approx(r.u_plus, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["step", "phase_sine", "far"])
+def test_track_fallback_equals_one_point_bisection(name, monkeypatch):
+    # with the Newton step giving up, the blocked bisection visits the
+    # one-step walk's floats, and solve_grid equals solve, so every node is
+    # the reference's bit for bit
+    monkeypatch.setattr(ShockAnalyzer, "_newton_jump",
+                        lambda self, *args: None)
+    got, ref = _tracks(name)
     assert [repr(n) for n in got.nodes] == [repr(n) for n in ref.nodes]
+
+
+def _count_work(monkeypatch):
+    """Count _maximize_block calls and bisection fallbacks from now on."""
+    count = {"blocks": 0, "fallbacks": 0}
+    block = GeneralProblem._maximize_block
+    bisect_jump = ShockAnalyzer._bisect_jump
+
+    def counted_block(self, *args):
+        count["blocks"] += 1
+        return block(self, *args)
+
+    def counted_bisect(self, *args):
+        count["fallbacks"] += 1
+        return bisect_jump(self, *args)
+
+    monkeypatch.setattr(GeneralProblem, "_maximize_block", counted_block)
+    monkeypatch.setattr(ShockAnalyzer, "_bisect_jump", counted_bisect)
+    return count
+
+
+@pytest.mark.parametrize("name", ["step", "phase_sine"])
+def test_track_block_budget(name, monkeypatch):
+    # at most two branch blocks and one certifying block per step; the
+    # bisection took about 16.6 blocks per node
+    f, data, x0, t0, t_end, dt, n_nodes = _TRACKS[name]
+    sa = ShockAnalyzer(Problem(f, data))
+    count = _count_work(monkeypatch)
+    cur = sa.track_forward(x0, t0, t_end, dt)
+    assert len(cur.nodes) == n_nodes
+    assert count["fallbacks"] == 0
+    assert count["blocks"] <= 3 * n_nodes
+
+
+def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
+    # the step(1, 0) shock sits on x = 1/2 at t = 1: [1.9, 2.1] holds no jump
+    count = _count_work(monkeypatch)
+    with pytest.raises(LostCurve):
+        riemann_sa._locate_jump(2.0, 1.0, 1.0, 0.0, 0.1)
+    assert count["fallbacks"] == 1
+
+
+def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
+    # a first gap too large by 1 steps x by 1, out of the window of
+    # half-width 0.1; the next steps would come back and settle
+    p = riemann_sa.problem
+    gap = GeneralProblem.branch_gap
+    calls = []
+
+    def off(self, *args):
+        g = gap(self, *args)
+        calls.append(args[0])
+        return (g[0] + (len(calls) == 1),) + g[1:]
+
+    count = _count_work(monkeypatch)
+    monkeypatch.setattr(GeneralProblem, "branch_gap", off)
+    x, um, up = riemann_sa._locate_jump(0.52, 1.0, 1.0, 0.0, 0.1)
+    assert count["fallbacks"] == 1
+    assert len(calls) == 1
+    ref = _OnePointTracker(p)._bisect_jump(0.52, 1.0, 0.5, 0.1)
+    assert x == ref
+    assert (um, up) == _OnePointTracker(p)._traces(ref, 1.0)
 
 
 def test_track_rh_consistency_with_polyline(sin_sa):

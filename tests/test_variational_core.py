@@ -29,6 +29,20 @@ def test_riemann_shock_values(riemann_down):
     assert len(s.maximizer.components) == 2
 
 
+def test_branch_gap_on_riemann_shock(riemann_down):
+    # step(1, 0) at t = 1: E(1) - E(0) = 1/2 - x for 0 < x < 1, and the
+    # slope is U(0) - U(1) = -1
+    p = riemann_down
+    for x in (0.3, 0.5, 0.62):
+        gap, slope, um, up = p.branch_gap(x, 1.0, 0.99, 0.01, 0.5)
+        assert gap == pytest.approx(0.5 - x, abs=1e-12)
+        assert slope == pytest.approx(-1.0, abs=1e-12)
+        assert (um, up) == pytest.approx((1.0, 0.0), abs=1e-12)
+    # at x = 2 only the right state is a maximizer: the left branch runs
+    # into mid from above over its whole side
+    assert p.branch_gap(2.0, 1.0, 1.0, 0.0, 0.5) is None
+
+
 def test_rarefaction_profile():
     p = Problem(flux.burgers(), idata.step(0.0, 1.0))
     for x in (0.1, 0.25, 0.5, 0.9):
