@@ -12,6 +12,7 @@ the flux degeneracy alpha.  The six initial-wave types, the lifespan bound
 t_p and the exact lifespan t* all derive from the same quantities.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import FitError
 
 T_CAP = 1e4
 T_TOL = 1e-8
+# the doubling scan's times 2**0 ... 2**13, all below T_CAP
+_DOUBLINGS = 14
 _EPS = 1e-12
 
 
@@ -146,35 +149,73 @@ class CharacteristicAnalyzer:
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 
+    def _maximize_along(self, x0, c, ts):
+        """The points x = x0 + t f'(c) at the times ts, and their maximizer
+        sets, in one block with one t per row."""
+        with np.errstate(over="ignore"):    # an overflow is rejected below
+            xs = x0 + ts * self.flux.deriv(c)
+        if not np.isfinite(xs).all():
+            raise ValueError("x and t must be finite, with t positive")
+        p, n = self.problem, len(ts)
+        return xs, p._maximize_block(xs, ts, np.zeros(n, dtype=np.intp),
+                                     np.full(n, len(p._s)))
+
     def _on_characteristic(self, x0, c, t):
-        x = x0 + t * self.flux.deriv(c)
-        ms = self.problem.maximize(x, t)
+        """Whether c lies in U(x0 + t f'(c), t): at each t of an array t, in
+        one block, or at the one t given."""
+        p = self.problem
+        ts = np.array(t, dtype=float, ndmin=1)
+        xs, sets = self._maximize_along(x0, c, ts)
+        top = np.array([ms.max_value for ms in sets])
+        Ec = p._E(p._W(xs - ts * p._H0), c, xs, ts)
         # tighter than val_tol: near tangential terminations the value gap
         # opens only quadratically in t - t*, so a loose gap test would blur
         # t* by its square root
-        tol = min(self.problem.val_tol, 1e-12 * (1.0 + abs(ms.max_value)))
-        return ms.max_value - self.problem.eval_E(c, x, t) <= tol
+        tol = np.minimum(p.val_tol, 1e-12 * (1.0 + np.abs(top)))
+        on = top - Ec <= tol
+        return on if np.ndim(t) else bool(on[0])
 
     def lifespan_exact(self, x0, c):
         """t* = sup{t : c in U(x0 + t f'(c), t)}; inf past T_CAP.
 
+        Each block of rows is one ``_maximize_block`` call with one t per
+        row.  The doubling scan tests t = 1, 2, 4, ..., 8192 in blocks of
+        three and stops at the block of the first failure; t* lies between
+        that t and the one before it (0 for t = 1).  Only when every
+        doubling stays on the characteristic is ``T_CAP`` tested, last: a
+        characteristic that stops being a backward characteristic never
+        becomes one again (Dafermos 1977), so after a failed doubling the
+        answer at ``T_CAP`` is known.  Its row is also the costliest, and
+        the least trustworthy: at t = 1e4 the feet x - t f'(u) of the
+        2 049-point u-scan lie about 10 apart on Burgers/sine, so they can
+        step over a period or over all the data in a window.  The
+        bisection of t is ``bisect(..., vectorized=3)``: each block holds
+        the 7 dyadic midpoints of the next three steps, which are the
+        midpoints a one-step bisection visits, so t* is the same float.
+
         ``T_TOL`` is the bisection tolerance in t.  The value-gap test of
         membership limits the accuracy at continuous generation points:
         at (0, 0) on Burgers/sine, where t* = 1, this returns 1 + 8.2e-7.
+        A non-finite x0 or c, or a point x0 + t f'(c) that is not finite,
+        raises ValueError.
         """
-        if self._on_characteristic(x0, c, T_CAP):
-            return np.inf
-        lo, hi = 0.0, T_CAP
-        t = 1.0
-        while t < T_CAP:
-            if self._on_characteristic(x0, c, t):
-                lo = t
-            else:
-                hi = t
+        if not (math.isfinite(x0) and math.isfinite(c)):
+            raise ValueError("x0 and c must be finite")
+        lo = 0.0
+        for k in range(0, _DOUBLINGS, 3):
+            ts = 2.0 ** np.arange(k, min(k + 3, _DOUBLINGS))
+            on = self._on_characteristic(x0, c, ts)
+            if not on.all():
+                j = int(on.argmin())            # the first failure
+                lo, hi = (float(ts[j - 1]) if j else lo), float(ts[j])
                 break
-            t *= 2.0
-        lo, hi = bisect(lambda m: self._on_characteristic(x0, c, m),
-                        lo, hi, T_TOL)
+            lo = float(ts[-1])
+        else:
+            if self._on_characteristic(x0, c, T_CAP):
+                return np.inf
+            hi = T_CAP
+        lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),
+                        lo, hi, T_TOL, vectorized=3)
         return 0.5 * (lo + hi)
 
     def lifespans(self, x0, c):
@@ -193,11 +234,9 @@ class CharacteristicAnalyzer:
         # just past t* a continuous generation point carries an opening jump
         # of width O(sqrt(t - t*)), while a discontinuous one jumps by a
         # finite amount immediately: probe at two offsets and compare
-        gaps = []
-        for dt in (1e-4, 1e-6):
-            t = ls.t_star + dt
-            ms = self.problem.maximize(x0 + t * self.flux.deriv(c), t)
-            gaps.append(ms.u_minus - ms.u_plus)
+        _, sets = self._maximize_along(x0, c,
+                                       ls.t_star + np.array([1e-4, 1e-6]))
+        gaps = [ms.u_minus - ms.u_plus for ms in sets]
         singleton = gaps[1] <= max(0.5 * gaps[0], self.problem.jump_tol)
         if singleton:
             return TerminationClass("continuous_shock_generation",

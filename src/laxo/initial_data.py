@@ -351,6 +351,8 @@ class InitialData(_Extended):
         for p in self.pieces:
             offs.append(run - float(_pantideriv(p, p.lo)))
             run = run + float(_pantideriv(p, p.hi)) - float(_pantideriv(p, p.lo))
+        # a sin or cos piece whose a / b overflows, say, has no primitive
+        _check_finite("the primitive of the data", run, *offs)
         self._offsets = np.asarray(offs)
         self._win = run
         self._breaks = np.asarray([p.lo for p in self.pieces] + [self.w_hi])

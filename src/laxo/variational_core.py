@@ -61,6 +61,11 @@ def _identity(a):
     return a
 
 
+def _at(t, k):
+    """The times of the rows k: t[k] for an array of one t per row, else t."""
+    return t[k] if isinstance(t, np.ndarray) else t
+
+
 @dataclass(frozen=True)
 class MaximizerSet:
     components: tuple          # sorted tuple of (lo, hi) closed intervals
@@ -324,7 +329,10 @@ class GeneralProblem:
         return out
 
     def _maximize_block(self, xs, t, start, width):
-        """MaximizerSets at the points of the array xs, all at time t.
+        """MaximizerSets at the points of the array xs, at time t.
+
+        ``t`` is one time for every row, or an array of one time per row;
+        only the latter builds per-row products and indexes t by row.
 
         Row q scans the u-grid indices start[q] ... start[q] + width[q] - 1;
         the whole grid is the window [0, n).  Each row reads the w grid
@@ -341,7 +349,9 @@ class GeneralProblem:
         element, so each row's answer is the one a block of one gives.
         Each windowed value of E is the float the whole scan computes, so a
         row whose kept runs and bands lie inside its window gets the whole
-        scan's MaximizerSet, bit for bit.
+        scan's MaximizerSet, bit for bit.  Likewise a row of an array t
+        reads only its own time, so it gets the MaximizerSet of a block of
+        one at that time.
 
         A window edge that is not a grid end is never a local maximum.  The
         row's result is None, for a scan of the whole grid, when its best
@@ -363,12 +373,13 @@ class GeneralProblem:
             # a strided view whose row k is the grid from index k on
             Hw, Iw = (np.ndarray((n - w + 1, w), float, v, 0, (v.itemsize,) * 2)
                       [rs] for v in (self._Hs, self._Is))
+        tc = t[:, None] if isinstance(t, np.ndarray) else t
         pts = np.empty((rows, w + 1))
         feet = pts[:, :w]
-        np.subtract(xs[:, None], t * Hw, out=feet)
+        np.subtract(xs[:, None], tc * Hw, out=feet)
         pts[:, w] = xs - t * self._H0
         Wp = self._W(pts.ravel()).reshape(rows, w + 1)
-        Ev = (Wp[:, w:] - Wp[:, :w]) - t * Iw
+        Ev = (Wp[:, w:] - Wp[:, :w]) - tc * Iw
         if cut:
             lo = start - rs
             hi = lo + width - 1
@@ -401,7 +412,8 @@ class GeneralProblem:
         Uphi = self._U(self.data.phi(feet[r, nbc].ravel())).reshape(nb.shape)
         carrier = Uphi - self._U(s[nb].ravel()).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
-        keep = ~(Ev[r, col] + t * h * gloc < Emax_grid[r] - 10.0 * self.val_tol)
+        keep = ~(Ev[r, col] + _at(t, r) * h * gloc
+                 < Emax_grid[r] - 10.0 * self.val_tol)
         r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
 
         # refine: psi at the bracket ends is the carrier there
@@ -409,17 +421,19 @@ class GeneralProblem:
         sign = ((pl > 0.0) & (0.0 >= ph)) | ((pl >= 0.0) & (0.0 > ph))
         u_star = np.empty(len(r))
         if sign.any():
-            a, b = self._roots(xs[r[sign]], t, nb[:, sign], carrier[:, sign],
+            a, b = self._roots(xs[r[sign]], _at(t, r[sign]), nb[:, sign],
+                               carrier[:, sign],
                                Uphi[:, keep][:, sign] if self.data.is_sampled
                                else None)
             u_star[sign] = 0.5 * (a + b)
         if not sign.all():
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
-            W0g, xg = Wp[r[g], w], xs[r[g]]
-            u_star[g] = golden_many(lambda u, i: -self._E(W0g[i], u, xg[i], t),
-                                    s[nb[0, g]], s[nb[2, g]], self.tol_u)
-        E_star = self._E(Wp[r, w], u_star, xs[r], t)
+            W0g, xg, tg = Wp[r[g], w], xs[r[g]], _at(t, r[g])
+            u_star[g] = golden_many(
+                lambda u, i: -self._E(W0g[i], u, xg[i], _at(tg, i)),
+                s[nb[0, g]], s[nb[2, g]], self.tol_u)
+        E_star = self._E(Wp[r, w], u_star, xs[r], _at(t, r))
 
         # per row: the best value, then the grid bands within val_tol of it
         rcut = np.searchsorted(r, np.arange(rows + 1)).tolist()
@@ -439,8 +453,9 @@ class GeneralProblem:
             redo = set(er[Ev[er, ec] >= reach].tolist())
         bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
         bands = list(zip(first.tolist(), last.tolist()))
+        ts = t.tolist() if isinstance(t, np.ndarray) else [t] * rows
         return [None if q in redo else
-                self._assemble(float(xs[q]), t, float(Wp[q, w]), Emax[q],
+                self._assemble(float(xs[q]), ts[q], float(Wp[q, w]), Emax[q],
                                thresh[q], refined[q],
                                bands[bcut[q]:bcut[q + 1]])
                 for q in range(rows)]
@@ -448,8 +463,9 @@ class GeneralProblem:
     def _roots(self, xb, t, nb, carrier, Uphi):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
 
-        Column k serves the point xb[k].  ``carrier`` holds psi at the grid
-        points nb, and ``Uphi`` U(phi) at their feet, on sampled data only.
+        Column k serves the point xb[k], at time t or t[k].  ``carrier``
+        holds psi at the grid points nb, and ``Uphi`` U(phi) at their feet,
+        on sampled data only.
         The middle value halves each bracket.  Psi jumps only where the
         foot x - t H(u) crosses a breakpoint of phi, so a half whose feet
         hold one takes its root in closed form (``_exact_roots``).  Every
@@ -467,7 +483,7 @@ class GeneralProblem:
                 k = (~done).nonzero()[0]
                 if len(k):
                     ends[:, k] = self._refine_roots(
-                        xb[k], t, nb[:, k], carrier[:, k],
+                        xb[k], _at(t, k), nb[:, k], carrier[:, k],
                         None if Uphi is None else Uphi[:, k], ends[:, k],
                         vals[:, k])
                 return ends
@@ -494,7 +510,7 @@ class GeneralProblem:
         if len(e):
             at_lo = nb[0, e] == nb[1, e]
             k = np.where(at_lo, 2, n - 3)
-            Ux = self._U(self.data.phi(xb[e] - t * self._Hs[k]))
+            Ux = self._U(self.data.phi(xb[e] - _at(t, e) * self._Hs[k]))
             px = Ux - self._U(s[k])
             d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
                              px - 2.0 * pl[e] + ph[e])
@@ -504,23 +520,24 @@ class GeneralProblem:
         curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(d2)
         if Uphi is not None:
             curv[~steady] = np.inf
-        return secant_many(lambda u, i: self._psi(u, xb[i], t), ends[0],
-                           ends[1], vals[0], vals[1], curv, self.tol_u, 60)
+        return secant_many(lambda u, i: self._psi(u, xb[i], _at(t, i)),
+                           ends[0], ends[1], vals[0], vals[1], curv,
+                           self.tol_u, 60)
 
     def _exact_roots(self, xb, t, ie, vals, ends):
         """Roots of psi in closed form where its feet cross phi's jumps.
 
         Bracket k is [a, b] = ends[:, k], the grid points ie[:, k], with
-        psi > 0 at a and <= 0 at b (``vals``), for the point xb[k].  Its
-        feet sweep (x - t H(b), x - t H(a)], and each breakpoint y of phi in
-        there (one ``searchsorted``; periodic data shifted by whole periods
-        onto the table of two periods) is crossed at H(u) = (x - y) / t; a
-        breakpoint at the foot of a, where psi(a) reads phi(y+), may put
-        the jump at a itself.  In the order of rising u, the first
-        breakpoint whose phi(y+) gives psi <= 0 just below its preimage ends
-        the sub-bracket that holds the sign change; H being increasing,
-        that is the test H(phi(y+)) <= (x - y) / t, which needs no
-        preimage.  The root is then:
+        psi > 0 at a and <= 0 at b (``vals``), for the point xb[k] at time
+        t or t[k].  Its feet sweep (x - t H(b), x - t H(a)], and each
+        breakpoint y of phi in there (one ``searchsorted``; periodic data
+        shifted by whole periods onto the table of two periods) is crossed
+        at H(u) = (x - y) / t; a breakpoint at the foot of a, where psi(a)
+        reads phi(y+), may put the jump at a itself.  In the order of rising
+        u, the first breakpoint whose phi(y+) gives psi <= 0 just below its
+        preimage ends the sub-bracket that holds the sign change; H being
+        increasing, that is the test H(phi(y+)) <= (x - y) / t, which needs
+        no preimage.  The root is then:
 
         * the preimage below, where psi <= 0 also just above it: psi jumps
           down there, a fan's maximizer (one inversion of H);
@@ -565,7 +582,8 @@ class GeneralProblem:
         own = np.repeat(np.arange(len(g)), c)
         n = len(own)
         j = np.repeat(j1[g] - 1 + off, c) - np.arange(n)
-        v = (xr[g][own] - y[j]) / t
+        tg = _at(t, g)
+        v = (xr[g][own] - y[j]) / _at(tg, own)
         j %= len(left)
         # the first preimage with psi <= 0 just below it ends the sub-bracket
         # that holds the sign change; m breakpoints lie below it
@@ -594,7 +612,7 @@ class GeneralProblem:
             lo, hi = ul - d, ul + d
             sm = (~jump).nonzero()[0]
             if len(sm):
-                ul, ur, xs = ul[sm], ur[sm], xg[sm]
+                ul, ur, xs, ts = ul[sm], ur[sm], xg[sm], _at(tg, sm)
                 # psi at the sub-brackets' ends from phi's limits, and in
                 # the middle
                 fl = np.where(has_l[sm], self._U(left[jl[sm]]) - self._U(ul),
@@ -602,16 +620,18 @@ class GeneralProblem:
                 fr = np.where(has_r[sm], self._U(right[jr[sm]]) - self._U(ur),
                               fb[g[sm]])
                 hh = 0.5 * (ur - ul)
-                fm = self._psi(ul + hh, xs, t)
+                fm = self._psi(ul + hh, xs, ts)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     curv = (_SECANT_SAFETY / (2.0 * hh * hh)
                             * np.abs(fl - 2.0 * fm + fr))
                 lo[sm], hi[sm] = secant_many(
-                    lambda u, i: self._psi(u, xs[i], t), ul, ur, fl, fr,
-                    curv, self.tol_u, 60)
+                    lambda u, i: self._psi(u, xs[i], _at(ts, i)), ul, ur, fl,
+                    fr, curv, self.tol_u, 60)
         # the check, one psi call for every bracket
         k = len(g)
-        pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]), t)
+        if isinstance(tg, np.ndarray):
+            tg = np.concatenate([tg, tg])
+        pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]), tg)
         ok = ((pv[:k] > 0.0) & (pv[k:] <= 0.0) & (lo < hi)
               & (hi - lo <= self.tol_u))
         ends[:, g[ok]] = lo[ok], hi[ok]

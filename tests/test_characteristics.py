@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata
-from laxo.characteristics import CharacteristicAnalyzer, F_l, phi_l
+from laxo._search import bisect
+from laxo.characteristics import (
+    T_CAP, T_TOL, CharacteristicAnalyzer, F_l, phi_l)
 from laxo.errors import BracketError
 from laxo.variational_core import Problem
 
@@ -169,6 +171,147 @@ def test_lifespan_exact_immortal():
                                       window=(0.0, 0.0)))
     ca = CharacteristicAnalyzer(const)
     assert ca.lifespan_exact(0.0, 0.5) == np.inf
+
+
+def _on_sequential(ca, x0, c, t):
+    """The membership test of one t: a scalar maximize and eval_E."""
+    p = ca.problem
+    x = x0 + t * ca.flux.deriv(c)
+    ms = p.maximize(x, t)
+    tol = min(p.val_tol, 1e-12 * (1.0 + abs(ms.max_value)))
+    return ms.max_value - p.eval_E(c, x, t) <= tol
+
+
+def _lifespan_sequential(ca, x0, c):
+    """The one-row lifespan loop, as t* with T_CAP probed first and last.
+
+    Probed first, T_CAP decides alone whether t* is infinite; probed last,
+    it is read only when every doubling stayed on the characteristic.
+    """
+    cap = _on_sequential(ca, x0, c, T_CAP)
+    lo, hi = 0.0, T_CAP
+    t = 1.0
+    while t < T_CAP:
+        if _on_sequential(ca, x0, c, t):
+            lo = t
+        else:
+            hi = t
+            break
+        t *= 2.0
+    if cap and hi == T_CAP:
+        return np.inf, np.inf
+    lo, hi = bisect(lambda m: _on_sequential(ca, x0, c, m), lo, hi, T_TOL)
+    t_star = 0.5 * (lo + hi)
+    return (np.inf if cap else t_star), t_star
+
+
+def _sampled_17():
+    us = np.random.default_rng(17).uniform(-1.0, 1.0, 15)
+    return idata.SampledData(np.linspace(-2.0, 2.0, 17),
+                             np.concatenate([[0.0], us, [0.0]]))
+
+
+_LIFESPAN_CA = {
+    "burgers_sine": CharacteristicAnalyzer(
+        Problem(flux.burgers(), idata.sin_wave())),
+    "quartic_sine": CharacteristicAnalyzer(
+        Problem(flux.power2n(2), idata.sin_wave())),
+    "step_down": CharacteristicAnalyzer(
+        Problem(flux.burgers(), idata.step(1.0, -1.0))),
+    "sampled": CharacteristicAnalyzer(Problem(flux.burgers(), _sampled_17())),
+    "constant": CharacteristicAnalyzer(Problem(
+        flux.burgers(), idata.InitialData([], left_tail=0.5, right_tail=0.5,
+                                          window=(0.0, 0.0)))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lifespan_exact_equals_sequential_loop(data):
+    # the blocks give the t* of the one-row loop, bit for bit; T_CAP first
+    # differs only where its aliased scan reads c as a maximizer at T_CAP
+    # although a doubling already left the characteristic
+    ca = _LIFESPAN_CA[data.draw(st.sampled_from(sorted(_LIFESPAN_CA)))]
+    x0 = data.draw(st.floats(-3.0, 3.0))
+    c = (float(ca.data.phi(x0)) if data.draw(st.booleans())
+         else data.draw(st.floats(-1.2, 1.2)))
+    first, last = _lifespan_sequential(ca, x0, c)
+    got = ca.lifespan_exact(x0, c)
+    assert got == last
+    assert got == first or (first == np.inf and got < 8192.0)
+
+
+def test_lifespan_exact_tailed_data_past_the_aliased_cap():
+    # the zero right tail of the sampled data carries x = 2.9768 until the
+    # data's waves reach it between t = 2.6 and 2.7; at T_CAP the 2 049-point
+    # u-scan steps over the whole window and reads c = 0 as the maximizer,
+    # so the loop that probed T_CAP first answered inf here
+    ca = _LIFESPAN_CA["sampled"]
+    x0 = 2.976847140711767
+    assert _on_sequential(ca, x0, 0.0, T_CAP)
+    assert 2.6 < ca.lifespan_exact(x0, 0.0) < 2.7
+
+
+def _spy_blocks(monkeypatch, ca):
+    """Record the t array and the result of every block ``ca.problem``
+    maximizes."""
+    p = ca.problem
+    block = p._maximize_block
+    seen = []
+
+    def spy(xs, t, start, width):
+        out = block(xs, t, start, width)
+        seen.append((np.array(t, dtype=float, ndmin=1), out))
+        return out
+
+    monkeypatch.setattr(p, "_maximize_block", spy)
+    return seen
+
+
+@pytest.mark.parametrize("x0", [-2.5, -1.7, -0.3, 0.3, 0.9, 1.6, 2.2, 2.5])
+def test_lifespan_exact_blocks(monkeypatch, x0):
+    # the bench's lifespans on -sin x: no T_CAP row once a doubling fails,
+    # at most 12 blocks, at most 7 rows each
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    seen = _spy_blocks(monkeypatch, ca)
+    t = ca.lifespan_exact(x0, -np.sin(x0))
+    assert t == pytest.approx(x0 / np.sin(x0), abs=1e-4)
+    assert len(seen) <= 12
+    assert max(len(ts) for ts, _ in seen) <= 7
+    assert not any((ts == T_CAP).any() for ts, _ in seen)
+
+
+def test_lifespan_exact_immortal_blocks(monkeypatch):
+    # every doubling stays on the characteristic: 14 rows in 5 blocks, then
+    # T_CAP alone, last
+    ca = CharacteristicAnalyzer(_LIFESPAN_CA["constant"].problem)
+    seen = _spy_blocks(monkeypatch, ca)
+    assert ca.lifespan_exact(0.0, 0.5) == np.inf
+    assert [ts.tolist() for ts, _ in seen] == [
+        [1.0, 2.0, 4.0], [8.0, 16.0, 32.0], [64.0, 128.0, 256.0],
+        [512.0, 1024.0, 2048.0], [4096.0, 8192.0], [T_CAP]]
+
+
+@pytest.mark.parametrize("x0, c", [(np.nan, 0.0), (0.0, np.nan), (0.0, np.inf),
+                                   (np.inf, 0.0), (-np.inf, 0.5),
+                                   (1.7e308, 1e308)])
+def test_lifespan_exact_rejects_non_finite(sin_analyzer, x0, c):
+    # a non-finite x0 or c, or a first point x0 + t f'(c) that overflows
+    with pytest.raises(ValueError):
+        sin_analyzer.lifespan_exact(x0, c)
+
+
+def test_classify_termination_probes_one_block(monkeypatch):
+    # the two probes past t* are one 2-row block, with the sets that two
+    # scalar solves give
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    t_star = ca.lifespan_exact(0.0, 0.0)
+    seen = _spy_blocks(monkeypatch, ca)
+    assert ca.classify_termination(0.0, 0.0).kind \
+        == "continuous_shock_generation"
+    ts, out = seen[-1]
+    assert ts.tolist() == [t_star + 1e-4, t_star + 1e-6]
+    assert out == [ca.problem.maximize(0.0, t) for t in ts.tolist()]
 
 
 def test_t_star_below_t_p(sin_analyzer):

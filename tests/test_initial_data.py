@@ -215,6 +215,14 @@ def test_nonfinite_input_rejected(build):
         build()
 
 
+def test_overflowing_primitive_rejected():
+    # a / b = 1 / 5e-324 overflows, so the cos piece has no finite primitive
+    with pytest.raises(ValueError, match="primitive"):
+        idata.InitialData([idata.Piece(2.0, 3.0, "cos",
+                                       {"a": 1.0, "b": 5e-324, "c": 0.0})],
+                          left_tail=0.0, right_tail=0.0)
+
+
 def test_side_limits_across_period_boundary():
     # just left of a period boundary the right-side limit wraps to w_lo
     d = idata.sin_wave()

@@ -509,6 +509,30 @@ def test_solve_grid_equals_solve_on_random_problems(data):
     assert p.solve_grid(xs, t) == [p.solve(x, t) for x in xs]
 
 
+_ROW_FLUXES = {
+    "burgers": lambda d: Problem(flux.burgers(), d),
+    "quartic": lambda d: Problem(flux.power2n(2), d),
+    "exponential": lambda d: Problem(flux.exponential(0.7), d),
+    "cube_plus_id": lambda d: GeneralProblem(_cube_plus_id_pair(), d),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_maximize_block_per_row_t_equals_one_row_blocks(data):
+    # a block with one t per row gives each row the MaximizerSet of a block
+    # of one at its own t, bit for bit
+    make = _ROW_FLUXES[data.draw(st.sampled_from(sorted(_ROW_FLUXES)))]
+    p = make(data.draw(_random_data()))
+    k = data.draw(st.integers(1, 8))
+    xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))
+    ts = np.exp(data.draw(st.lists(st.floats(np.log(0.05), np.log(50.0)),
+                                   min_size=k, max_size=k)))
+    out = p._maximize_block(np.array(xs), ts, np.zeros(k, dtype=np.intp),
+                            np.full(k, len(p._s)))
+    assert out == [p.maximize(x, t) for x, t in zip(xs, ts.tolist())]
+
+
 def test_restart_knots_equal_pointwise_solves():
     p = Problem(flux.burgers(), idata.step(1.0, -0.5))
     d = p.restart(0.5).problem.data
