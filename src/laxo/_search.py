@@ -1,27 +1,28 @@
 """One-dimensional search kernels shared by every layer.
 
 Three kernels each run many brackets in lockstep, with one call of a
-vectorized function per round:
+vectorized function per round.  Each holds its brackets as numpy arrays,
+one element per bracket, and drops a bracket from them once it stops:
 
-* ``bisect_many`` bisects on a predicate.  Each bracket is a step
-  generator, ``_walk``, which yields the points its next steps need and is
-  sent their answers; one call sees a dyadic tree of midpoints per live
-  bracket, up to ``_BATCH`` steps deep.
-* ``secant_many`` finds a root in each bracket with f(a) > 0 >= f(b).  Its
-  brackets are arrays, and each round probes a pair c -+ e around each
-  bracket's secant point c, sized by a bound on f'' so that the root lies
-  between the two and the bracket collapses to width 2e (a safeguarded
-  secant in the manner of Dekker, 1969, and Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, ch. 4).  A bracket whose pair
-  would not pay, or misses, goes on as a ``bisect_many`` walk, in the
-  same calls.
-* ``golden_many`` minimizes a unimodal function by golden sections, one
-  step generator per bracket.
+* ``bisect_many`` bisects on a predicate.  A walk's state is its bracket
+  index, its ends and the steps it has taken; each round evaluates one
+  dyadic tree of midpoints per live walk, at most ``_DEPTH`` steps deep,
+  and every walk then takes those steps at once.
+* ``secant_many`` finds a root in each bracket with f(a) > 0 >= f(b).  Each
+  round probes a pair c -+ e around each bracket's secant point c, sized
+  by a bound on f'' so that the root lies between the two and the bracket
+  collapses to width 2e (a safeguarded secant in the manner of Dekker,
+  1969, and Brent, *Algorithms for Minimization without Derivatives*,
+  1973, ch. 4).  A bracket whose pair would not pay, or misses, joins the
+  ``bisect_many`` walks, served in the same calls.
+* ``golden_many`` minimizes a unimodal function by golden sections.  Its
+  state is each bracket's ends, inner points and their values, and each
+  round evaluates the one new point of every live bracket.
 
-``bisect`` and ``golden_min`` are ``bisect_many`` and ``golden_many`` on
-one bracket.  Every search stops once the bracket cannot shrink in
-floating point, whatever the tolerance.  ``runs`` and ``row_runs`` give
-the maximal runs of True in a boolean mask.
+``bisect`` is ``bisect_many`` on one bracket.  Every search stops once the
+bracket cannot shrink in floating point, whatever the tolerance, and ends
+on the floats that one step per function call gives.  ``runs`` and
+``row_runs`` give the maximal runs of True in a boolean mask.
 """
 
 import math
@@ -29,9 +30,9 @@ import math
 import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-# most bisection steps one call of a vectorized predicate pays for: it sees
-# the 2**_BATCH - 1 midpoints those steps can reach
-_BATCH = 8
+# most bisection steps one round pays for: it evaluates the 2**_DEPTH - 1
+# midpoints those steps can reach, a block of 7 rows for lifespan_exact
+_DEPTH = 3
 
 
 def _dyadic(a, b, k):
@@ -53,74 +54,37 @@ def _dyadic(a, b, k):
     return g[1:n]
 
 
-def _walk(a, b, tol, maxiter, steps):
-    """The bisection of [a, b] as a generator of the answers it needs.
-
-    Yields ``(a, b, k)`` when its next k steps need the predicate at the
-    points ``_dyadic(a, b, k)``; a list of those answers is sent back.
-    ``k`` is at most ``steps``, fewer when ``maxiter`` or ``tol`` stops the
-    walk sooner.  Returns the final ``(a, b)``.
+def _splits(A, B, n, tol, cap):
+    """The midpoints of brackets [A, B], and which of them the next step
+    splits: those with ``|B - A| > tol``, a midpoint that is neither end
+    and fewer than ``cap`` steps n taken, the tests of the one-step loop.
     """
-    n = 0
-    left = 0                # steps the current answers still cover
-    while abs(b - a) > tol and (maxiter is None or n < maxiter):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if not left:
-            left = steps if maxiter is None else min(steps, maxiter - n)
-            if tol > 0.0 and left > 1:
-                # about the steps that remain until |b - a| <= tol
-                left = max(1, math.ceil(
-                    min(left, math.log2(abs(b - a) / tol))))
-            ans = yield a, b, left
-            lo, hi = 0, len(ans) + 1    # positions of a and b in the batch
-        i = (lo + hi) >> 1
-        if ans[i - 1]:
-            a, lo = m, i
-        else:
-            b, hi = m, i
-        left -= 1
-        n += 1
-    return a, b
+    m = 0.5 * (A + B)
+    return m, (np.abs(B - A) > tol) & (m != A) & (m != B) & (n < cap)
 
 
-def _start(live, idx, a, b, tol, maxiter, steps):
-    """Start the bisection walk of each bracket i in idx onto ``live``.
-
-    A walk with nothing to do writes its final ends into ``a`` and ``b``.
-    """
-    for i in idx:
-        walk = _walk(float(a[i]), float(b[i]), tol, maxiter, steps)
-        try:
-            live.append((i, walk, next(walk)))
-        except StopIteration as stop:
-            a[i], b[i] = stop.value
-    return live
-
-
-def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
+def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
     """The round loop of ``bisect_many`` and ``secant_many``.
 
     Brackets with f(a) > 0 >= f(b), room above tol and a first pair that
     pays (the test in the loop) start as probe pairs, the others as
     bisection walks; ``curv`` None starts every bracket as a walk.  The
     pairs' state (A, B, FA, FB, K) is kept for the live pairs ``sec``
-    only, and a bracket's final ends are written into ``a`` and ``b`` when
-    it leaves that state.
+    only, and a pair's final ends are written into ``a`` and ``b`` when
+    it leaves that state.  A walk keeps its ends in ``a`` and ``b``;
+    ``walk`` and ``n`` hold the bracket and the steps taken of each.
     """
+    cap = math.inf if maxiter is None else maxiter
     if curv is None:
-        live = _start([], range(len(a)), a, b, tol, maxiter, steps)
-        sec = ()
+        walk, sec = np.arange(len(a)), ()
     else:
         w = np.abs(b - a)
         pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
         # the first pair's test, as in the loop (0 stands in for curv where
         # the bracket has no width, since inf * 0 is invalid)
         pair &= np.where(pair, curv, 0.0) * w * w < fa - fb
-        live = _start([], (~pair).nonzero()[0].tolist(), a, b, tol, maxiter,
-                      steps)
-        sec = pair.nonzero()[0]
+        walk, sec = (~pair).nonzero()[0], pair.nonzero()[0]
+    n = np.zeros(len(walk), dtype=int)
     if len(sec):
         A, B, FA, FB, K = a[sec], b[sec], fa[sec], fb[sec], curv[sec]
         D = B - A
@@ -134,7 +98,8 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
             cw2 = K * w * w
             ok = cw2 < s
             if not ok.all():
-                _start(live, sec[~ok].tolist(), a, b, tol, maxiter, steps)
+                walk = np.concatenate([walk, sec[~ok]])
+                n = np.concatenate([n, np.zeros(m - ok.sum(), dtype=int)])
                 sec, A, B, FA, FB, K, D, w, s, cw2 = (v[ok] for v in (
                     sec, A, B, FA, FB, K, D, w, s, cw2))
                 m = len(sec)
@@ -147,27 +112,44 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
             c = A + th * D
             e = eps * D
             q = np.concatenate([c - e, c + e])
-        if live:
-            ends = np.array([req for _, _, req in live]).T
+        if len(walk):
+            WA, WB = a[walk], b[walk]
+            _, go = _splits(WA, WB, n, tol, cap)
+            if not go.all():                    # those walks are done
+                walk, n, WA, WB = walk[go], n[go], WA[go], WB[go]
+        if len(walk):
+            # the steps each walk asks for, fewer than _DEPTH near maxiter
+            # or about those left until |b - a| <= tol
+            k = np.minimum(_DEPTH, cap - n)
+            if tol > 0.0:
+                k = np.maximum(1, np.ceil(np.minimum(
+                    k, np.log2(np.abs(WB - WA) / tol))))
+            k = int(k.max())
             # one column of midpoints per walk
-            g = _dyadic(ends[0], ends[1], int(ends[2].max()))
-            owner = np.repeat([[i for i, _, _ in live]], len(g), axis=0)
+            g = _dyadic(WA, WB, k)
+            owner = np.repeat(walk[None], len(g), axis=0).ravel()
             if m:
                 vals = f(np.concatenate([q, g.ravel()]),
-                         np.concatenate([sec, sec, owner.ravel()]))
+                         np.concatenate([sec, sec, owner]))
                 ans = vals[2 * m:]
             else:
-                vals = ans = f(g.ravel(), owner.ravel())
+                vals = ans = f(g.ravel(), owner)
             if curv is not None:                # values, not answers
                 ans = ans > 0.0
-            cols = ans.reshape(g.shape).T.tolist()
-            nxt = []
-            for (i, walk, _), col in zip(live, cols):
-                try:
-                    nxt.append((i, walk, walk.send(col)))
-                except StopIteration as stop:
-                    a[i], b[i] = stop.value
-            live = nxt
+            ans = ans.reshape(g.shape)
+            # k steps down each walk's tree, from its root at position
+            # half: a walk that stops keeps its ends for the rest
+            cols = np.arange(len(walk))
+            pos = half = 1 << (k - 1)
+            for _ in range(k):
+                mid, go = _splits(WA, WB, n, tol, cap)
+                up = ans[pos - 1, cols]
+                WA = np.where(go & up, mid, WA)
+                WB = np.where(go & ~up, mid, WB)
+                n = n + go
+                half >>= 1
+                pos = pos + np.where(up, half, -half)
+            a[walk], b[walk] = WA, WB
         elif m:
             vals = f(q, np.concatenate([sec, sec]))
         else:
@@ -185,7 +167,8 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
                 i = sec[miss]
                 a[i] = np.where(p1, np.where(p2, q2, q1), A)[miss]
                 b[i] = np.where(p1, np.where(p2, B, q2), q1)[miss]
-                _start(live, i.tolist(), a, b, tol, maxiter, steps)
+                walk = np.concatenate([walk, i])
+                n = np.concatenate([n, np.zeros(len(i), dtype=int)])
                 sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
                     sec, q1, q2, v1, v2, w2, K))
             A, B, FA, FB, w = q1, q2, v1, v2, w2
@@ -198,20 +181,19 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter, steps):
                     sec, A, B, FA, FB, K, D, w))
 
 
-def bisect_many(pred, a, b, tol, maxiter=None, steps=_BATCH):
+def bisect_many(pred, a, b, tol, maxiter=None):
     """Shrink brackets [a, b] in lockstep, keeping ``pred`` true at each a.
 
     ``a`` and ``b`` are arrays of ends, a on either side of b.
     ``pred(points, owner)`` maps points, and the bracket each serves, to
-    booleans; one call per round sees one dyadic tree per live bracket, as
-    deep as the deepest request.  A walk that asked for fewer steps reads
-    the top levels of its tree, the very floats a shallower tree holds.
-    Each bracket stops on its own at ``|b - a| <= tol``, the float floor or
-    ``maxiter`` steps, with the ends that one step per predicate call gives.
+    booleans; one call per round sees one dyadic tree per live bracket, of
+    the depth the deepest request asks, at most ``_DEPTH``.  Each bracket
+    stops on its own at ``|b - a| <= tol``, the float floor or ``maxiter``
+    steps, with the ends that one step per predicate call gives.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    return _lockstep(pred, a, b, None, None, None, tol, maxiter, steps)
+    return _lockstep(pred, a, b, None, None, None, tol, maxiter)
 
 
 def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
@@ -234,47 +216,16 @@ def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
-    return _lockstep(f, a, b, fa, fb, curv, tol, maxiter, _BATCH)
+    return _lockstep(f, a, b, fa, fb, curv, tol, maxiter)
 
 
-def bisect(pred, a, b, tol, maxiter=None, vectorized=False):
+def bisect(pred, a, b, tol, maxiter=None):
     """``bisect_many`` on the one bracket [a, b]; returns its final ends.
 
-    ``vectorized`` is the most steps one predicate call pays for: False or
-    1 calls ``pred`` on each midpoint alone; k > 1 (True means ``_BATCH``)
-    calls it on the array of every midpoint the next k steps can reach.
+    ``pred`` maps an array of points to an array of booleans.
     """
-    steps = _BATCH if vectorized is True else max(1, int(vectorized))
-    many = ((lambda xs, _: pred(xs)) if steps > 1
-            else (lambda xs, _: np.array([pred(xs.item())])))
-    a, b = bisect_many(many, [a], [b], tol, maxiter, steps)
+    a, b = bisect_many(lambda xs, _: pred(xs), [a], [b], tol, maxiter)
     return float(a[0]), float(b[0])
-
-
-def _golden(a, b, tol):
-    """Golden-section search of [a, b] as a generator of the values it needs.
-
-    Yields the points whose values its next step needs, two at the start
-    and one per step after, and is sent a list of those values.  Stops
-    when ``b - a <= tol`` or the bracket stops shrinking, and returns the
-    midpoint of the final bracket.
-    """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = yield c, d
-    while b - a > tol:
-        width = b - a
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield (d,)
-        if b - a >= width:
-            break
-    return 0.5 * (a + b)
 
 
 def golden_many(f, a, b, tol):
@@ -282,38 +233,40 @@ def golden_many(f, a, b, tol):
 
     ``a`` and ``b`` are arrays of bracket ends.  ``f(points, owner)`` maps
     points, and the index of the bracket each one serves, to values; it is
-    called once per round, on the points every live bracket's next step
-    needs.  Each bracket stops on its own when ``b - a <= tol`` or the
-    bracket stops shrinking, and the returned array holds the midpoint of
-    each final bracket.
+    called once per round: on both inner points of every bracket first,
+    then on the one new point of each live bracket.  Each bracket stops on
+    its own when ``b - a <= tol`` or the bracket stops shrinking, and the
+    returned array holds the midpoint of each final bracket.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(len(a))
-    live = []                   # (bracket, walk, the points it needs)
-    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        walk = _golden(ai, bi, tol)
-        live.append((i, walk, next(walk)))
-    while live:
-        pts = np.array([p for _, _, req in live for p in req])
-        owner = np.array([i for i, _, req in live for _ in req])
-        vals = f(pts, owner).tolist()
-        nxt = []
-        pos = 0
-        for i, walk, req in live:
-            try:
-                nxt.append((i, walk, walk.send(vals[pos:pos + len(req)])))
-            except StopIteration as stop:
-                out[i] = stop.value
-            pos += len(req)
-        live = nxt
-    return out
-
-
-def golden_min(f, a, b, tol):
-    """``golden_many`` on the one bracket [a, b] of a scalar ``f``."""
-    return golden_many(lambda xs, _: np.array([f(x) for x in xs.tolist()]),
-                       [a], [b], tol)[0]
+    if not len(a):
+        return out
+    idx = np.arange(len(a))
+    w = b - a
+    c = b - _INVPHI * w
+    d = a + _INVPHI * w
+    fc, fd = np.split(f(np.concatenate([c, d]), np.tile(idx, 2)), 2)
+    live = w > tol
+    while True:
+        if not live.all():
+            out[idx[~live]] = 0.5 * (a + b)[~live]
+            idx, a, b, c, d, fc, fd, w = (v[live] for v in (
+                idx, a, b, c, d, fc, fd, w))
+            if not len(idx):
+                return out
+        # keep [a, d] where f(c) <= f(d), else [c, b]; the kept inner point
+        # and its value carry over, and the new point p takes the other's
+        # place
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width, w = w, b - a
+        p = np.where(left, b - _INVPHI * w, a + _INVPHI * w)
+        fp = f(p, idx)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        live = (w > tol) & (w < width)
 
 
 def runs(mask):

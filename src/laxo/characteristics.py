@@ -189,8 +189,8 @@ class CharacteristicAnalyzer:
         the least trustworthy: at t = 1e4 the feet x - t f'(u) of the
         2 049-point u-scan lie about 10 apart on Burgers/sine, so they can
         step over a period or over all the data in a window.  The
-        bisection of t is ``bisect(..., vectorized=3)``: each block holds
-        the 7 dyadic midpoints of the next three steps, which are the
+        bisection of t is ``bisect``: each block holds the 7 dyadic
+        midpoints of its next ``_DEPTH`` = 3 steps, which are the
         midpoints a one-step bisection visits, so t* is the same float.
 
         ``T_TOL`` is the bisection tolerance in t.  The value-gap test of
@@ -215,7 +215,7 @@ class CharacteristicAnalyzer:
                 return np.inf
             hi = T_CAP
         lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),
-                        lo, hi, T_TOL, vectorized=3)
+                        lo, hi, T_TOL)
         return 0.5 * (lo + hi)
 
     def lifespans(self, x0, c):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_min, runs
+from ._search import golden_many, runs
 from .errors import HullInfinite, NoDivides
 
 HULL_TOL_SCALE = 1e-9
@@ -74,17 +74,18 @@ class HullReport:
         g = data.primitive(xs) - m * xs
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(g))))
         b0 = float(np.min(g))
-        # golden refinement of each discrete minimizer cluster
-        refined = []
-        for i, j in runs(g - b0 <= self.hull_tol):
-            lo, hi = float(xs[i]), float(xs[j])
-            if hi - lo <= h * 1.5:
-                x_star = golden_min(lambda x: float(data.primitive(x) - m * x),
-                                    lo - h, hi + h, 1e-12)
-                b0 = min(b0, float(data.primitive(x_star) - m * x_star))
-                refined.append((x_star, x_star))
-            else:
-                refined.append((lo, hi))
+        # one lockstep golden refinement of every short minimizer cluster
+        refined = [(float(xs[i]), float(xs[j]))
+                   for i, j in runs(g - b0 <= self.hull_tol)]
+        short = [k for k, (lo, hi) in enumerate(refined)
+                 if hi - lo <= h * 1.5]
+        if short:
+            lo, hi = np.array([refined[k] for k in short]).T
+            x_star = golden_many(lambda x, _: data.primitive(x) - m * x,
+                                 lo - h, hi + h, 1e-12)
+            b0 = min(b0, float(np.min(data.primitive(x_star) - m * x_star)))
+            for k, x in zip(short, x_star.tolist()):
+                refined[k] = (x, x)
         if (len(refined) > 1
                 and abs(refined[-1][0] - data.period - refined[0][0]) <= 2 * h):
             refined = refined[:-1]     # same divide modulo the period

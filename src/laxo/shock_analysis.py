@@ -20,9 +20,6 @@ from .errors import (BracketError, ConditionFailed, LostCurve,
 
 # offset of the one-sided probes in directional_limits
 DELTA = 1e-4
-# bisection steps one solve_grid call of _bisect_jump pays for: its three
-# points cost about 1.3 times one solve
-_JUMP_STEPS = 2
 # most Newton steps _newton_jump takes on the branch value gap
 _NEWTON_STEPS = 6
 # most steps one track_forward call takes: a step maximizes about 8 rows
@@ -210,8 +207,10 @@ class ShockAnalyzer:
         if fl * fh > 0:
             raise RootNotBracketed(
                 "lambda equation has no sign change on the proven bracket")
-        # to the float floor: hi can lie far above the root
-        lo, hi = bisect(lambda lam: (F(lam) > 0) == (fl > 0), lo, hi, 0.0)
+        # to the float floor: hi can lie far above the root; F point by
+        # point, since numpy's power need not round as the scalar one does
+        lo, hi = bisect(lambda lams: np.array(
+            [(F(lam) > 0) == (fl > 0) for lam in lams.tolist()]), lo, hi, 0.0)
         return 0.5 * (lo + hi)
 
     def _case23(self, gp, inputs):
@@ -363,7 +362,8 @@ class ShockAnalyzer:
         """Bisect for the position where u_plus drops through ``mid``.
 
         The window ends are solved as one block, and each predicate call
-        solves the midpoints of the next ``_JUMP_STEPS`` steps as one.
+        solves as one block the midpoints of ``bisect``'s next steps, up
+        to 7 for its ``_DEPTH`` = 3.
         """
         lo, hi = x_hat - w, x_hat + w
         s_lo, s_hi = self.problem.solve_grid([lo, hi], t)
@@ -372,7 +372,7 @@ class ShockAnalyzer:
                 f"no jump through {mid:g} in window around {x_hat:g} at t={t:g}")
         lo, hi = bisect(lambda xs: np.array([
             s.u_plus > mid for s in self.problem.solve_grid(xs, t)]),
-            lo, hi, 1e-12, vectorized=_JUMP_STEPS)
+            lo, hi, 1e-12)
         return 0.5 * (lo + hi)
 
     def _node(self, x, t, um, up):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata
-from laxo._search import bisect
 from laxo.characteristics import (
     T_CAP, T_TOL, CharacteristicAnalyzer, F_l, phi_l)
 from laxo.errors import BracketError
@@ -182,6 +181,19 @@ def _on_sequential(ca, x0, c, t):
     return ms.max_value - p.eval_E(c, x, t) <= tol
 
 
+def _bisect_loop(pred, a, b, tol):
+    """Reference: the one-step bisection loop on a scalar predicate."""
+    while abs(b - a) > tol:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if pred(m):
+            a = m
+        else:
+            b = m
+    return a, b
+
+
 def _lifespan_sequential(ca, x0, c):
     """The one-row lifespan loop, as t* with T_CAP probed first and last.
 
@@ -200,7 +212,8 @@ def _lifespan_sequential(ca, x0, c):
         t *= 2.0
     if cap and hi == T_CAP:
         return np.inf, np.inf
-    lo, hi = bisect(lambda m: _on_sequential(ca, x0, c, m), lo, hi, T_TOL)
+    lo, hi = _bisect_loop(lambda m: _on_sequential(ca, x0, c, m), lo, hi,
+                          T_TOL)
     t_star = 0.5 * (lo + hi)
     return (np.inf if cap else t_star), t_star
 

@@ -1,11 +1,12 @@
+import math
 import signal
 
 import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
-from laxo._search import (_BATCH, bisect, bisect_many, golden_many,
-                          golden_min, row_runs, runs, secant_many)
+from laxo._search import (_DEPTH, bisect, bisect_many, golden_many,
+                          row_runs, runs, secant_many)
 from laxo.variational_core import Problem
 
 
@@ -95,20 +96,26 @@ def test_bisect_reversed_bracket():
     assert b < 0.3 <= a and a - b <= 1e-12
 
 
+def _always(x):
+    return np.ones(len(x), dtype=bool)
+
+
 def test_bisect_too_narrow_to_split():
     a0 = 1e4
     b0 = np.nextafter(a0, np.inf)        # 1.8e-12 apart: above tol
-    pred, calls = _counted(lambda x: True)
+    pred, calls = _counted(_always)
     assert bisect(pred, a0, b0, 1e-12) == (a0, b0)
     assert calls == []
 
 
 def test_bisect_stops_at_tol_and_maxiter():
-    pred, calls = _counted(lambda x: True)
+    pred, calls = _counted(_always)
     assert bisect(pred, 0.0, 1e-13, 1e-12) == (0.0, 1e-13)
     assert calls == []
-    bisect(pred, 0.0, 1.0, 0.0, maxiter=7)
-    assert len(calls) == 7
+    # a true predicate moves a up by half the bracket at each step, so the
+    # final width counts the steps taken: exactly maxiter
+    a, b = bisect(pred, 0.0, 1.0, 0.0, maxiter=7)
+    assert (a, b) == (1.0 - 2.0 ** -7, 1.0)
 
 
 def test_bisect_float_floor_far_from_origin():
@@ -138,7 +145,7 @@ def _bisect_loop(pred, a, b, tol, maxiter=None):
 
 
 def _batched(pred, a, b, tol, maxiter=None):
-    """Run the vectorized path, keeping every array it hands the predicate."""
+    """Run bisect, keeping every array it hands the predicate."""
     batches = []
 
     def vpred(xs):
@@ -146,7 +153,7 @@ def _batched(pred, a, b, tol, maxiter=None):
         batches.append(xs.copy())
         return pred(xs)
 
-    return bisect(vpred, a, b, tol, maxiter, vectorized=True), batches
+    return bisect(vpred, a, b, tol, maxiter), batches
 
 
 def _assert_same_walk(batches, steps):
@@ -179,7 +186,6 @@ def _check_against_loop(pred, a, b, tol, maxiter=None):
     ref, steps = _bisect_loop(pred, a, b, tol, maxiter)
     got, batches = _batched(pred, a, b, tol, maxiter)
     assert got == ref
-    assert bisect(pred, a, b, tol, maxiter) == ref
     _assert_same_walk(batches, steps)
     return steps, batches
 
@@ -231,11 +237,11 @@ def test_batched_bisect_one_ulp_bracket():
 
 
 def test_batched_bisect_call_budget():
-    # a 60-step run pays for up to _BATCH steps per predicate call
+    # a 60-step run pays for up to _DEPTH steps per predicate call
     steps, batches = _check_against_loop(_MONOTONE[0](1e-30), -1.0, 1.0,
                                          0.0, 60)
     assert len(steps) == 60
-    assert len(batches) <= -(-60 // _BATCH) + 1
+    assert len(batches) <= -(-60 // _DEPTH) + 1
 
 
 # -- lockstep bisection of many brackets --------------------------------------
@@ -255,8 +261,7 @@ def _many_against_bisect(preds, a, b, tol, maxiter=None):
 
     got_a, got_b = bisect_many(pred, a, b, tol, maxiter)
     for i, p in enumerate(preds):
-        ref = bisect(p, float(a[i]), float(b[i]), tol, maxiter,
-                     vectorized=True)
+        ref = bisect(p, float(a[i]), float(b[i]), tol, maxiter)
         assert (got_a[i], got_b[i]) == ref
         assert got_a[i].tobytes() + got_b[i].tobytes() == (
             np.float64(ref[0]).tobytes() + np.float64(ref[1]).tobytes())
@@ -278,7 +283,7 @@ def test_bisect_many_matches_bisect_on_mixed_brackets():
     preds[4] = lambda x: x < base + 0.3 * ulp
     preds[6] = _several_changes(0.1)
     # the float floor stops that bracket one ulp wide, above tol
-    ref = bisect(preds[4], base, base + 5 * ulp, 1e-12, vectorized=True)
+    ref = bisect(preds[4], base, base + 5 * ulp, 1e-12)
     assert ref[1] - ref[0] == ulp
     a, b = np.array(a), np.array(b)
     for tol in (1e-12, 1e-9, 0.0):
@@ -287,7 +292,7 @@ def test_bisect_many_matches_bisect_on_mixed_brackets():
                 continue
             calls = _many_against_bisect(preds, a, b, tol, maxiter)
             # one predicate call per round, never one per bracket and round
-            assert len(calls) <= -(-(maxiter or 64) // _BATCH) + 1
+            assert len(calls) <= -(-(maxiter or 64) // _DEPTH) + 1
             # each round is one dyadic tree per live bracket, all of one
             # depth K: 2**K - 1 points per bracket
             for owner in calls:
@@ -415,6 +420,80 @@ def test_secant_step_falls_back_within_tol():
     assert both[0][:3].tolist() == steps[0].tolist()
 
 
+def _pair_narrowed(pts, a, b):
+    """The bracket a secant search leaves to the bisection, from its calls.
+
+    ``pts`` holds the (points, values) of one bracket's probe pairs, in
+    order.  Returns the bracket its first missed pair narrows it to, and
+    the number of pairs it took.
+    """
+    pairs = 0
+    for (q1, q2), (v1, v2) in pts:
+        pairs += 1
+        if v1 > 0.0 >= v2 and abs(q2 - q1) < abs(b - a):
+            a, b = q1, q2
+            continue
+        if v1 > 0.0:
+            return ((q2, b) if v2 > 0.0 else (q1, q2)), pairs
+        return (a, q1), pairs
+    raise AssertionError("no pair missed")
+
+
+def test_secant_walks_join_mid_search():
+    # one call holds brackets that start bisection walks at different
+    # rounds: an infinite curvature and end values of the wrong signs at
+    # the start, a pair missing a jump in the first round, and a pair that
+    # hits in the first round and misses a jump 1e-10 from the root in the
+    # second; each walk ends on the one-step loop's floats from the
+    # bracket it starts on, and every walk and pair share the calls
+    r = 0.3
+    fs = [lambda x: np.where(x < r + 1e-4, 1.0, -2.0),        # curv inf
+          lambda x: x - r,                                     # f(a) < 0
+          lambda x: np.where(x < r + 2e-4, 1.0, -2.0),         # first miss
+          lambda x: (r - x) + 1e-9 * (x < r + 1e-10),          # later miss
+          lambda x: (r - x) * (1.0 + (x - r) ** 2)]            # pairs only
+    a = [r - 5e-4] * 5
+    b = [r + 5e-4] * 5
+    curv = [np.inf, 1.5, 0.0, 1.5, 1.5]
+    tol, maxiter = 1e-12, 60
+    calls = []
+    pts = [[] for _ in fs]
+
+    def f(xs, owner):
+        assert len(calls) <= 1000, "search did not terminate"
+        calls.append(len(xs))
+        out = np.empty(len(xs))
+        for i in set(owner.tolist()):
+            sel = owner == i
+            out[sel] = fs[i](xs[sel])
+            pts[i].append((xs[sel].tolist(), out[sel].tolist()))
+        return out
+
+    fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a)])
+    fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b)])
+    got = secant_many(f, np.array(a), np.array(b), fa, fb, np.array(curv),
+                      tol, maxiter)
+    for i, g in enumerate(fs):
+        if i < 2:
+            start, pairs = (a[i], b[i]), 0
+        elif i < 4:
+            start, pairs = _pair_narrowed(
+                [p for p in pts[i] if len(p[0]) == 2], a[i], b[i])
+        else:
+            _assert_certified([g], ([got[0][i]], [got[1][i]]), tol)
+            continue
+        assert pairs == (0, 0, 1, 2)[i]
+        ref, steps = _bisect_loop(lambda x: g(np.array([x]))[0] > 0.0,
+                                  *start, tol, maxiter)
+        assert (got[0][i], got[1][i]) == ref
+        # the walk's calls evaluate full dyadic trees
+        trees = [len(p) for p, _ in pts[i][pairs:]]
+        assert all(n & (n + 1) == 0 for n in trees)
+        assert sum(n.bit_length() for n in trees) >= len(steps)
+    # the walks ran in the same calls as each other and as the pairs
+    assert len(calls) == max(len(p) for p in pts)
+
+
 def test_secant_far_from_origin_terminates():
     # near 1e5 the float spacing (1.5e-11) exceeds tol: the pair collapses
     # onto one float, and the bisection must stop at the float floor
@@ -449,29 +528,56 @@ def test_secant_many_no_brackets():
     assert a.shape == b.shape == (0,)
 
 
-# -- golden_min ---------------------------------------------------------------
+# -- golden-section search ----------------------------------------------------
 
-def test_golden_min_parabola():
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_loop(f, a, b, tol):
+    """Reference: golden sections of [a, b] on a scalar f, one at a time.
+
+    Returns the final midpoint and the points of each round: two in the
+    first round and one per round after.
+    """
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    rounds = [[c, d]]
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        width = b - a
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+            rounds.append([c])
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+            rounds.append([d])
+        if b - a >= width:
+            break
+    return 0.5 * (a + b), rounds
+
+
+def _golden_one(f, a, b, tol):
+    """golden_many on the one bracket [a, b] of an array function f."""
+    return golden_many(lambda xs, _: f(xs), [a], [b], tol)[0]
+
+
+def test_golden_one_bracket_parabola():
     f, _ = _counted(lambda x: (x - 0.3) ** 2 + 1.0)
-    assert golden_min(f, -1.0, 2.0, 1e-12) == pytest.approx(0.3, abs=1e-7)
+    assert _golden_one(f, -1.0, 2.0, 1e-12) == pytest.approx(0.3, abs=1e-7)
 
 
-def test_golden_min_stops_far_from_origin():
+def test_golden_one_bracket_stops_far_from_origin():
     c = 1e4 + 0.3
     f, _ = _counted(lambda x: (x - c) ** 2)
-    assert golden_min(f, 1e4 - 1.0, 1e4 + 2.0, 1e-12) == pytest.approx(
+    assert _golden_one(f, 1e4 - 1.0, 1e4 + 2.0, 1e-12) == pytest.approx(
         c, abs=1e-6)
 
 
-# -- lockstep golden-section search -------------------------------------------
-
-def _golden_calls(f, a, b, tol):
-    """golden_min on one bracket, with the number of f calls it makes."""
-    g, calls = _counted(f)
-    return golden_min(g, a, b, tol), len(calls)
-
-
-def test_golden_many_matches_golden_min():
+def test_golden_many_matches_scalar_loop():
     # exact arithmetic only, so a point reads the same alone or in an array
     def unimodal(c):
         return lambda x: (x - c) ** 2
@@ -502,6 +608,7 @@ def test_golden_many_matches_golden_min():
             fs.append(unimodal(base + 2.3 * ulp))
             tol = min(tol, 0.5 * ulp)
         calls = []
+        seen = [[] for _ in fs]     # each bracket's points, call by call
 
         def f(xs, owner):
             assert len(calls) <= 1000, "search did not terminate"
@@ -510,17 +617,18 @@ def test_golden_many_matches_golden_min():
             for i in set(owner.tolist()):
                 sel = owner == i
                 out[sel] = fs[i](xs[sel])
+                seen[i].append(xs[sel].tolist())
             return out
 
         got = golden_many(f, a, b, tol)
         assert got.shape == (len(fs),)
-        rounds = 0
         for i, fi in enumerate(fs):
-            ref, n_calls = _golden_calls(fi, float(a[i]), float(b[i]), tol)
+            ref, rounds = _golden_loop(fi, float(a[i]), float(b[i]), tol)
             assert got[i].tobytes() == np.float64(ref).tobytes()
-            # two points in the first round, one per round after
-            rounds = max(rounds, n_calls - 1)
-        assert len(calls) == rounds
+            # the very points of the loop, two in the first call, one in
+            # each call after
+            assert seen[i] == rounds
+        assert len(calls) == max(len(r) for r in seen)
         if trial % 2:
             assert base <= got[-1] <= base + 5 * ulp
 

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import brentq
 
 from laxo import flux, initial_data as idata
-from laxo._search import bisect
 from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import GeneralProblem, Problem
@@ -222,6 +221,19 @@ def test_track_merging_shocks(merging_sa):
             assert a.speed_right == pytest.approx(1.0, abs=1e-8)
 
 
+def _bisect_loop(pred, a, b, tol):
+    """Reference: the one-step bisection loop on a scalar predicate."""
+    while abs(b - a) > tol:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if pred(m):
+            a = m
+        else:
+            b = m
+    return a, b
+
+
 class _OnePointTracker(ShockAnalyzer):
     """Reference: the jump bisected and the traces read at one solve per
     point, with no Newton step."""
@@ -238,8 +250,8 @@ class _OnePointTracker(ShockAnalyzer):
         if not (self.problem.solve(lo, t).u_plus > mid
                 > self.problem.solve(hi, t).u_plus):
             raise LostCurve("no jump in the window")
-        lo, hi = bisect(lambda m: self.problem.solve(m, t).u_plus > mid,
-                        lo, hi, 1e-12)
+        lo, hi = _bisect_loop(lambda m: self.problem.solve(m, t).u_plus > mid,
+                              lo, hi, 1e-12)
         return 0.5 * (lo + hi)
 
 
