@@ -413,16 +413,11 @@ class ShockAnalyzer:
     # -- point classification ----------------------------------------------
 
     def _value_survives(self, x, t, c):
-        """Forward-survival probe: c remains a maximizer just after t."""
-        H = self.flux.deriv
-        for d in (1e-2, 1e-3, 1e-4):
-            xq, tq = x + d * H(c), t + d
-            ms = self.problem.maximize(xq, tq)
-            gap = ms.max_value - self.problem.eval_E(c, xq, tq)
-            if gap > min(self.problem.val_tol,
-                         1e-12 * (1.0 + abs(ms.max_value))):
-                return False
-        return True
+        """Forward-survival probe: c remains a maximizer just after t, at
+        t + 1e-2, 1e-3 and 1e-4 along its characteristic, in one block."""
+        x0 = x - t * self.flux.deriv(c)
+        return self.chars._on_characteristic(
+            x0, c, t + np.array([1e-2, 1e-3, 1e-4])).all()
 
     def classify_point(self, x, t):
         s = self.problem.solve(x, t)

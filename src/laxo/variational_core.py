@@ -340,11 +340,11 @@ class GeneralProblem:
         and E off its own window is -inf.  Every phase runs on the whole
         block: one W call scans the feet of every row, local maxima and
         their runs are found row-wise, ``_roots`` refines every sign-change
-        bracket (in closed form where the feet cross a jump of the data,
-        checked by one psi call, else by lockstep probe pairs and
-        bisection), one lockstep golden-section search maximizes E on the
-        kept runs with no sign change, and one E call values the refined
-        points.  Rows never mix, no bracket's root reads another's, and
+        bracket (in closed form on sampled data and where the feet cross a
+        jump of the data, checked by one psi call, else by lockstep probe
+        pairs and bisection), one lockstep golden-section search maximizes
+        E on the kept runs with no sign change, and one E call values the
+        refined points.  Rows never mix, no bracket's root reads another's, and
         numpy's elementwise results do not depend on the array around an
         element, so each row's answer is the one a block of one gives.
         Each windowed value of E is the float the whole scan computes, so a
@@ -409,8 +409,8 @@ class GeneralProblem:
         # a run's middle is a grid end or lies inside its window
         nbc = np.minimum(np.maximum(col + _NEIGHBOURS, 0), w - 1)
         nb = nbc + rs[r] if cut else nbc
-        Uphi = self._U(self.data.phi(feet[r, nbc].ravel())).reshape(nb.shape)
-        carrier = Uphi - self._U(s[nb].ravel()).reshape(nb.shape)
+        carrier = (self._U(self.data.phi(feet[r, nbc].ravel()))
+                   - self._U(s[nb].ravel())).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
         keep = ~(Ev[r, col] + _at(t, r) * h * gloc
                  < Emax_grid[r] - 10.0 * self.val_tol)
@@ -422,9 +422,7 @@ class GeneralProblem:
         u_star = np.empty(len(r))
         if sign.any():
             a, b = self._roots(xs[r[sign]], _at(t, r[sign]), nb[:, sign],
-                               carrier[:, sign],
-                               Uphi[:, keep][:, sign] if self.data.is_sampled
-                               else None)
+                               carrier[:, sign])
             u_star[sign] = 0.5 * (a + b)
         if not sign.all():
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
@@ -460,17 +458,18 @@ class GeneralProblem:
                                bands[bcut[q]:bcut[q + 1]])
                 for q in range(rows)]
 
-    def _roots(self, xb, t, nb, carrier, Uphi):
+    def _roots(self, xb, t, nb, carrier):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
 
         Column k serves the point xb[k], at time t or t[k].  ``carrier``
-        holds psi at the grid points nb, and ``Uphi`` U(phi) at their feet,
-        on sampled data only.
-        The middle value halves each bracket.  Psi jumps only where the
-        foot x - t H(u) crosses a breakpoint of phi, so a half whose feet
-        hold one takes its root in closed form (``_exact_roots``).  Every
-        other half, and every exact root that fails its check, goes to
-        ``_refine_roots``.  Returns the two rows of ends.
+        holds psi at the grid points nb.  The middle value halves each
+        bracket.  Psi jumps only where the foot x - t H(u) crosses a
+        breakpoint of phi, and on sampled data it is U(c) - U(u) between
+        knots, so every half of sampled data, and a half of piece data whose
+        feet hold a breakpoint, takes its root in closed form
+        (``_exact_roots``).  Every other half, and every closed-form root
+        that fails its check, goes to ``_refine_roots``.  Returns the two
+        rows of ends.
         """
         # the half of each bracket where psi changes sign, ends (a, b)
         up = carrier[1] > 0.0
@@ -483,13 +482,12 @@ class GeneralProblem:
                 k = (~done).nonzero()[0]
                 if len(k):
                     ends[:, k] = self._refine_roots(
-                        xb[k], _at(t, k), nb[:, k], carrier[:, k],
-                        None if Uphi is None else Uphi[:, k], ends[:, k],
+                        xb[k], _at(t, k), nb[:, k], carrier[:, k], ends[:, k],
                         vals[:, k])
                 return ends
-        return self._refine_roots(xb, t, nb, carrier, Uphi, ends, vals)
+        return self._refine_roots(xb, t, nb, carrier, ends, vals)
 
-    def _refine_roots(self, xb, t, nb, carrier, Uphi, ends, vals):
+    def _refine_roots(self, xb, t, nb, carrier, ends, vals):
         """``secant_many`` on the halves ``ends`` of the brackets nb.
 
         ``vals`` holds psi at the ends; the second difference of three grid
@@ -497,35 +495,29 @@ class GeneralProblem:
         coincide, so the difference is taken from the three innermost grid
         points there, s[0..2] or s[n-3..n-1], at one more psi value.  Where
         psi jumps, the difference is about the jump, and ``secant_many``'s
-        test sends the bracket to the bisection.  On sampled data phi is a
-        staircase, whose steps a smooth difference can hide: a bracket is
-        bisected there unless U(phi) is the same at its three feet.
+        test sends the bracket to the bisection.  Whatever the bound, a
+        bracket ends only on evaluated signs of psi.
         """
         s, n = self._s, len(self._s)
         pl, pm, ph = carrier
         d2 = pl - 2.0 * pm + ph
-        if Uphi is not None:
-            steady = (Uphi[0] == Uphi[1]) & (Uphi[1] == Uphi[2])
         e = np.flatnonzero(nb[2] - nb[0] < 2)    # brackets at a grid end
         if len(e):
             at_lo = nb[0, e] == nb[1, e]
             k = np.where(at_lo, 2, n - 3)
-            Ux = self._U(self.data.phi(xb[e] - _at(t, e) * self._Hs[k]))
-            px = Ux - self._U(s[k])
+            px = (self._U(self.data.phi(xb[e] - _at(t, e) * self._Hs[k]))
+                  - self._U(s[k]))
             d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
                              px - 2.0 * pl[e] + ph[e])
-            if Uphi is not None:
-                steady[e] = (Uphi[0, e] == Uphi[2, e]) & (Ux == Uphi[0, e])
         h = s[1] - s[0]
         curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(d2)
-        if Uphi is not None:
-            curv[~steady] = np.inf
         return secant_many(lambda u, i: self._psi(u, xb[i], _at(t, i)),
                            ends[0], ends[1], vals[0], vals[1], curv,
                            self.tol_u, 60)
 
     def _exact_roots(self, xb, t, ie, vals, ends):
-        """Roots of psi in closed form where its feet cross phi's jumps.
+        """Roots of psi in closed form: where its feet cross phi's jumps,
+        and on sampled data everywhere.
 
         Bracket k is [a, b] = ends[:, k], the grid points ie[:, k], with
         psi > 0 at a and <= 0 at b (``vals``), for the point xb[k] at time
@@ -537,12 +529,16 @@ class GeneralProblem:
         u, the first breakpoint whose phi(y+) gives psi <= 0 just below its
         preimage ends the sub-bracket that holds the sign change; H being
         increasing, that is the test H(phi(y+)) <= (x - y) / t, which needs
-        no preimage.  The root is then:
+        no preimage.  On sampled data a bracket whose feet hold no knot
+        (j1 == j0: as many breakpoints lie up to the foot of a as up to
+        that of b) is itself such a sub-bracket, with no breakpoint on
+        either side.  The root is then:
 
         * the preimage below, where psi <= 0 also just above it: psi jumps
           down there, a fan's maximizer (one inversion of H);
         * on sampled data, the plateau value c, where U(phi) - U(u) =
-          U(c) - U(u) vanishes, with no call of the data;
+          U(c) - U(u) vanishes, read from the breakpoint table with no call
+          of the data;
         * else the ``secant_many`` root of the smooth sub-bracket, from
           phi's limits at its ends and a bound on psi'' from the second
           difference through its midpoint, all on its own side of the jumps.
@@ -551,8 +547,9 @@ class GeneralProblem:
         call checks every bracket: psi > 0 at its lower end, <= 0 at its
         upper end, width at most tol_u.  Those that pass are written into
         ``ends``, and the mask of them returned; the others, and the
-        brackets whose feet hold no breakpoint or span a period, are left
-        to ``_roots``.  Each bracket's result reads only its own column.
+        brackets of piece data whose feet hold no breakpoint, and those
+        whose feet span a period, are left to ``_roots``.  Each bracket's
+        result reads only its own column.
         """
         y, left, right, Hl, Hr = self._jumps
         fa, fb = vals
@@ -566,7 +563,7 @@ class GeneralProblem:
             feet -= shift
             xr = xb - shift
         j1, j0 = np.searchsorted(y, feet, "right")
-        go = j1 > j0
+        go = (j1 > j0) | self.data.is_sampled
         if not np.count_nonzero(go):
             return go
         go &= (fa > 0.0) & (fb <= 0.0)
@@ -576,12 +573,14 @@ class GeneralProblem:
         if not len(g):
             return go
         # the breakpoints of each foot range, falling, so that u rises, and
-        # H at their preimages
+        # H at their preimages; a range that holds none (sampled data only)
+        # lists the breakpoint below it, which m = 0 passes over
         c = (j1 - j0)[g]
-        off = np.cumsum(c) - c
-        own = np.repeat(np.arange(len(g)), c)
+        listed = np.maximum(c, 1)
+        off = np.cumsum(listed) - listed
+        own = np.repeat(np.arange(len(g)), listed)
         n = len(own)
-        j = np.repeat(j1[g] - 1 + off, c) - np.arange(n)
+        j = np.repeat(j1[g] - 1 + off, listed) - np.arange(n)
         tg = _at(t, g)
         v = (xr[g][own] - y[j]) / _at(tg, own)
         j %= len(left)
@@ -597,7 +596,10 @@ class GeneralProblem:
         (ag, bg), xg = ends[:, g], xb[g]
         d = 0.45 * self.tol_u
         if self.data.is_sampled:
-            r = np.where(has_l, left[jl], right[jr])
+            # phi on the sub-bracket's feet: right of breakpoint i - 1, or
+            # left of the first one
+            i = j1[g] - m
+            r = np.where(i > 0, right[(i - 1) % len(right)], left[0])
             if jump.any():
                 r[jump] = self._preimage(v[el[jump]], ag[jump], bg[jump])
             lo, hi = r - d, r + d

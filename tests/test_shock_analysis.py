@@ -305,8 +305,9 @@ def test_track_fallback_equals_one_point_bisection(name, monkeypatch):
 
 
 def _count_work(monkeypatch):
-    """Count _maximize_block calls and bisection fallbacks from now on."""
-    count = {"blocks": 0, "fallbacks": 0}
+    """Count _maximize_block calls, and record the time t of each bisection
+    fallback, from now on."""
+    count = {"blocks": 0, "fallbacks": []}
     block = GeneralProblem._maximize_block
     bisect_jump = ShockAnalyzer._bisect_jump
 
@@ -314,9 +315,9 @@ def _count_work(monkeypatch):
         count["blocks"] += 1
         return block(self, *args)
 
-    def counted_bisect(self, *args):
-        count["fallbacks"] += 1
-        return bisect_jump(self, *args)
+    def counted_bisect(self, x_hat, t, *args):
+        count["fallbacks"].append(t)
+        return bisect_jump(self, x_hat, t, *args)
 
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted_block)
     monkeypatch.setattr(ShockAnalyzer, "_bisect_jump", counted_bisect)
@@ -332,8 +333,24 @@ def test_track_block_budget(name, monkeypatch):
     count = _count_work(monkeypatch)
     cur = sa.track_forward(x0, t0, t_end, dt)
     assert len(cur.nodes) == n_nodes
-    assert count["fallbacks"] == 0
+    assert count["fallbacks"] == []
     assert count["blocks"] <= 3 * n_nodes
+
+
+def test_fallback_places_the_node_on_the_shock_run_into(sin_sa,
+                                                       monkeypatch):
+    # the characteristic from (-0.5, 1/8) runs into the standing shock of
+    # Burgers/sine at x = 0 just before t = 1.125: Newton on the branch gap
+    # gives up there, and the bisection puts the node on the shock, not at
+    # the characteristic's x_hat = 0.0372; later nodes stay on it
+    count = _count_work(monkeypatch)
+    cur = sin_sa.track_forward(-0.5, 0.125, 1.5, 0.125)
+    assert count["fallbacks"] == [1.125]
+    late = [n for n in cur.nodes if n.t >= 1.125]
+    assert len(late) == 4
+    for n in late:
+        assert abs(n.x) < 1e-6
+        assert abs(n.u_minus + n.u_plus) < 1e-6
 
 
 def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
@@ -341,7 +358,7 @@ def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
     count = _count_work(monkeypatch)
     with pytest.raises(LostCurve):
         riemann_sa._locate_jump(2.0, 1.0, 1.0, 0.0, 0.1)
-    assert count["fallbacks"] == 1
+    assert len(count["fallbacks"]) == 1
 
 
 def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
@@ -359,7 +376,7 @@ def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
     count = _count_work(monkeypatch)
     monkeypatch.setattr(GeneralProblem, "branch_gap", off)
     x, um, up = riemann_sa._locate_jump(0.52, 1.0, 1.0, 0.0, 0.1)
-    assert count["fallbacks"] == 1
+    assert len(count["fallbacks"]) == 1
     assert len(calls) == 1
     ref = _OnePointTracker(p)._bisect_jump(0.52, 1.0, 0.5, 0.1)
     assert x == ref

@@ -371,9 +371,9 @@ _JUMP_PROBLEMS = {
 
 @pytest.mark.parametrize("name", list(_JUMP_PROBLEMS))
 def test_exact_roots_match_bisection_of_psi(name, monkeypatch):
-    # the closed-form roots where the feet cross a jump of the data,
-    # against one-midpoint bisection of psi on the same brackets with the
-    # exact roots switched off
+    # the closed-form roots where the feet cross a jump of the data, and
+    # the plateau roots of sampled data, against one-midpoint bisection of
+    # psi on the same brackets with the exact roots switched off
     make, ts = _JUMP_PROBLEMS[name]
     p = make()
     inner = getattr(p, "problem", p)
@@ -404,6 +404,39 @@ def test_exact_roots_match_bisection_of_psi(name, monkeypatch):
     # a step(1, 0) shock and the N-wave keep their roots off the jumps'
     # preimages; every other problem takes closed-form roots
     assert (sum(certified) > 0) == (name not in ("shock", "nwave"))
+
+
+@pytest.mark.parametrize("name", ["burgers", "quartic"])
+def test_sampled_halves_take_closed_form_roots(name, monkeypatch):
+    # psi is U(c) - U(u) between knots, so a sampled half reaches the
+    # refiner only when its closed-form root fails the check: never under
+    # Burgers; under power2n(2) only at u = 0, where H = 4u^3 is flat and
+    # the foot of a jump's preimage barely moves over tol_u
+    f = flux.burgers() if name == "burgers" else flux.power2n(2)
+    p = Problem(f, _sampled_17())
+    halves, refined = [0], []
+    roots, refine = GeneralProblem._roots, GeneralProblem._refine_roots
+
+    def counted_roots(self, xb, *args):
+        halves[0] += len(xb)
+        return roots(self, xb, *args)
+
+    def counted_refine(self, xb, t, nb, carrier, ends, vals):
+        refined.append((ends.copy(), vals.copy()))
+        return refine(self, xb, t, nb, carrier, ends, vals)
+
+    monkeypatch.setattr(GeneralProblem, "_roots", counted_roots)
+    monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
+    for t in (0.4, 1.3, 3.1):
+        for k in range(5):
+            p.solve_grid(np.linspace(-3.0, 3.0, 67) + 0.1 * k, t)
+    assert halves[0] > 900
+    if name == "burgers":
+        assert refined == []
+    for ends, vals in refined:
+        # psi(a) > 0 >= psi(b): _exact_roots took the half, its check failed
+        assert ((vals[0] > 0.0) & (vals[1] <= 0.0)).all()
+        assert (ends[0] == 0.0).all()
 
 
 def _count_psi(monkeypatch):
