@@ -7,7 +7,7 @@ one element per bracket, and drops a bracket from them once it stops:
 * ``bisect_many`` bisects on a predicate.  A walk's state is its bracket
   index, its ends and the steps it has taken; each round evaluates one
   dyadic tree of midpoints per live walk, at most ``_DEPTH`` steps deep,
-  and every walk then takes those steps at once.
+  tests all its nodes at once and takes its steps by index arithmetic.
 * ``secant_many`` finds a root in each bracket with f(a) > 0 >= f(b).  Each
   round probes a pair c -+ e around each bracket's secant point c, sized
   by a bound on f'' so that the root lies between the two and the bracket
@@ -21,10 +21,11 @@ one element per bracket, and drops a bracket from them once it stops:
 
 ``bisect`` is ``bisect_many`` on one bracket.  Every search stops once the
 bracket cannot shrink in floating point, whatever the tolerance, and ends
-on the floats that one step per function call gives.  ``runs`` and
-``row_runs`` give the maximal runs of True in a boolean mask.
+on the floats that one step per function call gives.  ``runs``,
+``row_runs`` and ``padded_runs`` give the maximal runs of True in a mask.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,122 +37,134 @@ _DEPTH = 3
 
 
 def _dyadic(a, b, k):
-    """The 2**k - 1 midpoints that k bisection steps of [a, b] can visit.
-
-    Ordered from a to b.  Each is 0.5 * (c + d) for the bracket [c, d] the
-    steps split there, so it is the very float a step computes.  Arrays
-    ``a`` and ``b`` give one column of midpoints per bracket.
-    """
-    n = 1 << k
-    a = np.asarray(a, dtype=float)
-    g = np.empty((n + 1,) + a.shape)
+    """Rows a, the 2**k - 1 midpoints k steps can visit, from a to b, and
+    b; one column per bracket.  Each midpoint is 0.5 * (c + d) for the
+    bracket [c, d] split there, the very float a step computes."""
+    n = h = 1 << k
+    g = np.empty((n + 1, len(a)))
     g[0], g[n] = a, b
-    step = n
-    while step > 1:
-        h = step >> 1
-        g[h::step] = 0.5 * (g[:n:step] + g[step::step])
-        step = h
-    return g[1:n]
+    while h > 1:
+        h >>= 1
+        g[h::2 * h] = 0.5 * (g[:n:2 * h] + g[2 * h::2 * h])
+    return g
 
 
-def _splits(A, B, n, tol, cap):
-    """The midpoints of brackets [A, B], and which of them the next step
-    splits: those with ``|B - A| > tol``, a midpoint that is neither end
-    and fewer than ``cap`` steps n taken, the tests of the one-step loop.
-    """
-    m = 0.5 * (A + B)
-    return m, (np.abs(B - A) > tol) & (m != A) & (m != B) & (n < cap)
+def _tree(k):
+    """Nodes of k steps in heap order (root 1, halves 2p and 2p + 1, node 0
+    a copy of the root): the ``_dyadic(k)`` rows of their ends and
+    midpoints, their depths, and the answer row of each split."""
+    p = np.maximum(np.arange(2 << k), 1)
+    depth = np.array([q.bit_length() - 1 for q in p.tolist()])
+    span = 1 << (k - depth)
+    lo = (p - (1 << depth)) * span
+    ends = np.stack([lo, lo + span, lo + span // 2])
+    return ends, depth[:, None], ends[2, :1 << k] - 1
+
+
+_TREES = [None] + [_tree(k) for k in range(1, _DEPTH + 1)]
+
+
+@functools.lru_cache(maxsize=64)
+def _nodes(k, nw):
+    """Flat indices p nw + c of the nodes p < 2**k of nw walks' trees, and
+    of their halves 2p and 2p + 1."""
+    node = np.arange((1 << k) * nw).reshape(-1, nw)
+    return node, 2 * node - node[0], 2 * node - node[0] + nw
+
+
+def _join(walks, i, a, b):
+    """Walks (bracket, ends, steps taken) with brackets i from [a, b]."""
+    return [np.concatenate(v) for v in zip(walks, (i, a, b, 0 * i))]
 
 
 def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
     """The round loop of ``bisect_many`` and ``secant_many``.
 
     Brackets with f(a) > 0 >= f(b), room above tol and a first pair that
-    pays (the test in the loop) start as probe pairs, the others as
-    bisection walks; ``curv`` None starts every bracket as a walk.  The
-    pairs' state (A, B, FA, FB, K) is kept for the live pairs ``sec``
-    only, and a pair's final ends are written into ``a`` and ``b`` when
-    it leaves that state.  A walk keeps its ends in ``a`` and ``b``;
-    ``walk`` and ``n`` hold the bracket and the steps taken of each.
+    pays start as probe pairs ``sec`` (A, B, FA, FB, K, s, cw2), the others
+    as walks ``walk`` (WA, WB, n); ``curv`` None makes every bracket a walk.
+    A bracket's ends go into ``a`` and ``b`` when it stops, at once when
+    every pair stops in one round.  A round tests every node of the walks'
+    trees as the one-step loop tests a bracket (a walk whose root fails
+    stops, and the others' trees are built anew); from a node that passes
+    a walk goes to the half its answer picks, else it stays, so a table of
+    next nodes takes its k steps in k gathers along its tree's path.
     """
     cap = math.inf if maxiter is None else maxiter
+    sec = np.arange(len(a))
+    walk, WA, WB, n = sec[:0], a[:0], b[:0], sec[:0]
     if curv is None:
-        walk, sec = np.arange(len(a)), ()
+        walk, WA, WB, n, sec = sec, a, b, np.zeros(len(a), dtype=int), sec[:0]
     else:
-        w = np.abs(b - a)
+        w, s = np.abs(b - a), fa - fb
         pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
         # the first pair's test, as in the loop (0 stands in for curv where
         # the bracket has no width, since inf * 0 is invalid)
-        pair &= np.where(pair, curv, 0.0) * w * w < fa - fb
-        walk, sec = (~pair).nonzero()[0], pair.nonzero()[0]
-    n = np.zeros(len(walk), dtype=int)
-    if len(sec):
-        A, B, FA, FB, K = a[sec], b[sec], fa[sec], fb[sec], curv[sec]
-        D = B - A
-        w = np.abs(D)
+        cw2 = np.where(pair, curv, 0.0) * w * w
+        pair &= cw2 < s
+        A, B, FA, FB, K = a, b, fa, fb, curv
+        if np.count_nonzero(pair) < len(a):
+            i, sec = (~pair).nonzero()[0], pair.nonzero()[0]
+            walk, WA, WB, n = _join((walk, WA, WB, n), i, a[i], b[i])
+            A, B, FA, FB, K, w, s, cw2 = (v[sec] for v in (
+                A, B, FA, FB, K, w, s, cw2))
+    own = ow = sec[:0]
     while True:
         m = len(sec)
         if m:
-            s = FA - FB                         # > 0
-            # e = K |c - A| |B - c| / |f'| bounds the secant point c's
-            # error; a pair is tried where e at the middle stays below w / 4
-            cw2 = K * w * w
-            ok = cw2 < s
-            if not ok.all():
-                walk = np.concatenate([walk, sec[~ok]])
-                n = np.concatenate([n, np.zeros(m - ok.sum(), dtype=int)])
-                sec, A, B, FA, FB, K, D, w, s, cw2 = (v[ok] for v in (
-                    sec, A, B, FA, FB, K, D, w, s, cw2))
-                m = len(sec)
-        if m:
-            th = FA / s                         # c = A + th D
-            # e / w, at least tol / 4; the pair shifts inside the bracket
-            # when c lies near an end
+            if len(own) != 2 * m:               # a pair left: owners anew
+                own = np.concatenate([sec, sec])
+            # e = K |c - A| |B - c| / |f'| bounds the error of the secant
+            # point c = A + th D (below w / 4 at the middle by the pair's
+            # test); e / w is at least tol / 4, and shifts c off an end
+            th = FA / s
             eps = np.maximum(cw2 * th * (1.0 - th) / s, 0.25 * tol / w)
             th = np.minimum(np.maximum(th, eps), 1.0 - eps)
-            c = A + th * D
-            e = eps * D
+            D = B - A
+            c, e = A + th * D, eps * D
             q = np.concatenate([c - e, c + e])
-        if len(walk):
-            WA, WB = a[walk], b[walk]
-            _, go = _splits(WA, WB, n, tol, cap)
-            if not go.all():                    # those walks are done
-                walk, n, WA, WB = walk[go], n[go], WA[go], WB[go]
-        if len(walk):
-            # the steps each walk asks for, fewer than _DEPTH near maxiter
-            # or about those left until |b - a| <= tol
-            k = np.minimum(_DEPTH, cap - n)
-            if tol > 0.0:
-                k = np.maximum(1, np.ceil(np.minimum(
-                    k, np.log2(np.abs(WB - WA) / tol))))
-            k = int(k.max())
-            # one column of midpoints per walk
+        while len(walk):
+            # the steps each walk asks for: _DEPTH, fewer near maxiter or tol
+            z = cap - n if tol <= 0.0 else np.log2(
+                np.maximum(np.abs(WB - WA), tol) / tol)
+            if tol > 0.0 and maxiter is not None:
+                z = np.minimum(z, cap - n)
+            k = max(1, math.ceil(min(_DEPTH, z.max())))
             g = _dyadic(WA, WB, k)
-            owner = np.repeat(walk[None], len(g), axis=0).ravel()
+            ends, depth, row = _TREES[k]
+            E = g[ends]
+            lo, hi, mid = E[:, :1 << k]
+            go = (np.abs(hi - lo) > tol) & (mid != lo) & (mid != hi)
+            if maxiter is not None:
+                go &= n < cap - depth[:1 << k]
+            if np.count_nonzero(go[1]) == len(walk):
+                break
+            i = ~go[1]                          # those walks are done
+            a[walk[i]], b[walk[i]] = WA[i], WB[i]
+            walk, WA, WB, n = (v[go[1]] for v in (walk, WA, WB, n))
+        if len(walk):
+            nw, i = len(walk), 1 << k
+            if ow is not walk or len(owner) != nw * (i - 1):
+                ow, owner = walk, np.repeat(walk[None], i - 1, axis=0).ravel()
             if m:
-                vals = f(np.concatenate([q, g.ravel()]),
-                         np.concatenate([sec, sec, owner]))
+                vals = f(np.concatenate([q, g[1:i].ravel()]),
+                         np.concatenate([own, owner]))
                 ans = vals[2 * m:]
             else:
-                vals = ans = f(g.ravel(), owner)
+                vals = ans = f(g[1:i].ravel(), owner)
             if curv is not None:                # values, not answers
                 ans = ans > 0.0
-            ans = ans.reshape(g.shape)
-            # k steps down each walk's tree, from its root at position
-            # half: a walk that stops keeps its ends for the rest
-            cols = np.arange(len(walk))
-            pos = half = 1 << (k - 1)
+            node, lower, upper = _nodes(k, nw)
+            nxt = np.where(go, np.where(ans.reshape(i - 1, nw)[row], upper,
+                                        lower), node).ravel()
+            at = node[1]                        # the roots
             for _ in range(k):
-                mid, go = _splits(WA, WB, n, tol, cap)
-                up = ans[pos - 1, cols]
-                WA = np.where(go & up, mid, WA)
-                WB = np.where(go & ~up, mid, WB)
-                n = n + go
-                half >>= 1
-                pos = pos + np.where(up, half, -half)
-            a[walk], b[walk] = WA, WB
+                at = nxt[at]
+            WA, WB = E[0].ravel()[at], E[1].ravel()[at]
+            if maxiter is not None:
+                n = (n + depth).ravel()[at]
         elif m:
-            vals = f(q, np.concatenate([sec, sec]))
+            vals = f(q, own)
         else:
             return a, b
         if m:
@@ -159,26 +172,31 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
             p1, p2 = v1 > 0.0, v2 > 0.0
             w2 = np.abs(q2 - q1)
             # a hit: f changes sign between the pair, which shrank the bracket
-            hit = p1 & ~p2 & (w2 < w)
-            if not hit.all():
-                # the sign change lies in [A, q1], [q1, q2] or [q2, B]; a
-                # missed pair leaves that bracket to the bisection
+            hit = (p1 > p2) & (w2 < w)
+            if np.count_nonzero(hit) < m:
+                # a miss: the bisection takes [A, q1], [q1, q2] or [q2, B]
                 miss = ~hit
-                i = sec[miss]
-                a[i] = np.where(p1, np.where(p2, q2, q1), A)[miss]
-                b[i] = np.where(p1, np.where(p2, B, q2), q1)[miss]
-                walk = np.concatenate([walk, i])
-                n = np.concatenate([n, np.zeros(len(i), dtype=int)])
+                walk, WA, WB, n = _join(
+                    (walk, WA, WB, n), sec[miss],
+                    np.where(p1, np.where(p2, q2, q1), A)[miss],
+                    np.where(p1, np.where(p2, B, q2), q1)[miss])
                 sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
                     sec, q1, q2, v1, v2, w2, K))
             A, B, FA, FB, w = q1, q2, v1, v2, w2
-            D = B - A
             done = w <= tol
-            if done.any():
+            if np.count_nonzero(done) == len(sec):
+                a[sec], b[sec] = A, B
+                sec = sec[:0]
+                continue
+            # where the next pair would not pay, walk from the first bracket
+            s, cw2 = FA - FB, K * w * w
+            more = (cw2 < s) > done             # and not done
+            if np.count_nonzero(more) < len(sec):
                 a[sec[done]], b[sec[done]] = A[done], B[done]
-                more = ~done
-                sec, A, B, FA, FB, K, D, w = (v[more] for v in (
-                    sec, A, B, FA, FB, K, D, w))
+                i = sec[~(more | done)]
+                walk, WA, WB, n = _join((walk, WA, WB, n), i, a[i], b[i])
+                sec, A, B, FA, FB, K, w, s, cw2 = (v[more] for v in (
+                    sec, A, B, FA, FB, K, w, s, cw2))
 
 
 def bisect_many(pred, a, b, tol, maxiter=None):
@@ -191,8 +209,7 @@ def bisect_many(pred, a, b, tol, maxiter=None):
     stops on its own at ``|b - a| <= tol``, the float floor or ``maxiter``
     steps, with the ends that one step per predicate call gives.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     return _lockstep(pred, a, b, None, None, None, tol, maxiter)
 
 
@@ -213,17 +230,14 @@ def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
     Each bracket ends with f(a) > 0 >= f(b) and ``|b - a| <= tol``, or at
     the float floor or ``maxiter`` bisection steps.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
     return _lockstep(f, a, b, fa, fb, curv, tol, maxiter)
 
 
 def bisect(pred, a, b, tol, maxiter=None):
-    """``bisect_many`` on the one bracket [a, b]; returns its final ends.
-
-    ``pred`` maps an array of points to an array of booleans.
-    """
+    """``bisect_many`` on the one bracket [a, b] of ``pred``, which maps an
+    array of points to an array of booleans; returns the final ends."""
     a, b = bisect_many(lambda xs, _: pred(xs), [a], [b], tol, maxiter)
     return float(a[0]), float(b[0])
 
@@ -238,31 +252,32 @@ def golden_many(f, a, b, tol):
     its own when ``b - a <= tol`` or the bracket stops shrinking, and the
     returned array holds the midpoint of each final bracket.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.empty(len(a))
-    if not len(a):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out, m = np.empty(len(a)), len(a)
+    if not m:
         return out
-    idx = np.arange(len(a))
+    idx = np.arange(m)
     w = b - a
-    c = b - _INVPHI * w
-    d = a + _INVPHI * w
-    fc, fd = np.split(f(np.concatenate([c, d]), np.tile(idx, 2)), 2)
+    x = _INVPHI * w
+    c, d = b - x, a + x
+    v = f(np.concatenate([c, d]), np.concatenate([idx, idx]))
+    fc, fd = v[:m], v[m:]
     live = w > tol
     while True:
-        if not live.all():
+        m = np.count_nonzero(live)
+        if m < len(idx):
             out[idx[~live]] = 0.5 * (a + b)[~live]
+            if not m:
+                return out
             idx, a, b, c, d, fc, fd, w = (v[live] for v in (
                 idx, a, b, c, d, fc, fd, w))
-            if not len(idx):
-                return out
         # keep [a, d] where f(c) <= f(d), else [c, b]; the kept inner point
-        # and its value carry over, and the new point p takes the other's
-        # place
+        # and its value carry over, the new point p takes the other's place
         left = fc <= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         width, w = w, b - a
-        p = np.where(left, b - _INVPHI * w, a + _INVPHI * w)
+        x = _INVPHI * w
+        p = np.where(left, b - x, a + x)
         fp = f(p, idx)
         c, d = np.where(left, p, d), np.where(left, c, p)
         fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
@@ -282,9 +297,14 @@ def row_runs(mask):
     right within a row, so row r's pairs are ``runs(mask[r])``.
     """
     mask = np.asarray(mask, dtype=bool)
-    rows, n = mask.shape
-    pad = np.zeros((rows, n + 2), dtype=bool)
+    pad = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=bool)
     pad[:, 1:-1] = mask
-    # the value changes along a row, alternately a run's start and its end
-    row, col = np.divmod(np.flatnonzero(pad[:, 1:] != pad[:, :-1]), n + 1)
+    return padded_runs(pad)
+
+
+def padded_runs(pad):
+    """``row_runs(pad[:, 1:-1])`` of a C-ordered mask with False ends."""
+    f = pad.ravel()
+    # a change of value starts or ends a run; rows meet at two Falses
+    row, col = np.divmod((f[1:] != f[:-1]).nonzero()[0], pad.shape[1])
     return row[0::2], col[0::2], col[1::2] - 1

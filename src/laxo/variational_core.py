@@ -19,12 +19,13 @@ primitive of U(phi) and the flux term by
 int_0^u H'U ds = H(u)U(u) - F(u) - (H(0)U(0) - F(0)).
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._search import bisect_many, golden_many, row_runs, secant_many
+from ._search import bisect_many, golden_many, padded_runs, secant_many
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended, _interval
 
@@ -177,6 +178,9 @@ class GeneralProblem:
         self.M = M
         delta = 1e-6 * (1.0 + M)
         self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
+        h = self._h = float(self._s[1] - self._s[0])
+        # |psi''| / 2 per unit of a second difference on the grid
+        self._curv = _SECANT_SAFETY / (2.0 * h * h)
         self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
         self._Hps = np.asarray(self._Hp(self._s), dtype=float)
         self._H0 = float(self._H(0.0))
@@ -359,7 +363,6 @@ class GeneralProblem:
         such an edge.
         """
         s, n, rows = self._s, len(self._s), len(xs)
-        h = s[1] - s[0]
         # a window other than the whole grid: row q reads the w grid points
         # from rs[q] on, and its window is the columns lo[q] .. hi[q]
         cut = np.count_nonzero(start) or np.count_nonzero(width - n)
@@ -367,7 +370,7 @@ class GeneralProblem:
         rs = np.minimum(start, n - w) if cut else start
         if not cut:
             Hw, Iw = self._Hs, self._Is
-        elif (rs == rs[0]).all():
+        elif not np.count_nonzero(rs != rs[0]):
             Hw, Iw = self._Hs[rs[0]:rs[0] + w], self._Is[rs[0]:rs[0] + w]
         else:
             # a strided view whose row k is the grid from index k on
@@ -379,31 +382,35 @@ class GeneralProblem:
         np.subtract(xs[:, None], tc * Hw, out=feet)
         pts[:, w] = xs - t * self._H0
         Wp = self._W(pts.ravel()).reshape(rows, w + 1)
-        Ev = (Wp[:, w:] - Wp[:, :w]) - tc * Iw
+        # E on the grid between two columns of -inf, and the masks of its
+        # local maxima and of its bands between two columns of False, as
+        # padded_runs takes them
+        Ep = np.empty((rows, w + 2))
+        Ep[:, ::w + 1] = -np.inf
+        Ev = Ep[:, 1:-1]
+        np.subtract(Wp[:, w:] - Wp[:, :w], tc * Iw, out=Ev)
         if cut:
             lo = start - rs
             hi = lo + width - 1
-            padded = (width < w).any()
+            padded = np.count_nonzero(width < w)
             if padded:
                 c = np.arange(w)
                 Ev[(c < lo[:, None]) | (c > hi[:, None])] = -np.inf
-        Emax_grid = Ev.max(axis=1)
+        Emax_grid = np.maximum.reduce(Ev, axis=1)
 
         # local maxima; a plateau is represented by its middle point
-        lm = np.empty((rows, w), dtype=bool)
-        lm[:, 1:-1] = (Ev[:, 1:-1] >= Ev[:, :-2]) & (Ev[:, 1:-1] >= Ev[:, 2:])
-        lm[:, 0] = Ev[:, 0] >= Ev[:, 1]
-        lm[:, -1] = Ev[:, -1] >= Ev[:, -2]
+        lm = np.zeros((rows, w + 2), dtype=bool)
+        np.logical_and(Ev >= Ep[:, :-2], Ev >= Ep[:, 2:], out=lm[:, 1:-1])
         if cut:
             # the window edges that are no grid end, at (row er, column
             # ec), and the reads off the window hold none
             in_lo, in_hi = start > 0, start + width < n
             er = np.concatenate([in_lo.nonzero()[0], in_hi.nonzero()[0]])
             ec = np.concatenate([lo[in_lo], hi[in_hi]])
-            lm[er, ec] = False
+            lm[er, ec + 1] = False
             if padded:
-                lm &= Ev > -np.inf
-        r, first, last = row_runs(lm)
+                lm[:, 1:-1] &= Ev > -np.inf
+        r, first, last = padded_runs(lm)
         col = first + (last - first + 1) // 2
         # the neighbours of each run's middle, as columns and grid indices;
         # a run's middle is a grid end or lies inside its window
@@ -412,19 +419,22 @@ class GeneralProblem:
         carrier = (self._U(self.data.phi(feet[r, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
-        keep = ~(Ev[r, col] + _at(t, r) * h * gloc
+        keep = ~(Ev[r, col] + _at(t, r) * self._h * gloc
                  < Emax_grid[r] - 10.0 * self.val_tol)
-        r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
+        if np.count_nonzero(keep) < len(r):     # else every run stays
+            r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
 
-        # refine: psi at the bracket ends is the carrier there
+        # refine: psi at the bracket ends is the carrier there; a sign
+        # change is psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi)
         pl, ph = carrier[0], carrier[2]
-        sign = ((pl > 0.0) & (0.0 >= ph)) | ((pl >= 0.0) & (0.0 > ph))
+        sign = (pl > ph) & (pl >= 0.0) & (ph <= 0.0)
+        nsign = np.count_nonzero(sign)
         u_star = np.empty(len(r))
-        if sign.any():
-            a, b = self._roots(xs[r[sign]], _at(t, r[sign]), nb[:, sign],
-                               carrier[:, sign])
-            u_star[sign] = 0.5 * (a + b)
-        if not sign.all():
+        if nsign:
+            i = sign if nsign < len(r) else slice(None)
+            a, b = self._roots(xs[r[i]], _at(t, r[i]), nb[:, i], carrier[:, i])
+            u_star[i] = 0.5 * (a + b)
+        if nsign < len(r):
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
             W0g, xg, tg = Wp[r[g], w], xs[r[g]], _at(t, r[g])
@@ -435,12 +445,13 @@ class GeneralProblem:
 
         # per row: the best value, then the grid bands within val_tol of it
         rcut = np.searchsorted(r, np.arange(rows + 1)).tolist()
-        refined = list(zip(u_star.tolist(), E_star.tolist()))
-        refined = [refined[rcut[q]:rcut[q + 1]] for q in range(rows)]
-        Emax = [max([eg] + [e for _, e in ref])
-                for eg, ref in zip(Emax_grid.tolist(), refined)]
-        thresh = [e - self.val_tol for e in Emax]
-        br, first, last = row_runs(Ev >= np.array(thresh)[:, None])
+        us, es = u_star.tolist(), E_star.tolist()
+        Emax = np.array([max([eg] + es[rcut[q]:rcut[q + 1]])
+                         for q, eg in enumerate(Emax_grid.tolist())])
+        thresh = Emax - self.val_tol
+        bm = np.zeros((rows, w + 2), dtype=bool)
+        np.greater_equal(Ev, thresh[:, None], out=bm[:, 1:-1])
+        br, first, last = padded_runs(bm)
         redo = ()
         if cut:
             first += rs[br]
@@ -450,13 +461,16 @@ class GeneralProblem:
             reach = np.minimum(thresh, Emax_grid)[er]
             redo = set(er[Ev[er, ec] >= reach].tolist())
         bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
-        bands = list(zip(first.tolist(), last.tolist()))
+        first, last = first.tolist(), last.tolist()
         ts = t.tolist() if isinstance(t, np.ndarray) else [t] * rows
         return [None if q in redo else
-                self._assemble(float(xs[q]), ts[q], float(Wp[q, w]), Emax[q],
-                               thresh[q], refined[q],
-                               bands[bcut[q]:bcut[q + 1]])
-                for q in range(rows)]
+                self._assemble(float(xs[q]), ts[q], float(Wp[q, w]), e, th,
+                               us[rcut[q]:rcut[q + 1]],
+                               es[rcut[q]:rcut[q + 1]],
+                               first[bcut[q]:bcut[q + 1]],
+                               last[bcut[q]:bcut[q + 1]])
+                for q, (e, th) in enumerate(zip(Emax.tolist(),
+                                                thresh.tolist()))]
 
     def _roots(self, xb, t, nb, carrier):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
@@ -501,16 +515,16 @@ class GeneralProblem:
         s, n = self._s, len(self._s)
         pl, pm, ph = carrier
         d2 = pl - 2.0 * pm + ph
-        e = np.flatnonzero(nb[2] - nb[0] < 2)    # brackets at a grid end
-        if len(e):
+        end = nb[2] - nb[0] < 2                 # brackets at a grid end
+        if np.count_nonzero(end):
+            e = end.nonzero()[0]
             at_lo = nb[0, e] == nb[1, e]
             k = np.where(at_lo, 2, n - 3)
             px = (self._U(self.data.phi(xb[e] - _at(t, e) * self._Hs[k]))
                   - self._U(s[k]))
             d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
                              px - 2.0 * pl[e] + ph[e])
-        h = s[1] - s[0]
-        curv = (_SECANT_SAFETY / (2.0 * h * h)) * np.abs(d2)
+        curv = self._curv * np.abs(d2)
         return secant_many(lambda u, i: self._psi(u, xb[i], _at(t, i)),
                            ends[0], ends[1], vals[0], vals[1], curv,
                            self.tol_u, 60)
@@ -600,7 +614,7 @@ class GeneralProblem:
             # left of the first one
             i = j1[g] - m
             r = np.where(i > 0, right[(i - 1) % len(right)], left[0])
-            if jump.any():
+            if np.count_nonzero(jump):
                 r[jump] = self._preimage(v[el[jump]], ag[jump], bg[jump])
             lo, hi = r - d, r + d
         else:
@@ -682,26 +696,46 @@ class GeneralProblem:
     def _preimage(self, v, a, b):
         """u in [a, b] with H(u) = v, or the end of [a, b] nearer to it.
 
-        A bisection of H alone, which reads no data, to the float floor.
+        ``secant_many`` on v - H, which reads no data, to a sixteenth of
+        tol_u: [a, b] lies in a cell of the u-grid, and H'' there is
+        bounded by the grid's second differences of H at the cell's ends,
+        as ``_refine_roots`` bounds psi''.  A v outside [H(a), H(b)] walks
+        to the end nearer to it, and the result is clamped to [a, b].
         """
-        lo, hi = bisect_many(lambda u, i: self._H(u) < v[i], a, b, 0.0, 64)
-        return 0.5 * (lo + hi)
+        cell = np.minimum(np.searchsorted(self._s, a, "right") - 1,
+                          len(self._s) - 2)
+        Hab = self._H(np.concatenate([a, b]))
+        lo, hi = secant_many(lambda u, i: v[i] - self._H(u), a, b,
+                             v - Hab[:len(a)], v - Hab[len(a):],
+                             self._curv * self._Hd2[cell], self.tol_u / 16.0,
+                             60)
+        return np.minimum(np.maximum(0.5 * (lo + hi), a), b)
 
-    def _assemble(self, x, t, W0, Emax, thresh, refined, bands):
+    @functools.cached_property
+    def _Hd2(self):
+        """|H''| h**2 on each grid cell, from the second differences of H
+        at its ends (built on the first call of ``_preimage``)."""
+        d2 = np.abs(np.diff(self._Hs, 2))
+        d2 = np.concatenate([d2[:1], d2, d2[-1:]])
+        return np.maximum(d2[:-1], d2[1:])
+
+    def _assemble(self, x, t, W0, Emax, thresh, us, es, first, last):
         """One row's MaximizerSet from its refined points and value bands.
 
-        ``W0`` is the row's W(x - t H(0)) from the scan.
+        ``W0`` is the row's W(x - t H(0)) from the scan, ``us`` and ``es``
+        the refined points and E there, and the grid bands run from
+        ``first`` to ``last``.
         """
         s, n = self._s, len(self._s)
-        h = s[1] - s[0]
-        pts = [u for u, e in refined if e >= thresh]
+        h = self._h
+        pts = [u for u, e in zip(us, es) if e >= thresh]
         flat_tol = 1e-11 * (1.0 + abs(Emax))
         comps = [[u, u] for u in pts]
         edges = []              # (outside, inside) grid points of flat bands
         unreached = []
-        for first, last in bands:
-            out_lo, lo = s[max(first - 1, 0)], s[first]
-            hi, out_hi = s[last], s[min(last + 1, n - 1)]
+        for i, j in zip(first, last):
+            out_lo, lo = s[max(i - 1, 0)], s[i]
+            hi, out_hi = s[j], s[min(j + 1, n - 1)]
             if hi - lo > 2.5 * h:
                 # genuine maximizer intervals have exactly constant E;
                 # otherwise the band is a flat peak of a degenerate flux

@@ -316,6 +316,62 @@ def test_bisect_many_random_brackets():
         _many_against_bisect(preds, a, b, tol, 60)
 
 
+def _first_false(pred, a, b, rounds):
+    """The shortcut a monotone predicate allows: each round takes a depth-3
+    tree's three steps at once, to the bracket around its first False."""
+    for _ in range(rounds):
+        g = {0: a, 8: b}
+        for h in (4, 2, 1):
+            for j in range(h, 8, 2 * h):
+                g[j] = 0.5 * (g[j - h] + g[j + h])
+        ok = [bool(pred(np.array([g[j]]))[0]) for j in range(1, 8)]
+        j = ok.index(False) + 1 if False in ok else 8
+        a, b = g[j - 1], g[j]
+    return a, b
+
+
+def test_bisect_many_follows_tree_path_not_first_false():
+    # predicates with several sign changes per bracket: a walk's steps must
+    # follow its tree's path, answer by answer, as the one-step loop does,
+    # not jump to the first False of its tree, which only a monotone
+    # predicate allows
+    preds = [_several_changes(c) for c in (0.05, 0.11, 0.31, 0.6)]
+    preds.append(lambda x: np.sin(37.0 * x) > 0.2)
+    preds.append(lambda x: (np.floor(x * 64.0) % 3) != 1)
+    a = np.array([0.0, -1.0, 2.0, 0.3, -0.7, 0.0])
+    b = np.array([1.0, 1.5, -1.0, 0.9, 0.4, 1.0])
+    for tol, maxiter in ((1e-12, None), (1e-6, None), (0.0, 30), (1e-9, 7)):
+        _many_against_bisect(preds, a, b, tol, maxiter)
+        got = bisect_many(lambda xs, owner: np.array(
+            [bool(preds[i](np.array([x]))[0])
+             for x, i in zip(xs.tolist(), owner.tolist())]), a, b, tol,
+            maxiter)
+        for i, pred in enumerate(preds):
+            ref, _ = _bisect_loop(lambda u: bool(pred(np.array([u]))[0]),
+                                  float(a[i]), float(b[i]), tol, maxiter)
+            assert (got[0][i], got[1][i]) == ref
+    # 30 steps in 10 whole trees: the shortcut is the loop on monotone
+    # predicates and ends elsewhere on these
+    differs = 0
+    for i, pred in enumerate(preds + [_MONOTONE[0](0.37)]):
+        x, y = (float(a[i]), float(b[i])) if i < len(preds) else (0.0, 1.0)
+        ref, _ = _bisect_loop(lambda u: bool(pred(np.array([u]))[0]), x, y,
+                              0.0, 30)
+        if i == len(preds):
+            assert _first_false(pred, x, y, 10) == ref
+        else:
+            differs += _first_false(pred, x, y, 10) != ref
+    assert differs > 0
+
+
+def test_bisect_one_bracket_call_budget():
+    # 40 steps to 1e-12 on [0, 1] at 3 steps per call: exactly 14 calls
+    pred, calls = _counted(lambda x: x * x < 0.5)
+    a, b = bisect(pred, 0.0, 1.0, 1e-12)
+    assert a < math.sqrt(0.5) <= b and b - a <= 1e-12
+    assert len(calls) == 14
+
+
 def test_bisect_many_no_brackets():
     a, b = bisect_many(lambda xs, owner: xs > 0, np.empty(0), np.empty(0),
                        1e-12)
@@ -494,6 +550,72 @@ def test_secant_walks_join_mid_search():
     assert len(calls) == max(len(p) for p in pts)
 
 
+def test_secant_all_pairs_end_in_one_round():
+    # every bracket starts as a pair and every pair ends in the same round:
+    # each bracket's ends are those of a call on it alone, bit for bit
+    rng = np.random.default_rng(11)
+    fs, a, b = _smooth_roots(rng, 7)
+    curv = np.full(7, 1.5)
+    got, calls = _secant(fs, a, b, curv, tol=1e-9)
+    _assert_certified(fs, got, 1e-9)
+    # two rounds of all seven pairs, the last ending every one
+    assert [len(o) for o in calls] == [14, 14]
+    alone = [_secant([g], [x], [y], curv[:1], tol=1e-9)
+             for g, x, y in zip(fs, a, b)]
+    assert all(len(c) == len(calls) for _, c in alone)
+    for i, ((x, y), _) in enumerate(alone):
+        assert got[0][i].tobytes() == x.tobytes()
+        assert got[1][i].tobytes() == y.tobytes()
+
+
+def test_secant_walks_stop_mid_round():
+    # walks that start in different rounds share trees of the deepest
+    # walk's depth, so some stop inside a tree, on maxiter, tol or the
+    # float floor; each ends as the one-step loop does from the bracket
+    # it starts on
+    base = 1e4
+    ulp = float(np.spacing(base))
+    cs = (0.3e-3, 0.77e-3, 0.5e-3, 0.123e-3)
+    fs = [(lambda c: (lambda x: np.where(x < c, 1.0, -2.0)))(c) for c in cs]
+    fs.append(lambda x: np.where(x < base + 2.5 * ulp, 1.0, -1.0))
+    a = [0.0, 0.0, 0.0, 0.0, base]
+    b = [1e-3, 1e-3, 1e-3, 1e-3, base + 9 * ulp]
+    # a claimed curvature of 0 sends a pair, which misses; inf bisects at once
+    curv = np.array([0.0, np.inf, 0.0, np.inf, 0.0])
+    mid_round = 0
+    for tol, maxiter in ((1e-12, 5), (1e-12, 17), (3e-7, 60), (0.0, 60)):
+        pts = [[] for _ in fs]
+
+        def f(xs, owner):
+            out = np.empty(len(xs))
+            for i in set(owner.tolist()):
+                sel = owner == i
+                out[sel] = fs[i](xs[sel])
+                pts[i].append((xs[sel].tolist(), out[sel].tolist()))
+            return out
+
+        fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a)])
+        fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b)])
+        got = secant_many(f, np.array(a), np.array(b), fa, fb, curv, tol,
+                          maxiter)
+        for i, g in enumerate(fs):
+            start, pairs = (a[i], b[i]), 0
+            if all(len(q[0]) == 2 for q in pts[i]):
+                # the pairs alone ended this bracket
+                _assert_certified([g], ([got[0][i]], [got[1][i]]),
+                                  max(tol, ulp))
+                continue
+            if curv[i] == 0.0:
+                start, pairs = _pair_narrowed(
+                    [q for q in pts[i] if len(q[0]) == 2], a[i], b[i])
+            ref, steps = _bisect_loop(lambda x: g(np.array([x]))[0] > 0.0,
+                                      *start, tol, maxiter)
+            assert (got[0][i], got[1][i]) == ref
+            trees = [len(q) for q, _ in pts[i][pairs:]]
+            mid_round += sum(n.bit_length() for n in trees) > len(steps)
+    assert mid_round > 0
+
+
 def test_secant_far_from_origin_terminates():
     # near 1e5 the float spacing (1.5e-11) exceeds tol: the pair collapses
     # onto one float, and the bisection must stop at the float floor
@@ -631,6 +753,33 @@ def test_golden_many_matches_scalar_loop():
         assert len(calls) == max(len(r) for r in seen)
         if trial % 2:
             assert base <= got[-1] <= base + 5 * ulp
+
+
+def test_golden_many_every_bracket_stops_at_once():
+    # brackets of one width under one unimodal shape stop in the same
+    # round; each is the scalar loop's midpoint, bit for bit
+    cs = [0.1, 0.37, 0.5, 0.93]
+    fs = [(lambda c: (lambda x: (x - c) ** 2))(c) for c in cs]
+    a = np.array([0.0, 0.25, -1.0, 0.5])
+    b = a + 1.0
+    calls = []
+
+    def f(xs, owner):
+        calls.append(len(xs))
+        out = np.empty(len(xs))
+        for i in set(owner.tolist()):
+            sel = owner == i
+            out[sel] = fs[i](xs[sel])
+        return out
+
+    got = golden_many(f, a, b, 1e-9)
+    rounds = set()
+    for i, fi in enumerate(fs):
+        ref, r = _golden_loop(fi, float(a[i]), float(b[i]), 1e-9)
+        assert got[i].tobytes() == np.float64(ref).tobytes()
+        rounds.add(len(r))
+    assert len(rounds) == 1 and len(calls) == rounds.pop()
+    assert calls[1:] == [len(fs)] * (len(calls) - 1)
 
 
 def test_golden_many_no_brackets():

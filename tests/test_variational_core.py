@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata, variational_core as vc
+from laxo._search import secant_many
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import (
     GeneralProblem, Problem, identity_pair)
@@ -464,6 +465,49 @@ def test_jump_roots_take_few_psi_points(monkeypatch):
         n[0] = 0
         rp.solve_grid(np.linspace(-np.pi, np.pi, 17), t)
         assert n[0] <= 14904 // 10  # 14 904 by bisection of psi
+
+
+def test_smooth_point_solve_psi_call_budget(monkeypatch):
+    # a Burgers/sine point solve refines its brackets in at most 3 rounds
+    # of psi: a change that adds rounds fails here, not only in the bench
+    p = Problem(flux.burgers(), idata.sin_wave())
+    rounds = []
+
+    def counted(f, *args):
+        calls = [0]
+
+        def g(u, i):
+            calls[0] += 1
+            return f(u, i)
+
+        out = secant_many(g, *args)
+        rounds.append(calls[0])
+        return out
+
+    monkeypatch.setattr(vc, "secant_many", counted)
+    rng = np.random.default_rng(41)
+    for x, t in zip(rng.uniform(-3.0, 3.0, 40), rng.uniform(0.2, 3.0, 40)):
+        rounds.clear()
+        p.solve(float(x), float(t))
+        assert rounds and max(rounds) <= 3
+
+
+def test_custom_flux_fan_matches_named_flux():
+    # a custom Burgers twin inverts H by secant pairs on H - v, the named
+    # flux in closed form; at fan, edge and off-fan points they agree
+    b = flux.burgers()
+    named = Problem(b, idata.step(-1.0, 1.0))
+    twin = Problem(flux.custom(b.eval, b.deriv, b.second),
+                   idata.step(-1.0, 1.0))
+    rng = np.random.default_rng(50)
+    ts = rng.uniform(0.2, 3.0, 50)
+    xs = ts * rng.uniform(-1.3, 1.3, 50)
+    xs[:4] = ts[:4] * np.array([-1.0, 1.0, -0.9997, 1.0003])
+    for x, t in zip(xs.tolist(), ts.tolist()):
+        g, r = twin.solve(x, t), named.solve(x, t)
+        assert abs(g.u_minus - r.u_minus) <= 1e-12
+        assert abs(g.u_plus - r.u_plus) <= 1e-12
+        assert abs(g.u_plus - min(max(x / t, -1.0), 1.0)) <= 1e-9
 
 
 def test_breakpoints_of_sampled_and_piece_data():
