@@ -552,6 +552,23 @@ class SampledData(_Extended):
     left-constant interpolant (so Phi is the piecewise-linear interpolant
     through the knots).  Supports constant tails or periodicity; the right
     tail starts at the last knot, so phi(w_hi) = us[-1] on tailed data.
+
+    A point's knot interval is found in O(1) by a bucket table (address
+    calculation search) built once here.  The window is cut into
+    m = ceil(span / min gap) buckets; b(x) = int((x - w_lo) * scale) with
+    scale = m / span is monotone in x, and each knot's bucket is computed
+    by the same float operations as a query's.  So every knot of a bucket
+    below b(r) lies below r, and every knot of a bucket above it lies above
+    r: the answer lies between the last knot before bucket b(r), which the
+    table stores, and the last knot in it.  At most k passes that step past
+    the next knot while it is <= r reach it, k being the most knots in any
+    bucket.  The proof uses monotonicity alone, no rounding bound, so
+    ``_knot`` returns the binary search's index bit for bit; a point of the
+    window lies in buckets 0 .. b(w_hi), and the table covers those.
+    Knots that would need m > 4 (n - 1) buckets or k > 2 passes (clustered
+    knots, such as geometric gaps or [0, 1e-300, 1]) keep the binary
+    search; uniform knots, such as the ones ``restart`` makes, take one
+    pass.
     """
 
     is_sampled = True
@@ -572,12 +589,52 @@ class SampledData(_Extended):
         # knot primitive values (left-constant phi between knots)
         self._P = np.concatenate([[0.0], np.cumsum(self.us[:-1] * np.diff(xs))])
         self._win = self._P[-1]
+        self._build_buckets()
         self._normalize()
         self.bound = float(np.max(np.abs(us))) + 1e-12
 
+    def _build_buckets(self):
+        """The bucket table of ``_knot``, or ``_lut = None`` for clustered knots."""
+        xs, n = self.xs, len(self.xs)
+        self._lut = None
+        span = self.w_hi - self.w_lo
+        # a Python float, compared before any int(): [0, 1e-300, 1] gives
+        # m = 1e300, and a subnormal gap m = inf, with no overflow warning
+        m = span / float(np.diff(xs).min())
+        if not m <= 4.0 * (n - 1):
+            return
+        self._scale = math.ceil(m) / span
+        bx = self._bucket(xs)
+        k = np.bincount(bx).max()
+        if k > 2:
+            return
+        self._passes = int(k)
+        # b(r) <= bx[-1] = b(w_hi) for r in the window, by monotonicity
+        lut = np.searchsorted(bx, np.arange(bx[-1] + 1)) - 1
+        self._lut = np.clip(lut, 0, n - 2)
+        # the last interval has no next knot to step past
+        self._next = np.append(xs[1:-1], np.inf)
+
+    def _bucket(self, r):
+        """int((r - w_lo) * scale): monotone in r, 0 at w_lo."""
+        f = r - self.w_lo
+        f *= self._scale
+        return f.astype(np.intp)
+
     def _knot(self, r):
-        """Index of the knot interval [xs[i], xs[i+1]) holding r."""
-        return _interval(self.xs, r, len(self.xs) - 2)
+        """Index of the knot interval [xs[i], xs[i+1]) holding r.
+
+        ``_interval(xs, r, n - 2)`` bit for bit for r in the window: the
+        bucket table gives a start at most ``_passes`` knots below the
+        answer and never above it, and each pass steps past the next knot
+        if it is <= r.
+        """
+        if self._lut is None:
+            return _interval(self.xs, r, len(self.xs) - 2)
+        idx = self._lut[self._bucket(r)]
+        for _ in range(self._passes):
+            idx += r >= self._next[idx]
+        return idx
 
     def _inner_phi(self, r):
         return self.us[self._knot(r)]

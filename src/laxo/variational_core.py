@@ -21,7 +21,7 @@ int_0^u H'U ds = H(u)U(u) - F(u) - (H(0)U(0) - F(0)).
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -859,13 +859,27 @@ class RestartedProblem:
         self.problem = problem
         self.tau = float(tau)
 
+    def _checked(self, t):
+        if not (math.isfinite(t) and t > self.tau):
+            raise ValueError(f"t must be finite and above the restart time "
+                             f"tau = {self.tau!r}")
+        return float(t)
+
     def solve(self, x, t):
-        return replace(self.problem.solve(x, t - self.tau), t=float(t))
+        t = self._checked(t)
+        return _at_time(self.problem.solve(x, t - self.tau), t)
 
     def solve_grid(self, xs, t):
         """The inner problem's ``solve_grid`` at t - tau, in absolute time."""
-        return [replace(s, t=float(t))
+        t = self._checked(t)
+        return [_at_time(s, t)
                 for s in self.problem.solve_grid(xs, t - self.tau)]
+
+
+def _at_time(s, t):
+    """The sample s at time t, built directly: ``dataclasses.replace`` costs
+    more than the copy on a late slice of a restarted problem."""
+    return SolutionSample(s.x, t, s.u_minus, s.u_plus, s.is_shock, s.maximizer)
 
 
 def identity_pair(flux):

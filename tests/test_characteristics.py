@@ -118,6 +118,20 @@ def test_spectrum_one_sided_exclusion():
     assert ca.classify_initial_wave(0.0) == "R+S"
 
 
+def test_spectrum_one_sided_exclusion_mirrored():
+    # the mirror image: down-steep only on the left of the up-jump -> S+R
+    d = idata.InitialData(
+        [idata.Piece(-1.0, 0.0, "power",
+                     {"a": -1.0, "g": 0.5, "x_ref": 0.0, "b": -1.0}),
+         idata.Piece(0.0, 1.0, "const", {"c": 1.0})],
+        left_tail=0.0, right_tail=1.0)
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), d))
+    sp = ca.char_spectrum(0.0)
+    assert sp.kind == "half_open_left"
+    assert sp.includes_b and not sp.includes_a
+    assert ca.classify_initial_wave(0.0) == "S+R"
+
+
 def test_linear_sides_keep_endpoints():
     # gamma = 1 with alpha = 0 sits exactly on the threshold
     # gamma(1+alpha) = 1, which keeps both endpoints

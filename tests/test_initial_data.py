@@ -559,3 +559,97 @@ def test_nonfinite_entries_leave_finite_ones_alone(case):
         # +-inf lies in the tails
         assert d.phi(np.array([-np.inf, np.inf])).tolist() == [d.left_tail,
                                                                d.right_tail]
+
+
+class _PlainKnots(idata.SampledData):
+    """SampledData that finds every knot by binary search."""
+
+    def _knot(self, r):
+        return idata._interval(self.xs, r, len(self.xs) - 2)
+
+
+def _jittered(n):
+    # gaps within a factor 4 of each other
+    gaps = np.random.default_rng(n).uniform(1.0, 4.0, n - 1) * 0.01
+    return np.concatenate([[-1.3], -1.3 + np.cumsum(gaps)])
+
+
+def _restart_knots(data):
+    return Problem(flux.burgers(), data).restart(0.5).problem.data
+
+
+_TABLES = {
+    **{f"linspace_{n}": (lambda n=n: np.linspace(-2.0, 3.0, n))
+       for n in (2, 17, 41, 4097, 16385)},
+    "jittered_41": lambda: _jittered(41),
+    "jittered_4097": lambda: _jittered(4097),
+    "restart_sine": lambda: _restart_knots(idata.sin_wave()),
+    "restart_step": lambda: _restart_knots(idata.step(1.0, -0.5)),
+    # rounding puts two knots in one bucket here
+    "two_pass_4": lambda: np.linspace(-1.0, 10.0, 4),
+    "two_pass_10": lambda: np.linspace(0.3, 2.0, 10),
+}
+
+
+def _table_data(case):
+    xs = _TABLES[case]()
+    if isinstance(xs, idata.SampledData):
+        return xs
+    us = np.random.default_rng(len(xs)).uniform(-1.0, 1.0, len(xs))
+    return idata.SampledData(xs, us)
+
+
+def _locator_points(sd):
+    """Every knot, every bucket edge, their float neighbours and 1e5 random
+    points, all in the window [w_lo, w_hi] that ``_knot`` serves."""
+    pts = [sd.xs]
+    if sd._lut is not None:
+        pts.append(sd.w_lo + np.arange(len(sd._lut) + 1) / sd._scale)
+    pts = np.concatenate(pts)
+    rand = np.random.default_rng(22).uniform(sd.w_lo, sd.w_hi, 100_000)
+    pts = np.concatenate([pts, np.nextafter(pts, -np.inf),
+                          np.nextafter(pts, np.inf), rand])
+    return np.clip(pts, sd.w_lo, sd.w_hi)
+
+
+@pytest.mark.parametrize("case", list(_TABLES))
+def test_bucket_locator_matches_binary_search(case):
+    sd = _table_data(case)
+    assert sd._lut is not None
+    assert sd._passes == (2 if case.startswith("two_pass") else 1)
+    r = _locator_points(sd)
+    want = idata._interval(sd.xs, r, len(sd.xs) - 2)
+    assert sd._knot(r).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("xs", [
+    np.concatenate([[0.0], np.cumsum(0.5 ** np.arange(40))]),
+    np.array([0.0, 1e-300, 1.0]),
+    np.array([0.0, 5e-324, 1.0]),
+], ids=["geometric", "tiny_gap", "subnormal_gap"])
+def test_clustered_knots_fall_back_to_binary_search(xs):
+    us = np.random.default_rng(3).uniform(-1.0, 1.0, len(xs))
+    sd, plain = idata.SampledData(xs, us), _PlainKnots(xs, us)
+    assert sd._lut is None
+    r = _locator_points(sd)
+    for fn in ("phi", "primitive"):
+        assert (getattr(sd, fn)(r).tobytes()
+                == getattr(plain, fn)(r).tobytes())
+    for x0 in np.concatenate([xs, r[-50:]]).tolist():
+        for side in ("left", "right"):
+            assert sd.phi_side(x0, side) == plain.phi_side(x0, side)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_bucket_table_data_match_binary_search_data(periodic):
+    xs = _jittered(257)
+    us = np.random.default_rng(5).uniform(-1.0, 1.0, len(xs))
+    if periodic:
+        us[-1] = us[0]
+    period = xs[-1] - xs[0] if periodic else None
+    sd, plain = (cls(xs, us, period=period)
+                 for cls in (idata.SampledData, _PlainKnots))
+    assert sd._lut is not None
+    q = np.random.default_rng(6).uniform(-9.0, 9.0, 5000)
+    for fn in ("phi", "primitive"):
+        assert getattr(sd, fn)(q).tobytes() == getattr(plain, fn)(q).tobytes()

@@ -630,6 +630,35 @@ def test_restart_reproduces_solution(riemann_down):
             riemann_down.solve(x, 2.0).u_plus, abs=1e-3)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.25, 0.0, -1.0, np.nan, np.inf])
+def test_restarted_problem_rejects_t_up_to_tau(t, monkeypatch):
+    # an absolute t <= tau (or a non-finite t) names tau, and the inner
+    # problem is never asked
+    rp = Problem(flux.burgers(), idata.step(1.0, 0.0)).restart(0.5)
+
+    def asked(*args):
+        raise AssertionError("the inner problem was asked")
+
+    monkeypatch.setattr(rp.problem, "solve", asked)
+    monkeypatch.setattr(rp.problem, "solve_grid", asked)
+    with pytest.raises(ValueError, match=r"tau = 0\.5"):
+        rp.solve(0.0, t)
+    with pytest.raises(ValueError, match=r"tau = 0\.5"):
+        rp.solve_grid([0.0, 1.0], t)
+
+
+def test_restarted_samples_carry_absolute_time():
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
+    xs = np.linspace(-np.pi, np.pi, 17)
+    grid = rp.solve_grid(xs, 15)
+    assert grid == [rp.solve(x, 15) for x in xs]
+    assert all(type(s.t) is float and s.t == 15.0 for s in grid)
+    inner = rp.problem.solve_grid(xs, 14.5)
+    assert [s.x for s in grid] == [s.x for s in inner]
+    assert [(s.u_minus, s.u_plus, s.is_shock, s.maximizer) for s in grid] == [
+        (s.u_minus, s.u_plus, s.is_shock, s.maximizer) for s in inner]
+
+
 def test_identity_pair_reduction_bitwise(riemann_down):
     gp = GeneralProblem(identity_pair(riemann_down.flux), riemann_down.data)
     for x, t in ((0.25, 1.0), (0.5, 1.0), (0.73, 2.2), (-0.4, 0.3)):
