@@ -151,7 +151,7 @@ class CharacteristicAnalyzer:
 
     def _maximize_along(self, x0, c, ts):
         """The points x = x0 + t f'(c) at the times ts, and their maximizer
-        sets, in one block with one t per row."""
+        sets as the arrays of one block with one t per row."""
         with np.errstate(over="ignore"):    # an overflow is rejected below
             xs = x0 + ts * self.flux.deriv(c)
         if not np.isfinite(xs).all():
@@ -165,8 +165,8 @@ class CharacteristicAnalyzer:
         one block, or at the one t given."""
         p = self.problem
         ts = np.array(t, dtype=float, ndmin=1)
-        xs, sets = self._maximize_along(x0, c, ts)
-        top = np.array([ms.max_value for ms in sets])
+        xs, rows = self._maximize_along(x0, c, ts)
+        top = rows.max_value
         Ec = p._E(p._W(xs - ts * p._H0), c, xs, ts)
         # tighter than val_tol: near tangential terminations the value gap
         # opens only quadratically in t - t*, so a loose gap test would blur
@@ -234,9 +234,9 @@ class CharacteristicAnalyzer:
         # just past t* a continuous generation point carries an opening jump
         # of width O(sqrt(t - t*)), while a discontinuous one jumps by a
         # finite amount immediately: probe at two offsets and compare
-        _, sets = self._maximize_along(x0, c,
+        _, rows = self._maximize_along(x0, c,
                                        ls.t_star + np.array([1e-4, 1e-6]))
-        gaps = [ms.u_minus - ms.u_plus for ms in sets]
+        gaps = (rows.u_minus - rows.u_plus).tolist()
         singleton = gaps[1] <= max(0.5 * gaps[0], self.problem.jump_tol)
         if singleton:
             return TerminationClass("continuous_shock_generation",

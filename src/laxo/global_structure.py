@@ -254,11 +254,12 @@ class GlobalStructure:
     # -- asymptotic profiles ----------------------------------------------
 
     def _fan(self, x, foot, t):
-        """Value at x of the centred rarefaction fan from (foot, 0)."""
+        """Value at x of the centred rarefaction fan from (foot, 0);
+        elementwise on arrays x and foot."""
         fl = self.flux
         M = self.data.bound + 1.0
-        v = min(max((x - foot) / t, fl.deriv(-M)), fl.deriv(M))
-        return float(fl.invert_deriv(v, (-M, M)))
+        v = np.minimum(np.maximum((x - foot) / t, fl.deriv(-M)), fl.deriv(M))
+        return fl.invert_deriv(v, (-M, M))
 
     def profile_u_tilde(self, x, t):
         """Rarefaction-constant profile: the solution with envelope data.
@@ -268,14 +269,23 @@ class GlobalStructure:
         characteristics sweep and a centred fan at each vertex.
         """
         _check_point(x, t)
+        return float(self._profile(np.array([x], dtype=float), t)[0])
+
+    def _profile(self, xs, t):
+        """``profile_u_tilde`` at every x of the array xs: one searchsorted
+        places the points on the segments and fans, and one
+        ``invert_deriv`` call gives every fan value."""
         hull = self.convex_hull()
         vx = hull.vx
         d = t * self.flux.deriv(hull.slopes)
         # vertex j fans out over [vx[j] + d[j], vx[j] + d[j + 1])
-        j = int(np.searchsorted(vx + d[1:], x, side="right"))
-        if j < len(vx) and x >= vx[j] + d[j]:
-            return self._fan(x, vx[j], t)
-        return float(hull.slopes[j])
+        j = np.searchsorted(vx + d[1:], xs, side="right")
+        u = hull.slopes[j]
+        fan = (j < len(vx)).nonzero()[0]
+        fan = fan[xs[fan] >= (vx + d[:-1])[j[fan]]]
+        if len(fan):
+            u[fan] = self._fan(xs[fan], vx[j[fan]], t)
+        return u
 
     def nwave(self, x, t, shock_positions=None):
         """Generalized N-wave profile; ``shock_positions`` is a dict from gap
@@ -300,27 +310,38 @@ class GlobalStructure:
                 xn = (shock_positions or {}).get(n)
                 if xn is None:
                     xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
-                return self._fan(xq, e if xq < xn else h, t)
+                return float(self._fan(xq, e if xq < xn else h, t))
         return self.profile_u_tilde(x, t)
 
     # -- decay measurement -------------------------------------------------
 
     def measure_decay(self, norm, region, t_list, target=None):
-        """Fit ||u - target||(t) ~ C t^e on the given region.
+        """Fit ||u - target||(t) ~ C t^e on the given region (lo, hi).
 
         ``norm`` in {"sup", "l1", "l2"}; target defaults to the
         rarefaction-constant profile.  Returns (exponent, constant, series)
-        with series = [(t, value)].  The fit needs two distinct times.
+        with series = [(t, value)].  At each t, u+ on 801 points of the
+        region is one ``solve_grid`` maximization read as an array, and the
+        default profile one array evaluation; a ``target`` callable is
+        called point by point.  An unknown norm, a region that is not
+        finite or has lo >= hi, fewer than two distinct times, or a time
+        that is not finite and positive raise ValueError before any solve.
         """
+        if norm not in ("sup", "l1", "l2"):
+            raise ValueError(f"unknown norm {norm!r}")
+        lo, hi = region
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError("region must be finite, with lo < hi")
         if len({float(t) for t in t_list}) < 2:
             raise ValueError("need at least two distinct times")
-        lo, hi = region
+        if not all(np.isfinite(t) and t > 0 for t in t_list):
+            raise ValueError("times must be finite and positive")
         xs = np.linspace(lo, hi, 801)
         series = []
         for t in t_list:
-            us = np.array([s.u_plus for s in self.problem.solve_grid(xs, t)])
+            us = self.problem._maximize_grid(xs, float(t)).u_plus
             if target is None:
-                tv = np.array([self.profile_u_tilde(x, t) for x in xs])
+                tv = self._profile(xs, t)
             else:
                 tv = np.array([target(x, t) for x in xs])
             diff = np.abs(us - tv)
@@ -328,10 +349,8 @@ class GlobalStructure:
                 val = float(np.max(diff))
             elif norm == "l1":
                 val = float(np.trapezoid(diff, xs))
-            elif norm == "l2":
-                val = float(np.sqrt(np.trapezoid(diff ** 2, xs)))
             else:
-                raise ValueError(f"unknown norm {norm!r}")
+                val = float(np.sqrt(np.trapezoid(diff ** 2, xs)))
             series.append((float(t), val))
         ts = np.log([t for t, _ in series])
         vs = np.log([max(v, 1e-300) for _, v in series])

@@ -50,6 +50,8 @@ np.empty(1 << 17)
 _NEIGHBOURS = np.array([[-1], [0], [1]])
 # |psi''| / 2 on a bracket is taken as this many times the grid's estimate
 _SECANT_SAFETY = 4.0
+# the inner points k of linspace(lo, hi, 7), at lo + k (hi - lo) / 6
+_PROBES = np.arange(1.0, 6.0)
 
 
 def _checked_t(t):
@@ -73,6 +75,64 @@ class MaximizerSet:
     u_plus: float
     u_minus: float
     max_value: float
+
+
+class _Rows:
+    """The maximizer sets of many rows, as arrays.
+
+    ``u_plus``, ``u_minus`` and ``max_value`` hold one float per row, and
+    ``redo`` marks the rows whose u-window may have cut off a maximizer,
+    left for a scan of the whole grid.  Row q's components are the
+    intervals [lo[k], hi[k]] with own[k] == q, in order; ``own`` is sorted.
+    ``sets`` builds the ``MaximizerSet``s, for the callers that return them.
+    """
+
+    __slots__ = ("u_plus", "u_minus", "own", "lo", "hi", "max_value", "redo")
+
+    def __init__(self, u_plus, u_minus, own, lo, hi, max_value, redo):
+        self.u_plus, self.u_minus = u_plus, u_minus
+        self.own, self.lo, self.hi = own, lo, hi
+        self.max_value, self.redo = max_value, redo
+
+    def sets(self):
+        """Each row's MaximizerSet, None for a row of ``redo``."""
+        cut = np.searchsorted(self.own, np.arange(len(self.redo) + 1)).tolist()
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+        return [None if r else MaximizerSet(tuple(zip(lo[a:b], hi[a:b])),
+                                            up, um, e)
+                for r, a, b, up, um, e in zip(
+                    self.redo.tolist(), cut, cut[1:], self.u_plus.tolist(),
+                    self.u_minus.tolist(), self.max_value.tolist())]
+
+    def take(self, i):
+        """The rows i, in that order; a row may be taken more than once."""
+        cut = np.searchsorted(self.own, np.arange(len(self.redo) + 1))
+        count = cut[i + 1] - cut[i]
+        own = np.repeat(np.arange(len(i)), count)
+        k = np.arange(len(own)) + np.repeat(cut[i] - np.cumsum(count) + count,
+                                            count)
+        return _Rows(self.u_plus[i], self.u_minus[i], own, self.lo[k],
+                     self.hi[k], self.max_value[i], self.redo[i])
+
+    @staticmethod
+    def join(parts, m):
+        """m rows from parts (q, rows): the rows q of the result are the
+        rows of the part, a later part's over an earlier one's.  The
+        components of the parts' ``redo`` rows are left out."""
+        vals = np.empty((3, m))
+        redo = np.zeros(m, dtype=bool)
+        own = [np.zeros(0, dtype=np.intp)]
+        lo, hi = [np.zeros(0)], [np.zeros(0)]
+        for q, p in parts:
+            vals[:, q] = p.u_plus, p.u_minus, p.max_value
+            redo[q] = p.redo
+            k = ~p.redo[p.own]
+            own.append(q[p.own[k]])
+            lo.append(p.lo[k])
+            hi.append(p.hi[k])
+        own, lo, hi = (np.concatenate(v) for v in (own, lo, hi))
+        k = np.argsort(own, kind="stable")
+        return _Rows(vals[0], vals[1], own[k], lo[k], hi[k], vals[2], redo)
 
 
 @dataclass(frozen=True)
@@ -235,10 +295,12 @@ class GeneralProblem:
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
         return self._maximize_block(np.array([x], dtype=float), _checked_t(t),
-                                    *self._whole)[0]
+                                    *self._whole).sets()[0]
 
     def _maximize_grid(self, xs, t):
-        """The MaximizerSet at each x of a checked grid, in the order of xs.
+        """The maximizer sets at the x of a checked grid, as ``_Rows`` in
+        the order of xs: the levels and ``restart`` read their u+ and u-
+        arrays, and only ``solve_grid`` builds the MaximizerSets.
 
         A grid of at most ``BLOCK_ELEMS // n_scan`` points is one block,
         scanned over the whole u-grid.  A longer one is maximized in levels
@@ -261,14 +323,15 @@ class GeneralProblem:
         rows = max(1, BLOCK_ELEMS // self.n_scan)
         whole = np.zeros(len(xs), dtype=np.intp), np.full(len(xs), n)
         if len(xs) <= rows:
-            return self._maximize_block(xs, t, *whole) if len(xs) else []
+            return (self._maximize_block(xs, t, *whole) if len(xs)
+                    else _Rows.join([], 0))
         if not self._ordered:
             return self._blocks(xs, t, *whole)
         xu, inv = xs, None
         if not (xs[1:] > xs[:-1]).all():
             xu, inv = np.unique(xs, return_inverse=True)
         m = len(xu)
-        res = [None] * m
+        parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
         k = min(max(2, rows), m)
@@ -276,10 +339,8 @@ class GeneralProblem:
         start, width = whole[0][:k], whole[1][:k]
         while len(q):
             out = self._blocks(xu[q], t, start, width)
-            for i, ms in zip(q.tolist(), out):
-                res[i] = ms
-            Hp[q], Hm[q] = self._H(np.array([[ms.u_plus for ms in out],
-                                             [ms.u_minus for ms in out]]))
+            parts.append((q, out))
+            Hp[q], Hm[q] = self._H(np.array([out.u_plus, out.u_minus]))
             solved[q] = True
             # every unsolved row's window from its solved neighbours a, b
             ends = solved.nonzero()[0]
@@ -298,7 +359,8 @@ class GeneralProblem:
                 # more than four blocks of cells: the middle row of each gap
                 mid = q == (a + b) // 2
                 q, start, width = q[mid], start[mid], width[mid]
-        return res if inv is None else [res[i] for i in inv.tolist()]
+        res = _Rows.join(parts, m)
+        return res if inv is None else res.take(inv)
 
     def _blocks(self, xs, t, start, width):
         """``_maximize_block`` on rows packed in blocks of few enough cells.
@@ -306,34 +368,39 @@ class GeneralProblem:
         Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
         The rows are packed in the order of their widths, each block while
         its count times its widest window's cells stays within
-        ``BLOCK_ELEMS``, at least one row.  A row the block cannot certify
-        in its window is maximized again over the whole grid.  Returns the
-        MaximizerSets in the order of xs.
+        ``BLOCK_ELEMS``, at least one row; rows that all fit in one block
+        keep the order of xs.  A row the block cannot certify in its window
+        is maximized again over the whole grid.  Returns the ``_Rows`` in
+        the order of xs.
         """
         n = len(self._s)
         order = np.argsort(width, kind="stable")
         cells = np.maximum(width[order] - 1, 1)
-        out = [None] * len(xs)
+        groups = []
         k = 0
         while k < len(xs):
             c = cells[k:k + BLOCK_ROWS]
             fit = np.arange(1, len(c) + 1) * np.maximum.accumulate(c)
             c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
-            i = order[k:k + c]
-            for q, ms in zip(i.tolist(),
-                             self._maximize_block(xs[i], t, start[i], width[i])):
-                out[q] = ms
+            groups.append(order[k:k + c])
             k += c
-        redo = [q for q, ms in enumerate(out) if ms is None]
-        if redo:
+        if len(groups) == 1:            # one block, in the order of xs
+            out = self._maximize_block(xs, t, start, width)
+        else:
+            out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
+                                                       width[i]))
+                              for i in groups], len(xs))
+        redo = out.redo.nonzero()[0]
+        if len(redo):
             full = self._blocks(xs[redo], t, np.zeros(len(redo), dtype=np.intp),
                                 np.full(len(redo), n))
-            for q, ms in zip(redo, full):
-                out[q] = ms
+            out = _Rows.join([(np.arange(len(xs)), out), (redo, full)],
+                             len(xs))
         return out
 
     def _maximize_block(self, xs, t, start, width):
-        """MaximizerSets at the points of the array xs, at time t.
+        """The maximizer sets at the points of the array xs, at time t, as
+        ``_Rows``: arrays of u+, u-, max_value and the component ends.
 
         ``t`` is one time for every row, or an array of one time per row;
         only the latter builds per-row products and indexes t by row.
@@ -348,17 +415,19 @@ class GeneralProblem:
         jump of the data, checked by one psi call, else by lockstep probe
         pairs and bisection), one lockstep golden-section search maximizes
         E on the kept runs with no sign change, and one E call values the
-        refined points.  Rows never mix, no bracket's root reads another's, and
-        numpy's elementwise results do not depend on the array around an
-        element, so each row's answer is the one a block of one gives.
-        Each windowed value of E is the float the whole scan computes, so a
-        row whose kept runs and bands lie inside its window gets the whole
-        scan's MaximizerSet, bit for bit.  Likewise a row of an array t
-        reads only its own time, so it gets the MaximizerSet of a block of
-        one at that time.
+        refined points.  The components are assembled for the whole block
+        too (``_components``, ``_merge``): only rows of two or more
+        components are merged in Python.  Rows never mix, no bracket's
+        root reads another's, and numpy's elementwise results do not depend
+        on the array around an element, so each row's answer is the one a
+        block of one gives.  Each windowed value of E is the float the
+        whole scan computes, so a row whose kept runs and bands lie inside
+        its window gets the whole scan's maximizer set, bit for bit.
+        Likewise a row of an array t reads only its own time, so it gets
+        the maximizer set of a block of one at that time.
 
-        A window edge that is not a grid end is never a local maximum.  The
-        row's result is None, for a scan of the whole grid, when its best
+        A window edge that is not a grid end is never a local maximum.  A
+        row is marked ``redo``, for a scan of the whole grid, when its best
         grid value, or its band within ``val_tol`` of the maximum, reaches
         such an edge.
         """
@@ -443,34 +512,131 @@ class GeneralProblem:
                 s[nb[0, g]], s[nb[2, g]], self.tol_u)
         E_star = self._E(Wp[r, w], u_star, xs[r], _at(t, r))
 
-        # per row: the best value, then the grid bands within val_tol of it
-        rcut = np.searchsorted(r, np.arange(rows + 1)).tolist()
-        us, es = u_star.tolist(), E_star.tolist()
-        Emax = np.array([max([eg] + es[rcut[q]:rcut[q + 1]])
-                         for q, eg in enumerate(Emax_grid.tolist())])
+        # per row: the best value, the refined points within val_tol of it,
+        # and the grid bands there
+        Emax = Emax_grid.copy()
+        np.maximum.at(Emax, r, E_star)
         thresh = Emax - self.val_tol
         bm = np.zeros((rows, w + 2), dtype=bool)
         np.greater_equal(Ev, thresh[:, None], out=bm[:, 1:-1])
         br, first, last = padded_runs(bm)
-        redo = ()
+        redo = np.zeros(rows, dtype=bool)
         if cut:
             first += rs[br]
             last += rs[br]
             # a window that may have cut off a maximizer: E at an inner
             # edge reaches the band or the best grid value
             reach = np.minimum(thresh, Emax_grid)[er]
-            redo = set(er[Ev[er, ec] >= reach].tolist())
-        bcut = np.searchsorted(br, np.arange(rows + 1)).tolist()
-        first, last = first.tolist(), last.tolist()
-        ts = t.tolist() if isinstance(t, np.ndarray) else [t] * rows
-        return [None if q in redo else
-                self._assemble(float(xs[q]), ts[q], float(Wp[q, w]), e, th,
-                               us[rcut[q]:rcut[q + 1]],
-                               es[rcut[q]:rcut[q + 1]],
-                               first[bcut[q]:bcut[q + 1]],
-                               last[bcut[q]:bcut[q + 1]])
-                for q, (e, th) in enumerate(zip(Emax.tolist(),
-                                                thresh.tolist()))]
+            redo[er[Ev[er, ec] >= reach]] = True
+            if np.count_nonzero(redo):
+                # those rows are scanned again: no search on their bands
+                k = ~redo[br]
+                br, first, last = br[k], first[k], last[k]
+        own, lo, hi = self._components(
+            lambda u, q: self._E(Wp[q, w], u, xs[q], _at(t, q)), Emax, thresh,
+            r, u_star, E_star, br, first, last)
+        return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
+
+    def _components(self, E, Emax, thresh, r, u_star, E_star, br, first,
+                    last):
+        """The components of a block's rows: kept points and band maxima.
+
+        ``E(u, q)`` is E at the points u of the rows q.  Row q's refined
+        points are u_star[r == q], with E there E_star, and those where
+        E >= thresh are kept, each a component [u, u].  Its bands run over
+        the grid indices first[k] ... last[k] with br[k] == q; r and br are
+        sorted.  A band wider than 2.5 cells whose E, at the 5 inner points
+        of ``linspace(lo, hi, 7)``, stays within 1e-11 (1 + |Emax|) of the
+        row's best is flat, a genuine maximizer interval: its edges on
+        E >= thresh are bisected between the grid points in and out of it.
+        A band that is not flat, and that no kept point of its row lies
+        within 1.5 cells of, is unreached: golden sections maximize E on
+        it.  All flat edges of a block are one ``bisect_many`` call and all
+        unreached bands one ``golden_many`` call; each bracket's search
+        reads only its own row.  Returns the components' rows, sorted, and
+        their ends.
+        """
+        s, n, h = self._s, len(self._s), self._h
+        kept = E_star >= thresh[r]
+        pr, pu = r[kept], u_star[kept]
+        if not len(br):
+            return pr, pu, pu
+        lo, hi = s[first], s[last]
+        flat = (hi - lo > 2.5 * h).nonzero()[0]
+        if len(flat):
+            q = br[flat]
+            # linspace(lo, hi, 7)[1:-1], as numpy computes it: k step + lo
+            probes = (((hi[flat] - lo[flat]) / 6.0)[:, None] * _PROBES
+                      + lo[flat][:, None])
+            low = E(probes.ravel(), np.repeat(q, 5)).reshape(-1, 5).min(axis=1)
+            flat = flat[Emax[q] - low <= 1e-11 * (1.0 + np.abs(Emax[q]))]
+        # a band is reached when a kept point of its row lies within 1.5
+        # cells of it: complex keys row + u i compare as (row, u), in order
+        key = np.empty(len(pr), dtype=complex)
+        key.real, key.imag = pr, pu
+        key.sort()
+        reach = np.empty((2, len(br)), dtype=complex)
+        reach.real = br
+        reach.imag = lo - 1.5 * h, hi + 1.5 * h
+        open_ = (np.searchsorted(key, reach[0], "left")
+                 == np.searchsorted(key, reach[1], "right"))
+        open_[flat] = False
+        comps = [(pr, pu, pu)]
+        if len(flat):
+            q = np.repeat(br[flat], 2)
+            u, _ = bisect_many(
+                lambda u, i: E(u, q[i]) >= thresh[q[i]],
+                np.stack([lo[flat], hi[flat]], axis=1).ravel(),
+                np.stack([s[np.maximum(first[flat] - 1, 0)],
+                          s[np.minimum(last[flat] + 1, n - 1)]],
+                         axis=1).ravel(), self.tol_u, 60)
+            comps.append((br[flat], u[0::2], u[1::2]))
+        if np.count_nonzero(open_):
+            q = br[open_]
+            u = golden_many(lambda u, i: -E(u, q[i]), lo[open_], hi[open_],
+                            self.tol_u)
+            comps.append((q, u, u))
+        if len(comps) == 1:
+            return comps[0]
+        own, lo, hi = (np.concatenate(v) for v in zip(*comps))
+        k = np.argsort(own, kind="stable")
+        return own[k], lo[k], hi[k]
+
+    def _merge(self, own, lo, hi, rows):
+        """u+, u- and the merged components of each row.
+
+        Row q's components are [lo[k], hi[k]] for own[k] == q, own sorted.
+        A row of one component keeps it.  The components of a row of more
+        are sorted, and each joins the one before it when it starts within
+        ``tol_u`` of that one's end.  Merging moves no lower end of the
+        first component and no upper end of the last, so u+ is the least
+        lower end and u- the greatest upper end.  Returns (u+, u-, own,
+        lo, hi) of the merged components.
+        """
+        count = np.bincount(own, minlength=rows)
+        if np.count_nonzero(count == 1) == rows:
+            return lo, hi, own, lo, hi
+        up, um = np.full(rows, np.nan), np.full(rows, np.nan)
+        up[own], um[own] = lo, hi
+        # each row of more components: its merged ones take the first
+        # places of its run, and the places left over are dropped
+        multi = (count > 1).nonzero()[0].tolist()
+        ends, count = np.cumsum(count).tolist(), count.tolist()
+        ls, hs = lo.tolist(), hi.tolist()
+        keep = np.ones(len(own), dtype=bool)
+        for q in multi:
+            a, b = ends[q] - count[q], ends[q]
+            merged = []
+            for c in sorted(zip(ls[a:b], hs[a:b])):
+                if merged and c[0] <= merged[-1][1] + self.tol_u:
+                    merged[-1][1] = max(merged[-1][1], c[1])
+                else:
+                    merged.append(list(c))
+            up[q], um[q] = merged[0][0], merged[-1][1]
+            b = a + len(merged)
+            ls[a:b], hs[a:b] = zip(*merged)
+            keep[b:ends[q]] = False
+        return up, um, own[keep], np.array(ls)[keep], np.array(hs)[keep]
 
     def _roots(self, xb, t, nb, carrier):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
@@ -672,7 +838,7 @@ class GeneralProblem:
         # each row's side of mid, as grid indices [side_lo, side_hi)
         side_lo, side_hi = np.array([im, 0]), np.array([n, im])
         seed = np.array([iu, ip])
-        res = [None, None]
+        um, up, top = np.empty((3, 2))          # u-, u+ and E there per row
         todo = np.arange(2)
         half = BRANCH_CELLS
         while len(todo):
@@ -680,18 +846,18 @@ class GeneralProblem:
             stop = np.minimum(seed + half + 1, side_hi)[todo]
             if (stop - start < 2).any():
                 return None
-            for q, ms in zip(todo.tolist(), self._maximize_block(
-                    np.full(len(todo), float(x)), t, start, stop - start)):
-                res[q] = ms
-            cut = np.array([res[q] is None for q in todo.tolist()])
+            out = self._maximize_block(np.full(len(todo), float(x)), t, start,
+                                       stop - start)
+            um[todo], up[todo], top[todo] = (out.u_minus, out.u_plus,
+                                             out.max_value)
             whole = (start == side_lo[todo]) & (stop == side_hi[todo])
-            if (cut & whole).any():
+            if (out.redo & whole).any():
                 return None
-            todo = todo[cut]
+            todo = todo[out.redo]
             half *= 4
-        um, up = res[0].u_minus, res[1].u_plus
-        return (res[0].max_value - res[1].max_value,
-                float(self._U(up) - self._U(um)), um, up)
+        um, up = float(um[0]), float(up[1])
+        return (float(top[0] - top[1]), float(self._U(up) - self._U(um)), um,
+                up)
 
     def _preimage(self, v, a, b):
         """u in [a, b] with H(u) = v, or the end of [a, b] nearer to it.
@@ -718,57 +884,6 @@ class GeneralProblem:
         d2 = np.abs(np.diff(self._Hs, 2))
         d2 = np.concatenate([d2[:1], d2, d2[-1:]])
         return np.maximum(d2[:-1], d2[1:])
-
-    def _assemble(self, x, t, W0, Emax, thresh, us, es, first, last):
-        """One row's MaximizerSet from its refined points and value bands.
-
-        ``W0`` is the row's W(x - t H(0)) from the scan, ``us`` and ``es``
-        the refined points and E there, and the grid bands run from
-        ``first`` to ``last``.
-        """
-        s, n = self._s, len(self._s)
-        h = self._h
-        pts = [u for u, e in zip(us, es) if e >= thresh]
-        flat_tol = 1e-11 * (1.0 + abs(Emax))
-        comps = [[u, u] for u in pts]
-        edges = []              # (outside, inside) grid points of flat bands
-        unreached = []
-        for i, j in zip(first, last):
-            out_lo, lo = s[max(i - 1, 0)], s[i]
-            hi, out_hi = s[j], s[min(j + 1, n - 1)]
-            if hi - lo > 2.5 * h:
-                # genuine maximizer intervals have exactly constant E;
-                # otherwise the band is a flat peak of a degenerate flux
-                probes = np.linspace(lo, hi, 7)[1:-1]
-                spread = Emax - float(self._E(W0, probes, x, t).min())
-                if spread <= flat_tol:
-                    edges += [(out_lo, lo), (out_hi, hi)]
-                    continue
-            # a band no refined point reached
-            if not any(lo - 1.5 * h <= u <= hi + 1.5 * h for u in pts):
-                unreached.append((lo, hi))
-        if edges:
-            # each edge is the boundary of {E >= thresh} between the points
-            out, inside = zip(*edges)
-            us, _ = bisect_many(lambda u, i: self._E(W0, u, x, t) >= thresh,
-                                inside, out, self.tol_u, 60)
-            comps += [[min(a, b), max(a, b)]
-                      for a, b in us.reshape(-1, 2).tolist()]
-        if unreached:
-            lo, hi = zip(*unreached)
-            us = golden_many(lambda u, i: -self._E(W0, u, x, t), lo, hi,
-                             self.tol_u)
-            comps += [[u, u] for u in us.tolist()]
-        comps.sort()
-        merged = []
-        for c in comps:
-            if merged and c[0] <= merged[-1][1] + self.tol_u:
-                merged[-1][1] = max(merged[-1][1], c[1])
-            else:
-                merged.append(c)
-        components = tuple((float(a), float(b)) for a, b in merged)
-        return MaximizerSet(components, components[0][0], components[-1][1],
-                            float(Emax))
 
     # -- public solution API ----------------------------------------------
 
@@ -799,8 +914,8 @@ class GeneralProblem:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or not np.all(np.isfinite(xs)):
             raise ValueError("xs must be a 1-D sequence of finite values")
-        return [self._sample(x, t, ms)
-                for x, ms in zip(xs.tolist(), self._maximize_grid(xs, t))]
+        return [self._sample(x, t, ms) for x, ms in
+                zip(xs.tolist(), self._maximize_grid(xs, t).sets())]
 
     def e_hat(self, x, t):
         ms = self.maximize(x, t)
@@ -830,9 +945,11 @@ class Problem(GeneralProblem):
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
         The knot values are u+ at the 4096 interval midpoints, maximized as
         ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
-        cells that the neighbouring knots' feet leave them.  Each equals
-        ``solve(x, tau).u_plus`` bit for bit wherever the knot's kept runs
-        and bands lie inside its window, as in every tested restart.
+        cells that the neighbouring knots' feet leave them.  They are read
+        as the u+ array of ``_maximize_grid``, with no MaximizerSet built.
+        Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
+        kept runs and bands lie inside its window, as in every tested
+        restart.
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")
@@ -843,7 +960,7 @@ class Problem(GeneralProblem):
             lo, hi = lo - pad, hi + pad
         xs = np.linspace(lo, hi, 4097)
         mids = 0.5 * (xs[:-1] + xs[1:])
-        us = np.array([ms.u_plus for ms in self._maximize_grid(mids, tau)])
+        us = self._maximize_grid(mids, tau).u_plus
         us = np.append(us, us[-1] if self.data.period is None else us[0])
         sd = SampledData(xs, us, period=self.data.period)
         inner = Problem(self.flux, sd, n_scan=self.n_scan,

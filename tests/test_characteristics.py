@@ -338,7 +338,7 @@ def test_classify_termination_probes_one_block(monkeypatch):
         == "continuous_shock_generation"
     ts, out = seen[-1]
     assert ts.tolist() == [t_star + 1e-4, t_star + 1e-6]
-    assert out == [ca.problem.maximize(0.0, t) for t in ts.tolist()]
+    assert out.sets() == [ca.problem.maximize(0.0, t) for t in ts.tolist()]
 
 
 def test_t_star_below_t_p(sin_analyzer):

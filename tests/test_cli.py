@@ -213,6 +213,13 @@ def test_decay_nonfinite_range_exit_2(files, xr):
                             "--x-range", xr))
 
 
+@pytest.mark.parametrize("xr", ["3:-3", "1:1"])
+def test_decay_empty_or_reversed_range_exit_2(files, xr):
+    # a reversed range used to exit 0 with negative l1 norms
+    _assert_exit_2_json(run("decay", files["sin"], "--norm", "l1",
+                            "--t-list", "1,2", "--x-range", xr))
+
+
 _SIN_PIECE = {"lo": -1.0, "hi": 1.0, "kind": "sin", "a": 1.0, "b": 1.0,
               "c": 0.0}
 

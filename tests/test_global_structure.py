@@ -263,3 +263,86 @@ def test_hull_with_tail_slopes_a_rounding_apart():
     assert h.finite and len(h.vx) == 1
     xs = np.linspace(-2.0, 3.0, 11)
     assert np.all(np.abs(d.primitive(xs) - h.value(xs)) <= h.hull_tol)
+
+
+def _profile_point(gs, x, t):
+    """The rarefaction-constant profile at one point, as it was computed
+    point by point before the array evaluation, kept as the reference."""
+    hull = gs.convex_hull()
+    vx = hull.vx
+    d = t * gs.flux.deriv(hull.slopes)
+    j = int(np.searchsorted(vx + d[1:], x, side="right"))
+    if j < len(vx) and x >= vx[j] + d[j]:
+        fl = gs.flux
+        M = gs.data.bound + 1.0
+        v = min(max((x - vx[j]) / t, fl.deriv(-M)), fl.deriv(M))
+        return float(fl.invert_deriv(v, (-M, M)))
+    return float(hull.slopes[j])
+
+
+_QUARTIC_CUSTOM = flux.custom(lambda u: np.asarray(u, dtype=float) ** 4 / 4.0,
+                     lambda u: np.asarray(u, dtype=float) ** 3,
+                     lambda u: 3.0 * np.asarray(u, dtype=float) ** 2)
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2),
+                                _QUARTIC_CUSTOM],
+                         ids=["burgers", "quartic", "custom"])
+@pytest.mark.parametrize("data", [
+    lambda: idata.step(-1.0, 1.0),
+    lambda: idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, 1.0]})],
+        left_tail=0.0, right_tail=0.0),
+    idata.sin_wave, _sin3], ids=["fan", "nwave", "periodic", "sin3"])
+def test_array_profile_equals_point_profile(fl, data):
+    # 801 points plus every vertex and every fan edge, in one array call,
+    # against the point-by-point reference and the public scalar call
+    gs = GlobalStructure(Problem(fl, data()))
+    hull = gs.convex_hull()
+    for t in (0.7, 5.0, 22.0):
+        d = t * gs.flux.deriv(hull.slopes)
+        xs = np.concatenate([np.linspace(-9.0, 9.0, 801), hull.vx,
+                             hull.vx + d[:-1], hull.vx + d[1:]])
+        ref = [_profile_point(gs, x, t) for x in xs]
+        got = gs._profile(xs, t)
+        assert got.tobytes() == np.array(ref).tobytes()
+        assert [gs.profile_u_tilde(x, t) for x in xs.tolist()] == ref
+
+
+@pytest.mark.parametrize("norm, region, ts", [
+    ("l1", (6.5, -6.5), [11.0, 22.0]), ("l2", (6.5, -6.5), [11.0, 22.0]),
+    ("sup", (1.0, 1.0), [11.0, 22.0]), ("sup", (np.nan, 1.0), [11.0, 22.0]),
+    ("sup", (-np.inf, 1.0), [11.0, 22.0]), ("l1", (0.0, np.inf), [11.0, 22.0]),
+    ("linf", (-6.5, 6.5), [11.0, 22.0]), ("sup", (-6.5, 6.5), [11.0, np.inf]),
+    ("sup", (-6.5, 6.5), [11.0, -1.0])])
+def test_decay_rejects_bad_input_before_any_solve(norm, region, ts,
+                                                  monkeypatch):
+    # a reversed region gave negative l1 norms and an l2 NaN, and an
+    # unknown norm was caught only after the first solve
+    p = Problem(flux.burgers(), idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, 1.0]})],
+        left_tail=0.0, right_tail=0.0))
+    gs = GlobalStructure(p)
+
+    def solved(*args):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(p, "_maximize_grid", solved)
+    with pytest.raises(ValueError):
+        gs.measure_decay(norm, region, ts)
+
+
+def test_decay_of_nwave_reads_the_u_plus_array():
+    # u = x/(1 + t) on |x| < sqrt(1 + t), else 0, and the profile is 0:
+    # the sup norm is 1/sqrt(1 + t), an exponent of about -1/2
+    p = Problem(flux.burgers(), idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, 1.0]})],
+        left_tail=0.0, right_tail=0.0))
+    e, _, series = GlobalStructure(p).measure_decay("sup", (-6.5, 6.5),
+                                                    [11.0, 22.0])
+    ref = [1.0 / np.sqrt(1.0 + t) for t, _ in series]
+    assert [v for _, v in series] == pytest.approx(ref, abs=2e-2)
+    assert e == pytest.approx(np.log(ref[1] / ref[0]) / np.log(2.0), abs=0.05)
+    xs = np.linspace(-6.5, 6.5, 801)
+    assert series[0][1] == float(np.max(np.abs(np.array(
+        [s.u_plus for s in p.solve_grid(xs, 11.0)]))))

@@ -56,6 +56,41 @@ def test_generation_point_one_sided(one_sided_sa):
     assert gp.t_p == pytest.approx(1.0)
 
 
+def _one_sided(lo_c, hi_c):
+    # the one_sided_sa data with its left constant and tail set to lo_c
+    return idata.InitialData(
+        [idata.Piece(-1.0, 0.0, "const", {"c": lo_c}),
+         idata.Piece(0.0, 0.5, "poly", {"coeffs": [1.0, -1.0, 1.0]})],
+        left_tail=lo_c, right_tail=hi_c)
+
+
+def _mirrored(right):
+    # the mirror: -1 - x - x^2 on [-1/2, 0], then the constant right
+    return idata.InitialData(
+        [idata.Piece(-0.5, 0.0, "poly", {"coeffs": [-1.0, -1.0, -1.0]}),
+         idata.Piece(0.0, 1.0, "const", {"c": right})],
+        left_tail=-0.75, right_tail=right)
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2)],
+                         ids=["burgers", "quartic"])
+@pytest.mark.parametrize("data, c, case", [
+    (lambda: _one_sided(0.0, 0.75), 1.0, "II_a_lt_c"),
+    (lambda: _mirrored(-1.0), -1.0, "III_b_eq_c"),
+    (lambda: _mirrored(0.0), -1.0, "III_b_gt_c")],
+    ids=["II_a_lt_c", "III_b_eq_c", "III_b_gt_c"])
+def test_generation_point_one_sided_cases(fl, data, c, case):
+    # phi has slope -1 on the compressive side of x0 = 0 and jumps on the
+    # other (II: a = 0 < c; III: b = 0 > c) or stays at c there: so
+    # t_p = 1 / f''(c) (1 under Burgers, 1/3 under u^4/4) and
+    # x_p = t_p f'(c)
+    gp = ShockAnalyzer(Problem(fl, data())).generation_point(0.0, c)
+    t_p = 1.0 / float(fl.second(c))
+    assert gp.case == case
+    assert gp.t_p == pytest.approx(t_p, rel=1e-9)
+    assert gp.x_p == pytest.approx(t_p * float(fl.deriv(c)), rel=1e-9)
+
+
 def test_generation_point_none_for_rarefaction():
     sa = ShockAnalyzer(Problem(flux.burgers(), idata.step(-1.0, 1.0)))
     assert sa.generation_point(0.0, 0.5) is None

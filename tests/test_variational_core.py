@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata, variational_core as vc
-from laxo._search import secant_many
+from laxo._search import bisect_many, golden_many, runs, secant_many
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import (
-    GeneralProblem, Problem, identity_pair)
+    GeneralProblem, MaximizerSet, Problem, identity_pair)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ def _count_blocks(monkeypatch):
     def counted(self, xs, t, start, width):
         out = block(self, xs, t, start, width)
         calls.append(list(zip(start.tolist(), width.tolist(),
-                              [ms is None for ms in out])))
+                              out.redo.tolist())))
         return out
 
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
@@ -607,7 +607,231 @@ def test_maximize_block_per_row_t_equals_one_row_blocks(data):
                                    min_size=k, max_size=k)))
     out = p._maximize_block(np.array(xs), ts, np.zeros(k, dtype=np.intp),
                             np.full(k, len(p._s)))
-    assert out == [p.maximize(x, t) for x, t in zip(xs, ts.tolist())]
+    assert out.sets() == [p.maximize(x, t) for x, t in zip(xs, ts.tolist())]
+
+
+def _assemble(p, E, Emax, thresh, us, es, first, last, seen):
+    """One row's MaximizerSet from its refined points and value bands.
+
+    The per-row assembly that blocks ran before they assembled all their
+    rows as arrays, kept as the reference.  ``E(u)`` is the row's E(.; x,
+    t), ``us`` and ``es`` the refined points and E there, and the grid
+    bands run from ``first`` to ``last``.  ``seen`` counts the flat bands,
+    the unreached bands and the rows of two or more components.
+    """
+    s, n = p._s, len(p._s)
+    h = p._h
+    pts = [u for u, e in zip(us, es) if e >= thresh]
+    flat_tol = 1e-11 * (1.0 + abs(Emax))
+    comps = [[u, u] for u in pts]
+    edges = []              # (outside, inside) grid points of flat bands
+    unreached = []
+    for i, j in zip(first, last):
+        out_lo, lo = s[max(i - 1, 0)], s[i]
+        hi, out_hi = s[j], s[min(j + 1, n - 1)]
+        if hi - lo > 2.5 * h:
+            probes = np.linspace(lo, hi, 7)[1:-1]
+            spread = Emax - float(E(probes).min())
+            if spread <= flat_tol:
+                edges += [(out_lo, lo), (out_hi, hi)]
+                continue
+        if not any(lo - 1.5 * h <= u <= hi + 1.5 * h for u in pts):
+            unreached.append((lo, hi))
+    if edges:
+        seen["flat"] += len(edges) // 2
+        out, inside = zip(*edges)
+        us, _ = bisect_many(lambda u, i: E(u) >= thresh, inside, out,
+                            p.tol_u, 60)
+        comps += [[min(a, b), max(a, b)]
+                  for a, b in us.reshape(-1, 2).tolist()]
+    if unreached:
+        seen["unreached"] += len(unreached)
+        lo, hi = zip(*unreached)
+        us = golden_many(lambda u, i: -E(u), lo, hi, p.tol_u)
+        comps += [[u, u] for u in us.tolist()]
+    seen["multi"] += len(comps) > 1
+    comps.sort()
+    merged = []
+    for c in comps:
+        if merged and c[0] <= merged[-1][1] + p.tol_u:
+            merged[-1][1] = max(merged[-1][1], c[1])
+        else:
+            merged.append(c)
+    components = tuple((float(a), float(b)) for a, b in merged)
+    return MaximizerSet(components, components[0][0], components[-1][1],
+                        float(Emax))
+
+
+def _row_set(out, q):
+    """Row q of a block's arrays as a MaximizerSet, built here."""
+    k = out.own == q
+    return MaximizerSet(tuple(zip(out.lo[k].tolist(), out.hi[k].tolist())),
+                        float(out.u_plus[q]), float(out.u_minus[q]),
+                        float(out.max_value[q]))
+
+
+def _check_assembly(monkeypatch):
+    """From now on, check every block's rows against ``_assemble``.
+
+    Each row's best grid value, bands and ``redo`` flag are recomputed
+    from E on its window, and its refined points are the block's own.
+    Returns the counts of rows checked and of the branches they took.
+    """
+    seen = {"rows": 0, "flat": 0, "unreached": 0, "multi": 0, "redo": 0}
+    block = GeneralProblem._maximize_block
+    components = GeneralProblem._components
+    refined = []
+
+    def capture(self, E, Emax, thresh, r, u_star, E_star, br, *bands):
+        refined.append((E, r, u_star, E_star, br))
+        return components(self, E, Emax, thresh, r, u_star, E_star, br,
+                          *bands)
+
+    def checked(self, xs, t, start, width):
+        out = block(self, xs, t, start, width)
+        E, r, u_star, E_star, br = refined.pop()
+        assert not out.redo[br].any()       # no band search on those rows
+        n = len(self._s)
+        for q in range(len(xs)):
+            def Eq(u, q=q):
+                return E(u, q)
+
+            a, b = int(start[q]), int(start[q] + width[q])
+            Ew = Eq(self._s[a:b])
+            es = E_star[r == q].tolist()
+            Emax = max([float(Ew.max())] + es)
+            thresh = Emax - self.val_tol
+            bands = runs(Ew >= thresh)
+            edges = [0] * (a > 0) + [b - a - 1] * (b < n)
+            redo = any(Ew[e] >= min(thresh, Ew.max()) for e in edges)
+            assert bool(out.redo[q]) == redo
+            seen["redo"] += redo
+            if redo:            # scanned again, never assembled
+                continue
+            ref = _assemble(self, Eq, Emax, thresh, u_star[r == q].tolist(),
+                            es, [a + i for i, _ in bands],
+                            [a + j for _, j in bands], seen)
+            assert repr(_row_set(out, q)) == repr(ref)
+        seen["rows"] += len(xs)
+        return out
+
+    monkeypatch.setattr(GeneralProblem, "_components", capture)
+    monkeypatch.setattr(GeneralProblem, "_maximize_block", checked)
+    return seen
+
+
+def test_components_reach_bands_of_their_own_row_within_1_5_cells():
+    # one band of two cells per row and kept points placed around its
+    # reach [s[i] - 1.5 h, s[i + 1] + 1.5 h]: on both ends a point reaches
+    # it and one ulp outside does not; a point in the band of another row
+    # reaches nothing; two points tol_u / 2 apart merge into one component
+    p = Problem(flux.burgers(), idata.sin_wave())
+    s, h, i = p._s, p._h, 1000
+    lo, hi = s[i] - 1.5 * h, s[i + 1] + 1.5 * h
+    pts = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, np.inf)]
+    r = np.array([0, 1, 2, 3, 5, 6, 6])
+    u_star = np.array(pts + [s[i], 0.1, 0.1 + 0.5 * p.tol_u])
+    E_star = np.zeros(len(r))
+    br = np.arange(5)
+    first, last = np.full(5, i), np.full(5, i + 1)
+    Emax = np.zeros(7)
+    thresh = Emax - p.val_tol
+
+    def E(u, q):
+        return -(u - s[i]) ** 2
+
+    out = vc._Rows(*p._merge(*p._components(
+        E, Emax, thresh, r, u_star, E_star, br, first, last), 7), Emax,
+        np.zeros(7, dtype=bool))
+    seen = {"flat": 0, "unreached": 0, "multi": 0}
+    for q in range(7):
+        b = br == q
+        ref = _assemble(p, lambda u: E(u, q), 0.0, -p.val_tol,
+                        u_star[r == q].tolist(), E_star[r == q].tolist(),
+                        first[b].tolist(), last[b].tolist(), seen)
+        assert repr(_row_set(out, q)) == repr(ref)
+    assert seen == {"flat": 0, "unreached": 3, "multi": 3}
+    assert [len(ms.components) for ms in out.sets()] == [1, 2, 1, 2, 1, 1, 1]
+
+
+def _narrow_windows(monkeypatch):
+    """Cut every windowed row's window to 20 cells that end 4 cells short
+    of its maximizer, so that the row is scanned again."""
+    blocks = GeneralProblem._blocks
+
+    def missing(self, xs, t, start, width):
+        n = len(self._s)
+        part = width < n
+        if part.any():
+            j = np.searchsorted(self._s, [self.solve(x, t).u_plus for x in
+                                          xs[part].tolist()])
+            start, width = start.copy(), width.copy()
+            start[part] = np.where(j < n // 2, j + 4, j - 24)
+            width[part] = 20
+        return blocks(self, xs, t, start, width)
+
+    monkeypatch.setattr(GeneralProblem, "_blocks", missing)
+
+
+_ASSEMBLY_DATA = {
+    "sine": idata.sin_wave,
+    "step": lambda: idata.step(1.0, 0.0),
+    "sampled": _sampled_17,
+    # poly [0, -1] with tails 1 and -1: at (0, 1) under Burgers the maximizer
+    # set is the one interval [-1, 1], a flat band
+    "flat": lambda: idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, -1.0]})],
+        left_tail=1.0, right_tail=-1.0),
+}
+
+
+def test_block_assembly_matches_per_row_reference(monkeypatch):
+    # Burgers and power2n(2): restarts, point solves, windowed slices,
+    # forced rescans and late slices on restart data.  Each row's u+-,
+    # max_value and components are the reference's, bit for bit, and every
+    # rare branch runs: flat bands (Burgers at (0, 1) on the "flat" data),
+    # unreached bands (refined roots moved off), rows of two components
+    seen = _check_assembly(monkeypatch)
+    rng = np.random.default_rng(23)
+    for fl in (flux.burgers(), flux.power2n(2)):
+        problems = {k: Problem(fl, make()) for k, make in
+                    _ASSEMBLY_DATA.items()}
+        restarted = problems["sine"].restart(0.5)
+        for p in problems.values():
+            for t in (0.4, 1.0, 2.5):
+                p.solve_grid(np.sort(rng.uniform(-3.0, 3.0, 40)), t)
+                for x in rng.uniform(-3.0, 3.0, 4).tolist():
+                    p.solve(x, t)
+        for t in (10.5, 17.0):
+            restarted.solve_grid(np.linspace(-np.pi, np.pi, 33), t)
+        problems["flat"].solve(0.0, 1.0)
+        problems["flat"].solve_grid(np.linspace(-0.02, 0.02, 9), 1.0)
+        problems["step"].branch_gap(0.5, 1.0, 0.99, 0.01, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            _narrow_windows(mp)
+            problems["sine"].solve_grid(np.linspace(-3.0, 3.0, 33), 0.4)
+        with pytest.MonkeyPatch.context() as mp:
+            # roots moved 3 cells up fall below the band of the best grid
+            # value, so no kept point reaches it: unreached-band searches
+            roots = GeneralProblem._roots
+            mp.setattr(GeneralProblem, "_roots", lambda self, *args: np.add(
+                roots(self, *args), 3 * self._h))
+            problems["sine"].solve_grid(np.linspace(-3.0, 3.0, 8), 0.7)
+    assert seen["rows"] > 2 * 4096
+    assert min(seen.values()) > 0, seen
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_block_assembly_matches_reference_on_random_problems(data):
+    fl = data.draw(st.sampled_from([flux.burgers(), flux.power2n(2)]))
+    p = Problem(fl, data.draw(_random_data()))
+    t = float(np.exp(data.draw(st.floats(np.log(0.05), np.log(50.0)))))
+    xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _check_assembly(mp)
+        p.solve_grid(xs, t)
+    assert seen["rows"] >= len(set(xs))
 
 
 def test_restart_knots_equal_pointwise_solves():
