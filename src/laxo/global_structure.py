@@ -12,6 +12,7 @@ import numpy as np
 
 from ._search import golden_many, runs
 from .errors import HullInfinite, NoDivides
+from .variational_core import _checked_t
 
 HULL_TOL_SCALE = 1e-9
 
@@ -321,25 +322,25 @@ class GlobalStructure:
         ``norm`` in {"sup", "l1", "l2"}; target defaults to the
         rarefaction-constant profile.  Returns (exponent, constant, series)
         with series = [(t, value)].  At each t, u+ on 801 points of the
-        region is one ``solve_grid`` maximization read as an array, and the
-        default profile one array evaluation; a ``target`` callable is
-        called point by point.  An unknown norm, a region that is not
-        finite or has lo >= hi, fewer than two distinct times, or a time
-        that is not finite and positive raise ValueError before any solve.
+        region is one maximization of ``solve_grid`` read as an array
+        (``GeneralProblem._maximize_grid``), and the default profile one
+        array evaluation; a ``target`` callable is called point by point.
+        An unknown norm, a region that is not finite or has lo >= hi, a
+        time that is not finite and positive, or fewer than two distinct
+        times raise ValueError before any solve.
         """
         if norm not in ("sup", "l1", "l2"):
             raise ValueError(f"unknown norm {norm!r}")
         lo, hi = region
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError("region must be finite, with lo < hi")
-        if len({float(t) for t in t_list}) < 2:
+        t_list = [_checked_t(float(t)) for t in t_list]
+        if len(set(t_list)) < 2:
             raise ValueError("need at least two distinct times")
-        if not all(np.isfinite(t) and t > 0 for t in t_list):
-            raise ValueError("times must be finite and positive")
         xs = np.linspace(lo, hi, 801)
         series = []
         for t in t_list:
-            us = self.problem._maximize_grid(xs, float(t)).u_plus
+            us = self.problem._maximize_grid(xs, t).u_plus
             if target is None:
                 tv = self._profile(xs, t)
             else:
@@ -351,7 +352,7 @@ class GlobalStructure:
                 val = float(np.trapezoid(diff, xs))
             else:
                 val = float(np.sqrt(np.trapezoid(diff ** 2, xs)))
-            series.append((float(t), val))
+            series.append((t, val))
         ts = np.log([t for t, _ in series])
         vs = np.log([max(v, 1e-300) for _, v in series])
         slope, intercept = np.polyfit(ts, vs, 1)

@@ -104,29 +104,23 @@ class _Rows:
                     self.redo.tolist(), cut, cut[1:], self.u_plus.tolist(),
                     self.u_minus.tolist(), self.max_value.tolist())]
 
-    def take(self, i):
-        """The rows i, in that order; a row may be taken more than once."""
-        cut = np.searchsorted(self.own, np.arange(len(self.redo) + 1))
-        count = cut[i + 1] - cut[i]
-        own = np.repeat(np.arange(len(i)), count)
-        k = np.arange(len(own)) + np.repeat(cut[i] - np.cumsum(count) + count,
-                                            count)
-        return _Rows(self.u_plus[i], self.u_minus[i], own, self.lo[k],
-                     self.hi[k], self.max_value[i], self.redo[i])
-
     @staticmethod
     def join(parts, m):
         """m rows from parts (q, rows): the rows q of the result are the
-        rows of the part, a later part's over an earlier one's.  The
-        components of the parts' ``redo`` rows are left out."""
+        rows of the part, a later part's over an earlier one's, its
+        components too.  The components of the parts' ``redo`` rows are
+        left out."""
         vals = np.empty((3, m))
         redo = np.zeros(m, dtype=bool)
-        own = [np.zeros(0, dtype=np.intp)]
-        lo, hi = [np.zeros(0)], [np.zeros(0)]
-        for q, p in parts:
+        last = np.empty(m, dtype=np.intp)       # the part that gives row q
+        for i, (q, p) in enumerate(parts):
             vals[:, q] = p.u_plus, p.u_minus, p.max_value
             redo[q] = p.redo
-            k = ~p.redo[p.own]
+            last[q] = i
+        own = [np.zeros(0, dtype=np.intp)]
+        lo, hi = [np.zeros(0)], [np.zeros(0)]
+        for i, (q, p) in enumerate(parts):
+            k = ~p.redo[p.own] & (last[q[p.own]] == i)
             own.append(q[p.own[k]])
             lo.append(p.lo[k])
             hi.append(p.hi[k])
@@ -298,20 +292,24 @@ class GeneralProblem:
                                     *self._whole).sets()[0]
 
     def _maximize_grid(self, xs, t):
-        """The maximizer sets at the x of a checked grid, as ``_Rows`` in
-        the order of xs: the levels and ``restart`` read their u+ and u-
-        arrays, and only ``solve_grid`` builds the MaximizerSets.
+        """The maximizer sets at the x of a nondecreasing grid, at a time t
+        its caller has checked, as ``_Rows`` in the order of xs.
+
+        This is the internal entry of every grid solve: ``solve_grid``
+        sorts its distinct points, calls it and builds the MaximizerSets;
+        ``restart`` and ``GlobalStructure.measure_decay`` read the u+ array
+        and build none, and the levels read u+ and u-.
 
         A grid of at most ``BLOCK_ELEMS // n_scan`` points is one block,
-        scanned over the whole u-grid.  A longer one is maximized in levels
-        on its distinct points, sorted.  Level 0 scans up to that many evenly
-        spaced points, both ends included, over the whole grid.  Each later
-        level maximizes the middle point q of every unsolved gap (a, b) over
-        the u-window that the ordering of backward characteristics leaves it
-        (Lax 1957): for x_a < x_q < x_b every maximizer foot x - t H(u) at x_q
-        lies between the rightmost foot at x_a and the leftmost at x_b, so
-        H(u) lies in [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The
-        window takes the grid indices whose H lies there, widened by 2 cells.
+        scanned over the whole u-grid.  A longer one is maximized in
+        levels.  Level 0 scans up to that many evenly spaced points, both
+        ends included, over the whole grid.  Each later level maximizes the
+        middle point q of every unsolved gap (a, b) over the u-window that
+        the ordering of backward characteristics leaves it (Lax 1957): for
+        x_a < x_q < x_b every maximizer foot x - t H(u) at x_q lies between
+        the rightmost foot at x_a and the leftmost at x_b, so H(u) lies in
+        [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The window
+        takes the grid indices whose H lies there, widened by 2 cells.
         Once the unsolved rows' windows hold at most four blocks of cells,
         one level takes them all: a further level costs blocks that the
         narrower windows would not pay back.  Rows that ``_blocks`` cannot
@@ -327,10 +325,7 @@ class GeneralProblem:
                     else _Rows.join([], 0))
         if not self._ordered:
             return self._blocks(xs, t, *whole)
-        xu, inv = xs, None
-        if not (xs[1:] > xs[:-1]).all():
-            xu, inv = np.unique(xs, return_inverse=True)
-        m = len(xu)
+        m = len(xs)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
@@ -338,7 +333,7 @@ class GeneralProblem:
         q = np.arange(k) * (m - 1) // max(k - 1, 1)
         start, width = whole[0][:k], whole[1][:k]
         while len(q):
-            out = self._blocks(xu[q], t, start, width)
+            out = self._blocks(xs[q], t, start, width)
             parts.append((q, out))
             Hp[q], Hm[q] = self._H(np.array([out.u_plus, out.u_minus]))
             solved[q] = True
@@ -348,8 +343,8 @@ class GeneralProblem:
             b = ends[np.searchsorted(ends, q)]
             a = ends[np.searchsorted(ends, q) - 1]
             with np.errstate(over="ignore"):    # a tiny t: the whole grid
-                lo = Hm[b] - (xu[b] - xu[q]) / t
-                hi = Hp[a] + (xu[q] - xu[a]) / t
+                lo = Hm[b] - (xs[b] - xs[q]) / t
+                hi = Hp[a] + (xs[q] - xs[a]) / t
             # the grid indices where lo <= H <= hi, widened by 2 cells
             start = np.minimum(np.maximum(
                 np.searchsorted(self._Hs, lo, "left") - 2, 0), n - 2)
@@ -359,8 +354,7 @@ class GeneralProblem:
                 # more than four blocks of cells: the middle row of each gap
                 mid = q == (a + b) // 2
                 q, start, width = q[mid], start[mid], width[mid]
-        res = _Rows.join(parts, m)
-        return res if inv is None else res.take(inv)
+        return _Rows.join(parts, m)
 
     def _blocks(self, xs, t, start, width):
         """``_maximize_block`` on rows packed in blocks of few enough cells.
@@ -368,10 +362,9 @@ class GeneralProblem:
         Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
         The rows are packed in the order of their widths, each block while
         its count times its widest window's cells stays within
-        ``BLOCK_ELEMS``, at least one row; rows that all fit in one block
-        keep the order of xs.  A row the block cannot certify in its window
-        is maximized again over the whole grid.  Returns the ``_Rows`` in
-        the order of xs.
+        ``BLOCK_ELEMS``, at least one row.  A row the block cannot certify
+        in its window is maximized again over the whole grid.  Returns the
+        ``_Rows`` in the order of xs.
         """
         n = len(self._s)
         order = np.argsort(width, kind="stable")
@@ -384,12 +377,9 @@ class GeneralProblem:
             c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
             groups.append(order[k:k + c])
             k += c
-        if len(groups) == 1:            # one block, in the order of xs
-            out = self._maximize_block(xs, t, start, width)
-        else:
-            out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
-                                                       width[i]))
-                              for i in groups], len(xs))
+        out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
+                                                   width[i]))
+                          for i in groups], len(xs))
         redo = out.redo.nonzero()[0]
         if len(redo):
             full = self._blocks(xs[redo], t, np.zeros(len(redo), dtype=np.intp),
@@ -615,6 +605,8 @@ class GeneralProblem:
         """
         count = np.bincount(own, minlength=rows)
         if np.count_nonzero(count == 1) == rows:
+            # nothing to merge, as in most point solves: the general path
+            # below costs such a one-row block about 10 numpy calls more
             return lo, hi, own, lo, hi
         up, um = np.full(rows, np.nan), np.full(rows, np.nan)
         up[own], um[own] = lo, hi
@@ -914,8 +906,13 @@ class GeneralProblem:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or not np.all(np.isfinite(xs)):
             raise ValueError("xs must be a 1-D sequence of finite values")
-        return [self._sample(x, t, ms) for x, ms in
-                zip(xs.tolist(), self._maximize_grid(xs, t).sets())]
+        xu, inv = xs, None
+        if not (xs[1:] > xs[:-1]).all():
+            xu, inv = np.unique(xs, return_inverse=True)
+        res = self._maximize_grid(xu, t).sets()
+        if inv is not None:
+            res = [res[i] for i in inv.tolist()]
+        return [self._sample(x, t, ms) for x, ms in zip(xs.tolist(), res)]
 
     def e_hat(self, x, t):
         ms = self.maximize(x, t)

@@ -754,6 +754,24 @@ def test_components_reach_bands_of_their_own_row_within_1_5_cells():
     assert [len(ms.components) for ms in out.sets()] == [1, 2, 1, 2, 1, 1, 1]
 
 
+def test_rows_join_takes_a_later_parts_rows_with_their_components():
+    # row 1 is covered by both parts, row 0 by the first only and row 2
+    # by the second only; the second part's row 1 replaces the first's,
+    # components and all, and a redo row keeps none of its components
+    def rows(own, lo, hi, up, redo):
+        up = np.array(up)
+        return vc._Rows(up, up + 1.0, np.array(own), np.array(lo),
+                        np.array(hi), -up, np.array(redo))
+
+    first = rows([0, 1, 1], [0.0, 1.0, 1.5], [0.0, 1.2, 2.0], [0.0, 1.0],
+                 [False, False])
+    second = rows([0, 1], [5.0, 6.0], [5.5, 6.0], [5.0, 6.0], [False, True])
+    out = vc._Rows.join([(np.array([0, 1]), first),
+                         (np.array([1, 2]), second)], 3)
+    assert out.sets() == [MaximizerSet(((0.0, 0.0),), 0.0, 1.0, -0.0),
+                          MaximizerSet(((5.0, 5.5),), 5.0, 6.0, -5.0), None]
+
+
 def _narrow_windows(monkeypatch):
     """Cut every windowed row's window to 20 cells that end 4 cells short
     of its maximizer, so that the row is scanned again."""
