@@ -220,14 +220,15 @@ class GeneralProblem:
         self._Hp = pair.Hprime
         self._U = pair.U
         self._F = pair.F
+        # the data of U(phi), whose primitive is W
         if pair.U is _identity:
-            self._W = data.primitive
+            Ud = data
         elif data.is_sampled:
             # U(phi) is piecewise constant between knots, like phi
-            self._W = SampledData(data.xs, pair.U(data.us),
-                                  data.period).primitive
+            Ud = SampledData(data.xs, pair.U(data.us), data.period)
         else:
-            self._W = _NumericPrimitive(pair.U, data).primitive
+            Ud = _NumericPrimitive(pair.U, data)
+        self._W = Ud.primitive
         M = data.bound
         self.M = M
         delta = 1e-6 * (1.0 + M)
@@ -247,6 +248,18 @@ class GeneralProblem:
         # backward characteristics keep their order where H and U rise
         self._ordered = bool((np.diff(self._Hs) >= 0.0).all()
                              and (np.diff(Us) >= 0.0).all())
+        # periodic data: after t_w every solve scans within ``_window``.
+        # H_mean holds H(c_lo) and H(c_hi), c_lo the last and c_hi the first
+        # grid point with U(c_lo) < Ubar < U(c_hi), Ubar the period mean of
+        # U(phi): a bracket on U's grid values, so U is never inverted
+        self._t_w = np.inf
+        span = self._Hs[-1] - self._Hs[0]
+        if self._ordered and data.period is not None and span > 0.0:
+            ubar = Ud.tail_invariants().ubar_l
+            c_lo = max(int(np.searchsorted(Us, ubar, "left")) - 1, 0)
+            c_hi = min(int(np.searchsorted(Us, ubar, "right")), len(Us) - 1)
+            self._H_mean = float(self._Hs[c_lo]), float(self._Hs[c_hi])
+            self._t_w = 2.0 * data.period / span
         # phi's breakpoints y, its limits there and H of them, for the
         # exact roots of psi; on periodic data y runs on over a second
         # period, and breakpoint j of it is breakpoint j % len(left)
@@ -280,16 +293,49 @@ class GeneralProblem:
         """Certified maximizer set of E(.; x, t).
 
         This is the block routine of ``solve_grid`` on the one point x,
-        scanned over the whole u-grid.  A point of a long grid that is
-        scanned over a u-window only gets the same ``MaximizerSet``, bit for
-        bit, wherever its kept runs and value bands lie inside the window
-        (see ``_maximize_block``); a grid of at most 8 points is one block
-        over the whole grid.
+        scanned over the whole u-grid, or on periodic data after t_w over
+        the window that the period mean leaves every maximizer
+        (``_window``), as ``_maximize_grid`` scans a short grid.  A point of
+        a long grid that is scanned over a narrower u-window gets the same
+        ``MaximizerSet``, bit for bit, wherever its kept runs and value
+        bands lie inside that window (see ``_maximize_block``).
         """
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
-        return self._maximize_block(np.array([x], dtype=float), _checked_t(t),
-                                    *self._whole).sets()[0]
+        t = _checked_t(t)
+        xs = np.array([x], dtype=float)
+        win = self._window(t)
+        if win is self._whole:
+            return self._maximize_block(xs, t, *win).sets()[0]
+        # a row whose maximizer the window cuts off is scanned again
+        return self._blocks(xs, t, *win).sets()[0]
+
+    def _window(self, t):
+        """The u-window of every row at time t, as one-row arrays (start,
+        width) of grid indices: ``_whole``, but on periodic data after t_w.
+
+        The period mean Ubar of U(phi) is conserved, so within a period
+        left of x (at x' <= x) and one right of it (at x'' >= x) lie points
+        whose maximizers have U(u') <= Ubar and U(u'') >= Ubar, that is
+        u' < c_hi and u'' > c_lo.  Backward characteristics keep their
+        order (Lax 1957; Oleinik's one-sided bound): the feet satisfy
+        x' - t H(u') <= x - t H(u) <= x'' - t H(u'') for every maximizer u
+        at x, so H(c_lo) - P/t <= H(u) <= H(c_hi) + P/t.  The window takes
+        the grid indices whose H lies there, widened by 2 cells.  Before
+        t_w = 2 P / (H(s_n) - H(s_0)), where P/t reaches half of H's range
+        on the grid, on tailed data, and where H or U is not nondecreasing
+        on the grid, it is the whole grid.
+        """
+        if not t > self._t_w:
+            return self._whole
+        n = len(self._s)
+        lo, hi = self._H_mean
+        P = self.data.period
+        start = max(int(np.searchsorted(self._Hs, lo - P / t, "left")) - 2, 0)
+        stop = min(int(np.searchsorted(self._Hs, hi + P / t, "right")) + 2, n)
+        if stop - start == n:
+            return self._whole
+        return np.full(1, start), np.full(1, stop - start)
 
     def _maximize_grid(self, xs, t):
         """The maximizer sets at the x of a nondecreasing grid, at a time t
@@ -300,38 +346,45 @@ class GeneralProblem:
         ``restart`` and ``GlobalStructure.measure_decay`` read the u+ array
         and build none, and the levels read u+ and u-.
 
-        A grid of at most ``BLOCK_ELEMS // n_scan`` points is one block,
-        scanned over the whole u-grid.  A longer one is maximized in
-        levels.  Level 0 scans up to that many evenly spaced points, both
-        ends included, over the whole grid.  Each later level maximizes the
+        Every row scans within the u-window of ``_window``: the whole grid,
+        or on periodic data after t_w the window the period mean allows.  A
+        grid of at most ``BLOCK_ELEMS // cells`` points, cells the window's
+        (n_scan on the whole grid: 8 points by default), is one block over
+        that window.  A longer one is maximized in levels.  Level 0 scans up to that many evenly spaced points, both
+        ends included, over the window.  Each later level maximizes the
         middle point q of every unsolved gap (a, b) over the u-window that
         the ordering of backward characteristics leaves it (Lax 1957): for
         x_a < x_q < x_b every maximizer foot x - t H(u) at x_q lies between
         the rightmost foot at x_a and the leftmost at x_b, so H(u) lies in
         [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The window
-        takes the grid indices whose H lies there, widened by 2 cells.
-        Once the unsolved rows' windows hold at most four blocks of cells,
-        one level takes them all: a further level costs blocks that the
-        narrower windows would not pay back.  Rows that ``_blocks`` cannot
-        certify in their window are scanned over the whole grid.  The
-        ordering needs H and U nondecreasing; where either is not on the
-        grid (a ``custom`` flux, say), every row scans the whole grid.
+        takes the grid indices whose H lies there, widened by 2 cells, and
+        clipped to the window of ``_window``.  Once the unsolved rows'
+        windows hold at most four blocks of cells, one level takes them
+        all: a further level costs blocks that the narrower windows would
+        not pay back.  Rows that ``_blocks`` cannot certify in their window
+        are scanned over the whole grid.  The ordering needs H and U
+        nondecreasing; where either is not on the grid (a ``custom`` flux,
+        say), every row scans the whole grid.
         """
-        n = len(self._s)
-        rows = max(1, BLOCK_ELEMS // self.n_scan)
-        whole = np.zeros(len(xs), dtype=np.intp), np.full(len(xs), n)
-        if len(xs) <= rows:
-            return (self._maximize_block(xs, t, *whole) if len(xs)
+        m = len(xs)
+        win = self._window(t)
+        w0, ww = int(win[0][0]), int(win[1][0])
+        rows = max(1, BLOCK_ELEMS // (ww - 1))
+        start, width = np.full(m, w0), np.full(m, ww)
+        if m <= rows:
+            if win is not self._whole:
+                # rows whose maximizer the window cuts off are scanned again
+                return self._blocks(xs, t, start, width)
+            return (self._maximize_block(xs, t, start, width) if m
                     else _Rows.join([], 0))
         if not self._ordered:
-            return self._blocks(xs, t, *whole)
-        m = len(xs)
+            return self._blocks(xs, t, start, width)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
         k = min(max(2, rows), m)
         q = np.arange(k) * (m - 1) // max(k - 1, 1)
-        start, width = whole[0][:k], whole[1][:k]
+        start, width = start[:k], width[:k]
         while len(q):
             out = self._blocks(xs[q], t, start, width)
             parts.append((q, out))
@@ -345,10 +398,12 @@ class GeneralProblem:
             with np.errstate(over="ignore"):    # a tiny t: the whole grid
                 lo = Hm[b] - (xs[b] - xs[q]) / t
                 hi = Hp[a] + (xs[q] - xs[a]) / t
-            # the grid indices where lo <= H <= hi, widened by 2 cells
+            # the grid indices where lo <= H <= hi, widened by 2 cells and
+            # clipped to the window
             start = np.minimum(np.maximum(
-                np.searchsorted(self._Hs, lo, "left") - 2, 0), n - 2)
-            stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2, n)
+                np.searchsorted(self._Hs, lo, "left") - 2, w0), w0 + ww - 2)
+            stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2,
+                              w0 + ww)
             width = np.maximum(stop - start, 2)
             if (width - 1).sum() > 4 * BLOCK_ELEMS:
                 # more than four blocks of cells: the middle row of each gap
@@ -897,12 +952,21 @@ class GeneralProblem:
         blocks of at most ``BLOCK_ELEMS`` cells; a row whose best value or
         ``val_tol`` band reaches an inner window edge, and every row of a
         flux whose f' is not nondecreasing, is scanned over the whole grid.
-        A windowed value of E is the float the whole scan computes, so each
-        sample equals ``solve(x, t)`` bit for bit wherever its kept runs and
-        bands lie inside its window, as on every tested problem.  A
-        non-finite x or t, or t <= 0, raises ValueError before any work.
+        On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
+        is replaced by the window that the period mean allows
+        (``_window``), so more points share a block: 17 points at t >= 13.4
+        on ``restart(0.5)`` of ``sin_wave()`` are one block.  A windowed
+        value of E is the float the whole scan computes, so each sample
+        equals ``solve(x, t)`` bit for bit wherever its kept runs and bands
+        lie inside its window, as on every tested problem.  A non-finite x
+        or t, or t <= 0, raises ValueError before any work.
         """
         t = _checked_t(t)
+        return self._solve_grid(xs, t, t)
+
+    def _solve_grid(self, xs, t, t_out):
+        """``solve_grid``'s samples at the checked time t, each reported at
+        the time t_out (``RestartedProblem`` reports absolute times)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 1 or not np.all(np.isfinite(xs)):
             raise ValueError("xs must be a 1-D sequence of finite values")
@@ -912,7 +976,7 @@ class GeneralProblem:
         res = self._maximize_grid(xu, t).sets()
         if inv is not None:
             res = [res[i] for i in inv.tolist()]
-        return [self._sample(x, t, ms) for x, ms in zip(xs.tolist(), res)]
+        return [self._sample(x, t_out, ms) for x, ms in zip(xs.tolist(), res)]
 
     def e_hat(self, x, t):
         ms = self.maximize(x, t)
@@ -946,7 +1010,11 @@ class Problem(GeneralProblem):
         as the u+ array of ``_maximize_grid``, with no MaximizerSet built.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
         kept runs and bands lie inside its window, as in every tested
-        restart.
+        restart.  On periodic data the restarted problem is periodic too, so
+        its solves after t_w = 2 P / (H(s_n) - H(s_0)) past tau scan only
+        the window its period mean allows (``_window``): on ``sin_wave()``
+        restarted at tau in [0.4, 0.6], a 17-point ``solve_grid`` slice at
+        t - tau >= 13.41 is one block of about 900 cells per row.
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")
@@ -980,20 +1048,15 @@ class RestartedProblem:
         return float(t)
 
     def solve(self, x, t):
+        """The inner problem's ``solve`` at t - tau, in absolute time."""
         t = self._checked(t)
-        return _at_time(self.problem.solve(x, t - self.tau), t)
+        p = self.problem
+        return p._sample(x, t, p.maximize(x, t - self.tau))
 
     def solve_grid(self, xs, t):
         """The inner problem's ``solve_grid`` at t - tau, in absolute time."""
         t = self._checked(t)
-        return [_at_time(s, t)
-                for s in self.problem.solve_grid(xs, t - self.tau)]
-
-
-def _at_time(s, t):
-    """The sample s at time t, built directly: ``dataclasses.replace`` costs
-    more than the copy on a late slice of a restarted problem."""
-    return SolutionSample(s.x, t, s.u_minus, s.u_plus, s.is_shock, s.maximizer)
+        return self.problem._solve_grid(xs, t - self.tau, t)
 
 
 def identity_pair(flux):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -994,3 +996,109 @@ def test_solve_grid_matches_solve_at_late_times(monkeypatch):
             point = [p.solve(x, t) for x in xs]
             assert [repr(s) for s in grid] == [repr(s) for s in point]
     assert max(len(rows) for rows in rows_per_call) >= 2
+
+
+# -- the a-priori u-window of late periodic solves ---------------------------
+
+def _sawtooth():
+    """phi = 0.4 + x on [-1, 1], period 2: mean 0.4."""
+    return idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.4, 1.0]})], period=2.0)
+
+
+def _periodic_sampled(n):
+    rng = np.random.default_rng(n)
+    return idata.SampledData(np.linspace(-2.0, 2.0, n),
+                             rng.uniform(-1.0, 1.0, n) + 0.3, period=4.0)
+
+
+_PERIODIC_PROBLEMS = {
+    "burgers_sine": lambda: Problem(flux.burgers(), idata.sin_wave()),
+    "quartic_sine": lambda: Problem(flux.power2n(2), idata.sin_wave()),
+    "sawtooth": lambda: Problem(flux.burgers(), _sawtooth()),
+    "sampled_17": lambda: Problem(flux.burgers(), _periodic_sampled(17)),
+    "sampled_65": lambda: Problem(flux.burgers(), _periodic_sampled(65)),
+    "sampled_257": lambda: Problem(flux.burgers(), _periodic_sampled(257)),
+    "restart": lambda: Problem(flux.burgers(),
+                               idata.sin_wave()).restart(0.5).problem,
+    # U = u^3 + u: the period mean of U(phi) is bracketed on U's grid values
+    "cube_plus_id": lambda: GeneralProblem(_cube_plus_id_pair(), _sawtooth()),
+}
+
+
+@pytest.mark.parametrize("name", list(_PERIODIC_PROBLEMS))
+def test_windowed_solves_equal_whole_grid_blocks(name):
+    # before t_w the window is the whole grid, after it a narrower one; the
+    # maximizer sets of solve and solve_grid are those of one-row blocks
+    # over the whole grid
+    p = _PERIODIC_PROBLEMS[name]()
+    assert math.isfinite(p._t_w)
+    n = len(p._s)
+    xs = np.linspace(p.data.w_lo - 0.3, p.data.w_hi + 0.3, 33)
+    widths = []
+    for t in (0.5 * p._t_w, p._t_w, 2.0 * p._t_w, 10.0, 20.0, 40.0, 80.0,
+              160.0):
+        widths.append(int(p._window(t)[1][0]))
+        ref = [repr(p._maximize_block(np.array([x]), t, *p._whole).sets()[0])
+               for x in xs.tolist()]
+        assert [repr(s.maximizer) for s in p.solve_grid(xs, t)] == ref
+        assert [repr(p.solve(x, t).maximizer) for x in xs] == ref
+    assert widths[:2] == [n, n] and n > widths[2] > widths[-1]
+
+
+def test_late_restart_slice_takes_one_block(monkeypatch):
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
+    n = len(rp.problem._s)
+    xs = np.linspace(-np.pi, np.pi, 17)
+    calls = _count_blocks(monkeypatch)
+    rp.solve_grid(xs, 15.0)
+    assert len(calls) == 1 and len(calls[0]) == 17
+    assert all(width < 0.5 * n and not redo for _, width, redo in calls[0])
+    calls.clear()
+    rp.solve_grid(xs, 10.0)
+    assert len(calls) == 2
+    # before t_w the slice scans the whole grid, as every tailed problem
+    calls.clear()
+    p = Problem(flux.burgers(), idata.sin_wave())
+    p.solve_grid(np.linspace(-3.0, 3.0, 8), 1.0)
+    assert calls == [[(0, n, False)] * 8]
+
+
+def test_window_that_cuts_off_the_maximizer_is_scanned_again(monkeypatch):
+    # a window of 20 cells that ends 4 cells short of the point's
+    # maximizer, where E still rises toward its edge: the row is scanned
+    # again over the whole grid and gets its answer there
+    p = Problem(flux.burgers(), idata.sin_wave())
+    n = len(p._s)
+    t = 20.0
+    calls = _count_blocks(monkeypatch)
+    for x in (-2.5, -0.4, 0.3, 1.7):
+        ref = p._maximize_block(np.array([x]), t, *p._whole).sets()[0]
+        j = int(np.searchsorted(p._s, ref.u_plus))
+        start = j + 4 if j < n // 2 else j - 24
+        monkeypatch.setattr(p, "_window", lambda t: (np.full(1, start),
+                                                     np.full(1, 20)))
+        calls.clear()
+        assert repr(p.solve_grid([x], t)[0].maximizer) == repr(ref)
+        assert repr(p.solve(x, t).maximizer) == repr(ref)
+        assert calls == [[(start, 20, True)], [(0, n, False)]] * 2
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2)],
+                         ids=["burgers", "quartic"])
+@pytest.mark.parametrize("data, ubar", [(idata.sin_wave(), 0.0),
+                                        (_sawtooth(), 0.4)],
+                         ids=["sine", "sawtooth"])
+def test_late_maximizers_obey_the_period_mean_bound(fl, data, ubar,
+                                                    monkeypatch):
+    # the window's bound itself, on solutions that scan the whole grid:
+    # H(ubar) - P/t <= H(u+-) <= H(ubar) + P/t
+    p = Problem(fl, data)
+    monkeypatch.setattr(p, "_window", lambda t: p._whole)
+    P = data.period
+    xs = np.linspace(data.w_lo, data.w_hi, 401)
+    Hbar = float(fl.deriv(ubar))
+    for t in (10.0, 20.0, 40.0):
+        out = p.solve_grid(xs, t)
+        H = fl.deriv(np.array([[s.u_plus, s.u_minus] for s in out]))
+        assert H.min() >= Hbar - P / t and H.max() <= Hbar + P / t
