@@ -5,9 +5,9 @@ vectorized function per round.  Each holds its brackets as numpy arrays,
 one element per bracket, and drops a bracket from them once it stops:
 
 * ``bisect_many`` bisects on a predicate.  A walk's state is its bracket
-  index, its ends and the steps it has taken; each round evaluates one
-  dyadic tree of midpoints per live walk, at most ``_DEPTH`` steps deep,
-  tests all its nodes at once and takes its steps by index arithmetic.
+  index and its ends; each round evaluates one dyadic tree of midpoints
+  per live walk, at most ``_DEPTH`` steps deep, tests all its nodes at
+  once and takes its steps by index arithmetic.
 * ``secant_many`` finds a root in each bracket with f(a) > 0 >= f(b).  Each
   round probes a pair c -+ e around each bracket's secant point c, sized
   by a bound on f'' so that the root lies between the two and the bracket
@@ -19,10 +19,13 @@ one element per bracket, and drops a bracket from them once it stops:
   state is each bracket's ends, inner points and their values, and each
   round evaluates the one new point of every live bracket.
 
-``bisect`` is ``bisect_many`` on one bracket.  Every search stops once the
-bracket cannot shrink in floating point, whatever the tolerance, and ends
-on the floats that one step per function call gives.  ``runs``,
-``row_runs`` and ``padded_runs`` give the maximal runs of True in a mask.
+``bisect`` is ``bisect_many`` on one bracket.  Every bracket stops on one
+rule and no other: at ``|b - a| <= tol``, or at the float floor, where a
+midpoint equals an end, whatever the tolerance.  Each step halves a
+bracket, so a walk takes at most about log2(|b - a| / tol) steps, and
+never more than about 2 100 on a finite bracket of doubles; it ends on
+the floats that one step per function call gives.  ``runs`` and
+``padded_runs`` give the maximal runs of True in a mask.
 """
 
 import functools
@@ -52,13 +55,13 @@ def _dyadic(a, b, k):
 def _tree(k):
     """Nodes of k steps in heap order (root 1, halves 2p and 2p + 1, node 0
     a copy of the root): the ``_dyadic(k)`` rows of their ends and
-    midpoints, their depths, and the answer row of each split."""
+    midpoints, and the answer row of each split."""
     p = np.maximum(np.arange(2 << k), 1)
     depth = np.array([q.bit_length() - 1 for q in p.tolist()])
     span = 1 << (k - depth)
     lo = (p - (1 << depth)) * span
     ends = np.stack([lo, lo + span, lo + span // 2])
-    return ends, depth[:, None], ends[2, :1 << k] - 1
+    return ends, ends[2, :1 << k] - 1
 
 
 _TREES = [None] + [_tree(k) for k in range(1, _DEPTH + 1)]
@@ -73,16 +76,16 @@ def _nodes(k, nw):
 
 
 def _join(walks, i, a, b):
-    """Walks (bracket, ends, steps taken) with brackets i from [a, b]."""
-    return [np.concatenate(v) for v in zip(walks, (i, a, b, 0 * i))]
+    """Walks (bracket, ends) with brackets i from [a, b]."""
+    return [np.concatenate(v) for v in zip(walks, (i, a, b))]
 
 
-def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
+def _lockstep(f, a, b, fa, fb, curv, tol):
     """The round loop of ``bisect_many`` and ``secant_many``.
 
     Brackets with f(a) > 0 >= f(b), room above tol and a first pair that
     pays start as probe pairs ``sec`` (A, B, FA, FB, K, s, cw2), the others
-    as walks ``walk`` (WA, WB, n); ``curv`` None makes every bracket a walk.
+    as walks ``walk`` (WA, WB); ``curv`` None makes every bracket a walk.
     A bracket's ends go into ``a`` and ``b`` when it stops, at once when
     every pair stops in one round.  A round tests every node of the walks'
     trees as the one-step loop tests a bracket (a walk whose root fails
@@ -90,11 +93,10 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
     a walk goes to the half its answer picks, else it stays, so a table of
     next nodes takes its k steps in k gathers along its tree's path.
     """
-    cap = math.inf if maxiter is None else maxiter
     sec = np.arange(len(a))
-    walk, WA, WB, n = sec[:0], a[:0], b[:0], sec[:0]
+    walk, WA, WB = sec[:0], a[:0], b[:0]
     if curv is None:
-        walk, WA, WB, n, sec = sec, a, b, np.zeros(len(a), dtype=int), sec[:0]
+        walk, WA, WB, sec = sec, a, b, sec[:0]
     else:
         w, s = np.abs(b - a), fa - fb
         pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
@@ -105,7 +107,7 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
         A, B, FA, FB, K = a, b, fa, fb, curv
         if np.count_nonzero(pair) < len(a):
             i, sec = (~pair).nonzero()[0], pair.nonzero()[0]
-            walk, WA, WB, n = _join((walk, WA, WB, n), i, a[i], b[i])
+            walk, WA, WB = _join((walk, WA, WB), i, a[i], b[i])
             A, B, FA, FB, K, w, s, cw2 = (v[sec] for v in (
                 A, B, FA, FB, K, w, s, cw2))
     own = ow = sec[:0]
@@ -124,24 +126,19 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
             c, e = A + th * D, eps * D
             q = np.concatenate([c - e, c + e])
         while len(walk):
-            # the steps each walk asks for: _DEPTH, fewer near maxiter or tol
-            z = cap - n if tol <= 0.0 else np.log2(
-                np.maximum(np.abs(WB - WA), tol) / tol)
-            if tol > 0.0 and maxiter is not None:
-                z = np.minimum(z, cap - n)
-            k = max(1, math.ceil(min(_DEPTH, z.max())))
+            # the steps the widest walk asks for: _DEPTH, fewer near tol
+            k = _DEPTH if tol <= 0.0 else max(1, math.ceil(min(_DEPTH, np.log2(
+                np.maximum(np.abs(WB - WA), tol) / tol).max())))
             g = _dyadic(WA, WB, k)
-            ends, depth, row = _TREES[k]
+            ends, row = _TREES[k]
             E = g[ends]
             lo, hi, mid = E[:, :1 << k]
             go = (np.abs(hi - lo) > tol) & (mid != lo) & (mid != hi)
-            if maxiter is not None:
-                go &= n < cap - depth[:1 << k]
             if np.count_nonzero(go[1]) == len(walk):
                 break
             i = ~go[1]                          # those walks are done
             a[walk[i]], b[walk[i]] = WA[i], WB[i]
-            walk, WA, WB, n = (v[go[1]] for v in (walk, WA, WB, n))
+            walk, WA, WB = (v[go[1]] for v in (walk, WA, WB))
         if len(walk):
             nw, i = len(walk), 1 << k
             if ow is not walk or len(owner) != nw * (i - 1):
@@ -161,8 +158,6 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
             for _ in range(k):
                 at = nxt[at]
             WA, WB = E[0].ravel()[at], E[1].ravel()[at]
-            if maxiter is not None:
-                n = (n + depth).ravel()[at]
         elif m:
             vals = f(q, own)
         else:
@@ -176,8 +171,8 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
             if np.count_nonzero(hit) < m:
                 # a miss: the bisection takes [A, q1], [q1, q2] or [q2, B]
                 miss = ~hit
-                walk, WA, WB, n = _join(
-                    (walk, WA, WB, n), sec[miss],
+                walk, WA, WB = _join(
+                    (walk, WA, WB), sec[miss],
                     np.where(p1, np.where(p2, q2, q1), A)[miss],
                     np.where(p1, np.where(p2, B, q2), q1)[miss])
                 sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
@@ -194,26 +189,27 @@ def _lockstep(f, a, b, fa, fb, curv, tol, maxiter):
             if np.count_nonzero(more) < len(sec):
                 a[sec[done]], b[sec[done]] = A[done], B[done]
                 i = sec[~(more | done)]
-                walk, WA, WB, n = _join((walk, WA, WB, n), i, a[i], b[i])
+                walk, WA, WB = _join((walk, WA, WB), i, a[i], b[i])
                 sec, A, B, FA, FB, K, w, s, cw2 = (v[more] for v in (
                     sec, A, B, FA, FB, K, w, s, cw2))
 
 
-def bisect_many(pred, a, b, tol, maxiter=None):
+def bisect_many(pred, a, b, tol):
     """Shrink brackets [a, b] in lockstep, keeping ``pred`` true at each a.
 
     ``a`` and ``b`` are arrays of ends, a on either side of b.
     ``pred(points, owner)`` maps points, and the bracket each serves, to
     booleans; one call per round sees one dyadic tree per live bracket, of
     the depth the deepest request asks, at most ``_DEPTH``.  Each bracket
-    stops on its own at ``|b - a| <= tol``, the float floor or ``maxiter``
+    stops on its own at ``|b - a| <= tol`` or at the float floor (a
+    midpoint equal to an end), after at most about log2(|b - a| / tol)
     steps, with the ends that one step per predicate call gives.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    return _lockstep(pred, a, b, None, None, None, tol, maxiter)
+    return _lockstep(pred, a, b, None, None, None, tol)
 
 
-def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
+def secant_many(f, a, b, fa, fb, curv, tol):
     """Roots of ``f`` in brackets [a, b] with f(a) > 0 >= f(b), in lockstep.
 
     ``fa`` and ``fb`` are f at the ends, a on either side of b, and
@@ -228,17 +224,19 @@ def secant_many(f, a, b, fa, fb, curv, tol, maxiter=None):
     narrowed bracket, served in the same calls; so does every bracket whose
     ``curv`` is not finite or whose end values are not f(a) > 0 >= f(b).
     Each bracket ends with f(a) > 0 >= f(b) and ``|b - a| <= tol``, or at
-    the float floor or ``maxiter`` bisection steps.
+    the float floor, with no more bisection steps than ``bisect_many``
+    takes from where its walk starts.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
-    return _lockstep(f, a, b, fa, fb, curv, tol, maxiter)
+    return _lockstep(f, a, b, fa, fb, curv, tol)
 
 
-def bisect(pred, a, b, tol, maxiter=None):
+def bisect(pred, a, b, tol):
     """``bisect_many`` on the one bracket [a, b] of ``pred``, which maps an
-    array of points to an array of booleans; returns the final ends."""
-    a, b = bisect_many(lambda xs, _: pred(xs), [a], [b], tol, maxiter)
+    array of points to an array of booleans; returns the final ends, with
+    ``|b - a| <= tol`` or b the float next to a."""
+    a, b = bisect_many(lambda xs, _: pred(xs), [a], [b], tol)
     return float(a[0]), float(b[0])
 
 
@@ -286,24 +284,18 @@ def golden_many(f, a, b, tol):
 
 def runs(mask):
     """Maximal runs of True in a 1-D mask as a list of (first, last)."""
-    _, first, last = row_runs(np.asarray(mask, dtype=bool)[None, :])
+    _, first, last = padded_runs(np.pad(np.asarray(mask, dtype=bool), 1)[None])
     return list(zip(first.tolist(), last.tolist()))
 
 
-def row_runs(mask):
-    """Maximal runs of True along each row of a 2-D mask.
+def padded_runs(pad):
+    """Maximal runs of True along each row of a C-ordered 2-D mask whose
+    first and last columns are False.
 
     Returns index arrays ``(row, first, last)``, row by row and left to
-    right within a row, so row r's pairs are ``runs(mask[r])``.
+    right within a row, with columns counted from ``pad[:, 1]``: row r's
+    pairs are ``runs(pad[r, 1:-1])``.
     """
-    mask = np.asarray(mask, dtype=bool)
-    pad = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=bool)
-    pad[:, 1:-1] = mask
-    return padded_runs(pad)
-
-
-def padded_runs(pad):
-    """``row_runs(pad[:, 1:-1])`` of a C-ordered mask with False ends."""
     f = pad.ravel()
     # a change of value starts or ends a run; rows meet at two Falses
     row, col = np.divmod((f[1:] != f[:-1]).nonzero()[0], pad.shape[1])

@@ -73,8 +73,7 @@ class Flux:
         if u is None:
             # bisection on the monotone residual f'(u) - v, every v in lockstep
             b, a = bisect_many(lambda m, i: self.deriv(m) >= v[i],
-                               np.full(len(v), hi), np.full(len(v), lo),
-                               TOL_U, 64)
+                               np.full(len(v), hi), np.full(len(v), lo), TOL_U)
             u = 0.5 * (a + b)
             # one safeguarded Newton step where f'' is healthy
             fpp = self.second(u)

@@ -299,10 +299,8 @@ class GlobalStructure:
         xq = x
         if hull.period is not None:
             # work in the tile containing the backward foot
-            p = self.data.period
-            shift = np.floor((x - t * fl.deriv(hull.slope_left)
-                              - self.data.w_lo) / p)
-            xq = x - shift * p
+            shift = self.data._tile(x - t * fl.deriv(hull.slope_left))
+            xq = x - shift * self.data.period
         for n, r in enumerate(gaps):
             e, h = r.interval
             left = e + t * fl.deriv(r.speed)

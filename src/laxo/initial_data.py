@@ -242,6 +242,10 @@ class _Extended:
         """Fix the additive constant of the primitive so that Phi(0) = 0."""
         self._norm = float(self.primitive(0.0))
 
+    def _tile(self, x):
+        """The tile k of periodic data, [w_lo, w_hi) + kP, that holds x."""
+        return np.floor((x - self.w_lo) / self.period)
+
     def _extend(self, x, inner, integrated):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -271,7 +275,7 @@ class _Extended:
             return float(out[0]) if scalar else out
         if self.period is not None:
             # reduce into the window, clamp the float floor's 1-ulp misses
-            k = np.floor((x - self.w_lo) / self.period)
+            k = self._tile(x)
             r = x - k * self.period
             # bound first, so that a tie keeps r's signed zero as np.clip does
             np.maximum(self.w_lo, r, out=r)
@@ -435,7 +439,7 @@ class InitialData(_Extended):
             if not abs(x0) < self._x_max:       # as in _extend
                 raise ValueError(
                     f"|x| must stay below {self._x_max:.6g} on periodic data")
-            # % keeps r in [w_lo, w_lo + P); _reduce's floor can land 1 ulp below
+            # % keeps r in [w_lo, w_lo + P); _extend's floor can land 1 ulp below
             r = self.w_lo + (x0 - self.w_lo) % self.period
             if side == "left" and r - self.w_lo < 1e-12:
                 r = self.w_hi

@@ -634,7 +634,7 @@ class GeneralProblem:
                 np.stack([lo[flat], hi[flat]], axis=1).ravel(),
                 np.stack([s[np.maximum(first[flat] - 1, 0)],
                           s[np.minimum(last[flat] + 1, n - 1)]],
-                         axis=1).ravel(), self.tol_u, 60)
+                         axis=1).ravel(), self.tol_u)
             comps.append((br[flat], u[0::2], u[1::2]))
         if np.count_nonzero(open_):
             q = br[open_]
@@ -740,7 +740,7 @@ class GeneralProblem:
         curv = self._curv * np.abs(d2)
         return secant_many(lambda u, i: self._psi(u, xb[i], _at(t, i)),
                            ends[0], ends[1], vals[0], vals[1], curv,
-                           self.tol_u, 60)
+                           self.tol_u)
 
     def _exact_roots(self, xb, t, ie, vals, ends):
         """Roots of psi in closed form: where its feet cross phi's jumps,
@@ -786,7 +786,7 @@ class GeneralProblem:
         xr = xb
         P = self.data.period
         if P is not None:
-            shift = np.floor((feet[1] - self.data.w_lo) / P) * P
+            shift = self.data._tile(feet[1]) * P
             feet -= shift
             xr = xb - shift
         j1, j0 = np.searchsorted(y, feet, "right")
@@ -855,7 +855,7 @@ class GeneralProblem:
                             * np.abs(fl - 2.0 * fm + fr))
                 lo[sm], hi[sm] = secant_many(
                     lambda u, i: self._psi(u, xs[i], _at(ts, i)), ul, ur, fl,
-                    fr, curv, self.tol_u, 60)
+                    fr, curv, self.tol_u)
         # the check, one psi call for every bracket
         k = len(g)
         if isinstance(tg, np.ndarray):
@@ -920,8 +920,7 @@ class GeneralProblem:
         Hab = self._H(np.concatenate([a, b]))
         lo, hi = secant_many(lambda u, i: v[i] - self._H(u), a, b,
                              v - Hab[:len(a)], v - Hab[len(a):],
-                             self._curv * self._Hd2[cell], self.tol_u / 16.0,
-                             60)
+                             self._curv * self._Hd2[cell], self.tol_u / 16.0)
         return np.minimum(np.maximum(0.5 * (lo + hi), a), b)
 
     @functools.cached_property

@@ -4,9 +4,11 @@ import signal
 import numpy as np
 import pytest
 
-from laxo import flux, initial_data as idata
+from laxo import _search, flux, initial_data as idata
 from laxo._search import (_DEPTH, bisect, bisect_many, golden_many,
-                          row_runs, runs, secant_many)
+                          padded_runs, runs, secant_many)
+from laxo.characteristics import CharacteristicAnalyzer
+from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import Problem
 
 
@@ -59,12 +61,14 @@ def test_runs_matches_loop():
             assert runs(mask) == _runs_loop(mask)
 
 
-def test_row_runs_matches_runs_per_row():
+def test_padded_runs_matches_runs_per_row():
     rng = np.random.default_rng(8)
     for rows, n in ((1, 1), (1, 2049), (3, 1), (5, 2), (8, 17), (8, 2049)):
         for p in (0.0, 0.1, 0.5, 0.9, 1.0):
             mask = rng.random((rows, n)) < p
-            row, first, last = row_runs(mask)
+            pad = np.zeros((rows, n + 2), dtype=bool)
+            pad[:, 1:-1] = mask
+            row, first, last = padded_runs(pad)
             got = list(zip(row.tolist(), first.tolist(), last.tolist()))
             assert got == [(r, a, b) for r in range(rows)
                            for a, b in runs(mask[r])]
@@ -108,13 +112,13 @@ def test_bisect_too_narrow_to_split():
     assert calls == []
 
 
-def test_bisect_stops_at_tol_and_maxiter():
+def test_bisect_stops_at_tol():
     pred, calls = _counted(_always)
     assert bisect(pred, 0.0, 1e-13, 1e-12) == (0.0, 1e-13)
     assert calls == []
     # a true predicate moves a up by half the bracket at each step, so the
-    # final width counts the steps taken: exactly maxiter
-    a, b = bisect(pred, 0.0, 1.0, 0.0, maxiter=7)
+    # final width counts the steps taken: exactly 7 to a tol of 2**-7
+    a, b = bisect(pred, 0.0, 1.0, 2.0 ** -7)
     assert (a, b) == (1.0 - 2.0 ** -7, 1.0)
 
 
@@ -128,10 +132,10 @@ def test_bisect_float_floor_far_from_origin():
 
 # -- batched bisection --------------------------------------------------------
 
-def _bisect_loop(pred, a, b, tol, maxiter=None):
+def _bisect_loop(pred, a, b, tol):
     """Reference: the one-step loop, with the (point, answer) of each step."""
     steps = []
-    while abs(b - a) > tol and (maxiter is None or len(steps) < maxiter):
+    while abs(b - a) > tol:
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
@@ -144,7 +148,7 @@ def _bisect_loop(pred, a, b, tol, maxiter=None):
     return (a, b), steps
 
 
-def _batched(pred, a, b, tol, maxiter=None):
+def _batched(pred, a, b, tol):
     """Run bisect, keeping every array it hands the predicate."""
     batches = []
 
@@ -153,7 +157,7 @@ def _batched(pred, a, b, tol, maxiter=None):
         batches.append(xs.copy())
         return pred(xs)
 
-    return bisect(vpred, a, b, tol, maxiter), batches
+    return bisect(vpred, a, b, tol), batches
 
 
 def _assert_same_walk(batches, steps):
@@ -182,9 +186,9 @@ def _several_changes(c):
     return lambda x: np.floor((x - c) * 7.3) % 2 == 0
 
 
-def _check_against_loop(pred, a, b, tol, maxiter=None):
-    ref, steps = _bisect_loop(pred, a, b, tol, maxiter)
-    got, batches = _batched(pred, a, b, tol, maxiter)
+def _check_against_loop(pred, a, b, tol):
+    ref, steps = _bisect_loop(pred, a, b, tol)
+    got, batches = _batched(pred, a, b, tol)
     assert got == ref
     _assert_same_walk(batches, steps)
     return steps, batches
@@ -196,9 +200,8 @@ def test_batched_bisect_matches_loop_on_random_brackets():
         a, b = rng.uniform(-5.0, 5.0, 2)       # either orientation
         c = float(rng.uniform(min(a, b), max(a, b)))
         tol = float(10.0 ** rng.uniform(-14.0, -1.0))
-        maxiter = None if rng.random() < 0.5 else int(rng.integers(1, 70))
         for make in _MONOTONE + (_several_changes,):
-            _check_against_loop(make(c), float(a), float(b), tol, maxiter)
+            _check_against_loop(make(c), float(a), float(b), tol)
 
 
 def test_batched_bisect_stops_mid_batch():
@@ -219,14 +222,15 @@ def test_batched_bisect_stops_mid_batch():
     assert mid_batch > 0
 
 
-def test_batched_bisect_maxiter_stops():
-    # a batch never runs past maxiter, so this stop is always a batch end
-    for maxiter in range(1, 25):
+def test_batched_bisect_tol_stops_at_batch_end():
+    # halving [0, 1] is exact, so a tol of 2**-k stops after k steps; the
+    # batches are sized from |b - a| / tol, so this stop is a batch end
+    for k in range(1, 25):
         for make in _MONOTONE + (_several_changes,):
-            steps, batches = _check_against_loop(make(0.3), 0.0, 1.0, 0.0,
-                                                 maxiter)
-            assert len(steps) == maxiter
-            assert sum(len(p).bit_length() for p in batches) == maxiter
+            steps, batches = _check_against_loop(make(0.3), 0.0, 1.0,
+                                                 2.0 ** -k)
+            assert len(steps) == k
+            assert sum(len(p).bit_length() for p in batches) == k
 
 
 def test_batched_bisect_one_ulp_bracket():
@@ -239,14 +243,14 @@ def test_batched_bisect_one_ulp_bracket():
 def test_batched_bisect_call_budget():
     # a 60-step run pays for up to _DEPTH steps per predicate call
     steps, batches = _check_against_loop(_MONOTONE[0](1e-30), -1.0, 1.0,
-                                         0.0, 60)
+                                         2.0 ** -59)
     assert len(steps) == 60
     assert len(batches) <= -(-60 // _DEPTH) + 1
 
 
 # -- lockstep bisection of many brackets --------------------------------------
 
-def _many_against_bisect(preds, a, b, tol, maxiter=None):
+def _many_against_bisect(preds, a, b, tol):
     """bisect_many on all brackets against bisect on each, bit for bit."""
     calls = []
 
@@ -259,9 +263,9 @@ def _many_against_bisect(preds, a, b, tol, maxiter=None):
             out[sel] = preds[i](xs[sel])
         return out
 
-    got_a, got_b = bisect_many(pred, a, b, tol, maxiter)
+    got_a, got_b = bisect_many(pred, a, b, tol)
     for i, p in enumerate(preds):
-        ref = bisect(p, float(a[i]), float(b[i]), tol, maxiter)
+        ref = bisect(p, float(a[i]), float(b[i]), tol)
         assert (got_a[i], got_b[i]) == ref
         assert got_a[i].tobytes() + got_b[i].tobytes() == (
             np.float64(ref[0]).tobytes() + np.float64(ref[1]).tobytes())
@@ -286,19 +290,18 @@ def test_bisect_many_matches_bisect_on_mixed_brackets():
     ref = bisect(preds[4], base, base + 5 * ulp, 1e-12)
     assert ref[1] - ref[0] == ulp
     a, b = np.array(a), np.array(b)
-    for tol in (1e-12, 1e-9, 0.0):
-        for maxiter in (None, 60, 13):
-            if tol == 0.0 and maxiter is None:
-                continue
-            calls = _many_against_bisect(preds, a, b, tol, maxiter)
-            # one predicate call per round, never one per bracket and round
-            assert len(calls) <= -(-(maxiter or 64) // _DEPTH) + 1
-            # each round is one dyadic tree per live bracket, all of one
-            # depth K: 2**K - 1 points per bracket
-            for owner in calls:
-                _, per = np.unique(owner, return_counts=True)
-                assert len(set(per.tolist())) == 1
-                assert int(per[0]) & (int(per[0]) + 1) == 0
+    # 1e-3 stops the widest brackets after 13-14 steps, and 1e-17 after up
+    # to 60, the float floor stopping some first
+    for tol in (1e-12, 1e-9, 1e-3, 1e-17):
+        calls = _many_against_bisect(preds, a, b, tol)
+        # one predicate call per round, never one per bracket and round
+        assert len(calls) <= -(-64 // _DEPTH) + 1
+        # each round is one dyadic tree per live bracket, all of one
+        # depth K: 2**K - 1 points per bracket
+        for owner in calls:
+            _, per = np.unique(owner, return_counts=True)
+            assert len(set(per.tolist())) == 1
+            assert int(per[0]) & (int(per[0]) + 1) == 0
 
 
 def test_bisect_many_random_brackets():
@@ -313,7 +316,7 @@ def test_bisect_many_random_brackets():
             make = (_MONOTONE + (_several_changes,))[int(rng.integers(3))]
             preds.append(make(c))
         tol = float(10.0 ** rng.uniform(-14.0, -3.0))
-        _many_against_bisect(preds, a, b, tol, 60)
+        _many_against_bisect(preds, a, b, tol)
 
 
 def _first_false(pred, a, b, rounds):
@@ -340,23 +343,25 @@ def test_bisect_many_follows_tree_path_not_first_false():
     preds.append(lambda x: (np.floor(x * 64.0) % 3) != 1)
     a = np.array([0.0, -1.0, 2.0, 0.3, -0.7, 0.0])
     b = np.array([1.0, 1.5, -1.0, 0.9, 0.4, 1.0])
-    for tol, maxiter in ((1e-12, None), (1e-6, None), (0.0, 30), (1e-9, 7)):
-        _many_against_bisect(preds, a, b, tol, maxiter)
+    # 1e-9 and 1e-2 stop the unit brackets after 30 and 7 steps
+    for tol in (1e-12, 1e-6, 1e-9, 1e-2):
+        _many_against_bisect(preds, a, b, tol)
         got = bisect_many(lambda xs, owner: np.array(
             [bool(preds[i](np.array([x]))[0])
-             for x, i in zip(xs.tolist(), owner.tolist())]), a, b, tol,
-            maxiter)
+             for x, i in zip(xs.tolist(), owner.tolist())]), a, b, tol)
         for i, pred in enumerate(preds):
             ref, _ = _bisect_loop(lambda u: bool(pred(np.array([u]))[0]),
-                                  float(a[i]), float(b[i]), tol, maxiter)
+                                  float(a[i]), float(b[i]), tol)
             assert (got[0][i], got[1][i]) == ref
     # 30 steps in 10 whole trees: the shortcut is the loop on monotone
     # predicates and ends elsewhere on these
     differs = 0
     for i, pred in enumerate(preds + [_MONOTONE[0](0.37)]):
         x, y = (float(a[i]), float(b[i])) if i < len(preds) else (0.0, 1.0)
-        ref, _ = _bisect_loop(lambda u: bool(pred(np.array([u]))[0]), x, y,
-                              0.0, 30)
+        # a tol that the loop reaches in exactly 30 steps
+        ref, steps = _bisect_loop(lambda u: bool(pred(np.array([u]))[0]),
+                                  x, y, 1.5 * 2.0 ** -30 * abs(y - x))
+        assert len(steps) == 30
         if i == len(preds):
             assert _first_false(pred, x, y, 10) == ref
         else:
@@ -380,7 +385,7 @@ def test_bisect_many_no_brackets():
 
 # -- lockstep secant probe pairs ----------------------------------------------
 
-def _secant(fs, a, b, curv, tol=1e-12, maxiter=60):
+def _secant(fs, a, b, curv, tol=1e-12):
     """secant_many on brackets of the functions fs, with each call's owners."""
     calls = []
 
@@ -396,7 +401,7 @@ def _secant(fs, a, b, curv, tol=1e-12, maxiter=60):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a.tolist())])
     fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b.tolist())])
-    got = secant_many(f, a, b, fa, fb, curv, tol, maxiter)
+    got = secant_many(f, a, b, fa, fb, curv, tol)
     return got, calls
 
 
@@ -511,7 +516,7 @@ def test_secant_walks_join_mid_search():
     a = [r - 5e-4] * 5
     b = [r + 5e-4] * 5
     curv = [np.inf, 1.5, 0.0, 1.5, 1.5]
-    tol, maxiter = 1e-12, 60
+    tol = 1e-12
     calls = []
     pts = [[] for _ in fs]
 
@@ -528,7 +533,7 @@ def test_secant_walks_join_mid_search():
     fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a)])
     fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b)])
     got = secant_many(f, np.array(a), np.array(b), fa, fb, np.array(curv),
-                      tol, maxiter)
+                      tol)
     for i, g in enumerate(fs):
         if i < 2:
             start, pairs = (a[i], b[i]), 0
@@ -540,7 +545,7 @@ def test_secant_walks_join_mid_search():
             continue
         assert pairs == (0, 0, 1, 2)[i]
         ref, steps = _bisect_loop(lambda x: g(np.array([x]))[0] > 0.0,
-                                  *start, tol, maxiter)
+                                  *start, tol)
         assert (got[0][i], got[1][i]) == ref
         # the walk's calls evaluate full dyadic trees
         trees = [len(p) for p, _ in pts[i][pairs:]]
@@ -570,9 +575,8 @@ def test_secant_all_pairs_end_in_one_round():
 
 def test_secant_walks_stop_mid_round():
     # walks that start in different rounds share trees of the deepest
-    # walk's depth, so some stop inside a tree, on maxiter, tol or the
-    # float floor; each ends as the one-step loop does from the bracket
-    # it starts on
+    # walk's depth, so some stop inside a tree, on tol or the float floor;
+    # each ends as the one-step loop does from the bracket it starts on
     base = 1e4
     ulp = float(np.spacing(base))
     cs = (0.3e-3, 0.77e-3, 0.5e-3, 0.123e-3)
@@ -583,7 +587,8 @@ def test_secant_walks_stop_mid_round():
     # a claimed curvature of 0 sends a pair, which misses; inf bisects at once
     curv = np.array([0.0, np.inf, 0.0, np.inf, 0.0])
     mid_round = 0
-    for tol, maxiter in ((1e-12, 5), (1e-12, 17), (3e-7, 60), (0.0, 60)):
+    # 5e-5 and 1e-8 stop the 1e-3 brackets after about 5 and 17 steps
+    for tol in (1e-12, 5e-5, 1e-8, 3e-7, 0.0):
         pts = [[] for _ in fs]
 
         def f(xs, owner):
@@ -596,8 +601,7 @@ def test_secant_walks_stop_mid_round():
 
         fa = np.array([g(np.array([x]))[0] for g, x in zip(fs, a)])
         fb = np.array([g(np.array([x]))[0] for g, x in zip(fs, b)])
-        got = secant_many(f, np.array(a), np.array(b), fa, fb, curv, tol,
-                          maxiter)
+        got = secant_many(f, np.array(a), np.array(b), fa, fb, curv, tol)
         for i, g in enumerate(fs):
             start, pairs = (a[i], b[i]), 0
             if all(len(q[0]) == 2 for q in pts[i]):
@@ -609,7 +613,7 @@ def test_secant_walks_stop_mid_round():
                 start, pairs = _pair_narrowed(
                     [q for q in pts[i] if len(q[0]) == 2], a[i], b[i])
             ref, steps = _bisect_loop(lambda x: g(np.array([x]))[0] > 0.0,
-                                      *start, tol, maxiter)
+                                      *start, tol)
             assert (got[0][i], got[1][i]) == ref
             trees = [len(q) for q, _ in pts[i][pairs:]]
             mid_round += sum(n.bit_length() for n in trees) > len(steps)
@@ -648,6 +652,70 @@ def test_secant_many_no_brackets():
     a, b = secant_many(f, np.empty(0), np.empty(0), np.empty(0),
                        np.empty(0), np.empty(0), 1e-12)
     assert a.shape == b.shape == (0,)
+
+
+# -- the stop rule -------------------------------------------------------------
+
+def test_every_search_ends_on_tol_or_float_floor(monkeypatch):
+    # every bracket refined from the package stops on |b - a| <= tol or
+    # where no float lies strictly inside it, on each search path: psi
+    # roots, flat-band edges, H preimages, f' inverses, lifespans, a shock
+    # track and the case-I ratio at tol 0
+    lockstep, seen = _search._lockstep, []
+
+    def recorded(*args):
+        a, b = lockstep(*args)
+        seen.append((args[6], a.copy(), b.copy()))
+        return a, b
+
+    monkeypatch.setattr(_search, "_lockstep", recorded)
+    b = flux.burgers()
+    twin = flux.custom(b.eval, b.deriv, b.second)
+    # 17 knots: every root of Burgers is closed-form there, and only
+    # power2n(2)'s fan root at the knot x = 1 reaches a search
+    us = np.random.default_rng(17).uniform(-1.0, 1.0, 15)
+    sampled = idata.SampledData(np.linspace(-2.0, 2.0, 17),
+                                np.concatenate([[0.0], us, [0.0]]))
+    flat = idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.0, -1.0]})],
+        left_tail=1.0, right_tail=-1.0)
+    sin_sa = ShockAnalyzer(Problem(b, idata.sin_wave()))
+    gp = sin_sa.generation_point(0.0, 0.0)
+    paths = {
+        "sine": lambda: [(p.solve(0.4, 1.3), p.solve_grid(
+            np.linspace(-3.0, 3.0, 32), 1.3)) for p in (
+            Problem(b, idata.sin_wave()),
+            Problem(flux.power2n(2), idata.sin_wave()))],
+        "track": lambda: ShockAnalyzer(Problem(b, idata.step(1.0, 0.0))
+                                       ).track_forward(0.0, 0.0, 0.5, 0.1),
+        "custom fan": lambda: Problem(twin, idata.step(-1.0, 1.0)).solve(
+            0.3, 1.0),
+        "custom f' inverse": lambda: twin.invert_deriv(
+            np.linspace(-1.5, 1.5, 7)),
+        "sampled": lambda: [Problem(fl, sampled).solve_grid(
+            np.linspace(-3.0, 3.0, 67), 0.4) for fl in (b, flux.power2n(2))],
+        "flat band": lambda: Problem(b, flat).solve(0.0, 1.0),
+        "lifespan": lambda: CharacteristicAnalyzer(
+            Problem(b, idata.sin_wave())).lifespan_exact(0.0, 0.0),
+        "case I": lambda: sin_sa.development_asymptotics(
+            gp, {"gamma": 1.0, "sigma": 2.0, "Cbar_sigma_plus": 2.0,
+                 "Cbar_sigma_minus": 1.0}),
+    }
+    for name, run in paths.items():
+        seen.clear()
+        run()
+        assert seen, name
+        for tol, lo, hi in seen:
+            assert ((np.abs(hi - lo) <= tol)
+                    | (np.nextafter(lo, hi) == hi)).all(), name
+    # the case-I ratio bisects at tol 0, so only the float floor ends it
+    assert [tol for tol, _, _ in seen] == [0.0]
+
+
+def test_bisect_many_ends_within_tol_on_a_wide_bracket():
+    # 67 halvings take [0, 1e8] below 1e-12, more than a 60-step cap gave
+    a, b = bisect_many(lambda xs, _: xs < 1e-5, [0.0], [1e8], 1e-12)
+    assert a[0] < 1e-5 <= b[0] and b[0] - a[0] <= 1e-12
 
 
 # -- golden-section search ----------------------------------------------------

@@ -295,7 +295,7 @@ def test_general_pair_solve_grid_matches_solve(neg_sin):
     assert p.solve_grid(xs, 0.8) == [p.solve(x, 0.8) for x in xs]
 
 
-def _bisect_psi(f, a, b, fa, fb, curv, tol, maxiter=None):
+def _bisect_psi(f, a, b, fa, fb, curv, tol):
     """Reference refinement: each bracket alone, one midpoint per step."""
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     for i in range(len(a)):
@@ -643,7 +643,7 @@ def _assemble(p, E, Emax, thresh, us, es, first, last, seen):
         seen["flat"] += len(edges) // 2
         out, inside = zip(*edges)
         us, _ = bisect_many(lambda u, i: E(u) >= thresh, inside, out,
-                            p.tol_u, 60)
+                            p.tol_u)
         comps += [[min(a, b), max(a, b)]
                   for a, b in us.reshape(-1, 2).tolist()]
     if unreached:
