@@ -228,7 +228,7 @@ class CharacteristicAnalyzer:
         ls = self.lifespans(x0, c)
         if not np.isfinite(ls.t_star):
             return TerminationClass("immortal")
-        x_star = x0 + ls.t_star * self.flux.deriv(c)
+        x_star = float(x0 + ls.t_star * self.flux.deriv(c))
         if ls.t_star < ls.t_p - 10.0 * T_TOL:
             return TerminationClass("collision_with_shock", x_star, ls.t_star)
         # just past t* a continuous generation point carries an opening jump

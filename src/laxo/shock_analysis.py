@@ -122,8 +122,9 @@ class ShockAnalyzer:
             case = "II_a_eq_c" if abs(a - c) <= 1e-12 else "II_a_lt_c"
         else:
             case = "III_b_eq_c" if abs(b - c) <= 1e-12 else "III_b_gt_c"
-        return GenerationPoint(x0 + t_p * self.flux.deriv(c), t_p, x0,
-                               float(self.flux.deriv(c)), case, float(c))
+        speed = float(self.flux.deriv(c))
+        return GenerationPoint(float(x0 + t_p * speed), t_p, x0, speed, case,
+                               float(c))
 
     def _check_uniqueness(self, x0, c, t_p):
         """Strict inequality Phi(l) > (rho(u(l), c) - c) l on a lattice.

@@ -33,13 +33,11 @@ N_SCAN = 2048
 VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
-# scan cells one block of solve_grid holds, rows x (widest window - 1):
-# 8 rows over the whole default grid of n_scan cells, or as many rows of
-# narrower u-windows, which keeps a block's arrays within a few hundred kB
+# scan cells one block holds, rows x (widest window - 1), the only bound on
+# a block: 8 rows over the whole default grid of n_scan cells, or as many
+# rows of narrower u-windows, which keeps a block's arrays within a few
+# hundred kB
 BLOCK_ELEMS = 1 << 14
-# rows one block holds at most: each row's lists and records take about
-# half a kB while its block lives
-BLOCK_ROWS = 256
 # grid cells to each side of its seed that branch_gap first scans a branch
 # over
 BRANCH_CELLS = 16
@@ -292,23 +290,26 @@ class GeneralProblem:
     def maximize(self, x, t):
         """Certified maximizer set of E(.; x, t).
 
-        This is the block routine of ``solve_grid`` on the one point x,
-        scanned over the whole u-grid, or on periodic data after t_w over
-        the window that the period mean leaves every maximizer
-        (``_window``), as ``_maximize_grid`` scans a short grid.  A point of
-        a long grid that is scanned over a narrower u-window gets the same
-        ``MaximizerSet``, bit for bit, wherever its kept runs and value
-        bands lie inside that window (see ``_maximize_block``).
+        ``_blocks`` on the one row x over the u-window of ``_window``, as
+        ``_maximize_grid`` scans a short grid.  A point of a long grid that
+        is scanned over a narrower u-window gets the same ``MaximizerSet``,
+        bit for bit, wherever its kept runs and value bands lie inside that
+        window (see ``_maximize_block``).
         """
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
         t = _checked_t(t)
-        xs = np.array([x], dtype=float)
-        win = self._window(t)
-        if win is self._whole:
-            return self._maximize_block(xs, t, *win).sets()[0]
-        # a row whose maximizer the window cuts off is scanned again
-        return self._blocks(xs, t, *win).sets()[0]
+        return self._blocks(np.array([x], dtype=float), t,
+                            *self._window(t)).sets()[0]
+
+    def _cells(self, lo, hi, a, b):
+        """The u-windows (start, width) of the H-intervals [lo, hi]: the
+        grid indices whose H lies there, widened by 2 cells and clipped to
+        the indices [a, b), at least 2 points."""
+        start = np.minimum(np.maximum(
+            np.searchsorted(self._Hs, lo, "left") - 2, a), b - 2)
+        stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2, b)
+        return start, np.maximum(stop - start, 2)
 
     def _window(self, t):
         """The u-window of every row at time t, as one-row arrays (start,
@@ -320,22 +321,18 @@ class GeneralProblem:
         u' < c_hi and u'' > c_lo.  Backward characteristics keep their
         order (Lax 1957; Oleinik's one-sided bound): the feet satisfy
         x' - t H(u') <= x - t H(u) <= x'' - t H(u'') for every maximizer u
-        at x, so H(c_lo) - P/t <= H(u) <= H(c_hi) + P/t.  The window takes
-        the grid indices whose H lies there, widened by 2 cells.  Before
-        t_w = 2 P / (H(s_n) - H(s_0)), where P/t reaches half of H's range
-        on the grid, on tailed data, and where H or U is not nondecreasing
-        on the grid, it is the whole grid.
+        at x, so H(c_lo) - P/t <= H(u) <= H(c_hi) + P/t: the window is
+        ``_cells`` of that interval, whose clips never bind, as it holds
+        H(c_lo).  Before t_w = 2 P / (H(s_n) - H(s_0)), where P/t reaches
+        half of H's range on the grid, on tailed data, and where H or U is
+        not nondecreasing on the grid, it is the whole grid.
         """
         if not t > self._t_w:
             return self._whole
-        n = len(self._s)
         lo, hi = self._H_mean
         P = self.data.period
-        start = max(int(np.searchsorted(self._Hs, lo - P / t, "left")) - 2, 0)
-        stop = min(int(np.searchsorted(self._Hs, hi + P / t, "right")) + 2, n)
-        if stop - start == n:
-            return self._whole
-        return np.full(1, start), np.full(1, stop - start)
+        return self._cells(np.array([lo - P / t]), np.array([hi + P / t]), 0,
+                           len(self._s))
 
     def _maximize_grid(self, xs, t):
         """The maximizer sets at the x of a nondecreasing grid, at a time t
@@ -349,41 +346,34 @@ class GeneralProblem:
         Every row scans within the u-window of ``_window``: the whole grid,
         or on periodic data after t_w the window the period mean allows.  A
         grid of at most ``BLOCK_ELEMS // cells`` points, cells the window's
-        (n_scan on the whole grid: 8 points by default), is one block over
-        that window.  A longer one is maximized in levels.  Level 0 scans up to that many evenly spaced points, both
-        ends included, over the window.  Each later level maximizes the
-        middle point q of every unsolved gap (a, b) over the u-window that
-        the ordering of backward characteristics leaves it (Lax 1957): for
+        (n_scan on the whole grid: 8 points by default), is one ``_blocks``
+        call and one block.  A grid where H or U is not nondecreasing on the
+        grid (a ``custom`` flux, say) is one ``_blocks`` call too, packed
+        over the whole grid.  A longer grid is maximized in levels.  Level
+        0 scans that many evenly spaced points, at least 2, both ends
+        included, over the window.  Each later level maximizes the middle
+        point q of every unsolved gap (a, b) over the u-window that the
+        ordering of backward characteristics leaves it (Lax 1957): for
         x_a < x_q < x_b every maximizer foot x - t H(u) at x_q lies between
         the rightmost foot at x_a and the leftmost at x_b, so H(u) lies in
-        [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The window
-        takes the grid indices whose H lies there, widened by 2 cells, and
-        clipped to the window of ``_window``.  Once the unsolved rows'
-        windows hold at most four blocks of cells, one level takes them
-        all: a further level costs blocks that the narrower windows would
-        not pay back.  Rows that ``_blocks`` cannot certify in their window
-        are scanned over the whole grid.  The ordering needs H and U
-        nondecreasing; where either is not on the grid (a ``custom`` flux,
-        say), every row scans the whole grid.
+        [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The window is
+        ``_cells`` of that interval within the window of ``_window``.  Once
+        the unsolved rows' windows hold at most four blocks of cells, one
+        level takes them all: a further level costs blocks that the
+        narrower windows would not pay back.  Rows that ``_blocks`` cannot
+        certify in their window are scanned over the whole grid.
         """
         m = len(xs)
-        win = self._window(t)
-        w0, ww = int(win[0][0]), int(win[1][0])
+        w0, ww = (int(v[0]) for v in self._window(t))
         rows = max(1, BLOCK_ELEMS // (ww - 1))
         start, width = np.full(m, w0), np.full(m, ww)
-        if m <= rows:
-            if win is not self._whole:
-                # rows whose maximizer the window cuts off are scanned again
-                return self._blocks(xs, t, start, width)
-            return (self._maximize_block(xs, t, start, width) if m
-                    else _Rows.join([], 0))
-        if not self._ordered:
+        if m <= rows or not self._ordered:
             return self._blocks(xs, t, start, width)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
-        k = min(max(2, rows), m)
-        q = np.arange(k) * (m - 1) // max(k - 1, 1)
+        k = max(2, rows)
+        q = np.arange(k) * (m - 1) // (k - 1)
         start, width = start[:k], width[:k]
         while len(q):
             out = self._blocks(xs[q], t, start, width)
@@ -398,13 +388,7 @@ class GeneralProblem:
             with np.errstate(over="ignore"):    # a tiny t: the whole grid
                 lo = Hm[b] - (xs[b] - xs[q]) / t
                 hi = Hp[a] + (xs[q] - xs[a]) / t
-            # the grid indices where lo <= H <= hi, widened by 2 cells and
-            # clipped to the window
-            start = np.minimum(np.maximum(
-                np.searchsorted(self._Hs, lo, "left") - 2, w0), w0 + ww - 2)
-            stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2,
-                              w0 + ww)
-            width = np.maximum(stop - start, 2)
+            start, width = self._cells(lo, hi, w0, w0 + ww)
             if (width - 1).sum() > 4 * BLOCK_ELEMS:
                 # more than four blocks of cells: the middle row of each gap
                 mid = q == (a + b) // 2
@@ -415,32 +399,37 @@ class GeneralProblem:
         """``_maximize_block`` on rows packed in blocks of few enough cells.
 
         Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
-        The rows are packed in the order of their widths, each block while
-        its count times its widest window's cells stays within
-        ``BLOCK_ELEMS``, at least one row.  A row the block cannot certify
-        in its window is maximized again over the whole grid.  Returns the
-        ``_Rows`` in the order of xs.
+        A block's cells, its rows times its widest window's cells, stay
+        within ``BLOCK_ELEMS``, or it is one row; cells alone bound it.
+        Rows that fit in one block are one ``_maximize_block`` call, in
+        their given order.  Otherwise the rows are packed greedily in the
+        order of their widths, and the blocks joined.  A row the block
+        cannot certify in its window is maximized again over the whole
+        grid.  Returns the ``_Rows`` in the order of xs.
         """
-        n = len(self._s)
-        order = np.argsort(width, kind="stable")
-        cells = np.maximum(width[order] - 1, 1)
-        groups = []
-        k = 0
-        while k < len(xs):
-            c = cells[k:k + BLOCK_ROWS]
-            fit = np.arange(1, len(c) + 1) * np.maximum.accumulate(c)
-            c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
-            groups.append(order[k:k + c])
-            k += c
-        out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
-                                                   width[i]))
-                          for i in groups], len(xs))
+        m = len(xs)
+        if m <= 1 or m <= BLOCK_ELEMS // (int(width.max()) - 1):
+            out = self._maximize_block(xs, t, start, width)
+        else:
+            order = np.argsort(width, kind="stable")
+            cells = width[order] - 1
+            groups = []
+            k = 0
+            while k < m:
+                # cells rise along order, so row k + i is a block's widest
+                fit = np.arange(1, m - k + 1) * cells[k:]
+                c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
+                groups.append(order[k:k + c])
+                k += c
+            out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
+                                                       width[i]))
+                              for i in groups], m)
         redo = out.redo.nonzero()[0]
         if len(redo):
+            n = len(self._s)
             full = self._blocks(xs[redo], t, np.zeros(len(redo), dtype=np.intp),
                                 np.full(len(redo), n))
-            out = _Rows.join([(np.arange(len(xs)), out), (redo, full)],
-                             len(xs))
+            out = _Rows.join([(np.arange(m), out), (redo, full)], m)
         return out
 
     def _maximize_block(self, xs, t, start, width):
@@ -948,9 +937,11 @@ class GeneralProblem:
         longer grid is maximized in levels: 8 evenly spaced points over the
         whole grid, then each unsolved point over the u-window that its
         solved neighbours' characteristic feet leave it, rows packed in
-        blocks of at most ``BLOCK_ELEMS`` cells; a row whose best value or
-        ``val_tol`` band reaches an inner window edge, and every row of a
-        flux whose f' is not nondecreasing, is scanned over the whole grid.
+        blocks of at most ``BLOCK_ELEMS`` cells and no row cap (18 blocks
+        for the 4 096 knots of ``restart(0.5)`` on ``sin_wave()``); a row
+        whose best value or ``val_tol`` band reaches an inner window edge,
+        and every row of a flux whose f' is not nondecreasing, is scanned
+        over the whole grid.
         On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
         is replaced by the window that the period mean allows
         (``_window``), so more points share a block: 17 points at t >= 13.4

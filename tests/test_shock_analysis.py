@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 
@@ -386,6 +387,22 @@ def test_fallback_places_the_node_on_the_shock_run_into(sin_sa,
     for n in late:
         assert abs(n.x) < 1e-6
         assert abs(n.u_minus + n.u_plus) < 1e-6
+
+
+def test_result_float_fields_are_python_floats(sin_sa):
+    # every field declared float holds a Python float, not a numpy scalar,
+    # so the results repr as plain numbers
+    results = [sin_sa.generation_point(0.0, 0.0),
+               sin_sa.chars.classify_termination(1.0, -math.sin(1.0)),
+               sin_sa.chars.lifespans(1.0, -math.sin(1.0))]
+    results += sin_sa.track_forward(-0.5, 0.125, 0.5, 0.125).nodes
+    assert len(results) == 7
+    for r in results:
+        for f in dataclasses.fields(r):
+            if f.type is float:
+                v = getattr(r, f.name)
+                assert type(v) is float, (type(r).__name__, f.name, v)
+    assert "np." not in repr(results[:2])
 
 
 def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):

@@ -1064,6 +1064,42 @@ def test_late_restart_slice_takes_one_block(monkeypatch):
     assert calls == [[(0, n, False)] * 8]
 
 
+def test_blocks_are_bounded_by_their_cells_alone(monkeypatch):
+    # restart's 4 096 knots: a block of narrow windows holds more than 256
+    # rows, every block of more than one row holds at most BLOCK_ELEMS
+    # cells, and the knots take fewer blocks than the 27 of a 256-row cap
+    p = Problem(flux.burgers(), idata.sin_wave())
+    calls = _count_blocks(monkeypatch)
+    p.restart(0.5)
+    cells = [len(c) * (max(width for _, width, _ in c) - 1) for c in calls]
+    assert max(len(c) for c in calls) > 256
+    assert all(k <= vc.BLOCK_ELEMS for k, c in zip(cells, calls)
+               if len(c) > 1)
+    assert len(calls) < 27
+
+
+def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
+    # a point solve, an 8-point whole-grid slice and a late 17-point
+    # restart slice each take one _maximize_block call, and no _Rows.join
+    p = Problem(flux.burgers(), idata.sin_wave())
+    rp = p.restart(0.5)
+    joins = []
+    join = vc._Rows.join
+
+    def counted(parts, m):
+        joins.append(m)
+        return join(parts, m)
+
+    monkeypatch.setattr(vc._Rows, "join", staticmethod(counted))
+    calls = _count_blocks(monkeypatch)
+    for run in (lambda: p.maximize(0.3, 1.0),
+                lambda: p.solve_grid(np.linspace(-3.0, 3.0, 8), 1.0),
+                lambda: rp.solve_grid(np.linspace(-np.pi, np.pi, 17), 15.0)):
+        calls.clear()
+        run()
+        assert len(calls) == 1 and not joins
+
+
 def test_window_that_cuts_off_the_maximizer_is_scanned_again(monkeypatch):
     # a window of 20 cells that ends 4 cells short of the point's
     # maximizer, where E still rises toward its edge: the row is scanned
