@@ -123,8 +123,8 @@ class ShockAnalyzer:
         else:
             case = "III_b_eq_c" if abs(b - c) <= 1e-12 else "III_b_gt_c"
         speed = float(self.flux.deriv(c))
-        return GenerationPoint(float(x0 + t_p * speed), t_p, x0, speed, case,
-                               float(c))
+        return GenerationPoint(float(x0 + t_p * speed), t_p, float(x0), speed,
+                               case, float(c))
 
     def _check_uniqueness(self, x0, c, t_p):
         """Strict inequality Phi(l) > (rho(u(l), c) - c) l on a lattice.

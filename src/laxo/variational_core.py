@@ -35,8 +35,10 @@ JUMP_TOL = 1e-6
 TOL_U = 1e-12
 # scan cells one block holds, rows x (widest window - 1), the only bound on
 # a block: 8 rows over the whole default grid of n_scan cells, or as many
-# rows of narrower u-windows, which keeps a block's arrays within a few
-# hundred kB
+# rows of narrower u-windows.  A block also costs a fixed 0.3-0.5 ms, about
+# the scan of this many cells at 30-40 ns each (2-core Xeon, numpy 2.4),
+# so rows that all share the block's widest window, and pad no cell, may
+# fill twice this: a second block would save fewer cells than it costs
 BLOCK_ELEMS = 1 << 14
 # grid cells to each side of its seed that branch_gap first scans a branch
 # over
@@ -345,14 +347,16 @@ class GeneralProblem:
 
         Every row scans within the u-window of ``_window``: the whole grid,
         or on periodic data after t_w the window the period mean allows.  A
-        grid of at most ``BLOCK_ELEMS // cells`` points, cells the window's
-        (n_scan on the whole grid: 8 points by default), is one ``_blocks``
-        call and one block.  A grid where H or U is not nondecreasing on the
-        grid (a ``custom`` flux, say) is one ``_blocks`` call too, packed
-        over the whole grid.  A longer grid is maximized in levels.  Level
-        0 scans that many evenly spaced points, at least 2, both ends
-        included, over the window.  Each later level maximizes the middle
-        point q of every unsolved gap (a, b) over the u-window that the
+        grid of at most ``2 * BLOCK_ELEMS`` cells, its points times the
+        window's cells (n_scan on the whole grid: 16 points by default), is
+        one ``_blocks`` call and one block: a level would save fewer cells
+        than the fixed cost of the block it adds.  A grid where H or U is
+        not nondecreasing on the grid (a ``custom`` flux, say) is one
+        ``_blocks`` call too, packed over the whole grid.  A longer grid is
+        maximized in levels.  Level 0 scans ``BLOCK_ELEMS // cells``
+        evenly spaced points, at least 2, both ends included, over the
+        window, one block.  Each later level maximizes the middle point q
+        of every unsolved gap (a, b) over the u-window that the
         ordering of backward characteristics leaves it (Lax 1957): for
         x_a < x_q < x_b every maximizer foot x - t H(u) at x_q lies between
         the rightmost foot at x_a and the leftmost at x_b, so H(u) lies in
@@ -365,14 +369,13 @@ class GeneralProblem:
         """
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
-        rows = max(1, BLOCK_ELEMS // (ww - 1))
         start, width = np.full(m, w0), np.full(m, ww)
-        if m <= rows or not self._ordered:
+        if m <= 1 or m * (ww - 1) <= 2 * BLOCK_ELEMS or not self._ordered:
             return self._blocks(xs, t, start, width)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
-        k = max(2, rows)
+        k = max(2, BLOCK_ELEMS // (ww - 1))
         q = np.arange(k) * (m - 1) // (k - 1)
         start, width = start[:k], width[:k]
         while len(q):
@@ -400,15 +403,18 @@ class GeneralProblem:
 
         Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
         A block's cells, its rows times its widest window's cells, stay
-        within ``BLOCK_ELEMS``, or it is one row; cells alone bound it.
-        Rows that fit in one block are one ``_maximize_block`` call, in
-        their given order.  Otherwise the rows are packed greedily in the
-        order of their widths, and the blocks joined.  A row the block
-        cannot certify in its window is maximized again over the whole
-        grid.  Returns the ``_Rows`` in the order of xs.
+        within ``BLOCK_ELEMS``, or within ``2 * BLOCK_ELEMS`` where every
+        row has the widest window and no cell is padding, or it is one row;
+        cells alone bound it.  Rows that fit in one block are one
+        ``_maximize_block`` call, in their given order.  Otherwise the rows
+        are packed greedily in the order of their widths under the same
+        bounds, and the blocks joined.  A row the block cannot certify in
+        its window is maximized again over the whole grid.  Returns the
+        ``_Rows`` in the order of xs.
         """
         m = len(xs)
-        if m <= 1 or m <= BLOCK_ELEMS // (int(width.max()) - 1):
+        if m <= 1 or m * (int(width.max()) - 1) <= BLOCK_ELEMS * (
+                2 if (width == width[0]).all() else 1):
             out = self._maximize_block(xs, t, start, width)
         else:
             order = np.argsort(width, kind="stable")
@@ -416,9 +422,12 @@ class GeneralProblem:
             groups = []
             k = 0
             while k < m:
-                # cells rise along order, so row k + i is a block's widest
+                # cells rise along order, so row k + i is a block's widest;
+                # rows of the first row's width pad nothing, up to twice
                 fit = np.arange(1, m - k + 1) * cells[k:]
                 c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
+                same = int(np.searchsorted(cells[k:], cells[k], "right"))
+                c = max(c, min(same, 2 * BLOCK_ELEMS // int(cells[k])))
                 groups.append(order[k:k + c])
                 k += c
             out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
@@ -932,19 +941,20 @@ class GeneralProblem:
     def solve_grid(self, xs, t):
         """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
 
-        Up to ``BLOCK_ELEMS // n_scan`` points (8 at the default n_scan)
-        are one block over the whole u-grid, one pass of array phases.  A
-        longer grid is maximized in levels: 8 evenly spaced points over the
-        whole grid, then each unsolved point over the u-window that its
-        solved neighbours' characteristic feet leave it, rows packed in
-        blocks of at most ``BLOCK_ELEMS`` cells and no row cap (18 blocks
-        for the 4 096 knots of ``restart(0.5)`` on ``sin_wave()``); a row
+        Up to ``2 * BLOCK_ELEMS // n_scan`` points (16 at the default
+        n_scan) are one block over the whole u-grid, one pass of array
+        phases.  A longer grid is maximized in levels: 8 evenly spaced
+        points over the whole grid, then each unsolved point over the
+        u-window that its solved neighbours' characteristic feet leave it,
+        rows packed in blocks of at most ``BLOCK_ELEMS`` cells, twice that
+        where they pad none, and no row cap (18 blocks for the 4 096 knots
+        of ``restart(0.5)`` on ``sin_wave()``); a row
         whose best value or ``val_tol`` band reaches an inner window edge,
         and every row of a flux whose f' is not nondecreasing, is scanned
         over the whole grid.
         On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
         is replaced by the window that the period mean allows
-        (``_window``), so more points share a block: 17 points at t >= 13.4
+        (``_window``), so more points share a block: 17 points at t >= 7.19
         on ``restart(0.5)`` of ``sin_wave()`` are one block.  A windowed
         value of E is the float the whole scan computes, so each sample
         equals ``solve(x, t)`` bit for bit wherever its kept runs and bands
@@ -1004,7 +1014,7 @@ class Problem(GeneralProblem):
         its solves after t_w = 2 P / (H(s_n) - H(s_0)) past tau scan only
         the window its period mean allows (``_window``): on ``sin_wave()``
         restarted at tau in [0.4, 0.6], a 17-point ``solve_grid`` slice at
-        t - tau >= 13.41 is one block of about 900 cells per row.
+        t - tau >= 6.69 is one block of at most 1 927 cells per row.
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")

@@ -394,9 +394,11 @@ def test_result_float_fields_are_python_floats(sin_sa):
     # so the results repr as plain numbers
     results = [sin_sa.generation_point(0.0, 0.0),
                sin_sa.chars.classify_termination(1.0, -math.sin(1.0)),
-               sin_sa.chars.lifespans(1.0, -math.sin(1.0))]
+               sin_sa.chars.lifespans(1.0, -math.sin(1.0)),
+               sin_sa.generation_point(0, 0),
+               sin_sa.generation_point(np.float64(0.0), 0.0)]
     results += sin_sa.track_forward(-0.5, 0.125, 0.5, 0.125).nodes
-    assert len(results) == 7
+    assert len(results) == 9
     for r in results:
         for f in dataclasses.fields(r):
             if f.type is float:

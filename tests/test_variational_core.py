@@ -243,7 +243,7 @@ def test_custom_flux_with_nonmonotone_speed_scans_whole_grid(monkeypatch):
     assert p.solve_grid(xs, 0.7) == [p.solve(x, 0.7) for x in xs]
     n = len(p._s)
     assert {(start, width) for c in calls for start, width, _ in c} == {(0, n)}
-    assert [len(c) for c in calls[:5]] == [8] * 5
+    assert [len(c) for c in calls[:3]] == [16, 16, 8]
 
 
 def test_restart_scans_a_tenth_of_the_whole_grid():
@@ -1056,7 +1056,7 @@ def test_late_restart_slice_takes_one_block(monkeypatch):
     assert all(width < 0.5 * n and not redo for _, width, redo in calls[0])
     calls.clear()
     rp.solve_grid(xs, 10.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
     # before t_w the slice scans the whole grid, as every tailed problem
     calls.clear()
     p = Problem(flux.burgers(), idata.sin_wave())
@@ -1076,6 +1076,41 @@ def test_blocks_are_bounded_by_their_cells_alone(monkeypatch):
     assert all(k <= vc.BLOCK_ELEMS for k, c in zip(cells, calls)
                if len(c) > 1)
     assert len(calls) < 27
+
+
+def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
+    # rows that share one u-window pad no cell, so they may fill up to
+    # twice BLOCK_ELEMS: every late 17-point restart slice is one block,
+    # with no join, equal to its point solves, and so is a 12-point slice
+    # over the whole grid; packed blocks that pad cells keep BLOCK_ELEMS
+    p = Problem(flux.burgers(), idata.sin_wave())
+    rp = p.restart(0.5)
+    joins = []
+    join = vc._Rows.join
+
+    def counted(parts, m):
+        joins.append(m)
+        return join(parts, m)
+
+    monkeypatch.setattr(vc._Rows, "join", staticmethod(counted))
+    calls = _count_blocks(monkeypatch)
+    xs = np.linspace(-np.pi, np.pi, 17)
+    for t in (8.0, 10.0, 10.5, 12.0, 13.3, 15.0, 20.0):
+        calls.clear()
+        got = rp.solve_grid(xs, t)
+        assert len(calls) == 1 and not joins
+        width = max(w for _, w, _ in calls[0])
+        assert len(calls[0]) * (width - 1) <= 2 * vc.BLOCK_ELEMS
+        assert [repr(s) for s in got] == [repr(rp.solve(x, t)) for x in xs]
+    calls.clear()
+    p.solve_grid(np.linspace(-3.0, 3.0, 12), 1.0)
+    assert [len(c) for c in calls] == [12] and not joins
+    # 3 rows of 1 024 cells and 20 of 2 048: 3 + 5 rows pad, 15 do not
+    calls.clear()
+    width = np.array([1025] * 3 + [2049] * 20)
+    p._blocks(np.linspace(-3.0, 3.0, 23), 1.0, np.zeros(23, dtype=np.intp),
+              width)
+    assert [len(c) for c in calls[:2]] == [8, 15]
 
 
 def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
