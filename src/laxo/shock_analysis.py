@@ -308,41 +308,42 @@ class ShockAnalyzer:
     def _locate_jump(self, x_hat, t, um, up, w):
         """The node (x, u-, u+) of the jump near x_hat at time t.
 
-        The jump is where u+ drops through mid = (um + up) / 2 in the window
-        [x_hat - w, x_hat + w]; um and up seed the two maximizer branches.
+        The jump is where u+ drops through mid = (um + up) / 2, the middle
+        of the last traces (a node's, or a pre-shock solve's), in the window
+        [x_hat - w, x_hat + w].
         ``_newton_jump`` places it; where that gives up, ``_bisect_jump``
         bisects for it and ``_traces`` reads the traces.  Raises LostCurve
         when the window holds no such drop.
         """
         mid = 0.5 * (um + up)
-        node = self._newton_jump(x_hat, t, um, up, mid, w)
+        node = self._newton_jump(x_hat, t, mid, w)
         if node is None:
             x = self._bisect_jump(x_hat, t, mid, w)
             node = (x,) + self._traces(x, t)
         return node
 
-    def _newton_jump(self, x_hat, t, um, up, mid, w):
+    def _newton_jump(self, x_hat, t, mid, w):
         """Newton steps on the branch value gap G(x) toward G = val_tol.
 
-        u+ drops through mid where the right branch enters the val_tol band
-        of the left one, G = val_tol.  Each step reads G and its slope
-        U(u+) - U(u-) from ``branch_gap`` (one 2-row block, each branch
-        followed from the last), until a step is at most 2e-13 (1 + |x|).
-        One 4-row block then certifies x by the bisection's own test,
-        u+(x - eps) > mid > u+(x + eps) with eps = max(5e-13, ulp(x)), and
-        reads the traces 1e-7 to each side.  Returns (x, u-, u+), or None
-        when a branch pair does not straddle mid, an iterate leaves
-        [x_hat - w, x_hat + w], the steps do not settle in
-        ``_NEWTON_STEPS``, or the test fails.
+        u+ drops through mid where the best of E below mid enters the
+        val_tol band of the best above it, G = val_tol.  Each step reads G
+        and its slope U(u+) - U(u-) from ``branch_gap`` (one 2-row block,
+        one row over each whole side of mid), until a step is at most
+        2e-13 (1 + |x|).  One 4-row block then certifies x by the
+        bisection's own test, u+(x - eps) > mid > u+(x + eps) with
+        eps = max(5e-13, ulp(x)), and reads the traces 1e-7 to each side.
+        Returns (x, u-, u+), or None when ``branch_gap`` gives None, the
+        slope is not negative, an iterate leaves [x_hat - w, x_hat + w],
+        the steps do not settle in ``_NEWTON_STEPS``, or the test fails.
         """
         p = self.problem
         x = x_hat
         for _ in range(_NEWTON_STEPS):
-            g = p.branch_gap(x, t, um, up, mid)
+            g = p.branch_gap(x, t, mid)
             if g is None:
                 return None
-            gap, slope, um, up = g
-            if not (um > mid > up and slope < 0.0):
+            gap, slope = g[:2]
+            if not slope < 0.0:
                 return None
             dx = (gap - p.val_tol) / slope
             x -= dx

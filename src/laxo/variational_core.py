@@ -40,9 +40,6 @@ TOL_U = 1e-12
 # so rows that all share the block's widest window, and pad no cell, may
 # fill twice this: a second block would save fewer cells than it costs
 BLOCK_ELEMS = 1 << 14
-# grid cells to each side of its seed that branch_gap first scans a branch
-# over
-BRANCH_CELLS = 16
 # freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
 # a block's ~130 kB temporaries, else unmapped on free and faulted in anew
 np.empty(1 << 17)
@@ -275,6 +272,9 @@ class GeneralProblem:
 
     def eval_E(self, u, x, t):
         """E(u; x, t), exact given the primitive and the pair's F."""
+        if not (math.isfinite(u) and math.isfinite(x)):
+            raise ValueError("u, x and t must be finite, with t positive")
+        t = _checked_t(t)
         return float(self._E(self._W(x - t * self._H0), u, x, t))
 
     def _E(self, W0, u, x, t):
@@ -865,44 +865,30 @@ class GeneralProblem:
         go[g[~ok]] = False
         return go
 
-    def branch_gap(self, x, t, um, up, mid):
-        """The value gap between two maximizer branches of E(.; x, t).
+    def branch_gap(self, x, t, mid):
+        """The value gap between the maximizer branches of E(.; x, t) on each
+        side of mid.
 
-        Branch u- is the largest maximizer of E over the u-grid at or above
-        mid in a window around the seed um, and branch u+ the smallest below
-        mid in a window around up: one ``_maximize_block`` row each, over
-        ``BRANCH_CELLS`` cells to each side of its seed, cut at mid.  A row
-        whose best value or band reaches an inner window edge is scanned
-        again over a window 4 times wider.  Returns (G, dG/dx, u-, u+) with
-        G = E(u-) - E(u+); by the envelope theorem dG/dx = U(u+) - U(u-)
-        (Lax 1957).  None when a row still reaches an edge of its whole side
-        of mid, or a side of mid holds less than two grid points.
+        One ``_maximize_block`` of two rows at x: branch u- is the largest
+        maximizer of E over the grid indices [im, n) at or above mid, and
+        branch u+ the smallest over [0, im) below it.  Near the tie of the
+        two, u+(x) > mid exactly when G > ``val_tol``, the bisection's own
+        test.  Returns (G, dG/dx, u-, u+) with G = E(u-) - E(u+); by the
+        envelope theorem dG/dx = U(u+) - U(u-) (Lax 1957).  None when a side
+        of mid holds less than two grid points, or a side's best value or
+        band reaches mid (its row's ``redo``).
         """
-        s, n = self._s, len(self._s)
-        iu, im, ip = np.minimum(np.searchsorted(s, [um, mid, up]), n - 1)
-        # each row's side of mid, as grid indices [side_lo, side_hi)
-        side_lo, side_hi = np.array([im, 0]), np.array([n, im])
-        seed = np.array([iu, ip])
-        um, up, top = np.empty((3, 2))          # u-, u+ and E there per row
-        todo = np.arange(2)
-        half = BRANCH_CELLS
-        while len(todo):
-            start = np.maximum(seed - half, side_lo)[todo]
-            stop = np.minimum(seed + half + 1, side_hi)[todo]
-            if (stop - start < 2).any():
-                return None
-            out = self._maximize_block(np.full(len(todo), float(x)), t, start,
-                                       stop - start)
-            um[todo], up[todo], top[todo] = (out.u_minus, out.u_plus,
-                                             out.max_value)
-            whole = (start == side_lo[todo]) & (stop == side_hi[todo])
-            if (out.redo & whole).any():
-                return None
-            todo = todo[out.redo]
-            half *= 4
-        um, up = float(um[0]), float(up[1])
-        return (float(top[0] - top[1]), float(self._U(up) - self._U(um)), um,
-                up)
+        n = len(self._s)
+        im = int(np.searchsorted(self._s, mid))
+        if im < 2 or n - im < 2:
+            return None
+        out = self._maximize_block(np.full(2, float(x)), t,
+                                   np.array([im, 0]), np.array([n - im, im]))
+        if out.redo.any():
+            return None
+        um, up = float(out.u_minus[0]), float(out.u_plus[1])
+        return (float(out.max_value[0] - out.max_value[1]),
+                float(self._U(up) - self._U(um)), um, up)
 
     def _preimage(self, v, a, b):
         """u in [a, b] with H(u) = v, or the end of [a, b] nearer to it.

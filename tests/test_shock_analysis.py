@@ -360,7 +360,7 @@ def _count_work(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("name", ["step", "phase_sine"])
+@pytest.mark.parametrize("name", ["step", "phase_sine", "merging"])
 def test_track_block_budget(name, monkeypatch):
     # at most two branch blocks and one certifying block per step; the
     # bisection took about 16.6 blocks per node

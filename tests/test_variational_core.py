@@ -36,14 +36,16 @@ def test_branch_gap_on_riemann_shock(riemann_down):
     # step(1, 0) at t = 1: E(1) - E(0) = 1/2 - x for 0 < x < 1, and the
     # slope is U(0) - U(1) = -1
     p = riemann_down
-    for x in (0.3, 0.5, 0.62):
-        gap, slope, um, up = p.branch_gap(x, 1.0, 0.99, 0.01, 0.5)
+    for x in (0.4, 0.5, 0.62):
+        gap, slope, um, up = p.branch_gap(x, 1.0, 0.5)
         assert gap == pytest.approx(0.5 - x, abs=1e-12)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert (um, up) == pytest.approx((1.0, 0.0), abs=1e-12)
-    # at x = 2 only the right state is a maximizer: the left branch runs
-    # into mid from above over its whole side
-    assert p.branch_gap(2.0, 1.0, 1.0, 0.0, 0.5) is None
+    # E(0.5) - E(0) = 0.375 - x: for x < 0.375 the best of E below mid lies
+    # at mid, and at x = 2 only the right state is a maximizer, so the best
+    # above mid lies at mid
+    assert p.branch_gap(0.3, 1.0, 0.5) is None
+    assert p.branch_gap(2.0, 1.0, 0.5) is None
 
 
 def test_rarefaction_profile():
@@ -269,6 +271,17 @@ def test_solve_grid_rejects_bad_input_before_work(neg_sin):
             neg_sin.solve_grid(xs, t)
     assert neg_sin.solve_grid([], 1.0) == []
     assert neg_sin.solve_grid(np.empty(0), 1.0) == []
+
+
+def test_eval_E_rejects_bad_input(neg_sin):
+    # as maximize does: no E at t <= 0, nor at a non-finite u or x
+    for u, x, t in ((0.5, 0.3, -1.0), (0.5, 0.3, 0.0), (0.5, 0.3, np.nan),
+                    (0.5, 0.3, np.inf), (np.nan, 0.3, 1.0),
+                    (0.5, np.nan, 1.0), (np.inf, 0.3, 1.0),
+                    (0.5, -np.inf, 1.0)):
+        with pytest.raises(ValueError):
+            neg_sin.eval_E(u, x, t)
+    assert math.isfinite(neg_sin.eval_E(0.5, 0.3, 1.0))
 
 
 def test_solve_grid_partial_block_on_sampled_data():
@@ -826,7 +839,7 @@ def test_block_assembly_matches_per_row_reference(monkeypatch):
             restarted.solve_grid(np.linspace(-np.pi, np.pi, 33), t)
         problems["flat"].solve(0.0, 1.0)
         problems["flat"].solve_grid(np.linspace(-0.02, 0.02, 9), 1.0)
-        problems["step"].branch_gap(0.5, 1.0, 0.99, 0.01, 0.5)
+        problems["step"].branch_gap(0.5, 1.0, 0.5)
         with pytest.MonkeyPatch.context() as mp:
             _narrow_windows(mp)
             problems["sine"].solve_grid(np.linspace(-3.0, 3.0, 33), 0.4)
