@@ -33,15 +33,15 @@ N_SCAN = 2048
 VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
-# scan cells one block holds, rows x (widest window - 1), the only bound on
-# a block: 8 rows over the whole default grid of n_scan cells, or as many
-# rows of narrower u-windows.  A block also costs a fixed 0.3-0.5 ms, about
-# the scan of this many cells at 30-40 ns each (2-core Xeon, numpy 2.4),
-# so rows that all share the block's widest window, and pad no cell, may
-# fill twice this: a second block would save fewer cells than it costs
+# scan cells one block holds, summed over its rows' u-windows, the only
+# bound on a block: 8 rows over the whole default grid of n_scan cells.  A
+# block also costs a fixed 0.3-0.5 ms, about the scan of this many cells at
+# 30-40 ns each (2-core Xeon, numpy 2.4), so rows that all share one window
+# may fill twice this (rows of many windows gather more temporaries)
 BLOCK_ELEMS = 1 << 14
 # freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
-# a block's ~130 kB temporaries, else unmapped on free and faulted in anew
+# a block's temporaries of up to ~260 kB, else unmapped on free and faulted
+# in anew
 np.empty(1 << 17)
 # offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
 _NEIGHBOURS = np.array([[-1], [0], [1]])
@@ -386,8 +386,8 @@ class GeneralProblem:
             # every unsolved row's window from its solved neighbours a, b
             ends = solved.nonzero()[0]
             q = (~solved).nonzero()[0]
-            b = ends[np.searchsorted(ends, q)]
-            a = ends[np.searchsorted(ends, q) - 1]
+            i = np.searchsorted(ends, q)
+            a, b = ends[i - 1], ends[i]
             with np.errstate(over="ignore"):    # a tiny t: the whole grid
                 lo = Hm[b] - (xs[b] - xs[q]) / t
                 hi = Hp[a] + (xs[q] - xs[a]) / t
@@ -401,38 +401,35 @@ class GeneralProblem:
     def _blocks(self, xs, t, start, width):
         """``_maximize_block`` on rows packed in blocks of few enough cells.
 
-        Row q scans the u-grid window start[q] ... start[q] + width[q] - 1.
-        A block's cells, its rows times its widest window's cells, stay
-        within ``BLOCK_ELEMS``, or within ``2 * BLOCK_ELEMS`` where every
-        row has the widest window and no cell is padding, or it is one row;
-        cells alone bound it.  Rows that fit in one block are one
-        ``_maximize_block`` call, in their given order.  Otherwise the rows
-        are packed greedily in the order of their widths under the same
-        bounds, and the blocks joined.  A row the block cannot certify in
-        its window is maximized again over the whole grid.  Returns the
-        ``_Rows`` in the order of xs.
+        Row q scans the u-grid window start[q] ... start[q] + width[q] - 1,
+        width[q] - 1 cells.  The rows are packed in their given order, each
+        block as many rows as fit, at least one: rows of many windows up to
+        ``BLOCK_ELEMS`` cells, the sum of their windows' cells, and rows
+        that all share one window up to ``2 * BLOCK_ELEMS``; cells alone
+        bound a block.  Rows that fit in one block are one
+        ``_maximize_block`` call, else the blocks are joined.  A row the
+        block cannot certify in its window is maximized again over the
+        whole grid.  Returns the ``_Rows`` in the order of xs.
         """
         m = len(xs)
-        if m <= 1 or m * (int(width.max()) - 1) <= BLOCK_ELEMS * (
-                2 if (width == width[0]).all() else 1):
+        if m <= 1:
             out = self._maximize_block(xs, t, start, width)
         else:
-            order = np.argsort(width, kind="stable")
-            cells = width[order] - 1
-            groups = []
-            k = 0
-            while k < m:
-                # cells rise along order, so row k + i is a block's widest;
-                # rows of the first row's width pad nothing, up to twice
-                fit = np.arange(1, m - k + 1) * cells[k:]
-                c = max(1, int(np.searchsorted(fit, BLOCK_ELEMS, "right")))
-                same = int(np.searchsorted(cells[k:], cells[k], "right"))
-                c = max(c, min(same, 2 * BLOCK_ELEMS // int(cells[k])))
-                groups.append(order[k:k + c])
-                k += c
-            out = _Rows.join([(i, self._maximize_block(xs[i], t, start[i],
-                                                       width[i]))
-                              for i in groups], m)
+            many = (np.count_nonzero(start != start[0])
+                    or np.count_nonzero(width != width[0]))
+            bound = BLOCK_ELEMS if many else 2 * BLOCK_ELEMS
+            below = np.concatenate([[0], np.cumsum(width - 1)])
+            cuts = [0]
+            while cuts[-1] < m:     # the cells of rows a ... b - 1 fit
+                a = cuts[-1]
+                b = np.searchsorted(below, below[a] + bound, "right") - 1
+                cuts.append(max(a + 1, int(b)))
+            if len(cuts) == 2:
+                out = self._maximize_block(xs, t, start, width)
+            else:
+                out = _Rows.join([(np.arange(a, b), self._maximize_block(
+                    xs[a:b], t, start[a:b], width[a:b]))
+                    for a, b in zip(cuts, cuts[1:])], m)
         redo = out.redo.nonzero()[0]
         if len(redo):
             n = len(self._s)
@@ -449,25 +446,26 @@ class GeneralProblem:
         only the latter builds per-row products and indexes t by row.
 
         Row q scans the u-grid indices start[q] ... start[q] + width[q] - 1;
-        the whole grid is the window [0, n).  Each row reads the w grid
-        points from min(start, n - w) on, w the widest window of the block,
-        and E off its own window is -inf.  Every phase runs on the whole
-        block: one W call scans the feet of every row, local maxima and
-        their runs are found row-wise, ``_roots`` refines every sign-change
-        bracket (in closed form on sampled data and where the feet cross a
-        jump of the data, checked by one psi call, else by lockstep probe
-        pairs and bisection), one lockstep golden-section search maximizes
-        E on the kept runs with no sign change, and one E call values the
-        refined points.  The components are assembled for the whole block
-        too (``_components``, ``_merge``): only rows of two or more
-        components are merged in Python.  Rows never mix, no bracket's
-        root reads another's, and numpy's elementwise results do not depend
-        on the array around an element, so each row's answer is the one a
-        block of one gives.  Each windowed value of E is the float the
-        whole scan computes, so a row whose kept runs and bands lie inside
-        its window gets the whole scan's maximizer set, bit for bit.
-        Likewise a row of an array t reads only its own time, so it gets
-        the maximizer set of a block of one at that time.
+        the whole grid is the window [0, n).  Rows of one window, a one-row
+        block among them, broadcast the grid's values on it; rows of many
+        windows lie end to end (``_flat``).  No cell is padding.  Every
+        phase runs on the whole block: one W call scans the feet of every
+        row, local maxima and their runs are found row-wise, ``_roots``
+        refines every sign-change bracket (in closed form on sampled data
+        and where the feet cross a jump of the data, checked by one psi
+        call, else by lockstep probe pairs and bisection), one lockstep
+        golden-section search maximizes E on the kept runs with no sign
+        change, and one E call values the refined points.  The components
+        are assembled for the whole block too (``_components``,
+        ``_merge``): only rows of two or more components are merged in
+        Python.  Rows never mix, no bracket's root reads another's, and
+        numpy's elementwise results do not depend on the array around an
+        element, so each row's answer is the one a block of one gives.
+        Each windowed value of E is the float the whole scan computes, so a
+        row whose kept runs and bands lie inside its window gets the whole
+        scan's maximizer set, bit for bit.  Likewise a row of an array t
+        reads only its own time, so it gets the maximizer set of a block of
+        one at that time.
 
         A window edge that is not a grid end is never a local maximum.  A
         row is marked ``redo``, for a scan of the whole grid, when its best
@@ -475,63 +473,64 @@ class GeneralProblem:
         such an edge.
         """
         s, n, rows = self._s, len(self._s), len(xs)
-        # a window other than the whole grid: row q reads the w grid points
-        # from rs[q] on, and its window is the columns lo[q] .. hi[q]
-        cut = np.count_nonzero(start) or np.count_nonzero(width - n)
-        w = int(width.max()) if cut else n
-        rs = np.minimum(start, n - w) if cut else start
-        if not cut:
-            Hw, Iw = self._Hs, self._Is
-        elif not np.count_nonzero(rs != rs[0]):
-            Hw, Iw = self._Hs[rs[0]:rs[0] + w], self._Is[rs[0]:rs[0] + w]
+        j, w = (int(start[0]), int(width[0])) if rows else (0, n)
+        # E between two columns of -inf: row q's in Ep[q], column c at grid
+        # index c + j, or every row's in Ep[0] (``_flat``)
+        flat = rows > 1 and bool(np.count_nonzero(start != j)
+                                 or np.count_nonzero(width != w))
+        if flat:
+            Ep, feet, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
+            Ev = Ep[:, 1:-1]
         else:
-            # a strided view whose row k is the grid from index k on
-            Hw, Iw = (np.ndarray((n - w + 1, w), float, v, 0, (v.itemsize,) * 2)
-                      [rs] for v in (self._Hs, self._Is))
-        tc = t[:, None] if isinstance(t, np.ndarray) else t
-        pts = np.empty((rows, w + 1))
-        feet = pts[:, :w]
-        np.subtract(xs[:, None], tc * Hw, out=feet)
-        pts[:, w] = xs - t * self._H0
-        Wp = self._W(pts.ravel()).reshape(rows, w + 1)
-        # E on the grid between two columns of -inf, and the masks of its
-        # local maxima and of its bands between two columns of False, as
-        # padded_runs takes them
-        Ep = np.empty((rows, w + 2))
-        Ep[:, ::w + 1] = -np.inf
-        Ev = Ep[:, 1:-1]
-        np.subtract(Wp[:, w:] - Wp[:, :w], tc * Iw, out=Ev)
-        if cut:
-            lo = start - rs
-            hi = lo + width - 1
-            padded = np.count_nonzero(width < w)
-            if padded:
-                c = np.arange(w)
-                Ev[(c < lo[:, None]) | (c > hi[:, None])] = -np.inf
-        Emax_grid = np.maximum.reduce(Ev, axis=1)
+            tc = t[:, None] if isinstance(t, np.ndarray) else t
+            pts = np.empty((rows, w + 1))
+            feet = pts[:, :w]
+            np.subtract(xs[:, None], tc * self._Hs[j:j + w], out=feet)
+            pts[:, w] = xs - t * self._H0
+            Wp = self._W(pts.ravel()).reshape(rows, w + 1)
+            W0 = Wp[:, w]
+            Ep = np.empty((rows, w + 2))
+            Ep[:, ::w + 1] = -np.inf
+            Ev = Ep[:, 1:-1]
+            np.subtract(Wp[:, w:] - Wp[:, :w], tc * self._Is[j:j + w], out=Ev)
+            Emax_grid = np.maximum.reduce(Ev, axis=1)
 
-        # local maxima; a plateau is represented by its middle point
-        lm = np.zeros((rows, w + 2), dtype=bool)
-        np.logical_and(Ev >= Ep[:, :-2], Ev >= Ep[:, 2:], out=lm[:, 1:-1])
-        if cut:
-            # the window edges that are no grid end, at (row er, column
-            # ec), and the reads off the window hold none
+        shift = flat or j > 0           # else column c is grid index c
+
+        def locate(sr, c):     # rows of Ev[sr, c], column of grid index 0
+            if not flat:
+                return sr, -j
+            r = np.searchsorted(O, c, "right") - 1
+            return r, base[r]
+
+        # the window edges that are no grid end: rows er, at the columns ec
+        # of the rows esr of Ev; rows of many windows have some
+        er = None
+        if flat or j > 0 or j + w < n:
             in_lo, in_hi = start > 0, start + width < n
             er = np.concatenate([in_lo.nonzero()[0], in_hi.nonzero()[0]])
-            ec = np.concatenate([lo[in_lo], hi[in_hi]])
-            lm[er, ec + 1] = False
-            if padded:
-                lm[:, 1:-1] &= Ev > -np.inf
-        r, first, last = padded_runs(lm)
+            c0 = O if flat else np.zeros(rows, dtype=np.intp)
+            ec = np.concatenate([c0[in_lo], (c0 + width - 1)[in_hi]])
+            esr = 0 if flat else er
+
+        # local maxima; a plateau is represented by its middle point.  No
+        # sentinel is one, as a cell beside it is finite
+        lm = np.zeros(Ep.shape, dtype=bool)
+        np.logical_and(Ev >= Ep[:, :-2], Ev >= Ep[:, 2:], out=lm[:, 1:-1])
+        if er is not None:
+            lm[esr, ec + 1] = False
+        sr, first, last = padded_runs(lm)
         col = first + (last - first + 1) // 2
-        # the neighbours of each run's middle, as columns and grid indices;
-        # a run's middle is a grid end or lies inside its window
-        nbc = np.minimum(np.maximum(col + _NEIGHBOURS, 0), w - 1)
-        nb = nbc + rs[r] if cut else nbc
-        carrier = (self._U(self.data.phi(feet[r, nbc].ravel()))
+        r, d = locate(sr, col)
+        # the neighbours of each run's middle, as grid indices nb and
+        # columns nbc; a run's middle is a grid end or inside its window
+        nb = np.minimum(np.maximum((col - d if shift else col) + _NEIGHBOURS,
+                                   0), n - 1)
+        nbc = nb + d if shift else nb
+        carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
-        keep = ~(Ev[r, col] + _at(t, r) * self._h * gloc
+        keep = ~(Ev[sr, col] + _at(t, r) * self._h * gloc
                  < Emax_grid[r] - 10.0 * self.val_tol)
         if np.count_nonzero(keep) < len(r):     # else every run stays
             r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
@@ -549,36 +548,64 @@ class GeneralProblem:
         if nsign < len(r):
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
-            W0g, xg, tg = Wp[r[g], w], xs[r[g]], _at(t, r[g])
+            W0g, xg, tg = W0[r[g]], xs[r[g]], _at(t, r[g])
             u_star[g] = golden_many(
                 lambda u, i: -self._E(W0g[i], u, xg[i], _at(tg, i)),
                 s[nb[0, g]], s[nb[2, g]], self.tol_u)
-        E_star = self._E(Wp[r, w], u_star, xs[r], _at(t, r))
+        E_star = self._E(W0[r], u_star, xs[r], _at(t, r))
 
         # per row: the best value, the refined points within val_tol of it,
         # and the grid bands there
         Emax = Emax_grid.copy()
         np.maximum.at(Emax, r, E_star)
         thresh = Emax - self.val_tol
-        bm = np.zeros((rows, w + 2), dtype=bool)
-        np.greater_equal(Ev, thresh[:, None], out=bm[:, 1:-1])
+        bm = Ep >= (np.repeat(thresh, width + 2) if flat else thresh[:, None])
         br, first, last = padded_runs(bm)
+        br, d = locate(br, first)
+        if shift:
+            first, last = first - d, last - d
         redo = np.zeros(rows, dtype=bool)
-        if cut:
-            first += rs[br]
-            last += rs[br]
+        if er is not None:
             # a window that may have cut off a maximizer: E at an inner
             # edge reaches the band or the best grid value
             reach = np.minimum(thresh, Emax_grid)[er]
-            redo[er[Ev[er, ec] >= reach]] = True
+            redo[er[Ev[esr, ec] >= reach]] = True
             if np.count_nonzero(redo):
                 # those rows are scanned again: no search on their bands
                 k = ~redo[br]
                 br, first, last = br[k], first[k], last[k]
         own, lo, hi = self._components(
-            lambda u, q: self._E(Wp[q, w], u, xs[q], _at(t, q)), Emax, thresh,
+            lambda u, q: self._E(W0[q], u, xs[q], _at(t, q)), Emax, thresh,
             r, u_star, E_star, br, first, last)
         return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
+
+    def _flat(self, xs, t, start, width):
+        """Rows of many u-windows end to end, for ``_maximize_block``.
+
+        Ep is one row of a -inf, each row's cells and a -inf (Blelloch,
+        *Vector Models for Data-Parallel Computing*, 1990).  Column c of
+        ``Ep[:, 1:-1]`` from O[q] on is row q's grid index c - base[q].  The
+        feet are one gather of H; the foot at row q's first -inf is x -
+        t H(0), whose W is W0[q].  Returns Ep, the feet by column, W0, each
+        row's best grid value, O and base.
+        """
+        k = width + 2
+        O = np.cumsum(k) - k                    # the first -inf of row q
+        base = O - start
+        # the grid index of every entry of Ep, start - 1 and start + width
+        # at the -infs, clipped to the grid
+        gi = np.arange(O[-1] + k[-1]) - 1 - np.repeat(base, k)
+        H = self._Hs.take(gi, mode="clip")
+        H[O] = self._H0
+        tr = np.repeat(t, k) if isinstance(t, np.ndarray) else t
+        feet = np.repeat(xs, k) - tr * H
+        Wf = self._W(feet)
+        W0 = Wf[O]
+        Ep = np.repeat(W0, k) - Wf
+        Ep -= tr * self._Is.take(gi, mode="clip")
+        Ep[O] = Ep[O + k - 1] = -np.inf
+        return (Ep[None], feet[None, 1:-1], W0, np.maximum.reduceat(Ep, O),
+                O, base)
 
     def _components(self, E, Emax, thresh, r, u_star, E_star, br, first,
                     last):
@@ -932,12 +959,13 @@ class GeneralProblem:
         phases.  A longer grid is maximized in levels: 8 evenly spaced
         points over the whole grid, then each unsolved point over the
         u-window that its solved neighbours' characteristic feet leave it,
-        rows packed in blocks of at most ``BLOCK_ELEMS`` cells, twice that
-        where they pad none, and no row cap (18 blocks for the 4 096 knots
-        of ``restart(0.5)`` on ``sin_wave()``); a row
-        whose best value or ``val_tol`` band reaches an inner window edge,
-        and every row of a flux whose f' is not nondecreasing, is scanned
-        over the whole grid.
+        rows packed in their order in blocks of at most ``BLOCK_ELEMS``
+        cells, the sum of their windows' cells, twice that where they all
+        share one window, and no row cap (12 blocks for the 4 096 knots of
+        ``restart(0.5)`` on ``sin_wave()``, 2 for 32 points of
+        ``sin_wave()`` at t = 1.2); a row whose best value or ``val_tol``
+        band reaches an inner window edge, and every row of a flux whose f'
+        is not nondecreasing, is scanned over the whole grid.
         On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
         is replaced by the window that the period mean allows
         (``_window``), so more points share a block: 17 points at t >= 7.19
@@ -992,8 +1020,9 @@ class Problem(GeneralProblem):
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
         The knot values are u+ at the 4096 interval midpoints, maximized as
         ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
-        cells that the neighbouring knots' feet leave them.  They are read
-        as the u+ array of ``_maximize_grid``, with no MaximizerSet built.
+        cells that the neighbouring knots' feet leave them (12 blocks on
+        ``sin_wave()`` at tau = 0.5).  They are read as the u+ array of
+        ``_maximize_grid``, with no MaximizerSet built.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
         kept runs and bands lie inside its window, as in every tested
         restart.  On periodic data the restarted problem is periodic too, so

@@ -1079,23 +1079,25 @@ def test_late_restart_slice_takes_one_block(monkeypatch):
 
 def test_blocks_are_bounded_by_their_cells_alone(monkeypatch):
     # restart's 4 096 knots: a block of narrow windows holds more than 256
-    # rows, every block of more than one row holds at most BLOCK_ELEMS
-    # cells, and the knots take fewer blocks than the 27 of a 256-row cap
+    # rows, every block's cells, the sum of its rows' windows, stay within
+    # BLOCK_ELEMS, or twice that where its rows share one window, and the
+    # knots take at most 12 blocks
     p = Problem(flux.burgers(), idata.sin_wave())
     calls = _count_blocks(monkeypatch)
     p.restart(0.5)
-    cells = [len(c) * (max(width for _, width, _ in c) - 1) for c in calls]
+    for c in calls:
+        cells = sum(width - 1 for _, width, _ in c)
+        one = len({(start, width) for start, width, _ in c}) == 1
+        assert len(c) == 1 or cells <= vc.BLOCK_ELEMS * (2 if one else 1)
     assert max(len(c) for c in calls) > 256
-    assert all(k <= vc.BLOCK_ELEMS for k, c in zip(cells, calls)
-               if len(c) > 1)
-    assert len(calls) < 27
+    assert len(calls) <= 12
 
 
 def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
-    # rows that share one u-window pad no cell, so they may fill up to
-    # twice BLOCK_ELEMS: every late 17-point restart slice is one block,
-    # with no join, equal to its point solves, and so is a 12-point slice
-    # over the whole grid; packed blocks that pad cells keep BLOCK_ELEMS
+    # rows that share one u-window may fill up to twice BLOCK_ELEMS: every
+    # late 17-point restart slice is one block, with no join, equal to its
+    # point solves, and so is a 12-point slice over the whole grid; rows of
+    # many windows keep BLOCK_ELEMS
     p = Problem(flux.burgers(), idata.sin_wave())
     rp = p.restart(0.5)
     joins = []
@@ -1118,12 +1120,46 @@ def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
     calls.clear()
     p.solve_grid(np.linspace(-3.0, 3.0, 12), 1.0)
     assert [len(c) for c in calls] == [12] and not joins
-    # 3 rows of 1 024 cells and 20 of 2 048: 3 + 5 rows pad, 15 do not
+    # 3 rows of 1 024 cells and 20 of 2 048, in their given order: 3 + 6
+    # rows, then 8 and 6, each block within BLOCK_ELEMS cells
     calls.clear()
     width = np.array([1025] * 3 + [2049] * 20)
     p._blocks(np.linspace(-3.0, 3.0, 23), 1.0, np.zeros(23, dtype=np.intp),
               width)
-    assert [len(c) for c in calls[:2]] == [8, 15]
+    assert [len(c) for c in calls[:3]] == [9, 8, 6]
+
+
+def test_block_of_many_windows_equals_its_one_row_blocks():
+    # rows of different u-windows laid end to end in one block: a row at
+    # each grid end, rows with two inner edges, a shock row over the whole
+    # grid and two rows whose windows miss their maximizers (redo); every
+    # row's arrays equal those of its own one-row block, bit for bit
+    p = Problem(flux.burgers(), idata.sin_wave())
+    n, t = len(p._s), 1.3
+    xs = np.array([0.25, -0.25, -2.0, 1.5, 0.0, 2.5, -1.0])
+    start = np.array([0, n - 30, 1503, 300, 0, 744, 1877])
+    width = np.array([30, 30, 40, 60, n, 20, 20])
+    out = p._maximize_block(xs, t, start, width)
+    assert out.redo.tolist() == [False] * 5 + [True] * 2
+    for q, x in enumerate(xs.tolist()):
+        one = p._maximize_block(xs[q:q + 1], t, start[q:q + 1],
+                                width[q:q + 1])
+        assert out.redo[q] == one.redo[0]
+        assert repr(_row_set(out, q)) == repr(_row_set(one, 0))
+        if not out.redo[q]:
+            assert repr(_row_set(out, q)) == repr(p.maximize(x, t))
+    assert len(_row_set(out, 4).components) == 2
+
+
+def test_sine_slice_shares_blocks_across_windows(monkeypatch):
+    # a 32-point slice at t = 1.2: level 0, then one block of the 24 other
+    # rows, 14 188 cells of windows from 178 to 2 049 points
+    p = Problem(flux.burgers(), idata.sin_wave())
+    calls = _count_blocks(monkeypatch)
+    xs = np.linspace(-np.pi, np.pi, 32)
+    got = p.solve_grid(xs, 1.2)
+    assert [len(c) for c in calls] == [8, 24]
+    assert got == [p.solve(x, 1.2) for x in xs]
 
 
 def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
