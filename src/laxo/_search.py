@@ -1,8 +1,9 @@
 """One-dimensional search kernels shared by every layer.
 
-Three kernels each run many brackets in lockstep, with one call of a
-vectorized function per round.  Each holds its brackets as numpy arrays,
-one element per bracket, and drops a bracket from them once it stops:
+Three kernels each run many brackets in lockstep, each in a loop of its
+own, with one call of a vectorized function per round.  Each holds its
+brackets as numpy arrays, one element per bracket, and drops a bracket
+from them once it stops:
 
 * ``bisect_many`` bisects on a predicate.  A walk's state is its bracket
   index and its ends; each round evaluates one dyadic tree of midpoints
@@ -13,8 +14,8 @@ one element per bracket, and drops a bracket from them once it stops:
   by a bound on f'' so that the root lies between the two and the bracket
   collapses to width 2e (a safeguarded secant in the manner of Dekker,
   1969, and Brent, *Algorithms for Minimization without Derivatives*,
-  1973, ch. 4).  A bracket whose pair would not pay, or misses, joins the
-  ``bisect_many`` walks, served in the same calls.
+  1973, ch. 4).  Once the pairs are done, every bracket whose pair would
+  not pay, or missed, is walked by one ``bisect_many`` call.
 * ``golden_many`` minimizes a unimodal function by golden sections.  Its
   state is each bracket's ends, inner points and their values, and each
   round evaluates the one new point of every live bracket.
@@ -75,125 +76,6 @@ def _nodes(k, nw):
     return node, 2 * node - node[0], 2 * node - node[0] + nw
 
 
-def _join(walks, i, a, b):
-    """Walks (bracket, ends) with brackets i from [a, b]."""
-    return [np.concatenate(v) for v in zip(walks, (i, a, b))]
-
-
-def _lockstep(f, a, b, fa, fb, curv, tol):
-    """The round loop of ``bisect_many`` and ``secant_many``.
-
-    Brackets with f(a) > 0 >= f(b), room above tol and a first pair that
-    pays start as probe pairs ``sec`` (A, B, FA, FB, K, s, cw2), the others
-    as walks ``walk`` (WA, WB); ``curv`` None makes every bracket a walk.
-    A bracket's ends go into ``a`` and ``b`` when it stops, at once when
-    every pair stops in one round.  A round tests every node of the walks'
-    trees as the one-step loop tests a bracket (a walk whose root fails
-    stops, and the others' trees are built anew); from a node that passes
-    a walk goes to the half its answer picks, else it stays, so a table of
-    next nodes takes its k steps in k gathers along its tree's path.
-    """
-    sec = np.arange(len(a))
-    walk, WA, WB = sec[:0], a[:0], b[:0]
-    if curv is None:
-        walk, WA, WB, sec = sec, a, b, sec[:0]
-    else:
-        w, s = np.abs(b - a), fa - fb
-        pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
-        # the first pair's test, as in the loop (0 stands in for curv where
-        # the bracket has no width, since inf * 0 is invalid)
-        cw2 = np.where(pair, curv, 0.0) * w * w
-        pair &= cw2 < s
-        A, B, FA, FB, K = a, b, fa, fb, curv
-        if np.count_nonzero(pair) < len(a):
-            i, sec = (~pair).nonzero()[0], pair.nonzero()[0]
-            walk, WA, WB = _join((walk, WA, WB), i, a[i], b[i])
-            A, B, FA, FB, K, w, s, cw2 = (v[sec] for v in (
-                A, B, FA, FB, K, w, s, cw2))
-    own = ow = sec[:0]
-    while True:
-        m = len(sec)
-        if m:
-            if len(own) != 2 * m:               # a pair left: owners anew
-                own = np.concatenate([sec, sec])
-            # e = K |c - A| |B - c| / |f'| bounds the error of the secant
-            # point c = A + th D (below w / 4 at the middle by the pair's
-            # test); e / w is at least tol / 4, and shifts c off an end
-            th = FA / s
-            eps = np.maximum(cw2 * th * (1.0 - th) / s, 0.25 * tol / w)
-            th = np.minimum(np.maximum(th, eps), 1.0 - eps)
-            D = B - A
-            c, e = A + th * D, eps * D
-            q = np.concatenate([c - e, c + e])
-        while len(walk):
-            # the steps the widest walk asks for: _DEPTH, fewer near tol
-            k = _DEPTH if tol <= 0.0 else max(1, math.ceil(min(_DEPTH, np.log2(
-                np.maximum(np.abs(WB - WA), tol) / tol).max())))
-            g = _dyadic(WA, WB, k)
-            ends, row = _TREES[k]
-            E = g[ends]
-            lo, hi, mid = E[:, :1 << k]
-            go = (np.abs(hi - lo) > tol) & (mid != lo) & (mid != hi)
-            if np.count_nonzero(go[1]) == len(walk):
-                break
-            i = ~go[1]                          # those walks are done
-            a[walk[i]], b[walk[i]] = WA[i], WB[i]
-            walk, WA, WB = (v[go[1]] for v in (walk, WA, WB))
-        if len(walk):
-            nw, i = len(walk), 1 << k
-            if ow is not walk or len(owner) != nw * (i - 1):
-                ow, owner = walk, np.repeat(walk[None], i - 1, axis=0).ravel()
-            if m:
-                vals = f(np.concatenate([q, g[1:i].ravel()]),
-                         np.concatenate([own, owner]))
-                ans = vals[2 * m:]
-            else:
-                vals = ans = f(g[1:i].ravel(), owner)
-            if curv is not None:                # values, not answers
-                ans = ans > 0.0
-            node, lower, upper = _nodes(k, nw)
-            nxt = np.where(go, np.where(ans.reshape(i - 1, nw)[row], upper,
-                                        lower), node).ravel()
-            at = node[1]                        # the roots
-            for _ in range(k):
-                at = nxt[at]
-            WA, WB = E[0].ravel()[at], E[1].ravel()[at]
-        elif m:
-            vals = f(q, own)
-        else:
-            return a, b
-        if m:
-            q1, q2, v1, v2 = q[:m], q[m:], vals[:m], vals[m:2 * m]
-            p1, p2 = v1 > 0.0, v2 > 0.0
-            w2 = np.abs(q2 - q1)
-            # a hit: f changes sign between the pair, which shrank the bracket
-            hit = (p1 > p2) & (w2 < w)
-            if np.count_nonzero(hit) < m:
-                # a miss: the bisection takes [A, q1], [q1, q2] or [q2, B]
-                miss = ~hit
-                walk, WA, WB = _join(
-                    (walk, WA, WB), sec[miss],
-                    np.where(p1, np.where(p2, q2, q1), A)[miss],
-                    np.where(p1, np.where(p2, B, q2), q1)[miss])
-                sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
-                    sec, q1, q2, v1, v2, w2, K))
-            A, B, FA, FB, w = q1, q2, v1, v2, w2
-            done = w <= tol
-            if np.count_nonzero(done) == len(sec):
-                a[sec], b[sec] = A, B
-                sec = sec[:0]
-                continue
-            # where the next pair would not pay, walk from the first bracket
-            s, cw2 = FA - FB, K * w * w
-            more = (cw2 < s) > done             # and not done
-            if np.count_nonzero(more) < len(sec):
-                a[sec[done]], b[sec[done]] = A[done], B[done]
-                i = sec[~(more | done)]
-                walk, WA, WB = _join((walk, WA, WB), i, a[i], b[i])
-                sec, A, B, FA, FB, K, w, s, cw2 = (v[more] for v in (
-                    sec, A, B, FA, FB, K, w, s, cw2))
-
-
 def bisect_many(pred, a, b, tol):
     """Shrink brackets [a, b] in lockstep, keeping ``pred`` true at each a.
 
@@ -204,9 +86,43 @@ def bisect_many(pred, a, b, tol):
     stops on its own at ``|b - a| <= tol`` or at the float floor (a
     midpoint equal to an end), after at most about log2(|b - a| / tol)
     steps, with the ends that one step per predicate call gives.
+
+    A round tests every node of the walks' trees as the one-step loop tests
+    a bracket (a walk whose root fails stops, and the others' trees are
+    built anew); from a node that passes a walk goes to the half its answer
+    picks, else it stays, so a table of next nodes takes its k steps in k
+    gathers along its tree's path.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    return _lockstep(pred, a, b, None, None, None, tol)
+    walk, A, B = np.arange(len(a)), a, b
+    owner = walk[:0]
+    while len(walk):
+        # the steps the widest walk asks for: _DEPTH, fewer near tol
+        k = _DEPTH if tol <= 0.0 else max(1, math.ceil(min(_DEPTH, np.log2(
+            np.maximum(np.abs(B - A), tol) / tol).max())))
+        g = _dyadic(A, B, k)
+        ends, row = _TREES[k]
+        E = g[ends]
+        lo, hi, mid = E[:, :1 << k]
+        go = (np.abs(hi - lo) > tol) & (mid != lo) & (mid != hi)
+        if np.count_nonzero(go[1]) < len(walk):
+            i = ~go[1]                          # those walks are done
+            a[walk[i]], b[walk[i]] = A[i], B[i]
+            walk, A, B = (v[go[1]] for v in (walk, A, B))
+            owner = walk[:0]
+            continue
+        nw, n = len(walk), 1 << k
+        if len(owner) != nw * (n - 1):         # a walk left, or k changed
+            owner = np.repeat(walk[None], n - 1, axis=0).ravel()
+        ans = pred(g[1:n].ravel(), owner)
+        node, lower, upper = _nodes(k, nw)
+        nxt = np.where(go, np.where(ans.reshape(n - 1, nw)[row], upper,
+                                    lower), node).ravel()
+        at = node[1]                            # the roots
+        for _ in range(k):
+            at = nxt[at]
+        A, B = E[0].ravel()[at], E[1].ravel()[at]
+    return a, b
 
 
 def secant_many(f, a, b, fa, fb, curv, tol):
@@ -219,17 +135,77 @@ def secant_many(f, a, b, fa, fb, curv, tol):
     c, where e = curv |c - a| |b - c| / |f'| (f' the bracket's secant
     slope, e at least tol / 4) bounds the secant's error; when f changes
     sign between the two, the bracket collapses to them, and the next e is
-    about curv e**2 / |f'|.  A bracket whose pair misses, or would not at
-    least halve it, goes on as ``bisect_many``'s walk on f > 0 from its
-    narrowed bracket, served in the same calls; so does every bracket whose
-    ``curv`` is not finite or whose end values are not f(a) > 0 >= f(b).
+    about curv e**2 / |f'|.  Once the pairs are done, one ``bisect_many``
+    call on f > 0 walks every bracket they did not finish: from the
+    bracket a pair narrowed it to where that pair missed, else from the
+    given bracket, where a pair would not at least halve the bracket, or
+    ``curv`` is not finite, or the end values are not f(a) > 0 >= f(b).
     Each bracket ends with f(a) > 0 >= f(b) and ``|b - a| <= tol``, or at
     the float floor, with no more bisection steps than ``bisect_many``
     takes from where its walk starts.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
-    return _lockstep(f, a, b, fa, fb, curv, tol)
+    w, s = np.abs(b - a), fa - fb
+    pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
+    # the first pair's test, as in the loop (0 stands in for curv where
+    # the bracket has no width, since inf * 0 is invalid)
+    cw2 = np.where(pair, curv, 0.0) * w * w
+    pair &= cw2 < s
+    sec, walks = np.arange(len(a)), []
+    A, B, FA, FB, K = a, b, fa, fb, curv
+    if np.count_nonzero(pair) < len(a):
+        walks.append((~pair).nonzero()[0])
+        sec = pair.nonzero()[0]
+        A, B, FA, FB, K, w, s, cw2 = (v[sec] for v in (
+            A, B, FA, FB, K, w, s, cw2))
+    own = sec[:0]
+    while len(sec):
+        m = len(sec)
+        if len(own) != 2 * m:                   # a pair left: owners anew
+            own = np.concatenate([sec, sec])
+        # e = K |c - A| |B - c| / |f'| bounds the error of the secant
+        # point c = A + th D (below w / 4 at the middle by the pair's
+        # test); e / w is at least tol / 4, and shifts c off an end
+        th = FA / s
+        eps = np.maximum(cw2 * th * (1.0 - th) / s, 0.25 * tol / w)
+        th = np.minimum(np.maximum(th, eps), 1.0 - eps)
+        D = B - A
+        c, e = A + th * D, eps * D
+        q = np.concatenate([c - e, c + e])
+        vals = f(q, own)
+        q1, q2, v1, v2 = q[:m], q[m:], vals[:m], vals[m:]
+        p1, p2 = v1 > 0.0, v2 > 0.0
+        w2 = np.abs(q2 - q1)
+        # a hit: f changes sign between the pair, which shrank the bracket
+        hit = (p1 > p2) & (w2 < w)
+        if np.count_nonzero(hit) < m:
+            # a miss: the walk takes [A, q1], [q1, q2] or [q2, B]
+            miss = ~hit
+            i = sec[miss]
+            a[i], b[i] = (np.where(p1, np.where(p2, q2, q1), A)[miss],
+                          np.where(p1, np.where(p2, B, q2), q1)[miss])
+            walks.append(i)
+            sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
+                sec, q1, q2, v1, v2, w2, K))
+        A, B, FA, FB, w = q1, q2, v1, v2, w2
+        done = w <= tol
+        if np.count_nonzero(done) == len(sec):
+            a[sec], b[sec] = A, B
+            break
+        # where the next pair would not pay, walk from the first bracket
+        s, cw2 = FA - FB, K * w * w
+        more = (cw2 < s) > done                 # and not done
+        if np.count_nonzero(more) < len(sec):
+            a[sec[done]], b[sec[done]] = A[done], B[done]
+            walks.append(sec[~(more | done)])
+            sec, A, B, FA, FB, K, w, s, cw2 = (v[more] for v in (
+                sec, A, B, FA, FB, K, w, s, cw2))
+    if walks:
+        i = np.concatenate(walks)
+        a[i], b[i] = bisect_many(lambda u, j: f(u, i[j]) > 0.0, a[i], b[i],
+                                 tol)
+    return a, b
 
 
 def bisect(pred, a, b, tol):

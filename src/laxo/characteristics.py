@@ -146,6 +146,8 @@ class CharacteristicAnalyzer:
         return 1.0 / (le.gamma * dg.N * abs(le.C_gamma) ** (1.0 + dg.alpha))
 
     def lifespan_upper(self, x0, c):
+        if not (math.isfinite(x0) and math.isfinite(c)):
+            raise ValueError("x0 and c must be finite")
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 

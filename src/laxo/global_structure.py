@@ -213,6 +213,8 @@ class GlobalStructure:
 
     def verify_divide(self, x0, c, L):
         """Phi(x0 + l) - Phi(x0) - c l >= 0 on 4001 points of [-L, L]."""
+        if not (np.isfinite(x0) and np.isfinite(c) and np.isfinite(L)):
+            raise ValueError("x0, c and L must be finite")
         ls = np.linspace(-L, L, 4001)
         vals = (self.data.primitive(x0 + ls) - self.data.primitive(x0)
                 - c * ls)

@@ -26,6 +26,8 @@ class FvGrid:
     boundary: str = "constant"    # constant | periodic
 
     def __post_init__(self):
+        if not float(self.n_cells).is_integer():
+            raise ValueError("n_cells must be an integer")
         if self.n_cells < 4:
             raise ValueError("need at least 4 cells")
         if not self.x_lo < self.x_hi:     # written so that NaN fails

@@ -905,6 +905,9 @@ class GeneralProblem:
         of mid holds less than two grid points, or a side's best value or
         band reaches mid (its row's ``redo``).
         """
+        if not (math.isfinite(x) and math.isfinite(mid)):
+            raise ValueError("x, mid and t must be finite, with t positive")
+        t = _checked_t(t)
         n = len(self._s)
         im = int(np.searchsorted(self._s, mid))
         if im < 2 or n - im < 2:

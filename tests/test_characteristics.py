@@ -79,6 +79,14 @@ def test_spectrum_just_left_of_period_boundary(sin_analyzer):
     assert near.kind == sin_analyzer.char_spectrum(np.pi).kind
 
 
+@pytest.mark.parametrize("x0, c", [(0.0, np.nan), (0.0, np.inf),
+                                   (0.0, -np.inf), (np.nan, 0.0)])
+def test_lifespan_upper_rejects_non_finite(sin_analyzer, x0, c):
+    # as lifespans does; c = NaN gave (1.0, 1.0)
+    with pytest.raises(ValueError, match="x0 and c must be finite"):
+        sin_analyzer.lifespan_upper(x0, c)
+
+
 @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
 def test_spectrum_rejects_nonfinite_x0(sin_analyzer, x0):
     # periodic data has no tail for a NaN reduction to fall through to

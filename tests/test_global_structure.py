@@ -88,6 +88,15 @@ def test_verify_divide(sin_gs, fan_gs):
     assert not fan_gs.verify_divide(0.0, 1.5, 50.0)
 
 
+@pytest.mark.parametrize("x0, c, L", [
+    (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0), (0.0, np.nan, 1.0),
+    (0.0, -np.inf, 1.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)])
+def test_verify_divide_rejects_non_finite(sin_gs, x0, c, L):
+    # as divide_fan does, rather than a verdict of False
+    with pytest.raises(ValueError):
+        sin_gs.verify_divide(x0, c, L)
+
+
 def test_partition_periodic(sin_gs):
     part = sin_gs.partition()
     kinds = [r.kind for r in part.regions]

@@ -16,6 +16,14 @@ def test_grid_validation():
         FvGrid(0.0, 1.0, 10, boundary="absorbing")
 
 
+def test_grid_rejects_non_integral_cells():
+    # 4.5 cells gave 5 centers, the last one past x_hi
+    for n in (4.5, 10.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="n_cells"):
+            FvGrid(-1.0, 1.0, n)
+    assert len(FvGrid(-1.0, 1.0, 8.0).centers()) == 8
+
+
 def test_sonic_point_passes_flux_faults_on():
     # only a BracketError means "f' has no zero on the data range"
     def broken_inverse(v, bracket=None):

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from laxo import _search, flux, initial_data as idata
+from laxo import _search, flux, initial_data as idata, variational_core as vc
 from laxo._search import (_DEPTH, bisect, bisect_many, golden_many,
                           padded_runs, runs, secant_many)
 from laxo.characteristics import CharacteristicAnalyzer
@@ -470,14 +470,18 @@ def test_secant_step_falls_back_within_tol():
         assert per[:pairs] == [{2}] * pairs
         for n, in per[pairs:]:
             assert n & (n + 1) == 0
-    # pairs and trees share calls: a smooth bracket beside the steps adds
-    # no call to what the steps need
+    # the pairs come first, then the walks: a smooth bracket beside the
+    # steps adds its pair calls before the calls the steps take alone
     sm, sa, sb = _smooth_roots(np.random.default_rng(5), 1)
     both, calls_both = _secant(fs + sm, a + sa, b + sb,
                                [np.inf] * 3 + [1.5])
     _assert_certified(fs + sm, both, 1e-12)
     steps, calls_steps = _secant(fs, a, b, np.full(3, np.inf))
-    assert len(calls_both) == len(calls_steps)
+    n = len(calls_both) - len(calls_steps)
+    assert n > 0
+    assert all(o.tolist() == [3, 3] for o in calls_both[:n])
+    assert ([o.tolist() for o in calls_both[n:]]
+            == [o.tolist() for o in calls_steps])
     assert both[0][:3].tolist() == steps[0].tolist()
 
 
@@ -506,7 +510,7 @@ def test_secant_walks_join_mid_search():
     # the start, a pair missing a jump in the first round, and a pair that
     # hits in the first round and misses a jump 1e-10 from the root in the
     # second; each walk ends on the one-step loop's floats from the
-    # bracket it starts on, and every walk and pair share the calls
+    # bracket it starts on, and every walk runs in the calls after the pairs
     r = 0.3
     fs = [lambda x: np.where(x < r + 1e-4, 1.0, -2.0),        # curv inf
           lambda x: x - r,                                     # f(a) < 0
@@ -522,7 +526,8 @@ def test_secant_walks_join_mid_search():
 
     def f(xs, owner):
         assert len(calls) <= 1000, "search did not terminate"
-        calls.append(len(xs))
+        # a pair call holds two points per bracket, a tree 1, 3 or 7
+        calls.append(set(np.unique(owner, return_counts=True)[1].tolist()))
         out = np.empty(len(xs))
         for i in set(owner.tolist()):
             sel = owner == i
@@ -551,8 +556,12 @@ def test_secant_walks_join_mid_search():
         trees = [len(p) for p, _ in pts[i][pairs:]]
         assert all(n & (n + 1) == 0 for n in trees)
         assert sum(n.bit_length() for n in trees) >= len(steps)
-    # the walks ran in the same calls as each other and as the pairs
-    assert len(calls) == max(len(p) for p in pts)
+    # the pair calls first, then the walks' calls, which all walks share
+    pairs = [sum(len(p) == 2 for p, _ in q) for q in pts]
+    n = max(pairs)
+    assert all(c == {2} for c in calls[:n])
+    assert all(2 not in c for c in calls[n:])
+    assert len(calls) == n + max(len(q) - k for q, k in zip(pts, pairs))
 
 
 def test_secant_all_pairs_end_in_one_round():
@@ -661,14 +670,18 @@ def test_every_search_ends_on_tol_or_float_floor(monkeypatch):
     # where no float lies strictly inside it, on each search path: psi
     # roots, flat-band edges, H preimages, f' inverses, lifespans, a shock
     # track and the case-I ratio at tol 0
-    lockstep, seen = _search._lockstep, []
+    seen = []
 
-    def recorded(*args):
-        a, b = lockstep(*args)
-        seen.append((args[6], a.copy(), b.copy()))
-        return a, b
+    def recorded(search):
+        def run(*args):
+            a, b = search(*args)
+            seen.append((args[-1], a.copy(), b.copy()))
+            return a, b
+        return run
 
-    monkeypatch.setattr(_search, "_lockstep", recorded)
+    for mod, name in ((_search, "bisect_many"), (flux, "bisect_many"),
+                      (vc, "bisect_many"), (vc, "secant_many")):
+        monkeypatch.setattr(mod, name, recorded(getattr(mod, name)))
     b = flux.burgers()
     twin = flux.custom(b.eval, b.deriv, b.second)
     # 17 knots: every root of Burgers is closed-form there, and only

@@ -477,6 +477,13 @@ def test_track_rejects_bad_input(sin_sa, x0, t0, t_end, dt):
         sin_sa.track_forward(x0, t0, t_end, dt)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_generation_point_rejects_non_finite_c(sin_sa, c):
+    # c = NaN gave GenerationPoint(x_p=nan, t_p=1.0, case='I')
+    with pytest.raises(ValueError, match="x0 and c must be finite"):
+        sin_sa.generation_point(0.0, c)
+
+
 @pytest.mark.parametrize("t0, t_end, dt", [
     (1.0, 2.0, 1e-300),           # t + dt == t: the steps never reach t_end
     (1e5, 1e5 + 1e-10, 1e-12),    # the same in a hundred nominal steps

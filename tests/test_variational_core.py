@@ -284,6 +284,17 @@ def test_eval_E_rejects_bad_input(neg_sin):
     assert math.isfinite(neg_sin.eval_E(0.5, 0.3, 1.0))
 
 
+def test_branch_gap_rejects_bad_input(neg_sin):
+    # a NaN x gave (nan, nan, nan, nan), and t < 0 a gap of 0.497
+    for x, t, mid in ((np.nan, 1.0, 0.0), (np.inf, 1.5, 0.0),
+                      (0.3, 1.0, np.nan), (0.3, 1.0, -np.inf),
+                      (0.3, -1.0, 0.0), (0.3, 0.0, 0.0), (0.3, np.nan, 0.0),
+                      (0.3, np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            neg_sin.branch_gap(x, t, mid)
+    assert all(math.isfinite(g) for g in neg_sin.branch_gap(0.0, 1.5, 0.0))
+
+
 def test_solve_grid_partial_block_on_sampled_data():
     # 41 points: five full blocks and a last block of one
     rng = np.random.default_rng(17)
