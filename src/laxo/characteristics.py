@@ -162,11 +162,10 @@ class CharacteristicAnalyzer:
         return xs, p._maximize_block(xs, ts, np.zeros(n, dtype=np.intp),
                                      np.full(n, len(p._s)))
 
-    def _on_characteristic(self, x0, c, t):
-        """Whether c lies in U(x0 + t f'(c), t): at each t of an array t, in
-        one block, or at the one t given."""
+    def _on_characteristic(self, x0, c, ts):
+        """Whether c lies in U(x0 + t f'(c), t), at each t of the array ts,
+        in one block."""
         p = self.problem
-        ts = np.array(t, dtype=float, ndmin=1)
         xs, rows = self._maximize_along(x0, c, ts)
         top = rows.max_value
         Ec = p._E(p._W(xs - ts * p._H0), c, xs, ts)
@@ -174,8 +173,7 @@ class CharacteristicAnalyzer:
         # opens only quadratically in t - t*, so a loose gap test would blur
         # t* by its square root
         tol = np.minimum(p.val_tol, 1e-12 * (1.0 + np.abs(top)))
-        on = top - Ec <= tol
-        return on if np.ndim(t) else bool(on[0])
+        return top - Ec <= tol
 
     def lifespan_exact(self, x0, c):
         """t* = sup{t : c in U(x0 + t f'(c), t)}; inf past T_CAP.
@@ -213,7 +211,7 @@ class CharacteristicAnalyzer:
                 break
             lo = float(ts[-1])
         else:
-            if self._on_characteristic(x0, c, T_CAP):
+            if self._on_characteristic(x0, c, np.array([T_CAP]))[0]:
                 return np.inf
             hi = T_CAP
         lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),

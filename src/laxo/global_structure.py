@@ -327,7 +327,8 @@ class GlobalStructure:
         array evaluation; a ``target`` callable is called point by point.
         An unknown norm, a region that is not finite or has lo >= hi, a
         time that is not finite and positive, or fewer than two distinct
-        times raise ValueError before any solve.
+        times raise ValueError before any solve, and a ``target`` value that
+        is not finite raises ValueError before the solve at its time.
         """
         if norm not in ("sup", "l1", "l2"):
             raise ValueError(f"unknown norm {norm!r}")
@@ -340,11 +341,13 @@ class GlobalStructure:
         xs = np.linspace(lo, hi, 801)
         series = []
         for t in t_list:
-            us = self.problem._maximize_grid(xs, t).u_plus
             if target is None:
                 tv = self._profile(xs, t)
             else:
-                tv = np.array([target(x, t) for x in xs])
+                tv = np.array([target(x, t) for x in xs], dtype=float)
+                if not np.isfinite(tv).all():
+                    raise ValueError("target values must be finite")
+            us = self.problem._maximize_grid(xs, t).u_plus
             diff = np.abs(us - tv)
             if norm == "sup":
                 val = float(np.max(diff))

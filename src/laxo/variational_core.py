@@ -61,11 +61,6 @@ def _identity(a):
     return a
 
 
-def _at(t, k):
-    """The times of the rows k: t[k] for an array of one t per row, else t."""
-    return t[k] if isinstance(t, np.ndarray) else t
-
-
 @dataclass(frozen=True)
 class MaximizerSet:
     components: tuple          # sorted tuple of (lo, hi) closed intervals
@@ -301,7 +296,7 @@ class GeneralProblem:
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
         t = _checked_t(t)
-        return self._blocks(np.array([x], dtype=float), t,
+        return self._blocks(np.array([x], dtype=float), np.array([t]),
                             *self._window(t)).sets()[0]
 
     def _cells(self, lo, hi, a, b):
@@ -369,9 +364,9 @@ class GeneralProblem:
         """
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
-        start, width = np.full(m, w0), np.full(m, ww)
+        ts, start, width = np.full(m, t), np.full(m, w0), np.full(m, ww)
         if m <= 1 or m * (ww - 1) <= 2 * BLOCK_ELEMS or not self._ordered:
-            return self._blocks(xs, t, start, width)
+            return self._blocks(xs, ts, start, width)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
@@ -379,7 +374,7 @@ class GeneralProblem:
         q = np.arange(k) * (m - 1) // (k - 1)
         start, width = start[:k], width[:k]
         while len(q):
-            out = self._blocks(xs[q], t, start, width)
+            out = self._blocks(xs[q], ts[q], start, width)
             parts.append((q, out))
             Hp[q], Hm[q] = self._H(np.array([out.u_plus, out.u_minus]))
             solved[q] = True
@@ -401,15 +396,16 @@ class GeneralProblem:
     def _blocks(self, xs, t, start, width):
         """``_maximize_block`` on rows packed in blocks of few enough cells.
 
-        Row q scans the u-grid window start[q] ... start[q] + width[q] - 1,
-        width[q] - 1 cells.  The rows are packed in their given order, each
-        block as many rows as fit, at least one: rows of many windows up to
-        ``BLOCK_ELEMS`` cells, the sum of their windows' cells, and rows
-        that all share one window up to ``2 * BLOCK_ELEMS``; cells alone
-        bound a block.  Rows that fit in one block are one
-        ``_maximize_block`` call, else the blocks are joined.  A row the
-        block cannot certify in its window is maximized again over the
-        whole grid.  Returns the ``_Rows`` in the order of xs.
+        Row q, at the time t[q], scans the u-grid window start[q] ...
+        start[q] + width[q] - 1, width[q] - 1 cells.  The rows are packed in
+        their given order, each block as many rows as fit, at least one:
+        rows of many windows up to ``BLOCK_ELEMS`` cells, the sum of their
+        windows' cells, and rows that all share one window up to
+        ``2 * BLOCK_ELEMS``; cells alone bound a block.  Rows that fit in
+        one block are one ``_maximize_block`` call, else the blocks are
+        joined.  A row the block cannot certify in its window is maximized
+        again over the whole grid, at its own time.  Returns the ``_Rows``
+        in the order of xs.
         """
         m = len(xs)
         if m <= 1:
@@ -428,27 +424,25 @@ class GeneralProblem:
                 out = self._maximize_block(xs, t, start, width)
             else:
                 out = _Rows.join([(np.arange(a, b), self._maximize_block(
-                    xs[a:b], t, start[a:b], width[a:b]))
+                    xs[a:b], t[a:b], start[a:b], width[a:b]))
                     for a, b in zip(cuts, cuts[1:])], m)
         redo = out.redo.nonzero()[0]
         if len(redo):
             n = len(self._s)
-            full = self._blocks(xs[redo], t, np.zeros(len(redo), dtype=np.intp),
+            full = self._blocks(xs[redo], t[redo], np.zeros_like(redo),
                                 np.full(len(redo), n))
             out = _Rows.join([(np.arange(m), out), (redo, full)], m)
         return out
 
     def _maximize_block(self, xs, t, start, width):
-        """The maximizer sets at the points of the array xs, at time t, as
-        ``_Rows``: arrays of u+, u-, max_value and the component ends.
+        """The maximizer sets at the points xs and times t, one of each per
+        row, as ``_Rows``: arrays of u+, u-, max_value and the component ends.
 
-        ``t`` is one time for every row, or an array of one time per row;
-        only the latter builds per-row products and indexes t by row.
-
-        Row q scans the u-grid indices start[q] ... start[q] + width[q] - 1;
-        the whole grid is the window [0, n).  Rows of one window, a one-row
-        block among them, broadcast the grid's values on it; rows of many
-        windows lie end to end (``_flat``).  No cell is padding.  Every
+        Row q, at x = xs[q] and t = t[q], scans the u-grid indices
+        start[q] ... start[q] + width[q] - 1; the whole grid is the window
+        [0, n).  Rows of one window, a one-row block among them, broadcast
+        the grid's values on it; rows of many windows lie end to end
+        (``_flat``).  No cell is padding.  Every
         phase runs on the whole block: one W call scans the feet of every
         row, local maxima and their runs are found row-wise, ``_roots``
         refines every sign-change bracket (in closed form on sampled data
@@ -463,9 +457,9 @@ class GeneralProblem:
         element, so each row's answer is the one a block of one gives.
         Each windowed value of E is the float the whole scan computes, so a
         row whose kept runs and bands lie inside its window gets the whole
-        scan's maximizer set, bit for bit.  Likewise a row of an array t
-        reads only its own time, so it gets the maximizer set of a block of
-        one at that time.
+        scan's maximizer set, bit for bit.  Every phase reads t row by row,
+        as it reads xs; where every row shares one time, the scan forms its
+        products with the grid's H and I once, the floats each row would.
 
         A window edge that is not a grid end is never a local maximum.  A
         row is marked ``redo``, for a scan of the whole grid, when its best
@@ -482,11 +476,13 @@ class GeneralProblem:
             Ep, feet, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
             Ev = Ep[:, 1:-1]
         else:
-            tc = t[:, None] if isinstance(t, np.ndarray) else t
+            # rows at one time form its products with the grid once
+            tc = (t[0] if rows and not np.count_nonzero(t != t[0])
+                  else t[:, None])
             pts = np.empty((rows, w + 1))
             feet = pts[:, :w]
             np.subtract(xs[:, None], tc * self._Hs[j:j + w], out=feet)
-            pts[:, w] = xs - t * self._H0
+            np.subtract(xs[:, None], tc * self._H0, out=pts[:, w:])
             Wp = self._W(pts.ravel()).reshape(rows, w + 1)
             W0 = Wp[:, w]
             Ep = np.empty((rows, w + 2))
@@ -530,10 +526,12 @@ class GeneralProblem:
         carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
         gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
-        keep = ~(Ev[sr, col] + _at(t, r) * self._h * gloc
+        tr = t[r]
+        keep = ~(Ev[sr, col] + tr * self._h * gloc
                  < Emax_grid[r] - 10.0 * self.val_tol)
         if np.count_nonzero(keep) < len(r):     # else every run stays
-            r, nb, carrier = r[keep], nb[:, keep], carrier[:, keep]
+            r, tr = r[keep], tr[keep]
+            nb, carrier = nb[:, keep], carrier[:, keep]
 
         # refine: psi at the bracket ends is the carrier there; a sign
         # change is psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi)
@@ -543,16 +541,16 @@ class GeneralProblem:
         u_star = np.empty(len(r))
         if nsign:
             i = sign if nsign < len(r) else slice(None)
-            a, b = self._roots(xs[r[i]], _at(t, r[i]), nb[:, i], carrier[:, i])
+            a, b = self._roots(xs[r[i]], tr[i], nb[:, i], carrier[:, i])
             u_star[i] = 0.5 * (a + b)
         if nsign < len(r):
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
-            W0g, xg, tg = W0[r[g]], xs[r[g]], _at(t, r[g])
+            W0g, xg, tg = W0[r[g]], xs[r[g]], tr[g]
             u_star[g] = golden_many(
-                lambda u, i: -self._E(W0g[i], u, xg[i], _at(tg, i)),
+                lambda u, i: -self._E(W0g[i], u, xg[i], tg[i]),
                 s[nb[0, g]], s[nb[2, g]], self.tol_u)
-        E_star = self._E(W0[r], u_star, xs[r], _at(t, r))
+        E_star = self._E(W0[r], u_star, xs[r], tr)
 
         # per row: the best value, the refined points within val_tol of it,
         # and the grid bands there
@@ -575,7 +573,7 @@ class GeneralProblem:
                 k = ~redo[br]
                 br, first, last = br[k], first[k], last[k]
         own, lo, hi = self._components(
-            lambda u, q: self._E(W0[q], u, xs[q], _at(t, q)), Emax, thresh,
+            lambda u, q: self._E(W0[q], u, xs[q], t[q]), Emax, thresh,
             r, u_star, E_star, br, first, last)
         return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
 
@@ -597,7 +595,7 @@ class GeneralProblem:
         gi = np.arange(O[-1] + k[-1]) - 1 - np.repeat(base, k)
         H = self._Hs.take(gi, mode="clip")
         H[O] = self._H0
-        tr = np.repeat(t, k) if isinstance(t, np.ndarray) else t
+        tr = t[0] if not np.count_nonzero(t != t[0]) else np.repeat(t, k)
         feet = np.repeat(xs, k) - tr * H
         Wf = self._W(feet)
         W0 = Wf[O]
@@ -713,7 +711,7 @@ class GeneralProblem:
     def _roots(self, xb, t, nb, carrier):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
 
-        Column k serves the point xb[k], at time t or t[k].  ``carrier``
+        Column k serves the point xb[k] at the time t[k].  ``carrier``
         holds psi at the grid points nb.  The middle value halves each
         bracket.  Psi jumps only where the foot x - t H(u) crosses a
         breakpoint of phi, and on sampled data it is U(c) - U(u) between
@@ -734,7 +732,7 @@ class GeneralProblem:
                 k = (~done).nonzero()[0]
                 if len(k):
                     ends[:, k] = self._refine_roots(
-                        xb[k], _at(t, k), nb[:, k], carrier[:, k], ends[:, k],
+                        xb[k], t[k], nb[:, k], carrier[:, k], ends[:, k],
                         vals[:, k])
                 return ends
         return self._refine_roots(xb, t, nb, carrier, ends, vals)
@@ -758,12 +756,12 @@ class GeneralProblem:
             e = end.nonzero()[0]
             at_lo = nb[0, e] == nb[1, e]
             k = np.where(at_lo, 2, n - 3)
-            px = (self._U(self.data.phi(xb[e] - _at(t, e) * self._Hs[k]))
+            px = (self._U(self.data.phi(xb[e] - t[e] * self._Hs[k]))
                   - self._U(s[k]))
             d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
                              px - 2.0 * pl[e] + ph[e])
         curv = self._curv * np.abs(d2)
-        return secant_many(lambda u, i: self._psi(u, xb[i], _at(t, i)),
+        return secant_many(lambda u, i: self._psi(u, xb[i], t[i]),
                            ends[0], ends[1], vals[0], vals[1], curv,
                            self.tol_u)
 
@@ -772,8 +770,8 @@ class GeneralProblem:
         and on sampled data everywhere.
 
         Bracket k is [a, b] = ends[:, k], the grid points ie[:, k], with
-        psi > 0 at a and <= 0 at b (``vals``), for the point xb[k] at time
-        t or t[k].  Its feet sweep (x - t H(b), x - t H(a)], and each
+        psi > 0 at a and <= 0 at b (``vals``), for the point xb[k] at the
+        time t[k].  Its feet sweep (x - t H(b), x - t H(a)], and each
         breakpoint y of phi in there (one ``searchsorted``; periodic data
         shifted by whole periods onto the table of two periods) is crossed
         at H(u) = (x - y) / t; a breakpoint at the foot of a, where psi(a)
@@ -833,8 +831,8 @@ class GeneralProblem:
         own = np.repeat(np.arange(len(g)), listed)
         n = len(own)
         j = np.repeat(j1[g] - 1 + off, listed) - np.arange(n)
-        tg = _at(t, g)
-        v = (xr[g][own] - y[j]) / _at(tg, own)
+        tg = t[g]
+        v = (xr[g][own] - y[j]) / tg[own]
         j %= len(left)
         # the first preimage with psi <= 0 just below it ends the sub-bracket
         # that holds the sign change; m breakpoints lie below it
@@ -866,7 +864,7 @@ class GeneralProblem:
             lo, hi = ul - d, ul + d
             sm = (~jump).nonzero()[0]
             if len(sm):
-                ul, ur, xs, ts = ul[sm], ur[sm], xg[sm], _at(tg, sm)
+                ul, ur, xs, ts = ul[sm], ur[sm], xg[sm], tg[sm]
                 # psi at the sub-brackets' ends from phi's limits, and in
                 # the middle
                 fl = np.where(has_l[sm], self._U(left[jl[sm]]) - self._U(ul),
@@ -879,13 +877,12 @@ class GeneralProblem:
                     curv = (_SECANT_SAFETY / (2.0 * hh * hh)
                             * np.abs(fl - 2.0 * fm + fr))
                 lo[sm], hi[sm] = secant_many(
-                    lambda u, i: self._psi(u, xs[i], _at(ts, i)), ul, ur, fl,
+                    lambda u, i: self._psi(u, xs[i], ts[i]), ul, ur, fl,
                     fr, curv, self.tol_u)
         # the check, one psi call for every bracket
         k = len(g)
-        if isinstance(tg, np.ndarray):
-            tg = np.concatenate([tg, tg])
-        pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]), tg)
+        pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]),
+                       np.concatenate([tg, tg]))
         ok = ((pv[:k] > 0.0) & (pv[k:] <= 0.0) & (lo < hi)
               & (hi - lo <= self.tol_u))
         ends[:, g[ok]] = lo[ok], hi[ok]
@@ -912,7 +909,7 @@ class GeneralProblem:
         im = int(np.searchsorted(self._s, mid))
         if im < 2 or n - im < 2:
             return None
-        out = self._maximize_block(np.full(2, float(x)), t,
+        out = self._maximize_block(np.full(2, float(x)), np.full(2, t),
                                    np.array([im, 0]), np.array([n - im, im]))
         if out.redo.any():
             return None

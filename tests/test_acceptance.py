@@ -119,8 +119,10 @@ def test_lifespan_bisection_consistency(sin_problem):
         ls = ca.lifespans(x0, c)
         assert ls.t_star <= ls.t_p + 1e-6
         if np.isfinite(ls.t_star):
-            assert ca._on_characteristic(x0, c, ls.t_star - 2e-8)
-            assert not ca._on_characteristic(x0, c, ls.t_star + 2e-8)
+            assert ca._on_characteristic(x0, c,
+                                         np.array([ls.t_star - 2e-8]))[0]
+            assert not ca._on_characteristic(x0, c,
+                                             np.array([ls.t_star + 2e-8]))[0]
 
 
 # 5 ------------------------------------------------------------------------

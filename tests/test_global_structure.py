@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
+from laxo.characteristics import CharacteristicAnalyzer
 from laxo.errors import HullInfinite, NoDivides
 from laxo.global_structure import GlobalStructure
 from laxo.variational_core import Problem
@@ -128,6 +129,30 @@ def test_divide_constancy(sin_gs):
         s = sin_gs.problem.solve(np.pi, t)
         assert not s.is_shock
         assert s.u_plus == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("fl, data", [
+    (flux.burgers(), idata.sin_wave), (flux.power2n(2), idata.sin_wave),
+    (flux.burgers(), lambda: idata.sin_wave(c=0.5)),
+    (flux.burgers(), lambda: idata.step(-1.0, 1.0))],
+    ids=["burgers_sine", "quartic_sine", "burgers_sine_c", "burgers_fan"])
+def test_divides_are_immortal_characteristics(fl, data):
+    # the paper's part (ii): the characteristic from each divide x0 with
+    # the envelope's slope c there never stops carrying c, and the
+    # solution along it is c, with no shock
+    p = Problem(fl, data())
+    gs = GlobalStructure(p)
+    ca = CharacteristicAnalyzer(p)
+    divides = [r for r in gs.partition().regions if r.kind == "divide"]
+    assert divides
+    for r in divides:
+        for x0 in sorted(set(r.interval)):
+            c = gs.convex_hull().slopes_at(x0)[0]
+            assert ca.lifespan_exact(x0, c) == np.inf
+            for t in (5.0, 50.0):
+                s = p.solve(x0 + t * float(fl.deriv(c)), t)
+                assert not s.is_shock
+                assert abs(s.u_plus - c) <= 1e-7
 
 
 def test_profile_u_tilde_periodic(sin_gs):
@@ -339,6 +364,21 @@ def test_decay_rejects_bad_input_before_any_solve(norm, region, ts,
     monkeypatch.setattr(p, "_maximize_grid", solved)
     with pytest.raises(ValueError):
         gs.measure_decay(norm, region, ts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_decay_rejects_non_finite_target(bad, monkeypatch):
+    # a target of NaN gave (nan, nan, series) with no error
+    p = Problem(flux.burgers(), idata.sin_wave())
+    gs = GlobalStructure(p)
+
+    def solved(*args):
+        raise AssertionError("solved before the target was checked")
+
+    monkeypatch.setattr(p, "_maximize_grid", solved)
+    with pytest.raises(ValueError):
+        gs.measure_decay("sup", (-3.0, 3.0), [2.0, 4.0],
+                         target=lambda x, t: bad if x > 1.0 else 0.0)
 
 
 def test_decay_of_nwave_reads_the_u_plus_array():

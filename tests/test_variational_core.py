@@ -91,7 +91,8 @@ def test_maximize_against_brute_force_scan(neg_sin):
     for _ in range(8):
         x = rng.uniform(-4.0, 4.0)
         t = rng.uniform(0.3, 4.0)
-        vals = np.array([p.eval_E(u, x, t) for u in grid])
+        # one array call; equal bit for bit to the scalar eval_E calls
+        vals = p._E(p._W(x - t * p._H0), grid, x, t)
         ms = p.maximize(x, t)
         # the refined value may only beat the scan, by at most O(du^2)
         assert vals.max() - 1e-12 <= ms.max_value <= vals.max() + 1e-7
@@ -220,8 +221,9 @@ def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
     def missing(self, xs, t, start, width):
         part = width < n
         if part.any():
-            j = np.searchsorted(self._s, [self.solve(x, t).u_plus for x in
-                                          xs[part].tolist()])
+            j = np.searchsorted(self._s, [
+                self.solve(x, tq).u_plus
+                for x, tq in zip(xs[part].tolist(), t[part].tolist())])
             start, width = start.copy(), width.copy()
             start[part] = np.where(j < n // 2, j + 4, j - 24)
             width[part] = 20
@@ -807,8 +809,9 @@ def _narrow_windows(monkeypatch):
         n = len(self._s)
         part = width < n
         if part.any():
-            j = np.searchsorted(self._s, [self.solve(x, t).u_plus for x in
-                                          xs[part].tolist()])
+            j = np.searchsorted(self._s, [
+                self.solve(x, tq).u_plus
+                for x, tq in zip(xs[part].tolist(), t[part].tolist())])
             start, width = start.copy(), width.copy()
             start[part] = np.where(j < n // 2, j + 4, j - 24)
             width[part] = 20
@@ -1063,7 +1066,8 @@ def test_windowed_solves_equal_whole_grid_blocks(name):
     for t in (0.5 * p._t_w, p._t_w, 2.0 * p._t_w, 10.0, 20.0, 40.0, 80.0,
               160.0):
         widths.append(int(p._window(t)[1][0]))
-        ref = [repr(p._maximize_block(np.array([x]), t, *p._whole).sets()[0])
+        ref = [repr(p._maximize_block(np.array([x]), np.array([t]),
+                                      *p._whole).sets()[0])
                for x in xs.tolist()]
         assert [repr(s.maximizer) for s in p.solve_grid(xs, t)] == ref
         assert [repr(p.solve(x, t).maximizer) for x in xs] == ref
@@ -1135,8 +1139,8 @@ def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
     # rows, then 8 and 6, each block within BLOCK_ELEMS cells
     calls.clear()
     width = np.array([1025] * 3 + [2049] * 20)
-    p._blocks(np.linspace(-3.0, 3.0, 23), 1.0, np.zeros(23, dtype=np.intp),
-              width)
+    p._blocks(np.linspace(-3.0, 3.0, 23), np.full(23, 1.0),
+              np.zeros(23, dtype=np.intp), width)
     assert [len(c) for c in calls[:3]] == [9, 8, 6]
 
 
@@ -1150,10 +1154,11 @@ def test_block_of_many_windows_equals_its_one_row_blocks():
     xs = np.array([0.25, -0.25, -2.0, 1.5, 0.0, 2.5, -1.0])
     start = np.array([0, n - 30, 1503, 300, 0, 744, 1877])
     width = np.array([30, 30, 40, 60, n, 20, 20])
-    out = p._maximize_block(xs, t, start, width)
+    ts = np.full(len(xs), t)
+    out = p._maximize_block(xs, ts, start, width)
     assert out.redo.tolist() == [False] * 5 + [True] * 2
     for q, x in enumerate(xs.tolist()):
-        one = p._maximize_block(xs[q:q + 1], t, start[q:q + 1],
+        one = p._maximize_block(xs[q:q + 1], ts[q:q + 1], start[q:q + 1],
                                 width[q:q + 1])
         assert out.redo[q] == one.redo[0]
         assert repr(_row_set(out, q)) == repr(_row_set(one, 0))
@@ -1204,7 +1209,8 @@ def test_window_that_cuts_off_the_maximizer_is_scanned_again(monkeypatch):
     t = 20.0
     calls = _count_blocks(monkeypatch)
     for x in (-2.5, -0.4, 0.3, 1.7):
-        ref = p._maximize_block(np.array([x]), t, *p._whole).sets()[0]
+        ref = p._maximize_block(np.array([x]), np.array([t]),
+                                *p._whole).sets()[0]
         j = int(np.searchsorted(p._s, ref.u_plus))
         start = j + 4 if j < n // 2 else j - 24
         monkeypatch.setattr(p, "_window", lambda t: (np.full(1, start),
