@@ -178,44 +178,33 @@ class CharacteristicAnalyzer:
     def lifespan_exact(self, x0, c):
         """t* = sup{t : c in U(x0 + t f'(c), t)}; inf past T_CAP.
 
-        Each block of rows is one ``_maximize_block`` call with one t per
-        row.  The doubling scan tests t = 1, 2, 4, ..., 8192 in blocks of
-        three and stops at the block of the first failure; t* lies between
-        that t and the one before it (0 for t = 1).  Only when every
-        doubling stays on the characteristic is ``T_CAP`` tested, last: a
-        characteristic that stops being a backward characteristic never
-        becomes one again (Dafermos 1977), so after a failed doubling the
-        answer at ``T_CAP`` is known.  Its row is also the costliest, and
-        the least trustworthy: at t = 1e4 the feet x - t f'(u) of the
-        2 049-point u-scan lie about 10 apart on Burgers/sine, so they can
-        step over a period or over all the data in a window.  The
-        bisection of t is ``bisect``: each block holds the 7 dyadic
-        midpoints of its next ``_DEPTH`` = 3 steps, which are the
-        midpoints a one-step bisection visits, so t* is the same float.
-
-        ``T_TOL`` is the bisection tolerance in t.  The value-gap test of
-        membership limits the accuracy at continuous generation points:
-        at (0, 0) on Burgers/sine, where t* = 1, this returns 1 + 8.2e-7.
+        t* <= t_p = min(``lifespan_upper``), and a characteristic that stops
+        being a backward one never becomes one again (Dafermos 1977).  So
+        t_p <= ``T_TOL`` returns with no solve; otherwise the doublings
+        1, 2, 4, ... below top = min(t_p - T_TOL, T_CAP), then top, are
+        tested in blocks of three, one ``_maximize_block`` call with one t
+        per row each.  If c holds at all of them, t* is t_p (inf past
+        T_CAP).  Otherwise ``bisect`` halves the gap between the first
+        failure and the time before it (or 0) to ``T_TOL``, 7 dyadic
+        midpoints per block, so t* is the float of a one-step bisection.
         A non-finite x0 or c, or a point x0 + t f'(c) that is not finite,
         raises ValueError.
         """
-        if not (math.isfinite(x0) and math.isfinite(c)):
-            raise ValueError("x0 and c must be finite")
-        lo = 0.0
-        for k in range(0, _DOUBLINGS, 3):
-            ts = 2.0 ** np.arange(k, min(k + 3, _DOUBLINGS))
-            on = self._on_characteristic(x0, c, ts)
+        t_p = min(self.lifespan_upper(x0, c))
+        if t_p <= T_TOL:
+            return t_p
+        top = min(t_p - T_TOL, T_CAP)
+        ts = [0.0, *(t for t in (2.0 ** np.arange(_DOUBLINGS)).tolist()
+                     if t < top), top]
+        for k in range(1, len(ts), 3):
+            on = self._on_characteristic(x0, c, np.array(ts[k:k + 3]))
             if not on.all():
-                j = int(on.argmin())            # the first failure
-                lo, hi = (float(ts[j - 1]) if j else lo), float(ts[j])
+                j = k + int(on.argmin())        # the first failure
                 break
-            lo = float(ts[-1])
         else:
-            if self._on_characteristic(x0, c, np.array([T_CAP]))[0]:
-                return np.inf
-            hi = T_CAP
+            return t_p if t_p <= T_CAP else np.inf
         lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),
-                        lo, hi, T_TOL)
+                        ts[j - 1], ts[j], T_TOL)
         return 0.5 * (lo + hi)
 
     def lifespans(self, x0, c):
@@ -225,11 +214,13 @@ class CharacteristicAnalyzer:
     # -- termination -------------------------------------------------------
 
     def classify_termination(self, x0, c):
+        """``immortal`` (t* = inf), ``collision_with_shock`` (t* < t_p), or
+        a generation point, continuous or not by two probes past t*."""
         ls = self.lifespans(x0, c)
         if not np.isfinite(ls.t_star):
             return TerminationClass("immortal")
         x_star = float(x0 + ls.t_star * self.flux.deriv(c))
-        if ls.t_star < ls.t_p - 10.0 * T_TOL:
+        if ls.t_star < ls.t_p:
             return TerminationClass("collision_with_shock", x_star, ls.t_star)
         # just past t* a continuous generation point carries an opening jump
         # of width O(sqrt(t - t*)), while a discontinuous one jumps by a

@@ -130,19 +130,20 @@ class Flux:
     # -- degeneracy expansion --------------------------------------------
 
     def fit_degeneracy(self, c, side="right"):
-        """Expansion f'' = (N+o(1))|u-c|^alpha on the given side of c."""
+        """Expansion f'' = (N+o(1))|u-c|^alpha on the given side of c.
+
+        (2n - 2, 2n - 1) for ``power2n`` within 1e-14 of 0, (0, f''(c))
+        where f''(c) > 0, and a numeric fit only where f''(c) = 0.
+        """
         c = float(c)
-        if self.kind == "burgers":
-            return DegeneracyExpansion(c, side, 0.0, 1.0)
-        if self.kind == "power2n":
+        if not (math.isfinite(c) and side in ("left", "right")):
+            raise ValueError("c must be finite and side 'left' or 'right'")
+        if self.kind == "power2n" and abs(c) <= 1e-14:
             n = self.params["n"]
-            if abs(c) > 1e-14:
-                return DegeneracyExpansion(
-                    c, side, 0.0, (2 * n - 1) * abs(c) ** (2 * n - 2))
             return DegeneracyExpansion(c, side, 2.0 * n - 2.0, 2.0 * n - 1.0)
-        if self.kind == "exponential":
-            k = self.params["k"]
-            return DegeneracyExpansion(c, side, 0.0, k * k * np.exp(k * c))
+        N = float(self.second(c))
+        if N > 0.0:
+            return DegeneracyExpansion(c, side, 0.0, N)
         return self._fit_numeric(c, side)
 
     def _fit_numeric(self, c, side):

@@ -165,6 +165,11 @@ def _check_finite(what, *vals):
         raise ValueError(f"{what} must be finite")
 
 
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+
+
 def _check_piece(p):
     """Reject an empty or reversed piece, or one the closed forms divide by."""
     _check_finite("piece ends", p.lo, p.hi)
@@ -435,6 +440,7 @@ class InitialData(_Extended):
     def _side_piece(self, x0, side):
         """Piece (or tail constant) governing phi just left/right of x0."""
         _check_finite("x0", x0)
+        _check_side(side)
         if self.period is not None:
             if not abs(x0) < self._x_max:       # as in _extend
                 raise ValueError(
@@ -476,6 +482,7 @@ class InitialData(_Extended):
         Raises FitError when phi is identically c on the side (gamma = inf
         sentinel semantics) or when the one-sided limit differs from c.
         """
+        _check_finite("c", c)
         p, tail, xr = self._side_piece(x0, side)
         if p is None:
             if abs(tail - c) <= 1e-12:
@@ -667,6 +674,7 @@ class SampledData(_Extended):
     def phi_side(self, x0, side):
         """One-sided limit of phi at x0 (phi is right-continuous)."""
         _check_finite("x0", x0)
+        _check_side(side)
         if side == "left":
             x0 = np.nextafter(x0, -np.inf)
         return float(self.phi(x0))
@@ -677,6 +685,7 @@ class SampledData(_Extended):
         Raises the FitError of ``InitialData.local_expansion``: phi is
         identically c on the side, or its one-sided limit differs from c.
         """
+        _check_finite("c", c)
         if abs(self.phi_side(x0, side) - c) <= 1e-12:
             raise FitError("phi is identically c on this side")
         raise FitError("one-sided limit of phi differs from c")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import bisect
-from .characteristics import CharacteristicAnalyzer, phi_l
+from .characteristics import T_TOL, CharacteristicAnalyzer, phi_l
 from .errors import (BracketError, ConditionFailed, LostCurve,
                      RootNotBracketed)
 
@@ -414,19 +414,17 @@ class ShockAnalyzer:
 
     # -- point classification ----------------------------------------------
 
-    def _value_survives(self, x, t, c):
-        """Forward-survival probe: c remains a maximizer just after t, at
-        t + 1e-2, 1e-3 and 1e-4 along its characteristic, in one block."""
-        x0 = x - t * self.flux.deriv(c)
-        return self.chars._on_characteristic(
-            x0, c, t + np.array([1e-2, 1e-3, 1e-4])).all()
-
     def classify_point(self, x, t):
+        """The class of (x, t), from one solve there.  A smooth point
+        with value c is a continuous generation point iff t is within
+        ``T_TOL`` of the t_p of c's characteristic (t <= t* <= t_p)."""
         s = self.problem.solve(x, t)
         if not s.is_shock:
-            if self._value_survives(x, t, s.u_plus):
-                return PointClass("interior_characteristic")
-            return PointClass("continuous_shock_generation")
+            c = s.u_plus
+            t_p = min(self.chars.lifespan_upper(x - t * self.flux.deriv(c), c))
+            if t >= t_p - T_TOL:
+                return PointClass("continuous_shock_generation")
+            return PointClass("interior_characteristic")
         tri = self._triangle(x, t, s.maximizer)
         n = len(tri.gaps)
         if n == 0:

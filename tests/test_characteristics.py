@@ -176,8 +176,9 @@ def test_lifespan_upper_infinite_sides(riemann_down_analyzer):
 
 
 def test_lifespan_exact_symmetric_compression(sin_analyzer):
-    t = sin_analyzer.lifespan_exact(0.0, 0.0)
-    assert t == pytest.approx(1.0, abs=1e-4)
+    # c = 0 still holds at t_p - T_TOL, so t* is t_p exactly, not the
+    # bisection's 1 + 8.2e-7 where the value gap opens only quadratically
+    assert sin_analyzer.lifespan_exact(0.0, 0.0) == 1.0
 
 
 def test_lifespan_exact_collision(riemann_down_analyzer):
@@ -192,6 +193,20 @@ def test_lifespan_exact_immortal():
                                       window=(0.0, 0.0)))
     ca = CharacteristicAnalyzer(const)
     assert ca.lifespan_exact(0.0, 0.5) == np.inf
+
+
+@pytest.mark.parametrize("kind", ["exponential", "custom"])
+def test_lifespan_upper_exponential_flux(kind):
+    # f'' = 0.7 at c = 0 and phi = -sin x: t_p = 1/0.7 on both sides
+    k = 0.7
+    fl = flux.exponential(k) if kind == "exponential" else flux.custom(
+        lambda u: np.exp(k * np.asarray(u, dtype=float)) / k,
+        lambda u: np.exp(k * np.asarray(u, dtype=float)),
+        lambda u: k * np.exp(k * np.asarray(u, dtype=float)))
+    ca = CharacteristicAnalyzer(Problem(fl, idata.sin_wave()))
+    tm, tp = ca.lifespan_upper(0.0, 0.0)
+    assert tm == pytest.approx(1.0 / k, rel=1e-14)
+    assert tp == pytest.approx(1.0 / k, rel=1e-14)
 
 
 def _on_sequential(ca, x0, c, t):
@@ -217,27 +232,34 @@ def _bisect_loop(pred, a, b, tol):
 
 
 def _lifespan_sequential(ca, x0, c):
-    """The one-row lifespan loop, as t* with T_CAP probed first and last.
+    """The one-row lifespan loop over the capped list, as t* with its last
+    time top = min(t_p - T_TOL, T_CAP) probed first and last.
 
-    Probed first, T_CAP decides alone whether t* is infinite; probed last,
-    it is read only when every doubling stayed on the characteristic.
+    Probed first, top decides alone whether t* is t_p (inf past T_CAP);
+    probed last, it is read only when every doubling stayed on the
+    characteristic.
     """
-    cap = _on_sequential(ca, x0, c, T_CAP)
-    lo, hi = 0.0, T_CAP
+    t_p = min(ca.lifespan_upper(x0, c))
+    if t_p <= T_TOL:
+        return t_p, t_p
+    top = min(t_p - T_TOL, T_CAP)
+    end = t_p if t_p <= T_CAP else np.inf
+    cap = _on_sequential(ca, x0, c, top)
+    lo, hi = 0.0, top
     t = 1.0
-    while t < T_CAP:
+    while t < top:
         if _on_sequential(ca, x0, c, t):
             lo = t
         else:
             hi = t
             break
         t *= 2.0
-    if cap and hi == T_CAP:
-        return np.inf, np.inf
+    if cap and hi == top:
+        return end, end
     lo, hi = _bisect_loop(lambda m: _on_sequential(ca, x0, c, m), lo, hi,
                           T_TOL)
     t_star = 0.5 * (lo + hi)
-    return (np.inf if cap else t_star), t_star
+    return (end if cap else t_star), t_star
 
 
 def _sampled_17():
@@ -263,7 +285,7 @@ _LIFESPAN_CA = {
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lifespan_exact_equals_sequential_loop(data):
-    # the blocks give the t* of the one-row loop, bit for bit; T_CAP first
+    # the blocks give the t* of the one-row loop, bit for bit; top first
     # differs only where its aliased scan reads c as a maximizer at T_CAP
     # although a doubling already left the characteristic
     ca = _LIFESPAN_CA[data.draw(st.sampled_from(sorted(_LIFESPAN_CA)))]
@@ -317,14 +339,14 @@ def test_lifespan_exact_blocks(monkeypatch, x0):
 
 
 def test_lifespan_exact_immortal_blocks(monkeypatch):
-    # every doubling stays on the characteristic: 14 rows in 5 blocks, then
-    # T_CAP alone, last
+    # t_p is inf, so the list is the 14 doublings and then T_CAP: every row
+    # stays on the characteristic, in 5 blocks of three
     ca = CharacteristicAnalyzer(_LIFESPAN_CA["constant"].problem)
     seen = _spy_blocks(monkeypatch, ca)
     assert ca.lifespan_exact(0.0, 0.5) == np.inf
     assert [ts.tolist() for ts, _ in seen] == [
         [1.0, 2.0, 4.0], [8.0, 16.0, 32.0], [64.0, 128.0, 256.0],
-        [512.0, 1024.0, 2048.0], [4096.0, 8192.0], [T_CAP]]
+        [512.0, 1024.0, 2048.0], [4096.0, 8192.0, T_CAP]]
 
 
 @pytest.mark.parametrize("x0, c", [(np.nan, 0.0), (0.0, np.nan), (0.0, np.inf),
@@ -358,7 +380,7 @@ def test_classify_termination(sin_analyzer, riemann_down_analyzer):
     tc = sin_analyzer.classify_termination(0.0, 0.0)
     assert tc.kind == "continuous_shock_generation"
     assert tc.x_star == pytest.approx(0.0, abs=1e-9)
-    assert tc.t_star == pytest.approx(1.0, abs=1e-4)
+    assert tc.t_star == 1.0
 
     tc = riemann_down_analyzer.classify_termination(-1.0, 1.0)
     assert tc.kind == "collision_with_shock"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,34 @@ def test_fit_degeneracy_builtin(quartic):
     assert d.alpha == 0.0 and d.N == pytest.approx(1.0)
     d = quartic.fit_degeneracy(0.5)
     assert d.alpha == 0.0 and d.N == pytest.approx(3 * 0.25)
+
+
+def _exp07_twin():
+    k = 0.7
+    return flux.custom(lambda u: np.exp(k * np.asarray(u, dtype=float)) / k,
+                       lambda u: np.exp(k * np.asarray(u, dtype=float)),
+                       lambda u: k * np.exp(k * np.asarray(u, dtype=float)))
+
+
+def test_fit_degeneracy_is_second_derivative_where_positive():
+    # f''(c) > 0 gives (0, f''(c)) for every kind: exponential(k) has
+    # f'' = k e^{kc}, not k^2 e^{kc}, and a custom twin is not fitted
+    for fl in (flux.exponential(0.7), _exp07_twin()):
+        for c, side in ((0.3, "right"), (0.0, "left"), (-1.5, "right")):
+            d = fl.fit_degeneracy(c, side)
+            assert d.alpha == 0.0
+            assert d.N == pytest.approx(0.7 * math.exp(0.7 * c), rel=1e-14)
+    d = _exp07_twin().fit_degeneracy(0.0)
+    assert (d.alpha, d.N) == (0.0, 0.7)
+
+
+def test_fit_degeneracy_rejects_bad_input(quartic):
+    for fl in (quartic, flux.burgers(), _exp07_twin()):
+        for c in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                fl.fit_degeneracy(c, "right")
+        with pytest.raises(ValueError):
+            fl.fit_degeneracy(0.0, "up")
 
 
 def test_fit_degeneracy_custom_numeric():

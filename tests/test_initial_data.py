@@ -215,6 +215,26 @@ def test_nonfinite_input_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    idata.sin_wave,
+    lambda: idata.step(1.0, 0.0),
+    lambda: idata.SampledData([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]),
+], ids=["sin_wave", "step", "sampled"])
+def test_side_and_value_checked(build):
+    # a side other than "left" or "right" was read as right, and a
+    # non-finite c gave an expansion about c = nan
+    d = build()
+    for side in ("up", "Left", None):
+        with pytest.raises(ValueError):
+            d.phi_side(0.0, side)
+        with pytest.raises(ValueError):
+            d.local_expansion(0.0, 0.0, side)
+    for c in (np.nan, np.inf):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError):
+                d.local_expansion(0.0, c, side)
+
+
 def test_overflowing_primitive_rejected():
     # a / b = 1 / 5e-324 overflows, so the cos piece has no finite primitive
     with pytest.raises(ValueError, match="primitive"):

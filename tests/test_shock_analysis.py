@@ -4,9 +4,11 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from laxo import flux, initial_data as idata
+from laxo.characteristics import T_TOL
 from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import GeneralProblem, Problem
@@ -571,12 +573,17 @@ def test_classify_points(riemann_sa, sin_sa, merging_sa):
         .kind == "single_shock_point"
     assert riemann_sa.classify_point(0.5, 1.0).detail == "regular"
     assert sin_sa.classify_point(0.0, 1.0).kind == "continuous_shock_generation"
+    # t < t_p of the point's characteristic: interior, however close to
+    # the generation point (0, 1) or to the shock x = t/2
+    for sa, x, t in ((sin_sa, 0.0, 0.999), (sin_sa, 0.0, 0.9999),
+                     (riemann_sa, 0.504, 1.0)):
+        assert sa.classify_point(x, t).kind == "interior_characteristic"
     pc = merging_sa.classify_point(0.5, 1.0)
     assert pc.kind == "multi_shock_collision" and pc.detail == 2
 
 
-def test_classify_shock_point_maximizes_once(riemann_sa, monkeypatch):
-    # the backward triangle comes from the solve's own maximizer set
+def _count_rows(monkeypatch):
+    """Record the row count of every block any problem maximizes."""
     rows = []
     block = GeneralProblem._maximize_block
 
@@ -585,9 +592,69 @@ def test_classify_shock_point_maximizes_once(riemann_sa, monkeypatch):
         return block(self, xs, *args)
 
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
+    return rows
+
+
+def test_classify_shock_point_maximizes_once(riemann_sa, monkeypatch):
+    # the backward triangle comes from the solve's own maximizer set
+    rows = _count_rows(monkeypatch)
     pc = riemann_sa.classify_point(0.5, 1.0)
     assert (pc.kind, pc.detail) == ("single_shock_point", "regular")
     assert rows == [1]
+
+
+def test_classify_interior_point_maximizes_once(sin_sa, monkeypatch):
+    # t_p is in closed form, so the solve's block is the only one
+    rows = _count_rows(monkeypatch)
+    assert sin_sa.classify_point(0.3, 0.5).kind == "interior_characteristic"
+    assert rows == [1]
+
+
+def _cubic_sa():
+    # phi = 1/2 - x + x^3/2 on [-1, 1]: the characteristic of c = 1/2 from
+    # x0 = 0 generates a shock at (1/2, 1)
+    d = idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.5, -1.0, 0.0, 0.5]})],
+        left_tail=1.0, right_tail=0.0)
+    return ShockAnalyzer(Problem(flux.burgers(), d))
+
+
+@pytest.mark.parametrize("name", ["sine", "cubic"])
+def test_classify_generation_point_and_before(name, sin_sa):
+    sa, c = (sin_sa, 0.0) if name == "sine" else (_cubic_sa(), 0.5)
+    gp = sa.generation_point(0.0, c)
+    assert sa.classify_point(gp.x_p, gp.t_p).kind \
+        == "continuous_shock_generation"
+    assert sa.chars.lifespan_exact(0.0, c) == gp.t_p
+    t = 0.999 * gp.t_p
+    assert sa.classify_point(t * gp.speed_c, t).kind \
+        == "interior_characteristic"
+
+
+_CLASSIFY_SA = {
+    "burgers_sine": ShockAnalyzer(Problem(flux.burgers(), idata.sin_wave())),
+    "quartic_sine": ShockAnalyzer(Problem(flux.power2n(2), idata.sin_wave())),
+    "exponential_sine": ShockAnalyzer(
+        Problem(flux.exponential(0.7), idata.sin_wave())),
+    "step_down": ShockAnalyzer(Problem(flux.burgers(), idata.step(1.0, 0.0))),
+    "cubic": _cubic_sa(),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_CLASSIFY_SA)), x=st.floats(-3.0, 3.0),
+       t=st.floats(0.2, 2.0))
+def test_classify_point_agrees_with_lifespan_exact(name, x, t):
+    # a smooth point is a continuous generation point iff the exact
+    # lifespan of its characteristic ends there
+    sa = _CLASSIFY_SA[name]
+    s = sa.problem.solve(x, t)
+    assume(not s.is_shock)
+    c = s.u_plus
+    t_star = sa.chars.lifespan_exact(x - t * sa.flux.deriv(c), c)
+    assert t_star >= t - T_TOL
+    assert (sa.classify_point(x, t).kind == "continuous_shock_generation") \
+        == (t_star <= t + T_TOL)
 
 
 def test_classify_discontinuous_generation():
