@@ -130,11 +130,26 @@ class CharacteristicAnalyzer:
     # -- lifespans ---------------------------------------------------------
 
     def _lifespan_side(self, x0, c, data_side):
+        """t_p of one data side of x0, by the power-law criterion where
+        phi's one-sided limit there is c.
+
+        A limit more than ``jump_tol`` off c on its compressive side
+        (phi(x0+) < c on the right, phi(x0-) > c on the left) gives 0: the
+        neighbouring characteristics cross the one from x0 at once.  A
+        limit on the rarefaction side, phi identically c there, or a limit
+        within ``jump_tol`` of c, as for an x0 or c known to fewer digits
+        (a divide that the hull locates to about 1e-8, say), give inf.
+        """
         flux_side = "right" if data_side == "left" else "left"
         try:
             le = self.data.local_expansion(x0, c, data_side)
-        except FitError:
-            return np.inf          # phi == c locally, or a robust jump side
+        except FitError as err:
+            if "differs" in str(err):
+                gap = self.data.phi_side(x0, data_side) - c
+                if (gap if data_side == "left" else -gap) \
+                        > self.problem.jump_tol:
+                    return 0.0
+            return np.inf
         if le.C_gamma > 0:
             return np.inf
         dg = self.flux.fit_degeneracy(c, flux_side)

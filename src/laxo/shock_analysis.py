@@ -111,7 +111,7 @@ class ShockAnalyzer:
     def generation_point(self, x0, c):
         tm, tp = self.chars.lifespan_upper(x0, c)
         t_p = min(tm, tp)
-        if not np.isfinite(t_p):
+        if not 0.0 < t_p < np.inf:      # no compression, or a shock at t = 0
             return None
         self._check_uniqueness(x0, c, t_p)
         a = self.data.phi_side(x0, "left")

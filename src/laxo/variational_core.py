@@ -37,8 +37,18 @@ TOL_U = 1e-12
 # bound on a block: 8 rows over the whole default grid of n_scan cells.  A
 # block also costs a fixed 0.3-0.5 ms, about the scan of this many cells at
 # 30-40 ns each (2-core Xeon, numpy 2.4), so rows that all share one window
-# may fill twice this (rows of many windows gather more temporaries)
+# may fill twice this (rows of many windows gather more temporaries).  Rows
+# of one window that hold more than half this many cells first narrow their
+# windows by a coarse pass (``_coarse``): its fixed cost, about 80 us, is
+# that of some 2 000 cells, and it rules out most of the cells of such a
+# block
 BLOCK_ELEMS = 1 << 14
+# grid cells per coarse cell of ``_coarse``: every COARSE_STEP-th point of a
+# window is valued.  A late 17-point restart slice at t = 15 keeps 2 304 of
+# its 15 147 cells at 16, 1 552 at 8 and 3 264 at 32; 8 and 16 ran equally
+# fast in process (late slices -18% against the full scan), 16 at half the
+# coarse feet (2-core Xeon, numpy 2.4)
+COARSE_STEP = 16
 # freeing a 1 MB array raises glibc's mmap threshold (128 kB at start) above
 # a block's temporaries of up to ~260 kB, else unmapped on free and faulted
 # in anew
@@ -59,6 +69,21 @@ def _checked_t(t):
 
 def _identity(a):
     return a
+
+
+def _sliding_max(a, k):
+    """max(a[i:i + k]) at every i, the window clipped at the end of a.
+
+    a is padded by its last value, and the maxima over spans of 1, 2, 4,
+    ... are doubled up to the largest span within k, whose spans from i
+    and from i + k - span cover the window: log2(k) + 1 passes of
+    ``np.maximum`` over a.
+    """
+    m, span = np.concatenate([a, np.full(k - 1, a[-1])]), 1
+    while 2 * span <= k:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[:len(a)], m[k - span:k - span + len(a)])
 
 
 @dataclass(frozen=True)
@@ -465,6 +490,26 @@ class GeneralProblem:
         row is marked ``redo``, for a scan of the whole grid, when its best
         grid value, or its band within ``val_tol`` of the maximum, reaches
         such an edge.
+
+        Rows that share one window and one time and hold more than
+        ``BLOCK_ELEMS // 2`` cells together (a late restart slice, level 0
+        of a grid solve or its rescan, a point solve on a fine grid) first
+        take a coarse pass (``_coarse``): E at every ``COARSE_STEP``-th grid
+        point bounds E on each cell between them, since |dE/du| <= t K with
+        K = max|H'| (max|U| on the grid + max|U| on the cell), and a cell
+        whose bound lies below the row's best coarse value less 10
+        ``val_tol``, t h max K and a rounding allowance is ruled out.  Each
+        row then scans the hull of its cells left, as a row of many windows.
+        A ruled-out grid value lies below the keep filter's threshold and
+        below the band, a hull edge below ``reach``, and the best grid value
+        inside the hull, so the row's set is the whole window's, bit for
+        bit.  Point solves over the default grid, ``branch_gap`` and the
+        lifespan blocks scan every cell: the first two hold fewer cells, and
+        the rows of a lifespan bisection, each at its own time, lie where a
+        shock meets the characteristic, with maximizers far apart: the hull
+        kept more than half the window in 34 of the 42 bisection blocks of
+        five lifespans on ``sin_wave()``, and with the pass those lifespans
+        ran 10-14% slower.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         j, w = (int(start[0]), int(width[0])) if rows else (0, n)
@@ -472,6 +517,12 @@ class GeneralProblem:
         # index c + j, or every row's in Ep[0] (``_flat``)
         flat = rows > 1 and bool(np.count_nonzero(start != j)
                                  or np.count_nonzero(width != w))
+        if (not flat and rows * (w - 1) > BLOCK_ELEMS // 2
+                and not np.count_nonzero(t != t[0])):
+            start, width = self._coarse(xs, t[0], j, w)
+            j, w = int(start[0]), int(width[0])
+            flat = bool(np.count_nonzero(start != j)
+                        or np.count_nonzero(width != w))
         if flat:
             Ep, feet, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
             Ev = Ep[:, 1:-1]
@@ -576,6 +627,83 @@ class GeneralProblem:
             lambda u, q: self._E(W0[q], u, xs[q], t[q]), Emax, thresh,
             r, u_star, E_star, br, first, last)
         return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
+
+    def _coarse(self, xs, t, j, w):
+        """The u-windows of rows at the one time t that share the window
+        j ... j + w - 1, each narrowed to the cells that a Lipschitz bound
+        on E cannot rule out, as (start, width) arrays for
+        ``_maximize_block``.
+
+        The coarse points are every COARSE_STEP-th index of the window and
+        its last, read as strided views of the grid and valued by one W
+        call with each row's H(0) foot: each E is the float the scan
+        computes there.  On the cell [a, b] between two of them dE/du =
+        t H'(u) (U(phi(x - t H(u))) - U(u)), at most t K in size, K being
+        max|H'| on the cell's grid points times (max|U| on the grid + max|U|
+        on the cell's points), so E <= B = max(E_a, E_b, (E_a + E_b)/2 +
+        t K (s_b - s_a)/2) there (Piyavskii 1972; Shubert 1972).  The cell
+        is ruled out when B < Emax_c - 10 val_tol - t h max K - R, with
+        Emax_c the row's best coarse value, max K over the window and R =
+        2**-40 (max|W| over the row's coarse feet and its W0 + max|U| |x|
+        + t (max|I| + max|U| max|H|)) a rounding allowance, thousands of
+        times the few ulps by which the computed E, its foot and W(foot)
+        may stray from E.  Each row's window becomes the hull from its first
+        to its last cell left.  Scanned over that hull, the row gets the
+        whole window's maximizer set bit for bit:
+
+        * every grid value of a ruled-out cell lies below the keep filter's
+          threshold (its gloc is at most max K) and below the band, so no
+          kept run and no band point lies there;
+        * a hull edge that is not the window's ends a ruled-out cell, so
+          it reads below ``reach`` and never sets ``redo``;
+        * the best grid value lies inside the hull;
+        * every value of E the scan still computes is the same float.
+
+        The bound reads |H'| and |U| at grid points only: phi lies within
+        the grid, and |U(phi)| and |U| on a cell stay within their grid
+        values where U is monotone, and |H'| where it is monotone or convex
+        on the cell, as for every named flux.
+        """
+        S, e = COARSE_STEP, j + w - 1
+        nc = -(-(w - 1) // S)           # cells, the last ending at index e
+        pts = np.empty((len(xs), nc + 2))
+        np.subtract(xs[:, None], t * self._Hs[j:e:S], out=pts[:, :nc])
+        pts[:, nc] = xs - t * self._Hs[e]
+        pts[:, nc + 1] = xs - t * self._H0
+        Wp = self._W(pts.ravel()).reshape(pts.shape)
+        Ec = Wp[:, -1:] - Wp[:, :-1]
+        Ec[:, :nc] -= t * self._Is[j:e:S]
+        Ec[:, nc] -= t * self._Is[e]
+        K, slack, Umax, tmag = self._lipschitz
+        Ea, Eb = Ec[:, :-1], Ec[:, 1:]
+        B = 0.5 * (Ea + Eb) + t * slack[j:e:S]
+        np.maximum(B, Ea, out=B)
+        np.maximum(B, Eb, out=B)
+        R = 2.0 ** -40 * (np.abs(Wp).max(axis=1) + Umax * np.abs(xs)
+                          + t * tmag)
+        floor = (Ec.max(axis=1) - 10.0 * self.val_tol
+                 - t * (self._h * K[j:e:S].max()) - R)
+        live = ~(B < floor[:, None])    # a NaN rules nothing out
+        first = live.argmax(axis=1)
+        last = nc - 1 - live[:, ::-1].argmax(axis=1)
+        start = j + S * first
+        return start, np.minimum(j + S * (last + 1), e) - start + 1
+
+    @functools.cached_property
+    def _lipschitz(self):
+        """The tables of ``_coarse``, built on its first call: K[i] =
+        max|H'| times (max|U| on the grid + max|U|), both maxima over the
+        COARSE_STEP + 1 grid points from index i, which bounds |dE/du| / t
+        on the coarse cell from i; K times that cell's half-width; max|U|
+        on the grid; and max|I| + max|U| max|H|, which with it scales the
+        rounding allowance."""
+        s, n, k = self._s, len(self._s), COARSE_STEP + 1
+        aU = np.abs(np.asarray(self._U(s), dtype=float))
+        Umax = float(aU.max())
+        K = _sliding_max(np.abs(self._Hps), k) * (Umax + _sliding_max(aU, k))
+        end = np.minimum(np.arange(n) + COARSE_STEP, n - 1)
+        return (K, 0.5 * K * (s[end] - s), Umax,
+                float(np.abs(self._Is).max() + Umax * np.abs(self._Hs).max()))
 
     def _flat(self, xs, t, start, width):
         """Rows of many u-windows end to end, for ``_maximize_block``.
@@ -956,10 +1084,14 @@ class GeneralProblem:
 
         Up to ``2 * BLOCK_ELEMS // n_scan`` points (16 at the default
         n_scan) are one block over the whole u-grid, one pass of array
-        phases.  A longer grid is maximized in levels: 8 evenly spaced
-        points over the whole grid, then each unsolved point over the
-        u-window that its solved neighbours' characteristic feet leave it,
-        rows packed in their order in blocks of at most ``BLOCK_ELEMS``
+        phases; from 5 points on, that block first rules out the cells
+        whose Lipschitz bound on E cannot reach the keep threshold and
+        scans only the hull of the others (``_coarse``: 1 792 of 16 384
+        cells for 8 points of ``sin_wave()`` at t = 1.2), as level 0 of a
+        longer grid does.  A longer grid is maximized in levels: 8 evenly
+        spaced points over the whole grid, then each unsolved point over
+        the u-window that its solved neighbours' characteristic feet leave
+        it, rows packed in their order in blocks of at most ``BLOCK_ELEMS``
         cells, the sum of their windows' cells, twice that where they all
         share one window, and no row cap (12 blocks for the 4 096 knots of
         ``restart(0.5)`` on ``sin_wave()``, 2 for 32 points of
@@ -969,11 +1101,13 @@ class GeneralProblem:
         On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
         is replaced by the window that the period mean allows
         (``_window``), so more points share a block: 17 points at t >= 7.19
-        on ``restart(0.5)`` of ``sin_wave()`` are one block.  A windowed
-        value of E is the float the whole scan computes, so each sample
-        equals ``solve(x, t)`` bit for bit wherever its kept runs and bands
-        lie inside its window, as on every tested problem.  A non-finite x
-        or t, or t <= 0, raises ValueError before any work.
+        on ``restart(0.5)`` of ``sin_wave()`` are one block, which takes the
+        coarse pass up to t = 27.4.  A value of E the coarse pass rules out
+        holds no kept run and no band, and every value scanned is the float
+        the whole scan computes, so each sample equals ``solve(x, t)`` bit
+        for bit wherever its kept runs and bands lie inside its window, as
+        on every tested problem.  A non-finite x or t, or t <= 0, raises
+        ValueError before any work.
         """
         t = _checked_t(t)
         return self._solve_grid(xs, t, t)
@@ -1029,7 +1163,10 @@ class Problem(GeneralProblem):
         its solves after t_w = 2 P / (H(s_n) - H(s_0)) past tau scan only
         the window its period mean allows (``_window``): on ``sin_wave()``
         restarted at tau in [0.4, 0.6], a 17-point ``solve_grid`` slice at
-        t - tau >= 6.69 is one block of at most 1 927 cells per row.
+        t - tau >= 6.69 is one block of at most 1 927 cells per row.  Up to
+        t - tau = 26.9 that block takes the coarse pass of
+        ``_maximize_block`` and scans only the cells a Lipschitz bound on E
+        cannot rule out: 2 304 of its 15 147 cells at t = 15 (tau = 0.5).
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")

@@ -349,6 +349,31 @@ def test_lifespan_exact_immortal_blocks(monkeypatch):
         [512.0, 1024.0, 2048.0], [4096.0, 8192.0, T_CAP]]
 
 
+@pytest.mark.parametrize("x0, c", [(0.0, 0.5), (1.0, 0.0)])
+def test_lifespan_off_the_data_value_is_zero_with_no_solve(monkeypatch, x0,
+                                                            c):
+    # on -sin x, phi(x0+) < c: the characteristics right of x0 cross the
+    # one of c at once, so t_p = t* = 0 with no block (it took 10 blocks
+    # to bisect down to 3.7e-9)
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    seen = _spy_blocks(monkeypatch, ca)
+    assert min(ca.lifespan_upper(x0, c)) == 0.0
+    assert ca.lifespan_exact(x0, c) == 0.0
+    assert seen == []
+
+
+def test_lifespan_at_a_jump_zero_on_compressive_sides_only(
+        riemann_down_analyzer):
+    # step(1, 0) at 0: both sides compress c = 1/2 (a shock), so t_p = 0;
+    # step(-1, 1) at 0: each side's limit lies on the rarefaction side of
+    # every c of the fan, so both stay inf
+    assert riemann_down_analyzer.lifespan_upper(0.0, 0.5) == (0.0, 0.0)
+    assert riemann_down_analyzer.lifespan_exact(0.0, 0.5) == 0.0
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.step(-1.0, 1.0)))
+    for c in (-1.0, 0.3, 1.0):
+        assert ca.lifespan_upper(0.0, c) == (np.inf, np.inf)
+
+
 @pytest.mark.parametrize("x0, c", [(np.nan, 0.0), (0.0, np.nan), (0.0, np.inf),
                                    (np.inf, 0.0), (-np.inf, 0.5),
                                    (1.7e308, 1e308)])

@@ -1,0 +1,68 @@
+"""The ledger of known wrong answers: one strict xfail per open ``FOUND:``
+entry of CHANGES.md that reproduces.
+
+Each test asserts the right answer against an independent oracle, so a
+fix makes it pass, which a strict marker turns into a failure until the
+mending change removes the marker.  The oracle is one dense scan of E
+through ``_E``, one array call of 2**16 points over the u-window that the
+solve itself scans (``_window``); a solver with a larger ``n_scan`` would
+not do, as a block of that many cells takes the coarse pass.
+"""
+
+import numpy as np
+import pytest
+
+from laxo import flux, initial_data as idata
+from laxo.variational_core import Problem
+
+DENSE = 2 ** 16
+
+
+def _dense(p, x, t):
+    """The best of E(.; x, t) over 2**16 points of the u-window of t:
+    (its value, its u, the spacing of the points)."""
+    start, width = (int(v[0]) for v in p._window(t))
+    u = np.linspace(p._s[start], p._s[start + width - 1], DENSE)
+    E = p._E(p._W(x - t * p._H0), u, x, t)
+    k = int(E.argmax())
+    return float(E[k]), float(u[k]), float(u[1] - u[0])
+
+
+def _knots_33():
+    """33 random knots of period 3 (ROADMAP, *Measured*)."""
+    rng = np.random.default_rng(5)
+    xs = np.sort(np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.0, 31)]))
+    us = rng.uniform(-1.0, 1.0, 33)
+    us[-1] = us[0]
+    return idata.SampledData(xs, us, period=3.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the 2 049-point u-scan aliases at t = 1e4 on Burgers/sine, "
+    "where its foot spacing t h exceeds the period (ROADMAP item 6)"))
+def test_late_sine_reaches_the_dense_maximum():
+    p = Problem(flux.burgers(), idata.sin_wave())
+    top, _, _ = _dense(p, 1.1, 1e4)
+    assert p.maximize(1.1, 1e4).max_value >= top - p.val_tol
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: on periodic sampled data the fixed u-scan aliases long before "
+    "t = 1e4: 33 random knots of period 3 at t = 160 (ROADMAP item 6)"))
+def test_random_knots_reach_the_dense_maximum():
+    # x = 1.575 is one of the 21 of 41 points of [0, 3] that miss the dense
+    # maximum on this draw at t = 160 (by 0.027); x = 1.5 does not
+    p = Problem(flux.burgers(), _knots_33())
+    top, _, _ = _dense(p, 1.575, 160.0)
+    assert p.maximize(1.575, 160.0).max_value >= top - p.val_tol
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: val_tol and the flat test are absolute, so data of amplitude "
+    "1e-6 read as one flat band, a shock everywhere (ROADMAP item 9)"))
+def test_tiny_amplitude_is_smooth_at_the_dense_maximizer():
+    p = Problem(flux.burgers(), idata.sin_wave(-1e-6))
+    _, u, du = _dense(p, 1.0, 0.5)
+    s = p.solve(1.0, 0.5)
+    assert not s.is_shock
+    assert abs(s.u_plus - u) <= 2.0 * du and abs(s.u_minus - u) <= 2.0 * du

@@ -99,6 +99,13 @@ def test_generation_point_none_for_rarefaction():
     assert sa.generation_point(0.0, 0.5) is None
 
 
+def test_generation_point_none_where_t_p_is_zero(riemann_sa, sin_sa):
+    # c = 1/2 at the jump of step(1, 0), and c = 1/2 where -sin x is 0:
+    # the data compress c at once (t_p = 0), so no shock is generated
+    assert riemann_sa.generation_point(0.0, 0.5) is None
+    assert sin_sa.generation_point(0.0, 0.5) is None
+
+
 def test_generation_uniqueness_passes_flux_faults_on():
     # only a BracketError means "beyond the flux range"; any other error
     # from invert_deriv is a fault of the flux and must surface
@@ -608,6 +615,20 @@ def test_classify_interior_point_maximizes_once(sin_sa, monkeypatch):
     rows = _count_rows(monkeypatch)
     assert sin_sa.classify_point(0.3, 0.5).kind == "interior_characteristic"
     assert rows == [1]
+
+
+def test_classify_smooth_point_whose_value_misses_phi_at_its_foot():
+    # phi = sgn(x) sqrt|x| is increasing, so every point is interior; at
+    # this point phi' is about 20 at the foot, where the solved c misses
+    # phi(x0) by 1.2e-11: within jump_tol, so t_p is not read as 0
+    d = idata.InitialData([idata.Piece(-1.0, 1.0, "power", {
+        "a": 1.0, "b": 0.0, "x_ref": 0.0, "g": 0.5})],
+        left_tail=-1.0, right_tail=1.0)
+    sa = ShockAnalyzer(Problem(flux.burgers(), d))
+    x, t = 0.03546487410077015, 1.4261909075256436
+    c = sa.problem.solve(x, t).u_plus
+    assert abs(float(d.phi(x - t * c)) - c) > 1e-12
+    assert sa.classify_point(x, t).kind == "interior_characteristic"
 
 
 def _cubic_sa():

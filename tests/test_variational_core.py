@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata, variational_core as vc
 from laxo._search import bisect_many, golden_many, runs, secant_many
+from laxo.characteristics import CharacteristicAnalyzer
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import (
     GeneralProblem, MaximizerSet, Problem, identity_pair)
@@ -1239,3 +1240,119 @@ def test_late_maximizers_obey_the_period_mean_bound(fl, data, ubar,
         out = p.solve_grid(xs, t)
         H = fl.deriv(np.array([[s.u_plus, s.u_minus] for s in out]))
         assert H.min() >= Hbar - P / t and H.max() <= Hbar + P / t
+
+
+# -- the coarse pass of wide one-window blocks --------------------------------
+
+_B = flux.burgers()
+_COARSE_FLUXES = {
+    "burgers": _B,
+    "quartic": flux.power2n(2),
+    "exponential": flux.exponential(0.7),
+    "twin": flux.custom(_B.eval, _B.deriv, _B.second),
+}
+_COARSE_DATA = {
+    "sine": idata.sin_wave,
+    "step": lambda: idata.step(1.0, 0.0),
+    "sampled": _sampled_17,
+}
+
+
+def test_sliding_max_matches_the_loop():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 16, 17, 18, 2049):
+        a = rng.normal(size=n)
+        for k in (1, 2, 3, 16, 17, 40):
+            ref = [a[i:i + k].max() for i in range(n)]
+            assert vc._sliding_max(a, k).tolist() == ref
+
+
+def _coarse_problem(fname, dname):
+    fl = _COARSE_FLUXES[fname]
+    if dname == "restart":
+        return Problem(fl, idata.sin_wave()).restart(0.5).problem
+    return Problem(fl, _COARSE_DATA[dname]())
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of the block routine ``name``."""
+    calls = []
+    real = getattr(GeneralProblem, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(GeneralProblem, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("dname", ["sine", "step", "restart", "sampled"])
+@pytest.mark.parametrize("fname", list(_COARSE_FLUXES))
+def test_wide_one_window_blocks_equal_their_one_row_blocks(fname, dname,
+                                                          monkeypatch):
+    # 17 rows over the u-window of t hold more than BLOCK_ELEMS // 2 cells
+    # and take the coarse pass, except on the narrow period-mean window of
+    # periodic data at t = 1e3; every row's set and redo equal those of its
+    # own one-row block, which takes no pass
+    p = _coarse_problem(fname, dname)
+    coarse = _spy(monkeypatch, "_coarse")
+    xs = np.linspace(-3.0, 3.0, 17) + 0.01
+    for t in (0.1, 1.0, 15.0, 1e3):
+        start, width = (int(v[0]) for v in p._window(t))
+        ts = np.full(17, t)
+        out = p._maximize_block(xs, ts, np.full(17, start),
+                                np.full(17, width))
+        wide = 17 * (width - 1) > vc.BLOCK_ELEMS // 2
+        assert len(coarse) == wide
+        coarse.clear()
+        for q in range(17):
+            one = p._maximize_block(xs[q:q + 1], ts[q:q + 1],
+                                    np.full(1, start), np.full(1, width))
+            assert out.redo[q] == one.redo[0]
+            assert repr(_row_set(out, q)) == repr(_row_set(one, 0))
+        assert not coarse
+
+
+def test_fine_one_row_block_takes_the_coarse_pass(monkeypatch):
+    # a point solve over 2**14 cells takes the pass, and reaches the best
+    # value of a dense scan of 2**16 points
+    p = Problem(flux.burgers(), idata.sin_wave(), n_scan=2 ** 14)
+    coarse = _spy(monkeypatch, "_coarse")
+    u = np.linspace(p._s[0], p._s[-1], 2 ** 16)
+    for x, t in ((-1.3, 0.4), (0.2, 1.0), (2.1, 3.0), (0.0, 5.0)):
+        coarse.clear()
+        ms = p.maximize(x, t)
+        assert len(coarse) == 1
+        dense = p._E(p._W(x - t * p._H0), u, x, t).max()
+        assert ms.max_value >= dense - p.val_tol
+
+
+def test_late_restart_slice_scans_a_quarter_of_its_window(monkeypatch):
+    # the coarse pass leaves the t = 15 slice's rows less than a quarter of
+    # the 17 windows' cells, laid end to end by _flat
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
+    flat = _spy(monkeypatch, "_flat")
+    xs = np.linspace(-np.pi, np.pi, 17)
+    got = rp.solve_grid(xs, 15.0)
+    width = int(rp.problem._window(15.0 - rp.tau)[1][0])
+    assert len(flat) == 1
+    *_, widths = flat[0]
+    assert (widths - 1).sum() < 17 * (width - 1) / 4
+    assert [repr(s) for s in got] == [repr(rp.solve(x, 15.0)) for x in xs]
+
+
+def test_point_solves_branch_gaps_and_lifespans_take_no_coarse_pass(
+        monkeypatch):
+    # a point solve and branch_gap hold too few cells; the 7-row blocks of
+    # a lifespan bisection hold enough, but each row at its own time
+    p = Problem(flux.burgers(), idata.step(1.0, 0.0))
+    coarse = _spy(monkeypatch, "_coarse")
+    blocks = _spy(monkeypatch, "_maximize_block")
+    p.solve(0.3, 1.0)
+    p.branch_gap(0.5, 1.0, 0.5)
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    assert ca.lifespan_exact(1.6, -math.sin(1.6)) \
+        == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
+    assert max(len(xs) for xs, *_ in blocks) == 7
+    assert coarse == []
