@@ -55,6 +55,11 @@ class TerminationClass:
     t_star: float = np.inf
 
 
+def _check_finite(x0, c):
+    if not (math.isfinite(x0) and math.isfinite(c)):
+        raise ValueError("x0 and c must be finite")
+
+
 def phi_l(data, l, x0, c):
     """Phi(l; x0, c) = Phi(x0+l) - Phi(x0) - c l, exact."""
     return float(data.primitive(x0 + l) - data.primitive(x0) - c * l)
@@ -139,16 +144,18 @@ class CharacteristicAnalyzer:
         limit on the rarefaction side, phi identically c there, or a limit
         within ``jump_tol`` of c, as for an x0 or c known to fewer digits
         (a divide that the hull locates to about 1e-8, say), give inf.
+        x0 is taken as exact: a foot that rounding moved off a jump of phi
+        reads both limits on one side of the jump, so a caller holding the
+        foot of a solved point checks ``carries`` first, as
+        ``ShockAnalyzer.classify_point`` does.
         """
         flux_side = "right" if data_side == "left" else "left"
         try:
             le = self.data.local_expansion(x0, c, data_side)
-        except FitError as err:
-            if "differs" in str(err):
-                gap = self.data.phi_side(x0, data_side) - c
-                if (gap if data_side == "left" else -gap) \
-                        > self.problem.jump_tol:
-                    return 0.0
+        except FitError:       # the limit is not c, or phi == c on the side
+            gap = self.data.phi_side(x0, data_side) - c
+            if (gap if data_side == "left" else -gap) > self.problem.jump_tol:
+                return 0.0
             return np.inf
         if le.C_gamma > 0:
             return np.inf
@@ -160,9 +167,18 @@ class CharacteristicAnalyzer:
             return 0.0             # c is not a generation value
         return 1.0 / (le.gamma * dg.N * abs(le.C_gamma) ** (1.0 + dg.alpha))
 
+    def carries(self, x0, c):
+        """Whether c lies between phi(x0-) and phi(x0+), to ``jump_tol``:
+        whether the characteristic of c from x0 starts on the data.  A
+        non-finite x0 or c raises ValueError."""
+        _check_finite(x0, c)
+        a = self.data.phi_side(x0, "left")
+        b = self.data.phi_side(x0, "right")
+        tol = self.problem.jump_tol
+        return min(a, b) - tol <= c <= max(a, b) + tol
+
     def lifespan_upper(self, x0, c):
-        if not (math.isfinite(x0) and math.isfinite(c)):
-            raise ValueError("x0 and c must be finite")
+        _check_finite(x0, c)
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 
@@ -230,7 +246,19 @@ class CharacteristicAnalyzer:
 
     def classify_termination(self, x0, c):
         """``immortal`` (t* = inf), ``collision_with_shock`` (t* < t_p), or
-        a generation point, continuous or not by two probes past t*."""
+        a generation point, continuous or not by two probes past t*.
+
+        A c that x0 does not carry (``carries``) raises ValueError: its
+        line is no characteristic, so nothing terminates.  Where phi jumps
+        down at x0, a shock starts at (x0, 0) and takes every c it carries
+        at once: ``discontinuous_or_shock_point`` there, with no solve.
+        """
+        if not self.carries(x0, c):
+            raise ValueError("c must lie between phi(x0-) and phi(x0+)")
+        if (self.data.phi_side(x0, "left") - self.data.phi_side(x0, "right")
+                > self.problem.jump_tol):
+            return TerminationClass("discontinuous_or_shock_point",
+                                    float(x0), 0.0)
         ls = self.lifespans(x0, c)
         if not np.isfinite(ls.t_star):
             return TerminationClass("immortal")

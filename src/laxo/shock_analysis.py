@@ -417,11 +417,18 @@ class ShockAnalyzer:
     def classify_point(self, x, t):
         """The class of (x, t), from one solve there.  A smooth point
         with value c is a continuous generation point iff t is within
-        ``T_TOL`` of the t_p of c's characteristic (t <= t* <= t_p)."""
+        ``T_TOL`` of the t_p of c's characteristic (t <= t* <= t_p).
+
+        The foot x - t f'(c) of a smooth point carries c.  One that reads
+        otherwise (``CharacteristicAnalyzer.carries``) lies within rounding
+        of an upward jump of phi, the apex of c's fan, whose two sides are
+        rarefaction sides: t_p is inf there."""
         s = self.problem.solve(x, t)
         if not s.is_shock:
             c = s.u_plus
-            t_p = min(self.chars.lifespan_upper(x - t * self.flux.deriv(c), c))
+            x0 = x - t * self.flux.deriv(c)
+            t_p = (min(self.chars.lifespan_upper(x0, c))
+                   if self.chars.carries(x0, c) else np.inf)
             if t >= t_p - T_TOL:
                 return PointClass("continuous_shock_generation")
             return PointClass("interior_characteristic")

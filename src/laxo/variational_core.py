@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._search import bisect_many, golden_many, padded_runs, secant_many
 from .flux import GeneralFluxPair
@@ -69,21 +70,6 @@ def _checked_t(t):
 
 def _identity(a):
     return a
-
-
-def _sliding_max(a, k):
-    """max(a[i:i + k]) at every i, the window clipped at the end of a.
-
-    a is padded by its last value, and the maxima over spans of 1, 2, 4,
-    ... are doubled up to the largest span within k, whose spans from i
-    and from i + k - span cover the window: log2(k) + 1 passes of
-    ``np.maximum`` over a.
-    """
-    m, span = np.concatenate([a, np.full(k - 1, a[-1])]), 1
-    while 2 * span <= k:
-        m = np.maximum(m[:-span], m[span:])
-        span *= 2
-    return np.maximum(m[:len(a)], m[k - span:k - span + len(a)])
 
 
 @dataclass(frozen=True)
@@ -698,9 +684,14 @@ class GeneralProblem:
         on the grid; and max|I| + max|U| max|H|, which with it scales the
         rounding allowance."""
         s, n, k = self._s, len(self._s), COARSE_STEP + 1
+
+        def sliding_max(a):             # a padded by its last value
+            return sliding_window_view(
+                np.concatenate([a, np.full(k - 1, a[-1])]), k).max(axis=1)
+
         aU = np.abs(np.asarray(self._U(s), dtype=float))
         Umax = float(aU.max())
-        K = _sliding_max(np.abs(self._Hps), k) * (Umax + _sliding_max(aU, k))
+        K = sliding_max(np.abs(self._Hps)) * (Umax + sliding_max(aU))
         end = np.minimum(np.arange(n) + COARSE_STEP, n - 1)
         return (K, 0.5 * K * (s[end] - s), Umax,
                 float(np.abs(self._Is).max() + Umax * np.abs(self._Hs).max()))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from laxo import flux, initial_data as idata
 from laxo.characteristics import (
-    T_CAP, T_TOL, CharacteristicAnalyzer, F_l, phi_l)
+    T_CAP, T_TOL, CharacteristicAnalyzer, F_l, TerminationClass, phi_l)
 from laxo.errors import BracketError
 from laxo.variational_core import Problem
 
@@ -372,6 +372,29 @@ def test_lifespan_at_a_jump_zero_on_compressive_sides_only(
     ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.step(-1.0, 1.0)))
     for c in (-1.0, 0.3, 1.0):
         assert ca.lifespan_upper(0.0, c) == (np.inf, np.inf)
+
+
+def test_classify_termination_rejects_a_value_not_carried(sin_analyzer):
+    # phi(0-) = phi(0+) = 0 on -sin x: the line of 1/2 from 0 is no
+    # characteristic, so it has no termination to classify
+    assert not sin_analyzer.carries(0.0, 0.5)
+    with pytest.raises(ValueError):
+        sin_analyzer.classify_termination(0.0, 0.5)
+    with pytest.raises(ValueError):
+        sin_analyzer.carries(np.nan, 0.0)
+
+
+def test_classify_termination_at_a_downward_jump(monkeypatch,
+                                                 riemann_down_analyzer):
+    # the shock of step(1, 0) starts at (0, 0) and takes every c in [0, 1]
+    # at once, the end values included
+    ca = riemann_down_analyzer
+    seen = _spy_blocks(monkeypatch, ca)
+    for c in (1.0, 0.5, 0.0):
+        assert ca.carries(0.0, c)
+        assert ca.classify_termination(0.0, c) == TerminationClass(
+            "discontinuous_or_shock_point", 0.0, 0.0)
+    assert seen == []
 
 
 @pytest.mark.parametrize("x0, c", [(np.nan, 0.0), (0.0, np.nan), (0.0, np.inf),

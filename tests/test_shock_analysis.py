@@ -631,6 +631,30 @@ def test_classify_smooth_point_whose_value_misses_phi_at_its_foot():
     assert sa.classify_point(x, t).kind == "interior_characteristic"
 
 
+_FAN_SA = {
+    "step": ShockAnalyzer(Problem(flux.burgers(), idata.step(-1.0, 1.0))),
+    "sampled": ShockAnalyzer(Problem(flux.burgers(), idata.SampledData(
+        np.linspace(-2.0, 2.0, 9),
+        np.array([-1.0, -1.0, -0.5, -0.5, 0.5, 0.5, 1.0, 1.0, 1.0])))),
+}
+
+
+@pytest.mark.parametrize("name, x, t", [
+    ("step", 0.0, 1.0), ("step", 0.0, 1e3), ("step", -123.975, 150.0),
+    ("step", 112.57500000000002, 150.0), ("step", -503.5, 1e3),
+    ("step", 503.5, 1e3), ("sampled", -128.25, 150.0),
+    ("sampled", 128.25, 150.0)])
+def test_classify_fan_point_whose_foot_misses_the_jump(name, x, t):
+    # the foot x - t c of these fan points lies 1e-14 to 3e-10 off the jump
+    # of phi, so both one-sided limits there lie on one side of c; the fan's
+    # sides are rarefaction sides, and the point is interior
+    sa = _FAN_SA[name]
+    s = sa.problem.solve(x, t)
+    assert not s.is_shock
+    assert not sa.chars.carries(x - t * s.u_plus, s.u_plus)
+    assert sa.classify_point(x, t).kind == "interior_characteristic"
+
+
 def _cubic_sa():
     # phi = 1/2 - x + x^3/2 on [-1, 1]: the characteristic of c = 1/2 from
     # x0 = 0 generates a shock at (1/2, 1)

@@ -1258,15 +1258,6 @@ _COARSE_DATA = {
 }
 
 
-def test_sliding_max_matches_the_loop():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 16, 17, 18, 2049):
-        a = rng.normal(size=n)
-        for k in (1, 2, 3, 16, 17, 40):
-            ref = [a[i:i + k].max() for i in range(n)]
-            assert vc._sliding_max(a, k).tolist() == ref
-
-
 def _coarse_problem(fname, dname):
     fl = _COARSE_FLUXES[fname]
     if dname == "restart":
