@@ -196,6 +196,8 @@ class GlobalStructure:
     def convex_hull(self, N=None):
         """Envelope of the primitive; a half-width N builds an uncached one."""
         if N is not None:
+            if not np.isfinite(N):
+                raise ValueError("the hull half-width N must be finite")
             return HullReport(self.data, N)
         if self._hull is None:
             self._hull = HullReport(self.data, None)

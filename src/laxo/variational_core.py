@@ -35,14 +35,13 @@ VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
 # scan cells one block holds, summed over its rows' u-windows, the only
-# bound on a block: 8 rows over the whole default grid of n_scan cells.  A
-# block also costs a fixed 0.3-0.5 ms, about the scan of this many cells at
-# 30-40 ns each (2-core Xeon, numpy 2.4), so rows that all share one window
-# may fill twice this (rows of many windows gather more temporaries).  Rows
-# of one window that hold more than half this many cells first narrow their
-# windows by a coarse pass (``_coarse``): its fixed cost, about 80 us, is
-# that of some 2 000 cells, and it rules out most of the cells of such a
-# block
+# bound on a block.  A block also costs a fixed 0.3-0.5 ms, about the scan
+# of this many cells at 30-40 ns each (2-core Xeon, numpy 2.4), so rows of
+# one window may fill twice this (rows of many windows gather more
+# temporaries): 16 rows over the whole default grid, a short grid solve or
+# level 0 of a longer one.  Rows of one window over half this many cells
+# first narrow their windows by a coarse pass (``_coarse``): its fixed
+# cost, about 80 us, that of some 2 000 cells, rules out most of them
 BLOCK_ELEMS = 1 << 14
 # grid cells per coarse cell of ``_coarse``: every COARSE_STEP-th point of a
 # window is valued.  A late 17-point restart slice at t = 15 keeps 2 304 of
@@ -212,6 +211,8 @@ class GeneralProblem:
                  jump_tol=JUMP_TOL, tol_u=TOL_U):
         self.pair = pair
         self.data = data
+        if not float(n_scan).is_integer():
+            raise ValueError("n_scan must be an integer")
         self.n_scan = int(n_scan)
         self.val_tol = float(val_tol)
         self.jump_tol = float(jump_tol)
@@ -352,36 +353,34 @@ class GeneralProblem:
         and build none, and the levels read u+ and u-.
 
         Every row scans within the u-window of ``_window``: the whole grid,
-        or on periodic data after t_w the window the period mean allows.  A
-        grid of at most ``2 * BLOCK_ELEMS`` cells, its points times the
-        window's cells (n_scan on the whole grid: 16 points by default), is
-        one ``_blocks`` call and one block: a level would save fewer cells
-        than the fixed cost of the block it adds.  A grid where H or U is
-        not nondecreasing on the grid (a ``custom`` flux, say) is one
-        ``_blocks`` call too, packed over the whole grid.  A longer grid is
-        maximized in levels.  Level 0 scans ``BLOCK_ELEMS // cells``
-        evenly spaced points, at least 2, both ends included, over the
-        window, one block.  Each later level maximizes the middle point q
-        of every unsolved gap (a, b) over the u-window that the
-        ordering of backward characteristics leaves it (Lax 1957): for
-        x_a < x_q < x_b every maximizer foot x - t H(u) at x_q lies between
-        the rightmost foot at x_a and the leftmost at x_b, so H(u) lies in
-        [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t].  The window is
-        ``_cells`` of that interval within the window of ``_window``.  Once
-        the unsolved rows' windows hold at most four blocks of cells, one
-        level takes them all: a further level costs blocks that the
+        or on periodic data after t_w the window the period mean allows.
+        One block holds k = ``2 * BLOCK_ELEMS // cells`` rows of that
+        window, at least 2 (16 rows of n_scan cells on the whole grid).  A
+        grid of at most k points is that block; a grid where H or U is not
+        nondecreasing on the grid (a ``custom`` flux, say) is one
+        ``_blocks`` call over the whole grid.  A longer grid is maximized in
+        levels.  Level 0 is the block of k evenly spaced points, both ends
+        included.  Each later level maximizes the middle point q of every
+        unsolved gap (a, b) over the u-window that the ordering of backward
+        characteristics leaves it (Lax 1957): for x_a < x_q < x_b every
+        maximizer foot x - t H(u) at x_q lies between the rightmost foot at
+        x_a and the leftmost at x_b, so H(u) lies in
+        [H(u_b-) - (x_b - x_q)/t, H(u_a+) + (x_q - x_a)/t], and the window
+        is ``_cells`` of that interval within the window of ``_window``.
+        Once the unsolved rows' windows hold at most four blocks of cells,
+        one level takes them all: a further level costs blocks that the
         narrower windows would not pay back.  Rows that ``_blocks`` cannot
         certify in their window are scanned over the whole grid.
         """
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
         ts, start, width = np.full(m, t), np.full(m, w0), np.full(m, ww)
-        if m <= 1 or m * (ww - 1) <= 2 * BLOCK_ELEMS or not self._ordered:
+        k = max(2, 2 * BLOCK_ELEMS // (ww - 1))     # rows of one block
+        if m <= k or not self._ordered:
             return self._blocks(xs, ts, start, width)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
-        k = max(2, BLOCK_ELEMS // (ww - 1))
         q = np.arange(k) * (m - 1) // (k - 1)
         start, width = start[:k], width[:k]
         while len(q):
@@ -1074,21 +1073,20 @@ class GeneralProblem:
         """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
 
         Up to ``2 * BLOCK_ELEMS // n_scan`` points (16 at the default
-        n_scan) are one block over the whole u-grid, one pass of array
-        phases; from 5 points on, that block first rules out the cells
-        whose Lipschitz bound on E cannot reach the keep threshold and
-        scans only the hull of the others (``_coarse``: 1 792 of 16 384
-        cells for 8 points of ``sin_wave()`` at t = 1.2), as level 0 of a
-        longer grid does.  A longer grid is maximized in levels: 8 evenly
-        spaced points over the whole grid, then each unsolved point over
-        the u-window that its solved neighbours' characteristic feet leave
-        it, rows packed in their order in blocks of at most ``BLOCK_ELEMS``
-        cells, the sum of their windows' cells, twice that where they all
-        share one window, and no row cap (12 blocks for the 4 096 knots of
+        n_scan) are one block over the whole u-grid; from 5 points on, it
+        first rules out the cells whose Lipschitz bound on E cannot reach
+        the keep threshold and scans only the hull of the others
+        (``_coarse``: 1 792 of 16 384 cells for 8 points of ``sin_wave()``
+        at t = 1.2).  A longer grid is maximized in levels: such a block of
+        16 evenly spaced points, then each unsolved point over the u-window
+        that its solved neighbours' characteristic feet leave it, rows
+        packed in their order in blocks of at most ``BLOCK_ELEMS`` cells,
+        the sum of their windows' cells, twice that where they all share
+        one window, and no row cap (11 blocks for the 4 096 knots of
         ``restart(0.5)`` on ``sin_wave()``, 2 for 32 points of
-        ``sin_wave()`` at t = 1.2); a row whose best value or ``val_tol``
-        band reaches an inner window edge, and every row of a flux whose f'
-        is not nondecreasing, is scanned over the whole grid.
+        ``sin_wave()`` at t = 0.5 or 1.2); a row whose best value or
+        ``val_tol`` band reaches an inner window edge, and every row of a
+        flux whose f' is not nondecreasing, is scanned over the whole grid.
         On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
         is replaced by the window that the period mean allows
         (``_window``), so more points share a block: 17 points at t >= 7.19
@@ -1145,7 +1143,7 @@ class Problem(GeneralProblem):
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
         The knot values are u+ at the 4096 interval midpoints, maximized as
         ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
-        cells that the neighbouring knots' feet leave them (12 blocks on
+        cells that the neighbouring knots' feet leave them (11 blocks on
         ``sin_wave()`` at tau = 0.5).  They are read as the u+ array of
         ``_maximize_grid``, with no MaximizerSet built.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's

@@ -81,6 +81,21 @@ def test_divides_infinite_exit_3(files):
     assert r.exit_code == 3
 
 
+@pytest.mark.parametrize("window", ["nan", "inf"])
+def test_divides_non_finite_window_exit_2(files, window):
+    _assert_exit_2_json(run("divides", files["up"], "--window", window),
+                        "the hull half-width N must be finite")
+
+
+def test_non_integral_n_scan_exit_2(tmp_path):
+    # an n_scan of 64.7 used to scan 64 cells and exit 0
+    bad = tmp_path / "n_scan.json"
+    bad.write_text(json.dumps(dict(RIEMANN_UP, tolerances={"n_scan": 64.7})))
+    _assert_exit_2_json(run("solve", str(bad), "--t", "1",
+                            "--x-range", "-1:1", "--n", "3"),
+                        "n_scan must be an integer")
+
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

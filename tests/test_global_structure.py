@@ -281,6 +281,16 @@ def test_windowed_hull_leaves_default_answers_alone():
             gs.divide_fan(0.001)) == before
 
 
+@pytest.mark.parametrize("N", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_hull_rejects_non_finite_half_width(sin_gs, fan_gs, N):
+    # numpy's arange used to raise its own "cannot compute length" for NaN
+    # and "Maximum allowed size exceeded" for inf on tailed data
+    for gs in (sin_gs, fan_gs):
+        with pytest.raises(ValueError, match="half-width N must be finite"):
+            gs.convex_hull(N)
+
+
 def test_decay_needs_two_distinct_times(sin_gs):
     # a line through one log-time is no fit: reject it before any solve
     for ts in ([10.0], [10.0, 10.0]):

@@ -276,6 +276,15 @@ def test_solve_grid_rejects_bad_input_before_work(neg_sin):
     assert neg_sin.solve_grid(np.empty(0), 1.0) == []
 
 
+@pytest.mark.parametrize("n_scan", [64.7, np.nan, np.inf],
+                         ids=["fraction", "nan", "inf"])
+def test_problem_rejects_non_integral_n_scan(n_scan):
+    # 64.7 used to scan 64 cells, and inf raised OverflowError
+    with pytest.raises(ValueError, match="n_scan must be an integer"):
+        Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
+    assert Problem(flux.burgers(), idata.sin_wave(), n_scan=64.0).n_scan == 64
+
+
 def test_eval_E_rejects_bad_input(neg_sin):
     # as maximize does: no E at t <= 0, nor at a non-finite u or x
     for u, x, t in ((0.5, 0.3, -1.0), (0.5, 0.3, 0.0), (0.5, 0.3, np.nan),
@@ -1169,14 +1178,34 @@ def test_block_of_many_windows_equals_its_one_row_blocks():
 
 
 def test_sine_slice_shares_blocks_across_windows(monkeypatch):
-    # a 32-point slice at t = 1.2: level 0, then one block of the 24 other
-    # rows, 14 188 cells of windows from 178 to 2 049 points
+    # a 32-point slice: level 0 of 16 rows, then one block of the 16 other
+    # rows, 4 960 cells of windows from 161 to 2 049 points at t = 1.2 and
+    # 11 229 from 419 to 1 597 at t = 0.5 (an 8-row level 0 left 24 rows
+    # of 30 336 cells there, two blocks)
     p = Problem(flux.burgers(), idata.sin_wave())
     calls = _count_blocks(monkeypatch)
     xs = np.linspace(-np.pi, np.pi, 32)
-    got = p.solve_grid(xs, 1.2)
-    assert [len(c) for c in calls] == [8, 24]
-    assert got == [p.solve(x, 1.2) for x in xs]
+    for t in (1.2, 0.5):
+        calls.clear()
+        got = p.solve_grid(xs, t)
+        assert [len(c) for c in calls] == [16, 16]
+        assert got == [p.solve(x, t) for x in xs]
+
+
+@pytest.mark.parametrize("n_scan", [2048, 4096])
+def test_level_zero_is_one_block_of_whole_grid_rows(monkeypatch, n_scan):
+    # k = 2 * BLOCK_ELEMS // n_scan rows fill one whole-grid block: a grid
+    # of k points is that block, and one of k + 1 points starts with it
+    p = Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
+    k = 2 * vc.BLOCK_ELEMS // n_scan
+    calls = _count_blocks(monkeypatch)
+    for m in (k, k + 1):
+        calls.clear()
+        xs = np.linspace(-3.0, 3.0, m)
+        got = p.solve_grid(xs, 1.2)
+        assert calls[0] == [(0, n_scan + 1, False)] * k
+        assert sum(len(c) for c in calls) == m
+        assert got == [p.solve(x, 1.2) for x in xs]
 
 
 def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
