@@ -34,14 +34,13 @@ N_SCAN = 2048
 VAL_TOL = 1e-9
 JUMP_TOL = 1e-6
 TOL_U = 1e-12
-# scan cells one block holds, summed over its rows' u-windows, the only
-# bound on a block.  A block also costs a fixed 0.3-0.5 ms, about the scan
-# of this many cells at 30-40 ns each (2-core Xeon, numpy 2.4), so rows of
-# one window may fill twice this (rows of many windows gather more
-# temporaries): 16 rows over the whole default grid, a short grid solve or
-# level 0 of a longer one.  Rows of one window over half this many cells
-# first narrow their windows by a coarse pass (``_coarse``): its fixed
-# cost, about 80 us, that of some 2 000 cells, rules out most of them
+# scan cells one block holds, summed over its rows' u-windows after the
+# coarse pass, the one bound on a block.  A block also costs a fixed
+# 0.3-0.5 ms, about the scan of this many cells at 30-40 ns each (2-core
+# Xeon, numpy 2.4).  Rows of one window and one time over half this many
+# cells first narrow their windows by a coarse pass (``_coarse``) and are
+# packed by the cells left: its fixed cost, about 80 us, that of some 2 000
+# cells, rules out most of them
 BLOCK_ELEMS = 1 << 14
 # grid cells per coarse cell of ``_coarse``: every COARSE_STEP-th point of a
 # window is valued.  A late 17-point restart slice at t = 15 keeps 2 304 of
@@ -352,15 +351,24 @@ class GeneralProblem:
         ``restart`` and ``GlobalStructure.measure_decay`` read the u+ array
         and build none, and the levels read u+ and u-.
 
-        Every row scans within the u-window of ``_window``: the whole grid,
-        or on periodic data after t_w the window the period mean allows.
-        One block holds k = ``2 * BLOCK_ELEMS // cells`` rows of that
-        window, at least 2 (16 rows of n_scan cells on the whole grid).  A
-        grid of at most k points is that block; a grid where H or U is not
-        nondecreasing on the grid (a ``custom`` flux, say) is one
-        ``_blocks`` call over the whole grid.  A longer grid is maximized in
-        levels.  Level 0 is the block of k evenly spaced points, both ends
-        included.  Each later level maximizes the middle point q of every
+        Every row scans within the u-window of ``_window``, of ww points:
+        the whole grid, or on periodic data after t_w the window the period
+        mean allows.  The coarse pass of ``_blocks`` leaves such a row its
+        (ww - 1) / COARSE_STEP coarse points and a hull of about COARSE_STEP
+        coarse cells (a mean of 63-410 cells on the sine and Riemann data
+        of Burgers and ``power2n(2)`` at t = 0.3-3), or the whole window
+        where that is narrower.  Level 0 holds the k rows of that cost that
+        fill 2 * BLOCK_ELEMS, at least 2: 85 over the default whole grid,
+        and on a window the pass hardly narrows about the rows whose whole
+        windows fill 2 * BLOCK_ELEMS.  Timed in process on slices of 17-257
+        points, this rule and a level 0 of 64 rows were fastest over the
+        whole grid, ahead of 32, 42, 48 and 128 rows, and unlike 64 it kept
+        long late slices on narrow windows as fast as 2 * BLOCK_ELEMS //
+        (ww - 1) rows.  A grid of at most k points, or one where H or U is
+        not nondecreasing on the grid (a ``custom`` flux, say), is one
+        ``_blocks`` call.  A longer grid is maximized in levels.  Level 0 is
+        the ``_blocks`` call of k evenly spaced points, both ends included.
+        Each later level maximizes the middle point q of every
         unsolved gap (a, b) over the u-window that the ordering of backward
         characteristics leaves it (Lax 1957): for x_a < x_q < x_b every
         maximizer foot x - t H(u) at x_q lies between the rightmost foot at
@@ -375,7 +383,8 @@ class GeneralProblem:
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
         ts, start, width = np.full(m, t), np.full(m, w0), np.full(m, ww)
-        k = max(2, 2 * BLOCK_ELEMS // (ww - 1))     # rows of one block
+        k = max(2, 2 * BLOCK_ELEMS // ((ww - 1) // COARSE_STEP
+                                       + min(ww - 1, COARSE_STEP ** 2)))
         if m <= k or not self._ordered:
             return self._blocks(xs, ts, start, width)
         parts = []
@@ -407,28 +416,45 @@ class GeneralProblem:
         """``_maximize_block`` on rows packed in blocks of few enough cells.
 
         Row q, at the time t[q], scans the u-grid window start[q] ...
-        start[q] + width[q] - 1, width[q] - 1 cells.  The rows are packed in
-        their given order, each block as many rows as fit, at least one:
-        rows of many windows up to ``BLOCK_ELEMS`` cells, the sum of their
-        windows' cells, and rows that all share one window up to
-        ``2 * BLOCK_ELEMS``; cells alone bound a block.  Rows that fit in
-        one block are one ``_maximize_block`` call, else the blocks are
-        joined.  A row the block cannot certify in its window is maximized
-        again over the whole grid, at its own time.  Returns the ``_Rows``
-        in the order of xs.
+        start[q] + width[q] - 1, width[q] - 1 cells.  Rows that share one
+        window and one time and hold more than ``BLOCK_ELEMS // 2`` cells
+        together (a short grid solve or level 0 of a longer one, a late
+        restart slice, a rescan, a point solve on a fine grid) first take
+        the coarse pass (``_coarse``): each row's window becomes the hull
+        of the cells that a Lipschitz bound on E cannot rule out, and its
+        set stays the whole window's, bit for bit.  The cell count is
+        tested first, so a point solve over the default grid pays for no
+        other test.  The rows are then packed in their given order, each
+        block as many rows as fit in ``BLOCK_ELEMS`` cells, the sum of their
+        windows' cells, at least one.  Rows that fit in one block are one
+        ``_maximize_block`` call, else the blocks are joined.  A row the
+        block cannot certify in its window is maximized again over the
+        whole grid, at its own time.  Returns the ``_Rows`` in the order of
+        xs.
+
+        ``branch_gap`` and the lifespan blocks call ``_maximize_block``
+        itself and scan every cell: the first holds few cells, and the rows
+        of a lifespan bisection, each at its own time, lie where a shock
+        meets the characteristic, with maximizers far apart: the hull kept
+        more than half the window in 34 of the 42 bisection blocks of five
+        lifespans on ``sin_wave()``, and with the pass those lifespans ran
+        10-14% slower.
         """
         m = len(xs)
+        if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2
+                and not (np.count_nonzero(start != start[0])
+                         or np.count_nonzero(width != width[0])
+                         or np.count_nonzero(t != t[0]))):
+            start, width = self._coarse(xs, t[0], int(start[0]),
+                                        int(width[0]))
         if m <= 1:
             out = self._maximize_block(xs, t, start, width)
         else:
-            many = (np.count_nonzero(start != start[0])
-                    or np.count_nonzero(width != width[0]))
-            bound = BLOCK_ELEMS if many else 2 * BLOCK_ELEMS
             below = np.concatenate([[0], np.cumsum(width - 1)])
             cuts = [0]
             while cuts[-1] < m:     # the cells of rows a ... b - 1 fit
                 a = cuts[-1]
-                b = np.searchsorted(below, below[a] + bound, "right") - 1
+                b = np.searchsorted(below, below[a] + BLOCK_ELEMS, "right") - 1
                 cuts.append(max(a + 1, int(b)))
             if len(cuts) == 2:
                 out = self._maximize_block(xs, t, start, width)
@@ -475,26 +501,6 @@ class GeneralProblem:
         row is marked ``redo``, for a scan of the whole grid, when its best
         grid value, or its band within ``val_tol`` of the maximum, reaches
         such an edge.
-
-        Rows that share one window and one time and hold more than
-        ``BLOCK_ELEMS // 2`` cells together (a late restart slice, level 0
-        of a grid solve or its rescan, a point solve on a fine grid) first
-        take a coarse pass (``_coarse``): E at every ``COARSE_STEP``-th grid
-        point bounds E on each cell between them, since |dE/du| <= t K with
-        K = max|H'| (max|U| on the grid + max|U| on the cell), and a cell
-        whose bound lies below the row's best coarse value less 10
-        ``val_tol``, t h max K and a rounding allowance is ruled out.  Each
-        row then scans the hull of its cells left, as a row of many windows.
-        A ruled-out grid value lies below the keep filter's threshold and
-        below the band, a hull edge below ``reach``, and the best grid value
-        inside the hull, so the row's set is the whole window's, bit for
-        bit.  Point solves over the default grid, ``branch_gap`` and the
-        lifespan blocks scan every cell: the first two hold fewer cells, and
-        the rows of a lifespan bisection, each at its own time, lie where a
-        shock meets the characteristic, with maximizers far apart: the hull
-        kept more than half the window in 34 of the 42 bisection blocks of
-        five lifespans on ``sin_wave()``, and with the pass those lifespans
-        ran 10-14% slower.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         j, w = (int(start[0]), int(width[0])) if rows else (0, n)
@@ -502,12 +508,6 @@ class GeneralProblem:
         # index c + j, or every row's in Ep[0] (``_flat``)
         flat = rows > 1 and bool(np.count_nonzero(start != j)
                                  or np.count_nonzero(width != w))
-        if (not flat and rows * (w - 1) > BLOCK_ELEMS // 2
-                and not np.count_nonzero(t != t[0])):
-            start, width = self._coarse(xs, t[0], j, w)
-            j, w = int(start[0]), int(width[0])
-            flat = bool(np.count_nonzero(start != j)
-                        or np.count_nonzero(width != w))
         if flat:
             Ep, feet, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
             Ev = Ep[:, 1:-1]
@@ -616,8 +616,8 @@ class GeneralProblem:
     def _coarse(self, xs, t, j, w):
         """The u-windows of rows at the one time t that share the window
         j ... j + w - 1, each narrowed to the cells that a Lipschitz bound
-        on E cannot rule out, as (start, width) arrays for
-        ``_maximize_block``.
+        on E cannot rule out, as (start, width) arrays, which ``_blocks``
+        packs.
 
         The coarse points are every COARSE_STEP-th index of the window and
         its last, read as strided views of the grid and valued by one W
@@ -633,8 +633,10 @@ class GeneralProblem:
         + t (max|I| + max|U| max|H|)) a rounding allowance, thousands of
         times the few ulps by which the computed E, its foot and W(foot)
         may stray from E.  Each row's window becomes the hull from its first
-        to its last cell left.  Scanned over that hull, the row gets the
-        whole window's maximizer set bit for bit:
+        to its last cell left; it reads only that row and the window, so a
+        row's hull does not depend on the rows passed with it, nor on the
+        block it is packed in later.  Scanned over that hull, the row gets
+        the whole window's maximizer set bit for bit:
 
         * every grid value of a ruled-out cell lies below the keep filter's
           threshold (its gloc is at most max K) and below the band, so no
@@ -1072,31 +1074,30 @@ class GeneralProblem:
     def solve_grid(self, xs, t):
         """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
 
-        Up to ``2 * BLOCK_ELEMS // n_scan`` points (16 at the default
-        n_scan) are one block over the whole u-grid; from 5 points on, it
+        Up to k points (85 at the default n_scan, see ``_maximize_grid``)
+        are one ``_blocks`` call over the whole u-grid; from 5 points on, it
         first rules out the cells whose Lipschitz bound on E cannot reach
         the keep threshold and scans only the hull of the others
         (``_coarse``: 1 792 of 16 384 cells for 8 points of ``sin_wave()``
-        at t = 1.2).  A longer grid is maximized in levels: such a block of
-        16 evenly spaced points, then each unsolved point over the u-window
-        that its solved neighbours' characteristic feet leave it, rows
-        packed in their order in blocks of at most ``BLOCK_ELEMS`` cells,
-        the sum of their windows' cells, twice that where they all share
-        one window, and no row cap (11 blocks for the 4 096 knots of
-        ``restart(0.5)`` on ``sin_wave()``, 2 for 32 points of
-        ``sin_wave()`` at t = 0.5 or 1.2); a row whose best value or
-        ``val_tol`` band reaches an inner window edge, and every row of a
-        flux whose f' is not nondecreasing, is scanned over the whole grid.
-        On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
-        is replaced by the window that the period mean allows
-        (``_window``), so more points share a block: 17 points at t >= 7.19
-        on ``restart(0.5)`` of ``sin_wave()`` are one block, which takes the
-        coarse pass up to t = 27.4.  A value of E the coarse pass rules out
-        holds no kept run and no band, and every value scanned is the float
-        the whole scan computes, so each sample equals ``solve(x, t)`` bit
-        for bit wherever its kept runs and bands lie inside its window, as
-        on every tested problem.  A non-finite x or t, or t <= 0, raises
-        ValueError before any work.
+        at t = 1.2, and 9 504 of 65 536 for 32 points on [-pi, pi] at
+        t = 0.5, one block).  A longer grid is maximized in levels: such a
+        call on k evenly spaced points, then each unsolved point over the
+        u-window that its solved neighbours' characteristic feet leave it,
+        rows packed in their order in blocks of at most ``BLOCK_ELEMS``
+        cells, the sum of their windows' cells after the pass, and no row
+        cap (9 blocks for the 4 096 knots of ``restart(0.5)`` on
+        ``sin_wave()``); a row whose best value or ``val_tol`` band reaches
+        an inner window edge, and every row of a flux whose f' is not
+        nondecreasing, is scanned over the whole grid.  On periodic data
+        after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid is replaced by
+        the window that the period mean allows (``_window``): 17 points of
+        ``restart(0.5)`` of ``sin_wave()`` are one block from t = 0.6 to
+        100, which takes the coarse pass up to t = 27.4.  A value of E the
+        coarse pass rules out holds no kept run and no band, and every
+        value scanned is the float the whole scan computes, so each sample
+        equals ``solve(x, t)`` bit for bit wherever its kept runs and bands
+        lie inside its window, as on every tested problem.  A non-finite x
+        or t, or t <= 0, raises ValueError before any work.
         """
         t = _checked_t(t)
         return self._solve_grid(xs, t, t)
@@ -1143,7 +1144,7 @@ class Problem(GeneralProblem):
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
         The knot values are u+ at the 4096 interval midpoints, maximized as
         ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
-        cells that the neighbouring knots' feet leave them (11 blocks on
+        cells that the neighbouring knots' feet leave them (9 blocks on
         ``sin_wave()`` at tau = 0.5).  They are read as the u+ array of
         ``_maximize_grid``, with no MaximizerSet built.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
@@ -1152,10 +1153,10 @@ class Problem(GeneralProblem):
         its solves after t_w = 2 P / (H(s_n) - H(s_0)) past tau scan only
         the window its period mean allows (``_window``): on ``sin_wave()``
         restarted at tau in [0.4, 0.6], a 17-point ``solve_grid`` slice at
-        t - tau >= 6.69 is one block of at most 1 927 cells per row.  Up to
-        t - tau = 26.9 that block takes the coarse pass of
-        ``_maximize_block`` and scans only the cells a Lipschitz bound on E
-        cannot rule out: 2 304 of its 15 147 cells at t = 15 (tau = 0.5).
+        t - tau >= 6.69 scans at most 1 927 cells per row.  Up to t - tau =
+        26.9 its rows take the coarse pass of ``_blocks`` and scan only the
+        cells a Lipschitz bound on E cannot rule out, one block: 2 304 of
+        their 15 147 cells at t = 15 (tau = 0.5).
         """
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError("tau must be finite and positive")

@@ -8,14 +8,19 @@ of E through ``_E``, one array call of 2**16 points over the u-window that
 the solve itself scans (``_window``); a solver with a larger ``n_scan``
 would not do, as a block of that many cells takes the coarse pass.  The
 N-wave's oracle is the solver's own jump, and its Burgers case, where the
-N-wave is right, passes as the control.
+N-wave is right, passes as the control.  The track's oracle is the closed
+form of the characteristic it follows and of the time that characteristic
+meets the standing shock of -sin x.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
 from laxo.global_structure import GlobalStructure
+from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import Problem
 
 DENSE = 2 ** 16
@@ -111,3 +116,30 @@ def test_nwave_default_shock_meets_the_solver(fl):
     nwave = _drop(lambda x: gs.nwave(x, t), xs,
                   [gs.nwave(x, t) for x in xs])
     assert abs(nwave - solver) <= 1.0 / t
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: track_forward reads traces 1e-7 to each side of a node, which "
+    "differ by more than jump_tol wherever |u_x| > 5, so a steep smooth "
+    "step before the shock is taken as a shock step (ROADMAP item 11)"))
+def test_steep_pre_shock_track_takes_no_shock_step(monkeypatch):
+    # the characteristic of Burgers/-sin x from x0 = 0.3 carries -sin 0.3
+    # along x = 0.3 - t sin 0.3 into the standing shock at x = 0, which it
+    # meets at T = 0.3 / sin 0.3 = 1.015: the traces do not jump before T,
+    # so no step there locates a jump.  With dt = 0.1 the node at t = 0.9
+    # reads traces 1.4e-6 apart (|u_x| = 6.8), and the step to t = 1 is a
+    # shock step; the steps after T are, as they must be
+    sa = ShockAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    located = []
+    locate = sa._locate_jump
+
+    def spy(x_hat, t, um, up, w):
+        located.append(t)
+        return locate(x_hat, t, um, up, w)
+
+    monkeypatch.setattr(sa, "_locate_jump", spy)
+    curve = sa.track_forward(0.3, 0.0, 1.5, 0.1)
+    T = 0.3 / math.sin(0.3)
+    assert located and max(located) > T
+    assert abs(curve.nodes[-1].x) <= 1e-6
+    assert [t for t in located if t < T] == []

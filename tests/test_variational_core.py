@@ -212,12 +212,21 @@ def _count_blocks(monkeypatch):
     return calls
 
 
+def _level_zero_rows(ww):
+    """k of ``_maximize_grid``: the rows that fill 2 * BLOCK_ELEMS cells
+    at the cost a row of a window of ww points has after the coarse pass."""
+    S = vc.COARSE_STEP
+    return max(2, 2 * vc.BLOCK_ELEMS // ((ww - 1) // S + min(ww - 1, S * S)))
+
+
 def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
                                                           monkeypatch):
     # every window of 20 cells ends 4 cells short of its row's maximizer: E
-    # rises toward that edge, and the row is scanned over the whole grid
+    # rises toward that edge, and the row is scanned over the whole grid.
+    # The grid is longer than level 0, so its later levels are windowed
     n = len(neg_sin._s)
     blocks = GeneralProblem._blocks
+    mangled = set()
 
     def missing(self, xs, t, start, width):
         part = width < n
@@ -228,13 +237,16 @@ def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
             start, width = start.copy(), width.copy()
             start[part] = np.where(j < n // 2, j + 4, j - 24)
             width[part] = 20
+            mangled.update(zip(start[part].tolist(), width[part].tolist()))
         return blocks(self, xs, t, start, width)
 
     monkeypatch.setattr(GeneralProblem, "_blocks", missing)
     calls = _count_blocks(monkeypatch)
-    xs = np.linspace(-3.0, 3.0, 65)
+    xs = np.linspace(-3.0, 3.0, 2 * _level_zero_rows(n) + 1)
     assert neg_sin.solve_grid(xs, 0.4) == [neg_sin.solve(x, 0.4) for x in xs]
-    windowed = [redo for c in calls for _, width, redo in c if width < n]
+    # the blocks' rows of the mangled windows only, not the coarse hulls
+    windowed = [redo for c in calls for start, width, redo in c
+                if (start, width) in mangled]
     assert len(windowed) > 40 and all(windowed)
 
 
@@ -242,13 +254,27 @@ def test_custom_flux_with_nonmonotone_speed_scans_whole_grid(monkeypatch):
     cubic = flux.custom(lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
                         lambda u: np.asarray(u, dtype=float) ** 2,
                         lambda u: 2.0 * np.asarray(u, dtype=float))
+    # more points than level 0 holds, yet one _blocks call of every row
+    # over the whole grid, whose one coarse pass narrows the rows to hulls
+    # of 17-1 137 points, packed in one block; the point solves scan the
+    # whole grid too
     p = Problem(cubic, idata.sin_wave())
+    grids = _spy(monkeypatch, "_blocks")
+    coarse = _spy(monkeypatch, "_coarse")
     calls = _count_blocks(monkeypatch)
-    xs = np.linspace(-3.0, 3.0, 40)
-    assert p.solve_grid(xs, 0.7) == [p.solve(x, 0.7) for x in xs]
+    xs = np.linspace(-3.0, 3.0, 100)
+    got = p.solve_grid(xs, 0.7)
+    packed = list(calls)
+    assert got == [p.solve(x, 0.7) for x in xs]
     n = len(p._s)
-    assert {(start, width) for c in calls for start, width, _ in c} == {(0, n)}
-    assert [len(c) for c in calls[:3]] == [16, 16, 8]
+    assert {(start, width) for _, _, starts, widths in grids
+            for start, width in zip(starts.tolist(), widths.tolist())} \
+        == {(0, n)}
+    # the slice's call, then one per point solve
+    assert len(grids[0][0]) == 100 and len(grids) == 1 + 100
+    assert [(len(rows), j, w) for rows, _, j, w in coarse] == [(100, 0, n)]
+    assert [len(c) for c in packed] == [100]
+    assert sum(w - 1 for _, w, _ in packed[0]) <= vc.BLOCK_ELEMS
 
 
 def test_restart_scans_a_tenth_of_the_whole_grid():
@@ -1095,34 +1121,39 @@ def test_late_restart_slice_takes_one_block(monkeypatch):
     calls.clear()
     rp.solve_grid(xs, 10.0)
     assert len(calls) == 1
-    # before t_w the slice scans the whole grid, as every tailed problem
+    # before t_w the slice scans the whole grid, as every tailed problem:
+    # one _blocks call over it, whose coarse pass leaves one block
     calls.clear()
+    grids = _spy(monkeypatch, "_blocks")
     p = Problem(flux.burgers(), idata.sin_wave())
     p.solve_grid(np.linspace(-3.0, 3.0, 8), 1.0)
-    assert calls == [[(0, n, False)] * 8]
+    assert [list(zip(start.tolist(), width.tolist()))
+            for _, _, start, width in grids] == [[(0, n)] * 8]
+    assert len(calls) == 1 and len(calls[0]) == 8
+    assert not any(redo for *_, redo in calls[0])
 
 
 def test_blocks_are_bounded_by_their_cells_alone(monkeypatch):
     # restart's 4 096 knots: a block of narrow windows holds more than 256
-    # rows, every block's cells, the sum of its rows' windows, stay within
-    # BLOCK_ELEMS, or twice that where its rows share one window, and the
-    # knots take at most 12 blocks
+    # rows, every block's cells, the sum of its rows' windows after the
+    # coarse pass, stay within BLOCK_ELEMS, and the knots take at most 9
+    # blocks
     p = Problem(flux.burgers(), idata.sin_wave())
     calls = _count_blocks(monkeypatch)
     p.restart(0.5)
     for c in calls:
-        cells = sum(width - 1 for _, width, _ in c)
-        one = len({(start, width) for start, width, _ in c}) == 1
-        assert len(c) == 1 or cells <= vc.BLOCK_ELEMS * (2 if one else 1)
+        assert len(c) == 1 or sum(w - 1 for _, w, _ in c) <= vc.BLOCK_ELEMS
     assert max(len(c) for c in calls) > 256
-    assert len(calls) <= 12
+    assert len(calls) <= 9
 
 
-def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
-    # rows that share one u-window may fill up to twice BLOCK_ELEMS: every
-    # late 17-point restart slice is one block, with no join, equal to its
-    # point solves, and so is a 12-point slice over the whole grid; rows of
-    # many windows keep BLOCK_ELEMS
+def test_one_window_rows_fill_one_block_after_the_pass(monkeypatch):
+    # rows of one u-window are packed by the cells their coarse pass leaves
+    # them, within BLOCK_ELEMS like rows of many windows: every late
+    # 17-point restart slice is one block, with no join, equal to its point
+    # solves, and so is a 12-point slice over the whole grid.  Whole-grid
+    # rows each at their own time take no pass, and 16 of them fill two
+    # blocks of 8
     p = Problem(flux.burgers(), idata.sin_wave())
     rp = p.restart(0.5)
     joins = []
@@ -1139,12 +1170,15 @@ def test_rows_of_one_window_fill_two_blocks_of_cells(monkeypatch):
         calls.clear()
         got = rp.solve_grid(xs, t)
         assert len(calls) == 1 and not joins
-        width = max(w for _, w, _ in calls[0])
-        assert len(calls[0]) * (width - 1) <= 2 * vc.BLOCK_ELEMS
+        assert sum(w - 1 for _, w, _ in calls[0]) <= vc.BLOCK_ELEMS
         assert [repr(s) for s in got] == [repr(rp.solve(x, t)) for x in xs]
     calls.clear()
     p.solve_grid(np.linspace(-3.0, 3.0, 12), 1.0)
     assert [len(c) for c in calls] == [12] and not joins
+    calls.clear()
+    p._blocks(np.linspace(-3.0, 3.0, 16), np.linspace(1.0, 2.5, 16),
+              np.zeros(16, dtype=np.intp), np.full(16, 2049))
+    assert [len(c) for c in calls] == [8, 8]
     # 3 rows of 1 024 cells and 20 of 2 048, in their given order: 3 + 6
     # rows, then 8 and 6, each block within BLOCK_ELEMS cells
     calls.clear()
@@ -1178,34 +1212,85 @@ def test_block_of_many_windows_equals_its_one_row_blocks():
 
 
 def test_sine_slice_shares_blocks_across_windows(monkeypatch):
-    # a 32-point slice: level 0 of 16 rows, then one block of the 16 other
-    # rows, 4 960 cells of windows from 161 to 2 049 points at t = 1.2 and
-    # 11 229 from 419 to 1 597 at t = 0.5 (an 8-row level 0 left 24 rows
-    # of 30 336 cells there, two blocks)
+    # a slice of 2k points: level 0 of k rows, then one block of the k
+    # other rows, 5 359 cells of 84 windows from 32 to 1 903 points at
+    # t = 1.2 and 12 186 of 85 from 79 to 308 at t = 0.5
     p = Problem(flux.burgers(), idata.sin_wave())
+    k = _level_zero_rows(len(p._s))
+    grids = _spy(monkeypatch, "_blocks")
     calls = _count_blocks(monkeypatch)
-    xs = np.linspace(-np.pi, np.pi, 32)
+    xs = np.linspace(-np.pi, np.pi, 2 * k)
     for t in (1.2, 0.5):
+        grids.clear()
         calls.clear()
         got = p.solve_grid(xs, t)
-        assert [len(c) for c in calls] == [16, 16]
+        assert [len(g[0]) for g in grids] == [k, k]
+        assert len(calls[-1]) == k and len(set(calls[-1])) > k // 2
         assert got == [p.solve(x, t) for x in xs]
 
 
 @pytest.mark.parametrize("n_scan", [2048, 4096])
 def test_level_zero_is_one_block_of_whole_grid_rows(monkeypatch, n_scan):
-    # k = 2 * BLOCK_ELEMS // n_scan rows fill one whole-grid block: a grid
-    # of k points is that block, and one of k + 1 points starts with it
+    # level 0 is one _blocks call of k whole-grid rows (85 at n_scan 2048,
+    # 64 at 4096), packed after its coarse pass: a grid of k points is that
+    # call, and one of k + 1 points starts with it
     p = Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
-    k = 2 * vc.BLOCK_ELEMS // n_scan
+    k = _level_zero_rows(n_scan + 1)
+    grids = _spy(monkeypatch, "_blocks")
     calls = _count_blocks(monkeypatch)
     for m in (k, k + 1):
+        grids.clear()
         calls.clear()
         xs = np.linspace(-3.0, 3.0, m)
         got = p.solve_grid(xs, 1.2)
-        assert calls[0] == [(0, n_scan + 1, False)] * k
+        _, _, start, width = grids[0]
+        assert list(zip(start.tolist(), width.tolist())) \
+            == [(0, n_scan + 1)] * k
+        assert len(grids) == (m > k) + 1
         assert sum(len(c) for c in calls) == m
         assert got == [p.solve(x, 1.2) for x in xs]
+
+
+_SHORT_SLICE_DATA = {
+    "sine": idata.sin_wave,
+    "step_down": lambda: idata.step(1.0, 0.0),
+    "step_up": lambda: idata.step(-1.0, 1.0),
+    "sampled": _sampled_17,
+}
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2),
+                                flux.exponential(0.7)],
+                         ids=["burgers", "quartic", "exponential"])
+def test_slice_of_at_most_k_points_is_one_coarse_pass(monkeypatch, fl):
+    # a slice of 5 to k points is level 0 alone: one _blocks call whose one
+    # coarse pass covers every row, packed in blocks of at most BLOCK_ELEMS
+    # cells, and each sample equals its point solve by repr.  Up to 32
+    # points the hulls fit one block, but for power2n(2) on the sampled
+    # data, which spill into a second at t <= 0.5; k points take 1-3
+    grids = _spy(monkeypatch, "_blocks")
+    coarse = _spy(monkeypatch, "_coarse")
+    calls = _count_blocks(monkeypatch)
+    for dname, make in _SHORT_SLICE_DATA.items():
+        p = Problem(fl, make())
+        k = _level_zero_rows(len(p._s))
+        for m in (5, 32, k):
+            xs = np.linspace(-3.0, 3.0, m) + 0.01
+            for t in (0.3, 0.5, 1.2, 3.0):
+                grids.clear()
+                coarse.clear()
+                calls.clear()
+                got = p.solve_grid(xs, t)
+                assert len(grids) == 1 and len(grids[0][0]) == m
+                assert len(coarse) == 1 and len(coarse[0][0]) == m
+                assert sum(len(c) for c in calls) == m
+                assert all(sum(w - 1 for _, w, _ in c) <= vc.BLOCK_ELEMS
+                           for c in calls)
+                one = m <= 32 and not (dname == "sampled"
+                                        and fl.kind == "power2n")
+                assert len(calls) == 1 if one else len(calls) <= 3
+                assert [repr(s) for s in got] \
+                    == [repr(p.solve(x, t)) for x in xs]
 
 
 def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
@@ -1312,23 +1397,22 @@ def _spy(monkeypatch, name):
 def test_wide_one_window_blocks_equal_their_one_row_blocks(fname, dname,
                                                           monkeypatch):
     # 17 rows over the u-window of t hold more than BLOCK_ELEMS // 2 cells
-    # and take the coarse pass, except on the narrow period-mean window of
-    # periodic data at t = 1e3; every row's set and redo equal those of its
-    # own one-row block, which takes no pass
+    # and take the coarse pass of _blocks, except on the narrow period-mean
+    # window of periodic data at t = 1e3; every row's set and redo equal
+    # those of its own one-row _blocks call, which takes no pass
     p = _coarse_problem(fname, dname)
     coarse = _spy(monkeypatch, "_coarse")
     xs = np.linspace(-3.0, 3.0, 17) + 0.01
     for t in (0.1, 1.0, 15.0, 1e3):
         start, width = (int(v[0]) for v in p._window(t))
         ts = np.full(17, t)
-        out = p._maximize_block(xs, ts, np.full(17, start),
-                                np.full(17, width))
+        out = p._blocks(xs, ts, np.full(17, start), np.full(17, width))
         wide = 17 * (width - 1) > vc.BLOCK_ELEMS // 2
         assert len(coarse) == wide
         coarse.clear()
         for q in range(17):
-            one = p._maximize_block(xs[q:q + 1], ts[q:q + 1],
-                                    np.full(1, start), np.full(1, width))
+            one = p._blocks(xs[q:q + 1], ts[q:q + 1], np.full(1, start),
+                            np.full(1, width))
             assert out.redo[q] == one.redo[0]
             assert repr(_row_set(out, q)) == repr(_row_set(one, 0))
         assert not coarse
