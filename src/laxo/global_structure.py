@@ -292,9 +292,9 @@ class GlobalStructure:
             u[fan] = self._fan(xs[fan], vx[j[fan]], t)
         return u
 
-    def nwave(self, x, t, shock_positions=None):
-        """Generalized N-wave profile; ``shock_positions`` is a dict from gap
-        index to x, and a gap it leaves out moves its midpoint at its speed."""
+    def nwave(self, x, t):
+        """Generalized N-wave profile; each gap's shock is its midpoint
+        moved at its speed."""
         _check_point(x, t)
         hull = self.convex_hull()
         fl = self.flux
@@ -305,14 +305,12 @@ class GlobalStructure:
             # work in the tile containing the backward foot
             shift = self.data._tile(x - t * fl.deriv(hull.slope_left))
             xq = x - shift * self.data.period
-        for n, r in enumerate(gaps):
+        for r in gaps:
             e, h = r.interval
             left = e + t * fl.deriv(r.speed)
             right = h + t * fl.deriv(r.speed)
             if left < xq < right:
-                xn = (shock_positions or {}).get(n)
-                if xn is None:
-                    xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
+                xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
                 return float(self._fan(xq, e if xq < xn else h, t))
         return self.profile_u_tilde(x, t)
 

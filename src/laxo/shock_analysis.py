@@ -248,7 +248,8 @@ class ShockAnalyzer:
 
         Each step of ``dt`` moves by the Rankine-Hugoniot speed, then
         ``_locate_jump`` places the jump; traces are read 1e-7 to each side,
-        and a node holds them with their Rankine-Hugoniot speed.  Node x is
+        and a node holds them with their Rankine-Hugoniot speed.  A step
+        before the shock solves its point and both traces as one block.  Node x is
         where u+ drops through the middle of the traces: the edge of the
         ``val_tol`` capture band, where the gap G between the values of E at
         the left and the right maximizer branch is ``val_tol``, about
@@ -282,15 +283,17 @@ class ShockAnalyzer:
             x_hat = x + step * self._rh_speed(um, up)
             t += step
             if um - up <= jump_tol:
-                # pre-shock: ride the classical characteristic, then check
-                # whether a jump has opened underneath it
-                s = self.problem.solve(x_hat, t)
+                # pre-shock: ride the classical characteristic; one block
+                # reads whether a jump has opened underneath it, and the
+                # traces for the node if none has
+                left, s, right = self.problem.solve_grid(
+                    [x_hat - 1e-7, x_hat, x_hat + 1e-7], t)
                 um, up = s.u_minus, s.u_plus
             if um - up > jump_tol:
                 x, um, up = self._locate_jump(x_hat, t, um, up, w)
             else:
-                x = x_hat
-                um, up = self._traces(x, t)
+                # only a pre-shock step gets here, with its traces read
+                x, um, up = x_hat, left.u_minus, right.u_plus
             curve.nodes.append(self._node(x, t, um, up))
         return curve
 

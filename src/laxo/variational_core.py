@@ -833,13 +833,14 @@ class GeneralProblem:
 
         Column k serves the point xb[k] at the time t[k].  ``carrier``
         holds psi at the grid points nb.  The middle value halves each
-        bracket.  Psi jumps only where the foot x - t H(u) crosses a
-        breakpoint of phi, and on sampled data it is U(c) - U(u) between
-        knots, so every half of sampled data, and a half of piece data whose
-        feet hold a breakpoint, takes its root in closed form
-        (``_exact_roots``).  Every other half, and every closed-form root
-        that fails its check, goes to ``_refine_roots``.  Returns the two
-        rows of ends.
+        bracket.  Where phi is piecewise constant, psi's roots are closed
+        form: the preimage of a breakpoint its feet cross, or the value c of
+        phi on the feet, where U(c) - U(u) vanishes.  So every half of
+        sampled data, and a half of piece data whose feet hold a
+        breakpoint, tries those roots first (``_exact_roots``).  Every other
+        half, and every half whose closed-form root fails its check, goes
+        to ``_refine_roots``: one ``secant_many`` call per block.  Returns
+        the two rows of ends.
         """
         # the half of each bracket where psi changes sign, ends (a, b)
         up = carrier[1] > 0.0
@@ -886,8 +887,8 @@ class GeneralProblem:
                            self.tol_u)
 
     def _exact_roots(self, xb, t, ie, vals, ends):
-        """Roots of psi in closed form: where its feet cross phi's jumps,
-        and on sampled data everywhere.
+        """Roots of psi in closed form: a jump's preimage, or the value of
+        phi on the feet where phi is constant there.
 
         Bracket k is [a, b] = ends[:, k], the grid points ie[:, k], with
         psi > 0 at a and <= 0 at b (``vals``), for the point xb[k] at the
@@ -902,21 +903,21 @@ class GeneralProblem:
         no preimage.  On sampled data a bracket whose feet hold no knot
         (j1 == j0: as many breakpoints lie up to the foot of a as up to
         that of b) is itself such a sub-bracket, with no breakpoint on
-        either side.  The root is then:
+        either side.  The root r is then, with no call of the data:
 
         * the preimage below, where psi <= 0 also just above it: psi jumps
           down there, a fan's maximizer (one inversion of H);
-        * on sampled data, the plateau value c, where U(phi) - U(u) =
-          U(c) - U(u) vanishes, read from the breakpoint table with no call
-          of the data;
-        * else the ``secant_many`` root of the smooth sub-bracket, from
-          phi's limits at its ends and a bound on psi'' from the second
-          difference through its midpoint, all on its own side of the jumps.
+        * else the plateau value c, phi on the sub-bracket's feet as the
+          breakpoint table reads it, where U(phi) - U(u) = U(c) - U(u)
+          vanishes if phi is constant there.
 
         An exact root r stands as the bracket r -+ 0.45 tol_u.  One psi
-        call checks every bracket: psi > 0 at its lower end, <= 0 at its
-        upper end, width at most tol_u.  Those that pass are written into
-        ``ends``, and the mask of them returned; the others, and the
+        call checks every bracket: a <= r <= b, psi > 0 at its lower end,
+        <= 0 at its upper end, width at most tol_u.  The check in [a, b]
+        matters where phi is not constant on the feet: c may still be a
+        root of psi elsewhere, where a characteristic from another point
+        with phi = c passes through (x, t).  Brackets that pass are written
+        into ``ends``, and the mask of them returned; the others, and the
         brackets of piece data whose feet hold no breakpoint, and those
         whose feet span a period, are left to ``_roots``.  Each bracket's
         result reads only its own column.
@@ -958,53 +959,23 @@ class GeneralProblem:
         # that holds the sign change; m breakpoints lie below it
         m = np.minimum.reduceat(np.where(Hr[j] <= v, np.arange(n), n), off)
         m = np.minimum(m - off, c)
-        has_l, has_r = m > 0, m < c
         el = off + m - 1                        # the preimage below it
-        er = np.minimum(off + m, n - 1)         # and the one above it
-        jl, jr = j[el], j[er]
-        jump = has_l & (Hl[jl] <= v[el])
+        jump = (m > 0) & (Hl[j[el]] <= v[el])
         (ag, bg), xg = ends[:, g], xb[g]
+        # phi on the sub-bracket's feet: right of breakpoint i - 1, or left
+        # of the first one
+        i = j1[g] - m
+        r = np.where(i > 0, right[(i - 1) % len(right)], left[0])
+        if np.count_nonzero(jump):
+            r[jump] = self._preimage(v[el[jump]], ag[jump], bg[jump])
         d = 0.45 * self.tol_u
-        if self.data.is_sampled:
-            # phi on the sub-bracket's feet: right of breakpoint i - 1, or
-            # left of the first one
-            i = j1[g] - m
-            r = np.where(i > 0, right[(i - 1) % len(right)], left[0])
-            if np.count_nonzero(jump):
-                r[jump] = self._preimage(v[el[jump]], ag[jump], bg[jump])
-            lo, hi = r - d, r + d
-        else:
-            # the preimages at the ends of the sub-brackets, in one call
-            smooth_r = has_r & ~jump
-            u = self._preimage(np.concatenate([v[el[has_l]], v[er[smooth_r]]]),
-                               np.concatenate([ag[has_l], ag[smooth_r]]),
-                               np.concatenate([bg[has_l], bg[smooth_r]]))
-            ul, ur = ag.copy(), bg.copy()
-            ul[has_l], ur[smooth_r] = np.split(u, [np.count_nonzero(has_l)])
-            lo, hi = ul - d, ul + d
-            sm = (~jump).nonzero()[0]
-            if len(sm):
-                ul, ur, xs, ts = ul[sm], ur[sm], xg[sm], tg[sm]
-                # psi at the sub-brackets' ends from phi's limits, and in
-                # the middle
-                fl = np.where(has_l[sm], self._U(left[jl[sm]]) - self._U(ul),
-                              fa[g[sm]])
-                fr = np.where(has_r[sm], self._U(right[jr[sm]]) - self._U(ur),
-                              fb[g[sm]])
-                hh = 0.5 * (ur - ul)
-                fm = self._psi(ul + hh, xs, ts)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    curv = (_SECANT_SAFETY / (2.0 * hh * hh)
-                            * np.abs(fl - 2.0 * fm + fr))
-                lo[sm], hi[sm] = secant_many(
-                    lambda u, i: self._psi(u, xs[i], ts[i]), ul, ur, fl,
-                    fr, curv, self.tol_u)
+        lo, hi = r - d, r + d
         # the check, one psi call for every bracket
         k = len(g)
         pv = self._psi(np.concatenate([lo, hi]), np.concatenate([xg, xg]),
                        np.concatenate([tg, tg]))
-        ok = ((pv[:k] > 0.0) & (pv[k:] <= 0.0) & (lo < hi)
-              & (hi - lo <= self.tol_u))
+        ok = ((ag <= r) & (r <= bg) & (pv[:k] > 0.0) & (pv[k:] <= 0.0)
+              & (lo < hi) & (hi - lo <= self.tol_u))
         ends[:, g[ok]] = lo[ok], hi[ok]
         go[g[~ok]] = False
         return go

@@ -200,7 +200,7 @@ def test_nwave_l1_convergence(sin_problem):
     t = 50.0
     xs = np.linspace(-np.pi, np.pi, 801)
     us = np.array([s.u_plus for s in sin_problem.solve_grid(xs, t)])
-    ws = np.array([gs.nwave(x, t, {0: 0.0}) for x in xs])
+    ws = np.array([gs.nwave(x, t) for x in xs])
     fl = sin_problem.flux
     err = np.trapezoid(np.abs(fl.deriv(us) - fl.deriv(ws)), xs)
     assert err < 0.02

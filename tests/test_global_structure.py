@@ -178,19 +178,17 @@ def test_profile_matches_solution_fan(fan_gs):
 
 
 def test_nwave_sawtooth(sin_gs):
-    t = 10.0
-    pos = {0: 0.0}   # the stationary shock of the odd profile
+    t = 10.0   # the stationary shock of the odd profile sits at x = 0
     for x in (-2.0, -0.5, 0.5, 2.0):
         foot = -np.pi if x < 0 else np.pi
-        assert sin_gs.nwave(x, t, pos) == pytest.approx((x - foot) / t, abs=1e-6)
+        assert sin_gs.nwave(x, t) == pytest.approx((x - foot) / t, abs=1e-6)
 
 
 def test_nwave_matches_solution(sin_gs):
     t = 20.0
-    pos = {0: 0.0}
     for x in (-2.5, -1.0, 1.0, 2.5):
         s = sin_gs.problem.solve(x, t)
-        assert sin_gs.nwave(x, t, pos) == pytest.approx(s.u_plus, abs=2e-2)
+        assert sin_gs.nwave(x, t) == pytest.approx(s.u_plus, abs=2e-2)
 
 
 def test_decay_rate_sup(sin_gs):
@@ -204,10 +202,9 @@ def test_decay_rate_sup(sin_gs):
 
 
 def test_decay_l1_nwave(sin_gs):
-    pos = {0: 0.0}
     e, c, series = sin_gs.measure_decay(
         "l1", (-3.0, 3.0), [10.0, 20.0, 40.0],
-        target=lambda x, t: sin_gs.nwave(x, t, pos))
+        target=lambda x, t: sin_gs.nwave(x, t))
     # closing the gap to the N-wave beats 1/t
     for t, v in series:
         assert v <= 1.0 / t
@@ -263,7 +260,7 @@ def test_profile_rejects_bad_point(sin_gs, fan_gs, x, t):
         with pytest.raises(ValueError):
             gs.profile_u_tilde(x, t)
         with pytest.raises(ValueError):
-            gs.nwave(x, t, {0: 0.0})
+            gs.nwave(x, t)
 
 
 def test_windowed_hull_leaves_default_answers_alone():

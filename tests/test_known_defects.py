@@ -103,8 +103,8 @@ def _drop(u, xs, vals):
         "the solver's jump at t = 20-160 (ROADMAP item 7)")))],
     ids=["burgers", "power2n"])
 def test_nwave_default_shock_meets_the_solver(fl):
-    # the one gap's shock, of the solver and of nwave with no
-    # shock_positions, within 1/t of each other (ROADMAP item 7): under
+    # the one gap's shock, of the solver and of nwave (the gap midpoint
+    # moved at its speed), within 1/t of each other (ROADMAP item 7): under
     # Burgers 1.6e-4 apart at t = 40; under power2n(2) the solver's jump
     # is at 1.159 and nwave's at 0.321.  The Burgers case passes.
     t = 40.0

@@ -382,6 +382,20 @@ def test_track_block_budget(name, monkeypatch):
     assert count["blocks"] <= 3 * n_nodes
 
 
+def test_smooth_track_takes_one_block_per_node(sin_sa, monkeypatch):
+    # before Burgers/sine forms its shock, each step reads the point on the
+    # characteristic and the traces 1e-7 to each side of it in one block,
+    # whose rows equal their point solves bit for bit
+    count = _count_work(monkeypatch)
+    cur = sin_sa.track_forward(-2.0, 0.1, 0.6, 0.1)
+    assert len(cur.nodes) == 6
+    assert all(n.u_minus - n.u_plus <= sin_sa.problem.jump_tol
+               for n in cur.nodes)
+    assert count["blocks"] == len(cur.nodes)
+    ref = _OnePointTracker(sin_sa.problem).track_forward(-2.0, 0.1, 0.6, 0.1)
+    assert [repr(n) for n in cur.nodes] == [repr(n) for n in ref.nodes]
+
+
 def test_fallback_places_the_node_on_the_shock_run_into(sin_sa,
                                                        monkeypatch):
     # the characteristic from (-0.5, 1/8) runs into the standing shock of

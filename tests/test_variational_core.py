@@ -504,6 +504,98 @@ def test_sampled_halves_take_closed_form_roots(name, monkeypatch):
         assert (ends[0] == 0.0).all()
 
 
+def _count_psi_secants(monkeypatch):
+    """One count per ``_roots`` call: its ``secant_many`` calls on psi.
+
+    ``_preimage``'s secant pairs on v - H read no psi, so they are not
+    counted."""
+    per_call, in_preimage = [], [False]
+    roots, preimage = GeneralProblem._roots, GeneralProblem._preimage
+
+    def counted_roots(self, *args):
+        per_call.append(0)
+        return roots(self, *args)
+
+    def counted_preimage(self, *args):
+        in_preimage[0] = True
+        try:
+            return preimage(self, *args)
+        finally:
+            in_preimage[0] = False
+
+    def counted_secant(*args):
+        if per_call and not in_preimage[0]:
+            per_call[-1] += 1
+        return secant_many(*args)
+
+    monkeypatch.setattr(GeneralProblem, "_roots", counted_roots)
+    monkeypatch.setattr(GeneralProblem, "_preimage", counted_preimage)
+    monkeypatch.setattr(vc, "secant_many", counted_secant)
+    return per_call
+
+
+@pytest.mark.parametrize("t", [0.4, 1.3, 3.1])
+def test_fan_edges_take_the_plateau_root(t, monkeypatch):
+    # just outside the fan of step(-1, 1), its edges inside the u-grid, the
+    # bracket of the root holds the preimage of the jump, and the root is
+    # the tail value on the feet next to it: -1 left of the fan, +1 right
+    p = _JUMP_PROBLEMS["fan_inside_grid"][0]()
+    per_call = _count_psi_secants(monkeypatch)
+    for x in (-1.0003 * t, 1.0003 * t):
+        assert p.solve(x, t).u_plus == math.copysign(1.0, x)
+    assert per_call and sum(per_call) == 0
+
+
+def test_roots_make_at_most_one_psi_secant_call(monkeypatch):
+    # the closed-form roots take no search of their own: a half whose root
+    # fails the check joins the other halves in one secant_many call
+    per_call = _count_psi_secants(monkeypatch)
+    for make, ts in _JUMP_PROBLEMS.values():
+        p = make()
+        for t in ts:
+            xs = np.concatenate([np.linspace(-3.0, 3.0, 25), t * np.array(
+                [-1.0003, -0.9997, 0.9997, 1.0003])])
+            p.solve_grid(xs, t)
+            for x in xs[::4].tolist():
+                p.solve(x, t)
+    assert len(per_call) > 100 and max(per_call) <= 1
+
+
+def test_plateau_root_outside_the_half_is_refined(monkeypatch):
+    # phi jumps at 0 from -1/2 into 4 sin x, which starts at c = 0 and is 0
+    # again at 2 pi.  At (x, t) = (2 pi, 2 pi / 0.6) the characteristic
+    # from 2 pi carries c = 0 to (x, t), so psi changes sign at u = 0; the
+    # half [0.5, 0.75] holds the preimage 0.6 of the jump and its own root,
+    # on the sine.  Its plateau root c passes the sign test but lies
+    # outside the half, so the half goes to _refine_roots
+    data = idata.InitialData(
+        [idata.Piece(0.0, 3.0 * np.pi, "sin", {"a": 4.0, "b": 1.0, "c": 0.0})],
+        left_tail=-0.5, right_tail=0.0)
+    p = Problem(flux.burgers(), data)
+    x, t = 2.0 * np.pi, 2.0 * np.pi / 0.6
+    xb, tb = np.array([x]), np.array([t])
+    d = 0.45 * p.tol_u
+    assert p._psi(np.array([-d]), xb, tb)[0] > 0.0 >= p._psi(
+        np.array([d]), xb, tb)[0]
+    nb = np.searchsorted(p._s, [[0.5], [0.75], [1.0]])
+    a, b = p._s[nb[:2, 0]]
+    carrier = p._psi(p._s[nb], xb, tb)
+    assert carrier[0, 0] > 0.0 >= carrier[1, 0]
+    refined = []
+    refine = GeneralProblem._refine_roots
+
+    def counted_refine(self, xb, t, nb, carrier, ends, vals):
+        refined.append(ends.copy())
+        return refine(self, xb, t, nb, carrier, ends, vals)
+
+    monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
+    lo, hi = p._roots(xb, tb, nb, carrier)
+    assert len(refined) == 1 and refined[0].ravel().tolist() == [a, b]
+    assert a <= lo[0] < hi[0] <= b and hi[0] - lo[0] <= p.tol_u
+    assert (p._psi(np.concatenate([lo, hi]), np.concatenate([xb, xb]),
+                   np.concatenate([tb, tb])) > 0.0).tolist() == [True, False]
+
+
 def _count_psi(monkeypatch):
     """The number of psi points evaluated, as a one-element list."""
     n = [0]
