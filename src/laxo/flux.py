@@ -163,19 +163,18 @@ class Flux:
 
 
 class GeneralFluxPair:
-    """General pair U(u)_t + F(u)_x = 0 with H = F'/U' strictly increasing.
+    """General pair U(u)_t + F(u)_x = 0 with H = F'/U'.
 
-    H is required; H' defaults to a central difference of step 1e-6.
-    Without F, F(u) = int_0^u H U' ds by 24-point Gauss-Legendre quadrature
-    at every call: pass F when it is known.  All four act elementwise on
-    arrays, each element's value independent of the array it sits in, so a
-    point solved within a block of ``solve_grid`` equals a point solved alone.
+    U and H must be nondecreasing, and H not constant, on the u-grid of a
+    problem, which ``GeneralProblem`` checks: the engine reads H and U, and
+    never a derivative of H.  H is required.  Without F, F(u) = int_0^u H U'
+    ds by 24-point Gauss-Legendre quadrature at every call: pass F when it
+    is known.  All three act elementwise on arrays, each element's value
+    independent of the array it sits in, so a point solved within a block
+    of ``solve_grid`` equals a point solved alone.
     """
 
-    def __init__(self, U, Uprime, F=None, *, H, Hprime=None):
-        if Hprime is None:
-            h = 1e-6
-            Hprime = lambda u: (H(u + h) - H(u - h)) / (2.0 * h)
+    def __init__(self, U, Uprime, F=None, *, H):
         if F is None:
             nodes, weights = np.polynomial.legendre.leggauss(24)
 
@@ -191,7 +190,6 @@ class GeneralFluxPair:
         self.U = U
         self.F = F
         self.H = H
-        self.Hprime = Hprime
 
 
 def burgers():

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._search import bisect_many, golden_many, padded_runs, secant_many
 from .flux import GeneralFluxPair
@@ -204,7 +203,13 @@ class _NumericPrimitive(_Extended):
 
 
 class GeneralProblem:
-    """Variational problem for the pair (U, F); U = id gives the scalar case."""
+    """Variational problem for the pair (U, F); U = id gives the scalar case.
+
+    H = F'/U' and U must be nondecreasing on the u-grid, and H not constant
+    there: the formula's maximizers give the entropy solution only then.
+    Any other pair, such as a ``custom`` flux whose f' falls somewhere or
+    is constant, raises ValueError.
+    """
 
     def __init__(self, pair, data, n_scan=N_SCAN, val_tol=VAL_TOL,
                  jump_tol=JUMP_TOL, tol_u=TOL_U):
@@ -220,9 +225,33 @@ class GeneralProblem:
                 self.val_tol, self.jump_tol, self.tol_u))):
             raise ValueError("need n_scan >= 2 and finite positive tolerances")
         self._H = pair.H
-        self._Hp = pair.Hprime
         self._U = pair.U
         self._F = pair.F
+        M = data.bound
+        self.M = M
+        delta = 1e-6 * (1.0 + M)
+        self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
+        h = self._h = float(self._s[1] - self._s[0])
+        # |psi''| / 2 per unit of a second difference on the grid
+        self._curv = _SECANT_SAFETY / (2.0 * h * h)
+        self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
+        Us = np.asarray(self._U(self._s), dtype=float)
+        # the formula gives the entropy solution, and backward
+        # characteristics keep their order, only where H and U rise
+        rise = np.diff(self._Hs)
+        if not ((rise >= 0.0).all() and (np.diff(Us) >= 0.0).all()
+                and self._Hs[-1] > self._Hs[0]):
+            raise ValueError("H and U must be nondecreasing on the u-grid, "
+                             "and H not constant")
+        # H's rise over the larger of the two grid cells beside each point
+        self._dH = np.maximum(np.concatenate([rise[:1], rise]),
+                              np.concatenate([rise, rise[-1:]]))
+        self._H0 = float(self._H(0.0))
+        self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
+        # int_0^s H'(r) U(r) dr along the grid
+        self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
+        # the window of one row over the whole grid: start 0, width n
+        self._whole = np.zeros(1, dtype=np.intp), np.full(1, len(self._s))
         # the data of U(phi), whose primitive is W
         if pair.U is _identity:
             Ud = data
@@ -232,43 +261,23 @@ class GeneralProblem:
         else:
             Ud = _NumericPrimitive(pair.U, data)
         self._W = Ud.primitive
-        M = data.bound
-        self.M = M
-        delta = 1e-6 * (1.0 + M)
-        self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
-        h = self._h = float(self._s[1] - self._s[0])
-        # |psi''| / 2 per unit of a second difference on the grid
-        self._curv = _SECANT_SAFETY / (2.0 * h * h)
-        self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
-        self._Hps = np.asarray(self._Hp(self._s), dtype=float)
-        self._H0 = float(self._H(0.0))
-        self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
-        # int_0^s H'(r) U(r) dr along the grid
-        Us = np.asarray(self._U(self._s), dtype=float)
-        self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
-        # the window of one row over the whole grid: start 0, width n
-        self._whole = np.zeros(1, dtype=np.intp), np.full(1, len(self._s))
-        # backward characteristics keep their order where H and U rise
-        self._ordered = bool((np.diff(self._Hs) >= 0.0).all()
-                             and (np.diff(Us) >= 0.0).all())
         # periodic data: after t_w every solve scans within ``_window``.
         # H_mean holds H(c_lo) and H(c_hi), c_lo the last and c_hi the first
         # grid point with U(c_lo) < Ubar < U(c_hi), Ubar the period mean of
         # U(phi): a bracket on U's grid values, so U is never inverted
         self._t_w = np.inf
-        span = self._Hs[-1] - self._Hs[0]
-        if self._ordered and data.period is not None and span > 0.0:
+        if data.period is not None:
             ubar = Ud.tail_invariants().ubar_l
             c_lo = max(int(np.searchsorted(Us, ubar, "left")) - 1, 0)
             c_hi = min(int(np.searchsorted(Us, ubar, "right")), len(Us) - 1)
             self._H_mean = float(self._Hs[c_lo]), float(self._Hs[c_hi])
-            self._t_w = 2.0 * data.period / span
+            self._t_w = 2.0 * data.period / (self._Hs[-1] - self._Hs[0])
         # phi's breakpoints y, its limits there and H of them, for the
         # exact roots of psi; on periodic data y runs on over a second
         # period, and breakpoint j of it is breakpoint j % len(left)
         self._jumps = None
         y, left, right = data.breakpoints()
-        if self._ordered and len(y):
+        if len(y):
             if data.period is not None:
                 y = np.concatenate([y, y + data.period])
             self._jumps = (y, left, right, np.asarray(self._H(left), float),
@@ -332,8 +341,8 @@ class GeneralProblem:
         at x, so H(c_lo) - P/t <= H(u) <= H(c_hi) + P/t: the window is
         ``_cells`` of that interval, whose clips never bind, as it holds
         H(c_lo).  Before t_w = 2 P / (H(s_n) - H(s_0)), where P/t reaches
-        half of H's range on the grid, on tailed data, and where H or U is
-        not nondecreasing on the grid, it is the whole grid.
+        half of H's range on the grid, and on tailed data, it is the whole
+        grid.
         """
         if not t > self._t_w:
             return self._whole
@@ -357,17 +366,19 @@ class GeneralProblem:
         (ww - 1) / COARSE_STEP coarse points and a hull of about COARSE_STEP
         coarse cells (a mean of 63-410 cells on the sine and Riemann data
         of Burgers and ``power2n(2)`` at t = 0.3-3), or the whole window
-        where that is narrower.  Level 0 holds the k rows of that cost that
-        fill 2 * BLOCK_ELEMS, at least 2: 85 over the default whole grid,
-        and on a window the pass hardly narrows about the rows whose whole
-        windows fill 2 * BLOCK_ELEMS.  Timed in process on slices of 17-257
-        points, this rule and a level 0 of 64 rows were fastest over the
-        whole grid, ahead of 32, 42, 48 and 128 rows, and unlike 64 it kept
-        long late slices on narrow windows as fast as 2 * BLOCK_ELEMS //
-        (ww - 1) rows.  A grid of at most k points, or one where H or U is
-        not nondecreasing on the grid (a ``custom`` flux, say), is one
-        ``_blocks`` call.  A longer grid is maximized in levels.  Level 0 is
-        the ``_blocks`` call of k evenly spaced points, both ends included.
+        where that is narrower: a cost of c cells per row.  Level 0 holds
+        the k rows of that cost that fill 2 * BLOCK_ELEMS, at least 2: 85
+        over the default whole grid, and on a window the pass hardly
+        narrows about the rows whose whole windows fill 2 * BLOCK_ELEMS.
+        Timed in process on slices of 17-257 points, this rule and a level
+        0 of 64 rows were fastest over the whole grid, ahead of 32, 42, 48
+        and 128 rows, and unlike 64 it kept long late slices on narrow
+        windows as fast as 2 * BLOCK_ELEMS // (ww - 1) rows.  A grid of m
+        points with m c <= 3 * BLOCK_ELEMS, 128 over the default whole
+        grid, is one ``_blocks`` call: it costs at most one block more than
+        level 0's two, and any further level costs at least one block of
+        its own.  A longer grid is maximized in levels.  Level 0 is the
+        ``_blocks`` call of k evenly spaced points, both ends included.
         Each later level maximizes the middle point q of every
         unsolved gap (a, b) over the u-window that the ordering of backward
         characteristics leaves it (Lax 1957): for x_a < x_q < x_b every
@@ -383,10 +394,10 @@ class GeneralProblem:
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
         ts, start, width = np.full(m, t), np.full(m, w0), np.full(m, ww)
-        k = max(2, 2 * BLOCK_ELEMS // ((ww - 1) // COARSE_STEP
-                                       + min(ww - 1, COARSE_STEP ** 2)))
-        if m <= k or not self._ordered:
+        cost = (ww - 1) // COARSE_STEP + min(ww - 1, COARSE_STEP ** 2)
+        if m * cost <= 3 * BLOCK_ELEMS:
             return self._blocks(xs, ts, start, width)
+        k = max(2, 2 * BLOCK_ELEMS // cost)
         parts = []
         Hp, Hm = np.empty(m), np.empty(m)       # H(u+), H(u-) of solved rows
         solved = np.zeros(m, dtype=bool)
@@ -561,10 +572,11 @@ class GeneralProblem:
         nbc = nb + d if shift else nb
         carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
-        gloc = np.abs(self._Hps[nb] * carrier).max(axis=0)
+        # the keep filter: dE = t psi dH, so E on a run's two cells stays
+        # within t max|dH psi| of its middle's value
+        gloc = np.abs(self._dH[nb] * carrier).max(axis=0)
         tr = t[r]
-        keep = ~(Ev[sr, col] + tr * self._h * gloc
-                 < Emax_grid[r] - 10.0 * self.val_tol)
+        keep = ~(Ev[sr, col] + tr * gloc < Emax_grid[r] - 10.0 * self.val_tol)
         if np.count_nonzero(keep) < len(r):     # else every run stays
             r, tr = r[keep], tr[keep]
             nb, carrier = nb[:, keep], carrier[:, keep]
@@ -622,34 +634,38 @@ class GeneralProblem:
         The coarse points are every COARSE_STEP-th index of the window and
         its last, read as strided views of the grid and valued by one W
         call with each row's H(0) foot: each E is the float the scan
-        computes there.  On the cell [a, b] between two of them dE/du =
-        t H'(u) (U(phi(x - t H(u))) - U(u)), at most t K in size, K being
-        max|H'| on the cell's grid points times (max|U| on the grid + max|U|
-        on the cell's points), so E <= B = max(E_a, E_b, (E_a + E_b)/2 +
-        t K (s_b - s_a)/2) there (Piyavskii 1972; Shubert 1972).  The cell
-        is ruled out when B < Emax_c - 10 val_tol - t h max K - R, with
-        Emax_c the row's best coarse value, max K over the window and R =
-        2**-40 (max|W| over the row's coarse feet and its W0 + max|U| |x|
-        + t (max|I| + max|U| max|H|)) a rounding allowance, thousands of
-        times the few ulps by which the computed E, its foot and W(foot)
-        may stray from E.  Each row's window becomes the hull from its first
-        to its last cell left; it reads only that row and the window, so a
-        row's hull does not depend on the rows passed with it, nor on the
-        block it is packed in later.  Scanned over that hull, the row gets
-        the whole window's maximizer set bit for bit:
+        computes there.  As dE = t psi dH, psi(u) = U(phi(x - t H(u))) -
+        U(u), E is Lipschitz in H itself.  On the cell [a, b] between two
+        coarse points |psi| <= C = max|U| on the grid + max(|U(a)|, |U(b)|),
+        since phi lies within the grid and U rises, so E <= B = max(E_a,
+        E_b, (E_a + E_b)/2 + t C (H(b) - H(a))/2) there (Piyavskii 1972;
+        Shubert 1972, in the variable H).  This holds for every rising H,
+        whatever the shape of H', and reads H and U at grid points only; the
+        last cell, which may end short of COARSE_STEP grid cells, takes C
+        and the rise of H of the COARSE_STEP cells from its start, which
+        hold it.  The cell is ruled out when B < Emax_c - 10 val_tol -
+        t max C max dH - R, with Emax_c the row's best coarse value, max C
+        over the window's cells, max dH the largest of the keep filter's
+        rises of H (``_dH``) at the window's points, and R = 2**-40 (max|W|
+        over the row's coarse feet and its W0 + max|U| |x| + t (max|I| +
+        max|U| max|H|)) a rounding allowance, thousands of times the few
+        ulps by which the computed E, its foot and W(foot) may stray from
+        E.  Each row's window becomes the hull from its first to its last
+        cell left; it reads only that row and the window, so a row's hull
+        does not depend on the rows passed with it, nor on the block it is
+        packed in later.  Scanned over that hull, the row gets the whole
+        window's maximizer set bit for bit:
 
         * every grid value of a ruled-out cell lies below the keep filter's
-          threshold (its gloc is at most max K) and below the band, so no
-          kept run and no band point lies there;
+          threshold and below the band, so no kept run and no band point
+          lies there.  A run's middle is a grid end or inside the window,
+          so its neighbours are points of the window, each with a dH of at
+          most max dH and a |psi| of at most max C: its gloc is at most
+          max C max dH;
         * a hull edge that is not the window's ends a ruled-out cell, so
           it reads below ``reach`` and never sets ``redo``;
         * the best grid value lies inside the hull;
         * every value of E the scan still computes is the same float.
-
-        The bound reads |H'| and |U| at grid points only: phi lies within
-        the grid, and |U(phi)| and |U| on a cell stay within their grid
-        values where U is monotone, and |H'| where it is monotone or convex
-        on the cell, as for every named flux.
         """
         S, e = COARSE_STEP, j + w - 1
         nc = -(-(w - 1) // S)           # cells, the last ending at index e
@@ -661,7 +677,7 @@ class GeneralProblem:
         Ec = Wp[:, -1:] - Wp[:, :-1]
         Ec[:, :nc] -= t * self._Is[j:e:S]
         Ec[:, nc] -= t * self._Is[e]
-        K, slack, Umax, tmag = self._lipschitz
+        C, slack, Umax, tmag = self._lipschitz
         Ea, Eb = Ec[:, :-1], Ec[:, 1:]
         B = 0.5 * (Ea + Eb) + t * slack[j:e:S]
         np.maximum(B, Ea, out=B)
@@ -669,7 +685,7 @@ class GeneralProblem:
         R = 2.0 ** -40 * (np.abs(Wp).max(axis=1) + Umax * np.abs(xs)
                           + t * tmag)
         floor = (Ec.max(axis=1) - 10.0 * self.val_tol
-                 - t * (self._h * K[j:e:S].max()) - R)
+                 - t * (C[j:e:S].max() * self._dH[j:e + 1].max()) - R)
         live = ~(B < floor[:, None])    # a NaN rules nothing out
         first = live.argmax(axis=1)
         last = nc - 1 - live[:, ::-1].argmax(axis=1)
@@ -678,24 +694,18 @@ class GeneralProblem:
 
     @functools.cached_property
     def _lipschitz(self):
-        """The tables of ``_coarse``, built on its first call: K[i] =
-        max|H'| times (max|U| on the grid + max|U|), both maxima over the
-        COARSE_STEP + 1 grid points from index i, which bounds |dE/du| / t
-        on the coarse cell from i; K times that cell's half-width; max|U|
-        on the grid; and max|I| + max|U| max|H|, which with it scales the
-        rounding allowance."""
-        s, n, k = self._s, len(self._s), COARSE_STEP + 1
-
-        def sliding_max(a):             # a padded by its last value
-            return sliding_window_view(
-                np.concatenate([a, np.full(k - 1, a[-1])]), k).max(axis=1)
-
-        aU = np.abs(np.asarray(self._U(s), dtype=float))
+        """The tables of ``_coarse``, built on its first call: C[i] = max|U|
+        on the grid + max(|U(s_i)|, |U(s_k)|), k = min(i + COARSE_STEP,
+        n - 1), which bounds |psi| on the coarse cell [s_i, s_k]; C[i] (H(s_k)
+        - H(s_i)) / 2; max|U| on the grid; and max|I| + max|U| max|H|, which
+        with it scales the rounding allowance."""
+        Hs, n = self._Hs, len(self._s)
+        aU = np.abs(np.asarray(self._U(self._s), dtype=float))
         Umax = float(aU.max())
-        K = sliding_max(np.abs(self._Hps)) * (Umax + sliding_max(aU))
         end = np.minimum(np.arange(n) + COARSE_STEP, n - 1)
-        return (K, 0.5 * K * (s[end] - s), Umax,
-                float(np.abs(self._Is).max() + Umax * np.abs(self._Hs).max()))
+        C = Umax + np.maximum(aU, aU[end])
+        return (C, 0.5 * C * (Hs[end] - Hs), Umax,
+                float(np.abs(self._Is).max() + Umax * np.abs(Hs).max()))
 
     def _flat(self, xs, t, start, width):
         """Rows of many u-windows end to end, for ``_maximize_block``.
@@ -1045,23 +1055,22 @@ class GeneralProblem:
     def solve_grid(self, xs, t):
         """``solve(x, t)`` at every x of the 1-D sequence xs, in order.
 
-        Up to k points (85 at the default n_scan, see ``_maximize_grid``)
+        Up to 128 points at the default n_scan (see ``_maximize_grid``)
         are one ``_blocks`` call over the whole u-grid; from 5 points on, it
         first rules out the cells whose Lipschitz bound on E cannot reach
         the keep threshold and scans only the hull of the others
         (``_coarse``: 1 792 of 16 384 cells for 8 points of ``sin_wave()``
         at t = 1.2, and 9 504 of 65 536 for 32 points on [-pi, pi] at
         t = 0.5, one block).  A longer grid is maximized in levels: such a
-        call on k evenly spaced points, then each unsolved point over the
+        call on 85 evenly spaced points, then each unsolved point over the
         u-window that its solved neighbours' characteristic feet leave it,
         rows packed in their order in blocks of at most ``BLOCK_ELEMS``
         cells, the sum of their windows' cells after the pass, and no row
         cap (9 blocks for the 4 096 knots of ``restart(0.5)`` on
         ``sin_wave()``); a row whose best value or ``val_tol`` band reaches
-        an inner window edge, and every row of a flux whose f' is not
-        nondecreasing, is scanned over the whole grid.  On periodic data
-        after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid is replaced by
-        the window that the period mean allows (``_window``): 17 points of
+        an inner window edge is scanned over the whole grid.  On periodic
+        data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid is replaced
+        by the window that the period mean allows (``_window``): 17 points of
         ``restart(0.5)`` of ``sin_wave()`` are one block from t = 0.6 to
         100, which takes the coarse pass up to t = 27.4.  A value of E the
         coarse pass rules out holds no kept run and no band, and every
@@ -1174,5 +1183,4 @@ class RestartedProblem:
 
 def identity_pair(flux):
     """GeneralFluxPair reducing to the scalar flux (U = id, F given: no U')."""
-    return GeneralFluxPair(_identity, None, F=flux.eval, H=flux.deriv,
-                           Hprime=flux.second)
+    return GeneralFluxPair(_identity, None, F=flux.eval, H=flux.deriv)

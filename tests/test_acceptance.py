@@ -312,8 +312,7 @@ def test_general_pair_shock_speed():
     Up = lambda u: 3.0 * np.asarray(u, dtype=float) ** 2 + 1.0
     pair = GeneralFluxPair(
         U, Up,
-        H=lambda u: np.asarray(u, dtype=float),
-        Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+        H=lambda u: np.asarray(u, dtype=float))
     p = GeneralProblem(pair, idata.step(1.0, 0.0))
     t = 1.6
     x = _bisect_jump(p, t, 0.0, 1.25 * t, threshold=0.5)

@@ -262,8 +262,7 @@ def _cube(u):
 
 _CUBE_PAIR = GeneralFluxPair(
     _cube, lambda u: 3.0 * np.asarray(u, dtype=float) ** 2 + 1.0,
-    H=lambda u: np.asarray(u, dtype=float),
-    Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+    H=lambda u: np.asarray(u, dtype=float))
 _PIECES = [idata.Piece(0.0, 1.0, "poly", {"coeffs": [0.5, 1.0]}),
            idata.Piece(1.0, 2.0, "poly", {"coeffs": [2.0, -0.75]})]
 _SX = np.linspace(0.0, 2.0, 41)

@@ -212,11 +212,22 @@ def _count_blocks(monkeypatch):
     return calls
 
 
-def _level_zero_rows(ww):
-    """k of ``_maximize_grid``: the rows that fill 2 * BLOCK_ELEMS cells
-    at the cost a row of a window of ww points has after the coarse pass."""
+def _row_cost(ww):
+    """The cells a row of a window of ww points costs after the coarse
+    pass, as ``_maximize_grid`` sizes its levels."""
     S = vc.COARSE_STEP
-    return max(2, 2 * vc.BLOCK_ELEMS // ((ww - 1) // S + min(ww - 1, S * S)))
+    return (ww - 1) // S + min(ww - 1, S * S)
+
+
+def _level_zero_rows(ww):
+    """k of ``_maximize_grid``: the rows that fill 2 * BLOCK_ELEMS cells."""
+    return max(2, 2 * vc.BLOCK_ELEMS // _row_cost(ww))
+
+
+def _short_grid_rows(ww):
+    """The most points ``_maximize_grid`` solves in one ``_blocks`` call:
+    their rows fill at most 3 * BLOCK_ELEMS cells."""
+    return 3 * vc.BLOCK_ELEMS // _row_cost(ww)
 
 
 def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
@@ -250,31 +261,25 @@ def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
     assert len(windowed) > 40 and all(windowed)
 
 
-def test_custom_flux_with_nonmonotone_speed_scans_whole_grid(monkeypatch):
-    cubic = flux.custom(lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
-                        lambda u: np.asarray(u, dtype=float) ** 2,
-                        lambda u: 2.0 * np.asarray(u, dtype=float))
-    # more points than level 0 holds, yet one _blocks call of every row
-    # over the whole grid, whose one coarse pass narrows the rows to hulls
-    # of 17-1 137 points, packed in one block; the point solves scan the
-    # whole grid too
-    p = Problem(cubic, idata.sin_wave())
-    grids = _spy(monkeypatch, "_blocks")
-    coarse = _spy(monkeypatch, "_coarse")
-    calls = _count_blocks(monkeypatch)
-    xs = np.linspace(-3.0, 3.0, 100)
-    got = p.solve_grid(xs, 0.7)
-    packed = list(calls)
-    assert got == [p.solve(x, 0.7) for x in xs]
-    n = len(p._s)
-    assert {(start, width) for _, _, starts, widths in grids
-            for start, width in zip(starts.tolist(), widths.tolist())} \
-        == {(0, n)}
-    # the slice's call, then one per point solve
-    assert len(grids[0][0]) == 100 and len(grids) == 1 + 100
-    assert [(len(rows), j, w) for rows, _, j, w in coarse] == [(100, 0, n)]
-    assert [len(c) for c in packed] == [100]
-    assert sum(w - 1 for _, w, _ in packed[0]) <= vc.BLOCK_ELEMS
+def test_fluxes_the_formula_does_not_cover_raise_at_construction():
+    # the formula gives the entropy solution only where H = f' and U rise:
+    # f = u^3/3 (H = u^2 falls left of 0), the zero flux (H constant) and a
+    # pair whose U falls are rejected before any solve
+    u3 = flux.custom(lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
+                     lambda u: np.asarray(u, dtype=float) ** 2,
+                     lambda u: 2.0 * np.asarray(u, dtype=float))
+    zero = flux.custom(lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+                       lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+                       lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+    falling = GeneralFluxPair(lambda u: -np.asarray(u, dtype=float),
+                              lambda u: -np.ones_like(np.asarray(u, dtype=float)),
+                              H=lambda u: np.asarray(u, dtype=float))
+    with pytest.raises(ValueError):
+        Problem(u3, idata.sin_wave())
+    with pytest.raises(ValueError):
+        Problem(zero, idata.sin_wave())
+    with pytest.raises(ValueError):
+        GeneralProblem(falling, idata.step(1.0, 0.0))
 
 
 def test_restart_scans_a_tenth_of_the_whole_grid():
@@ -1074,8 +1079,7 @@ def test_general_pair_riemann():
     U = lambda u: np.asarray(u, dtype=float) ** 3 + np.asarray(u, dtype=float)
     Up = lambda u: 3.0 * np.asarray(u, dtype=float) ** 2 + 1.0
     pair = GeneralFluxPair(U, Up,
-                           H=lambda u: np.asarray(u, dtype=float),
-                           Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+                           H=lambda u: np.asarray(u, dtype=float))
     d = idata.step(1.0, 0.0)
     assert GeneralProblem(pair, d).solve(0.5, 1.0).u_plus == pytest.approx(1.0, abs=1e-9)
     assert GeneralProblem(pair, d).solve(0.7, 1.0).u_plus == pytest.approx(0.0, abs=1e-9)
@@ -1088,8 +1092,7 @@ def test_general_eval_E_against_direct_quadrature(neg_sin):
     # comes from the pair's own quadrature
     U = lambda u: np.exp(np.asarray(u, dtype=float) / 2.0)
     pair = GeneralFluxPair(U, lambda u: 0.5 * U(u),
-                           H=lambda u: np.asarray(u, dtype=float) + 1.0,
-                           Hprime=lambda u: np.ones_like(np.asarray(u, dtype=float)))
+                           H=lambda u: np.asarray(u, dtype=float) + 1.0)
     p = GeneralProblem(pair, neg_sin.data)
     rng = np.random.default_rng(5)
     for _ in range(8):
@@ -1323,22 +1326,25 @@ def test_sine_slice_shares_blocks_across_windows(monkeypatch):
 
 @pytest.mark.parametrize("n_scan", [2048, 4096])
 def test_level_zero_is_one_block_of_whole_grid_rows(monkeypatch, n_scan):
-    # level 0 is one _blocks call of k whole-grid rows (85 at n_scan 2048,
-    # 64 at 4096), packed after its coarse pass: a grid of k points is that
-    # call, and one of k + 1 points starts with it
+    # a grid of m points whose rows cost at most 3 * BLOCK_ELEMS cells
+    # after the coarse pass (128 at n_scan 2048, 96 at 4096) is one _blocks
+    # call of whole-grid rows; one point more starts with level 0, one call
+    # of k whole-grid rows (85 and 64), packed after its coarse pass
     p = Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
     k = _level_zero_rows(n_scan + 1)
+    short = _short_grid_rows(n_scan + 1)
+    assert (k, short) == {2048: (85, 128), 4096: (64, 96)}[n_scan]
     grids = _spy(monkeypatch, "_blocks")
     calls = _count_blocks(monkeypatch)
-    for m in (k, k + 1):
+    for m in (k, k + 1, short, short + 1):
         grids.clear()
         calls.clear()
         xs = np.linspace(-3.0, 3.0, m)
         got = p.solve_grid(xs, 1.2)
         _, _, start, width = grids[0]
         assert list(zip(start.tolist(), width.tolist())) \
-            == [(0, n_scan + 1)] * k
-        assert len(grids) == (m > k) + 1
+            == [(0, n_scan + 1)] * (m if m <= short else k)
+        assert len(grids) == (m > short) + 1
         assert sum(len(c) for c in calls) == m
         assert got == [p.solve(x, 1.2) for x in xs]
 
@@ -1552,3 +1558,87 @@ def test_point_solves_branch_gaps_and_lifespans_take_no_coarse_pass(
         == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
     assert max(len(xs) for xs, *_ in blocks) == 7
     assert coarse == []
+
+
+def _oscillating_flux(s):
+    """f' = u - (a/w) sin(w (u - s_0)) on the u-grid s, a = 0.9 and w =
+    2 pi / h: f'' is 1 - a at every grid point but up to 1 + a between
+    them, so no bound read from f'' at grid points holds on the cells."""
+    a, s0 = 0.9, float(s[0])
+    w = 2.0 * math.pi / float(s[1] - s[0])
+
+    def arg(u):
+        return w * (np.asarray(u, dtype=float) - s0)
+
+    return flux.custom(
+        lambda u: 0.5 * np.asarray(u, dtype=float) ** 2
+        + a / w ** 2 * np.cos(arg(u)),
+        lambda u: np.asarray(u, dtype=float) - a / w * np.sin(arg(u)),
+        lambda u: 1.0 - a * np.cos(arg(u)))
+
+
+def _sampled_periodic():
+    us = np.random.default_rng(33).uniform(-1.0, 1.0, 33)
+    return idata.SampledData(np.linspace(-1.5, 1.5, 34), np.append(us, us[0]),
+                             period=3.0)
+
+
+_BOUND_DATA = {
+    "sine": idata.sin_wave,
+    "step_down": lambda: idata.step(1.0, 0.0),
+    "step_up": lambda: idata.step(-1.0, 1.0),
+    "sampled": _sampled_17,
+    "sampled_periodic": _sampled_periodic,
+}
+
+
+def _piyavskii_bound(p, t, i, Ea, Eb):
+    """``_coarse``'s first-order bound B on the coarse cells from the grid
+    indices i, given E at their ends: its tables, as it combines them."""
+    return np.maximum(np.maximum(Ea, Eb), 0.5 * (Ea + Eb)
+                      + t * p._lipschitz[1][i])
+
+
+def _assert_coarse_bound_holds(p, bound, xs, ts):
+    """A dense scan of E over every coarse cell of the whole grid, 32
+    points per grid cell, stays within ``bound`` plus ``_coarse``'s
+    rounding allowance R, in each row (x, t).  ``bound(p, t, i, Ea, Eb)``
+    bounds E on the coarse cells from the grid indices i, given E at their
+    ends, valued as ``_coarse`` values them."""
+    S, e = vc.COARSE_STEP, len(p._s) - 1
+    i = np.arange(0, e, S)
+    ends = np.append(i, e)
+    frac = np.linspace(0.0, 1.0, 32 * S + 1)
+    lo, hi = p._s[i], p._s[np.minimum(i + S, e)]
+    u = lo[:, None] + (hi - lo)[:, None] * frac
+    Umax, tmag = p._lipschitz[2:]
+    for x, t in zip(xs, ts):
+        W0 = float(p._W(x - t * p._H0))
+        Wc = p._W(x - t * p._Hs[ends])
+        Ec = W0 - Wc - t * p._Is[ends]
+        R = 2.0 ** -40 * (max(np.abs(Wc).max(), abs(W0)) + Umax * abs(x)
+                          + t * tmag)
+        B = bound(p, t, i, Ec[:-1], Ec[1:])
+        excess = p._E(W0, u, x, t).max(axis=1) - (B + R)
+        assert excess.max() <= 0.0, (x, t, int(i[excess.argmax()]),
+                                     float(excess.max()))
+
+
+@pytest.mark.parametrize("dname", list(_BOUND_DATA))
+@pytest.mark.parametrize("fname", ["burgers", "quartic", "exponential",
+                                   "oscillating"])
+def test_coarse_bound_holds_on_every_cell(fname, dname):
+    # _coarse rules a cell out by a bound on E over it; the bound must hold
+    # on every cell for every rising H, also where f'' between the grid
+    # points is far above its grid values (the oscillating flux)
+    data = _BOUND_DATA[dname]()
+    fl = {"burgers": flux.burgers(), "quartic": flux.power2n(2),
+          "exponential": flux.exponential(0.7)}.get(fname)
+    if fl is None:
+        fl = _oscillating_flux(Problem(flux.burgers(), data)._s)
+    p = Problem(fl, data)
+    rng = np.random.default_rng(
+        [list(_BOUND_DATA).index(dname), len(fname)])
+    ts = rng.uniform(0.1, 5.0, 4)
+    xs = rng.uniform(-1.0, 1.0, 4) * ts
+    _assert_coarse_bound_holds(p, _piyavskii_bound, xs, ts)
