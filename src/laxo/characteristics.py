@@ -7,9 +7,12 @@ time.  Membership is decided by comparing the shifted primitive
     Phi(l; x0, c) = Phi(x0 + l) - Phi(x0) - c l
 
 against the flux barrier F(l; t, c); for power-law data and flux the
-comparison collapses to inequalities between the data exponent gamma and
-the flux degeneracy alpha.  The six initial-wave types, the lifespan bound
-t_p and the exact lifespan t* all derive from the same quantities.
+comparison collapses to one test of the data exponent gamma against the
+flux degeneracy alpha (``critical_sign``), which also gives the lifespan
+bound t_p.  A characteristic is a backward one for as long as it lives
+(Dafermos 1977), so C(x0) is the set of c between phi(x0-) and phi(x0+)
+with t_p(x0, c) > 0, and the six initial-wave types and the exact
+lifespan t* <= t_p follow from t_p.
 """
 
 import math
@@ -60,6 +63,14 @@ def _check_finite(x0, c):
         raise ValueError("x0 and c must be finite")
 
 
+def critical_sign(gamma, alpha):
+    """The sign of gamma (1 + alpha) - 1, 0 within ``_EPS``: compressive
+    data of exponent gamma under a flux of degeneracy alpha cross the
+    characteristic at once (-1), after a finite time (0), or never (+1)."""
+    crit = gamma * (1.0 + alpha)
+    return int(crit > 1.0 + _EPS) - int(crit < 1.0 - _EPS)
+
+
 def phi_l(data, l, x0, c):
     """Phi(l; x0, c) = Phi(x0+l) - Phi(x0) - c l, exact."""
     return float(data.primitive(x0 + l) - data.primitive(x0) - c * l)
@@ -85,38 +96,25 @@ class CharacteristicAnalyzer:
         self.flux = problem.flux
         self.data = problem.data
 
-    # -- endpoint membership ----------------------------------------------
-
-    def _endpoint(self, x0, c, data_side):
-        """Membership of an endpoint value c via the power-law criterion.
-
-        The data side pairs with the flux expansion on the opposite side of
-        c in u (left data side with u -> c+, right with u -> c-).
-        """
-        flux_side = "right" if data_side == "left" else "left"
-        dg = self.flux.fit_degeneracy(c, flux_side)
-        try:
-            le = self.data.local_expansion(x0, c, data_side)
-        except FitError as err:
-            if "identically" in str(err):
-                return True              # phi == c: Phi(l) = 0 > F
-            raise
-        return le.C_gamma > 0 or le.gamma * (1.0 + dg.alpha) >= 1.0 - _EPS
-
     # -- the spectrum and the six wave types -------------------------------
 
     def char_spectrum(self, x0):
+        """C(x0): the c between a = phi(x0-) and b = phi(x0+) with t_p > 0.
+
+        Limits within ``jump_tol`` of each other are one value, whose
+        membership needs t_p > 0 at both; an endpoint of a wider interval
+        is in C(x0) when its own t_p (``lifespan_upper``) is positive.
+        """
         a = self.data.phi_side(x0, "left")
         b = self.data.phi_side(x0, "right")
-        if a > b + _EPS:
+        if a > b + self.problem.jump_tol:
             return CharSpectrum(x0, "empty", a, b, False, False)
-        if abs(a - b) <= _EPS:
-            # excluded as soon as either side triggers the exclusion
-            if self._endpoint(x0, a, "left") and self._endpoint(x0, a, "right"):
-                return CharSpectrum(x0, "singleton", a, b, True, True)
-            return CharSpectrum(x0, "empty", a, b, False, False)
-        in_a = self._endpoint(x0, a, "left")
-        in_b = self._endpoint(x0, b, "right")
+        in_a = min(self.lifespan_upper(x0, a)) > 0.0
+        in_b = min(self.lifespan_upper(x0, b)) > 0.0
+        if b - a <= self.problem.jump_tol:
+            one = in_a and in_b
+            return CharSpectrum(x0, "singleton" if one else "empty",
+                                a, b, one, one)
         kind = {(True, True): "closed_interval",
                 (False, True): "half_open_left",
                 (True, False): "half_open_right",
@@ -136,7 +134,8 @@ class CharacteristicAnalyzer:
 
     def _lifespan_side(self, x0, c, data_side):
         """t_p of one data side of x0, by the power-law criterion where
-        phi's one-sided limit there is c.
+        phi's one-sided limit there is c (``critical_sign``), for every
+        finite x0 and c.
 
         A limit more than ``jump_tol`` off c on its compressive side
         (phi(x0+) < c on the right, phi(x0-) > c on the left) gives 0: the
@@ -160,12 +159,16 @@ class CharacteristicAnalyzer:
         if le.C_gamma > 0:
             return np.inf
         dg = self.flux.fit_degeneracy(c, flux_side)
-        crit = le.gamma * (1.0 + dg.alpha)
-        if crit > 1.0 + 1e-9:
+        regime = critical_sign(le.gamma, dg.alpha)
+        if regime:
+            return np.inf if regime > 0 else 0.0
+        try:
+            return 1.0 / (le.gamma * dg.N
+                          * abs(le.C_gamma) ** (1.0 + dg.alpha))
+        except ZeroDivisionError:       # the power underflows: t_p > 1e308
             return np.inf
-        if crit < 1.0 - 1e-9:
-            return 0.0             # c is not a generation value
-        return 1.0 / (le.gamma * dg.N * abs(le.C_gamma) ** (1.0 + dg.alpha))
+        except OverflowError:           # the power overflows: t_p < 1e-308
+            return 0.0
 
     def carries(self, x0, c):
         """Whether c lies between phi(x0-) and phi(x0+), to ``jump_tol``:

@@ -23,8 +23,6 @@ from .reference_oracle import FvGrid, compare as _compare
 from .shock_analysis import ShockAnalyzer
 from .variational_core import Problem
 
-_TOL_KEYS = ("n_scan", "val_tol", "jump_tol", "tol_u")
-
 
 def _fmt(v):
     if isinstance(v, float) and not np.isfinite(v):
@@ -47,7 +45,6 @@ def load_problem(path):
         tols = desc.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ValueError("tolerances must be an object")
-        tols = {k: v for k, v in tols.items() if k in _TOL_KEYS}
         return Problem(fl, data, **tols)
     except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as e:
         _fail(2, e)

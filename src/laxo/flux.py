@@ -54,9 +54,10 @@ class Flux:
     def invert_deriv(self, v, bracket=DOMAIN):
         """Solve f'(u) = v on the bracket, in closed form for named kinds.
 
-        A custom flux uses bisection plus a Newton polish.  Accepts scalars
-        or arrays; raises :class:`BracketError` when some v lies more than
-        ``TOL_V`` outside the image of the bracket.
+        A custom flux takes the midpoint of one lockstep bisection walk of
+        f' - v for every v, which stops at ``TOL_U`` or the float floor.
+        Accepts scalars or arrays; raises :class:`BracketError` when some v
+        lies more than ``TOL_V`` outside the image of the bracket.
         """
         lo, hi = float(bracket[0]), float(bracket[1])
         v = np.asarray(v, dtype=float)
@@ -75,14 +76,6 @@ class Flux:
             b, a = bisect_many(lambda m, i: self.deriv(m) >= v[i],
                                np.full(len(v), hi), np.full(len(v), lo), TOL_U)
             u = 0.5 * (a + b)
-            # one safeguarded Newton step where f'' is healthy
-            fpp = self.second(u)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(fpp > 0.0, (self.deriv(u) - v)
-                                / np.where(fpp > 0, fpp, 1.0), 0.0)
-            un = u - step
-            ok = (un >= a) & (un <= b)
-            u = np.where(ok, un, u)
         u = np.clip(u, lo, hi)
         return float(u[0]) if scalar else u
 
@@ -165,11 +158,11 @@ class Flux:
 class GeneralFluxPair:
     """General pair U(u)_t + F(u)_x = 0 with H = F'/U'.
 
-    U and H must be nondecreasing, and H not constant, on the u-grid of a
-    problem, which ``GeneralProblem`` checks: the engine reads H and U, and
-    never a derivative of H.  H is required.  Without F, F(u) = int_0^u H U'
-    ds by 24-point Gauss-Legendre quadrature at every call: pass F when it
-    is known.  All three act elementwise on arrays, each element's value
+    H must rise on every cell of the u-grid of a problem, and U must not
+    fall there, which ``GeneralProblem`` checks: the engine reads H and U,
+    and never a derivative of H.  H is required.  Without F,
+    F(u) = int_0^u H U' ds by 24-point Gauss-Legendre quadrature at every
+    call: pass F when it is known.  All three act elementwise on arrays, each element's value
     independent of the array it sits in, so a point solved within a block
     of ``solve_grid`` equals a point solved alone.
     """

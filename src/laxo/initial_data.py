@@ -492,6 +492,8 @@ class InitialData(_Extended):
             raise FitError("one-sided limit of phi differs from c")
         if p.kind == "power" and abs(xr - p.params["x_ref"]) <= _EPS:
             a, g = p.params["a"], p.params["g"]
+            if a == 0 or g == 0:    # the term is constant on each side
+                raise FitError("phi is identically c on this side")
             return LocalExpansion(x0, side, c, float(g), float(a))
         ders = _pderivs(p, xr)
         scale = max(1.0, max(abs(d) for d in ders))

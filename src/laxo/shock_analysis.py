@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import bisect
-from .characteristics import T_TOL, CharacteristicAnalyzer, phi_l
+from .characteristics import (T_TOL, CharacteristicAnalyzer,
+                              critical_sign, phi_l)
 from .errors import (BracketError, ConditionFailed, LostCurve,
                      RootNotBracketed)
 
@@ -229,10 +230,10 @@ class ShockAnalyzer:
             go = float(inputs["gamma_other"])
             alpha = float(inputs.get("alpha", 0.0))
             cgo = float(inputs["Cbar_gamma_other"])
-            crit = go * (1 + alpha)
-            if crit < 1 - 1e-12:
+            regime = critical_sign(go, alpha)
+            if regime < 0:
                 O4 = cg / cgo
-            elif crit <= 1 + 1e-12:
+            elif regime == 0:
                 O4 = 1.0 + float(inputs.get("C_gamma_sign", -1.0)) * cg / cgo
             else:
                 O4 = 1.0

@@ -205,10 +205,10 @@ class _NumericPrimitive(_Extended):
 class GeneralProblem:
     """Variational problem for the pair (U, F); U = id gives the scalar case.
 
-    H = F'/U' and U must be nondecreasing on the u-grid, and H not constant
+    H = F'/U' must rise on every cell of the u-grid, and U must not fall
     there: the formula's maximizers give the entropy solution only then.
-    Any other pair, such as a ``custom`` flux whose f' falls somewhere or
-    is constant, raises ValueError.
+    Any other pair, such as a ``custom`` flux whose f' falls or stays
+    constant on some cell (f = max(u, 0)^2 / 2, say), raises ValueError.
     """
 
     def __init__(self, pair, data, n_scan=N_SCAN, val_tol=VAL_TOL,
@@ -239,10 +239,9 @@ class GeneralProblem:
         # the formula gives the entropy solution, and backward
         # characteristics keep their order, only where H and U rise
         rise = np.diff(self._Hs)
-        if not ((rise >= 0.0).all() and (np.diff(Us) >= 0.0).all()
-                and self._Hs[-1] > self._Hs[0]):
-            raise ValueError("H and U must be nondecreasing on the u-grid, "
-                             "and H not constant")
+        if not ((rise > 0.0).all() and (np.diff(Us) >= 0.0).all()):
+            raise ValueError("H must rise on every cell of the u-grid, "
+                             "and U must not fall")
         # H's rise over the larger of the two grid cells beside each point
         self._dH = np.maximum(np.concatenate([rise[:1], rise]),
                               np.concatenate([rise, rise[-1:]]))

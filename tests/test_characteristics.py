@@ -504,3 +504,63 @@ def test_sampled_data_wave_types(period):
         assert ca.lifespan_upper(x0, float(d.phi(x0))) == (np.inf, np.inf)
     with pytest.raises(ValueError):
         d.phi_side(np.nan, "left")
+
+
+def _power(g, a, lo=1.0):
+    """phi = a sgn(x)|x|^g on [-lo, lo], continued by its end values."""
+    return idata.InitialData(
+        [idata.Piece(-lo, lo, "power", {"a": a, "g": g, "x_ref": 0.0})],
+        left_tail=-a * lo ** g, right_tail=a * lo ** g)
+
+
+def _assert_spectrum_is_positive_t_p(ca, x0):
+    # C(x0) = {c : t_p(x0, c) > 0}: each endpoint is in the spectrum
+    # exactly when its own t_p is positive
+    sp = ca.char_spectrum(x0)
+    for c, inside in ((sp.a, sp.includes_a), (sp.b, sp.includes_b)):
+        assert inside == (min(ca.lifespan_upper(x0, c)) > 0.0), (x0, c, sp)
+    return sp
+
+
+@pytest.mark.parametrize("d, wave, t_p", [
+    # limits within jump_tol are one value, as in carries
+    (idata.step(0.3 + 1e-9, 0.3), "characteristic", np.inf),
+    (idata.step(0.3, 0.3 + 1e-9), "characteristic", np.inf),
+    # gamma (1 + alpha) below 1 - 1e-12: compression at once
+    (_power(1.0 - 5e-10, -0.5), "S", 0.0),
+    (_power(1.0 - 5e-12, -0.5), "S", 0.0),
+    # a = 0 is the constant 0, which no characteristic leaves
+    (_power(1.0, 0.0), "characteristic", np.inf),
+], ids=["down_1e-9", "up_1e-9", "g_5e-10", "g_5e-12", "a_zero"])
+def test_spectrum_is_the_values_of_positive_t_p(d, wave, t_p):
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), d))
+    sp = _assert_spectrum_is_positive_t_p(ca, 0.0)
+    assert ca.classify_initial_wave(0.0) == wave
+    assert ca.lifespan_upper(0.0, sp.a) == (t_p, t_p)
+
+
+def test_spectrum_of_the_fixtures_is_the_values_of_positive_t_p(
+        sin_analyzer, riemann_down_analyzer):
+    for x0 in (0.0, 0.5, np.pi):
+        _assert_spectrum_is_positive_t_p(sin_analyzer, x0)
+    for x0 in (-1.0, 0.0, 1.0):
+        _assert_spectrum_is_positive_t_p(riemann_down_analyzer, x0)
+    xs = np.linspace(-2.0, 2.0, 17)
+    for period in (None, 4.0):
+        ca = CharacteristicAnalyzer(Problem(
+            flux.burgers(), idata.SampledData(xs, _KNOT_US, period=period)))
+        for x0 in xs:
+            _assert_spectrum_is_positive_t_p(ca, x0)
+
+
+@pytest.mark.parametrize("n, a, lo, t_p", [(2, -1e-110, 1.0, np.inf),
+                                           (20, -9e7, 1e-10, 0.0)],
+                         ids=["underflow", "overflow"])
+def test_lifespan_upper_past_the_float_range(n, a, lo, t_p):
+    # f = u^(2n)/(2n) and data of exponent 1/(2n - 1) sit on
+    # gamma (1 + alpha) = 1, where t_p = 1 / (gamma N |C|^(2n - 1)):
+    # 1e-330 underflows (t_p > 1e308) and 1e310 overflows (t_p < 1e-308),
+    # and neither raises
+    ca = CharacteristicAnalyzer(Problem(
+        flux.power2n(n), _power(1.0 / (2 * n - 1), a, lo)))
+    assert ca.lifespan_upper(0.0, 0.0) == (t_p, t_p)

@@ -96,6 +96,31 @@ def test_non_integral_n_scan_exit_2(tmp_path):
                         "n_scan must be an integer")
 
 
+def test_unknown_tolerance_key_exit_2(tmp_path):
+    # a mistyped key was dropped, and the solve ran with the default val_tol
+    bad = tmp_path / "val_toll.json"
+    bad.write_text(json.dumps(dict(RIEMANN_UP, tolerances={"val_toll": 1e-6})))
+    r = run("solve", str(bad), "--t", "1", "--x-range", "-1:1", "--n", "3")
+    _assert_exit_2_json(r)
+    assert "val_toll" in json.loads(r.stderr)["message"]
+
+
+def test_classify_constant_power_piece(tmp_path):
+    # a power piece with a = 0 is the constant 0: one characteristic that
+    # lives for ever (t_p divided by zero and exited 1 with a traceback)
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "flux": {"kind": "burgers"},
+        "data": {"pieces": [{"lo": -1.0, "hi": 1.0, "kind": "power",
+                             "a": 0.0, "g": 1.0, "x_ref": 0.0}],
+                 "left_tail": 0.0, "right_tail": 0.0}}))
+    r = run("classify", str(path), "--x0", "0")
+    assert r.exit_code == 0, r.output
+    out = json.loads(r.output)
+    assert out["wave_class"] == "characteristic"
+    assert out["lifespans"]["t_p"] == out["lifespans"]["t_star"] == "inf"
+
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

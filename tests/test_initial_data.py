@@ -124,6 +124,21 @@ def test_local_expansion_errors(neg_sin):
         neg_sin.local_expansion(0.0, 0.5, "right")  # limit differs from c
 
 
+@pytest.mark.parametrize("a, g", [(0.0, 0.5), (0.7, 0.0)],
+                         ids=["a_zero", "g_zero"])
+def test_constant_power_term_is_identically_its_limit(a, g):
+    # a sgn(x)|x|^g + 0.2 is constant on each side of x_ref when a = 0 or
+    # g = 0, as a const piece is: no power law, so no LocalExpansion (a = 0
+    # gave C = 0, and g = 0 the exponent 0 with C = a, off by a on the left)
+    d = idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "power",
+                     {"a": a, "g": g, "x_ref": 0.0, "b": 0.2})],
+        left_tail=0.2 - a, right_tail=0.2 + a)
+    for side in ("left", "right"):
+        with pytest.raises(FitError, match="identically"):
+            d.local_expansion(0.0, d.phi_side(0.0, side), side)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_primitive_lipschitz(x1, x2):

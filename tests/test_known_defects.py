@@ -47,7 +47,7 @@ def _knots_33():
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: the 2 049-point u-scan aliases at t = 1e4 on Burgers/sine, "
-    "where its foot spacing t h exceeds the period (ROADMAP item 6)"))
+    "where its foot spacing t h exceeds the period (ROADMAP item 8)"))
 def test_late_sine_reaches_the_dense_maximum():
     p = Problem(flux.burgers(), idata.sin_wave())
     top, _, _ = _dense(p, 1.1, 1e4)
@@ -56,7 +56,7 @@ def test_late_sine_reaches_the_dense_maximum():
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: on periodic sampled data the fixed u-scan aliases long before "
-    "t = 1e4: 33 random knots of period 3 at t = 160 (ROADMAP item 6)"))
+    "t = 1e4: 33 random knots of period 3 at t = 160 (ROADMAP item 8)"))
 def test_random_knots_reach_the_dense_maximum():
     # x = 1.575 is one of the 21 of 41 points of [0, 3] that miss the dense
     # maximum on this draw at t = 160 (by 0.027); x = 1.5 does not
@@ -67,7 +67,7 @@ def test_random_knots_reach_the_dense_maximum():
 
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: val_tol and the flat test are absolute, so data of amplitude "
-    "1e-6 read as one flat band, a shock everywhere (ROADMAP item 9)"))
+    "1e-6 read as one flat band, a shock everywhere (ROADMAP item 11)"))
 def test_tiny_amplitude_is_smooth_at_the_dense_maximizer():
     p = Problem(flux.burgers(), idata.sin_wave(-1e-6))
     _, u, du = _dense(p, 1.0, 0.5)
@@ -100,11 +100,11 @@ def _drop(u, xs, vals):
     pytest.param(flux.power2n(2), marks=pytest.mark.xfail(strict=True, reason=(
         "FOUND: nwave's default shock, the gap midpoint + t f'(c), holds "
         "only for quadratic f*; under power2n(2) it lies 0.65-1.10 from "
-        "the solver's jump at t = 20-160 (ROADMAP item 7)")))],
+        "the solver's jump at t = 20-160 (ROADMAP item 9)")))],
     ids=["burgers", "power2n"])
 def test_nwave_default_shock_meets_the_solver(fl):
     # the one gap's shock, of the solver and of nwave (the gap midpoint
-    # moved at its speed), within 1/t of each other (ROADMAP item 7): under
+    # moved at its speed), within 1/t of each other (ROADMAP item 9): under
     # Burgers 1.6e-4 apart at t = 40; under power2n(2) the solver's jump
     # is at 1.159 and nwave's at 0.321.  The Burgers case passes.
     t = 40.0
@@ -121,7 +121,7 @@ def test_nwave_default_shock_meets_the_solver(fl):
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: track_forward reads traces 1e-7 to each side of a node, which "
     "differ by more than jump_tol wherever |u_x| > 5, so a steep smooth "
-    "step before the shock is taken as a shock step (ROADMAP item 11)"))
+    "step before the shock is taken as a shock step (ROADMAP item 13)"))
 def test_steep_pre_shock_track_takes_no_shock_step(monkeypatch):
     # the characteristic of Burgers/-sin x from x0 = 0.3 carries -sin 0.3
     # along x = 0.3 - t sin 0.3 into the standing shock at x = 0, which it

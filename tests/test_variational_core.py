@@ -262,15 +262,20 @@ def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
 
 
 def test_fluxes_the_formula_does_not_cover_raise_at_construction():
-    # the formula gives the entropy solution only where H = f' and U rise:
-    # f = u^3/3 (H = u^2 falls left of 0), the zero flux (H constant) and a
-    # pair whose U falls are rejected before any solve
+    # the formula gives the entropy solution only where H = f' rises on
+    # every grid cell and U does not fall: f = u^3/3 (H = u^2 falls left of
+    # 0), the zero flux (H constant), f = max(u, 0)^2/2 (H flat for u < 0,
+    # where the whole flat stretch was one maximizer band) and a pair whose
+    # U falls are rejected before any solve
     u3 = flux.custom(lambda u: np.asarray(u, dtype=float) ** 3 / 3.0,
                      lambda u: np.asarray(u, dtype=float) ** 2,
                      lambda u: 2.0 * np.asarray(u, dtype=float))
     zero = flux.custom(lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                        lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                        lambda u: np.zeros_like(np.asarray(u, dtype=float)))
+    half = flux.custom(lambda u: 0.5 * np.maximum(u, 0.0) ** 2,
+                       lambda u: np.maximum(u, 0.0),
+                       lambda u: (np.asarray(u, dtype=float) > 0.0) * 1.0)
     falling = GeneralFluxPair(lambda u: -np.asarray(u, dtype=float),
                               lambda u: -np.ones_like(np.asarray(u, dtype=float)),
                               H=lambda u: np.asarray(u, dtype=float))
@@ -278,6 +283,8 @@ def test_fluxes_the_formula_does_not_cover_raise_at_construction():
         Problem(u3, idata.sin_wave())
     with pytest.raises(ValueError):
         Problem(zero, idata.sin_wave())
+    with pytest.raises(ValueError):
+        Problem(half, idata.sin_wave())
     with pytest.raises(ValueError):
         GeneralProblem(falling, idata.step(1.0, 0.0))
 
