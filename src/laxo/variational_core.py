@@ -208,7 +208,9 @@ class GeneralProblem:
     H = F'/U' must rise on every cell of the u-grid, and U must not fall
     there: the formula's maximizers give the entropy solution only then.
     Any other pair, such as a ``custom`` flux whose f' falls or stays
-    constant on some cell (f = max(u, 0)^2 / 2, say), raises ValueError.
+    constant on some cell (f = max(u, 0)^2 / 2, say), raises ValueError,
+    and so do H, U and int_0^u H'U that are not finite on the grid (a
+    ``power2n(2)`` flux on data of bound 1e102, say, where H U overflows).
     """
 
     def __init__(self, pair, data, n_scan=N_SCAN, val_tol=VAL_TOL,
@@ -234,8 +236,17 @@ class GeneralProblem:
         h = self._h = float(self._s[1] - self._s[0])
         # |psi''| / 2 per unit of a second difference on the grid
         self._curv = _SECANT_SAFETY / (2.0 * h * h)
-        self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
-        Us = np.asarray(self._U(self._s), dtype=float)
+        # an overflow here is the ValueError below, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
+            Us = np.asarray(self._U(self._s), dtype=float)
+            self._H0 = float(self._H(0.0))
+            self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
+            # int_0^s H'(r) U(r) dr along the grid
+            self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
+        if not all(np.isfinite(v).all() for v in (self._Hs, Us, self._Is)):
+            raise ValueError("H, U and int_0^u H'U must be finite on the "
+                             "u-grid")
         # the formula gives the entropy solution, and backward
         # characteristics keep their order, only where H and U rise
         rise = np.diff(self._Hs)
@@ -245,10 +256,6 @@ class GeneralProblem:
         # H's rise over the larger of the two grid cells beside each point
         self._dH = np.maximum(np.concatenate([rise[:1], rise]),
                               np.concatenate([rise, rise[-1:]]))
-        self._H0 = float(self._H(0.0))
-        self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
-        # int_0^s H'(r) U(r) dr along the grid
-        self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
         # the window of one row over the whole grid: start 0, width n
         self._whole = np.zeros(1, dtype=np.intp), np.full(1, len(self._s))
         # the data of U(phi), whose primitive is W
@@ -321,11 +328,12 @@ class GeneralProblem:
     def _cells(self, lo, hi, a, b):
         """The u-windows (start, width) of the H-intervals [lo, hi]: the
         grid indices whose H lies there, widened by 2 cells and clipped to
-        the indices [a, b), at least 2 points."""
+        the indices [a, b), at least 3 points, so that a run at a grid end
+        finds the three innermost grid points in its window; b - a >= 3."""
         start = np.minimum(np.maximum(
-            np.searchsorted(self._Hs, lo, "left") - 2, a), b - 2)
+            np.searchsorted(self._Hs, lo, "left") - 2, a), b - 3)
         stop = np.minimum(np.searchsorted(self._Hs, hi, "right") + 2, b)
-        return start, np.maximum(stop - start, 2)
+        return start, np.maximum(stop - start, 3)
 
     def _window(self, t):
         """The u-window of every row at time t, as one-row arrays (start,
@@ -511,6 +519,13 @@ class GeneralProblem:
         row is marked ``redo``, for a scan of the whole grid, when its best
         grid value, or its band within ``val_tol`` of the maximum, reaches
         such an edge.
+
+        Each local-maximum run reads psi at three distinct grid points, in
+        the block's one carrier call: its middle j and the neighbours j -+ 1,
+        or at a grid end the three innermost grid points (j clipped to
+        [1, n - 2]).  A run's middle is a grid end or inside its window, and
+        every window holds at least three points, so all three lie in the
+        row's window.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         j, w = (int(start[0]), int(width[0])) if rows else (0, n)
@@ -565,9 +580,10 @@ class GeneralProblem:
         col = first + (last - first + 1) // 2
         r, d = locate(sr, col)
         # the neighbours of each run's middle, as grid indices nb and
-        # columns nbc; a run's middle is a grid end or inside its window
-        nb = np.minimum(np.maximum((col - d if shift else col) + _NEIGHBOURS,
-                                   0), n - 1)
+        # columns nbc; a run's middle is a grid end or inside its window,
+        # and a grid end reads the three innermost grid points
+        nb = np.minimum(np.maximum(col - d if shift else col, 1),
+                        n - 2) + _NEIGHBOURS
         nbc = nb + d if shift else nb
         carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
@@ -657,10 +673,16 @@ class GeneralProblem:
 
         * every grid value of a ruled-out cell lies below the keep filter's
           threshold and below the band, so no kept run and no band point
-          lies there.  A run's middle is a grid end or inside the window,
-          so its neighbours are points of the window, each with a dH of at
-          most max dH and a |psi| of at most max C: its gloc is at most
-          max C max dH;
+          lies there.  A run's three grid points lie in the window, each
+          with a dH of at most max dH and a |psi| of at most max C: its
+          gloc is at most max C max dH;
+        * the hull holds at least three points, as ``_maximize_block``
+          needs.  The cells beside the best coarse point are left, so a
+          hull of one cell is the window's first or last: the first holds
+          COARSE_STEP + 1 points, or is the whole window, and a last cell
+          of one grid cell is never left alone, as E at its lower end, a
+          coarse point, lies within t max C max dH of E at its upper end,
+          above the floor;
         * a hull edge that is not the window's ends a ruled-out cell, so
           it reads below ``reach`` and never sets ``redo``;
         * the best grid value lies inside the hull;
@@ -841,15 +863,17 @@ class GeneralProblem:
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
 
         Column k serves the point xb[k] at the time t[k].  ``carrier``
-        holds psi at the grid points nb.  The middle value halves each
-        bracket.  Where phi is piecewise constant, psi's roots are closed
-        form: the preimage of a breakpoint its feet cross, or the value c of
-        phi on the feet, where U(c) - U(u) vanishes.  So every half of
-        sampled data, and a half of piece data whose feet hold a
-        breakpoint, tries those roots first (``_exact_roots``).  Every other
-        half, and every half whose closed-form root fails its check, goes
-        to ``_refine_roots``: one ``secant_many`` call per block.  Returns
-        the two rows of ends.
+        holds psi at the three distinct grid points nb (``_maximize_block``:
+        a run's middle and its neighbours, the innermost three at a grid
+        end).  The middle value halves each bracket.  Where phi is
+        piecewise constant, psi's roots are closed form: the preimage of a
+        breakpoint its feet cross, or the value c of phi on the feet, where
+        U(c) - U(u) vanishes.  So every half of sampled data, and a half of
+        piece data whose feet hold a breakpoint, tries those roots first
+        (``_exact_roots``).  Every other half, and every half whose
+        closed-form root fails its check, goes to ``_refine_roots``: one
+        ``secant_many`` call per block, the only psi call of the refine
+        besides ``_exact_roots``' check.  Returns the two rows of ends.
         """
         # the half of each bracket where psi changes sign, ends (a, b)
         up = carrier[1] > 0.0
@@ -862,35 +886,21 @@ class GeneralProblem:
                 k = (~done).nonzero()[0]
                 if len(k):
                     ends[:, k] = self._refine_roots(
-                        xb[k], t[k], nb[:, k], carrier[:, k], ends[:, k],
-                        vals[:, k])
+                        xb[k], t[k], carrier[:, k], ends[:, k], vals[:, k])
                 return ends
-        return self._refine_roots(xb, t, nb, carrier, ends, vals)
+        return self._refine_roots(xb, t, carrier, ends, vals)
 
-    def _refine_roots(self, xb, t, nb, carrier, ends, vals):
-        """``secant_many`` on the halves ``ends`` of the brackets nb.
+    def _refine_roots(self, xb, t, carrier, ends, vals):
+        """``secant_many`` on the halves ``ends`` of the brackets.
 
-        ``vals`` holds psi at the ends; the second difference of three grid
-        values bounds psi''.  At an end of the grid two of the points nb
-        coincide, so the difference is taken from the three innermost grid
-        points there, s[0..2] or s[n-3..n-1], at one more psi value.  Where
-        psi jumps, the difference is about the jump, and ``secant_many``'s
-        test sends the bracket to the bisection.  Whatever the bound, a
-        bracket ends only on evaluated signs of psi.
+        ``vals`` holds psi at the ends; the second difference of the three
+        distinct grid values ``carrier`` bounds psi''.  Where psi jumps, the
+        difference is about the jump, and ``secant_many``'s test sends the
+        bracket to the bisection.  Whatever the bound, a bracket ends only
+        on evaluated signs of psi.
         """
-        s, n = self._s, len(self._s)
         pl, pm, ph = carrier
-        d2 = pl - 2.0 * pm + ph
-        end = nb[2] - nb[0] < 2                 # brackets at a grid end
-        if np.count_nonzero(end):
-            e = end.nonzero()[0]
-            at_lo = nb[0, e] == nb[1, e]
-            k = np.where(at_lo, 2, n - 3)
-            px = (self._U(self.data.phi(xb[e] - t[e] * self._Hs[k]))
-                  - self._U(s[k]))
-            d2[e] = np.where(at_lo, pl[e] - 2.0 * ph[e] + px,
-                             px - 2.0 * pl[e] + ph[e])
-        curv = self._curv * np.abs(d2)
+        curv = self._curv * np.abs(pl - 2.0 * pm + ph)
         return secant_many(lambda u, i: self._psi(u, xb[i], t[i]),
                            ends[0], ends[1], vals[0], vals[1], curv,
                            self.tol_u)
@@ -999,15 +1009,17 @@ class GeneralProblem:
         two, u+(x) > mid exactly when G > ``val_tol``, the bisection's own
         test.  Returns (G, dG/dx, u-, u+) with G = E(u-) - E(u+); by the
         envelope theorem dG/dx = U(u+) - U(u-) (Lax 1957).  None when a side
-        of mid holds less than two grid points, or a side's best value or
-        band reaches mid (its row's ``redo``).
+        of mid holds fewer than three grid points, the fewest a window holds
+        (``_maximize_block``), which needs a mid within two cells of
+        -+(M + delta), so both traces lie near one bound; or when a side's
+        best value or band reaches mid (its row's ``redo``).
         """
         if not (math.isfinite(x) and math.isfinite(mid)):
             raise ValueError("x, mid and t must be finite, with t positive")
         t = _checked_t(t)
         n = len(self._s)
         im = int(np.searchsorted(self._s, mid))
-        if im < 2 or n - im < 2:
+        if im < 3 or n - im < 3:
             return None
         out = self._maximize_block(np.full(2, float(x)), np.full(2, t),
                                    np.array([im, 0]), np.array([n - im, im]))

@@ -121,6 +121,20 @@ def test_classify_constant_power_piece(tmp_path):
     assert out["lifespans"]["t_p"] == out["lifespans"]["t_star"] == "inf"
 
 
+def test_overflowing_problem_exit_2(tmp_path):
+    # power2n(2) on data of bound 1e102: H U overflows on the u-grid, an
+    # inadmissible problem (it exited 3 with a FloatingPointError)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "flux": {"kind": "power2n", "n": 2},
+        "data": {"pieces": [{"lo": -1e-6, "hi": 1e-6, "kind": "power",
+                             "a": -1e104, "g": 1.0 / 3.0, "x_ref": 0.0}],
+                 "left_tail": 1e102, "right_tail": -1e102}}))
+    r = run("solve", str(path), "--t", "1", "--x-range", "-1:1", "--n", "3")
+    _assert_exit_2_json(r, "H, U and int_0^u H'U must be finite on the "
+                           "u-grid")
+
+
 def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

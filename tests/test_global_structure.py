@@ -402,3 +402,41 @@ def test_decay_of_nwave_reads_the_u_plus_array():
     xs = np.linspace(-6.5, 6.5, 801)
     assert series[0][1] == float(np.max(np.abs(np.array(
         [s.u_plus for s in p.solve_grid(xs, 11.0)]))))
+
+
+@pytest.mark.parametrize("fl", [flux.burgers(), flux.power2n(2)],
+                         ids=["burgers", "quartic"])
+def test_two_divides_and_a_gap(fl):
+    # -sin x on [-2 pi, 2 pi], tails 0: the primitive cos x - 1 touches its
+    # envelope at -pi and pi only, so K0 is two divides, the gap between
+    # them moves at the chord slope 0, and both sides run off to infinity.
+    # The gap holds the standing shock at x = 0 for all time
+    d = idata.InitialData(
+        [idata.Piece(-2.0 * np.pi, 2.0 * np.pi, "sin",
+                     {"a": -1.0, "b": 1.0, "c": 0.0})],
+        left_tail=0.0, right_tail=0.0)
+    gs = GlobalStructure(Problem(fl, d))
+    regions = gs.partition().regions
+    divides = [r.interval for r in regions if r.kind == "divide"]
+    assert len(divides) == 2
+    for (lo, hi), x0 in zip(divides, (-np.pi, np.pi)):
+        assert abs(lo - x0) <= 1e-9 and abs(hi - x0) <= 1e-9
+    gaps = [r for r in regions if r.kind == "gap"]
+    assert len(gaps) == 1
+    assert gaps[0].interval == (divides[0][1], divides[1][0])
+    assert abs(gaps[0].speed) <= 1e-12
+    kinds = [r.kind for r in regions]
+    assert kinds.count("left_infinite") == kinds.count("right_infinite") == 1
+    xs = np.linspace(-3.0, 3.0, 241)
+    for t in (5.0, 20.0, 80.0):
+        u = np.array([s.u_plus for s in gs.problem.solve_grid(xs, t)])
+        k = int(np.argmin(np.diff(u)))
+        assert -0.025 - 1e-12 <= xs[k] and xs[k + 1] <= 1e-12, (t, xs[k])
+
+
+def test_decay_rate_l2(sin_gs):
+    # the sawtooth of height pi / t: its l2 norm decays like 1/t too
+    e, c, series = sin_gs.measure_decay("l2", (-3.0, 3.0), [20.0, 40.0, 80.0])
+    assert e == pytest.approx(-1.0, abs=0.05)
+    assert [t for t, _ in series] == [20.0, 40.0, 80.0]
+    assert all(v > 0.0 for _, v in series)

@@ -125,3 +125,15 @@ def test_advance_rejects_endless_stepping(hi, t):
     with pytest.raises(ValueError, match="time steps"):
         s.advance(t)
     assert s.t == 0.0
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0])
+def test_compare_without_a_sonic_point(k):
+    # f = e^(k u) has f' > 0 everywhere: no sonic point on the data range,
+    # so the Godunov flux is the upwind one
+    p = Problem(flux.exponential(k), idata.sin_wave())
+    g = FvGrid(-np.pi, np.pi, 200, boundary="periodic")
+    assert GodunovSolver(p.flux, p.data, g)._sonic is None
+    r = compare(p, 1.5, g)
+    assert r["l1"] <= 2.0 * np.sqrt(g.dx)
+    assert r["shock_offset"] <= g.dx * (1.0 + 1e-9)

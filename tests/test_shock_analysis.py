@@ -190,6 +190,27 @@ def test_development_root_not_bracketed(sin_sa):
                  "Cbar_sigma_minus": 1.0})
 
 
+@pytest.mark.parametrize("go, regime", [
+    (0.5, "below"), (1.0, "at"), (1.0 - 5e-13, "at"), (1.0 + 5e-13, "at"),
+    (2.0, "above")])
+def test_case23_O4_in_each_critical_regime(one_sided_sa, go, regime):
+    # O4 reads gamma_other (1 + alpha) against 1 (``critical_sign``, 0
+    # within 1e-12): cg / cgo below, 1 + C_gamma_sign cg / cgo at 1, and 1
+    # above.  C_gamma_sign defaults to -1 (case II here); case III takes +1
+    base = {"gamma": 1.0, "sigma": 1.0, "Cbar_sigma": 1.0,
+            "gamma_other": go, "alpha": 0.0, "Cbar_gamma_other": 4.0}
+    mirrored = ShockAnalyzer(Problem(flux.burgers(), _mirrored(-1.0)))
+    for sa, c, sign, extra in ((one_sided_sa, 1.0, -1.0, {}),
+                               (mirrored, -1.0, 1.0, {"C_gamma_sign": 1.0})):
+        gp = sa.generation_point(0.0, c)
+        assert gp.case[:3] == ("II_" if sign < 0 else "III")
+        cg = 1.0 / gp.t_p
+        O4 = sa.development_asymptotics(gp, dict(base, **extra)).O4
+        expected = {"below": cg / 4.0, "at": 1.0 + sign * cg / 4.0,
+                    "above": 1.0}[regime]
+        assert O4 == pytest.approx(expected, rel=1e-12), (gp.case, go)
+
+
 def test_solve_lambda_matches_brentq():
     # the bracket end lam0^(1/sigma) can lie many orders of magnitude above
     # the root, where a bisection tolerance scaled by it would stop coarse

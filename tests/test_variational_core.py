@@ -287,6 +287,75 @@ def test_fluxes_the_formula_does_not_cover_raise_at_construction():
         Problem(half, idata.sin_wave())
     with pytest.raises(ValueError):
         GeneralProblem(falling, idata.step(1.0, 0.0))
+    # power2n(2) on data of bound 1e102: H = u^3 reaches 1e306, H U and F
+    # overflow, and int_0^u H'U was inf - inf.  The problem built with
+    # overflow warnings, and every solve returned u+- = nan as no shock
+    huge = idata.InitialData(
+        [idata.Piece(-1e-6, 1e-6, "power",
+                     {"a": -1e104, "g": 1.0 / 3.0, "x_ref": 0.0})],
+        left_tail=1e102, right_tail=-1e102)
+    with pytest.raises(ValueError, match="must be finite"):
+        Problem(flux.power2n(2), huge)
+
+
+@pytest.mark.parametrize("data, points", [
+    (lambda: idata.step(1.0, 0.0), [(0.1, 1.0), (0.45, 1.0), (-2.0, 0.5)]),
+    (lambda: idata.step(-1.0, 1.0), [(-1.5, 1.0), (-0.7, 0.5), (3.0, 2.0)])],
+    ids=["top", "both_ends"])
+def test_grid_end_runs_read_psi_in_the_carrier_call(data, points):
+    # u = +-1 is the data's bound, so the maximizer lies in the last cell
+    # at a grid end.  Its run reads the three innermost grid points in the
+    # block's one carrier call: phi is called by the carrier and by the
+    # closed-form roots' check, and no third time for a second difference
+    d = data()
+    p = Problem(flux.burgers(), d)
+    phi, calls = d.phi, []
+
+    def counted_phi(y):
+        calls.append(np.size(y))
+        return phi(y)
+
+    d.phi = counted_phi
+    for x, t in points:
+        calls.clear()
+        u = p.solve(x, t).u_plus
+        assert abs(abs(u) - 1.0) <= 1e-12, (x, t, u)
+        assert len(calls) == 2, (x, t, calls)
+
+
+@pytest.mark.parametrize("data, x, t, side", [
+    (lambda: idata.step(1.0, 0.0), 0.3, 1.0, "top"),
+    (lambda: idata.step(-1.0, 1.0), 1.5, 1.0, "top"),
+    (lambda: idata.step(-1.0, 1.0), -1.5, 1.0, "bottom")],
+    ids=["shock_top", "fan_top", "fan_bottom"])
+def test_window_of_the_three_end_grid_points(data, x, t, side):
+    # an H-interval beyond H(s_n) (or below H(s_0)) gets the window of the
+    # three end grid points, the fewest a window holds; a row whose
+    # maximizer lies in the end cell gets the whole grid's set bit for bit
+    p = Problem(flux.burgers(), data())
+    n = len(p._s)
+    H = p._Hs[-1] + 1.0 if side == "top" else p._Hs[0] - 1.0
+    start, width = p._cells(np.array([H]), np.array([H + 0.5]), 0, n)
+    assert (start.tolist(), width.tolist()) == (
+        ([n - 3], [3]) if side == "top" else ([0], [3]))
+    xs, ts = np.array([x]), np.array([t])
+    out = p._maximize_block(xs, ts, start, width)
+    whole = p._maximize_block(xs, ts, *p._whole)
+    assert not out.redo.any()
+    assert repr(out.sets()) == repr(whole.sets())
+
+
+def test_branch_gap_sides_hold_three_grid_points():
+    # step(1, -1) at x = 0 holds both branches, u = -1 and u = 1, in the end
+    # cells of the grid; a side of fewer than three points gets None
+    p = Problem(flux.burgers(), idata.step(1.0, -1.0))
+    n, s = len(p._s), p._s
+    assert p.branch_gap(0.0, 1.0, s[2]) is None
+    assert p.branch_gap(0.0, 1.0, s[n - 2]) is None
+    for im in (3, n - 3):
+        G, dG, um, up = p.branch_gap(0.0, 1.0, s[im])
+        assert abs(G) <= 1e-9 and dG == -2.0
+        assert abs(um - 1.0) <= 1e-12 and abs(up + 1.0) <= 1e-12
 
 
 def test_restart_scans_a_tenth_of_the_whole_grid():
@@ -498,9 +567,9 @@ def test_sampled_halves_take_closed_form_roots(name, monkeypatch):
         halves[0] += len(xb)
         return roots(self, xb, *args)
 
-    def counted_refine(self, xb, t, nb, carrier, ends, vals):
+    def counted_refine(self, xb, t, carrier, ends, vals):
         refined.append((ends.copy(), vals.copy()))
-        return refine(self, xb, t, nb, carrier, ends, vals)
+        return refine(self, xb, t, carrier, ends, vals)
 
     monkeypatch.setattr(GeneralProblem, "_roots", counted_roots)
     monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
@@ -596,9 +665,9 @@ def test_plateau_root_outside_the_half_is_refined(monkeypatch):
     refined = []
     refine = GeneralProblem._refine_roots
 
-    def counted_refine(self, xb, t, nb, carrier, ends, vals):
+    def counted_refine(self, xb, t, carrier, ends, vals):
         refined.append(ends.copy())
-        return refine(self, xb, t, nb, carrier, ends, vals)
+        return refine(self, xb, t, carrier, ends, vals)
 
     monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
     lo, hi = p._roots(xb, tb, nb, carrier)
