@@ -525,7 +525,10 @@ class GeneralProblem:
         or at a grid end the three innermost grid points (j clipped to
         [1, n - 2]).  A run's middle is a grid end or inside its window, and
         every window holds at least three points, so all three lie in the
-        row's window.
+        row's window.  Their second difference bounds psi'' for the refine;
+        the sign test, the bracket and the keep filter read the run's own
+        cells, j -+ 1 clipped to the grid, so a run at a grid end is
+        bracketed by its one end cell.
         """
         s, n, rows = self._s, len(self._s), len(xs)
         j, w = (int(start[0]), int(width[0])) if rows else (0, n)
@@ -579,14 +582,22 @@ class GeneralProblem:
         sr, first, last = padded_runs(lm)
         col = first + (last - first + 1) // 2
         r, d = locate(sr, col)
-        # the neighbours of each run's middle, as grid indices nb and
-        # columns nbc; a run's middle is a grid end or inside its window,
-        # and a grid end reads the three innermost grid points
-        nb = np.minimum(np.maximum(col - d if shift else col, 1),
-                        n - 2) + _NEIGHBOURS
+        # three distinct grid points around each run's middle m, as grid
+        # indices nb and columns nbc: m -+ 1, the innermost three at a grid
+        # end.  A run's middle is a grid end or inside its window
+        m = col - d if shift else col
+        nb = np.minimum(np.maximum(m, 1), n - 2) + _NEIGHBOURS
         nbc = nb + d if shift else nb
         carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
+        # their second difference bounds psi''; the run's own cells m -+ 1,
+        # clipped to the grid, bracket it, so a grid end's run reads its
+        # one cell there, psi at the end repeated
+        d2 = carrier[0] - 2.0 * carrier[1] + carrier[2]
+        own = np.minimum(np.maximum(m + _NEIGHBOURS, 0), n - 1)
+        if np.count_nonzero(own != nb):
+            carrier = np.take_along_axis(carrier, own - nb[0], axis=0)
+            nb = own
         # the keep filter: dE = t psi dH, so E on a run's two cells stays
         # within t max|dH psi| of its middle's value
         gloc = np.abs(self._dH[nb] * carrier).max(axis=0)
@@ -594,7 +605,7 @@ class GeneralProblem:
         keep = ~(Ev[sr, col] + tr * gloc < Emax_grid[r] - 10.0 * self.val_tol)
         if np.count_nonzero(keep) < len(r):     # else every run stays
             r, tr = r[keep], tr[keep]
-            nb, carrier = nb[:, keep], carrier[:, keep]
+            nb, carrier, d2 = nb[:, keep], carrier[:, keep], d2[keep]
 
         # refine: psi at the bracket ends is the carrier there; a sign
         # change is psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi)
@@ -604,7 +615,8 @@ class GeneralProblem:
         u_star = np.empty(len(r))
         if nsign:
             i = sign if nsign < len(r) else slice(None)
-            a, b = self._roots(xs[r[i]], tr[i], nb[:, i], carrier[:, i])
+            a, b = self._roots(xs[r[i]], tr[i], nb[:, i], carrier[:, i],
+                               d2[i])
             u_star[i] = 0.5 * (a + b)
         if nsign < len(r):
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
@@ -677,12 +689,9 @@ class GeneralProblem:
           with a dH of at most max dH and a |psi| of at most max C: its
           gloc is at most max C max dH;
         * the hull holds at least three points, as ``_maximize_block``
-          needs.  The cells beside the best coarse point are left, so a
-          hull of one cell is the window's first or last: the first holds
-          COARSE_STEP + 1 points, or is the whole window, and a last cell
-          of one grid cell is never left alone, as E at its lower end, a
-          coarse point, lies within t max C max dH of E at its upper end,
-          above the floor;
+          needs: its start is clipped to e - 2, which widens only a hull
+          of the last cell when that is one grid cell, by points of a
+          ruled-out cell;
         * a hull edge that is not the window's ends a ruled-out cell, so
           it reads below ``reach`` and never sets ``redo``;
         * the best grid value lies inside the hull;
@@ -710,7 +719,7 @@ class GeneralProblem:
         live = ~(B < floor[:, None])    # a NaN rules nothing out
         first = live.argmax(axis=1)
         last = nc - 1 - live[:, ::-1].argmax(axis=1)
-        start = j + S * first
+        start = np.minimum(j + S * first, e - 2)
         return start, np.minimum(j + S * (last + 1), e) - start + 1
 
     @functools.cached_property
@@ -859,17 +868,18 @@ class GeneralProblem:
             keep[b:ends[q]] = False
         return up, um, own[keep], np.array(ls)[keep], np.array(hs)[keep]
 
-    def _roots(self, xb, t, nb, carrier):
+    def _roots(self, xb, t, nb, carrier, d2):
         """Final ends of psi's sign-change brackets s[nb[0]], s[nb[2]].
 
         Column k serves the point xb[k] at the time t[k].  ``carrier``
-        holds psi at the three distinct grid points nb (``_maximize_block``:
-        a run's middle and its neighbours, the innermost three at a grid
-        end).  The middle value halves each bracket.  Where phi is
-        piecewise constant, psi's roots are closed form: the preimage of a
-        breakpoint its feet cross, or the value c of phi on the feet, where
-        U(c) - U(u) vanishes.  So every half of sampled data, and a half of
-        piece data whose feet hold a breakpoint, tries those roots first
+        holds psi at the grid points nb, a run's middle and its neighbours
+        clipped to the grid, and ``d2`` the second difference of psi at
+        three distinct grid points around it (``_maximize_block``).  The
+        middle value halves each bracket.  Where phi is piecewise constant,
+        psi's roots are closed form: the preimage of a breakpoint its feet
+        cross, or the value c of phi on the feet, where U(c) - U(u)
+        vanishes.  So every half of sampled data, and a half of piece data
+        whose feet hold a breakpoint, tries those roots first
         (``_exact_roots``).  Every other half, and every half whose
         closed-form root fails its check, goes to ``_refine_roots``: one
         ``secant_many`` call per block, the only psi call of the refine
@@ -886,21 +896,20 @@ class GeneralProblem:
                 k = (~done).nonzero()[0]
                 if len(k):
                     ends[:, k] = self._refine_roots(
-                        xb[k], t[k], carrier[:, k], ends[:, k], vals[:, k])
+                        xb[k], t[k], d2[k], ends[:, k], vals[:, k])
                 return ends
-        return self._refine_roots(xb, t, carrier, ends, vals)
+        return self._refine_roots(xb, t, d2, ends, vals)
 
-    def _refine_roots(self, xb, t, carrier, ends, vals):
+    def _refine_roots(self, xb, t, d2, ends, vals):
         """``secant_many`` on the halves ``ends`` of the brackets.
 
-        ``vals`` holds psi at the ends; the second difference of the three
-        distinct grid values ``carrier`` bounds psi''.  Where psi jumps, the
-        difference is about the jump, and ``secant_many``'s test sends the
-        bracket to the bisection.  Whatever the bound, a bracket ends only
-        on evaluated signs of psi.
+        ``vals`` holds psi at the ends; ``d2``, the second difference of
+        psi at three distinct grid points, bounds psi''.  Where psi jumps,
+        the difference is about the jump, and ``secant_many``'s test sends
+        the bracket to the bisection.  Whatever the bound, a bracket ends
+        only on evaluated signs of psi.
         """
-        pl, pm, ph = carrier
-        curv = self._curv * np.abs(pl - 2.0 * pm + ph)
+        curv = self._curv * np.abs(d2)
         return secant_many(lambda u, i: self._psi(u, xb[i], t[i]),
                            ends[0], ends[1], vals[0], vals[1], curv,
                            self.tol_u)

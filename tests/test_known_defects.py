@@ -10,7 +10,8 @@ would not do, as a block of that many cells takes the coarse pass.  The
 N-wave's oracle is the solver's own jump, and its Burgers case, where the
 N-wave is right, passes as the control.  The track's oracle is the closed
 form of the characteristic it follows and of the time that characteristic
-meets the standing shock of -sin x.
+meets the standing shock of -sin x.  The Riemann case's oracle is its exact
+solution.
 """
 
 import math
@@ -143,3 +144,23 @@ def test_steep_pre_shock_track_takes_no_shock_step(monkeypatch):
     assert located and max(located) > T
     assert abs(curve.nodes[-1].x) <= 1e-6
     assert [t for t in located if t < T] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: a Riemann jump of one grid cell at the bound leaves psi "
+    "negative at both ends of the end cell and positive between, so the "
+    "run takes the golden-section search, which places u = 1 only to "
+    "about 1e-8 (ROADMAP item 15)"))
+def test_jump_of_one_cell_at_the_bound_is_exact():
+    # Burgers step(1, 1 - h), h the grid cell, at t = 1: the shock runs at
+    # x = 1 - h / 2, and a quarter cell left of it u = 1 exactly.  The
+    # feet of the end cell's two grid points both see 1 - h or 1 past the
+    # grid end, where psi = -delta, and the maximizer u = 1 lies between
+    h = Problem(flux.burgers(), idata.step(1.0, 0.0))._h
+    p = Problem(flux.burgers(), idata.step(1.0, 1.0 - h))
+    x = 1.0 - 0.75 * h
+    s = p.solve(x, 1.0)
+    n = len(p._s)
+    psi = p._psi(p._s[n - 2:], np.full(2, x), np.ones(2))
+    assert (psi < 0.0).all()
+    assert abs(s.u_plus - 1.0) <= p.tol_u and abs(s.u_minus - 1.0) <= p.tol_u

@@ -358,6 +358,82 @@ def test_branch_gap_sides_hold_three_grid_points():
         assert abs(um - 1.0) <= 1e-12 and abs(up + 1.0) <= 1e-12
 
 
+def _riemann_burgers(ul, ur, x, t):
+    """The entropy solution of Burgers' equation from step(ul, ur)."""
+    if ul > ur:
+        return ul if x < 0.5 * (ul + ur) * t else ur
+    return min(max(x / t, ul), ur)
+
+
+def _assert_riemann_exact(p, ul, ur, xs, t):
+    """u+- of every point solve and sample of xs within tol_u of the exact
+    solution, off the shock itself."""
+    if ul > ur:
+        xs = xs[np.abs(xs - 0.5 * (ul + ur) * t) > 1e-9]
+    for s in p.solve_grid(xs, t) + [p.solve(x, t) for x in xs.tolist()]:
+        u = _riemann_burgers(ul, ur, s.x, t)
+        assert abs(s.u_plus - u) <= p.tol_u, (s.x, t, s.u_plus, u)
+        assert abs(s.u_minus - u) <= p.tol_u, (s.x, t, s.u_minus, u)
+
+
+@pytest.mark.parametrize("n_scan", [4, 5, 6, 8, 10])
+@pytest.mark.parametrize("ul, ur", [(1.0, 0.0), (-1.0, 1.0)],
+                         ids=["shock", "fan"])
+def test_grid_end_runs_bracket_their_end_cell(ul, ur, n_scan):
+    # a run at a grid end reads psi's second difference at the three
+    # innermost grid points, but its sign test and bracket read its own end
+    # cell: on a coarse grid psi may change sign twice over the two cells
+    # [s_{n-3}, s_{n-1}] (step(1, 0) at x = 0.25, t = 1, n_scan = 5 was
+    # 7.5e-9 off when the bracket spanned them)
+    p = Problem(flux.burgers(), idata.step(ul, ur), n_scan=n_scan)
+    for t in (1.0, 1.2, 8.0):
+        _assert_riemann_exact(p, ul, ur, np.linspace(-3.0, 3.0, 25) * t / 2,
+                              t)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("end", ["top_shock", "top_fan", "bottom_shock",
+                                 "bottom_fan"])
+def test_jumps_of_a_few_cells_at_the_bound(end, k):
+    # Riemann data whose jump at the bound +-M spans k grid cells: the feet
+    # of the innermost grid points straddle it, so psi changes sign within
+    # the two end cells.  u+- stay within tol_u of the exact solution near
+    # the jump's waves, and at Burgers step(1, 0.998), t = 1, x = 0.9985.
+    # A jump of one cell is in the ledger of known defects
+    h = Problem(flux.burgers(), idata.step(1.0, 0.0))._h
+    a, b = 1.0, 1.0 - k * h
+    ul, ur = {"top_shock": (a, b), "top_fan": (b, a),
+              "bottom_shock": (-b, -a), "bottom_fan": (-a, -b)}[end]
+    p = Problem(flux.burgers(), idata.step(ul, ur))
+    for t in (0.3, 1.0, 8.0):
+        c = 0.5 * (ul + ur) * t
+        _assert_riemann_exact(p, ul, ur, np.concatenate([
+            c + np.linspace(-4.0, 4.0, 33) * h * t, [-1.5 * t, 1.5 * t]]), t)
+    p = Problem(flux.burgers(), idata.step(1.0, 0.998))
+    _assert_riemann_exact(p, 1.0, 0.998, np.linspace(0.998, 0.9995, 16), 1.0)
+
+
+def test_coarse_hull_at_a_one_cell_grid_end():
+    # n_scan = 2049 leaves the coarse pass a last cell of one grid cell; a
+    # 17-point slice of step(1, 0) whose maximizers lie at u = 1 keeps hulls
+    # of at least three points reaching the top grid end, and every row gets
+    # the whole grid's set bit for bit
+    p = Problem(flux.burgers(), idata.step(1.0, 0.0), n_scan=2049)
+    n = len(p._s)
+    assert (n - 1) % vc.COARSE_STEP == 1
+    for t in (0.5, 1.0, 300.0):
+        xs = np.linspace(-2.0, 0.45 * t, 17)
+        ts = np.full(17, t)
+        start, width = p._coarse(xs, t, 0, n)
+        assert (width >= 3).all() and (start + width == n).all()
+        out = p._blocks(xs, ts, np.zeros(17, dtype=np.intp), np.full(17, n))
+        whole = p._maximize_block(xs, ts, np.zeros(17, dtype=np.intp),
+                                  np.full(17, n))
+        assert not out.redo.any() and not whole.redo.any()
+        assert repr(out.sets()) == repr(whole.sets())
+        assert np.abs(out.u_plus - 1.0).max() <= p.tol_u
+
+
 def test_restart_scans_a_tenth_of_the_whole_grid():
     p = Problem(flux.burgers(), idata.sin_wave())
     sizes = []
@@ -567,9 +643,9 @@ def test_sampled_halves_take_closed_form_roots(name, monkeypatch):
         halves[0] += len(xb)
         return roots(self, xb, *args)
 
-    def counted_refine(self, xb, t, carrier, ends, vals):
+    def counted_refine(self, xb, t, d2, ends, vals):
         refined.append((ends.copy(), vals.copy()))
-        return refine(self, xb, t, carrier, ends, vals)
+        return refine(self, xb, t, d2, ends, vals)
 
     monkeypatch.setattr(GeneralProblem, "_roots", counted_roots)
     monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
@@ -665,12 +741,13 @@ def test_plateau_root_outside_the_half_is_refined(monkeypatch):
     refined = []
     refine = GeneralProblem._refine_roots
 
-    def counted_refine(self, xb, t, carrier, ends, vals):
+    def counted_refine(self, xb, t, d2, ends, vals):
         refined.append(ends.copy())
-        return refine(self, xb, t, carrier, ends, vals)
+        return refine(self, xb, t, d2, ends, vals)
 
     monkeypatch.setattr(GeneralProblem, "_refine_roots", counted_refine)
-    lo, hi = p._roots(xb, tb, nb, carrier)
+    d2 = carrier[0] - 2.0 * carrier[1] + carrier[2]
+    lo, hi = p._roots(xb, tb, nb, carrier, d2)
     assert len(refined) == 1 and refined[0].ravel().tolist() == [a, b]
     assert a <= lo[0] < hi[0] <= b and hi[0] - lo[0] <= p.tol_u
     assert (p._psi(np.concatenate([lo, hi]), np.concatenate([xb, xb]),
