@@ -36,7 +36,8 @@ import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # most bisection steps one round pays for: it evaluates the 2**_DEPTH - 1
-# midpoints those steps can reach, a block of 7 rows for lifespan_exact
+# midpoints those steps can reach, a block of 7 rows where lifespan_exact
+# falls back to bisection
 _DEPTH = 3
 
 

@@ -27,6 +27,9 @@ T_CAP = 1e4
 T_TOL = 1e-8
 # the doubling scan's times 2**0 ... 2**13, all below T_CAP
 _DOUBLINGS = 14
+# most steps in t, Newton steps and halvings, that lifespan_exact takes
+# before it bisects
+_NEWTON_STEPS = 12
 _EPS = 1e-12
 
 
@@ -61,6 +64,12 @@ class TerminationClass:
 def _check_finite(x0, c):
     if not (math.isfinite(x0) and math.isfinite(c)):
         raise ValueError("x0 and c must be finite")
+
+
+def _farther(rows, q, c):
+    """Row q's maximizer farther from c, u+ or u-."""
+    return float(max(rows.u_plus[q], rows.u_minus[q],
+                     key=lambda u: abs(u - c)))
 
 
 def critical_sign(gamma, alpha):
@@ -185,29 +194,39 @@ class CharacteristicAnalyzer:
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 
-    def _maximize_along(self, x0, c, ts):
+    def _maximize_along(self, x0, c, ts, start=0, width=None):
         """The points x = x0 + t f'(c) at the times ts, and their maximizer
-        sets as the arrays of one block with one t per row."""
+        sets over the grid indices start ... start + width - 1 (the whole
+        grid by default) as the arrays of one block with one t per row."""
         with np.errstate(over="ignore"):    # an overflow is rejected below
             xs = x0 + ts * self.flux.deriv(c)
         if not np.isfinite(xs).all():
             raise ValueError("x and t must be finite, with t positive")
         p, n = self.problem, len(ts)
-        return xs, p._maximize_block(xs, ts, np.zeros(n, dtype=np.intp),
-                                     np.full(n, len(p._s)))
+        return xs, p._maximize_block(
+            xs, ts, np.full(n, start, dtype=np.intp),
+            np.full(n, len(p._s) if width is None else width))
 
-    def _on_characteristic(self, x0, c, ts):
-        """Whether c lies in U(x0 + t f'(c), t), at each t of the array ts,
-        in one block."""
+    def _excess(self, x0, c, ts, start=0, width=None):
+        """How far the best E at x0 + t f'(c), over the grid window of
+        ``_maximize_along``, exceeds E(c) there, at each t of the array ts,
+        in one block; with the most it may exceed it by while c is a
+        maximizer, and the block's rows."""
         p = self.problem
-        xs, rows = self._maximize_along(x0, c, ts)
+        xs, rows = self._maximize_along(x0, c, ts, start, width)
         top = rows.max_value
         Ec = p._E(p._W(xs - ts * p._H0), c, xs, ts)
         # tighter than val_tol: near tangential terminations the value gap
         # opens only quadratically in t - t*, so a loose gap test would blur
         # t* by its square root
         tol = np.minimum(p.val_tol, 1e-12 * (1.0 + np.abs(top)))
-        return top - Ec <= tol
+        return top - Ec, tol, rows
+
+    def _on_characteristic(self, x0, c, ts):
+        """Whether c lies in U(x0 + t f'(c), t), at each t of the array ts,
+        in one block."""
+        ex, tol, _ = self._excess(x0, c, ts)
+        return ex <= tol
 
     def lifespan_exact(self, x0, c):
         """t* = sup{t : c in U(x0 + t f'(c), t)}; inf past T_CAP.
@@ -218,11 +237,16 @@ class CharacteristicAnalyzer:
         1, 2, 4, ... below top = min(t_p - T_TOL, T_CAP), then top, are
         tested in blocks of three, one ``_maximize_block`` call with one t
         per row each.  If c holds at all of them, t* is t_p (inf past
-        T_CAP).  Otherwise ``bisect`` halves the gap between the first
-        failure and the time before it (or 0) to ``T_TOL``, 7 dyadic
-        midpoints per block, so t* is the float of a one-step bisection.
-        A non-finite x0 or c, or a point x0 + t f'(c) that is not finite,
-        raises ValueError.
+        T_CAP).  Otherwise ``_newton`` steps in t from the first failure
+        to the tie of E(c) with the competing branch, and one 2-row block
+        certifies its t* as a bisection's midpoint is certified: c holds
+        at t* - T_TOL / 2 and fails at t* + T_TOL / 2.  Where the steps
+        give up, ``bisect`` halves the gap between the first failure and
+        the time before it (or 0) to ``T_TOL``, 7 dyadic midpoints per
+        block, from the first of its brackets that the times the steps
+        tested leave undecided, so t* is the float of a one-step
+        bisection.  A non-finite x0 or c, or a point x0 + t f'(c) that is
+        not finite, raises ValueError.
         """
         t_p = min(self.lifespan_upper(x0, c))
         if t_p <= T_TOL:
@@ -231,15 +255,126 @@ class CharacteristicAnalyzer:
         ts = [0.0, *(t for t in (2.0 ** np.arange(_DOUBLINGS)).tolist()
                      if t < top), top]
         for k in range(1, len(ts), 3):
-            on = self._on_characteristic(x0, c, np.array(ts[k:k + 3]))
+            ex, tol, rows = self._excess(x0, c, np.array(ts[k:k + 3]))
+            on = ex <= tol
             if not on.all():
-                j = k + int(on.argmin())        # the first failure
+                i = int(on.argmin())            # the first failure
                 break
         else:
             return t_p if t_p <= T_CAP else np.inf
+        lo, hi = ts[k + i - 1], ts[k + i]
+        t, held, failed = self._newton(
+            x0, c, lo, hi, float(ex[i]), float(tol[i]),
+            _farther(rows, i, c))
+        if t is not None:
+            return t
+        # the bisection's steps that c holding at held, and failing at
+        # failed, decide
+        while abs(hi - lo) > T_TOL:
+            m = 0.5 * (lo + hi)
+            if m in (lo, hi) or held < m < failed:
+                break
+            lo, hi = (m, hi) if m <= held else (lo, m)
         lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),
-                        ts[j - 1], ts[j], T_TOL)
+                        lo, hi, T_TOL)
         return 0.5 * (lo + hi)
+
+    def _newton(self, x0, c, held, t, g, tol, u):
+        """Newton steps in t to the tie of E(c; x, t) with the competing
+        branch, x = x0 + t f'(c), from a time t where c fails; c holds at
+        the time held < t.
+
+        At t the best E exceeds E(c) by g, and c counts as a maximizer
+        while that excess is at most tol; u is the maximizer farther from
+        c.  The branch is the best of E on u's side of mid = (c + u) / 2:
+        each step values it at its t by one one-row block over that side's
+        grid window, split at mid as ``GeneralProblem.branch_gap`` splits,
+        with E(c) in closed form, and takes u from it.  By the envelope
+        theorem in t its excess over E(c) rises at the rate r(u) = I(c) -
+        I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u) - U(s)) ds > 0,
+        with I(v) = int_0^v H'U (the grid's ``_Is``), (u - c)**2 / 2 for
+        Burgers, which reads no data.  A step aims at the tie, g = 0, or,
+        where tol / r puts the test's last time on c more than T_TOL / 4
+        past the tie (a weak collision), at T_TOL / 4 before that time.
+
+        r grows with |u - c|, so the first step, by the rate at the grid
+        end on u's side, stays at or above t*.  Where the gap is concave in
+        t, as where the line runs far past the shock before the first
+        failing time, a step from above lands below t*, and steps from
+        below converge without overshoot: so the first iterate at or below
+        held is replaced by held itself, where c holds.  A side row that is
+        ``redo`` (its best reaches mid: the branch may have crossed it) is
+        valued again over the whole grid, once; where c fails there, that
+        row gives g and u, and where c holds, its time is held.  In the
+        manner of Dekker (1969) and Brent (1973), the midpoint of (held,
+        failed) replaces any other iterate that leaves that bracket, and
+        follows a time that became held, or a row at held that is
+        ``redo``.  Once a step is at most T_TOL / 4, one 2-row block tests
+        c at t -+ T_TOL / 2.
+
+        Returns (t*, held, failed), failed the least time found where c
+        fails and held the greatest where it holds; t* is None, for the
+        bisection, when the test fails, a side holds fewer than three grid
+        points, a rate is not positive, a side row is ``redo`` a second
+        time, or the steps do not settle in ``_NEWTON_STEPS``.
+        """
+        p = self.problem
+        n = len(p._s)
+
+        def I(v):
+            return p._H(v) * p._U(v) - p._F(v) - p._I0
+
+        Hc, Ic = p._H(c), I(c)
+        failed, whole, halve, below = t, True, False, True
+        for k in range(_NEWTON_STEPS):
+            if not halve:
+                v = u if k else (p._s[-1] if u > c else p._s[0])
+                rate = Ic - I(v) + p._U(v) * (p._H(v) - Hc)
+                if not rate > 0.0:
+                    return None, held, failed
+                dt = (g - max(0.0, tol - rate * 0.25 * T_TOL)) / rate
+                t = float(t - dt)
+                halve = not held < t < failed
+                if abs(dt) <= 0.25 * T_TOL and not halve:
+                    break
+                if t <= held and below and held > 0.0:
+                    t, halve, below = held, False, False
+            if halve:
+                t, halve = 0.5 * (held + failed), False
+            im = int(np.searchsorted(p._s, 0.5 * (c + u)))
+            start, width = (im, n - im) if u > c else (0, im)
+            if width < 3:
+                return None, held, failed
+            ex, lim, rows = self._excess(x0, c, np.array([t]), start, width)
+            if rows.redo[0] and t == held:
+                halve = True
+                continue
+            if rows.redo[0]:
+                if not whole:
+                    return None, held, failed
+                whole = False
+                ex, lim, rows = self._excess(x0, c, np.array([t]))
+                if not ex[0] > lim[0]:
+                    held, halve = t, True
+                    continue
+            g, tol = float(ex[0]), float(lim[0])
+            u = _farther(rows, 0, c)
+            if g > tol:
+                failed = t
+        else:
+            return None, held, failed
+        h = 0.5 * T_TOL
+        if not t - h > 0.0:
+            return None, held, failed
+        on = self._on_characteristic(x0, c, np.array([t - h, t + h]))
+        if on[0] and not on[1]:
+            return t, held, failed
+        for tq, holds in zip((t - h, t + h), on.tolist()):
+            if holds and tq < failed:
+                held = max(held, tq)
+            elif not holds and tq > held:
+                failed = min(failed, tq)
+        return None, held, failed
 
     def lifespans(self, x0, c):
         tm, tp = self.lifespan_upper(x0, c)

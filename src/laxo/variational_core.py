@@ -211,6 +211,8 @@ class GeneralProblem:
     constant on some cell (f = max(u, 0)^2 / 2, say), raises ValueError,
     and so do H, U and int_0^u H'U that are not finite on the grid (a
     ``power2n(2)`` flux on data of bound 1e102, say, where H U overflows).
+    So does a u-grid of fewer than 4 cells, whose points can step over the
+    maximum.
     """
 
     def __init__(self, pair, data, n_scan=N_SCAN, val_tol=VAL_TOL,
@@ -223,9 +225,11 @@ class GeneralProblem:
         self.val_tol = float(val_tol)
         self.jump_tol = float(jump_tol)
         self.tol_u = float(tol_u)
-        if not (self.n_scan >= 2 and all(0.0 < v < np.inf for v in (
+        # a grid of 2 or 3 cells can step over the maximum: at n_scan = 3,
+        # Burgers step(1, 0) at (0.65, 1.2) gave u+ = 1, where it is 0
+        if not (self.n_scan >= 4 and all(0.0 < v < np.inf for v in (
                 self.val_tol, self.jump_tol, self.tol_u))):
-            raise ValueError("need n_scan >= 2 and finite positive tolerances")
+            raise ValueError("need n_scan >= 4 and finite positive tolerances")
         self._H = pair.H
         self._U = pair.U
         self._F = pair.F
@@ -451,12 +455,14 @@ class GeneralProblem:
         xs.
 
         ``branch_gap`` and the lifespan blocks call ``_maximize_block``
-        itself and scan every cell: the first holds few cells, and the rows
-        of a lifespan bisection, each at its own time, lie where a shock
-        meets the characteristic, with maximizers far apart: the hull kept
-        more than half the window in 34 of the 42 bisection blocks of five
-        lifespans on ``sin_wave()``, and with the pass those lifespans ran
-        10-14% slower.
+        itself and scan every cell of their windows: the first, and a
+        lifespan's Newton steps (one row over one side of the grid), hold
+        few cells.  The rows of the bisection those steps fall back to,
+        each at its own time, lie where a shock meets the characteristic,
+        with maximizers far apart: the hull kept more than half the window
+        in 34 of the 42 bisection blocks of five lifespans on
+        ``sin_wave()``, and with the pass those lifespans ran 10-14%
+        slower.
         """
         m = len(xs)
         if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2

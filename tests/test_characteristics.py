@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxo import flux, initial_data as idata
+from laxo import characteristics, flux, initial_data as idata
 from laxo.characteristics import (
     T_CAP, T_TOL, CharacteristicAnalyzer, F_l, TerminationClass, phi_l)
 from laxo.errors import BracketError
@@ -282,20 +284,40 @@ _LIFESPAN_CA = {
 }
 
 
+def _certified(ca, x0, c, t):
+    """The one-row oracle's certificate of a t*: c holds at t* - T_TOL / 2
+    and fails at t* + T_TOL / 2, as at a bisection's midpoint."""
+    return (_on_sequential(ca, x0, c, t - 0.5 * T_TOL)
+            and not _on_sequential(ca, x0, c, t + 0.5 * T_TOL))
+
+
+def _lifespan_and_bisect(ca, x0, c):
+    """``lifespan_exact`` and the mock of ``bisect`` that saw its calls."""
+    with mock.patch.object(characteristics, "bisect",
+                           wraps=characteristics.bisect) as bis:
+        return ca.lifespan_exact(x0, c), bis
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lifespan_exact_equals_sequential_loop(data):
-    # the blocks give the t* of the one-row loop, bit for bit; top first
-    # differs only where its aliased scan reads c as a maximizer at T_CAP
-    # although a doubling already left the characteristic
+    # an answer of the bisection, or of no search, is the t* of the one-row
+    # loop bit for bit; a Newton answer lies within T_TOL of it and carries
+    # the midpoint's certificate.  top first differs only where its aliased
+    # scan reads c as a maximizer at T_CAP although a doubling already left
+    # the characteristic
     ca = _LIFESPAN_CA[data.draw(st.sampled_from(sorted(_LIFESPAN_CA)))]
     x0 = data.draw(st.floats(-3.0, 3.0))
     c = (float(ca.data.phi(x0)) if data.draw(st.booleans())
          else data.draw(st.floats(-1.2, 1.2)))
     first, last = _lifespan_sequential(ca, x0, c)
-    got = ca.lifespan_exact(x0, c)
-    assert got == last
-    assert got == first or (first == np.inf and got < 8192.0)
+    got, bis = _lifespan_and_bisect(ca, x0, c)
+    if bis.called or got == last:
+        assert got == last
+    else:
+        assert abs(got - last) <= T_TOL
+        assert _certified(ca, x0, c, got)
+    assert first in (got, last) or (first == np.inf and got < 8192.0)
 
 
 def test_lifespan_exact_tailed_data_past_the_aliased_cap():
@@ -328,14 +350,59 @@ def _spy_blocks(monkeypatch, ca):
 @pytest.mark.parametrize("x0", [-2.5, -1.7, -0.3, 0.3, 0.9, 1.6, 2.2, 2.5])
 def test_lifespan_exact_blocks(monkeypatch, x0):
     # the bench's lifespans on -sin x: no T_CAP row once a doubling fails,
-    # at most 12 blocks, at most 7 rows each
+    # at most 10 blocks of at most 7 rows, 20 rows in all (the bisection
+    # took 9-12 blocks, about 63 rows), and the Newton steps land on the
+    # tie x0 / sin x0 itself, where the bisection was up to 3.2e-9 off
     ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
     seen = _spy_blocks(monkeypatch, ca)
     t = ca.lifespan_exact(x0, -np.sin(x0))
-    assert t == pytest.approx(x0 / np.sin(x0), abs=1e-4)
-    assert len(seen) <= 12
+    assert abs(t - x0 / np.sin(x0)) <= 1e-12
+    assert len(seen) <= 10
     assert max(len(ts) for ts, _ in seen) <= 7
+    assert sum(len(ts) for ts, _ in seen) <= 20
     assert not any((ts == T_CAP).any() for ts, _ in seen)
+
+
+def test_lifespan_exact_quartic_collisions():
+    # power2n(2) on -sin x, 12 draws of the bench's x0: each t* ends in a
+    # collision before t_p, carries the midpoint's certificate, lies within
+    # T_TOL of the one-row bisection, and takes no bisection
+    ca = _LIFESPAN_CA["quartic_sine"]
+    rng = np.random.default_rng(0)
+    for x0 in (rng.choice([-1.0, 1.0], 12)
+               * rng.uniform(0.3, 2.5, 12)).tolist():
+        c = -np.sin(x0)
+        t, bis = _lifespan_and_bisect(ca, x0, c)
+        assert not bis.called, x0
+        assert t < min(ca.lifespan_upper(x0, c)), x0
+        assert _certified(ca, x0, c, t), x0
+        assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL, x0
+
+
+@pytest.mark.parametrize("case, x0, steps, halvings", [
+    # a weak collision just before t_p = 0.866: its side rows reach mid, and
+    # the bisection of [0, top] starts at its root
+    ("quartic_sine", 0.9528670904567889, None, 0),
+    # the steps stop short, and the bisection of [1, top] starts at the
+    # first bracket that their failing rows leave undecided
+    ("burgers_sine", 0.3, 3, 1),
+    ("burgers_sine", 0.9, 2, 2)])
+def test_lifespan_exact_fallback_is_the_bisection(monkeypatch, case, x0,
+                                                  steps, halvings):
+    # where the Newton steps give up, t* is the one-row bisection's, bit for
+    # bit
+    ca = _LIFESPAN_CA[case]
+    if steps is not None:
+        monkeypatch.setattr(characteristics, "_NEWTON_STEPS", steps)
+    c = -np.sin(x0)
+    t, bis = _lifespan_and_bisect(ca, x0, c)
+    assert t == _lifespan_sequential(ca, x0, c)[1]
+    top = min(ca.lifespan_upper(x0, c)) - T_TOL
+    lo = 0.0 if top < 1.0 else 1.0
+    hi = top
+    for _ in range(halvings):
+        hi = 0.5 * (lo + hi)
+    assert bis.call_args.args[1:3] == (lo, hi)
 
 
 def test_lifespan_exact_immortal_blocks(monkeypatch):

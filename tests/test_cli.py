@@ -96,6 +96,17 @@ def test_non_integral_n_scan_exit_2(tmp_path):
                         "n_scan must be an integer")
 
 
+@pytest.mark.parametrize("n_scan", [2, 3])
+def test_coarse_n_scan_exit_2(tmp_path, n_scan):
+    # n_scan = 3 gave u+ = 1 right of the step(1, 0) shock, where it is 0
+    bad = tmp_path / "n_scan.json"
+    bad.write_text(json.dumps(dict(RIEMANN_UP,
+                                   tolerances={"n_scan": n_scan})))
+    _assert_exit_2_json(run("solve", str(bad), "--t", "1",
+                            "--x-range", "-1:1", "--n", "3"),
+                        "need n_scan >= 4 and finite positive tolerances")
+
+
 def test_unknown_tolerance_key_exit_2(tmp_path):
     # a mistyped key was dropped, and the solve ran with the default val_tol
     bad = tmp_path / "val_toll.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxo import flux, initial_data as idata, variational_core as vc
+from laxo import (characteristics, flux, initial_data as idata,
+                  variational_core as vc)
 from laxo._search import bisect_many, golden_many, runs, secant_many
 from laxo.characteristics import CharacteristicAnalyzer
 from laxo.flux import GeneralFluxPair
@@ -466,6 +467,17 @@ def test_problem_rejects_non_integral_n_scan(n_scan):
     with pytest.raises(ValueError, match="n_scan must be an integer"):
         Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
     assert Problem(flux.burgers(), idata.sin_wave(), n_scan=64.0).n_scan == 64
+
+
+@pytest.mark.parametrize("n_scan", [2, 3])
+def test_problem_rejects_a_grid_of_fewer_than_four_cells(n_scan):
+    # at n_scan = 3 Burgers step(1, 0) at (0.65, 1.2), right of the shock
+    # x = 0.6, gave u+ = 1.0000000032 where it is 0; from 4 cells on the
+    # grid finds the maximum
+    with pytest.raises(ValueError, match="need n_scan >= 4"):
+        Problem(flux.burgers(), idata.step(1.0, 0.0), n_scan=n_scan)
+    p = Problem(flux.burgers(), idata.step(1.0, 0.0), n_scan=4)
+    assert abs(p.solve(0.65, 1.2).u_plus) <= p.tol_u
 
 
 def test_eval_E_rejects_bad_input(neg_sin):
@@ -1699,14 +1711,19 @@ def test_late_restart_slice_scans_a_quarter_of_its_window(monkeypatch):
 
 def test_point_solves_branch_gaps_and_lifespans_take_no_coarse_pass(
         monkeypatch):
-    # a point solve and branch_gap hold too few cells; the 7-row blocks of
-    # a lifespan bisection hold enough, but each row at its own time
+    # a point solve, branch_gap and a lifespan's Newton steps hold too few
+    # cells; the 7-row blocks of a lifespan bisection (the Newton steps'
+    # fallback, taken here with no steps allowed) hold enough, but each row
+    # at its own time
     p = Problem(flux.burgers(), idata.step(1.0, 0.0))
     coarse = _spy(monkeypatch, "_coarse")
     blocks = _spy(monkeypatch, "_maximize_block")
     p.solve(0.3, 1.0)
     p.branch_gap(0.5, 1.0, 0.5)
     ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    assert ca.lifespan_exact(1.6, -math.sin(1.6)) \
+        == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
+    monkeypatch.setattr(characteristics, "_NEWTON_STEPS", 0)
     assert ca.lifespan_exact(1.6, -math.sin(1.6)) \
         == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
     assert max(len(xs) for xs, *_ in blocks) == 7
