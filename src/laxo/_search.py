@@ -20,6 +20,12 @@ from them once it stops:
   state is each bracket's ends, inner points and their values, and each
   round evaluates the one new point of every live bracket.
 
+A fourth, ``tie``, finds where one predicate flips by safeguarded Newton
+steps, one probe per step, on a gap whose slope its caller knows in closed
+form, and hands the bracket they leave to one ``bisect_many`` walk: the
+tie of two maximizer branches of E in t (``lifespan_exact``) and in x (a
+tracked shock's node).
+
 ``bisect`` is ``bisect_many`` on one bracket.  Every bracket stops on one
 rule and no other: at ``|b - a| <= tol``, or at the float floor, where a
 midpoint equals an end, whatever the tolerance.  Each step halves a
@@ -36,8 +42,8 @@ import numpy as np
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # most bisection steps one round pays for: it evaluates the 2**_DEPTH - 1
-# midpoints those steps can reach, a block of 7 rows where lifespan_exact
-# falls back to bisection
+# midpoints those steps can reach, a block of 7 rows where a tie's walk
+# solves them
 _DEPTH = 3
 
 
@@ -215,6 +221,74 @@ def bisect(pred, a, b, tol):
     ``|b - a| <= tol`` or b the float next to a."""
     a, b = bisect_many(lambda xs, _: pred(xs), [a], [b], tol)
     return float(a[0]), float(b[0])
+
+
+def tie(probe, pred, certify, held, failed, z, dz, tol):
+    """Where a monotone predicate flips between held, where it holds, and
+    failed, where it fails: safeguarded Newton steps, and one
+    ``bisect_many`` walk where they stop paying.
+
+    ``probe(z)`` reads the predicate at z, True, False or None where the
+    read decides nothing, and a Newton step from z toward the flip, or
+    None; each decided read tightens the bracket.  The search starts from
+    z with the step dz, or where dz is None by probing z.  In the manner of
+    Dekker (1969) and Brent (1973, ch. 4), a step is taken where it lands
+    strictly inside the bracket and is below half the longest of the last
+    three moves; the first step that reaches or passes held probes held
+    itself instead, once (on a concave gap a step from failed lands below
+    the flip, and steps from held converge without overshoot); any other
+    step, and a decided probe with no step, give way to the bracket's
+    midpoint.
+
+    A step of at most tol (1 + |z|) / 5 that lands in the bracket or on an
+    end goes to ``certify(z)``, which returns the two points it read, on
+    held's side of z and on failed's, the predicate at each ((None, None)
+    where it reads nothing) and a payload.  Where the predicate holds at
+    the first and fails at the second, the search returns (z, payload);
+    else the reads tighten the bracket.  One ``bisect_many`` walk on
+    ``pred(points, owner)`` takes the bracket to ``|failed - held| <= tol``
+    or the float floor where a certificate fails, a probe neither decides
+    nor steps, a midpoint decides nothing or the bracket is that narrow
+    already, and the search returns (its final midpoint, None).  There is
+    no step cap: the longest of three taken moves halves every third move,
+    and each midpoint halves the bracket or ends the steps.
+    """
+    def inside(v):
+        return min(held, failed) < v < max(held, failed)
+
+    moves = [math.inf] * 3
+    tried = False
+    nz = z if dz is None else None
+    while True:
+        mid = False
+        if nz is None:
+            step = math.nan if dz is None else z - dz
+            if dz is not None and abs(dz) <= 0.2 * tol * (1.0 + abs(step)) \
+                    and (inside(step) or step in (held, failed)):
+                points, holds, out = certify(step)
+                if holds[0] and not holds[1]:
+                    return step, out
+                for q, h in zip(points, holds):
+                    if h is not None and inside(q):
+                        held, failed = (q, failed) if h else (held, q)
+                break
+            if inside(step) and abs(dz) < 0.5 * max(moves):
+                nz = step
+            elif not tried and (step - held) * (failed - held) <= 0.0:
+                nz, tried = held, True
+            else:
+                nz, mid = 0.5 * (held + failed), True
+                if abs(failed - held) <= tol or not inside(nz):
+                    break
+        holds, dz = probe(nz)
+        moves = moves[1:] + [abs(nz - z)]
+        z, nz = nz, None
+        if holds is None and (dz is None or mid):
+            break
+        if holds is not None:
+            held, failed = (z, failed) if holds else (held, z)
+    a, b = bisect_many(pred, [held], [failed], tol)
+    return 0.5 * (float(a[0]) + float(b[0])), None
 
 
 def golden_many(f, a, b, tol):

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect
+from ._search import tie
 from .errors import FitError
 
 T_CAP = 1e4
 T_TOL = 1e-8
 # the doubling scan's times 2**0 ... 2**13, all below T_CAP
 _DOUBLINGS = 14
-# most steps in t, Newton steps and halvings, that lifespan_exact takes
-# before it bisects
-_NEWTON_STEPS = 12
 _EPS = 1e-12
 
 
@@ -237,16 +234,30 @@ class CharacteristicAnalyzer:
         1, 2, 4, ... below top = min(t_p - T_TOL, T_CAP), then top, are
         tested in blocks of three, one ``_maximize_block`` call with one t
         per row each.  If c holds at all of them, t* is t_p (inf past
-        T_CAP).  Otherwise ``_newton`` steps in t from the first failure
-        to the tie of E(c) with the competing branch, and one 2-row block
-        certifies its t* as a bisection's midpoint is certified: c holds
-        at t* - T_TOL / 2 and fails at t* + T_TOL / 2.  Where the steps
-        give up, ``bisect`` halves the gap between the first failure and
-        the time before it (or 0) to ``T_TOL``, 7 dyadic midpoints per
-        block, from the first of its brackets that the times the steps
-        tested leave undecided, so t* is the float of a one-step
-        bisection.  A non-finite x0 or c, or a point x0 + t f'(c) that is
-        not finite, raises ValueError.
+        T_CAP).  Otherwise ``tie`` steps in t from the first failure to the
+        tie of E(c) with the competing branch, c holding at the time before
+        it (or 0), and one 2-row block certifies its t* as a bisection's
+        midpoint is certified: c holds at t* - T_TOL / 2 and fails at
+        t* + T_TOL / 2.  Where the steps stop paying, ``bisect_many``
+        halves the bracket they leave to ``T_TOL``, 7 dyadic midpoints per
+        block.
+
+        The competing branch is the best of E on the side of mid = (c + u)
+        / 2 away from c, u the maximizer farther from c at the last read.
+        Each probe values it by one one-row block over that side's grid
+        window, split at mid as ``GeneralProblem.branch_gap`` splits, with
+        E(c) in closed form.  It decides that c fails where the branch
+        exceeds E(c) by more than the test's tolerance, and nothing
+        otherwise.  By the envelope theorem in t the excess rises at the
+        rate r(u) = I(c) - I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u)
+        - U(s)) ds > 0, with I(v) = int_0^v H'U (the grid's ``_Is``),
+        (u - c)**2 / 2 for Burgers, which reads no data; the first step
+        takes r at the grid end on u's side, so it stays at or above t*.
+        A side row that is ``redo`` (its best reaches mid: the branch may
+        have crossed it) is valued again over the whole grid, once, which
+        decides either way; at the time before the first failure c is
+        known to hold.  A non-finite x0 or c, or a point x0 + t f'(c) that
+        is not finite, raises ValueError.
         """
         t_p = min(self.lifespan_upper(x0, c))
         if t_p <= T_TOL:
@@ -263,61 +274,6 @@ class CharacteristicAnalyzer:
         else:
             return t_p if t_p <= T_CAP else np.inf
         lo, hi = ts[k + i - 1], ts[k + i]
-        t, held, failed = self._newton(
-            x0, c, lo, hi, float(ex[i]), float(tol[i]),
-            _farther(rows, i, c))
-        if t is not None:
-            return t
-        # the bisection's steps that c holding at held, and failing at
-        # failed, decide
-        while abs(hi - lo) > T_TOL:
-            m = 0.5 * (lo + hi)
-            if m in (lo, hi) or held < m < failed:
-                break
-            lo, hi = (m, hi) if m <= held else (lo, m)
-        lo, hi = bisect(lambda ts: self._on_characteristic(x0, c, ts),
-                        lo, hi, T_TOL)
-        return 0.5 * (lo + hi)
-
-    def _newton(self, x0, c, held, t, g, tol, u):
-        """Newton steps in t to the tie of E(c; x, t) with the competing
-        branch, x = x0 + t f'(c), from a time t where c fails; c holds at
-        the time held < t.
-
-        At t the best E exceeds E(c) by g, and c counts as a maximizer
-        while that excess is at most tol; u is the maximizer farther from
-        c.  The branch is the best of E on u's side of mid = (c + u) / 2:
-        each step values it at its t by one one-row block over that side's
-        grid window, split at mid as ``GeneralProblem.branch_gap`` splits,
-        with E(c) in closed form, and takes u from it.  By the envelope
-        theorem in t its excess over E(c) rises at the rate r(u) = I(c) -
-        I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u) - U(s)) ds > 0,
-        with I(v) = int_0^v H'U (the grid's ``_Is``), (u - c)**2 / 2 for
-        Burgers, which reads no data.  A step aims at the tie, g = 0, or,
-        where tol / r puts the test's last time on c more than T_TOL / 4
-        past the tie (a weak collision), at T_TOL / 4 before that time.
-
-        r grows with |u - c|, so the first step, by the rate at the grid
-        end on u's side, stays at or above t*.  Where the gap is concave in
-        t, as where the line runs far past the shock before the first
-        failing time, a step from above lands below t*, and steps from
-        below converge without overshoot: so the first iterate at or below
-        held is replaced by held itself, where c holds.  A side row that is
-        ``redo`` (its best reaches mid: the branch may have crossed it) is
-        valued again over the whole grid, once; where c fails there, that
-        row gives g and u, and where c holds, its time is held.  In the
-        manner of Dekker (1969) and Brent (1973), the midpoint of (held,
-        failed) replaces any other iterate that leaves that bracket, and
-        follows a time that became held, or a row at held that is
-        ``redo``.  Once a step is at most T_TOL / 4, one 2-row block tests
-        c at t -+ T_TOL / 2.
-
-        Returns (t*, held, failed), failed the least time found where c
-        fails and held the greatest where it holds; t* is None, for the
-        bisection, when the test fails, a side holds fewer than three grid
-        points, a rate is not positive, a side row is ``redo`` a second
-        time, or the steps do not settle in ``_NEWTON_STEPS``.
-        """
         p = self.problem
         n = len(p._s)
 
@@ -325,56 +281,51 @@ class CharacteristicAnalyzer:
             return p._H(v) * p._U(v) - p._F(v) - p._I0
 
         Hc, Ic = p._H(c), I(c)
-        failed, whole, halve, below = t, True, False, True
-        for k in range(_NEWTON_STEPS):
-            if not halve:
-                v = u if k else (p._s[-1] if u > c else p._s[0])
-                rate = Ic - I(v) + p._U(v) * (p._H(v) - Hc)
-                if not rate > 0.0:
-                    return None, held, failed
-                dt = (g - max(0.0, tol - rate * 0.25 * T_TOL)) / rate
-                t = float(t - dt)
-                halve = not held < t < failed
-                if abs(dt) <= 0.25 * T_TOL and not halve:
-                    break
-                if t <= held and below and held > 0.0:
-                    t, halve, below = held, False, False
-            if halve:
-                t, halve = 0.5 * (held + failed), False
+
+        def step(g, lim, v):
+            # toward the tie, g = 0, or, where lim / r puts the test's last
+            # time on c more than T_TOL / 4 past it (a weak collision),
+            # T_TOL / 4 before that time
+            rate = Ic - I(v) + p._U(v) * (p._H(v) - Hc)
+            if rate > 0.0:
+                return float((g - max(0.0, lim - rate * 0.25 * T_TOL)) / rate)
+            return None
+
+        u, whole = _farther(rows, i, c), True
+
+        def probe(t):
+            nonlocal u, whole
+            if not t > 0.0:                     # the line starts on c
+                return True, None
             im = int(np.searchsorted(p._s, 0.5 * (c + u)))
             start, width = (im, n - im) if u > c else (0, im)
             if width < 3:
-                return None, held, failed
+                return None, None
             ex, lim, rows = self._excess(x0, c, np.array([t]), start, width)
-            if rows.redo[0] and t == held:
-                halve = True
-                continue
             if rows.redo[0]:
+                if t == lo:
+                    return True, None
                 if not whole:
-                    return None, held, failed
+                    return None, None
                 whole = False
                 ex, lim, rows = self._excess(x0, c, np.array([t]))
                 if not ex[0] > lim[0]:
-                    held, halve = t, True
-                    continue
-            g, tol = float(ex[0]), float(lim[0])
+                    return True, None
+            g, lim = float(ex[0]), float(lim[0])
             u = _farther(rows, 0, c)
-            if g > tol:
-                failed = t
-        else:
-            return None, held, failed
-        h = 0.5 * T_TOL
-        if not t - h > 0.0:
-            return None, held, failed
-        on = self._on_characteristic(x0, c, np.array([t - h, t + h]))
-        if on[0] and not on[1]:
-            return t, held, failed
-        for tq, holds in zip((t - h, t + h), on.tolist()):
-            if holds and tq < failed:
-                held = max(held, tq)
-            elif not holds and tq > held:
-                failed = min(failed, tq)
-        return None, held, failed
+            return (False if g > lim else None), step(g, lim, u)
+
+        def certify(t):
+            ts = np.array([t - 0.5 * T_TOL, t + 0.5 * T_TOL])
+            on = (self._on_characteristic(x0, c, ts).tolist()
+                  if ts[0] > 0.0 else (None, None))
+            return ts.tolist(), on, t
+
+        t, _ = tie(probe, lambda ts, _: self._on_characteristic(x0, c, ts),
+                   certify, lo, hi, hi,
+                   step(float(ex[i]), float(tol[i]),
+                        p._s[-1] if u > c else p._s[0]), T_TOL)
+        return t
 
     def lifespans(self, x0, c):
         tm, tp = self.lifespan_upper(x0, c)

@@ -143,10 +143,11 @@ def _inf_str(v):
 def shock(problem_file, seed, t_end, dt):
     """Track a shock curve forward: CSV rows t,x,u_minus,u_plus,speed."""
     p = load_problem(problem_file)
-    parts = seed.split(",")
-    x0 = float(parts[0])
-    t0 = float(parts[1]) if len(parts) > 1 else dt
-    curve = ShockAnalyzer(p).track_forward(x0, t0, t_end, dt)
+    x0, *t0 = (float(v) for v in seed.split(","))
+    if len(t0) > 1:
+        raise ValueError(f"--seed takes x0 or x0,t0, not {seed!r}")
+    curve = ShockAnalyzer(p).track_forward(x0, t0[0] if t0 else dt, t_end,
+                                           dt)
     click.echo("t,x,u_minus,u_plus,speed")
     for nd in curve.nodes:
         click.echo(f"{_fmt(nd.t)},{_fmt(nd.x)},{_fmt(nd.u_minus)},"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import bisect
+from ._search import bisect, tie
 from .characteristics import (T_TOL, CharacteristicAnalyzer,
                               critical_sign, phi_l)
 from .errors import (BracketError, ConditionFailed, LostCurve,
@@ -21,12 +21,10 @@ from .errors import (BracketError, ConditionFailed, LostCurve,
 
 # offset of the one-sided probes in directional_limits
 DELTA = 1e-4
-# most Newton steps _newton_jump takes on the branch value gap
-_NEWTON_STEPS = 6
 # most steps one track_forward call takes: a step maximizes about 8 rows
-# (about 1.5 ms on a 2-vCPU host), or a few dozen (about 20 ms) where the
-# jump is bisected, so 10^5 steps already run for minutes, and a longer run
-# is taken for a mistyped dt or t_end
+# (about 1.5 ms on a 2-vCPU host), or about 90 (about 20 ms) where its
+# Newton steps leave the jump to a bisection walk, so 10^5 steps already
+# run for minutes, and a longer run is taken for a mistyped dt or t_end
 MAX_STEPS = 100_000
 
 
@@ -250,14 +248,15 @@ class ShockAnalyzer:
         Each step of ``dt`` moves by the Rankine-Hugoniot speed, then
         ``_locate_jump`` places the jump; traces are read 1e-7 to each side,
         and a node holds them with their Rankine-Hugoniot speed.  A step
-        before the shock solves its point and both traces as one block.  Node x is
-        where u+ drops through the middle of the traces: the edge of the
-        ``val_tol`` capture band, where the gap G between the values of E at
-        the left and the right maximizer branch is ``val_tol``, about
-        val_tol / [U] left of the exact tie G = 0.  It is placed there
-        within 1e-12 (one ulp far from the origin), by Newton steps on G or
-        else by bisection.  A dt too small to advance t_end, or more than
-        ``MAX_STEPS`` steps, raises ValueError before any solve.
+        before the shock solves its point and both traces as one block.
+        Node x is where u+ drops through the middle of the traces: the edge
+        of the ``val_tol`` capture band, where the gap G between the values
+        of E at the left and the right maximizer branch is ``val_tol``,
+        about val_tol / [U] left of the exact tie G = 0.  ``tie`` places it
+        there by Newton steps on G, or else by a bisection walk to 1e-12,
+        and one block certifies that u+ drops through the middle within
+        max(5e-13, ulp(x)) of x.  A dt too small to advance t_end, or more
+        than ``MAX_STEPS`` steps, raises ValueError before any solve.
         """
         if not (math.isfinite(x0) and math.isfinite(t0) and t0 >= 0
                 and math.isfinite(t_end) and math.isfinite(dt) and dt > 0):
@@ -314,72 +313,47 @@ class ShockAnalyzer:
 
         The jump is where u+ drops through mid = (um + up) / 2, the middle
         of the last traces (a node's, or a pre-shock solve's), in the window
-        [x_hat - w, x_hat + w].
-        ``_newton_jump`` places it; where that gives up, ``_bisect_jump``
-        bisects for it and ``_traces`` reads the traces.  Raises LostCurve
-        when the window holds no such drop.
-        """
-        mid = 0.5 * (um + up)
-        node = self._newton_jump(x_hat, t, mid, w)
-        if node is None:
-            x = self._bisect_jump(x_hat, t, mid, w)
-            node = (x,) + self._traces(x, t)
-        return node
-
-    def _newton_jump(self, x_hat, t, mid, w):
-        """Newton steps on the branch value gap G(x) toward G = val_tol.
-
-        u+ drops through mid where the best of E below mid enters the
-        val_tol band of the best above it, G = val_tol.  Each step reads G
-        and its slope U(u+) - U(u-) from ``branch_gap`` (one 2-row block,
-        one row over each whole side of mid), until a step is at most
-        2e-13 (1 + |x|).  One 4-row block then certifies x by the
-        bisection's own test, u+(x - eps) > mid > u+(x + eps) with
-        eps = max(5e-13, ulp(x)), and reads the traces 1e-7 to each side.
-        Returns (x, u-, u+), or None when ``branch_gap`` gives None, the
-        slope is not negative, an iterate leaves [x_hat - w, x_hat + w],
-        the steps do not settle in ``_NEWTON_STEPS``, or the test fails.
+        [x_hat - w, x_hat + w]: there the best of E below mid enters the
+        val_tol band of the best above it, G = val_tol.  ``tie`` steps from
+        x_hat on G, each probe one ``branch_gap`` block (one row over each
+        whole side of mid), which gives u+ > mid as G > val_tol and the
+        slope U(u+) - U(u-), until a step is at most 2e-13 (1 + |x|).
+        One 4-row block then certifies x by u+(x - eps) > mid > u+(x + eps)
+        with eps = max(5e-13, ulp(x)), and reads the traces 1e-7 to each
+        side.  Where the steps stop paying, as where ``branch_gap`` gives
+        None, ``bisect_many`` walks the bracket they leave to 1e-12, with
+        the window's ends, unread, taken for u+ > mid on the left and not on
+        the right, solving each round's midpoints as one block; the same
+        4-row block certifies its midpoint.  Raises LostCurve where that
+        certificate fails: the window holds no such drop.
         """
         p = self.problem
-        x = x_hat
-        for _ in range(_NEWTON_STEPS):
+        mid = 0.5 * (um + up)
+
+        def probe(x):
             g = p.branch_gap(x, t, mid)
             if g is None:
-                return None
+                return None, None
             gap, slope = g[:2]
-            if not slope < 0.0:
-                return None
-            dx = (gap - p.val_tol) / slope
-            x -= dx
-            if not abs(x - x_hat) <= w:
-                return None
-            if abs(dx) <= 2e-13 * (1.0 + abs(x)):
-                break
-        else:
-            return None
-        eps = max(5e-13, math.ulp(x))
-        a, b, left, right = p.solve_grid([x - eps, x + eps, x - 1e-7,
-                                          x + 1e-7], t)
-        if not a.u_plus > mid > b.u_plus:
-            return None
-        return x, left.u_minus, right.u_plus
+            return (gap > p.val_tol,
+                    (gap - p.val_tol) / slope if slope < 0.0 else None)
 
-    def _bisect_jump(self, x_hat, t, mid, w):
-        """Bisect for the position where u_plus drops through ``mid``.
+        def certify(x):
+            eps = max(5e-13, math.ulp(x))
+            a, b, left, right = p.solve_grid([x - eps, x + eps, x - 1e-7,
+                                              x + 1e-7], t)
+            return ((x - eps, x + eps), (a.u_plus > mid, b.u_plus > mid),
+                    (x, left.u_minus, right.u_plus))
 
-        The window ends are solved as one block, and each predicate call
-        solves as one block the midpoints of ``bisect``'s next steps, up
-        to 7 for its ``_DEPTH`` = 3.
-        """
-        lo, hi = x_hat - w, x_hat + w
-        s_lo, s_hi = self.problem.solve_grid([lo, hi], t)
-        if not s_lo.u_plus > mid > s_hi.u_plus:
-            raise LostCurve(
-                f"no jump through {mid:g} in window around {x_hat:g} at t={t:g}")
-        lo, hi = bisect(lambda xs: np.array([
-            s.u_plus > mid for s in self.problem.solve_grid(xs, t)]),
-            lo, hi, 1e-12)
-        return 0.5 * (lo + hi)
+        x, node = tie(probe, lambda xs, _: np.array([
+            s.u_plus > mid for s in p.solve_grid(xs, t)]), certify,
+            x_hat - w, x_hat + w, x_hat, None, 1e-12)
+        if node is None:
+            _, holds, node = certify(x)
+            if not (holds[0] and not holds[1]):
+                raise LostCurve(f"no jump through {mid:g} in window around "
+                                f"{x_hat:g} at t={t:g}")
+        return node
 
     def _node(self, x, t, um, up):
         return ShockNode(float(t), float(x), float(um), float(up),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laxo import characteristics, flux, initial_data as idata
+from laxo import _search, characteristics, flux, initial_data as idata
 from laxo.characteristics import (
     T_CAP, T_TOL, CharacteristicAnalyzer, F_l, TerminationClass, phi_l)
 from laxo.errors import BracketError
@@ -291,28 +291,50 @@ def _certified(ca, x0, c, t):
             and not _on_sequential(ca, x0, c, t + 0.5 * T_TOL))
 
 
-def _lifespan_and_bisect(ca, x0, c):
-    """``lifespan_exact`` and the mock of ``bisect`` that saw its calls."""
-    with mock.patch.object(characteristics, "bisect",
-                           wraps=characteristics.bisect) as bis:
-        return ca.lifespan_exact(x0, c), bis
+def _lifespan_and_walks(ca, x0, c, steps=None):
+    """``lifespan_exact``, and the bracket that each bisection walk of its
+    ``tie`` starts from; with ``steps``, its probes give up (decide nothing
+    and give no step) after that many."""
+    tie, walk = characteristics.tie, _search.bisect_many
+    preds, walks = [], []
+
+    def spy_walk(pred, a, b, tol):
+        if pred in preds:
+            walks.append((float(a[0]), float(b[0])))
+        return walk(pred, a, b, tol)
+
+    def spy_tie(probe, pred, *args):
+        probes = []
+
+        def capped(t):
+            probes.append(t)
+            if steps is not None and len(probes) > steps:
+                return None, None
+            return probe(t)
+
+        preds.append(pred)
+        return tie(capped, pred, *args)
+
+    with mock.patch.object(characteristics, "tie", spy_tie), \
+            mock.patch.object(_search, "bisect_many", spy_walk):
+        return ca.lifespan_exact(x0, c), walks
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lifespan_exact_equals_sequential_loop(data):
-    # an answer of the bisection, or of no search, is the t* of the one-row
-    # loop bit for bit; a Newton answer lies within T_TOL of it and carries
-    # the midpoint's certificate.  top first differs only where its aliased
-    # scan reads c as a maximizer at T_CAP although a doubling already left
-    # the characteristic
+    # an answer of no search (t_p, or inf) is the t* of the one-row loop bit
+    # for bit; an answer of the Newton steps or of the bisection walk lies
+    # within T_TOL of it and carries the midpoint's certificate.  top first
+    # differs only where its aliased scan reads c as a maximizer at T_CAP
+    # although a doubling already left the characteristic
     ca = _LIFESPAN_CA[data.draw(st.sampled_from(sorted(_LIFESPAN_CA)))]
     x0 = data.draw(st.floats(-3.0, 3.0))
     c = (float(ca.data.phi(x0)) if data.draw(st.booleans())
          else data.draw(st.floats(-1.2, 1.2)))
     first, last = _lifespan_sequential(ca, x0, c)
-    got, bis = _lifespan_and_bisect(ca, x0, c)
-    if bis.called or got == last:
+    got = ca.lifespan_exact(x0, c)
+    if got in (min(ca.lifespan_upper(x0, c)), np.inf) or got == last:
         assert got == last
     else:
         assert abs(got - last) <= T_TOL
@@ -366,43 +388,46 @@ def test_lifespan_exact_blocks(monkeypatch, x0):
 def test_lifespan_exact_quartic_collisions():
     # power2n(2) on -sin x, 12 draws of the bench's x0: each t* ends in a
     # collision before t_p, carries the midpoint's certificate, lies within
-    # T_TOL of the one-row bisection, and takes no bisection
+    # T_TOL of the one-row bisection, and takes no bisection walk
     ca = _LIFESPAN_CA["quartic_sine"]
     rng = np.random.default_rng(0)
     for x0 in (rng.choice([-1.0, 1.0], 12)
                * rng.uniform(0.3, 2.5, 12)).tolist():
         c = -np.sin(x0)
-        t, bis = _lifespan_and_bisect(ca, x0, c)
-        assert not bis.called, x0
+        t, walks = _lifespan_and_walks(ca, x0, c)
+        assert walks == [], x0
         assert t < min(ca.lifespan_upper(x0, c)), x0
         assert _certified(ca, x0, c, t), x0
         assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL, x0
 
 
 @pytest.mark.parametrize("case, x0, steps, halvings", [
-    # a weak collision just before t_p = 0.866: its side rows reach mid, and
-    # the bisection of [0, top] starts at its root
+    # a weak collision just before t_p = 0.866: the first step, 3.5e-9
+    # from top, fails its certificate, and the walk takes [0, top] as the
+    # certificate's reads narrowed it
     ("quartic_sine", 0.9528670904567889, None, 0),
-    # the steps stop short, and the bisection of [1, top] starts at the
-    # first bracket that their failing rows leave undecided
+    # the probes give up after 3 and 2 steps, and the walk takes the
+    # bracket they leave, inside the one that the bisection of [1, top]
+    # reaches after 1 and 2 halvings
     ("burgers_sine", 0.3, 3, 1),
     ("burgers_sine", 0.9, 2, 2)])
-def test_lifespan_exact_fallback_is_the_bisection(monkeypatch, case, x0,
-                                                  steps, halvings):
-    # where the Newton steps give up, t* is the one-row bisection's, bit for
-    # bit
+def test_lifespan_exact_fallback_is_the_bisection(case, x0, steps,
+                                                  halvings):
+    # where the Newton steps give up, one bisection walk halves the bracket
+    # they leave to T_TOL, and t* carries the midpoint's certificate and
+    # lies within T_TOL of the one-row bisection's
     ca = _LIFESPAN_CA[case]
-    if steps is not None:
-        monkeypatch.setattr(characteristics, "_NEWTON_STEPS", steps)
     c = -np.sin(x0)
-    t, bis = _lifespan_and_bisect(ca, x0, c)
-    assert t == _lifespan_sequential(ca, x0, c)[1]
+    t, walks = _lifespan_and_walks(ca, x0, c, steps)
     top = min(ca.lifespan_upper(x0, c)) - T_TOL
     lo = 0.0 if top < 1.0 else 1.0
     hi = top
     for _ in range(halvings):
         hi = 0.5 * (lo + hi)
-    assert bis.call_args.args[1:3] == (lo, hi)
+    assert len(walks) == 1
+    assert lo <= walks[0][0] < walks[0][1] <= hi
+    assert _certified(ca, x0, c, t)
+    assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL
 
 
 def test_lifespan_exact_immortal_blocks(monkeypatch):

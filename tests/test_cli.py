@@ -198,7 +198,8 @@ def test_byte_determinism(files):
 _JUNK_TEXT = {"abc": "could not convert string to float: 'abc'",
               "1:2:3": "too many values to unpack (expected 2)",
               "0.5,x": "could not convert string to float: 'x'",
-              "1,x": "could not convert string to float: 'x'"}
+              "1,x": "could not convert string to float: 'x'",
+              "0,0,99": "--seed takes x0 or x0,t0, not '0,0,99'"}
 
 
 def _assert_exit_2_json(r, message=None):
@@ -256,7 +257,8 @@ def test_classify_nonfinite_x0_exit_2(files, x0):
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "-0.1"),
     ("--seed", "0.5,0.5", "--t-end", "1", "--dt", "1e-300"),
     ("--seed", "0.5,0.5", "--t-end", "1e300", "--dt", "1"),
-    ("--seed", "abc", "--t-end", "1"), ("--seed", "0.5,x", "--t-end", "1")])
+    ("--seed", "abc", "--t-end", "1"), ("--seed", "0.5,x", "--t-end", "1"),
+    ("--seed", "0,0,99", "--t-end", "1")])
 def test_shock_bad_input_exit_2(files, extra):
     _assert_exit_2_json(run("shock", files["sin"], *extra),
                         _JUNK_TEXT.get(extra[1]))

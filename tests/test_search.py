@@ -3,8 +3,10 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from laxo import _search, flux, initial_data as idata, variational_core as vc
+from laxo import (_search, characteristics, flux, initial_data as idata,
+                  shock_analysis, variational_core as vc)
 from laxo._search import (_DEPTH, bisect, bisect_many, golden_many,
                           padded_runs, runs, secant_many)
 from laxo.characteristics import CharacteristicAnalyzer
@@ -663,14 +665,143 @@ def test_secant_many_no_brackets():
     assert a.shape == b.shape == (0,)
 
 
+# -- the tie of two branches ---------------------------------------------------
+
+def _tie(r, step, z, dz, tol=1e-8, held=0.0, failed=1.0,
+         undecided=lambda z: False):
+    """``tie`` on the predicate z < r, whose probes step by step(z) (None:
+    no step) and decide nothing where undecided(z); the answer, its payload,
+    and the points of the probes, of the certificates and of the walk's
+    rounds."""
+    seen = {"probes": [], "certs": [], "walk": []}
+
+    def probe(q):
+        seen["probes"].append(q)
+        return None if undecided(q) else q < r, step(q)
+
+    def pred(qs, _):
+        seen["walk"].append(qs.copy())
+        return qs < r
+
+    def certify(q):
+        seen["certs"].append(q)
+        points = (q - 0.5 * tol, q + 0.5 * tol)
+        return points, tuple(v < r for v in points), q
+
+    def hang(signum, frame):
+        pytest.fail("tie did not terminate")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        return _search.tie(probe, pred, certify, held, failed, z, dz,
+                           tol) + (seen,)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_tie_linear_gap_takes_one_probe_and_one_certificate():
+    # a Newton step on a linear gap lands on the flip: one probe there reads
+    # a step below tol, and one certificate ends the search
+    r = 0.3
+    got, out, seen = _tie(r, lambda q: q - r, 1.0, 1.0 - r)
+    assert len(seen["probes"]) == len(seen["certs"]) == 1
+    assert seen["walk"] == []
+    assert out == got and abs(got - r) <= 1e-15
+
+
+def test_tie_certifies_a_step_onto_a_bracket_end():
+    # the probe at r fails there, so r becomes failed; its zero step lands
+    # on that end and is certified, not replaced by the midpoint
+    r = 0.375
+    got, out, seen = _tie(r, lambda q: q - r, 1.0, 1.0 - r)
+    assert seen["probes"] == [r] and seen["certs"] == [r]
+    assert got == out == r
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_tie_probe_with_no_step_ends_in_one_walk(monkeypatch, tol):
+    # a probe that neither decides nor steps hands the bracket to one
+    # bisect_many walk, which ends at tol or at the float floor
+    walks = []
+    walk = _search.bisect_many
+
+    def spy(pred, a, b, t):
+        a, b = walk(pred, a, b, t)
+        walks.append((float(a[0]), float(b[0])))
+        return a, b
+
+    monkeypatch.setattr(_search, "bisect_many", spy)
+    r = 0.3
+    got, out, seen = _tie(r, lambda q: None, 0.5, None, tol,
+                          undecided=lambda q: True)
+    assert seen["probes"] == [0.5] and seen["certs"] == [] and out is None
+    (a, b), = walks
+    assert a < r <= b
+    assert b - a <= tol or np.nextafter(a, b) == b
+    assert got == 0.5 * (a + b)
+
+
+def test_tie_undecided_midpoint_ends_the_steps():
+    # a step out of the bracket gives way to the midpoint; a midpoint that
+    # decides nothing leaves the bracket unchanged, so the next midpoint
+    # would be the same point: the walk takes over instead
+    r = 0.3
+    got, out, seen = _tie(r, lambda q: -10.0, 0.5, None,
+                          undecided=lambda q: True)
+    assert seen["probes"] == [0.5, 0.5]
+    assert out is None and abs(got - r) <= 0.5e-8
+
+
+@pytest.mark.parametrize("k", [1.9, 2.5, 3.0, 10.0, -1.0])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_tie_overshooting_steps_end_within_two_log2_probes(k, tol):
+    # steps k times the distance to the flip overshoot it (or, for k < 0,
+    # go away from it); refused steps give way to midpoints, each decided
+    # read tightens the bracket, and the search ends within about
+    # 2 log2(width / tol) probes, each in [held, failed)
+    r = 0.3
+    got, out, seen = _tie(r, lambda q: k * (q - r), 1.0, k * (1.0 - r), tol)
+    assert len(seen["probes"]) <= 2.0 * math.log2(1.0 / tol)
+    assert all(0.0 <= q < 1.0 for q in seen["probes"])
+    assert abs(got - r) <= 0.5 * tol + 1e-16
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-8, 1e-12, 0.0]))
+def test_tie_probes_stay_in_the_bracket(r, seed, tol):
+    # whatever the probes step by, and wherever they decide nothing, every
+    # probe and certificate lies in [held, failed], and the answer lies
+    # within tol / 2 of the flip
+    rng = np.random.default_rng(seed)
+
+    def step(q):
+        kind = rng.integers(5)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return float(rng.normal(0.0, 10.0))
+        return float(rng.uniform(0.5, 3.0) * (q - r))
+
+    got, out, seen = _tie(r, step, 1.0, float(step(1.0) or 0.5), tol,
+                          undecided=lambda q: rng.random() < 0.3)
+    assert all(0.0 <= q <= 1.0 for q in seen["probes"] + seen["certs"])
+    assert abs(got - r) <= 0.5 * tol + 2.0 * math.ulp(r)
+
+
 # -- the stop rule -------------------------------------------------------------
 
 def test_every_search_ends_on_tol_or_float_floor(monkeypatch):
     # every bracket refined from the package stops on |b - a| <= tol or
     # where no float lies strictly inside it, on each search path: psi
     # roots, flat-band edges, H preimages, f' inverses, lifespans, a shock
-    # track and the case-I ratio at tol 0
-    seen = []
+    # track and the case-I ratio at tol 0.  A tie that its certificate
+    # ends brackets its answer by the certificate's two reads, tol / 2 to
+    # each side (or an ulp, far from the origin), so they lie tol apart to
+    # the rounding of those two points
+    seen, ties = [], []
 
     def recorded(search):
         def run(*args):
@@ -679,9 +810,26 @@ def test_every_search_ends_on_tol_or_float_floor(monkeypatch):
             return a, b
         return run
 
+    def recorded_tie(probe, pred, certify, *args):
+        reads = []
+
+        def certified(z):
+            points, holds, out = certify(z)
+            reads.append(points)
+            return points, holds, out
+
+        z, out = _search.tie(probe, pred, certified, *args)
+        ties.append(z)
+        if out is not None:
+            (lo, hi), tol = reads[-1], args[-1]
+            seen.append((tol + math.ulp(z), np.array([lo]), np.array([hi])))
+        return z, out
+
     for mod, name in ((_search, "bisect_many"), (flux, "bisect_many"),
                       (vc, "bisect_many"), (vc, "secant_many")):
         monkeypatch.setattr(mod, name, recorded(getattr(mod, name)))
+    for mod in (characteristics, shock_analysis):
+        monkeypatch.setattr(mod, "tie", recorded_tie)
     b = flux.burgers()
     twin = flux.custom(b.eval, b.deriv, b.second)
     # 17 knots: every root of Burgers is closed-form there, and only
@@ -708,16 +856,19 @@ def test_every_search_ends_on_tol_or_float_floor(monkeypatch):
         "sampled": lambda: [Problem(fl, sampled).solve_grid(
             np.linspace(-3.0, 3.0, 67), 0.4) for fl in (b, flux.power2n(2))],
         "flat band": lambda: Problem(b, flat).solve(0.0, 1.0),
-        "lifespan": lambda: CharacteristicAnalyzer(
-            Problem(b, idata.sin_wave())).lifespan_exact(0.0, 0.0),
+        "lifespan": lambda: [CharacteristicAnalyzer(
+            Problem(b, idata.sin_wave())).lifespan_exact(x0, -math.sin(x0))
+            for x0 in (0.0, 1.6)],
         "case I": lambda: sin_sa.development_asymptotics(
             gp, {"gamma": 1.0, "sigma": 2.0, "Cbar_sigma_plus": 2.0,
                  "Cbar_sigma_minus": 1.0}),
     }
     for name, run in paths.items():
         seen.clear()
+        ties.clear()
         run()
         assert seen, name
+        assert bool(ties) == (name in ("track", "lifespan")), name
         for tol, lo, hi in seen:
             assert ((np.abs(hi - lo) <= tol)
                     | (np.nextafter(lo, hi) == hi)).all(), name

@@ -300,6 +300,17 @@ def _bisect_loop(pred, a, b, tol):
     return a, b
 
 
+def _one_point_jump(p, x_hat, t, mid, w):
+    """Reference: the window's ends checked and the drop of u+ through mid
+    bisected to 1e-12, at one solve per point."""
+    lo, hi = x_hat - w, x_hat + w
+    if not p.solve(lo, t).u_plus > mid > p.solve(hi, t).u_plus:
+        raise LostCurve("no jump in the window")
+    lo, hi = _bisect_loop(lambda m: p.solve(m, t).u_plus > mid, lo, hi,
+                          1e-12)
+    return 0.5 * (lo + hi)
+
+
 class _OnePointTracker(ShockAnalyzer):
     """Reference: the jump bisected and the traces read at one solve per
     point, with no Newton step."""
@@ -308,17 +319,15 @@ class _OnePointTracker(ShockAnalyzer):
         return (self.problem.solve(x - 1e-7, t).u_minus,
                 self.problem.solve(x + 1e-7, t).u_plus)
 
-    def _newton_jump(self, *args):
-        return None
+    def _locate_jump(self, x_hat, t, um, up, w):
+        x = _one_point_jump(self.problem, x_hat, t, 0.5 * (um + up), w)
+        return (x,) + self._traces(x, t)
 
-    def _bisect_jump(self, x_hat, t, mid, w):
-        lo, hi = x_hat - w, x_hat + w
-        if not (self.problem.solve(lo, t).u_plus > mid
-                > self.problem.solve(hi, t).u_plus):
-            raise LostCurve("no jump in the window")
-        lo, hi = _bisect_loop(lambda m: self.problem.solve(m, t).u_plus > mid,
-                              lo, hi, 1e-12)
-        return 0.5 * (lo + hi)
+
+def _certified_node(p, x, t, mid):
+    """The node's certificate: u+ drops through mid between x -+ eps."""
+    eps = max(5e-13, math.ulp(x))
+    return p.solve(x - eps, t).u_plus > mid > p.solve(x + eps, t).u_plus
 
 
 _MERGING = idata.InitialData([idata.Piece(-1.0, 0.0, "const", {"c": 1.0})],
@@ -361,45 +370,44 @@ def test_track_nodes_match_one_point_bisection(name):
 
 @pytest.mark.parametrize("name", ["step", "phase_sine", "far"])
 def test_track_fallback_equals_one_point_bisection(name, monkeypatch):
-    # with the Newton step giving up, the blocked bisection visits the
-    # one-step walk's floats, and solve_grid equals solve, so every node is
-    # the reference's bit for bit
-    monkeypatch.setattr(ShockAnalyzer, "_newton_jump",
-                        lambda self, *args: None)
+    # with no branch gap to step on, one bisection walk of each window
+    # places the jump, and one block certifies it: every node lies within
+    # 1e-12 (two ulps far from the origin) of the one-point bisection's,
+    # and u+ drops through the middle of the last traces between x -+ eps
+    monkeypatch.setattr(GeneralProblem, "branch_gap", lambda *args: None)
     got, ref = _tracks(name)
-    assert [repr(n) for n in got.nodes] == [repr(n) for n in ref.nodes]
+    p = Problem(*_TRACKS[name][:2])
+    for prev, g, r in zip(ref.nodes, got.nodes[1:], ref.nodes[1:]):
+        assert g.t == r.t
+        assert abs(g.x - r.x) <= max(1e-12, 2.0 * math.ulp(r.x))
+        assert _certified_node(p, g.x, g.t,
+                               0.5 * (prev.u_minus + prev.u_plus))
+        assert g.u_minus == pytest.approx(r.u_minus, abs=1e-10)
+        assert g.u_plus == pytest.approx(r.u_plus, abs=1e-10)
 
 
 def _count_work(monkeypatch):
-    """Count _maximize_block calls, and record the time t of each bisection
-    fallback, from now on."""
-    count = {"blocks": 0, "fallbacks": []}
+    """Count _maximize_block calls from now on."""
+    count = {"blocks": 0}
     block = GeneralProblem._maximize_block
-    bisect_jump = ShockAnalyzer._bisect_jump
 
     def counted_block(self, *args):
         count["blocks"] += 1
         return block(self, *args)
 
-    def counted_bisect(self, x_hat, t, *args):
-        count["fallbacks"].append(t)
-        return bisect_jump(self, x_hat, t, *args)
-
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted_block)
-    monkeypatch.setattr(ShockAnalyzer, "_bisect_jump", counted_bisect)
     return count
 
 
 @pytest.mark.parametrize("name", ["step", "phase_sine", "merging"])
 def test_track_block_budget(name, monkeypatch):
-    # at most two branch blocks and one certifying block per step; the
-    # bisection took about 16.6 blocks per node
+    # at most two branch blocks and one certifying block per step, so no
+    # bisection walk, which took about 16.6 blocks per node
     f, data, x0, t0, t_end, dt, n_nodes = _TRACKS[name]
     sa = ShockAnalyzer(Problem(f, data))
     count = _count_work(monkeypatch)
     cur = sa.track_forward(x0, t0, t_end, dt)
     assert len(cur.nodes) == n_nodes
-    assert count["fallbacks"] == []
     assert count["blocks"] <= 3 * n_nodes
 
 
@@ -420,17 +428,22 @@ def test_smooth_track_takes_one_block_per_node(sin_sa, monkeypatch):
 def test_fallback_places_the_node_on_the_shock_run_into(sin_sa,
                                                        monkeypatch):
     # the characteristic from (-0.5, 1/8) runs into the standing shock of
-    # Burgers/sine at x = 0 just before t = 1.125: Newton on the branch gap
-    # gives up there, and the bisection puts the node on the shock, not at
-    # the characteristic's x_hat = 0.0372; later nodes stay on it
+    # Burgers/sine at x = 0 just before t = 1.125: the branch gap at
+    # x_hat = 0.0372 reaches mid, the walk puts the node on the shock, and
+    # its block certifies it; later nodes stay on it.  The 12 nodes take 32
+    # blocks
     count = _count_work(monkeypatch)
     cur = sin_sa.track_forward(-0.5, 0.125, 1.5, 0.125)
-    assert count["fallbacks"] == [1.125]
+    assert count["blocks"] <= 33
     late = [n for n in cur.nodes if n.t >= 1.125]
     assert len(late) == 4
+    prev = cur.nodes[-5]
     for n in late:
         assert abs(n.x) < 1e-6
         assert abs(n.u_minus + n.u_plus) < 1e-6
+        assert _certified_node(sin_sa.problem, n.x, n.t,
+                               0.5 * (prev.u_minus + prev.u_plus))
+        prev = n
 
 
 def test_result_float_fields_are_python_floats(sin_sa):
@@ -452,33 +465,58 @@ def test_result_float_fields_are_python_floats(sin_sa):
 
 
 def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
-    # the step(1, 0) shock sits on x = 1/2 at t = 1: [1.9, 2.1] holds no jump
+    # the step(1, 0) shock sits on x = 1/2 at t = 1: [1.9, 2.1] holds no
+    # jump.  The branch gap at 2 reaches mid, one walk of the window ends
+    # at its left end, and the certificate there fails, in 15 blocks
     count = _count_work(monkeypatch)
     with pytest.raises(LostCurve):
         riemann_sa._locate_jump(2.0, 1.0, 1.0, 0.0, 0.1)
-    assert len(count["fallbacks"]) == 1
+    assert count["blocks"] <= 16
 
 
-def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
-    # a first gap too large by 1 steps x by 1, out of the window of
-    # half-width 0.1; the next steps would come back and settle
-    p = riemann_sa.problem
+def _locate_with_a_bad_first_slope(sa, monkeypatch, scale):
+    """_locate_jump(0.52, ...) on the step(1, 0) shock at x = 1/2, t = 1,
+    with the first branch gap's slope scaled; its block count, the points
+    of its branch gaps and its node."""
     gap = GeneralProblem.branch_gap
     calls = []
 
     def off(self, *args):
         g = gap(self, *args)
         calls.append(args[0])
-        return (g[0] + (len(calls) == 1),) + g[1:]
+        return g[:1] + (g[1] * (scale if len(calls) == 1 else 1.0),) + g[2:]
 
     count = _count_work(monkeypatch)
     monkeypatch.setattr(GeneralProblem, "branch_gap", off)
-    x, um, up = riemann_sa._locate_jump(0.52, 1.0, 1.0, 0.0, 0.1)
-    assert len(count["fallbacks"]) == 1
-    assert len(calls) == 1
-    ref = _OnePointTracker(p)._bisect_jump(0.52, 1.0, 0.5, 0.1)
-    assert x == ref
-    assert (um, up) == _OnePointTracker(p)._traces(ref, 1.0)
+    node = sa._locate_jump(0.52, 1.0, 1.0, 0.0, 0.1)
+    blocks = count["blocks"]
+    p = sa.problem
+    ref = _one_point_jump(p, 0.52, 1.0, 0.5, 0.1)
+    assert abs(node[0] - ref) <= 1e-12
+    assert _certified_node(p, node[0], 1.0, 0.5)
+    assert node[1:] == _OnePointTracker(p)._traces(node[0], 1.0)
+    return blocks, calls
+
+
+def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
+    # a first slope 1000 times too small steps x far left of the window of
+    # half-width 0.1, past its held end, which is probed instead; the steps
+    # from there settle, and the node carries the certificate within 1e-12
+    # of the one-point bisection
+    blocks, calls = _locate_with_a_bad_first_slope(riemann_sa, monkeypatch,
+                                                   1e-3)
+    assert calls[1] == 0.52 - 0.1
+    assert blocks <= 4
+
+
+def test_branch_gap_with_no_step_probes_the_midpoint(riemann_sa,
+                                                     monkeypatch):
+    # a first slope of the wrong sign gives no step: the midpoint of the
+    # bracket that the first read left, [0.42, 0.52], is probed next
+    blocks, calls = _locate_with_a_bad_first_slope(riemann_sa, monkeypatch,
+                                                   -1.0)
+    assert calls[1] == 0.5 * ((0.52 - 0.1) + 0.52)
+    assert blocks <= 4
 
 
 def test_track_rh_consistency_with_polyline(sin_sa):

@@ -1712,9 +1712,9 @@ def test_late_restart_slice_scans_a_quarter_of_its_window(monkeypatch):
 def test_point_solves_branch_gaps_and_lifespans_take_no_coarse_pass(
         monkeypatch):
     # a point solve, branch_gap and a lifespan's Newton steps hold too few
-    # cells; the 7-row blocks of a lifespan bisection (the Newton steps'
-    # fallback, taken here with no steps allowed) hold enough, but each row
-    # at its own time
+    # cells; the 7-row blocks of a lifespan's bisection walk (taken here by
+    # probes that give up at once) hold enough, but each row at its own
+    # time
     p = Problem(flux.burgers(), idata.step(1.0, 0.0))
     coarse = _spy(monkeypatch, "_coarse")
     blocks = _spy(monkeypatch, "_maximize_block")
@@ -1723,7 +1723,9 @@ def test_point_solves_branch_gaps_and_lifespans_take_no_coarse_pass(
     ca = CharacteristicAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
     assert ca.lifespan_exact(1.6, -math.sin(1.6)) \
         == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
-    monkeypatch.setattr(characteristics, "_NEWTON_STEPS", 0)
+    tie = characteristics.tie
+    monkeypatch.setattr(characteristics, "tie", lambda probe, *args: tie(
+        lambda t: (None, None), *args))
     assert ca.lifespan_exact(1.6, -math.sin(1.6)) \
         == pytest.approx(1.6 / math.sin(1.6), abs=1e-6)
     assert max(len(xs) for xs, *_ in blocks) == 7
