@@ -324,8 +324,12 @@ class ShockAnalyzer:
         None, ``bisect_many`` walks the bracket they leave to 1e-12, with
         the window's ends, unread, taken for u+ > mid on the left and not on
         the right, solving each round's midpoints as one block; the same
-        4-row block certifies its midpoint.  Raises LostCurve where that
-        certificate fails: the window holds no such drop.
+        4-row block certifies its midpoint.  Where that certificate fails,
+        as where a probe decided wrongly and stranded the bracket, one
+        block reads the window's ends, and where they hold the drop one
+        more walk takes the whole window and its midpoint is certified.
+        Raises LostCurve where no certificate holds: the window holds no
+        such drop.
         """
         p = self.problem
         mid = 0.5 * (um + up)
@@ -345,11 +349,20 @@ class ShockAnalyzer:
             return ((x - eps, x + eps), (a.u_plus > mid, b.u_plus > mid),
                     (x, left.u_minus, right.u_plus))
 
-        x, node = tie(probe, lambda xs, _: np.array([
-            s.u_plus > mid for s in p.solve_grid(xs, t)]), certify,
-            x_hat - w, x_hat + w, x_hat, None, 1e-12)
+        def pred(xs, _):
+            return np.array([s.u_plus > mid for s in p.solve_grid(xs, t)])
+
+        lo, hi = x_hat - w, x_hat + w
+        x, node = tie(probe, pred, certify, lo, hi, x_hat, None, 1e-12)
         if node is None:
             _, holds, node = certify(x)
+            if not (holds[0] and not holds[1]):
+                # a probe that decided wrongly strands the bracket: where
+                # the window's ends hold the drop, walk the whole window
+                left, right = p.solve_grid([lo, hi], t)
+                if left.u_plus > mid >= right.u_plus:
+                    a, b = bisect(lambda xs: pred(xs, None), lo, hi, 1e-12)
+                    _, holds, node = certify(0.5 * (a + b))
             if not (holds[0] and not holds[1]):
                 raise LostCurve(f"no jump through {mid:g} in window around "
                                 f"{x_hat:g} at t={t:g}")

@@ -401,6 +401,21 @@ def test_lifespan_exact_quartic_collisions():
         assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL, x0
 
 
+def test_lifespan_exact_large_t_ends_on_the_certificate():
+    # near x0 = pi, -sin x rises and c is small, so power2n(2)
+    # characteristics live for thousands of units of time before a shock
+    # takes them; the steps stop at 2e-9 (1 + t), up to 2e-5, yet Newton's
+    # next error is far below T_TOL / 2, so t* carries the certificate with
+    # no bisection walk
+    ca = _LIFESPAN_CA["quartic_sine"]
+    for x0 in (np.pi - 0.068, np.pi + 0.068, np.pi - 0.08):
+        c = float(ca.data.phi(x0))
+        t, walks = _lifespan_and_walks(ca, x0, c)
+        assert 5e3 < t < T_CAP, x0
+        assert walks == [], x0
+        assert _certified(ca, x0, c, t), x0
+
+
 @pytest.mark.parametrize("case, x0, steps, halvings", [
     # a weak collision just before t_p = 0.866: the first step, 3.5e-9
     # from top, fails its certificate, and the walk takes [0, top] as the

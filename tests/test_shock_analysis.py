@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from laxo import flux, initial_data as idata
+from laxo import flux, initial_data as idata, shock_analysis
 from laxo.characteristics import T_TOL
 from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
@@ -387,15 +387,22 @@ def test_track_fallback_equals_one_point_bisection(name, monkeypatch):
 
 
 def _count_work(monkeypatch):
-    """Count _maximize_block calls from now on."""
-    count = {"blocks": 0}
-    block = GeneralProblem._maximize_block
+    """Count _maximize_block calls, and the ties that end in a bisection
+    walk (no certificate held on their steps), from now on."""
+    count = {"blocks": 0, "walks": 0}
+    block, tie = GeneralProblem._maximize_block, shock_analysis.tie
 
     def counted_block(self, *args):
         count["blocks"] += 1
         return block(self, *args)
 
+    def counted_tie(*args):
+        x, node = tie(*args)
+        count["walks"] += node is None
+        return x, node
+
     monkeypatch.setattr(GeneralProblem, "_maximize_block", counted_block)
+    monkeypatch.setattr(shock_analysis, "tie", counted_tie)
     return count
 
 
@@ -408,6 +415,7 @@ def test_track_block_budget(name, monkeypatch):
     count = _count_work(monkeypatch)
     cur = sa.track_forward(x0, t0, t_end, dt)
     assert len(cur.nodes) == n_nodes
+    assert count["walks"] == 0
     assert count["blocks"] <= 3 * n_nodes
 
 
@@ -434,6 +442,7 @@ def test_fallback_places_the_node_on_the_shock_run_into(sin_sa,
     # blocks
     count = _count_work(monkeypatch)
     cur = sin_sa.track_forward(-0.5, 0.125, 1.5, 0.125)
+    assert count["walks"] == 1
     assert count["blocks"] <= 33
     late = [n for n in cur.nodes if n.t >= 1.125]
     assert len(late) == 4
@@ -467,56 +476,74 @@ def test_result_float_fields_are_python_floats(sin_sa):
 def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
     # the step(1, 0) shock sits on x = 1/2 at t = 1: [1.9, 2.1] holds no
     # jump.  The branch gap at 2 reaches mid, one walk of the window ends
-    # at its left end, and the certificate there fails, in 15 blocks
+    # at its left end, the certificate there fails, and one block reads
+    # that the window's ends hold no drop, in 16 blocks
     count = _count_work(monkeypatch)
     with pytest.raises(LostCurve):
         riemann_sa._locate_jump(2.0, 1.0, 1.0, 0.0, 0.1)
+    assert count["walks"] == 1
     assert count["blocks"] <= 16
 
 
-def _locate_with_a_bad_first_slope(sa, monkeypatch, scale):
+def _locate_with_a_bad_first_gap(sa, monkeypatch, fault):
     """_locate_jump(0.52, ...) on the step(1, 0) shock at x = 1/2, t = 1,
-    with the first branch gap's slope scaled; its block count, the points
-    of its branch gaps and its node."""
+    with fault applied to the first branch gap's (gap, slope); its block
+    and walk counts and the points of its branch gaps, its node checked."""
     gap = GeneralProblem.branch_gap
     calls = []
 
     def off(self, *args):
         g = gap(self, *args)
         calls.append(args[0])
-        return g[:1] + (g[1] * (scale if len(calls) == 1 else 1.0),) + g[2:]
+        return (fault(*g[:2]) if len(calls) == 1 else g[:2]) + g[2:]
 
     count = _count_work(monkeypatch)
     monkeypatch.setattr(GeneralProblem, "branch_gap", off)
     node = sa._locate_jump(0.52, 1.0, 1.0, 0.0, 0.1)
-    blocks = count["blocks"]
+    count = dict(count)
     p = sa.problem
     ref = _one_point_jump(p, 0.52, 1.0, 0.5, 0.1)
     assert abs(node[0] - ref) <= 1e-12
     assert _certified_node(p, node[0], 1.0, 0.5)
     assert node[1:] == _OnePointTracker(p)._traces(node[0], 1.0)
-    return blocks, calls
+    return count, calls
 
 
 def test_newton_iterate_leaving_window_falls_back(riemann_sa, monkeypatch):
+    # a first gap too large by 1 decides that u+ > mid at 0.52, right of
+    # the jump, and steps x by 1, out of the window of half-width 0.1: the
+    # bracket is stranded right of the jump and its certificate fails, so
+    # the window's ends are read, and one walk of the whole window places
+    # the node, with the certificate, within 1e-12 of the one-point
+    # bisection, in 19 blocks
+    count, calls = _locate_with_a_bad_first_gap(
+        riemann_sa, monkeypatch, lambda g, slope: (g + 1.0, slope))
+    assert calls[0] == 0.52
+    assert count["walks"] == 1
+    assert count["blocks"] <= 20
+
+
+def test_newton_step_past_held_probes_held(riemann_sa, monkeypatch):
     # a first slope 1000 times too small steps x far left of the window of
     # half-width 0.1, past its held end, which is probed instead; the steps
     # from there settle, and the node carries the certificate within 1e-12
     # of the one-point bisection
-    blocks, calls = _locate_with_a_bad_first_slope(riemann_sa, monkeypatch,
-                                                   1e-3)
+    count, calls = _locate_with_a_bad_first_gap(
+        riemann_sa, monkeypatch, lambda g, slope: (g, 1e-3 * slope))
     assert calls[1] == 0.52 - 0.1
-    assert blocks <= 4
+    assert count["walks"] == 0
+    assert count["blocks"] <= 4
 
 
 def test_branch_gap_with_no_step_probes_the_midpoint(riemann_sa,
                                                      monkeypatch):
     # a first slope of the wrong sign gives no step: the midpoint of the
     # bracket that the first read left, [0.42, 0.52], is probed next
-    blocks, calls = _locate_with_a_bad_first_slope(riemann_sa, monkeypatch,
-                                                   -1.0)
+    count, calls = _locate_with_a_bad_first_gap(
+        riemann_sa, monkeypatch, lambda g, slope: (g, -slope))
     assert calls[1] == 0.5 * ((0.52 - 0.1) + 0.52)
-    assert blocks <= 4
+    assert count["walks"] == 0
+    assert count["blocks"] <= 4
 
 
 def test_track_rh_consistency_with_polyline(sin_sa):
