@@ -191,26 +191,27 @@ class CharacteristicAnalyzer:
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 
-    def _maximize_along(self, x0, c, ts, start=0, width=None):
+    def _maximize_along(self, x0, c, ts, mid=None, above=None):
         """The points x = x0 + t f'(c) at the times ts, and their maximizer
-        sets over the grid indices start ... start + width - 1 (the whole
-        grid by default) as the arrays of one block with one t per row."""
+        sets as one ``GeneralProblem._sides`` read with one t per row: over
+        the whole grid by default, else over one side of mid (None where
+        that side decides nothing)."""
         with np.errstate(over="ignore"):    # an overflow is rejected below
             xs = x0 + ts * self.flux.deriv(c)
         if not np.isfinite(xs).all():
             raise ValueError("x and t must be finite, with t positive")
-        p, n = self.problem, len(ts)
-        return xs, p._maximize_block(
-            xs, ts, np.full(n, start, dtype=np.intp),
-            np.full(n, len(p._s) if width is None else width))
+        return xs, self.problem._sides(xs, ts, mid, above)
 
-    def _excess(self, x0, c, ts, start=0, width=None):
-        """How far the best E at x0 + t f'(c), over the grid window of
-        ``_maximize_along``, exceeds E(c) there, at each t of the array ts,
-        in one block; with the most it may exceed it by while c is a
-        maximizer, and the block's rows."""
+    def _excess(self, x0, c, ts, mid=None, above=None):
+        """How far the best E at x0 + t f'(c), over the grid or the side of
+        mid that ``_maximize_along`` reads, exceeds E(c) there, at each t of
+        the array ts, in one block; with the most it may exceed it by while
+        c is a maximizer, and the block's rows.  None where the side read
+        gives None."""
         p = self.problem
-        xs, rows = self._maximize_along(x0, c, ts, start, width)
+        xs, rows = self._maximize_along(x0, c, ts, mid, above)
+        if rows is None:
+            return None
         top = rows.max_value
         Ec = p._E(p._W(xs - ts * p._H0), c, xs, ts)
         # tighter than val_tol: near tangential terminations the value gap
@@ -244,20 +245,20 @@ class CharacteristicAnalyzer:
 
         The competing branch is the best of E on the side of mid = (c + u)
         / 2 away from c, u the maximizer farther from c at the last read.
-        Each probe values it by one one-row block over that side's grid
-        window, split at mid as ``GeneralProblem.branch_gap`` splits, with
-        E(c) in closed form.  It decides that c fails where the branch
-        exceeds E(c) by more than the test's tolerance, and nothing
-        otherwise.  By the envelope theorem in t the excess rises at the
-        rate r(u) = I(c) - I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u)
-        - U(s)) ds > 0, with I(v) = int_0^v H'U (the grid's ``_Is``),
-        (u - c)**2 / 2 for Burgers, which reads no data; the first step
-        takes r at the grid end on u's side, so it stays at or above t*.
-        A side row that is ``redo`` (its best reaches mid: the branch may
-        have crossed it) is valued again over the whole grid, once, which
-        decides either way; at the time before the first failure c is
-        known to hold.  A non-finite x0 or c, or a point x0 + t f'(c) that
-        is not finite, raises ValueError.
+        Each probe values it by one one-row ``GeneralProblem._sides`` read
+        of that side, as ``branch_gap`` reads a shock node's, with E(c) in
+        closed form.  It decides that c fails where the branch exceeds E(c)
+        by more than the test's tolerance, and nothing otherwise.  By the
+        envelope theorem in t the excess rises at the rate r(u) = I(c) -
+        I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u) - U(s)) ds > 0,
+        with I(v) = int_0^v H'U (the grid's ``_Is``), (u - c)**2 / 2 for
+        Burgers, which reads no data; the first step takes r at the grid
+        end on u's side, so it stays at or above t*.  A side read that
+        gives None (the side holds fewer than three grid points, or its
+        best reaches mid, so the branch may lie across it) decides nothing
+        and gives no step, and ``tie`` walks the bracket, as for a shock
+        node.  A non-finite x0 or c, or a point x0 + t f'(c) that is not
+        finite, raises ValueError.
         """
         t_p = min(self.lifespan_upper(x0, c))
         if t_p <= T_TOL:
@@ -275,7 +276,6 @@ class CharacteristicAnalyzer:
             return t_p if t_p <= T_CAP else np.inf
         lo, hi = ts[k + i - 1], ts[k + i]
         p = self.problem
-        n = len(p._s)
 
         def I(v):
             return p._H(v) * p._U(v) - p._F(v) - p._I0
@@ -291,26 +291,16 @@ class CharacteristicAnalyzer:
                 return float((g - max(0.0, lim - rate * 0.25 * T_TOL)) / rate)
             return None
 
-        u, whole = _farther(rows, i, c), True
+        u = _farther(rows, i, c)
 
         def probe(t):
-            nonlocal u, whole
+            nonlocal u
             if not t > 0.0:                     # the line starts on c
                 return True, None
-            im = int(np.searchsorted(p._s, 0.5 * (c + u)))
-            start, width = (im, n - im) if u > c else (0, im)
-            if width < 3:
+            read = self._excess(x0, c, np.array([t]), 0.5 * (c + u), u > c)
+            if read is None:
                 return None, None
-            ex, lim, rows = self._excess(x0, c, np.array([t]), start, width)
-            if rows.redo[0]:
-                if t == lo:
-                    return True, None
-                if not whole:
-                    return None, None
-                whole = False
-                ex, lim, rows = self._excess(x0, c, np.array([t]))
-                if not ex[0] > lim[0]:
-                    return True, None
+            ex, lim, rows = read
             g, lim = float(ex[0]), float(lim[0])
             u = _farther(rows, 0, c)
             return (False if g > lim else None), step(g, lim, u)

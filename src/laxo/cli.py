@@ -96,9 +96,9 @@ def solve(problem_file, t, x_range, n):
     """Sample u(x, t) on a uniform grid: CSV rows x,u_minus,u_plus."""
     p = load_problem(problem_file)
     lo, hi = _parse_range(x_range)
-    xs = np.linspace(lo, hi, n)
+    sols = p.solve_grid(np.linspace(lo, hi, n), t)
     click.echo("x,u_minus,u_plus")
-    for s in p.solve_grid(xs, t):
+    for s in sols:
         click.echo(f"{_fmt(s.x)},{_fmt(s.u_minus)},{_fmt(s.u_plus)}")
 
 
@@ -189,10 +189,13 @@ def profile(problem_file, t, x_range, n, kind):
     gs = GlobalStructure(p)
     lo, hi = _parse_range(x_range)
     xs = np.linspace(lo, hi, n)
+    # every value before the first line, so a failed run prints none; an
+    # empty grid reads no hull, as no point is asked for
+    vals = (gs._profile(xs, t).tolist() if kind == "utilde" and n
+            else [gs.nwave(x, t) for x in xs])
     click.echo("x,value")
-    for x in xs:
-        v = gs.profile_u_tilde(x, t) if kind == "utilde" else gs.nwave(x, t)
-        click.echo(f"{_fmt(float(x))},{_fmt(v)}")
+    for x, v in zip(xs.tolist(), vals):
+        click.echo(f"{_fmt(x)},{_fmt(v)}")
 
 
 @main.command()

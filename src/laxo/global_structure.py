@@ -18,7 +18,7 @@ HULL_TOL_SCALE = 1e-9
 
 
 def _check_point(x, t):
-    if not (np.isfinite(x) and np.isfinite(t) and t > 0):
+    if not (np.isfinite(x).all() and np.isfinite(t) and t > 0):
         raise ValueError("x and t must be finite, with t > 0")
 
 
@@ -273,13 +273,13 @@ class GlobalStructure:
         so the solution is slopes[i] on the band its segment's
         characteristics sweep and a centred fan at each vertex.
         """
-        _check_point(x, t)
         return float(self._profile(np.array([x], dtype=float), t)[0])
 
     def _profile(self, xs, t):
         """``profile_u_tilde`` at every x of the array xs: one searchsorted
         places the points on the segments and fans, and one
         ``invert_deriv`` call gives every fan value."""
+        _check_point(xs, t)
         hull = self.convex_hull()
         vx = hull.vx
         d = t * self.flux.deriv(hull.slopes)

@@ -454,15 +454,13 @@ class GeneralProblem:
         whole grid, at its own time.  Returns the ``_Rows`` in the order of
         xs.
 
-        ``branch_gap`` and the lifespan blocks call ``_maximize_block``
-        itself and scan every cell of their windows: the first, and a
-        lifespan's Newton steps (one row over one side of the grid), hold
-        few cells.  The rows of the bisection those steps fall back to,
-        each at its own time, lie where a shock meets the characteristic,
-        with maximizers far apart: the hull kept more than half the window
-        in 34 of the 42 bisection blocks of five lifespans on
-        ``sin_wave()``, and with the pass those lifespans ran 10-14%
-        slower.
+        ``_sides``, which reads a shock node's branches and every row of a
+        lifespan, calls ``_maximize_block`` itself and scans every cell of
+        its windows, with no coarse pass: a node's two rows have two
+        windows, and the rows of a lifespan's doubling scan, certificate
+        and walk each have a time of their own, so the pass's gate (one
+        window and one time) would shut them out; a lifespan's probe is
+        one row.
         """
         m = len(xs)
         if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2
@@ -1014,31 +1012,46 @@ class GeneralProblem:
         go[g[~ok]] = False
         return go
 
+    def _sides(self, xs, t, mid=None, above=None):
+        """The maximizer sets at the points xs and times t, as the ``_Rows``
+        of one ``_maximize_block``, each row over the whole grid where mid
+        is None, else over one side of mid: the grid indices [im, n) where
+        ``above``, [0, im) elsewhere, with im the first grid index at or
+        above mid.  None where a side holds fewer than three grid points,
+        the fewest a window holds, or where a row's best value or band
+        reaches mid (its ``redo``): the side's best may lie across it.
+        """
+        n, m = len(self._s), len(xs)
+        if mid is None:
+            return self._maximize_block(xs, t, np.zeros(m, dtype=np.intp),
+                                        np.full(m, n))
+        im = int(np.searchsorted(self._s, mid))
+        above = np.full(m, above)
+        width = np.where(above, n - im, im)
+        if width.min() < 3:
+            return None
+        out = self._maximize_block(xs, t, np.where(above, im, 0), width)
+        return None if out.redo.any() else out
+
     def branch_gap(self, x, t, mid):
         """The value gap between the maximizer branches of E(.; x, t) on each
         side of mid.
 
-        One ``_maximize_block`` of two rows at x: branch u- is the largest
-        maximizer of E over the grid indices [im, n) at or above mid, and
-        branch u+ the smallest over [0, im) below it.  Near the tie of the
-        two, u+(x) > mid exactly when G > ``val_tol``, the bisection's own
-        test.  Returns (G, dG/dx, u-, u+) with G = E(u-) - E(u+); by the
-        envelope theorem dG/dx = U(u+) - U(u-) (Lax 1957).  None when a side
-        of mid holds fewer than three grid points, the fewest a window holds
-        (``_maximize_block``), which needs a mid within two cells of
-        -+(M + delta), so both traces lie near one bound; or when a side's
-        best value or band reaches mid (its row's ``redo``).
+        One ``_sides`` read of two rows at x: branch u- is the largest
+        maximizer of E at or above mid, and branch u+ the smallest below
+        it.  Near the tie of the two, u+(x) > mid exactly when G >
+        ``val_tol``, the bisection's own test.  Returns (G, dG/dx, u-, u+)
+        with G = E(u-) - E(u+); by the envelope theorem dG/dx = U(u+) -
+        U(u-) (Lax 1957).  None where ``_sides`` gives None: a side of mid
+        holds fewer than three grid points, which needs a mid within two
+        cells of -+(M + delta), so both traces lie near one bound, or a
+        side's best value or band reaches mid.
         """
         if not (math.isfinite(x) and math.isfinite(mid)):
             raise ValueError("x, mid and t must be finite, with t positive")
-        t = _checked_t(t)
-        n = len(self._s)
-        im = int(np.searchsorted(self._s, mid))
-        if im < 3 or n - im < 3:
-            return None
-        out = self._maximize_block(np.full(2, float(x)), np.full(2, t),
-                                   np.array([im, 0]), np.array([n - im, im]))
-        if out.redo.any():
+        out = self._sides(np.full(2, float(x)), np.full(2, _checked_t(t)),
+                          mid, np.array([True, False]))
+        if out is None:
             return None
         um, up = float(out.u_minus[0]), float(out.u_plus[1])
         return (float(out.max_value[0] - out.max_value[1]),

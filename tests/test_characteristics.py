@@ -445,6 +445,35 @@ def test_lifespan_exact_fallback_is_the_bisection(case, x0, steps,
     assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL
 
 
+@pytest.mark.parametrize("case, x0", [("quartic_sine", -0.9622079627574553),
+                                      ("sampled", 0.6222544287920941)])
+def test_lifespan_exact_undecided_side_read_goes_to_the_walk(monkeypatch,
+                                                             case, x0):
+    # a probe's side read whose best value or band reaches mid decides
+    # nothing (the competing branch may lie across mid), and the walk takes
+    # the bracket the probes leave; t* carries the midpoint's certificate
+    # and lies within T_TOL of the one-row bisection, in 12 and 13 blocks
+    ca = _LIFESPAN_CA[case]
+    c = float(ca.data.phi(x0))
+    p = ca.problem
+    sides, reads = p._sides, []
+
+    def spy(xs, t, mid=None, above=None):
+        out = sides(xs, t, mid, above)
+        if mid is not None:
+            reads.append(out is not None)
+        return out
+
+    monkeypatch.setattr(p, "_sides", spy)
+    seen = _spy_blocks(monkeypatch, ca)
+    t, walks = _lifespan_and_walks(ca, x0, c)
+    assert reads[-1] is False and all(reads[:-1])
+    assert len(walks) == 1
+    assert len(seen) <= 13
+    assert _certified(ca, x0, c, t)
+    assert abs(t - _lifespan_sequential(ca, x0, c)[1]) <= T_TOL
+
+
 def test_lifespan_exact_immortal_blocks(monkeypatch):
     # t_p is inf, so the list is the 14 doublings and then T_CAP: every row
     # stays on the characteristic, in 5 blocks of three

@@ -203,7 +203,9 @@ _JUNK_TEXT = {"abc": "could not convert string to float: 'abc'",
 
 
 def _assert_exit_2_json(r, message=None):
+    # a failed run prints nothing on stdout, not even a CSV header
     assert r.exit_code == 2
+    assert r.stdout == ""
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])

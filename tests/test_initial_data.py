@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from laxo import flux, initial_data as idata
+from laxo.characteristics import CharacteristicAnalyzer
 from laxo.errors import FitError
 from laxo.flux import GeneralFluxPair
 from laxo.variational_core import GeneralProblem, Problem, _NumericPrimitive
@@ -114,6 +115,28 @@ def test_local_expansion_power_piece():
         assert e.C_gamma == pytest.approx(-1.0)
     # exact primitive: int_0^x -sgn(s)|s|^(1/3) ds = -(3/4)|x|^(4/3)
     assert d.primitive(0.5) == pytest.approx(-0.75 * 0.5 ** (4.0 / 3.0), abs=1e-12)
+
+
+def test_local_expansion_power_piece_off_its_reference_point():
+    # a sgn(x)|x|^g is smooth away from x_ref = 0, so the expansion reads
+    # the power term's derivatives there: phi' = a g |x0|^(g - 1) on both
+    # sides of x0 = -+0.4, a linear term, and under Burgers each side's t_p
+    # is 1 / |phi'|
+    a, g = -1.5, 2.5
+    d = idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "power", {"a": a, "g": g, "x_ref": 0.0})],
+        left_tail=1.5, right_tail=-1.5)
+    slope = a * g * 0.4 ** (g - 1.0)
+    assert slope == pytest.approx(-0.948683298050514, rel=1e-15)
+    ca = CharacteristicAnalyzer(Problem(flux.burgers(), d))
+    for x0 in (-0.4, 0.4):
+        c = float(d.phi(x0))
+        for side in ("left", "right"):
+            e = d.local_expansion(x0, c, side)
+            assert e.gamma == 1.0
+            assert e.C_gamma == pytest.approx(slope, rel=1e-12)
+        assert ca.lifespan_upper(x0, c) == pytest.approx(
+            (1.0540925533894596,) * 2, rel=1e-12)
 
 
 def test_local_expansion_errors(neg_sin):
