@@ -15,13 +15,13 @@ with t_p(x0, c) > 0, and the six initial-wave types and the exact
 lifespan t* <= t_p follow from t_p.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._search import tie
 from .errors import FitError
+from .initial_data import _check_finite
 
 T_CAP = 1e4
 T_TOL = 1e-8
@@ -58,11 +58,6 @@ class TerminationClass:
     t_star: float = np.inf
 
 
-def _check_finite(x0, c):
-    if not (math.isfinite(x0) and math.isfinite(c)):
-        raise ValueError("x0 and c must be finite")
-
-
 def _farther(rows, q, c):
     """Row q's maximizer farther from c, u+ or u-."""
     return float(max(rows.u_plus[q], rows.u_minus[q],
@@ -72,13 +67,17 @@ def _farther(rows, q, c):
 def critical_sign(gamma, alpha):
     """The sign of gamma (1 + alpha) - 1, 0 within ``_EPS``: compressive
     data of exponent gamma under a flux of degeneracy alpha cross the
-    characteristic at once (-1), after a finite time (0), or never (+1)."""
+    characteristic at once (-1), after a finite time (0), or never (+1).
+    A non-finite gamma or alpha raises ValueError."""
+    _check_finite("gamma and alpha", gamma, alpha)
     crit = gamma * (1.0 + alpha)
     return int(crit > 1.0 + _EPS) - int(crit < 1.0 - _EPS)
 
 
 def phi_l(data, l, x0, c):
-    """Phi(l; x0, c) = Phi(x0+l) - Phi(x0) - c l, exact."""
+    """Phi(l; x0, c) = Phi(x0+l) - Phi(x0) - c l, exact.  A non-finite l,
+    x0 or c raises ValueError."""
+    _check_finite("l, x0 and c", l, x0, c)
     return float(data.primitive(x0 + l) - data.primitive(x0) - c * l)
 
 
@@ -86,8 +85,10 @@ def F_l(fl, l, t, c):
     """The flux barrier F(l; t, c) = -t int_c^u (s-c) f''(s) ds.
 
     Here u solves f'(u) = f'(c) - l/t; the integral is exact:
-    int_c^u (s-c) f'' ds = (u-c) f'(u) - (f(u) - f(c)).
+    int_c^u (s-c) f'' ds = (u-c) f'(u) - (f(u) - f(c)).  A non-finite l, t
+    or c, or a t <= 0, raises ValueError.
     """
+    _check_finite("l, t and c", l, t, c)
     if t <= 0:
         raise ValueError("t must be positive")
     u = fl.invert_deriv(fl.deriv(c) - l / t)
@@ -180,36 +181,30 @@ class CharacteristicAnalyzer:
         """Whether c lies between phi(x0-) and phi(x0+), to ``jump_tol``:
         whether the characteristic of c from x0 starts on the data.  A
         non-finite x0 or c raises ValueError."""
-        _check_finite(x0, c)
+        _check_finite("x0 and c", x0, c)
         a = self.data.phi_side(x0, "left")
         b = self.data.phi_side(x0, "right")
         tol = self.problem.jump_tol
         return min(a, b) - tol <= c <= max(a, b) + tol
 
     def lifespan_upper(self, x0, c):
-        _check_finite(x0, c)
+        _check_finite("x0 and c", x0, c)
         return (self._lifespan_side(x0, c, "left"),
                 self._lifespan_side(x0, c, "right"))
 
-    def _maximize_along(self, x0, c, ts, mid=None, above=None):
-        """The points x = x0 + t f'(c) at the times ts, and their maximizer
-        sets as one ``GeneralProblem._sides`` read with one t per row: over
-        the whole grid by default, else over one side of mid (None where
-        that side decides nothing)."""
+    def _excess(self, x0, c, ts, mid=None, above=None):
+        """How far the best E at the points x0 + t f'(c), at the times of
+        the array ts, exceeds E(c) there: one ``GeneralProblem._sides``
+        read with one t per row, over the whole grid by default, else over
+        one side of mid.  Returns the excess, the most it may reach while c
+        is a maximizer, and the read's rows; None where the side read gives
+        None.  A point that is not finite raises ValueError."""
+        p = self.problem
         with np.errstate(over="ignore"):    # an overflow is rejected below
             xs = x0 + ts * self.flux.deriv(c)
         if not np.isfinite(xs).all():
             raise ValueError("x and t must be finite, with t positive")
-        return xs, self.problem._sides(xs, ts, mid, above)
-
-    def _excess(self, x0, c, ts, mid=None, above=None):
-        """How far the best E at x0 + t f'(c), over the grid or the side of
-        mid that ``_maximize_along`` reads, exceeds E(c) there, at each t of
-        the array ts, in one block; with the most it may exceed it by while
-        c is a maximizer, and the block's rows.  None where the side read
-        gives None."""
-        p = self.problem
-        xs, rows = self._maximize_along(x0, c, ts, mid, above)
+        rows = p._sides(xs, ts, mid, above)
         if rows is None:
             return None
         top = rows.max_value
@@ -249,9 +244,9 @@ class CharacteristicAnalyzer:
         of that side, as ``branch_gap`` reads a shock node's, with E(c) in
         closed form.  It decides that c fails where the branch exceeds E(c)
         by more than the test's tolerance, and nothing otherwise.  By the
-        envelope theorem in t the excess rises at the rate r(u) = I(c) -
-        I(u) + U(u) (H(u) - H(c)) = int_c^u H'(s) (U(u) - U(s)) ds > 0,
-        with I(v) = int_0^v H'U (the grid's ``_Is``), (u - c)**2 / 2 for
+        envelope theorem in t the excess rises at the rate r(u) = f(u) -
+        f(c) - f'(c) (u - c) = int_c^u f''(s) (u - s) ds > 0, the flux's
+        convexity gap between c and u (Lax 1957), (u - c)**2 / 2 for
         Burgers, which reads no data; the first step takes r at the grid
         end on u's side, so it stays at or above t*.  A side read that
         gives None (the side holds fewer than three grid points, or its
@@ -277,16 +272,14 @@ class CharacteristicAnalyzer:
         lo, hi = ts[k + i - 1], ts[k + i]
         p = self.problem
 
-        def I(v):
-            return p._H(v) * p._U(v) - p._F(v) - p._I0
-
-        Hc, Ic = p._H(c), I(c)
+        fl = self.flux
+        fc, hc = fl.eval(c), fl.deriv(c)
 
         def step(g, lim, v):
             # toward the tie, g = 0, or, where lim / r puts the test's last
             # time on c more than T_TOL / 4 past it (a weak collision),
             # T_TOL / 4 before that time
-            rate = Ic - I(v) + p._U(v) * (p._H(v) - Hc)
+            rate = fl.eval(v) - fc - hc * (v - c)
             if rate > 0.0:
                 return float((g - max(0.0, lim - rate * 0.25 * T_TOL)) / rate)
             return None
@@ -347,8 +340,7 @@ class CharacteristicAnalyzer:
         # just past t* a continuous generation point carries an opening jump
         # of width O(sqrt(t - t*)), while a discontinuous one jumps by a
         # finite amount immediately: probe at two offsets and compare
-        _, rows = self._maximize_along(x0, c,
-                                       ls.t_star + np.array([1e-4, 1e-6]))
+        rows = self._excess(x0, c, ls.t_star + np.array([1e-4, 1e-6]))[2]
         gaps = (rows.u_minus - rows.u_plus).tolist()
         singleton = gaps[1] <= max(0.5 * gaps[0], self.problem.jump_tol)
         if singleton:

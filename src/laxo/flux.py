@@ -102,8 +102,11 @@ class Flux:
         ``RHO_QUAD_WIDTH``; that form errs by about
         eps |u f'(u) - f(u)| / |f'(u) - f'(v)|, so narrower intervals take
         an 8-point Gauss-Legendre rule.  The mean is clamped to the
-        interval between u and v, where it lies.
+        interval between u and v, where it lies.  A non-finite u or v
+        raises ValueError.
         """
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValueError("u and v must be finite")
         if abs(u - v) <= TOL_U:
             return float(v)
         lo, hi = (u, v) if u < v else (v, u)

@@ -50,7 +50,10 @@ class HullReport:
     segment slopes, then ``slope_right``.  A periodic envelope is the line
     of the mean slope, one vertex at w_lo with both tails on it.  The
     primitive is sampled at steps of 1e-3 max(window width, 1), over the
-    window joined with [-N, N] when N is given.
+    window joined with [-N, N] when N is given, and at every point where
+    phi breaks (``data.breakpoints``): a contact at a kink of the
+    primitive, such as a knot of sampled data, is a node, so K0 holds it
+    exactly.
     """
 
     def __init__(self, data, N):
@@ -71,7 +74,7 @@ class HullReport:
 
     def _build_periodic(self, data, h):
         m = self.slope_left
-        xs = np.arange(data.w_lo, data.w_hi + 0.5 * h, h)
+        xs = _nodes(data, data.w_lo, data.w_hi, h)
         g = data.primitive(xs) - m * xs
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(g))))
         b0 = float(np.min(g))
@@ -100,14 +103,7 @@ class HullReport:
         lo = data.w_lo if N is None else -abs(N)
         hi = data.w_hi if N is None else abs(N)
         lo, hi = min(lo, data.w_lo), max(hi, data.w_hi)
-        # one node per breakpoint: drop grid nodes that round onto one
-        brk = np.unique([data.w_lo, data.w_hi]
-                        + [p.lo for p in getattr(data, "pieces", ())])
-        grid = np.arange(lo, hi + 0.5 * h, h)
-        ends = np.concatenate([[-np.inf], brk, [np.inf]])
-        i = np.searchsorted(ends, grid)
-        near = np.minimum(grid - ends[i - 1], ends[i] - grid) <= 1e-9 * h
-        xs = np.union1d(grid[~near], brk)
+        xs = _nodes(data, lo, hi, h)
         ys = data.primitive(xs)
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(ys))))
         vx, vy = _lower_hull(xs, ys)
@@ -167,6 +163,19 @@ class HullReport:
         # slopes[i] covers (vx[i-1], vx[i])
         i = int(np.searchsorted(vx, x0, side="right"))
         return float(slopes[i]), float(slopes[i])
+
+
+def _nodes(data, lo, hi, h):
+    """The hull's nodes on [lo, hi]: the h-grid joined with lo, hi and the
+    points where phi breaks (``data.breakpoints``), so the primitive's
+    kinks are nodes.  One node per breakpoint: grid nodes that round onto
+    one are dropped."""
+    brk = np.unique(np.concatenate([[lo, hi], data.breakpoints()[0]]))
+    grid = np.arange(lo, hi + 0.5 * h, h)
+    ends = np.concatenate([[-np.inf], brk, [np.inf]])
+    i = np.searchsorted(ends, grid)
+    near = np.minimum(grid - ends[i - 1], ends[i] - grid) <= 1e-9 * h
+    return np.union1d(grid[~near], brk)
 
 
 def _lower_hull(xs, ys):

@@ -577,11 +577,12 @@ class SampledData(_Extended):
     the next knot while it is <= r reach it, k being the most knots in any
     bucket.  The proof uses monotonicity alone, no rounding bound, so
     ``_knot`` returns the binary search's index bit for bit; a point of the
-    window lies in buckets 0 .. b(w_hi), and the table covers those.
-    Knots that would need m > 4 (n - 1) buckets or k > 2 passes (clustered
-    knots, such as geometric gaps or [0, 1e-300, 1]) keep the binary
-    search; uniform knots, such as the ones ``restart`` makes, take one
-    pass.
+    window lies in buckets 0 .. b(w_hi), and the table covers those.  A
+    bucket is span / ceil(span / min gap) <= min gap wide, so it holds one
+    knot, or two where rounding puts a knot on its far edge: k <= 2.
+    Knots that would need m > 4 (n - 1) buckets (clustered knots, such as
+    geometric gaps or [0, 1e-300, 1]) keep the binary search; uniform
+    knots, such as the ones ``restart`` makes, take one pass.
     """
 
     is_sampled = True
@@ -618,10 +619,7 @@ class SampledData(_Extended):
             return
         self._scale = math.ceil(m) / span
         bx = self._bucket(xs)
-        k = np.bincount(bx).max()
-        if k > 2:
-            return
-        self._passes = int(k)
+        self._passes = int(np.bincount(bx).max())
         # b(r) <= bx[-1] = b(w_hi) for r in the window, by monotonicity
         lut = np.searchsorted(bx, np.arange(bx[-1] + 1)) - 1
         self._lut = np.clip(lut, 0, n - 2)

@@ -152,8 +152,11 @@ class ShockAnalyzer:
         ``inputs`` carries the expansion constants of f'(phi) around the
         source point: gamma, sigma, Cbar_sigma_plus/minus for Case I (plus
         rho, Cbar_rho when the sigma constants coincide); gamma, sigma,
-        Cbar_sigma for Cases II/III.
+        Cbar_sigma for Cases II/III.  A constant that is not finite raises
+        ValueError.
         """
+        if not all(math.isfinite(float(v)) for v in inputs.values()):
+            raise ValueError("the expansion constants must be finite")
         if gp.case == "I":
             return self._case1(gp, inputs)
         return self._case23(gp, inputs)

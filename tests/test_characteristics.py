@@ -51,6 +51,22 @@ def test_F_l_bracket_error():
         F_l(flux.exponential(1.0), 10.0, 1e-3, 0.0)   # f' > 0 everywhere
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", range(3))
+def test_criterion_helpers_reject_non_finite_input(arg, bad):
+    # F_l(burgers, 0.1, nan, 0) raised BracketError and F_l(.., 0.1, inf, 0)
+    # returned nan after a RuntimeWarning; phi_l returned nan
+    args = [0.1, 1.0, 0.0]
+    args[arg] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        F_l(flux.burgers(), *args)
+    with pytest.raises(ValueError, match="must be finite"):
+        phi_l(idata.sin_wave(), *args)
+    if arg < 2:
+        with pytest.raises(ValueError, match="must be finite"):
+            characteristics.critical_sign(*args[:2])
+
+
 def test_spectrum_pure_shock(riemann_down_analyzer):
     sp = riemann_down_analyzer.char_spectrum(0.0)
     assert sp.kind == "empty"

@@ -51,6 +51,17 @@ def test_invert_deriv_vectorized(quartic):
     assert np.allclose(quartic.deriv(u), v, atol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", range(2))
+def test_rho_rejects_non_finite_arguments(arg, bad):
+    # rho(nan, 0) returned nan, and rho(inf, 0) warned "invalid value
+    # encountered in scalar subtract"
+    args = [0.5, 0.0]
+    args[arg] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        flux.burgers().rho(*args)
+
+
 @pytest.mark.parametrize("kind", sorted(_NAMED))
 def test_invert_deriv_closed_form_matches_bisection(kind):
     # the custom twin has the same f, f', f'' and inverts f' by bisection

@@ -434,6 +434,56 @@ def test_two_divides_and_a_gap(fl):
         assert -0.025 - 1e-12 <= xs[k] and xs[k + 1] <= 1e-12, (t, xs[k])
 
 
+@pytest.mark.parametrize("periodic", [False, True],
+                         ids=["tailed", "periodic"])
+def test_hull_holds_every_contact_knot_of_sampled_data(periodic):
+    # 300 random 17-knot sets: every knot where the (tilted) primitive sits
+    # at its minimum is a divide.  Nodes on the h-grid alone left out 166
+    # tailed and 8 periodic contact knots
+    rng = np.random.default_rng(3)
+    knots = np.linspace(-2.0, 2.0, 17)
+    for _ in range(300):
+        us = rng.choice([-1.0, -0.5, 0.5, 1.0], 17)
+        if periodic:
+            us[-1] = us[0]
+        else:
+            us[0] = us[-1] = 0.0
+        d = idata.SampledData(knots, us, period=4.0 if periodic else None)
+        h = GlobalStructure(Problem(flux.burgers(), d)).convex_hull()
+        g = d.primitive(knots) - h.slope_left * knots
+        for y in knots[g - g.min() <= 1e-12]:
+            ys = (y, y - 4.0) if periodic else (y,)
+            assert any(lo - 1e-9 <= z <= hi + 1e-9
+                       for z in ys for lo, hi in h.K0), (us, y, h.K0)
+
+
+def test_restarted_divides_stay_at_odd_pi():
+    # -sin x on [-2 pi, 2 pi], tails 0, restarted at t = 0.5: the divides
+    # at +-pi carry their characteristics unchanged, so the restart's knots
+    # keep them to within half a knot step (the h-grid alone put them
+    # 0.0028 off, about three quarters of a step)
+    d = idata.InitialData(
+        [idata.Piece(-2.0 * np.pi, 2.0 * np.pi, "sin",
+                     {"a": -1.0, "b": 1.0, "c": 0.0})],
+        left_tail=0.0, right_tail=0.0)
+    sd = Problem(flux.burgers(), d).restart(0.5).problem.data
+    k0 = GlobalStructure(Problem(flux.burgers(), sd)).convex_hull().K0
+    step = sd.xs[1] - sd.xs[0]
+    assert len(k0) == 2
+    for (lo, hi), x0 in zip(k0, (-np.pi, np.pi)):
+        assert abs(lo - x0) <= 0.5 * step and abs(hi - x0) <= 0.5 * step
+
+
+def test_power_jump_divide_is_its_reference_point():
+    # 0.5 sgn(x - 0.3) on [-1, 1], tails 0: the primitive's kink at x_ref
+    # is a node, so K0 is x_ref exactly (the h-grid gave 0.30000000000000115)
+    d = idata.InitialData([idata.Piece(-1.0, 1.0, "power",
+                                       {"a": 0.5, "g": 0.0, "x_ref": 0.3})],
+                          left_tail=0.0, right_tail=0.0)
+    assert GlobalStructure(Problem(flux.burgers(), d)).convex_hull().K0 == (
+        (0.3, 0.3),)
+
+
 def test_decay_rate_l2(sin_gs):
     # the sawtooth of height pi / t: its l2 norm decays like 1/t too
     e, c, series = sin_gs.measure_decay("l2", (-3.0, 3.0), [20.0, 40.0, 80.0])

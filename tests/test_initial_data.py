@@ -679,6 +679,53 @@ def test_bucket_locator_matches_binary_search(case):
     assert sd._knot(r).tobytes() == want.tobytes()
 
 
+def _knot_sets(rng, count):
+    """Uniform, jittered, far-offset, dyadic and near-uniform knot sets."""
+    for k in range(count):
+        n = int(rng.integers(2, 60))
+        kind = k % 5
+        if kind == 0:
+            xs = np.linspace(*np.sort(rng.uniform(-1e3, 1e3, 2)), n)
+        elif kind == 1:
+            g = rng.uniform(1.0, 4.0, n - 1) * 10.0 ** rng.uniform(-6, 3)
+            xs = rng.uniform(-10, 10) + np.concatenate([[0.0], np.cumsum(g)])
+        elif kind == 2:     # offsets up to 1e12 round every difference
+            xs = 10.0 ** rng.uniform(3, 12) + np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(1.0, 2.0, n - 1))])
+        elif kind == 3:
+            xs = np.cumsum(np.concatenate(
+                [[rng.integers(-5, 5)], rng.integers(1, 5, n - 1)])
+            ) * 2.0 ** int(rng.integers(-30, 30))
+        else:               # equal gaps but one, 1e-12 wider
+            g = np.ones(n - 1)
+            g[rng.integers(0, n - 1)] += rng.uniform(0.0, 1e-12)
+            xs = (rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0, 8)
+                  + np.concatenate([[0.0], np.cumsum(g)])
+                  * 10.0 ** rng.uniform(-3, 3))
+        yield np.asarray(xs, dtype=float)
+
+
+def test_bucket_table_takes_at_most_two_passes():
+    # a bucket is no wider than the least gap, so it holds at most two
+    # knots, two only by rounding
+    rng = np.random.default_rng(44)
+    passes = set()
+    for xs in _knot_sets(rng, 2000):
+        sd = idata.SampledData(xs, np.zeros_like(xs))
+        if sd._lut is None:
+            continue
+        passes.add(sd._passes)
+        edges = sd.w_lo + np.arange(len(sd._lut) + 1) / sd._scale
+        r = np.concatenate([xs, edges])
+        r = np.concatenate([r, np.nextafter(r, -np.inf),
+                            np.nextafter(r, np.inf),
+                            rng.uniform(sd.w_lo, sd.w_hi, 100)])
+        r = np.clip(r, sd.w_lo, sd.w_hi)
+        want = idata._interval(xs, r, len(xs) - 2)
+        assert sd._knot(r).tobytes() == want.tobytes()
+    assert passes == {1, 2}
+
+
 @pytest.mark.parametrize("xs", [
     np.concatenate([[0.0], np.cumsum(0.5 ** np.arange(40))]),
     np.array([0.0, 1e-300, 1.0]),

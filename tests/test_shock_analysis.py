@@ -190,6 +190,28 @@ def test_development_root_not_bracketed(sin_sa):
                  "Cbar_sigma_minus": 1.0})
 
 
+_CASE1 = {"gamma": 1.0, "sigma": 2.0, "Cbar_sigma_plus": 1.0,
+          "Cbar_sigma_minus": 1.0, "rho": 2.0, "Cbar_rho": -0.5}
+_CASE2 = {"gamma": 1.0, "sigma": 1.0, "Cbar_sigma": 1.0, "gamma_other": 0.5,
+          "alpha": 0.0, "Cbar_gamma_other": 4.0, "C_gamma_sign": -1.0}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case, key", [("I", k) for k in _CASE1]
+                         + [("II", k) for k in _CASE2])
+def test_development_rejects_non_finite_constants(sin_sa, one_sided_sa,
+                                                  case, key, bad):
+    # a nan gamma (case II) or Cbar_sigma_plus (case I) passed the <= 0
+    # checks and gave coeff_curve = exponent_u = nan
+    sa, c, inputs = ((sin_sa, 0.0, _CASE1) if case == "I"
+                     else (one_sided_sa, 1.0, _CASE2))
+    gp = sa.generation_point(0.0, c)
+    assert gp.case[:2] == case[:2]
+    assert np.isfinite(sa.development_asymptotics(gp, inputs).coeff_curve)
+    with pytest.raises(ValueError, match="must be finite"):
+        sa.development_asymptotics(gp, dict(inputs, **{key: bad}))
+
+
 @pytest.mark.parametrize("go, regime", [
     (0.5, "below"), (1.0, "at"), (1.0 - 5e-13, "at"), (1.0 + 5e-13, "at"),
     (2.0, "above")])
