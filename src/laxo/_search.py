@@ -45,6 +45,8 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # midpoints those steps can reach, a block of 7 rows where a tie's walk
 # solves them
 _DEPTH = 3
+# constants as 0-d arrays, which numpy takes faster than Python numbers
+_ZERO, _ONE, _ONE_I = np.array(0.0), np.array(1.0), np.array(1)
 
 
 def _dyadic(a, b, k):
@@ -152,39 +154,37 @@ def secant_many(f, a, b, fa, fb, curv, tol):
     takes from where its walk starts.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    fa, fb, curv = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
+    fa, fb, K = (np.asarray(v, dtype=float) for v in (fa, fb, curv))
+    z, tol4, tol0 = _ZERO, np.array(0.25 * tol), np.array(tol)
     w, s = np.abs(b - a), fa - fb
-    pair = (fa > 0.0) & (fb <= 0.0) & (w > tol)
+    pair = (fa > z) & (fb <= z) & (w > tol0)
     # the first pair's test, as in the loop (0 stands in for curv where
     # the bracket has no width, since inf * 0 is invalid)
-    cw2 = np.where(pair, curv, 0.0) * w * w
+    cw2 = np.where(pair, K, z) * w * w
     pair &= cw2 < s
     sec, walks = np.arange(len(a)), []
-    A, B, FA, FB, K = a, b, fa, fb, curv
+    A, B, FA, FB = a, b, fa, fb
     if np.count_nonzero(pair) < len(a):
         walks.append((~pair).nonzero()[0])
         sec = pair.nonzero()[0]
         A, B, FA, FB, K, w, s, cw2 = (v[sec] for v in (
             A, B, FA, FB, K, w, s, cw2))
-    own = sec[:0]
     while len(sec):
-        m = len(sec)
-        if len(own) != 2 * m:                   # a pair left: owners anew
-            own = np.concatenate([sec, sec])
+        m, own = len(sec), np.concatenate([sec, sec])
         # e = K |c - A| |B - c| / |f'| bounds the error of the secant
         # point c = A + th D (below w / 4 at the middle by the pair's
         # test); e / w is at least tol / 4, and shifts c off an end
         th = FA / s
-        eps = np.maximum(cw2 * th * (1.0 - th) / s, 0.25 * tol / w)
-        th = np.minimum(np.maximum(th, eps), 1.0 - eps)
+        eps = np.maximum(cw2 * th * (_ONE - th) / s, tol4 / w)
+        th = np.minimum(np.maximum(th, eps), _ONE - eps)
         D = B - A
-        c, e = A + th * D, eps * D
-        q = np.concatenate([c - e, c + e])
+        c, e, q = A + th * D, eps * D, np.empty(2 * m)
+        q1, q2 = np.subtract(c, e, out=q[:m]), np.add(c, e, out=q[m:])
         vals = f(q, own)
-        q1, q2, v1, v2 = q[:m], q[m:], vals[:m], vals[m:]
-        p1, p2 = v1 > 0.0, v2 > 0.0
+        v1, v2 = vals[:m], vals[m:]
         w2 = np.abs(q2 - q1)
         # a hit: f changes sign between the pair, which shrank the bracket
+        p1, p2 = v1 > z, v2 > z
         hit = (p1 > p2) & (w2 < w)
         if np.count_nonzero(hit) < m:
             # a miss: the walk takes [A, q1], [q1, q2] or [q2, B]
@@ -196,7 +196,7 @@ def secant_many(f, a, b, fa, fb, curv, tol):
             sec, q1, q2, v1, v2, w2, K = (v[hit] for v in (
                 sec, q1, q2, v1, v2, w2, K))
         A, B, FA, FB, w = q1, q2, v1, v2, w2
-        done = w <= tol
+        done = w <= tol0
         if np.count_nonzero(done) == len(sec):
             a[sec], b[sec] = A, B
             break
@@ -350,4 +350,4 @@ def padded_runs(pad):
     f = pad.ravel()
     # a change of value starts or ends a run; rows meet at two Falses
     row, col = np.divmod((f[1:] != f[:-1]).nonzero()[0], pad.shape[1])
-    return row[0::2], col[0::2], col[1::2] - 1
+    return row[0::2], col[0::2], col[1::2] - _ONE_I

@@ -50,40 +50,34 @@ class TailInvariants:
     ulow_r: float
 
 
-def _pval(p, x):
-    x = np.asarray(x, dtype=float)
-    q = p.params
-    if p.kind == "const":
-        return np.full_like(x, q["c"])
-    if p.kind == "poly":
-        return np.polynomial.polynomial.polyval(x, np.asarray(q["coeffs"], dtype=float))
-    if p.kind == "sin":
-        return q["a"] * np.sin(q["b"] * x + q["c"])
-    if p.kind == "cos":
-        return q["a"] * np.cos(q["b"] * x + q["c"])
-    if p.kind == "power":
-        s = x - q["x_ref"]
-        return q["a"] * np.sign(s) * np.abs(s) ** q["g"] + q.get("b", 0.0)
-    raise ValueError(f"unknown piece kind {p.kind!r}")
-
-
-def _pantideriv(p, x):
-    """A raw antiderivative of the piece term (additive constant free)."""
-    x = np.asarray(x, dtype=float)
-    q = p.params
-    if p.kind == "const":
-        return q["c"] * x
-    if p.kind == "poly":
-        cs = np.polynomial.polynomial.polyint(np.asarray(q["coeffs"], dtype=float))
-        return np.polynomial.polynomial.polyval(x, cs)
-    if p.kind == "sin":
-        return -q["a"] / q["b"] * np.cos(q["b"] * x + q["c"])
-    if p.kind == "cos":
-        return q["a"] / q["b"] * np.sin(q["b"] * x + q["c"])
-    if p.kind == "power":
-        s = x - q["x_ref"]
-        return q["a"] * np.abs(s) ** (1.0 + q["g"]) / (1.0 + q["g"]) + q.get("b", 0.0) * x
-    raise ValueError(f"unknown piece kind {p.kind!r}")
+def _terms(p):
+    """The piece's term of phi and a raw antiderivative of it (additive
+    constant free), as two functions of float points, its constants
+    bound here once, as 0-d arrays: numpy takes those faster than Python
+    floats, with the same float results."""
+    q, kind = p.params, p.kind
+    if kind == "const":
+        c = np.array(q["c"], dtype=float)
+        return (lambda x: np.full_like(x, c)), (lambda x: c * x)
+    if kind == "poly":
+        cs, pv = np.asarray(q["coeffs"], dtype=float), np.polynomial.polynomial
+        ci = pv.polyint(cs)
+        return (lambda x: pv.polyval(x, cs)), (lambda x: pv.polyval(x, ci))
+    if kind in ("sin", "cos"):
+        f, g = (np.sin, np.cos) if kind == "sin" else (np.cos, np.sin)
+        ab = -q["a"] / q["b"] if kind == "sin" else q["a"] / q["b"]
+        a, b, c, ab = (np.array(v, dtype=float)
+                       for v in (q["a"], q["b"], q["c"], ab))
+        return (lambda x: a * f(b * x + c)), (lambda x: ab * g(b * x + c))
+    if kind == "power":
+        # g stays a Python number: numpy's fast paths of ** read it so
+        xr, a, b = (np.array(v, dtype=float)
+                    for v in (q["x_ref"], q["a"], q.get("b", 0.0)))
+        g = q["g"]
+        return ((lambda x: a * np.sign(x - xr) * np.abs(x - xr) ** g + b),
+                (lambda x: a * np.abs(x - xr) ** (1.0 + g) / (1.0 + g)
+                 + b * x))
+    raise ValueError(f"unknown piece kind {kind!r}")
 
 
 def _pderivs(p, x0):
@@ -199,9 +193,12 @@ class _Extended:
     integral of phi over the window.  ``phi``, ``primitive`` and
     ``tail_invariants`` follow from this one rule.  Subclasses set the
     window, the extension (``_set_extension`` validates it) and ``_win``,
-    then call ``_normalize``; they evaluate in-window points through
-    ``_inner_phi(r)`` and ``_inner_primitive(r)``, which take a 1-D array,
-    must not write to it, and return a new array.
+    then call ``_build``; they evaluate in-window points through
+    ``_inner_phi(r)`` and ``_inner_primitive(r)``, methods or functions
+    set before ``_build``, which take a 1-D array, must not write to it,
+    and return a new array.  ``_build`` makes each of ``phi`` and
+    ``primitive`` one function, built once: a call runs the ufuncs of its
+    branch, with no test of the data's kind.
 
     Evaluation contract of ``phi`` and ``primitive``:
 
@@ -243,85 +240,95 @@ class _Extended:
             self.left_tail, self.right_tail = float(left_tail), float(right_tail)
             _check_finite("tails", self.left_tail, self.right_tail)
 
-    def _normalize(self):
-        """Fix the additive constant of the primitive so that Phi(0) = 0."""
-        self._norm = float(self.primitive(0.0))
+    def _build(self):
+        """Build ``phi`` and ``primitive``, the primitive's additive constant
+        fixed so that Phi(0) = 0."""
+        self._phi = self._evaluator(self._inner_phi, None)
+        self._norm = float(self._evaluator(self._inner_primitive, 0.0)(0.0))
+        self._prim = self._evaluator(self._inner_primitive, self._norm)
 
     def _tile(self, x):
         """The tile k of periodic data, [w_lo, w_hi) + kP, that holds x."""
         return np.floor((x - self.w_lo) / self.period)
 
-    def _extend(self, x, inner, integrated):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        if scalar:
-            x = x.reshape(1)
-        if not np.abs(x).max(initial=0.0) < self._x_max:
-            # finite entries as in an all-finite call; NaN has no value,
-            # nor has +-inf a phase in a period
-            fin = np.isfinite(x)
-            if not (np.abs(x[fin]) < self._x_max).all():
-                raise ValueError(
-                    f"|x| must stay below {self._x_max:.6g} on periodic data")
-            out = np.full_like(x, np.nan)
-            if fin.any():
-                out[fin] = self._extend(x[fin], inner, integrated)
-            if self.period is None:
-                lo, hi = x == -np.inf, x == np.inf
-                if integrated:
-                    out[lo] = (_tail_line(self.left_tail, x[lo] - self.w_lo)
-                               - self._norm)
-                    out[hi] = (self._win + _tail_line(self.right_tail,
-                                                      x[hi] - self.w_hi)
-                               - self._norm)
-                else:
-                    out[lo] = self.left_tail
-                    out[hi] = self.right_tail
-            return float(out[0]) if scalar else out
+    def _evaluator(self, inner, norm):
+        """phi, or where norm is a number Phi - norm, on the whole line as
+        one function of x; the in-window points go to inner."""
+        lo, hi, win, nm = (np.array(v, dtype=float) for v in (
+            self.w_lo, self.w_hi, self._win, 0.0 if norm is None else norm))
+        integrated, x_max = norm is not None, self._x_max
         if self.period is not None:
-            # reduce into the window, clamp the float floor's 1-ulp misses
-            k = self._tile(x)
-            r = x - k * self.period
-            # bound first, so that a tie keeps r's signed zero as np.clip does
-            np.maximum(self.w_lo, r, out=r)
-            np.minimum(self.w_hi, r, out=r)
-            out = inner(r)
-            if integrated:
-                out += k * self._win
-        else:
-            left = x < self.w_lo
-            right = x >= self.w_hi if self._tail_from_w_hi else x > self.w_hi
-            n_left, n_right = np.count_nonzero(left), np.count_nonzero(right)
-            if n_left == x.size:
-                out = (self.left_tail * (x - self.w_lo) if integrated
-                       else np.full_like(x, self.left_tail))
-            elif n_right == x.size:
-                out = (self._win + self.right_tail * (x - self.w_hi)
-                       if integrated else np.full_like(x, self.right_tail))
-            elif n_left + n_right == 0:
-                out = inner(x)
-            else:
-                out = np.empty_like(x)
+            P = np.array(self.period, dtype=float)
+
+            def core(x):
+                # reduce into the window, clamp the float floor's 1-ulp
+                # misses; bound first, so that a tie keeps r's signed zero
+                # as np.clip does
+                k = np.floor((x - lo) / P)
+                r = x - k * P
+                np.maximum(lo, r, out=r)
+                np.minimum(hi, r, out=r)
+                out = inner(r)
                 if integrated:
-                    out[left] = self.left_tail * (x[left] - self.w_lo)
-                    out[right] = self._win + self.right_tail * (x[right]
-                                                                - self.w_hi)
-                else:
-                    out[left] = self.left_tail
-                    out[right] = self.right_tail
+                    out += k * win
+                return out
+        else:
+            lt, rt = (np.array(v, dtype=float)
+                      for v in (self.left_tail, self.right_tail))
+            beyond = np.greater_equal if self._tail_from_w_hi else np.greater
+            fl, fr = (((lambda x: lt * (x - lo)), (lambda x: win + rt * (x - hi)))
+                      if integrated else ((lambda x: np.full_like(x, lt)),
+                                          (lambda x: np.full_like(x, rt))))
+
+            def core(x):
+                left, right = x < lo, beyond(x, hi)
+                n_left, n_right = np.count_nonzero(left), np.count_nonzero(right)
+                # every point in one tail, or none in either: no masks
+                if x.size in (n_left, n_right) or not n_left + n_right:
+                    return (fl if n_left == x.size else
+                            fr if n_right == x.size else inner)(x)
+                out = np.empty_like(x)
+                out[left], out[right] = fl(x[left]), fr(x[right])
                 if n_left + n_right < x.size:
                     mid = ~(left | right)
                     out[mid] = inner(x[mid])
-        if integrated:
-            out -= self._norm
-        return float(out[0]) if scalar else out
+                return out
+
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 0:
+                return float(evaluate(x.reshape(1))[0])
+            if x.size and not np.abs(x).max() < x_max:
+                return self._nonfinite(x, evaluate, norm)
+            out = core(x)
+            if integrated:
+                out -= nm
+            return out
+        return evaluate
+
+    def _nonfinite(self, x, finite, norm):
+        """``finite`` at the finite entries of x, which must lie below
+        ``_x_max``, each one as its one-point call gives it; NaN has no
+        value, nor has +-inf a phase in a period."""
+        fin = np.isfinite(x)
+        if not (np.abs(x[fin]) < self._x_max).all():
+            raise ValueError(
+                f"|x| must stay below {self._x_max:.6g} on periodic data")
+        out = finite(np.where(fin, x, self.w_lo))
+        out[~fin] = np.nan
+        if self.period is None:
+            out[x == -np.inf], out[x == np.inf] = (
+                (self.left_tail, self.right_tail) if norm is None else
+                (_tail_line(self.left_tail, -np.inf) - norm,
+                 self._win + _tail_line(self.right_tail, np.inf) - norm))
+        return out
 
     def phi(self, x):
-        return self._extend(x, self._inner_phi, False)
+        return self._phi(x)
 
     def primitive(self, x):
         """Phi(x) = int_0^x phi, continuity-stitched, Phi(0) = 0."""
-        return self._extend(x, self._inner_primitive, True)
+        return self._prim(x)
 
     def tail_invariants(self):
         if self.period is not None:
@@ -356,43 +363,42 @@ class InitialData(_Extended):
         self._set_extension(period, left_tail, right_tail)
 
         # continuity-stitched primitive offsets
+        self._terms = [_terms(p) for p in self.pieces]
         offs, run = [], 0.0
-        for p in self.pieces:
-            offs.append(run - float(_pantideriv(p, p.lo)))
-            run = run + float(_pantideriv(p, p.hi)) - float(_pantideriv(p, p.lo))
+        for p, (_, F) in zip(self.pieces, self._terms):
+            lo, hi = float(F(float(p.lo))), float(F(float(p.hi)))
+            offs.append(run - lo)
+            run = run + hi - lo
         # a sin or cos piece whose a / b overflows, say, has no primitive
         _check_finite("the primitive of the data", run, *offs)
-        self._offsets = np.asarray(offs)
         self._win = run
         self._breaks = np.asarray([p.lo for p in self.pieces] + [self.w_hi])
-        self._normalize()
+        self._inner_phi = self._inner([f for f, _ in self._terms])
+        self._inner_primitive = self._inner([
+            lambda r, F=F, c=np.array(c, dtype=float): F(r) + c
+            for (_, F), c in zip(self._terms, offs)])
+        self._build()
         self.bound = float(bound) if bound is not None else self._estimate_bound()
         _check_finite("bound", self.bound)
 
     # -- evaluation -------------------------------------------------------
 
-    def _window_eval(self, x, integrated):
-        """phi (or its stitched antiderivative) piece by piece in the window."""
-        if not self.pieces:
-            return np.zeros_like(x)
-        if len(self.pieces) == 1:
-            p = self.pieces[0]
-            return (_pantideriv(p, x) + self._offsets[0] if integrated
-                    else _pval(p, x))
-        idx = _interval(self._breaks, x, len(self.pieces) - 1)
-        out = np.empty_like(x)
-        for i, p in enumerate(self.pieces):
-            m = idx == i
-            if np.any(m):
-                out[m] = (_pantideriv(p, x[m]) + self._offsets[i] if integrated
-                          else _pval(p, x[m]))
-        return out
+    def _inner(self, fns):
+        """phi, or the stitched primitive, piece by piece in the window, from
+        each piece's function in fns: one function of r."""
+        if len(fns) <= 1:
+            return fns[0] if fns else np.zeros_like
+        breaks, last = self._breaks, len(fns) - 1
 
-    def _inner_phi(self, r):
-        return self._window_eval(r, False)
-
-    def _inner_primitive(self, r):
-        return self._window_eval(r, True)
+        def inner(r):
+            idx = _interval(breaks, r, last)
+            out = np.empty_like(r)
+            for i, f in enumerate(fns):
+                m = idx == i
+                if np.any(m):
+                    out[m] = f(r[m])
+            return out
+        return inner
 
     def breakpoints(self):
         """The points of the window where phi is not smooth, and its limits.
@@ -406,8 +412,8 @@ class InitialData(_Extended):
         """
         ps = self.pieces
         y = [p.lo for p in ps] + [self.w_hi]
-        left = [float(_pval(p, p.hi)) for p in ps]
-        right = [float(_pval(p, p.lo)) for p in ps]
+        left = [float(f(float(p.hi))) for p, (f, _) in zip(ps, self._terms)]
+        right = [float(f(float(p.lo))) for p, (f, _) in zip(ps, self._terms)]
         if self.period is None:
             left, right = [self.left_tail] + left, right + [self.right_tail]
         else:
@@ -427,10 +433,10 @@ class InitialData(_Extended):
 
     def _estimate_bound(self):
         vals = []
-        for p in self.pieces:
+        for p, (f, _) in zip(self.pieces, self._terms):
             xs = np.concatenate([np.linspace(p.lo, p.hi, 4097),
                                  np.clip(_critical_points(p), p.lo, p.hi)])
-            vals.append(np.max(np.abs(_pval(p, xs))))
+            vals.append(np.max(np.abs(f(xs))))
         if self.period is None:
             vals += [abs(self.left_tail), abs(self.right_tail)]
         return float(max(vals) if vals else 0.0) + 1e-12
@@ -442,10 +448,10 @@ class InitialData(_Extended):
         _check_finite("x0", x0)
         _check_side(side)
         if self.period is not None:
-            if not abs(x0) < self._x_max:       # as in _extend
+            if not abs(x0) < self._x_max:       # as in phi
                 raise ValueError(
                     f"|x| must stay below {self._x_max:.6g} on periodic data")
-            # % keeps r in [w_lo, w_lo + P); _extend's floor can land 1 ulp below
+            # % keeps r in [w_lo, w_lo + P); phi's floor can land 1 ulp below
             r = self.w_lo + (x0 - self.w_lo) % self.period
             if side == "left" and r - self.w_lo < 1e-12:
                 r = self.w_hi
@@ -471,7 +477,7 @@ class InitialData(_Extended):
         p, tail, xr = self._side_piece(x0, side)
         if p is None:
             return float(tail)
-        return float(_pval(p, np.asarray(xr, dtype=float)))
+        return float(_terms(p)[0](np.asarray(xr, dtype=float)))
 
     def dini(self, x0):
         return DiniPack(x0, self.phi_side(x0, "left"), self.phi_side(x0, "right"))
@@ -604,7 +610,7 @@ class SampledData(_Extended):
         self._P = np.concatenate([[0.0], np.cumsum(self.us[:-1] * np.diff(xs))])
         self._win = self._P[-1]
         self._build_buckets()
-        self._normalize()
+        self._build()
         self.bound = float(np.max(np.abs(us))) + 1e-12
 
     def _build_buckets(self):

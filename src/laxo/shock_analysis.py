@@ -327,12 +327,15 @@ class ShockAnalyzer:
         None, ``bisect_many`` walks the bracket they leave to 1e-12, with
         the window's ends, unread, taken for u+ > mid on the left and not on
         the right, solving each round's midpoints as one block; the same
-        4-row block certifies its midpoint.  Where that certificate fails,
-        as where a probe decided wrongly and stranded the bracket, one
-        block reads the window's ends, and where they hold the drop one
-        more walk takes the whole window and its midpoint is certified.
-        Raises LostCurve where no certificate holds: the window holds no
-        such drop.
+        4-row block certifies its midpoint.  Where the first probe decides
+        nothing, the walk takes the whole window, so one block first reads
+        the window's ends, and only where they hold the drop does it walk.
+        Where the certificate fails after steps that decided, as where a
+        probe decided wrongly and stranded the bracket, that block reads
+        the ends, and where they hold the drop one more walk takes the
+        whole window and its midpoint is certified.  Raises LostCurve where
+        no certificate holds: the window holds no such drop, which a window
+        whose first probe decides nothing shows in 2 blocks.
         """
         p = self.problem
         mid = 0.5 * (um + up)
@@ -355,21 +358,29 @@ class ShockAnalyzer:
         def pred(xs, _):
             return np.array([s.u_plus > mid for s in p.solve_grid(xs, t)])
 
+        def drop():     # one block: the window's ends hold the drop
+            return pred([lo, hi], None).tolist() == [True, False]
+
         lo, hi = x_hat - w, x_hat + w
-        x, node = tie(probe, pred, certify, lo, hi, x_hat, None, 1e-12)
-        if node is None:
+        # tie's first probe, read here: where it decides nothing, tie walks
+        # the whole window, so only a window whose ends hold the drop
+        first = [probe(x_hat)]
+        whole = first[0][0] is None
+        if not whole or drop():
+            x, node = tie(lambda z: first.pop() if first else probe(z), pred,
+                          certify, lo, hi, x_hat, None, 1e-12)
+            if node is not None:
+                return node
             _, holds, node = certify(x)
-            if not (holds[0] and not holds[1]):
-                # a probe that decided wrongly strands the bracket: where
-                # the window's ends hold the drop, walk the whole window
-                left, right = p.solve_grid([lo, hi], t)
-                if left.u_plus > mid >= right.u_plus:
-                    a, b = bisect(lambda xs: pred(xs, None), lo, hi, 1e-12)
-                    _, holds, node = certify(0.5 * (a + b))
-            if not (holds[0] and not holds[1]):
-                raise LostCurve(f"no jump through {mid:g} in window around "
-                                f"{x_hat:g} at t={t:g}")
-        return node
+            if not (holds[0] and not holds[1]) and not whole and drop():
+                # a probe that decided wrongly stranded the bracket: walk
+                # the whole window
+                a, b = bisect(lambda xs: pred(xs, None), lo, hi, 1e-12)
+                _, holds, node = certify(0.5 * (a + b))
+            if holds[0] and not holds[1]:
+                return node
+        raise LostCurve(f"no jump through {mid:g} in window around "
+                        f"{x_hat:g} at t={t:g}")
 
     def _node(self, x, t, um, up):
         return ShockNode(float(t), float(x), float(um), float(up),

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_many, golden_many, padded_runs, secant_many
+from ._search import (_ONE_I, _ZERO, bisect_many, golden_many, padded_runs,
+                      secant_many)
 from .flux import GeneralFluxPair
 from .initial_data import SampledData, _Extended, _interval
 
@@ -57,6 +58,9 @@ _NEIGHBOURS = np.array([[-1], [0], [1]])
 _SECANT_SAFETY = 4.0
 # the inner points k of linspace(lo, hi, 7), at lo + k (hi - lo) / 6
 _PROBES = np.arange(1.0, 6.0)
+# constants of the hot path as 0-d arrays, as ``_search``'s ``_ZERO``: numpy
+# takes them faster than Python numbers, and computes the same numbers
+_HALF, _TWO, _TWO_I = np.array(0.5), np.array(2.0), np.array(2)
 
 
 def _checked_t(t):
@@ -187,7 +191,7 @@ class _NumericPrimitive(_Extended):
         if self.period is None:
             self.left_tail = U(data.phi(data.w_lo - 1.0))
             self.right_tail = U(data.phi(data.w_hi + 1.0))
-        self._normalize()
+        self._build()
 
     def _inner_phi(self, r):
         return self._U(self._d._inner_phi(r))
@@ -239,13 +243,15 @@ class GeneralProblem:
         self._s = np.linspace(-M - delta, M + delta, self.n_scan + 1)
         h = self._h = float(self._s[1] - self._s[0])
         # |psi''| / 2 per unit of a second difference on the grid
-        self._curv = _SECANT_SAFETY / (2.0 * h * h)
+        self._curv = np.array(_SECANT_SAFETY / (2.0 * h * h))
+        # the keep filter's margin and val_tol, as 0-d operands (``_ZERO``)
+        self._tols = np.array(10.0 * self.val_tol), np.array(self.val_tol)
         # an overflow here is the ValueError below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             self._Hs = np.ascontiguousarray(self._H(self._s), dtype=float)
             Us = np.asarray(self._U(self._s), dtype=float)
             self._H0 = float(self._H(0.0))
-            self._I0 = float(self._H0 * self._U(0.0) - self._F(0.0))
+            self._I0 = np.array(float(self._H0 * self._U(0.0) - self._F(0.0)))
             # int_0^s H'(r) U(r) dr along the grid
             self._Is = self._Hs * Us - np.asarray(self._F(self._s)) - self._I0
         if not all(np.isfinite(v).all() for v in (self._Hs, Us, self._Is)):
@@ -584,29 +590,29 @@ class GeneralProblem:
         if er is not None:
             lm[esr, ec + 1] = False
         sr, first, last = padded_runs(lm)
-        col = first + (last - first + 1) // 2
+        col = (first + last + _ONE_I) // _TWO_I
         r, d = locate(sr, col)
         # three distinct grid points around each run's middle m, as grid
         # indices nb and columns nbc: m -+ 1, the innermost three at a grid
         # end.  A run's middle is a grid end or inside its window
         m = col - d if shift else col
-        nb = np.minimum(np.maximum(m, 1), n - 2) + _NEIGHBOURS
+        nb = np.minimum(np.maximum(m, _ONE_I), n - 2) + _NEIGHBOURS
         nbc = nb + d if shift else nb
         carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
                    - self._U(s[nb].ravel())).reshape(nb.shape)
         # their second difference bounds psi''; the run's own cells m -+ 1,
         # clipped to the grid, bracket it, so a grid end's run reads its
         # one cell there, psi at the end repeated
-        d2 = carrier[0] - 2.0 * carrier[1] + carrier[2]
-        own = np.minimum(np.maximum(m + _NEIGHBOURS, 0), n - 1)
-        if np.count_nonzero(own != nb):
+        d2 = carrier[0] - _TWO * carrier[1] + carrier[2]
+        if np.count_nonzero(nb[1] != m):       # a run at a grid end
+            own = np.minimum(np.maximum(m + _NEIGHBOURS, 0), n - 1)
             carrier = np.take_along_axis(carrier, own - nb[0], axis=0)
             nb = own
         # the keep filter: dE = t psi dH, so E on a run's two cells stays
         # within t max|dH psi| of its middle's value
         gloc = np.abs(self._dH[nb] * carrier).max(axis=0)
         tr = t[r]
-        keep = ~(Ev[sr, col] + tr * gloc < Emax_grid[r] - 10.0 * self.val_tol)
+        keep = ~(Ev[sr, col] + tr * gloc < Emax_grid[r] - self._tols[0])
         if np.count_nonzero(keep) < len(r):     # else every run stays
             r, tr = r[keep], tr[keep]
             nb, carrier, d2 = nb[:, keep], carrier[:, keep], d2[keep]
@@ -614,14 +620,14 @@ class GeneralProblem:
         # refine: psi at the bracket ends is the carrier there; a sign
         # change is psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi)
         pl, ph = carrier[0], carrier[2]
-        sign = (pl > ph) & (pl >= 0.0) & (ph <= 0.0)
+        sign = (pl > ph) & (pl >= _ZERO) & (ph <= _ZERO)
         nsign = np.count_nonzero(sign)
         u_star = np.empty(len(r))
         if nsign:
             i = sign if nsign < len(r) else slice(None)
             a, b = self._roots(xs[r[i]], tr[i], nb[:, i], carrier[:, i],
                                d2[i])
-            u_star[i] = 0.5 * (a + b)
+            u_star[i] = _HALF * (a + b)
         if nsign < len(r):
             # no sign change: maximize E itself, at the scan's W(x - tH(0))
             g = ~sign
@@ -635,7 +641,7 @@ class GeneralProblem:
         # and the grid bands there
         Emax = Emax_grid.copy()
         np.maximum.at(Emax, r, E_star)
-        thresh = Emax - self.val_tol
+        thresh = Emax - self._tols[1]
         bm = Ep >= (np.repeat(thresh, width + 2) if flat else thresh[:, None])
         br, first, last = padded_runs(bm)
         br, d = locate(br, first)
@@ -803,16 +809,20 @@ class GeneralProblem:
             low = E(probes.ravel(), np.repeat(q, 5)).reshape(-1, 5).min(axis=1)
             flat = flat[Emax[q] - low <= 1e-11 * (1.0 + np.abs(Emax[q]))]
         # a band is reached when a kept point of its row lies within 1.5
-        # cells of it: complex keys row + u i compare as (row, u), in order
-        key = np.empty(len(pr), dtype=complex)
-        key.real, key.imag = pr, pu
-        key.sort()
-        reach = np.empty((2, len(br)), dtype=complex)
-        reach.real = br
-        reach.imag = lo - 1.5 * h, hi + 1.5 * h
-        open_ = (np.searchsorted(key, reach[0], "left")
-                 == np.searchsorted(key, reach[1], "right"))
-        open_[flat] = False
+        # cells of it.  Where the k-th band reaches the k-th kept point, as
+        # a band does its own run's, all are; else complex keys row + u i
+        # compare as (row, u), in order
+        near, open_ = (lo - 1.5 * h, hi + 1.5 * h), flat[:0]
+        if not (len(pr) == len(br) and np.count_nonzero(
+                (pr == br) & (near[0] <= pu) & (pu <= near[1])) == len(br)):
+            key = np.empty(len(pr), dtype=complex)
+            key.real, key.imag = pr, pu
+            key.sort()
+            reach = np.empty((2, len(br)), dtype=complex)
+            reach.real, reach.imag = br, near
+            open_ = (np.searchsorted(key, reach[0], "left")
+                     == np.searchsorted(key, reach[1], "right"))
+            open_[flat] = False
         comps = [(pr, pu, pu)]
         if len(flat):
             q = np.repeat(br[flat], 2)
@@ -846,7 +856,7 @@ class GeneralProblem:
         lo, hi) of the merged components.
         """
         count = np.bincount(own, minlength=rows)
-        if np.count_nonzero(count == 1) == rows:
+        if np.count_nonzero(count == _ONE_I) == rows:
             # nothing to merge, as in most point solves: the general path
             # below costs such a one-row block about 10 numpy calls more
             return lo, hi, own, lo, hi
@@ -890,7 +900,7 @@ class GeneralProblem:
         besides ``_exact_roots``' check.  Returns the two rows of ends.
         """
         # the half of each bracket where psi changes sign, ends (a, b)
-        up = carrier[1] > 0.0
+        up = carrier[1] > _ZERO
         ie = np.where(up, nb[1:], nb[:2])
         ends = self._s[ie]
         vals = np.where(up, carrier[1:], carrier[:2])

@@ -757,3 +757,180 @@ def test_bucket_table_data_match_binary_search_data(periodic):
     q = np.random.default_rng(6).uniform(-9.0, 9.0, 5000)
     for fn in ("phi", "primitive"):
         assert getattr(sd, fn)(q).tobytes() == getattr(plain, fn)(q).tobytes()
+
+
+# -- the evaluators built at construction, against the rule written out -------
+# ``phi`` and ``primitive`` are built once per data object.  Each case below
+# is checked point by point against the extension rule and the closed forms
+# written out in full, in the order of operations the evaluators take, so a
+# value that moves by one ulp fails here; and each array call must equal its
+# one-point calls bit for bit.
+
+def _closed_form(p, x, integrated):
+    """The piece term of phi at x, or its raw antiderivative."""
+    q, x = p.params, np.asarray(x, dtype=float)
+    if p.kind == "const":
+        return q["c"] * x if integrated else np.full_like(x, q["c"])
+    if p.kind == "poly":
+        cs = np.asarray(q["coeffs"], dtype=float)
+        if integrated:
+            cs = np.polynomial.polynomial.polyint(cs)
+        return np.polynomial.polynomial.polyval(x, cs)
+    if p.kind in ("sin", "cos"):
+        a, b, c = q["a"], q["b"], q["c"]
+        if p.kind == "sin":
+            return (-a / b * np.cos(b * x + c) if integrated
+                    else a * np.sin(b * x + c))
+        return a / b * np.sin(b * x + c) if integrated else a * np.cos(b * x + c)
+    s, a, g, b = x - q["x_ref"], q["a"], q["g"], q.get("b", 0.0)
+    if integrated:
+        return a * np.abs(s) ** (1.0 + g) / (1.0 + g) + b * x
+    return a * np.sign(s) * np.abs(s) ** g + b
+
+
+def _piece_inner(d, integrated):
+    """phi, or the stitched primitive, of InitialData at one window point."""
+    ps, offs, run = d.pieces, [], 0.0
+    for p in ps:
+        lo = float(_closed_form(p, p.lo, True))
+        offs.append(run - lo)
+        run = run + float(_closed_form(p, p.hi, True)) - lo
+
+    def inner(r):
+        if not ps:
+            return np.zeros_like(r)
+        i = min(max(int(np.searchsorted(d._breaks, r[0], "right")) - 1, 0),
+                len(ps) - 1)
+        v = _closed_form(ps[i], r, integrated)
+        return v + offs[i] if integrated else v
+    return inner, run
+
+
+def _sampled_inner(d, integrated):
+    """phi, or the piecewise-linear primitive, of SampledData at one window
+    point, its knot found by binary search."""
+    xs, us = d.xs, d.us
+    P = np.concatenate([[0.0], np.cumsum(us[:-1] * np.diff(xs))])
+
+    def inner(r):
+        i = min(max(int(np.searchsorted(xs, r[0], "right")) - 1, 0),
+                len(xs) - 2)
+        return P[i] + us[i] * (r - xs[i]) if integrated else np.full_like(r, us[i])
+    return inner, P[-1]
+
+
+def _numeric_inner(W, integrated):
+    """U(phi), or W by the knot table and a Simpson step, at one point."""
+    phi, _ = _piece_inner(W._d, False)
+
+    def f(r):
+        return W._U(phi(r))
+
+    def inner(r):
+        if not integrated:
+            return f(r)
+        i = min(max(int(np.searchsorted(W._k, r[0], "right")) - 1, 0),
+                len(W._k) - 2)
+        h = r - W._k[i]
+        return W._v[i] + h / 6.0 * (W._fk[i] + 4.0 * f(W._k[i] + 0.5 * h)
+                                     + f(r))
+    return inner, W._v[-1]
+
+
+def _rule(d, x, integrated, norm=0.0):
+    """phi(x), or Phi(x) - norm, at one finite x: the window's values
+    tiled by the period or continued by the tails."""
+    if isinstance(d, _NumericPrimitive):
+        inner, win = _numeric_inner(d, integrated)
+    elif d.is_sampled:
+        inner, win = _sampled_inner(d, integrated)
+    else:
+        inner, win = _piece_inner(d, integrated)
+    x = np.array([x])
+    if d.period is not None:
+        k = np.floor((x - d.w_lo) / d.period)
+        r = np.minimum(d.w_hi, np.maximum(d.w_lo, x - k * d.period))
+        out = inner(r) + k * win if integrated else inner(r)
+    elif x[0] < d.w_lo:
+        out = (d.left_tail * (x - d.w_lo) if integrated
+               else np.full_like(x, d.left_tail))
+    elif x[0] > d.w_hi or (x[0] == d.w_hi and d._tail_from_w_hi):
+        out = (win + d.right_tail * (x - d.w_hi) if integrated
+               else np.full_like(x, d.right_tail))
+    else:
+        out = inner(x)
+    return float((out - norm)[0] if integrated else out[0])
+
+
+def _one_kind(p, period):
+    if p.kind == "power":          # x_ref inside the piece
+        p = idata.Piece(2.0, 3.0, "power", p.params)
+    else:
+        p = idata.Piece(-1.0, 1.5, p.kind, p.params)
+    if period:
+        return idata.InitialData([p], period=p.hi - p.lo)
+    return idata.InitialData([p], left_tail=-0.4, right_tail=0.6)
+
+
+_EVALUATORS = {
+    **{f"{p.kind}_{'periodic' if per else 'tailed'}":
+       (lambda p=p, per=per: _one_kind(p, per))
+       for p in _ALL_KINDS for per in (False, True)},
+    "all_kinds_periodic": _BITWISE["initial_periodic"],
+    "all_kinds_tailed": _BITWISE["initial_tailed"],
+    "sin_wave": lambda: idata.sin_wave(0.7, 3.0, 0.5),
+    "step": lambda: idata.step(1.0, -0.5, x0=0.25),
+    "sampled_buckets": _BITWISE["sampled_tailed"],
+    "sampled_buckets_periodic": _BITWISE["sampled_periodic"],
+    "sampled_clustered": lambda: idata.SampledData(
+        [0.0, 1e-9, 1e-6, 0.5, 1.0], [1.0, -1.0, 0.5, 0.2, 0.7], period=1.0),
+    "numeric_periodic": lambda: _general(_BITWISE["initial_periodic"]()),
+    "numeric_tailed": lambda: _general(_BITWISE["initial_tailed"]()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVALUATORS))
+def test_evaluators_follow_the_rule_bitwise(case):
+    d = _EVALUATORS[case]()
+    if case.startswith("sampled_buckets"):
+        assert d._lut is not None
+    if case == "sampled_clustered":
+        assert d._lut is None
+    rng = np.random.default_rng(45)
+    xs = np.concatenate([_marks(d), rng.uniform(d.w_lo - 9.0, d.w_hi + 9.0,
+                                                150)])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf),
+                         np.nextafter(xs, -np.inf)])
+    norm = _rule(d, 0.0, True)
+    for fn, integrated in ((d.phi, False), (d.primitive, True)):
+        want = np.array([_rule(d, x, integrated, norm) for x in xs.tolist()])
+        one = np.array([fn(x) for x in xs.tolist()])
+        assert one.tobytes() == want.tobytes()
+        assert fn(xs).tobytes() == want.tobytes()
+        assert fn(xs.reshape(3, -1)).tobytes() == want.tobytes()
+        assert fn(xs[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("case", sorted(_EVALUATORS))
+def test_evaluators_keep_the_non_finite_contract(case):
+    # NaN gives NaN; +-inf gives NaN on periodic data and the tail's limit
+    # on tailed data; on periodic data |x| >= _x_max raises.  No warning
+    d = _EVALUATORS[case]()
+    inside = 0.5 * (d.w_lo + d.w_hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn, integrated in ((d.phi, False), (d.primitive, True)):
+            out = fn(np.array([np.nan, inside, -np.inf, np.inf]))
+            assert np.isnan(out[0]) and out[1] == fn(inside)
+            if d.period is not None:
+                assert np.isnan(out[2:]).all()
+                for x in (d._x_max, -d._x_max, 2.0 * d._x_max):
+                    with pytest.raises(ValueError, match="periodic data"):
+                        fn(np.array([inside, x]))
+                assert np.isfinite(fn(np.nextafter(d._x_max, 0.0)))
+            elif integrated:
+                # Phi runs out along the tails' lines, of nonzero slopes here
+                assert out[2:].tolist() == [-np.inf * np.sign(d.left_tail),
+                                            np.inf * np.sign(d.right_tail)]
+            else:
+                assert out[2:].tolist() == [d.left_tail, d.right_tail]

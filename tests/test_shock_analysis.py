@@ -497,14 +497,13 @@ def test_result_float_fields_are_python_floats(sin_sa):
 
 def test_locate_jump_raises_lost_curve(riemann_sa, monkeypatch):
     # the step(1, 0) shock sits on x = 1/2 at t = 1: [1.9, 2.1] holds no
-    # jump.  The branch gap at 2 reaches mid, one walk of the window ends
-    # at its left end, the certificate there fails, and one block reads
-    # that the window's ends hold no drop, in 16 blocks
+    # jump.  The branch gap at 2 reaches mid, so one block reads that the
+    # window's ends hold no drop, with no walk: 2 blocks
     count = _count_work(monkeypatch)
     with pytest.raises(LostCurve):
         riemann_sa._locate_jump(2.0, 1.0, 1.0, 0.0, 0.1)
-    assert count["walks"] == 1
-    assert count["blocks"] <= 16
+    assert count["walks"] == 0
+    assert count["blocks"] <= 3
 
 
 def _locate_with_a_bad_first_gap(sa, monkeypatch, fault):

@@ -818,6 +818,39 @@ def test_smooth_point_solve_psi_call_budget(monkeypatch):
         assert rounds and max(rounds) <= 3
 
 
+@pytest.mark.parametrize("case, want", [
+    ("sine", {"phi": 130, "primitive": 80, "rounds": 90}),
+    ("step", {"phi": 80, "primitive": 80, "rounds": 40})])
+def test_point_solve_read_counts(case, want, monkeypatch):
+    # the data reads and the secant rounds of 40 Burgers point solves,
+    # pinned, so that a change that adds a read shows here.  A sine solve
+    # reads W over the grid's feet and at its refined point (primitive),
+    # phi at the carrier's feet and once per secant round; step(1, 0)
+    # takes its roots in closed form, checked by one psi call
+    count = dict.fromkeys(want, 0)
+    for name in ("phi", "primitive"):
+        def read(self, x, _name=name, _fn=getattr(idata.InitialData, name)):
+            count[_name] += 1
+            return _fn(self, x)
+        # before the problem is built: it keeps data.primitive as W
+        monkeypatch.setattr(idata.InitialData, name, read)
+
+    def rounds(f, *args):
+        def g(u, i):
+            count["rounds"] += 1
+            return f(u, i)
+        return secant_many(g, *args)
+
+    monkeypatch.setattr(vc, "secant_many", rounds)
+    data = idata.sin_wave() if case == "sine" else idata.step(1.0, 0.0)
+    p = Problem(flux.burgers(), data)
+    count.update(dict.fromkeys(want, 0))
+    rng = np.random.default_rng(45)
+    for x, t in zip(rng.uniform(-3.0, 3.0, 40), rng.uniform(0.2, 3.0, 40)):
+        p.solve(float(x), float(t))
+    assert count == want
+
+
 def test_custom_flux_fan_matches_named_flux():
     # a custom Burgers twin inverts H by secant pairs on H - v, the named
     # flux in closed form; at fan, edge and off-fan points they agree
