@@ -85,13 +85,15 @@ def F_l(fl, l, t, c):
     """The flux barrier F(l; t, c) = -t int_c^u (s-c) f''(s) ds.
 
     Here u solves f'(u) = f'(c) - l/t; the integral is exact:
-    int_c^u (s-c) f'' ds = (u-c) f'(u) - (f(u) - f(c)).  A non-finite l, t
-    or c, or a t <= 0, raises ValueError.
+    int_c^u (s-c) f'' ds = (u-c) f'(u) - (f(u) - f(c)), with u in closed
+    form for a named flux (``Flux.deriv_inverse``).  A non-finite l, t or c,
+    or a t <= 0, raises ValueError, and a value that f' does not take
+    BracketError.
     """
     _check_finite("l, t and c", l, t, c)
     if t <= 0:
         raise ValueError("t must be positive")
-    u = fl.invert_deriv(fl.deriv(c) - l / t)
+    u = fl.deriv_inverse(fl.deriv(c) - l / t)
     return float(-t * ((u - c) * fl.deriv(u) - (fl.eval(u) - fl.eval(c))))
 
 

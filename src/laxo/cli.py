@@ -191,8 +191,8 @@ def profile(problem_file, t, x_range, n, kind):
     xs = np.linspace(lo, hi, n)
     # every value before the first line, so a failed run prints none; an
     # empty grid reads no hull, as no point is asked for
-    vals = (gs._profile(xs, t).tolist() if kind == "utilde" and n
-            else [gs.nwave(x, t) for x in xs])
+    vals = ((gs._profile if kind == "utilde" else gs._nwave)(xs, t).tolist()
+            if n else [])
     click.echo("x,value")
     for x, v in zip(xs.tolist(), vals):
         click.echo(f"{_fmt(x)},{_fmt(v)}")

@@ -93,6 +93,18 @@ class Flux:
                 return np.log(v) / self.params["k"]
         return None
 
+    def deriv_inverse(self, v):
+        """The u with f'(u) = v for a number v: ``invert_deriv`` on
+        ``DOMAIN``, for a named kind widened to twice the closed form,
+        which holds it wherever f' takes v, so that u is the closed form.
+        Raises :class:`BracketError` where no u is found: an exponential
+        flux takes no v <= 0."""
+        if self.kind == "exponential" and not v > 0.0:
+            raise BracketError("f' of an exponential flux is positive")
+        u = self.closed_inverse(np.array([v], dtype=float))
+        w = 0.0 if u is None else 2.0 * float(u[0])
+        return self.invert_deriv(v, (min(DOMAIN[0], w), max(DOMAIN[1], w)))
+
     # -- rho(u, v) --------------------------------------------------------
 
     def rho(self, u, v):

@@ -53,7 +53,8 @@ class HullReport:
     window joined with [-N, N] when N is given, and at every point where
     phi breaks (``data.breakpoints``): a contact at a kink of the
     primitive, such as a knot of sampled data, is a node, so K0 holds it
-    exactly.
+    exactly.  ``gaps`` is the gap table that ``partition`` and the N-wave
+    read.
     """
 
     def __init__(self, data, N):
@@ -69,6 +70,16 @@ class HullReport:
             self._build_periodic(data, h)
         else:
             self._build_tailed(data, N, h)
+        # the gap table (e, h, c) of arrays: the gap (e, h) between each two
+        # consecutive K0 components, then on periodic data the wrap gap from
+        # the last one to the first one a period on, where wider than
+        # 1e-12, and c, each gap's chord speed
+        K0 = np.array(self.K0, dtype=float).reshape(-1, 2)
+        e, h = K0[:-1, 1], K0[1:, 0]
+        if self.period is not None and (
+                K0[0, 0] + self.period - K0[-1, 1] > 1e-12):
+            e, h = np.append(e, K0[-1, 1]), np.append(h, K0[0, 0] + self.period)
+        self.gaps = (e, h, (data.primitive(h) - data.primitive(e)) / (h - e))
 
     # -- construction ------------------------------------------------------
 
@@ -78,9 +89,10 @@ class HullReport:
         g = data.primitive(xs) - m * xs
         self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(g))))
         b0 = float(np.min(g))
-        # one lockstep golden refinement of every short minimizer cluster
-        refined = [(float(xs[i]), float(xs[j]))
-                   for i, j in runs(g - b0 <= self.hull_tol)]
+        # one lockstep golden refinement of every short minimizer cluster;
+        # one lowest at a kink of the primitive keeps that node, exactly
+        ij = runs(g - b0 <= self.hull_tol)
+        refined = [(float(xs[i]), float(xs[j])) for i, j in ij]
         short = [k for k, (lo, hi) in enumerate(refined)
                  if hi - lo <= h * 1.5]
         if short:
@@ -88,8 +100,10 @@ class HullReport:
             x_star = golden_many(lambda x, _: data.primitive(x) - m * x,
                                  lo - h, hi + h, 1e-12)
             b0 = min(b0, float(np.min(data.primitive(x_star) - m * x_star)))
+            kink = np.isin(xs, data.breakpoints()[0])
             for k, x in zip(short, x_star.tolist()):
-                refined[k] = (x, x)
+                low = ij[k][0] + int(np.argmin(g[ij[k][0]:ij[k][1] + 1]))
+                refined[k] = (float(xs[low]),) * 2 if kink[low] else (x, x)
         if (len(refined) > 1
                 and abs(refined[-1][0] - data.period - refined[0][0]) <= 2 * h):
             refined = refined[:-1]     # same divide modulo the period
@@ -140,18 +154,13 @@ class HullReport:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         vx = self.vx
-        out = np.empty_like(x)
-        left = x <= vx[0]
-        right = x >= vx[-1]
-        midm = ~(left | right)
-        out[left] = self.slope_left * x[left] + self.b_left
-        out[right] = self.slope_right * x[right] + self.b_right
-        if np.any(midm):
-            out[midm] = np.interp(x[midm], vx, self.vy)
-        return float(out[0]) if scalar else out
+        # the right tail's line from the last vertex on, else the left
+        # tail's up to the first, else the segments
+        out = np.where(x >= vx[-1], self.slope_right * x + self.b_right,
+                       np.where(x <= vx[0], self.slope_left * x + self.b_left,
+                                np.interp(x, vx, self.vy)))
+        return float(out) if out.ndim == 0 else out
 
     def slopes_at(self, x0):
         """One-sided derivatives of the envelope at x0."""
@@ -239,22 +248,10 @@ class GlobalStructure:
             raise NoDivides(str(err)) from err
         if not hull.K0:
             raise NoDivides("the contact set of the envelope is empty")
-        regions = []
-        P = self.data.primitive
-        for comp in hull.K0:
-            regions.append(Region("divide", comp, np.nan))
-        for (lo1, hi1), (lo2, hi2) in zip(hull.K0, hull.K0[1:]):
-            e, h = hi1, lo2
-            c = float((P(h) - P(e)) / (h - e))
-            regions.append(Region("gap", (e, h), c))
-        if hull.period is not None:
-            # wrap-around gap of the tiled contact set
-            e = hull.K0[-1][1]
-            h = hull.K0[0][0] + self.data.period
-            if h - e > 1e-12:
-                c = float((P(h) - P(e)) / (h - e))
-                regions.append(Region("gap", (e, h), c))
-        else:
+        regions = [Region("divide", comp, np.nan) for comp in hull.K0]
+        regions += [Region("gap", (e, h), c)
+                    for e, h, c in zip(*(v.tolist() for v in hull.gaps))]
+        if hull.period is None:
             if not hull.left_unbounded:
                 regions.append(Region("left_infinite",
                                       (-np.inf, hull.K0[0][0]),
@@ -302,26 +299,41 @@ class GlobalStructure:
         return u
 
     def nwave(self, x, t):
-        """Generalized N-wave profile; each gap's shock is its midpoint
-        moved at its speed."""
-        _check_point(x, t)
+        """Generalized N-wave profile: the shock of each gap of the
+        partition is its midpoint moved at its speed, and the profile
+        elsewhere is ``profile_u_tilde``; the one-point case of
+        ``_nwave``."""
+        return float(self._nwave(np.array([x], dtype=float), t)[0])
+
+    def _nwave(self, xs, t):
+        """``nwave`` at every x of the array xs.  On periodic data each x
+        is shifted into the tile of its backward foot; the bands that the
+        gaps of the hull's gap table sweep, (e, h) + t f'(c), are disjoint
+        and in order, so one searchsorted finds the band that holds each
+        point, whose value is the fan from the gap's end on its side of
+        the shock (one ``_fan`` call), and every other point takes
+        ``_profile``.  A bad x or t raises ValueError, an empty contact set
+        NoDivides."""
+        _check_point(xs, t)
         hull = self.convex_hull()
-        fl = self.flux
-        part = self.partition()
-        gaps = [r for r in part.regions if r.kind == "gap"]
-        xq = x
+        if not hull.K0:
+            raise NoDivides("the contact set of the envelope is empty")
+        xq = xs
         if hull.period is not None:
-            # work in the tile containing the backward foot
-            shift = self.data._tile(x - t * fl.deriv(hull.slope_left))
-            xq = x - shift * self.data.period
-        for r in gaps:
-            e, h = r.interval
-            left = e + t * fl.deriv(r.speed)
-            right = h + t * fl.deriv(r.speed)
-            if left < xq < right:
-                xn = 0.5 * (e + h) + t * fl.deriv(r.speed)
-                return float(self._fan(xq, e if xq < xn else h, t))
-        return self.profile_u_tilde(x, t)
+            xq = xs - hull.period * self.data._tile(
+                xs - t * self.flux.deriv(hull.slope_left))
+        e, h, c = hull.gaps
+        d = t * self.flux.deriv(c)
+        # k: the first band whose right edge lies right of x; an x right of
+        # every band reads the inf edges, and so lies in none
+        k = np.searchsorted(np.append(h + d, np.inf), xq, side="right")
+        band = (np.append(e + d, np.inf)[k] < xq).nonzero()[0]
+        u = self._profile(xs, t)
+        if len(band):
+            x, k = xq[band], k[band]
+            shock = 0.5 * (e[k] + h[k]) + d[k]
+            u[band] = self._fan(x, np.where(x < shock, e[k], h[k]), t)
+        return u
 
     # -- decay measurement -------------------------------------------------
 

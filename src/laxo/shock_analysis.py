@@ -135,7 +135,7 @@ class ShockAnalyzer:
                              [0.2, 0.4, 0.8, 1.6]])
         for l in np.concatenate([-ls, ls]):
             try:
-                u = self.flux.invert_deriv(self.flux.deriv(c) - l / t_p)
+                u = self.flux.deriv_inverse(self.flux.deriv(c) - l / t_p)
             except BracketError:
                 continue        # beyond the flux range: no constraint
             lhs = phi_l(self.data, l, x0, c)
@@ -289,22 +289,22 @@ class ShockAnalyzer:
                 # pre-shock: ride the classical characteristic; one block
                 # reads whether a jump has opened underneath it, and the
                 # traces for the node if none has
-                left, s, right = self.problem.solve_grid(
+                ums, ups = self.problem._u_minus_plus(
                     [x_hat - 1e-7, x_hat, x_hat + 1e-7], t)
-                um, up = s.u_minus, s.u_plus
+                um, up = ums[1], ups[1]
             if um - up > jump_tol:
                 x, um, up = self._locate_jump(x_hat, t, um, up, w)
             else:
                 # only a pre-shock step gets here, with its traces read
-                x, um, up = x_hat, left.u_minus, right.u_plus
+                x, um, up = x_hat, ums[0], ups[2]
             curve.nodes.append(self._node(x, t, um, up))
         return curve
 
     def _traces(self, x, t):
         # sample a hair to each side: the located position sits at the edge
         # of the val_tol capture band, where on-point traces are unreliable
-        left, right = self.problem.solve_grid([x - 1e-7, x + 1e-7], t)
-        return left.u_minus, right.u_plus
+        ums, ups = self.problem._u_minus_plus([x - 1e-7, x + 1e-7], t)
+        return ums[0], ups[1]
 
     def _rh_speed(self, um, up):
         if um - up <= self.problem.tol_u:
@@ -350,13 +350,13 @@ class ShockAnalyzer:
 
         def certify(x):
             eps = max(5e-13, math.ulp(x))
-            a, b, left, right = p.solve_grid([x - eps, x + eps, x - 1e-7,
-                                              x + 1e-7], t)
-            return ((x - eps, x + eps), (a.u_plus > mid, b.u_plus > mid),
-                    (x, left.u_minus, right.u_plus))
+            ums, ups = p._u_minus_plus([x - 1e-7, x - eps, x + eps,
+                                        x + 1e-7], t)
+            return ((x - eps, x + eps), (ups[1] > mid, ups[2] > mid),
+                    (x, ums[0], ups[3]))
 
         def pred(xs, _):
-            return np.array([s.u_plus > mid for s in p.solve_grid(xs, t)])
+            return np.array(p._u_minus_plus(xs, t)[1]) > mid
 
         def drop():     # one block: the window's ends hold the drop
             return pred([lo, hi], None).tolist() == [True, False]
@@ -407,13 +407,13 @@ class ShockAnalyzer:
         """Traces at x0 -+ DELTA, and per maximizer gap the solution DELTA
         back in time along the gap's Rankine-Hugoniot direction."""
         tri = self.backward_triangle(x0, t0)
-        left, right = self.problem.solve_grid([x0 - DELTA, x0 + DELTA], t0)
-        left, right = left.u_minus, right.u_plus
+        ums, ups = self.problem._u_minus_plus([x0 - DELTA, x0 + DELTA], t0)
+        left, right = ums[0], ups[1]
         gap_limits = []
         for c_n, d_n in tri.gaps:
             v = self._rh_speed(d_n, c_n)
-            s = self.problem.solve(x0 - DELTA * v, t0 - DELTA)
-            gap_limits.append((s.u_minus, s.u_plus))
+            ums, ups = self.problem._u_minus_plus([x0 - DELTA * v], t0 - DELTA)
+            gap_limits.append((ums[0], ups[0]))
         return DirectionalLimits(float(left), float(right),
                                  tri.gaps, tuple(gap_limits))
 

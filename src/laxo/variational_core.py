@@ -374,8 +374,10 @@ class GeneralProblem:
 
         This is the internal entry of every grid solve: ``solve_grid``
         sorts its distinct points, calls it and builds the MaximizerSets;
-        ``restart`` and ``GlobalStructure.measure_decay`` read the u+ array
-        and build none, and the levels read u+ and u-.
+        ``restart``, ``GlobalStructure.measure_decay`` and
+        ``reference_oracle.compare`` read the u+ array and build none, the
+        tracks and ``directional_limits`` read u- and u+ through
+        ``_u_minus_plus``, and the levels read u+ and u-.
 
         Every row scans within the u-window of ``_window``, of ww points:
         the whole grid, or on periodic data after t_w the window the period
@@ -439,6 +441,14 @@ class GeneralProblem:
                 mid = q == (a + b) // 2
                 q, start, width = q[mid], start[mid], width[mid]
         return _Rows.join(parts, m)
+
+    def _u_minus_plus(self, xs, t):
+        """u- and u+ as lists at the nondecreasing points xs: the rows of
+        ``_maximize_grid``, read by the analysis layers with no MaximizerSet
+        or SolutionSample built.  A t that is not finite and positive raises
+        ValueError, as ``solve_grid`` does."""
+        rows = self._maximize_grid(np.asarray(xs, dtype=float), _checked_t(t))
+        return rows.u_minus.tolist(), rows.u_plus.tolist()
 
     def _blocks(self, xs, t, start, width):
         """``_maximize_block`` on rows packed in blocks of few enough cells.

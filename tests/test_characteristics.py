@@ -46,6 +46,26 @@ def test_F_l_quadrature_oracle():
     assert F_l(fl, l, t, c) == pytest.approx(oracle, abs=1e-10)
 
 
+@pytest.mark.parametrize("l, t, c", [(20.0, 1.0, 0.0), (-30.0, 0.5, 0.4),
+                                     (1.6, 0.05, -0.3)])
+def test_F_l_beyond_the_default_bracket(l, t, c):
+    # f'(c) - l/t outside the image of f' on DOMAIN = (-16, 16): F_l raised
+    # BracketError, though f' takes the value; now the closed forms
+    # -l^2 / (2t) (Burgers) and, under f = u^4/4, u = (c^3 - l/t)^(1/3)
+    assert abs(c - l / t) > 16.0
+    assert F_l(flux.burgers(), l, t, c) == pytest.approx(-l * l / (2 * t),
+                                                         rel=1e-13)
+    u = np.cbrt(c ** 3 - l / t)
+    ref = -t * ((u - c) * u ** 3 - (u ** 4 - c ** 4) / 4.0)
+    assert F_l(flux.power2n(2), l, t, c) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, -1.0])
+def test_F_l_rejects_a_time_not_positive(t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        F_l(flux.burgers(), 0.1, t, 0.0)
+
+
 def test_F_l_bracket_error():
     with pytest.raises(BracketError):
         F_l(flux.exponential(1.0), 10.0, 1e-3, 0.0)   # f' > 0 everywhere

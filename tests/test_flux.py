@@ -301,3 +301,14 @@ def test_rho_narrow_intervals_against_gauss_reference(kind):
             want = (w @ s) / np.sum(w)
             assert abs(fl.rho(lo, hi) - want) <= 1e-13
             assert abs(fl.rho(hi, lo) - want) <= 1e-13
+
+
+@pytest.mark.parametrize("fl", [
+    flux.custom(lambda u: u ** 4 / 4.0, lambda u: u ** 3,
+                lambda u: 3.0 * u ** 2),
+    flux.custom(flux.burgers().eval, flux.burgers().deriv,
+                flux.burgers().second)], ids=["quartic", "burgers_like"])
+def test_custom_flux_has_no_descriptor(fl):
+    # a custom flux is code, not data: even one that acts as Burgers
+    with pytest.raises(ValueError, match="no JSON descriptor"):
+        flux.to_descriptor(fl)

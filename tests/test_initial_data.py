@@ -934,3 +934,35 @@ def test_evaluators_keep_the_non_finite_contract(case):
                                             np.inf * np.sign(d.right_tail)]
             else:
                 assert out[2:].tolist() == [d.left_tail, d.right_tail]
+
+
+def _const(lo, hi, c=1.0):
+    return idata.Piece(lo, hi, "const", {"c": c})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: idata.SampledData([0.0, 1.0, 2.0], [0.0, 1.0]), "matching"),
+    (lambda: idata.SampledData([0.0], [1.0]), "matching"),
+    (lambda: idata.SampledData([[0.0, 1.0]], [[0.0, 1.0]]), "matching"),
+    (lambda: idata.SampledData([0.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+     "strictly increasing"),
+    (lambda: idata.SampledData([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),
+     "strictly increasing"),
+    (lambda: idata.InitialData([_const(-1.0, 0.0), _const(0.5, 1.0)],
+                               left_tail=0.0, right_tail=0.0), "contiguous"),
+    (lambda: idata.InitialData([_const(-1.0, 1.0)], left_tail=0.0),
+     "both constant tails"),
+    (lambda: idata.InitialData([_const(-1.0, 1.0)], right_tail=0.0),
+     "both constant tails"),
+    (lambda: idata.InitialData([idata.Piece(-1.0, 1.0, "power", {
+        "a": 1.0, "g": -0.5, "x_ref": 0.0})], left_tail=0.0, right_tail=0.0),
+     "g >= 0"),
+    (lambda: idata.InitialData([idata.Piece(-1.0, 1.0, "tanh", {"a": 1.0})],
+                               left_tail=0.0, right_tail=0.0),
+     "unknown piece kind")],
+    ids=["sampled_mismatch", "sampled_short", "sampled_2d", "sampled_repeat",
+         "sampled_decreasing", "gap_between_pieces", "no_right_tail",
+         "no_left_tail", "negative_power", "unknown_kind"])
+def test_data_reject_malformed_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

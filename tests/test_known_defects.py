@@ -7,11 +7,13 @@ mending change removes the marker.  The solver's oracle is one dense scan
 of E through ``_E``, one array call of 2**16 points over the u-window that
 the solve itself scans (``_window``); a solver with a larger ``n_scan``
 would not do, as a block of that many cells takes the coarse pass.  The
-N-wave's oracle is the solver's own jump, and its Burgers case, where the
-N-wave is right, passes as the control.  The track's oracle is the closed
-form of the characteristic it follows and of the time that characteristic
-meets the standing shock of -sin x.  The Riemann case's oracle is its exact
-solution.
+N-wave's oracle is the solver: its jump, where the Burgers case, in which
+the N-wave's shock is right, passes as the control, and its values left of
+the first divide.  The track's oracle is the closed form of the
+characteristic it follows and of the time that characteristic meets the
+standing shock of -sin x.  The Riemann case's oracle is its exact
+solution.  The tailed hull's oracle is the closed-form primitive and its
+divides.
 """
 
 import math
@@ -67,6 +69,41 @@ def test_random_knots_reach_the_dense_maximum():
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "FOUND: on 4 097 knots of 0.7 - sin x at t = 0.6 the 2 049-point u-scan "
+    "returns a grid point 7.4e-8 below the dense maximum, which lies in the "
+    "grid cell left of it (ROADMAP items 12 and 15)"))
+def test_fine_sampled_data_reach_the_dense_maximum_early():
+    # the cell left of u = 1.4194358481453662 holds two roots of psi, and
+    # the second one is the maximum; n_scan = 4097 finds it
+    xs = np.linspace(-np.pi, np.pi, 4097)
+    d = idata.SampledData(xs, 0.7 - np.sin(xs), period=2.0 * np.pi)
+    p = Problem(flux.burgers(), d)
+    top, _, _ = _dense(p, 0.05, 0.6)
+    assert p.maximize(0.05, 0.6).max_value >= top - p.val_tol
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the tailed hull takes its contacts at nodes, with no refinement "
+    "between them: on -sin x over [-2 pi - 0.3, 2 pi + 0.3] K0 lies 5.2e-3 "
+    "from the divides +-pi and the envelope 1.3e-5 above the primitive "
+    "(ROADMAP item 11)"))
+def test_tailed_hull_between_nodes_meets_the_primitive():
+    # the primitive cos x - 1 (tails 0) touches its envelope, 0, at +-pi
+    # only; with the window [-2 pi, 2 pi] the nodes hit +-pi and the hull
+    # is exact (test_two_divides_and_a_gap)
+    w = 2.0 * np.pi + 0.3
+    d = idata.InitialData([idata.Piece(-w, w, "sin",
+                                       {"a": -1.0, "b": 1.0, "c": 0.0})],
+                          left_tail=0.0, right_tail=0.0)
+    h = GlobalStructure(Problem(flux.burgers(), d)).convex_hull()
+    assert len(h.K0) == 2
+    for (lo, hi), x0 in zip(h.K0, (-np.pi, np.pi)):
+        assert abs(lo - x0) <= 1e-9 and abs(hi - x0) <= 1e-9
+    xs = np.linspace(-7.0, 7.0, 200001)
+    assert np.max(h.value(xs) - d.primitive(xs)) <= h.hull_tol
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "FOUND: val_tol and the flat test are absolute, so data of amplitude "
     "1e-6 read as one flat band, a shock everywhere (ROADMAP item 11)"))
 def test_tiny_amplitude_is_smooth_at_the_dense_maximizer():
@@ -117,6 +154,26 @@ def test_nwave_default_shock_meets_the_solver(fl):
     nwave = _drop(lambda x: gs.nwave(x, t), xs,
                   [gs.nwave(x, t) for x in xs])
     assert abs(nwave - solver) <= 1.0 / t
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: nwave shifts x into the data's tile [w_lo, w_hi), not the tile "
+    "that starts at the first divide: left of that divide's "
+    "characteristic it reads the mean, not the wrap gap's fan "
+    "(ROADMAP item 9)"))
+def test_nwave_left_of_the_first_divide_meets_the_solver():
+    # the asymmetric sine's one divide lies at -2.98, 0.16 right of
+    # w_lo = -pi: points up to 0.16 left of its characteristic read the
+    # mean 1/(2 pi), 3.7e-3 above the solver at t = 40, where the wrap
+    # gap's fan lies within 1e-4 of it
+    t = 40.0
+    p = Problem(flux.burgers(), _asym_sine())
+    gs = GlobalStructure(p)
+    hull = gs.convex_hull()
+    x0 = hull.K0[0][0] + t * hull.slope_left
+    for dx in (0.05, 0.1, 0.15):
+        assert abs(gs.nwave(x0 - dx, t) - p.solve(x0 - dx, t).u_plus) <= (
+            1.0 / t ** 2)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -3,15 +3,13 @@ import pytest
 
 from laxo import flux, initial_data as idata
 from laxo.errors import CflViolation
-from laxo.reference_oracle import FvGrid, GodunovSolver, compare
-from laxo.variational_core import Problem
+from laxo.reference_oracle import CFL, FvGrid, GodunovSolver, compare
+from laxo.variational_core import GeneralProblem, Problem
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         FvGrid(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        FvGrid(0.0, 1.0, 10, cfl=1.5)
     with pytest.raises(ValueError):
         FvGrid(0.0, 1.0, 10, boundary="absorbing")
 
@@ -65,7 +63,7 @@ def test_mass_conservation_periodic():
     s = GodunovSolver(flux.burgers(), idata.sin_wave(), g)
     for _ in range(300):
         a = s.max_speed()
-        s.step(g.cfl * g.dx / a)
+        s.step(CFL * g.dx / a)
         assert abs(s.mass()) <= 1e-13
 
 
@@ -137,3 +135,24 @@ def test_compare_without_a_sonic_point(k):
     r = compare(p, 1.5, g)
     assert r["l1"] <= 2.0 * np.sqrt(g.dx)
     assert r["shock_offset"] <= g.dx * (1.0 + 1e-9)
+
+
+def test_compare_reads_the_u_plus_rows(monkeypatch):
+    # compare reads u+ from the maximizer rows, with no solve_grid call and
+    # no sample built, and its l1 is the one the samples give
+    p = Problem(flux.burgers(), idata.sin_wave())
+    g = FvGrid(-np.pi, np.pi, 100, boundary="periodic")
+    s = GodunovSolver(p.flux, p.data, g)
+    s.advance(1.5)
+    exact = np.array([x.u_plus for x in p.solve_grid(g.centers(), 1.5)])
+    l1 = float(np.sum(np.abs(s.u - exact)) * g.dx)
+
+    def built(*args):
+        raise AssertionError("built a sample")
+
+    monkeypatch.setattr(GeneralProblem, "solve_grid", built)
+    monkeypatch.setattr(GeneralProblem, "_sample", built)
+    assert compare(p, 1.5, g)["l1"] == l1
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t positive"):
+            compare(p, t, g)

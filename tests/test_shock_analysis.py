@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from laxo import flux, initial_data as idata, shock_analysis
+from laxo import variational_core as vc
 from laxo.characteristics import T_TOL
 from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
 from laxo.shock_analysis import ShockAnalyzer
@@ -117,6 +118,21 @@ def test_generation_uniqueness_passes_flux_faults_on():
     sa = ShockAnalyzer(Problem(fl, idata.sin_wave()))
     with pytest.raises(RuntimeError, match="broken inverse"):
         sa.generation_point(0.0, 0.0)
+
+
+def test_generation_uniqueness_reads_every_lattice_point():
+    # -20 sin x: t_p = 1/20, so l / t_p reaches 32 on the lattice, beyond
+    # invert_deriv's default bracket, where the closed form u = c - l / t_p
+    # answers: the check skips none of the 22 points (it skipped the two at
+    # |l| = 1.6)
+    sa = ShockAnalyzer(Problem(flux.burgers(), idata.sin_wave(-20.0)))
+    us = []
+    rho = sa.flux.rho
+    sa.flux.rho = lambda u, v: us.append(u) or rho(u, v)
+    gp = sa.generation_point(0.0, 0.0)
+    assert gp.t_p == 0.05 and gp.case == "I"
+    ls = np.concatenate([0.1 * 2.0 ** -np.arange(7.0), [0.2, 0.4, 0.8, 1.6]])
+    assert us == (-np.concatenate([-ls, ls]) / 0.05).tolist()
 
 
 def test_generation_uniqueness_fails_for_focusing():
@@ -233,6 +249,16 @@ def test_case23_O4_in_each_critical_regime(one_sided_sa, go, regime):
         assert O4 == pytest.approx(expected, rel=1e-12), (gp.case, go)
 
 
+@pytest.mark.parametrize("cs", [0.0, -1.0])
+@pytest.mark.parametrize("case", ["II_a_eq_c", "II_a_lt_c", "III_b_eq_c",
+                                  "III_b_gt_c"])
+def test_case23_rejects_a_sigma_constant_not_positive(sin_sa, case, cs):
+    gp = shock_analysis.GenerationPoint(0.0, 1.0, 0.0, 0.0, case)
+    with pytest.raises(ConditionFailed, match="sigma-constant"):
+        sin_sa.development_asymptotics(gp, {"gamma": 1.0, "sigma": 1.0,
+                                            "Cbar_sigma": cs})
+
+
 def test_solve_lambda_matches_brentq():
     # the bracket end lam0^(1/sigma) can lie many orders of magnitude above
     # the root, where a bisection tolerance scaled by it would stop coarse
@@ -280,6 +306,35 @@ def test_track_solves_no_point_alone(riemann_sa, monkeypatch):
     monkeypatch.setattr(GeneralProblem, "maximize", alone)
     cur = riemann_sa.track_forward(0.0, 0.0, 0.5, 0.1)
     assert len(cur.nodes) == 5
+
+
+def test_track_and_limits_build_no_sample(sin_sa, merging_sa, monkeypatch):
+    # pre-shock reads, walks, certificates and traces read u+- from the
+    # maximizer rows: no solve_grid call, no SolutionSample and, in a
+    # track, no MaximizerSet.  The track walks into the standing shock
+    ref = [n.x for n in sin_sa.track_forward(-0.5, 0.125, 1.5, 0.125).nodes]
+
+    def built(*args):
+        raise AssertionError("built a sample")
+
+    monkeypatch.setattr(GeneralProblem, "solve_grid", built)
+    monkeypatch.setattr(GeneralProblem, "solve", built)
+    monkeypatch.setattr(GeneralProblem, "_sample", built)
+    dl = merging_sa.directional_limits(0.5, 1.0)
+    assert (dl.left, dl.right) == (pytest.approx(2.0, abs=1e-6),
+                                   pytest.approx(0.0, abs=1e-6))
+    assert len(dl.gap_limits) == 2
+    monkeypatch.setattr(vc._Rows, "sets", built)
+    cur = sin_sa.track_forward(-0.5, 0.125, 1.5, 0.125)
+    assert [n.x for n in cur.nodes] == ref
+    assert max(abs(n.x) for n in cur.nodes if n.t >= 1.125) < 1e-6
+
+
+def test_directional_limits_check_the_earlier_time(riemann_sa):
+    # the gap's limits are read DELTA back in time: before DELTA no such
+    # time exists, as a solve there would say
+    with pytest.raises(ValueError, match="t positive"):
+        riemann_sa.directional_limits(2.5e-5, 5e-5)
 
 
 def test_track_stationary_sine_shock(sin_sa):

@@ -1847,3 +1847,14 @@ def test_coarse_bound_holds_on_every_cell(fname, dname):
     ts = rng.uniform(0.1, 5.0, 4)
     xs = rng.uniform(-1.0, 1.0, 4) * ts
     _assert_coarse_bound_holds(p, _piyavskii_bound, xs, ts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.maximize(np.nan, 1.0), lambda p: p.maximize(np.inf, 1.0),
+    lambda p: p.maximize(-np.inf, 1.0), lambda p: p.restart(0.0),
+    lambda p: p.restart(-1.0), lambda p: p.restart(np.nan),
+    lambda p: p.restart(np.inf)],
+    ids=["x_nan", "x_inf", "x_-inf", "tau_0", "tau_-1", "tau_nan", "tau_inf"])
+def test_maximize_and_restart_reject_bad_input(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(Problem(flux.burgers(), idata.sin_wave()))
