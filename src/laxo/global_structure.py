@@ -344,8 +344,11 @@ class GlobalStructure:
         rarefaction-constant profile.  Returns (exponent, constant, series)
         with series = [(t, value)].  At each t, u+ on 801 points of the
         region is one maximization of ``solve_grid`` read as an array
-        (``GeneralProblem._maximize_grid``), and the default profile one
-        array evaluation; a ``target`` callable is called point by point.
+        (``GeneralProblem._maximize_grid``).  The default profile, and a
+        ``target`` that is this object's own ``profile_u_tilde`` or
+        ``nwave``, are one array evaluation (``_profile``, ``_nwave``),
+        each value the point call's bit for bit; any other ``target`` is
+        called point by point.
         An unknown norm, a region that is not finite or has lo >= hi, a
         time that is not finite and positive, or fewer than two distinct
         times raise ValueError before any solve, and a ``target`` value that
@@ -361,13 +364,16 @@ class GlobalStructure:
             raise ValueError("need at least two distinct times")
         xs = np.linspace(lo, hi, 801)
         series = []
+        array = self._profile if target is None else {
+            self.profile_u_tilde: self._profile,
+            self.nwave: self._nwave}.get(target)
         for t in t_list:
-            if target is None:
-                tv = self._profile(xs, t)
+            if array is not None:
+                tv = array(xs, t)
             else:
                 tv = np.array([target(x, t) for x in xs], dtype=float)
-                if not np.isfinite(tv).all():
-                    raise ValueError("target values must be finite")
+            if target is not None and not np.isfinite(tv).all():
+                raise ValueError("target values must be finite")
             us = self.problem._maximize_grid(xs, t).u_plus
             diff = np.abs(us - tv)
             if norm == "sup":

@@ -145,6 +145,27 @@ def _critical_points(p):
     return []
 
 
+def _descent(p):
+    """sup of (-phi')_+ on the piece in closed form: |a b| for sin and cos,
+    -p' at the ends and at the roots of p'' for poly, 0 for const and for a
+    power term a sgn(s) |s|^g + b with a >= 0 or g = 0, else |a| g times
+    the farthest |s|^(g - 1) on the piece, or inf where g < 1."""
+    q = p.params
+    if p.kind in ("sin", "cos"):
+        return abs(q["a"] * q["b"])
+    if p.kind == "poly":
+        pv = np.polynomial.polynomial
+        d = pv.polyder(np.asarray(q["coeffs"], dtype=float))
+        xs = np.concatenate([[p.lo, p.hi], np.clip(pv.polyroots(
+            pv.polytrim(pv.polyder(d))).real, p.lo, p.hi)])
+        return max(0.0, float(-pv.polyval(xs, d).min()))
+    if p.kind == "power" and q["a"] < 0.0 and q["g"] > 0.0:
+        s = max(abs(p.lo - q["x_ref"]), abs(p.hi - q["x_ref"]))
+        return -q["a"] * q["g"] * s ** (q["g"] - 1.0) if q["g"] >= 1.0 \
+            else math.inf
+    return 0.0
+
+
 def _interval(edges, x, last):
     """Index i of the interval [edges[i], edges[i + 1]) holding each x,
     clamped to 0..last."""
@@ -431,6 +452,15 @@ class InitialData(_Extended):
         return tuple(np.array(v, dtype=float).reshape(-1)
                      for v in (zip(*rows) if rows else ([], [], [])))
 
+    def _descent(self):
+        """sup of (-phi')_+ off the breakpoints, over every piece
+        (``_descent``); the tails are constant.  A window of no pieces is
+        one point where phi reads 0: inf where the tails do not straddle
+        0, as phi falls and rises there."""
+        if not (self.pieces or self.left_tail <= 0.0 <= self.right_tail):
+            return math.inf
+        return max([_descent(p) for p in self.pieces], default=0.0)
+
     def _estimate_bound(self):
         vals = []
         for p, (f, _) in zip(self.pieces, self._terms):
@@ -674,6 +704,10 @@ class SampledData(_Extended):
             right = us[:-1]
         jump = left != right
         return y[jump], left[jump], right[jump]
+
+    def _descent(self):
+        """phi is constant between knots: phi' = 0 off the breakpoints."""
+        return 0.0
 
     # -- one-sided structure ----------------------------------------------
 

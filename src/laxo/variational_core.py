@@ -52,7 +52,8 @@ COARSE_STEP = 16
 # a block's temporaries of up to ~260 kB, else unmapped on free and faulted
 # in anew
 np.empty(1 << 17)
-# offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j
+# offsets of the grid neighbours lo, j, hi of a local-maximum run's middle j;
+# the last two, of the ends i, i + 1 of a grid cell
 _NEIGHBOURS = np.array([[-1], [0], [1]])
 # |psi''| / 2 on a bracket is taken as this many times the grid's estimate
 _SECANT_SAFETY = 4.0
@@ -61,6 +62,19 @@ _PROBES = np.arange(1.0, 6.0)
 # constants of the hot path as 0-d arrays, as ``_search``'s ``_ZERO``: numpy
 # takes them faster than Python numbers, and computes the same numbers
 _HALF, _TWO, _TWO_I = np.array(0.5), np.array(2.0), np.array(2)
+# the fixed cost of one round of ``_one_roots``' search, in psi reads: about
+# 15 numpy calls of 1-2 us against 10-15 ns a read (2-core Xeon, numpy 2.4)
+ROUND_READS = 1536
+
+
+@functools.lru_cache(maxsize=256)
+def _fan_out(rows, cells):
+    """The fan-out k of ``_one_roots``' rounds on rows whose windows span
+    at most ``cells`` grid cells: of the d-round searches, k = ceil(cells
+    ** (1 / d)), the one of least cost d (ROUND_READS + rows (k - 1))."""
+    return min((d * (ROUND_READS + rows * (k - 1)), k) for d, k in (
+        (d, max(1, math.ceil(cells ** (1.0 / d) - 1e-9)))
+        for d in range(1, max(1, cells.bit_length()) + 1)))[1]
 
 
 def _checked_t(t):
@@ -288,6 +302,8 @@ class GeneralProblem:
             c_hi = min(int(np.searchsorted(Us, ubar, "right")), len(Us) - 1)
             self._H_mean = float(self._Hs[c_lo]), float(self._Hs[c_hi])
             self._t_w = 2.0 * data.period / (self._Hs[-1] - self._Hs[0])
+        # the breaking-time certificate; ``Problem`` sets it for named fluxes
+        self.t_one = 0.0
         # phi's breakpoints y, its limits there and H of them, for the
         # exact roots of psi; on periodic data y runs on over a second
         # period, and breakpoint j of it is breakpoint j % len(left)
@@ -327,7 +343,10 @@ class GeneralProblem:
         ``_maximize_grid`` scans a short grid.  A point of a long grid that
         is scanned over a narrower u-window gets the same ``MaximizerSet``,
         bit for bit, wherever its kept runs and value bands lie inside that
-        window (see ``_maximize_block``).
+        window (see ``_maximize_block``).  Before the breaking time
+        ``t_one`` of a named flux on data with no down-jump, E has one
+        maximizer and the one-root kernel ``_one_roots`` finds it, the
+        scan's answer wherever the scan returns one point.
         """
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
@@ -409,12 +428,16 @@ class GeneralProblem:
         one level takes them all: a further level costs blocks that the
         narrower windows would not pay back.  Rows that ``_blocks`` cannot
         certify in their window are scanned over the whole grid.
+
+        A grid before ``t_one`` skips the levels: its rows are one
+        ``_blocks`` call, which sends them to the one-root kernel; a row
+        the kernel leaves to the scan is scanned over its whole window.
         """
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
         ts, start, width = np.full(m, t), np.full(m, w0), np.full(m, ww)
         cost = (ww - 1) // COARSE_STEP + min(ww - 1, COARSE_STEP ** 2)
-        if m * cost <= 3 * BLOCK_ELEMS:
+        if m * cost <= 3 * BLOCK_ELEMS or t < self.t_one:
             return self._blocks(xs, ts, start, width)
         k = max(2, 2 * BLOCK_ELEMS // cost)
         parts = []
@@ -451,7 +474,14 @@ class GeneralProblem:
         return rows.u_minus.tolist(), rows.u_plus.tolist()
 
     def _blocks(self, xs, t, start, width):
-        """``_maximize_block`` on rows packed in blocks of few enough cells.
+        """The maximizer sets of rows, as ``_Rows`` in the order of xs.
+
+        Rows whose t lies below ``t_one`` (Burgers/sine before t = 1,
+        every row of ``step(-1, 1)``; none of a ``custom`` flux, a general
+        pair, or data with a down-jump) go to the one-root kernel
+        ``_one_roots``; the rows it leaves, whose window ends bracket no
+        sign change of psi, and every other row go to ``_scan``:
+        ``_maximize_block`` on rows packed in blocks of few enough cells.
 
         Row q, at the time t[q], scans the u-grid window start[q] ...
         start[q] + width[q] - 1, width[q] - 1 cells.  Rows that share one
@@ -478,6 +508,21 @@ class GeneralProblem:
         window and one time) would shut them out; a lifespan's probe is
         one row.
         """
+        one = t < self.t_one
+        if not np.count_nonzero(one):
+            return self._scan(xs, t, start, width)
+        m, q = len(xs), one.nonzero()[0]
+        out = self._one_roots(*(v if len(q) == m else v[q]
+                                for v in (xs, t, start, width)))
+        if len(q) == m and not np.count_nonzero(out.redo):
+            return out
+        rest = np.concatenate([(~one).nonzero()[0], q[out.redo]])
+        return _Rows.join([(q, out), (rest, self._scan(
+            xs[rest], t[rest], start[rest], width[rest]))], m)
+
+    def _scan(self, xs, t, start, width):
+        """The scan of ``_blocks`` (see there), on the rows it does not
+        send to the one-root kernel."""
         m = len(xs)
         if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2
                 and not (np.count_nonzero(start != start[0])
@@ -503,8 +548,8 @@ class GeneralProblem:
         redo = out.redo.nonzero()[0]
         if len(redo):
             n = len(self._s)
-            full = self._blocks(xs[redo], t[redo], np.zeros_like(redo),
-                                np.full(len(redo), n))
+            full = self._scan(xs[redo], t[redo], np.zeros_like(redo),
+                              np.full(len(redo), n))
             out = _Rows.join([(np.arange(m), out), (redo, full)], m)
         return out
 
@@ -550,14 +595,14 @@ class GeneralProblem:
         cells, j -+ 1 clipped to the grid, so a run at a grid end is
         bracketed by its one end cell.
         """
-        s, n, rows = self._s, len(self._s), len(xs)
+        n, rows = len(self._s), len(xs)
         j, w = (int(start[0]), int(width[0])) if rows else (0, n)
         # E between two columns of -inf: row q's in Ep[q], column c at grid
         # index c + j, or every row's in Ep[0] (``_flat``)
         flat = rows > 1 and bool(np.count_nonzero(start != j)
                                  or np.count_nonzero(width != w))
         if flat:
-            Ep, feet, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
+            Ep, W0, Emax_grid, O, base = self._flat(xs, t, start, width)
             Ev = Ep[:, 1:-1]
         else:
             # rows at one time form its products with the grid once
@@ -602,50 +647,18 @@ class GeneralProblem:
         sr, first, last = padded_runs(lm)
         col = (first + last + _ONE_I) // _TWO_I
         r, d = locate(sr, col)
-        # three distinct grid points around each run's middle m, as grid
-        # indices nb and columns nbc: m -+ 1, the innermost three at a grid
-        # end.  A run's middle is a grid end or inside its window
-        m = col - d if shift else col
-        nb = np.minimum(np.maximum(m, _ONE_I), n - 2) + _NEIGHBOURS
-        nbc = nb + d if shift else nb
-        carrier = (self._U(self.data.phi(feet[sr, nbc].ravel()))
-                   - self._U(s[nb].ravel())).reshape(nb.shape)
-        # their second difference bounds psi''; the run's own cells m -+ 1,
-        # clipped to the grid, bracket it, so a grid end's run reads its
-        # one cell there, psi at the end repeated
-        d2 = carrier[0] - _TWO * carrier[1] + carrier[2]
-        if np.count_nonzero(nb[1] != m):       # a run at a grid end
-            own = np.minimum(np.maximum(m + _NEIGHBOURS, 0), n - 1)
-            carrier = np.take_along_axis(carrier, own - nb[0], axis=0)
-            nb = own
+        # each run's middle m, a grid end or inside its window
+        xr, tr = xs[r], t[r]
+        nb, carrier, d2 = self._carrier(col - d if shift else col,
+                                        lambda nb: self._psi_grid(xr, tr, nb))
         # the keep filter: dE = t psi dH, so E on a run's two cells stays
         # within t max|dH psi| of its middle's value
         gloc = np.abs(self._dH[nb] * carrier).max(axis=0)
-        tr = t[r]
         keep = ~(Ev[sr, col] + tr * gloc < Emax_grid[r] - self._tols[0])
         if np.count_nonzero(keep) < len(r):     # else every run stays
-            r, tr = r[keep], tr[keep]
+            r, xr, tr = r[keep], xr[keep], tr[keep]
             nb, carrier, d2 = nb[:, keep], carrier[:, keep], d2[keep]
-
-        # refine: psi at the bracket ends is the carrier there; a sign
-        # change is psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi)
-        pl, ph = carrier[0], carrier[2]
-        sign = (pl > ph) & (pl >= _ZERO) & (ph <= _ZERO)
-        nsign = np.count_nonzero(sign)
-        u_star = np.empty(len(r))
-        if nsign:
-            i = sign if nsign < len(r) else slice(None)
-            a, b = self._roots(xs[r[i]], tr[i], nb[:, i], carrier[:, i],
-                               d2[i])
-            u_star[i] = _HALF * (a + b)
-        if nsign < len(r):
-            # no sign change: maximize E itself, at the scan's W(x - tH(0))
-            g = ~sign
-            W0g, xg, tg = W0[r[g]], xs[r[g]], tr[g]
-            u_star[g] = golden_many(
-                lambda u, i: -self._E(W0g[i], u, xg[i], tg[i]),
-                s[nb[0, g]], s[nb[2, g]], self.tol_u)
-        E_star = self._E(W0[r], u_star, xs[r], tr)
+        u_star, E_star = self._refine(xr, tr, W0[r], nb, carrier, d2)
 
         # per row: the best value, the refined points within val_tol of it,
         # and the grid bands there
@@ -671,6 +684,122 @@ class GeneralProblem:
             lambda u, q: self._E(W0[q], u, xs[q], t[q]), Emax, thresh,
             r, u_star, E_star, br, first, last)
         return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
+
+    def _one_roots(self, xs, t, start, width):
+        """The maximizer of each row below ``t_one``, as ``_Rows``; a row
+        whose window ends do not bracket a sign change of psi, or whose
+        refined value falls ``val_tol`` below its cell's grid values, is
+        marked ``redo``, left to the scan.
+
+        Below t_one, psi falls across the u-grid, so E has one maximizer,
+        in the one grid cell [i, i + 1] with psi(s_i) > 0 >= psi(s_i+1)
+        (Hopf 1950; Lax 1957).  Lockstep k-ary rounds over grid indices
+        find it: the first reads psi at the window's ends and k - 1 points
+        between, each later round k - 1 points of the bracket left, and
+        the bracket narrows to the probes around the first read of psi <=
+        0, while the bracket holds more than k cells; the last read takes
+        every point of the bracket and one beyond each end, where the
+        carrier reads too.  k comes from ``_fan_out``: over the default
+        grid a point solve takes a 46-way round and its last read (one
+        read of the whole window cost about 15% more per solve), a slice
+        of 32 points 13-way rounds, and the 4 096 knots of ``restart``
+        binary ones.  On that cell the scan's own arithmetic follows: E at
+        s_i and s_i+1, where the scan's grid maximum lies, picks the run
+        middle m as its plateau rule does (s_i where E is larger there,
+        else s_i+1), then ``_carrier`` and ``_refine`` as in
+        ``_maximize_block``, and max_value is the best of those two grid
+        values and E at the refined point.  So a row's answer depends
+        neither on its window nor on the rows with it, and equals the
+        scan's wherever the scan returns one point.
+        """
+        rows, Hs, n = len(xs), self._Hs, len(self._s)
+        k = _fan_out(rows, int(width.max()) - 1)
+        x, tq, a = xs[:, None], t[:, None], start[:, None]
+        P = a + (width[:, None] - 1) * np.arange(k + 1) // k
+        neg = self._psi_grid(x, tq, P) <= _ZERO
+        ok = neg[:, -1] > neg[:, 0]     # psi(start) > 0 >= psi(end)
+        # a row without that bracket searches its first probe cell, as a
+        # bracket inside the grid, and is marked redo
+        neg[:, 0] = False
+        neg[:, 1] |= ~ok
+        i = np.arange(rows)
+        while True:
+            f = neg.argmax(axis=1)      # the first probe of psi <= 0
+            a, b = P[i, f - 1], P[i, f]
+            c = int((b - a).max(initial=1))
+            if c <= k:
+                break
+            P = a[:, None] + (b - a)[:, None] * np.arange(k + 1) // k
+            neg = np.ones((rows, k + 1), dtype=bool)
+            neg[:, 0] = False
+            neg[:, 1:-1] = self._psi_grid(x, tq, P[:, 1:-1]) <= _ZERO
+        # the last read: the bracket and one point beyond each end, column
+        # j at the grid index a - 1 + j clipped, so the carrier's too
+        v = self._psi_grid(x, tq, np.minimum(np.maximum(
+            a[:, None] + np.arange(-1, c + 2), 0), n - 1))
+        lo, a = a - 1, a + (v[:, 2:] <= _ZERO).argmax(axis=1)
+        # W0 and E at s_i and s_i+1, the floats the scan computes
+        x, tq, ab = x[:, 0], tq[:, 0], a + _NEIGHBOURS[1:]
+        Wf = self._W(np.concatenate([x - tq * Hs[ab], [x - tq * self._H0]])
+                     .ravel()).reshape(3, -1)
+        Ea, Eb = (Wf[2] - Wf[:2]) - tq * self._Is[ab]
+        nb, carrier, d2 = self._carrier(np.where(Ea > Eb, a, ab[1]),
+                                        lambda nb: v[i, nb - lo])
+        u, E = self._refine(x, tq, Wf[2], nb, carrier, d2)
+        top = np.maximum(np.maximum(Ea, Eb), E)
+        ok &= E >= top - self._tols[1]
+        own = ok.nonzero()[0]
+        return _Rows(u, u, own, u[own], u[own], top, ~ok)
+
+    def _psi_grid(self, x, t, idx):
+        """psi at the grid indices idx for the points x at the times t,
+        broadcast together, as the scan forms it: U(phi(x - t H(s))) -
+        U(s), with the scan's feet."""
+        feet = x - t * self._Hs[idx]
+        return (self._U(self.data.phi(feet.ravel()))
+                - self._U(self._s[idx].ravel())).reshape(feet.shape)
+
+    def _carrier(self, m, psi):
+        """The grid points nb of the runs with middles m, psi there as
+        ``psi(nb)`` reads it, and its second difference d2.
+
+        psi is read at three distinct grid points, m -+ 1 or at a grid end
+        the three innermost ones (m clipped to [1, n - 2]); their second
+        difference bounds psi'' for the refine.  The run's own cells m -+
+        1, clipped to the grid, bracket it, so a grid end's run reads its
+        one cell there, psi at the end repeated.
+        """
+        n = len(self._s)
+        nb = np.minimum(np.maximum(m, _ONE_I), n - 2) + _NEIGHBOURS
+        carrier = psi(nb)
+        d2 = carrier[0] - _TWO * carrier[1] + carrier[2]
+        if np.count_nonzero(nb[1] != m):       # a run at a grid end
+            own = np.minimum(np.maximum(m + _NEIGHBOURS, 0), n - 1)
+            carrier = np.take_along_axis(carrier, own - nb[0], axis=0)
+            nb = own
+        return nb, carrier, d2
+
+    def _refine(self, x, t, W0, nb, carrier, d2):
+        """The refined point of each run of ``_carrier`` and E there, for
+        the points x at the times t, W0 = W(x - t H(0)) as the scan reads
+        it.  psi at the bracket ends is the carrier there: where it changes
+        sign, psi(lo) > 0 >= psi(hi) or psi(lo) >= 0 > psi(hi), ``_roots``
+        refines the root, else golden sections maximize E itself."""
+        pl, ph = carrier[0], carrier[2]
+        sign = (pl > ph) & (pl >= _ZERO) & (ph <= _ZERO)
+        nsign = np.count_nonzero(sign)
+        u_star = np.empty(len(x))
+        if nsign:
+            i = sign if nsign < len(x) else slice(None)
+            a, b = self._roots(x[i], t[i], nb[:, i], carrier[:, i], d2[i])
+            u_star[i] = _HALF * (a + b)
+        if nsign < len(x):
+            g = ~sign
+            W0g, xg, tg = W0[g], x[g], t[g]
+            u_star[g] = golden_many(
+                lambda u, i: -self._E(W0g[i], u, xg[i], tg[i]),
+                self._s[nb[0, g]], self._s[nb[2, g]], self.tol_u)
+        return u_star, self._E(W0, u_star, x, t)
 
     def _coarse(self, xs, t, j, w):
         """The u-windows of rows at the one time t that share the window
@@ -764,8 +893,8 @@ class GeneralProblem:
         *Vector Models for Data-Parallel Computing*, 1990).  Column c of
         ``Ep[:, 1:-1]`` from O[q] on is row q's grid index c - base[q].  The
         feet are one gather of H; the foot at row q's first -inf is x -
-        t H(0), whose W is W0[q].  Returns Ep, the feet by column, W0, each
-        row's best grid value, O and base.
+        t H(0), whose W is W0[q].  Returns Ep, W0, each row's best grid
+        value, O and base.
         """
         k = width + 2
         O = np.cumsum(k) - k                    # the first -inf of row q
@@ -782,8 +911,7 @@ class GeneralProblem:
         Ep = np.repeat(W0, k) - Wf
         Ep -= tr * self._Is.take(gi, mode="clip")
         Ep[O] = Ep[O + k - 1] = -np.inf
-        return (Ep[None], feet[None, 1:-1], W0, np.maximum.reduceat(Ep, O),
-                O, base)
+        return Ep[None], W0, np.maximum.reduceat(Ep, O), O, base
 
     def _components(self, E, Emax, thresh, r, u_star, E_star, br, first,
                     last):
@@ -1119,15 +1247,17 @@ class GeneralProblem:
         first rules out the cells whose Lipschitz bound on E cannot reach
         the keep threshold and scans only the hull of the others
         (``_coarse``: 1 792 of 16 384 cells for 8 points of ``sin_wave()``
-        at t = 1.2, and 9 504 of 65 536 for 32 points on [-pi, pi] at
-        t = 0.5, one block).  A longer grid is maximized in levels: such a
-        call on 85 evenly spaced points, then each unsolved point over the
+        at t = 1.2, one block).  A longer grid is maximized in levels: such
+        a call on 85 evenly spaced points, then each unsolved point over the
         u-window that its solved neighbours' characteristic feet leave it,
         rows packed in their order in blocks of at most ``BLOCK_ELEMS``
         cells, the sum of their windows' cells after the pass, and no row
-        cap (9 blocks for the 4 096 knots of ``restart(0.5)`` on
-        ``sin_wave()``); a row whose best value or ``val_tol`` band reaches
-        an inner window edge is scanned over the whole grid.  On periodic
+        cap; a row whose best value or ``val_tol`` band reaches an inner
+        window edge is scanned over the whole grid.  A grid before the
+        breaking time ``t_one`` (``_blocks``) takes no coarse pass and no
+        levels: its rows go to the one-root kernel, 3 rounds for 32 points
+        of ``sin_wave()`` at t = 0.5, and only the rows it cannot bracket
+        are scanned.  On periodic
         data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid is replaced
         by the window that the period mean allows (``_window``): 17 points of
         ``restart(0.5)`` of ``sin_wave()`` are one block from t = 0.6 to
@@ -1166,6 +1296,16 @@ class Problem(GeneralProblem):
     def __init__(self, flux, data, **kw):
         super().__init__(identity_pair(flux), data, **kw)
         self.flux = flux
+        # the breaking time t_one = 1 / (sup f'' sup(-phi')_+) of data with
+        # no down-jump (Lax 1957): before it, t f''(u) (-phi'(y)) < 1, so
+        # psi' = -t f'' phi' - 1 < 0 off the breakpoints and psi jumps down
+        # across them, and psi falls across the u-grid.  f'' peaks at a
+        # grid end for every named flux
+        _, left, right = data.breakpoints()
+        if flux.kind != "custom" and not np.count_nonzero(left > right):
+            fall = data._descent()
+            curv = float(np.max(flux.second(self._s[[0, -1]])))
+            self.t_one = math.inf if fall == 0.0 else 1.0 / (curv * fall)
 
     def _preimage(self, v, a, b):
         """``GeneralProblem._preimage``, in closed form for named fluxes."""
@@ -1182,10 +1322,12 @@ class Problem(GeneralProblem):
         evaluates the variational formula for the sampled data u(., tau) on
         4097 knots: one period, or the window padded by tau * max|f'| + 1.
         The knot values are u+ at the 4096 interval midpoints, maximized as
-        ``solve_grid`` maximizes a grid: most over a u-window of a few dozen
-        cells that the neighbouring knots' feet leave them (9 blocks on
-        ``sin_wave()`` at tau = 0.5).  They are read as the u+ array of
-        ``_maximize_grid``, with no MaximizerSet built.
+        ``solve_grid`` maximizes a grid, read as the u+ array of
+        ``_maximize_grid`` with no MaximizerSet built.  Before the breaking
+        time ``t_one`` every knot takes the one-root kernel, 11 binary
+        rounds on ``sin_wave()`` at tau = 0.5, in about half the time of
+        the scan's 9 blocks; from it on, most take the scan over a u-window of a few
+        dozen cells that the neighbouring knots' feet leave them.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
         kept runs and bands lie inside its window, as in every tested
         restart.  On periodic data the restarted problem is periodic too, so

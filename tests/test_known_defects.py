@@ -103,15 +103,28 @@ def test_tailed_hull_between_nodes_meets_the_primitive():
     assert np.max(h.value(xs) - d.primitive(xs)) <= h.hull_tol
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: val_tol and the flat test are absolute, so data of amplitude "
-    "1e-6 read as one flat band, a shock everywhere (ROADMAP item 11)"))
 def test_tiny_amplitude_is_smooth_at_the_dense_maximizer():
+    # t = 0.5 lies below t_one = 1e6 of this data, so the one-root kernel
+    # answers, and no flat band of the scan
     p = Problem(flux.burgers(), idata.sin_wave(-1e-6))
     _, u, du = _dense(p, 1.0, 0.5)
     s = p.solve(1.0, 0.5)
     assert not s.is_shock
     assert abs(s.u_plus - u) <= 2.0 * du and abs(s.u_minus - u) <= 2.0 * du
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: where the scan runs, val_tol and the flat test are absolute, so "
+    "data of amplitude 1e-6 still read as one flat band: step(1e-6, 0) "
+    "gives u+- = -+2e-6 and a shock at (-1, 1), where u = 1e-6 (ROADMAP "
+    "item 11)"))
+def test_tiny_step_is_smooth_left_of_its_shock():
+    # step(1e-6, 0) jumps down, so it has no breaking-time certificate and
+    # every solve scans; its shock runs on x = 5e-7 t
+    p = Problem(flux.burgers(), idata.step(1e-6, 0.0))
+    s = p.solve(-1.0, 1.0)
+    assert not s.is_shock
+    assert abs(s.u_plus - 1e-6) <= 1e-12 and abs(s.u_minus - 1e-6) <= 1e-12
 
 
 def _asym_sine():

@@ -464,21 +464,27 @@ def test_track_fallback_equals_one_point_bisection(name, monkeypatch):
 
 
 def _count_work(monkeypatch):
-    """Count _maximize_block calls, and the ties that end in a bisection
-    walk (no certificate held on their steps), from now on."""
+    """Count the blocks, the calls of _maximize_block and of the one-root
+    kernel that rows before the breaking time take, and the ties that end
+    in a bisection walk (no certificate held on their steps), from now on."""
     count = {"blocks": 0, "walks": 0}
-    block, tie = GeneralProblem._maximize_block, shock_analysis.tie
+    tie = shock_analysis.tie
 
-    def counted_block(self, *args):
-        count["blocks"] += 1
-        return block(self, *args)
+    def counted(name):
+        block = getattr(GeneralProblem, name)
+
+        def counted_block(self, *args):
+            count["blocks"] += 1
+            return block(self, *args)
+        monkeypatch.setattr(GeneralProblem, name, counted_block)
 
     def counted_tie(*args):
         x, node = tie(*args)
         count["walks"] += node is None
         return x, node
 
-    monkeypatch.setattr(GeneralProblem, "_maximize_block", counted_block)
+    counted("_maximize_block")
+    counted("_one_roots")
     monkeypatch.setattr(shock_analysis, "tie", counted_tie)
     return count
 
@@ -766,15 +772,16 @@ def test_classify_points(riemann_sa, sin_sa, merging_sa):
 
 
 def _count_rows(monkeypatch):
-    """Record the row count of every block any problem maximizes."""
+    """Record the row count of every block any problem maximizes, by the
+    scan (_maximize_block) or, before the breaking time, by the one-root
+    kernel."""
     rows = []
-    block = GeneralProblem._maximize_block
+    for name in ("_maximize_block", "_one_roots"):
+        def counted(self, xs, *args, _block=getattr(GeneralProblem, name)):
+            rows.append(len(xs))
+            return _block(self, xs, *args)
 
-    def counted(self, xs, *args):
-        rows.append(len(xs))
-        return block(self, xs, *args)
-
-    monkeypatch.setattr(GeneralProblem, "_maximize_block", counted)
+        monkeypatch.setattr(GeneralProblem, name, counted)
     return rows
 
 

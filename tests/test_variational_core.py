@@ -198,6 +198,14 @@ def test_solve_grid_keeps_order_and_repeats(neg_sin):
     assert neg_sin.solve_grid(xs, 1.4) == [neg_sin.solve(x, 1.4) for x in xs]
 
 
+def _scan_only(monkeypatch, *problems):
+    """Send every row of the problems to the scan, as for a problem with
+    no breaking-time certificate (a ``custom`` flux): t_one = 0.  The
+    scan's structure tests keep their inputs below the breaking time."""
+    for p in problems:
+        monkeypatch.setattr(p, "t_one", 0.0)
+
+
 def _count_blocks(monkeypatch):
     """Record each block's rows as (start, width, scanned again)."""
     calls = []
@@ -253,6 +261,7 @@ def test_window_that_misses_the_maximizer_is_scanned_again(neg_sin,
         return blocks(self, xs, t, start, width)
 
     monkeypatch.setattr(GeneralProblem, "_blocks", missing)
+    _scan_only(monkeypatch, neg_sin)
     calls = _count_blocks(monkeypatch)
     xs = np.linspace(-3.0, 3.0, 2 * _level_zero_rows(n) + 1)
     assert neg_sin.solve_grid(xs, 0.4) == [neg_sin.solve(x, 0.4) for x in xs]
@@ -307,7 +316,9 @@ def test_grid_end_runs_read_psi_in_the_carrier_call(data, points):
     # u = +-1 is the data's bound, so the maximizer lies in the last cell
     # at a grid end.  Its run reads the three innermost grid points in the
     # block's one carrier call: phi is called by the carrier and by the
-    # closed-form roots' check, and no third time for a second difference
+    # closed-form roots' check, and no third time for a second difference.
+    # step(-1, 1) has no down-jump, so its solves take the one-root kernel:
+    # the scan runs here as a one-row block over the whole grid
     d = data()
     p = Problem(flux.burgers(), d)
     phi, calls = d.phi, []
@@ -319,7 +330,8 @@ def test_grid_end_runs_read_psi_in_the_carrier_call(data, points):
     d.phi = counted_phi
     for x, t in points:
         calls.clear()
-        u = p.solve(x, t).u_plus
+        u = p._maximize_block(np.array([x]), np.array([t]),
+                              *p._whole).u_plus[0]
         assert abs(abs(u) - 1.0) <= 1e-12, (x, t, u)
         assert len(calls) == 2, (x, t, calls)
 
@@ -844,6 +856,7 @@ def test_point_solve_read_counts(case, want, monkeypatch):
     monkeypatch.setattr(vc, "secant_many", rounds)
     data = idata.sin_wave() if case == "sine" else idata.step(1.0, 0.0)
     p = Problem(flux.burgers(), data)
+    _scan_only(monkeypatch, p)
     count.update(dict.fromkeys(want, 0))
     rng = np.random.default_rng(45)
     for x, t in zip(rng.uniform(-3.0, 3.0, 40), rng.uniform(0.2, 3.0, 40)):
@@ -966,7 +979,9 @@ def test_maximize_block_per_row_t_equals_one_row_blocks(data):
                                    min_size=k, max_size=k)))
     out = p._maximize_block(np.array(xs), ts, np.zeros(k, dtype=np.intp),
                             np.full(k, len(p._s)))
-    assert out.sets() == [p.maximize(x, t) for x, t in zip(xs, ts.tolist())]
+    assert out.sets() == [p._maximize_block(np.array([x]), np.array([t]),
+                                            *p._whole).sets()[0]
+                          for x, t in zip(xs, ts.tolist())]
 
 
 def _assemble(p, E, Emax, thresh, us, es, first, last, seen):
@@ -1174,6 +1189,7 @@ def test_block_assembly_matches_per_row_reference(monkeypatch):
     for fl in (flux.burgers(), flux.power2n(2)):
         problems = {k: Problem(fl, make()) for k, make in
                     _ASSEMBLY_DATA.items()}
+        _scan_only(monkeypatch, *problems.values())
         restarted = problems["sine"].restart(0.5)
         for p in problems.values():
             for t in (0.4, 1.0, 2.5):
@@ -1207,6 +1223,7 @@ def test_block_assembly_matches_reference_on_random_problems(data):
     t = float(np.exp(data.draw(st.floats(np.log(0.05), np.log(50.0)))))
     xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
     with pytest.MonkeyPatch.context() as mp:
+        _scan_only(mp, p)
         seen = _check_assembly(mp)
         p.solve_grid(xs, t)
     assert seen["rows"] >= len(set(xs))
@@ -1432,6 +1449,7 @@ def test_blocks_are_bounded_by_their_cells_alone(monkeypatch):
     # coarse pass, stay within BLOCK_ELEMS, and the knots take at most 9
     # blocks
     p = Problem(flux.burgers(), idata.sin_wave())
+    _scan_only(monkeypatch, p)
     calls = _count_blocks(monkeypatch)
     p.restart(0.5)
     for c in calls:
@@ -1509,6 +1527,7 @@ def test_sine_slice_shares_blocks_across_windows(monkeypatch):
     # other rows, 5 359 cells of 84 windows from 32 to 1 903 points at
     # t = 1.2 and 12 186 of 85 from 79 to 308 at t = 0.5
     p = Problem(flux.burgers(), idata.sin_wave())
+    _scan_only(monkeypatch, p)
     k = _level_zero_rows(len(p._s))
     grids = _spy(monkeypatch, "_blocks")
     calls = _count_blocks(monkeypatch)
@@ -1569,6 +1588,7 @@ def test_slice_of_at_most_k_points_is_one_coarse_pass(monkeypatch, fl):
     calls = _count_blocks(monkeypatch)
     for dname, make in _SHORT_SLICE_DATA.items():
         p = Problem(fl, make())
+        _scan_only(monkeypatch, p)
         k = _level_zero_rows(len(p._s))
         for m in (5, 32, k):
             xs = np.linspace(-3.0, 3.0, m) + 0.01
@@ -1697,6 +1717,7 @@ def test_wide_one_window_blocks_equal_their_one_row_blocks(fname, dname,
     # window of periodic data at t = 1e3; every row's set and redo equal
     # those of its own one-row _blocks call, which takes no pass
     p = _coarse_problem(fname, dname)
+    _scan_only(monkeypatch, p)
     coarse = _spy(monkeypatch, "_coarse")
     xs = np.linspace(-3.0, 3.0, 17) + 0.01
     for t in (0.1, 1.0, 15.0, 1e3):
@@ -1718,6 +1739,7 @@ def test_fine_one_row_block_takes_the_coarse_pass(monkeypatch):
     # a point solve over 2**14 cells takes the pass, and reaches the best
     # value of a dense scan of 2**16 points
     p = Problem(flux.burgers(), idata.sin_wave(), n_scan=2 ** 14)
+    _scan_only(monkeypatch, p)
     coarse = _spy(monkeypatch, "_coarse")
     u = np.linspace(p._s[0], p._s[-1], 2 ** 16)
     for x, t in ((-1.3, 0.4), (0.2, 1.0), (2.1, 3.0), (0.0, 5.0)):
