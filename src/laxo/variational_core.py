@@ -351,8 +351,9 @@ class GeneralProblem:
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
         t = _checked_t(t)
-        return self._blocks(np.array([x], dtype=float), np.array([t]),
-                            *self._window(t)).sets()[0]
+        return (self._blocks if t < self.t_one else self._scan)(
+            np.array([x], dtype=float), np.array([t]),
+            *self._window(t)).sets()[0]
 
     def _cells(self, lo, hi, a, b):
         """The u-windows (start, width) of the H-intervals [lo, hi]: the
