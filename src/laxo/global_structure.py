@@ -364,14 +364,12 @@ class GlobalStructure:
             raise ValueError("need at least two distinct times")
         xs = np.linspace(lo, hi, 801)
         series = []
-        array = self._profile if target is None else {
-            self.profile_u_tilde: self._profile,
-            self.nwave: self._nwave}.get(target)
+        # compared, not hashed: a callable target need not be hashable
+        array = (self._profile if target is None or self.profile_u_tilde ==
+                 target else self._nwave if self.nwave == target else lambda
+                 xs, t: np.array([target(x, t) for x in xs], dtype=float))
         for t in t_list:
-            if array is not None:
-                tv = array(xs, t)
-            else:
-                tv = np.array([target(x, t) for x in xs], dtype=float)
+            tv = array(xs, t)
             if target is not None and not np.isfinite(tv).all():
                 raise ValueError("target values must be finite")
             us = self.problem._maximize_grid(xs, t).u_plus

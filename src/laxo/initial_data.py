@@ -160,10 +160,18 @@ def _descent(p):
             pv.polytrim(pv.polyder(d))).real, p.lo, p.hi)])
         return max(0.0, float(-pv.polyval(xs, d).min()))
     if p.kind == "power" and q["a"] < 0.0 and q["g"] > 0.0:
-        s = max(abs(p.lo - q["x_ref"]), abs(p.hi - q["x_ref"]))
-        return -q["a"] * q["g"] * s ** (q["g"] - 1.0) if q["g"] >= 1.0 \
-            else math.inf
+        g, s = q["g"], max(abs(p.lo - q["x_ref"]), abs(p.hi - q["x_ref"]))
+        return -q["a"] * g * s ** (g - 1.0) if g >= 1.0 else math.inf
     return 0.0
+
+
+def _end_limits(p, f):
+    """phi(lo+) and phi(hi-) on the piece, f its term: a power term of
+    g = 0 steps at x_ref, where sgn(0) reads 0, so an end at x_ref takes
+    the value of the piece's side."""
+    q, g0 = p.params, p.kind == "power" and p.params["g"] == 0
+    return tuple(q.get("b", 0.0) + s * q["a"] if g0 and e == q["x_ref"]
+                 else float(f(float(e))) for e, s in ((p.lo, 1), (p.hi, -1)))
 
 
 def _interval(edges, x, last):
@@ -427,14 +435,16 @@ class InitialData(_Extended):
         Returns sorted arrays ``(y, left, right)`` of the points and of
         phi(y-) and phi(y+) there: every piece end where phi jumps (a window
         end against a tail, and the seam of periodic data, included) and
-        every power piece's x_ref inside its piece.  A jump below 1e-12 of
-        phi's size there counts as none, so the seam of ``sin_wave`` is no
+        every power piece's x_ref inside its piece.  A piece end reads the
+        piece's one-sided limit (``_end_limits``), so a g = 0 power piece
+        whose x_ref is its end steps there.  A jump below 1e-12 of phi's
+        size there counts as none, so the seam of ``sin_wave`` is no
         breakpoint.  Periodic data give the points of [w_lo, w_hi).
         """
         ps = self.pieces
         y = [p.lo for p in ps] + [self.w_hi]
-        left = [float(f(float(p.hi))) for p, (f, _) in zip(ps, self._terms)]
-        right = [float(f(float(p.lo))) for p, (f, _) in zip(ps, self._terms)]
+        ends = [_end_limits(p, f) for p, (f, _) in zip(ps, self._terms)]
+        right, left = [e[0] for e in ends], [e[1] for e in ends]
         if self.period is None:
             left, right = [self.left_tail] + left, right + [self.right_tail]
         else:
@@ -457,9 +467,8 @@ class InitialData(_Extended):
         (``_descent``); the tails are constant.  A window of no pieces is
         one point where phi reads 0: inf where the tails do not straddle
         0, as phi falls and rises there."""
-        if not (self.pieces or self.left_tail <= 0.0 <= self.right_tail):
-            return math.inf
-        return max([_descent(p) for p in self.pieces], default=0.0)
+        return max([_descent(p) for p in self.pieces] or [
+            0.0 if self.left_tail <= 0.0 <= self.right_tail else math.inf])
 
     def _estimate_bound(self):
         vals = []

@@ -62,17 +62,16 @@ _PROBES = np.arange(1.0, 6.0)
 # constants of the hot path as 0-d arrays, as ``_search``'s ``_ZERO``: numpy
 # takes them faster than Python numbers, and computes the same numbers
 _HALF, _TWO, _TWO_I = np.array(0.5), np.array(2.0), np.array(2)
-# the fixed cost of one round of ``_one_roots``' search, in psi reads: about
-# 15 numpy calls of 1-2 us against 10-15 ns a read (2-core Xeon, numpy 2.4)
-ROUND_READS = 1536
 
 
 @functools.lru_cache(maxsize=256)
 def _fan_out(rows, cells):
     """The fan-out k of ``_one_roots``' rounds on rows whose windows span
     at most ``cells`` grid cells: of the d-round searches, k = ceil(cells
-    ** (1 / d)), the one of least cost d (ROUND_READS + rows (k - 1))."""
-    return min((d * (ROUND_READS + rows * (k - 1)), k) for d, k in (
+    ** (1 / d)), the one of least cost d (1 536 + rows (k - 1))."""
+    # 1 536 psi reads: the fixed cost of one round, about 15 numpy calls of
+    # 1-2 us against 10-15 ns a read (2-core Xeon, numpy 2.4)
+    return min((d * (1536 + rows * (k - 1)), k) for d, k in (
         (d, max(1, math.ceil(cells ** (1.0 / d) - 1e-9)))
         for d in range(1, max(1, cells.bit_length()) + 1)))[1]
 
@@ -351,9 +350,8 @@ class GeneralProblem:
         if not math.isfinite(x):
             raise ValueError("x and t must be finite, with t positive")
         t = _checked_t(t)
-        return (self._blocks if t < self.t_one else self._scan)(
-            np.array([x], dtype=float), np.array([t]),
-            *self._window(t)).sets()[0]
+        return self._blocks(np.array([x], dtype=float), np.array([t]),
+                            *self._window(t)).sets()[0]
 
     def _cells(self, lo, hi, a, b):
         """The u-windows (start, width) of the H-intervals [lo, hi]: the
@@ -509,9 +507,11 @@ class GeneralProblem:
         window and one time) would shut them out; a lifespan's probe is
         one row.
         """
-        one = t < self.t_one
-        if not np.count_nonzero(one):
+        # one scalar test for a point solve's one row
+        if not (t[0] < self.t_one if len(t) == 1
+                else np.count_nonzero(t < self.t_one)):
             return self._scan(xs, t, start, width)
+        one = t < self.t_one
         m, q = len(xs), one.nonzero()[0]
         out = self._one_roots(*(v if len(q) == m else v[q]
                                 for v in (xs, t, start, width)))
@@ -704,10 +704,13 @@ class GeneralProblem:
         grid a point solve takes a 46-way round and its last read (one
         read of the whole window cost about 15% more per solve), a slice
         of 32 points 13-way rounds, and the 4 096 knots of ``restart``
-        binary ones.  On that cell the scan's own arithmetic follows: E at
-        s_i and s_i+1, where the scan's grid maximum lies, picks the run
-        middle m as its plateau rule does (s_i where E is larger there,
-        else s_i+1), then ``_carrier`` and ``_refine`` as in
+        binary ones.  Rows whose reads would hold more than BLOCK_ELEMS
+        values, rows (k + 3) at most, split in equal parts that each take
+        their own rounds, so the kernel's temporaries stay within a scan
+        block's: restart's knots go in two halves of 2 048.  On that cell
+        the scan's own arithmetic follows: E at s_i and s_i+1, where the
+        scan's grid maximum lies, picks the run middle m as its plateau
+        rule does (s_i where E is larger there, else s_i+1), then ``_carrier`` and ``_refine`` as in
         ``_maximize_block``, and max_value is the best of those two grid
         values and E at the refined point.  So a row's answer depends
         neither on its window nor on the rows with it, and equals the
@@ -715,6 +718,13 @@ class GeneralProblem:
         """
         rows, Hs, n = len(xs), self._Hs, len(self._s)
         k = _fan_out(rows, int(width.max()) - 1)
+        parts = -(-rows * (k + 3) // BLOCK_ELEMS)
+        if parts > 1:
+            # a read holds at most k + 3 points a row: rows split in parts
+            # whose reads fit in BLOCK_ELEMS, as a scan block's cells do
+            return _Rows.join([(q, self._one_roots(*(v[q] for v in (
+                xs, t, start, width)))) for q in np.array_split(
+                    np.arange(rows), parts)], rows)
         x, tq, a = xs[:, None], t[:, None], start[:, None]
         P = a + (width[:, None] - 1) * np.arange(k + 1) // k
         neg = self._psi_grid(x, tq, P) <= _ZERO
@@ -731,9 +741,10 @@ class GeneralProblem:
             if c <= k:
                 break
             P = a[:, None] + (b - a)[:, None] * np.arange(k + 1) // k
-            neg = np.ones((rows, k + 1), dtype=bool)
-            neg[:, 0] = False
+            # the bracket's ends: psi > 0 at a, kept from the first read,
+            # and psi <= 0 at b
             neg[:, 1:-1] = self._psi_grid(x, tq, P[:, 1:-1]) <= _ZERO
+            neg[:, -1] = True
         # the last read: the bracket and one point beyond each end, column
         # j at the grid index a - 1 + j clipped, so the carrier's too
         v = self._psi_grid(x, tq, np.minimum(np.maximum(
@@ -1304,9 +1315,8 @@ class Problem(GeneralProblem):
         # grid end for every named flux
         _, left, right = data.breakpoints()
         if flux.kind != "custom" and not np.count_nonzero(left > right):
-            fall = data._descent()
-            curv = float(np.max(flux.second(self._s[[0, -1]])))
-            self.t_one = math.inf if fall == 0.0 else 1.0 / (curv * fall)
+            fall = data._descent() * np.max(flux.second(self._s[[0, -1]]))
+            self.t_one = math.inf if fall == 0.0 else float(1.0 / fall)
 
     def _preimage(self, v, a, b):
         """``GeneralProblem._preimage``, in closed form for named fluxes."""
@@ -1325,10 +1335,11 @@ class Problem(GeneralProblem):
         The knot values are u+ at the 4096 interval midpoints, maximized as
         ``solve_grid`` maximizes a grid, read as the u+ array of
         ``_maximize_grid`` with no MaximizerSet built.  Before the breaking
-        time ``t_one`` every knot takes the one-root kernel, 11 binary
-        rounds on ``sin_wave()`` at tau = 0.5, in about half the time of
-        the scan's 9 blocks; from it on, most take the scan over a u-window of a few
-        dozen cells that the neighbouring knots' feet leave them.
+        time ``t_one`` every knot takes the one-root kernel, two halves of
+        11 binary rounds each on ``sin_wave()`` at tau = 0.5, in about half
+        the time of the scan's 9 blocks; from it on, most take the scan
+        over a u-window of a few dozen cells that the neighbouring knots'
+        feet leave them.
         Each equals ``solve(x, tau).u_plus`` bit for bit wherever the knot's
         kept runs and bands lie inside its window, as in every tested
         restart.  On periodic data the restarted problem is periodic too, so

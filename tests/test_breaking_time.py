@@ -65,6 +65,19 @@ _T_ONE = {
     "power_g_half_rising": (lambda: idata.InitialData(
         [P(-1.0, 1.0, "power", {"a": 0.5, "g": 0.5, "x_ref": 0.0})],
         left_tail=-0.5, right_tail=0.5), math.inf),
+    # a g = 0 power piece steps at an x_ref on its end, where sgn(0) reads
+    # b: -sgn(x) on [0, 1] steps down from the tail 0 at x = 0, and
+    # -sgn(x - 1) reads 1 up to x = 1, then the tail 0.5
+    "power_g0_step_at_lo": (lambda: idata.InitialData(
+        [P(0.0, 1.0, "power", {"a": -1.0, "g": 0.0, "x_ref": 0.0})],
+        left_tail=0.0, right_tail=-1.0), 0.0),
+    "power_g0_step_at_hi": (lambda: idata.InitialData(
+        [P(0.0, 1.0, "power", {"a": -1.0, "g": 0.0, "x_ref": 1.0})],
+        left_tail=0.0, right_tail=0.5), 0.0),
+    # up-steps at both ends: 0 -> 1 at x_ref = lo, then the tail 1
+    "power_g0_rising_at_lo": (lambda: idata.InitialData(
+        [P(0.0, 1.0, "power", {"a": 1.0, "g": 0.0, "x_ref": 0.0})],
+        left_tail=0.0, right_tail=1.0), math.inf),
     "sampled_nondecreasing": (lambda: idata.SampledData(
         np.linspace(-2.0, 2.0, 9), np.array([-1.0, -1.0, -0.5, 0.0, 0.0,
                                              0.2, 0.5, 1.0, 1.0])),
@@ -88,6 +101,25 @@ _T_ONE = {
 def test_t_one_per_piece_kind(name):
     make, want = _T_ONE[name]
     assert Problem(_B, make()).t_one == pytest.approx(want, rel=1e-12)
+
+
+def test_power_step_at_a_piece_end_is_a_shock():
+    # the down-step 0 -> -1 at x = 0 moves at speed -1/2 under Burgers: on
+    # the shock the solve reads both sides, as the scan does, and the
+    # breakpoints hold the step with its one-sided limits
+    d = _T_ONE["power_g0_step_at_lo"][0]()
+    y, left, right = d.breakpoints()
+    assert (y.tolist(), left.tolist(), right.tolist()) == ([0.0], [0.0],
+                                                           [-1.0])
+    y, left, right = _T_ONE["power_g0_step_at_hi"][0]().breakpoints()
+    assert (y.tolist(), left.tolist(), right.tolist()) == ([0.0, 1.0],
+                                                           [0.0, 1.0],
+                                                           [1.0, 0.5])
+    p = Problem(_B, d)
+    for x, t in ((-0.3, 0.6), (-0.5, 1.0)):
+        s = p.solve(x, t)
+        assert s.is_shock and s.u_plus == -1.0 and abs(s.u_minus) < 1e-9
+        assert repr(s.maximizer) == repr(_scan(p, x, t))
 
 
 def test_t_one_per_flux():
@@ -208,7 +240,8 @@ def test_one_root_rows_equal_the_scan(data):
         ref = _scan(p, float(mids[k]), tau)
         if _one_point(ref):
             assert knots.us[k] == ref.u_plus
-    assert kernel[-1] == 4096 and len(kernel) == 2 * len(xs) + 2
+    # restart's knots come in one call and split in two halves
+    assert kernel[2 * len(xs) + 1:] == [4096, 2048, 2048]
 
 
 def test_bound_below_sup_phi_falls_back_to_the_scan():
@@ -242,7 +275,7 @@ def test_rows_of_many_times_split_between_kernel_and_scan():
                                      zip(xs.tolist(), ts.tolist())])
 
 
-# -- the kernel's work ---------------------------------------------------------
+# -- the kernel's work --------------------------------------------------------
 
 def _reads(monkeypatch):
     """Record the shape of every psi read of the kernel's rounds."""
@@ -266,8 +299,10 @@ def test_fan_out_per_row_count():
 
 def test_kernel_reads_and_rounds(monkeypatch):
     # Burgers/sine at t = 0.5: the rounds' psi reads of a point solve, a
-    # 32-point slice and restart's 4 096 knots; the last read of each holds
-    # the carrier's three points, so no other psi read of the grid runs
+    # 32-point slice and restart's 4 096 knots, two halves of 2 048 whose
+    # reads hold at most 2 048 * 5 values, within BLOCK_ELEMS; the last
+    # read of each holds the carrier's three points, so no other psi read
+    # of the grid runs
     p = Problem(_B, idata.sin_wave())
     reads = _reads(monkeypatch)
     for x in (-2.0, 0.3, 2.9):
@@ -280,4 +315,5 @@ def test_kernel_reads_and_rounds(monkeypatch):
     assert reads == [(32, 14), (32, 12), (32, 16)]
     reads.clear()
     p.restart(0.5)
-    assert reads == [(4096, 3)] + [(4096, 1)] * 9 + [(4096, 5)]
+    assert reads == ([(2048, 3)] + [(2048, 1)] * 9 + [(2048, 5)]) * 2
+    assert max(r * c for r, c in reads) <= vc.BLOCK_ELEMS

@@ -210,6 +210,41 @@ def test_decay_l1_nwave(sin_gs):
         assert v <= 1.0 / t
 
 
+def test_decay_own_targets_are_one_array_call(sin_gs, monkeypatch):
+    # the object's own nwave and profile_u_tilde are one array call per
+    # time, each series the point calls' bit for bit; an unhashable
+    # callable target (eq without hash) is called point by point
+    ts, calls, refs = [10.0, 20.0], [], {}
+    for name in ("_nwave", "_profile"):
+        real = getattr(sin_gs, name)
+        monkeypatch.setattr(sin_gs, name, lambda xs, t, name=name, real=real:
+                            calls.append((name, len(xs))) or real(xs, t))
+    for own, name in ((sin_gs.nwave, "_nwave"),
+                      (sin_gs.profile_u_tilde, "_profile")):
+        calls.clear()
+        fit = sin_gs.measure_decay("l1", (-3.0, 3.0), ts, target=own)
+        assert [c for c in calls if c[0] == name] == [(name, 801)] * 2
+        calls.clear()
+        refs[name] = sin_gs.measure_decay("l1", (-3.0, 3.0), ts,
+                                          target=lambda x, t, f=own: f(x, t))
+        assert fit == refs[name]
+        assert [c for c in calls if c[0] == name] == [(name, 1)] * 1602
+
+    class Target:
+        __hash__ = None
+
+        def __eq__(self, other):
+            return isinstance(other, Target)
+
+        def __call__(self, x, t):
+            return sin_gs.nwave(x, t)
+
+    calls.clear()
+    assert sin_gs.measure_decay("l1", (-3.0, 3.0), ts, target=Target()) \
+        == refs["_nwave"]
+    assert [c for c in calls if c[0] == "_nwave"] == [("_nwave", 1)] * 1602
+
+
 def test_decay_degenerate_flux():
     # quartic flux spreads mass cubically: sup-norm decays like t^{-1/3}
     gs = GlobalStructure(Problem(flux.power2n(2), idata.sin_wave()))
