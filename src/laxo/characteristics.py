@@ -152,10 +152,12 @@ class CharacteristicAnalyzer:
         limit on the rarefaction side, phi identically c there, or a limit
         within ``jump_tol`` of c, as for an x0 or c known to fewer digits
         (a divide that the hull locates to about 1e-8, say), give inf.
-        x0 is taken as exact: a foot that rounding moved off a jump of phi
-        reads both limits on one side of the jump, so a caller holding the
-        foot of a solved point checks ``carries`` first, as
-        ``ShockAnalyzer.classify_point`` does.
+        x0 is taken as exact, up to the data's side table: within 1e-14
+        of a piece end, a knot where phi jumps or a power piece's x_ref,
+        x0 reads the limits there (``phi_side``).  A foot that rounding
+        moved farther off a jump of phi reads both limits on one side of
+        the jump, so a caller holding the foot of a solved point checks
+        ``carries`` first, as ``ShockAnalyzer.classify_point`` does.
         """
         flux_side = "right" if data_side == "left" else "left"
         try:

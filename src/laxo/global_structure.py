@@ -53,8 +53,11 @@ class HullReport:
     window joined with [-N, N] when N is given, and at every point where
     phi breaks (``data.breakpoints``): a contact at a kink of the
     primitive, such as a knot of sampled data, is a node, so K0 holds it
-    exactly.  ``gaps`` is the gap table that ``partition`` and the N-wave
-    read.
+    exactly.  K0 is never empty: on tailed data it holds every vertex of
+    the envelope, each a node where the envelope meets the primitive, and
+    on periodic data the node where the primitive less the mean line is
+    least.
+    ``gaps`` is the gap table that ``partition`` and the N-wave read.
     """
 
     def __init__(self, data, N):
@@ -246,8 +249,6 @@ class GlobalStructure:
             hull = self.convex_hull()
         except HullInfinite as err:
             raise NoDivides(str(err)) from err
-        if not hull.K0:
-            raise NoDivides("the contact set of the envelope is empty")
         regions = [Region("divide", comp, np.nan) for comp in hull.K0]
         regions += [Region("gap", (e, h), c)
                     for e, h, c in zip(*(v.tolist() for v in hull.gaps))]
@@ -307,21 +308,21 @@ class GlobalStructure:
 
     def _nwave(self, xs, t):
         """``nwave`` at every x of the array xs.  On periodic data each x
-        is shifted into the tile of its backward foot; the bands that the
+        is shifted by the tile (``_tile``) of its backward foot
+        x - t f'(m) counted from the first divide K0[0][0], where the gap
+        table's wrap gap ends, not from w_lo; the bands that the
         gaps of the hull's gap table sweep, (e, h) + t f'(c), are disjoint
         and in order, so one searchsorted finds the band that holds each
         point, whose value is the fan from the gap's end on its side of
         the shock (one ``_fan`` call), and every other point takes
-        ``_profile``.  A bad x or t raises ValueError, an empty contact set
-        NoDivides."""
+        ``_profile``.  A bad x or t raises ValueError, and data whose
+        envelope is -inf HullInfinite."""
         _check_point(xs, t)
         hull = self.convex_hull()
-        if not hull.K0:
-            raise NoDivides("the contact set of the envelope is empty")
         xq = xs
         if hull.period is not None:
             xq = xs - hull.period * self.data._tile(
-                xs - t * self.flux.deriv(hull.slope_left))
+                xs - t * self.flux.deriv(hull.slope_left), hull.K0[0][0])
         e, h, c = hull.gaps
         d = t * self.flux.deriv(c)
         # k: the first band whose right edge lies right of x; an x right of

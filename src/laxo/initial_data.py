@@ -7,6 +7,7 @@ Dini derivatives, tail invariants, local power expansions) is exact.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ def _terms(p):
 def _pderivs(p, x0):
     """Derivatives (phi, phi', ..., phi^(_KMAX)) of the piece term at x0.
 
-    Only valid where the term is smooth (power terms away from x_ref).
+    Only valid where the term is smooth: ``local_expansion`` takes a power
+    term's x_ref itself, and ``_terms`` has refused an unknown kind.
     """
     q = p.params
     out = []
@@ -101,24 +103,21 @@ def _pderivs(p, x0):
         for k in range(_KMAX + 1):
             out.append(a * b ** k * math.sin(b * x0 + c + shift + k * math.pi / 2.0))
         return out
-    if p.kind == "power":
-        s0 = x0 - q["x_ref"]
-        if abs(s0) <= _EPS:
-            raise FitError("power piece is non-smooth at its reference point")
-        a, g = q["a"], q["g"]
-        sgn = math.copysign(1.0, s0)
-        # h(s) = a*sgn(s)|s|^g: for s>0 a*s^g; for s<0 -a*(-s)^g
-        coef = a * sgn
-        for k in range(_KMAX + 1):
-            fall = 1.0
-            for i in range(k):
-                fall *= (g - i)
-            val = coef * fall * abs(s0) ** (g - k) * (sgn ** k)
-            if k == 0:
-                val += q.get("b", 0.0)
-            out.append(val)
-        return out
-    raise ValueError(f"unknown piece kind {p.kind!r}")
+    # a power term, x0 off x_ref: h(s) = a*sgn(s)|s|^g, for s>0 a*s^g,
+    # for s<0 -a*(-s)^g
+    s0 = x0 - q["x_ref"]
+    a, g = q["a"], q["g"]
+    sgn = math.copysign(1.0, s0)
+    coef = a * sgn
+    for k in range(_KMAX + 1):
+        fall = 1.0
+        for i in range(k):
+            fall *= (g - i)
+        val = coef * fall * abs(s0) ** (g - k) * (sgn ** k)
+        if k == 0:
+            val += q.get("b", 0.0)
+        out.append(val)
+    return out
 
 
 def _critical_points(p):
@@ -276,9 +275,11 @@ class _Extended:
         self._norm = float(self._evaluator(self._inner_primitive, 0.0)(0.0))
         self._prim = self._evaluator(self._inner_primitive, self._norm)
 
-    def _tile(self, x):
-        """The tile k of periodic data, [w_lo, w_hi) + kP, that holds x."""
-        return np.floor((x - self.w_lo) / self.period)
+    def _tile(self, x, origin=None):
+        """The tile k of periodic data, [o, o + P) + kP, that holds x: o is
+        w_lo, or the origin given."""
+        return np.floor((x - (self.w_lo if origin is None else origin))
+                        / self.period)
 
     def _evaluator(self, inner, norm):
         """phi, or where norm is a number Phi - norm, on the whole line as
@@ -352,6 +353,68 @@ class _Extended:
                  self._win + _tail_line(self.right_tail, np.inf) - norm))
         return out
 
+    def _set_sides(self, y, left, right, brk):
+        """Store the side table: the sorted points y of [w_lo, w_hi] where
+        phi's one-sided limits are read off, not evaluated, with phi(y-)
+        and phi(y+) there, and brk, whether a row is a breakpoint.  On
+        periodic data the seam is a row at w_lo and one at w_hi, and only
+        the first is a breakpoint."""
+        self._sides = tuple(np.asarray(v, dtype=float)
+                            for v in (y, left, right))
+        self._brk = brk & ((self._sides[0] < self.w_hi)
+                           | (self.period is None))
+
+    def breakpoints(self):
+        """The points of the window where phi is not smooth, and its limits.
+
+        Returns sorted arrays ``(y, left, right)`` of the points and of
+        phi(y-) and phi(y+) there: the rows of the side table that hold a
+        jump, or a power piece's x_ref inside its piece.  Periodic data
+        give the points of [w_lo, w_hi).
+        """
+        return tuple(v[self._brk] for v in self._sides)
+
+    def _side(self, x0, side):
+        """phi's one-sided limit at x0, and x0's point of the window: x0
+        reduced as phi reduces it (on periodic data by the tile index
+        ``_tile``, where |x0| < ``_x_max``, else ValueError), taken onto
+        the side table's nearest point where that lies within 1e-14."""
+        _check_side(side)
+        if not math.isfinite(x0):
+            raise ValueError("x0 must be finite")
+        r = float(x0)
+        if self.period is not None:
+            if not abs(r) < self._x_max:        # as in phi
+                raise ValueError(
+                    f"|x| must stay below {self._x_max:.6g} on periodic data")
+            r = min(max(float(r - self._tile(r) * self.period), self.w_lo),
+                    self.w_hi)
+        y = self._sides[0]
+        i = bisect_left(y, r)       # on a scalar, faster than searchsorted
+        if i and (i == len(y) or r - y[i - 1] < y[i] - r):
+            i -= 1
+        if i < len(y) and abs(y[i] - r) <= 1e-14:
+            lim = self._sides[2 if side == "right" else 1][i]
+            return float(lim), float(y[i])
+        if self.period is None and not self.w_lo <= r <= self.w_hi:
+            return (self.left_tail if r < self.w_lo else self.right_tail), r
+        return float(self._inner_phi(np.array([r]))[0]), r
+
+    def phi_side(self, x0, side):
+        """phi(x0-) or phi(x0+), the one-sided limit of phi at x0.
+
+        x0 is reduced as phi reduces it.  Within 1e-14 of a point of the
+        side table the limit is the table's; anywhere else phi is
+        continuous, and both limits are phi(x0), read from the window's
+        pieces or knots, or from a tail.
+        """
+        return self._side(x0, side)[0]
+
+    def dini(self, x0):
+        """phi(x0-) and phi(x0+), as ``phi_side`` reads them."""
+        return DiniPack(x0, self.phi_side(x0, "left"),
+                        self.phi_side(x0, "right"))
+
     def phi(self, x):
         return self._phi(x)
 
@@ -407,6 +470,7 @@ class InitialData(_Extended):
             lambda r, F=F, c=np.array(c, dtype=float): F(r) + c
             for (_, F), c in zip(self._terms, offs)])
         self._build()
+        self._side_table()
         self.bound = float(bound) if bound is not None else self._estimate_bound()
         _check_finite("bound", self.bound)
 
@@ -429,38 +493,32 @@ class InitialData(_Extended):
             return out
         return inner
 
-    def breakpoints(self):
-        """The points of the window where phi is not smooth, and its limits.
-
-        Returns sorted arrays ``(y, left, right)`` of the points and of
-        phi(y-) and phi(y+) there: every piece end where phi jumps (a window
-        end against a tail, and the seam of periodic data, included) and
-        every power piece's x_ref inside its piece.  A piece end reads the
-        piece's one-sided limit (``_end_limits``), so a g = 0 power piece
-        whose x_ref is its end steps there.  A jump below 1e-12 of phi's
-        size there counts as none, so the seam of ``sin_wave`` is no
-        breakpoint.  Periodic data give the points of [w_lo, w_hi).
-        """
-        ps = self.pieces
-        y = [p.lo for p in ps] + [self.w_hi]
-        ends = [_end_limits(p, f) for p, (f, _) in zip(ps, self._terms)]
-        right, left = [e[0] for e in ends], [e[1] for e in ends]
-        if self.period is None:
-            left, right = [self.left_tail] + left, right + [self.right_tail]
-        else:
-            y, left = y[:-1], left[-1:] + left[:-1]
-        rows = [(b, lv, rv) for b, lv, rv in zip(y, left, right)
-                if abs(lv - rv) > 1e-12 * (1.0 + abs(lv) + abs(rv))]
-        for p in ps:
+    def _side_table(self):
+        """The side table of piece data: each piece end, the window's ends
+        and the seam included, with phi's one-sided limits there as
+        ``_end_limits`` reads them (the tails beyond a window end, the far
+        end across the seam), and each power piece's x_ref inside its
+        piece.  Its breakpoints are the x_refs and the ends where phi jumps
+        by more than 1e-12 of its size there, so the seam of ``sin_wave``
+        is none."""
+        ends = [_end_limits(p, f)
+                for p, (f, _) in zip(self.pieces, self._terms)]
+        lims, seam = [v for e in ends for v in e], self.period is not None
+        lims = ([lims[-1] if seam else self.left_tail] + lims
+                + [lims[0] if seam else self.right_tail])
+        rows = [(y, lv, rv, False) for y, lv, rv in
+                zip(self._breaks.tolist(), lims[::2], lims[1::2])]
+        for p in self.pieces:
             q = p.params
             if p.kind == "power" and p.lo < q["x_ref"] < p.hi:
                 # a sgn(s) |s|^g + b: a jump of 2a for g = 0, else continuous
                 jump = q["a"] if q["g"] == 0 else 0.0
                 b = q.get("b", 0.0)
-                rows.append((q["x_ref"], b - jump, b + jump))
-        rows.sort()
-        return tuple(np.array(v, dtype=float).reshape(-1)
-                     for v in (zip(*rows) if rows else ([], [], [])))
+                rows.append((q["x_ref"], b - jump, b + jump, True))
+        y, left, right, kink = (np.array(v) for v in zip(*sorted(rows)))
+        brk = kink | (np.abs(left - right)
+                      > 1e-12 * (1.0 + np.abs(left) + np.abs(right)))
+        self._set_sides(y, left, right, brk)
 
     def _descent(self):
         """sup of (-phi')_+ off the breakpoints, over every piece
@@ -482,65 +540,39 @@ class InitialData(_Extended):
 
     # -- one-sided structure ----------------------------------------------
 
-    def _side_piece(self, x0, side):
-        """Piece (or tail constant) governing phi just left/right of x0."""
-        _check_finite("x0", x0)
-        _check_side(side)
-        if self.period is not None:
-            if not abs(x0) < self._x_max:       # as in phi
-                raise ValueError(
-                    f"|x| must stay below {self._x_max:.6g} on periodic data")
-            # % keeps r in [w_lo, w_lo + P); phi's floor can land 1 ulp below
-            r = self.w_lo + (x0 - self.w_lo) % self.period
-            if side == "left" and r - self.w_lo < 1e-12:
-                r = self.w_hi
-            elif side == "right" and r >= self.w_hi - 1e-14:
-                r = self.w_lo
-            x0 = r
-        if side == "left":
-            if x0 <= self.w_lo + 1e-14:
-                return None, self.left_tail, x0
-            for p in self.pieces:
-                if p.lo < x0 <= p.hi + 1e-14:
-                    return p, None, x0
-            return None, self.right_tail, x0
-        if x0 >= self.w_hi - 1e-14:
-            return None, self.right_tail, x0
-        for p in self.pieces:
-            if p.lo - 1e-14 <= x0 < p.hi:
-                return p, None, x0
-        return None, self.left_tail, x0
-
-    def phi_side(self, x0, side):
-        """One-sided limit of phi at x0."""
-        p, tail, xr = self._side_piece(x0, side)
-        if p is None:
-            return float(tail)
-        return float(_terms(p)[0](np.asarray(xr, dtype=float)))
-
-    def dini(self, x0):
-        return DiniPack(x0, self.phi_side(x0, "left"), self.phi_side(x0, "right"))
-
     def local_expansion(self, x0, c, side):
         """phi(x0+l) - c = (C+o(1)) sgn(l)|l|^gamma on the given side.
+
+        x0 is reduced as ``phi_side`` reduces it, and taken onto the point
+        of the side table within 1e-14 of it.  The side's piece is the one
+        that the evaluators' ``_interval`` search gives for x0 (right), or
+        for the float below it (left); on periodic data the seam's left
+        side is the last piece at w_hi.  A power piece's x_ref within 1e-12
+        of x0 gives its own exponent, anywhere else the piece's Taylor
+        coefficients give it.
 
         Raises FitError when phi is identically c on the side (gamma = inf
         sentinel semantics) or when the one-sided limit differs from c.
         """
-        _check_finite("c", c)
-        p, tail, xr = self._side_piece(x0, side)
-        if p is None:
-            if abs(tail - c) <= 1e-12:
-                raise FitError("phi is identically c on this side")
+        if not math.isfinite(c):
+            raise ValueError("c must be finite")
+        lim, r = self._side(x0, side)
+        if abs(lim - c) > 1e-12:
             raise FitError("one-sided limit of phi differs from c")
-        if abs(self.phi_side(x0, side) - c) > 1e-12:
-            raise FitError("one-sided limit of phi differs from c")
-        if p.kind == "power" and abs(xr - p.params["x_ref"]) <= _EPS:
-            a, g = p.params["a"], p.params["g"]
-            if a == 0 or g == 0:    # the term is constant on each side
+        left = side == "left"
+        if self.period is not None and r == (self.w_lo if left else self.w_hi):
+            r = self.w_hi if left else self.w_lo        # across the seam
+        s = math.nextafter(r, -math.inf) if left else r
+        if not self.w_lo <= s < self.w_hi:      # a tail, constant
+            raise FitError("phi is identically c on this side")
+        p = self.pieces[_interval(self._breaks, np.array([s]),
+                                  len(self.pieces) - 1)[0]]
+        q = p.params
+        if p.kind == "power" and abs(r - q["x_ref"]) <= _EPS:
+            if q["a"] == 0 or q["g"] == 0:  # the term is constant on each side
                 raise FitError("phi is identically c on this side")
-            return LocalExpansion(x0, side, c, float(g), float(a))
-        ders = _pderivs(p, xr)
+            return LocalExpansion(x0, side, c, float(q["g"]), float(q["a"]))
+        ders = _pderivs(p, r)
         scale = max(1.0, max(abs(d) for d in ders))
         for k in range(1, _KMAX + 1):
             ak = ders[k] / math.factorial(k)
@@ -650,6 +682,7 @@ class SampledData(_Extended):
         self._win = self._P[-1]
         self._build_buckets()
         self._build()
+        self._side_table()
         self.bound = float(np.max(np.abs(us))) + 1e-12
 
     def _build_buckets(self):
@@ -699,34 +732,24 @@ class SampledData(_Extended):
         idx = self._knot(r)
         return self._P[idx] + self.us[idx] * (r - self.xs[idx])
 
-    def breakpoints(self):
-        """The knots where phi jumps, and its limits there.
-
-        Returns sorted arrays ``(y, left, right)`` of the knots and of
-        phi(y-) and phi(y+); periodic data give the knots of [w_lo, w_hi).
-        """
+    def _side_table(self):
+        """The side table of sampled data: the knots where phi jumps, with
+        phi(y-) and phi(y+), each one a breakpoint; on periodic data us[-2]
+        holds left of the seam and us[0] right of it."""
         us = self.us
         if self.period is None:
-            y, left, right = self.xs, np.concatenate([us[:1], us[:-1]]), us
+            left, right = np.concatenate([us[:1], us[:-1]]), us
         else:
-            y, left = self.xs[:-1], np.concatenate([us[-2:-1], us[:-2]])
-            right = us[:-1]
+            left = np.concatenate([us[-2:-1], us[:-1]])
+            right = np.concatenate([us[:-1], us[:1]])
         jump = left != right
-        return y[jump], left[jump], right[jump]
+        self._set_sides(self.xs[jump], left[jump], right[jump], True)
 
     def _descent(self):
         """phi is constant between knots: phi' = 0 off the breakpoints."""
         return 0.0
 
     # -- one-sided structure ----------------------------------------------
-
-    def phi_side(self, x0, side):
-        """One-sided limit of phi at x0 (phi is right-continuous)."""
-        _check_finite("x0", x0)
-        _check_side(side)
-        if side == "left":
-            x0 = np.nextafter(x0, -np.inf)
-        return float(self.phi(x0))
 
     def local_expansion(self, x0, c, side):
         """phi is constant on each side of x0, so no power law applies.

@@ -1312,9 +1312,10 @@ class Problem(GeneralProblem):
         # no down-jump (Lax 1957): before it, t f''(u) (-phi'(y)) < 1, so
         # psi' = -t f'' phi' - 1 < 0 off the breakpoints and psi jumps down
         # across them, and psi falls across the u-grid.  f'' peaks at a
-        # grid end for every named flux
-        _, left, right = data.breakpoints()
-        if flux.kind != "custom" and not np.count_nonzero(left > right):
+        # grid end for every named flux.  The jumps are the engine's table
+        jumps = self._jumps
+        down = jumps is not None and np.count_nonzero(jumps[1] > jumps[2])
+        if flux.kind != "custom" and not down:
             fall = data._descent() * np.max(flux.second(self._s[[0, -1]]))
             self.t_one = math.inf if fall == 0.0 else float(1.0 / fall)
 

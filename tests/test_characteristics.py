@@ -8,6 +8,7 @@ from laxo import _search, characteristics, flux, initial_data as idata
 from laxo.characteristics import (
     T_CAP, T_TOL, CharacteristicAnalyzer, F_l, TerminationClass, phi_l)
 from laxo.errors import BracketError
+from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import Problem
 
 
@@ -132,6 +133,65 @@ def test_spectrum_rejects_nonfinite_x0(sin_analyzer, x0):
         sin_analyzer.char_spectrum(x0)
     with pytest.raises(ValueError):
         sin_analyzer.data.phi_side(x0, "right")
+
+
+def _power_step(a, b, where):
+    """a sgn(x) + b, a g = 0 power term, with x_ref = 0 inside its piece or
+    at either of its ends, between the tails b - a and b + a: the step
+    from b - a to b + a at 0."""
+    lo, hi = {"inside": (-1.0, 1.0), "at_lo": (0.0, 1.0),
+              "at_hi": (-1.0, 0.0)}[where]
+    q = {"a": a, "g": 0.0, "x_ref": 0.0}
+    if b:
+        q["b"] = b
+    return idata.InitialData([idata.Piece(lo, hi, "power", q)],
+                             left_tail=b - a, right_tail=b + a)
+
+
+@pytest.mark.parametrize("where", ["inside", "at_lo", "at_hi"])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+@pytest.mark.parametrize("a", [-1.0, 1.0])
+def test_power_step_reads_as_its_step_twin(a, b, where):
+    # sgn(0) reads 0, so the power term's value at x_ref is b; its limits
+    # there are b -+ a, as the step's are: a = -1 is a shock (S), a = 1 a
+    # rarefaction (R)
+    pw, sp = (Problem(flux.burgers(), d) for d in (
+        _power_step(a, b, where), idata.step(b - a, b + a)))
+    ca, ca_twin = CharacteristicAnalyzer(pw), CharacteristicAnalyzer(sp)
+    sa, sa_twin = ShockAnalyzer(pw), ShockAnalyzer(sp)
+    assert ca.classify_initial_wave(0.0) == ("S" if a < 0 else "R")
+    for x0 in (0.0, -0.5, 0.5):
+        for side in ("left", "right"):
+            assert pw.data.phi_side(x0, side) == sp.data.phi_side(x0, side)
+        assert pw.data.dini(x0) == sp.data.dini(x0)
+        assert ca.char_spectrum(x0) == ca_twin.char_spectrum(x0)
+        assert (ca.classify_initial_wave(x0)
+                == ca_twin.classify_initial_wave(x0))
+        lims = (sp.data.phi_side(x0, "left"), sp.data.phi_side(x0, "right"))
+        for c in lims + (0.5 * sum(lims), b + 2.0):
+            assert ca.lifespan_upper(x0, c) == ca_twin.lifespan_upper(x0, c)
+            assert (sa.generation_point(x0, c)
+                    == sa_twin.generation_point(x0, c))
+            if ca_twin.carries(x0, c):
+                assert (ca.classify_termination(x0, c)
+                        == ca_twin.classify_termination(x0, c))
+
+
+def test_lifespan_exact_rejects_a_point_past_the_float_range():
+    # speeds of about 1e306: the doubling scan's x0 + t f'(c) overflows
+    # at t = 256, before any solve there
+    K, A = 1e306, 1e300
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return K * u + 0.5 * A * u ** 2
+
+    fl = flux.custom(f, lambda u: K + A * np.asarray(u),
+                     lambda u: np.full_like(np.asarray(u, dtype=float), A))
+    ca = CharacteristicAnalyzer(Problem(fl, idata.step(0.0, 1.0)))
+    assert ca.lifespan_upper(5.0, 1.0) == (np.inf, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        ca.lifespan_exact(5.0, 1.0)
 
 
 def test_spectrum_srs_with_root_data():

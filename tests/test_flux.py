@@ -220,6 +220,19 @@ def test_fit_degeneracy_flat_raises():
                      lambda u: np.zeros_like(np.asarray(u, dtype=float)))
     with pytest.raises(FitError):
         fl.fit_degeneracy(0.0, "right")
+    # e^u underflows below -745.13: at c = -745.2 only the widest of the
+    # fit's 21 scales, 0.1, reads f'' > 0
+    with pytest.raises(FitError, match="too few"):
+        flux.exponential().fit_degeneracy(-745.2, "right")
+
+
+@pytest.mark.parametrize("u, v", [(-800.0, -801.0), (-800.0, -800.1)],
+                         ids=["closed_form", "gauss"])
+def test_rho_raises_where_f2_integrates_to_zero(u, v):
+    # f'' = e^u underflows to 0 on the whole interval, in the closed form
+    # f'(hi) - f'(lo) and at every Gauss node alike
+    with pytest.raises(FitError, match="integrates to zero"):
+        flux.exponential().rho(u, v)
 
 
 def test_rho_expansion_ratio(quartic):

@@ -392,7 +392,8 @@ def _nwave_point(gs, x, t):
     hull, fl = gs.convex_hull(), gs.flux
     xq = x
     if hull.period is not None:
-        shift = gs.data._tile(x - t * fl.deriv(hull.slope_left))
+        shift = gs.data._tile(x - t * fl.deriv(hull.slope_left),
+                              hull.K0[0][0])
         xq = x - shift * gs.data.period
     for r in gs.partition().regions:
         if r.kind != "gap":

@@ -291,6 +291,78 @@ def test_side_limits_across_period_boundary():
             d.phi_side(np.pi, side), abs=1e-12)
 
 
+# -- the side table: phi_side and dini read phi's one-sided limits off it ---
+
+def _random_data(rng, sampled, periodic):
+    """Data on [-2, 2], period 4 or random tails: 17 knots with repeated
+    values, or pieces of every kind cut at multiples of 0.25 (a power
+    piece's x_ref at either end or inside), so every point of the table
+    shifted by a period is exact."""
+    tails = ({"period": 4.0} if periodic else
+             dict(zip(("left_tail", "right_tail"), rng.uniform(-1, 1, 2))))
+    if sampled:
+        us = rng.choice([-1.0, -0.5, 0.5, 1.0], 17)
+        if not periodic:
+            us[[0, -1]] = tails["left_tail"], tails["right_tail"]
+        return idata.SampledData(np.linspace(-2.0, 2.0, 17), us,
+                                 period=tails.get("period"))
+    cuts = rng.choice(np.arange(1, 16), rng.integers(1, 5), replace=False)
+    ends = np.concatenate([[-2.0], np.sort(cuts) * 0.25 - 2.0, [2.0]]).tolist()
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        kind = str(rng.choice(["const", "poly", "sin", "cos", "power"]))
+        a, b, c = rng.uniform(-1.0, 1.0, 3).tolist()
+        q = {"const": {"c": c}, "poly": {"coeffs": [a, b, c]},
+             "sin": {"a": a, "b": 2.0 + b, "c": c},
+             "cos": {"a": a, "b": 2.0 + b, "c": c},
+             "power": {"a": a, "g": float(rng.choice([0.0, 1.0, 1.5, 2.0])),
+                       "x_ref": float(rng.choice([lo, hi, 0.5 * (lo + hi)])),
+                       "b": b}}[kind]
+        pieces.append(idata.Piece(lo, hi, kind, q))
+    return idata.InitialData(pieces, **tails)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("periodic", [False, True], ids=["tailed", "periodic"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["pieces", "sampled"])
+def test_side_table_gives_the_limits_and_phi_elsewhere(sampled, periodic,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    d = _random_data(rng, sampled, periodic)
+    y, left, right = d._sides
+    # the table's points: each knot where phi jumps, or each piece end and
+    # each power piece's x_ref inside its piece; its limits are phi's,
+    # read 1e-9 to each side (the seam's across it)
+    h = 1e-9
+    if sampled:
+        jump = d.phi(d.xs - h) != d.phi(d.xs + h)
+        assert y.tolist() == d.xs[jump].tolist()
+    else:
+        want = {p.lo for p in d.pieces} | {d.w_hi} | {
+            p.params["x_ref"] for p in d.pieces
+            if p.kind == "power" and p.lo < p.params["x_ref"] < p.hi}
+        assert y.tolist() == sorted(want)
+    assert left == pytest.approx(d.phi(y - h), abs=1e-6)
+    assert right == pytest.approx(d.phi(y + h), abs=1e-6)
+    if periodic and len(y) and y[0] == d.w_lo:
+        # the seam: one row at each window end, with the same limits
+        assert (y[-1], left[-1], right[-1]) == (d.w_hi, left[0], right[0])
+    shifts = (-4.0, 0.0, 4.0) if periodic else (0.0,)
+    for k, yk in enumerate(y.tolist()):
+        for x0 in (yk + s for s in shifts):
+            for x in (x0, np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf),
+                      x0 - 8e-15, x0 + 8e-15):
+                assert d.dini(x) == idata.DiniPack(x, left[k], right[k])
+    # off the table phi is continuous: both limits are phi(x0), bit for
+    # bit, and a period away the same value, to its rounding
+    for x0 in rng.uniform(-6.0, 6.0, 200).tolist():
+        for x in (x0, x0 + 4.0) if periodic else (x0,):
+            dp = d.dini(x)
+            assert dp.upper_left == dp.lower_right == d.phi(x)
+            assert dp.upper_left == pytest.approx(d.phi_side(x0, "left"),
+                                                  rel=1e-12, abs=1e-12)
+
+
 # -- the periodic / constant-tail extension, shared by every primitive -----
 
 def _cube(u):
@@ -449,6 +521,10 @@ def test_periodic_point_past_safe_range_raises(case, x):
     for side in ("left", "right"):
         with pytest.raises(ValueError, match="periodic data"):
             d.phi_side(-x, side)
+        with pytest.raises(ValueError, match="periodic data"):
+            d.local_expansion(x, float(d.phi(d.w_lo)), side)
+    with pytest.raises(ValueError, match="periodic data"):
+        d.dini(x)
     for fn in (d.phi, d.primitive):
         for v in (x, -x, np.array([d.w_lo, x]), np.array([np.nan, -x])):
             with pytest.raises(ValueError, match="periodic data"):

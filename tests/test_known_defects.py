@@ -13,15 +13,18 @@ the first divide.  The track's oracle is the closed form of the
 characteristic it follows and of the time that characteristic meets the
 standing shock of -sin x.  The Riemann case's oracle is its exact
 solution.  The tailed hull's oracle is the closed-form primitive and its
-divides.
+divides.  The development constants' oracle is the error contract: a
+finite answer or a typed error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from laxo import flux, initial_data as idata
+from laxo.errors import LaxoError
 from laxo.global_structure import GlobalStructure
 from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import Problem
@@ -169,16 +172,11 @@ def test_nwave_default_shock_meets_the_solver(fl):
     assert abs(nwave - solver) <= 1.0 / t
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: nwave shifts x into the data's tile [w_lo, w_hi), not the tile "
-    "that starts at the first divide: left of that divide's "
-    "characteristic it reads the mean, not the wrap gap's fan "
-    "(ROADMAP item 9)"))
 def test_nwave_left_of_the_first_divide_meets_the_solver():
     # the asymmetric sine's one divide lies at -2.98, 0.16 right of
-    # w_lo = -pi: points up to 0.16 left of its characteristic read the
-    # mean 1/(2 pi), 3.7e-3 above the solver at t = 40, where the wrap
-    # gap's fan lies within 1e-4 of it
+    # w_lo = -pi: points up to 0.16 left of its characteristic lie in the
+    # wrap gap's band, whose fan is within 1e-4 of the solver at t = 40;
+    # the mean 1/(2 pi) lies 3.7e-3 above it
     t = 40.0
     p = Problem(flux.burgers(), _asym_sine())
     gs = GlobalStructure(p)
@@ -234,3 +232,23 @@ def test_jump_of_one_cell_at_the_bound_is_exact():
     psi = p._psi(p._s[n - 2:], np.full(2, x), np.ones(2))
     assert (psi < 0.0).all()
     assert abs(s.u_plus - 1.0) <= p.tol_u and abs(s.u_minus - 1.0) <= p.tol_u
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: where F at the lower end of the lambda bracket underflows to 0, "
+    "_solve_lambda returns lambda_1 = 0 and _case1 divides by it: a "
+    "ZeroDivisionError, not a LaxoError (ROADMAP item 10)"))
+def test_lambda_root_at_zero_gives_a_typed_error():
+    # lambda_0 = 9.8e-284 and sigma = 1.4e-19 put the bracket at
+    # [0, 9.8e-284], and F(0) = gamma sigma lambda_0 = 1.3e-327 is 0 in
+    # floats: every answer must be finite or a typed error
+    sa = ShockAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
+    gp = sa.generation_point(0.0, 0.0)
+    try:
+        out = sa.development_asymptotics(gp, {
+            "gamma": 9.673742587038173e-26, "sigma": 1.3625770188654413e-19,
+            "Cbar_sigma_plus": 9.813020074404337e-284,
+            "Cbar_sigma_minus": 1.0})
+    except LaxoError:
+        return
+    assert all(math.isfinite(v) for v in dataclasses.astuple(out)[1:])

@@ -135,6 +135,22 @@ def test_generation_uniqueness_reads_every_lattice_point():
     assert us == (-np.concatenate([-ls, ls]) / 0.05).tolist()
 
 
+def test_generation_uniqueness_skips_points_beyond_the_flux_range():
+    # f' = arctan u stays within (-pi/2, pi/2): at l = +-1.6 with t_p = 1
+    # no u has f'(u) = -+1.6, so those two lattice points constrain nothing
+    fl = flux.custom(
+        lambda u: np.asarray(u) * np.arctan(u) - 0.5 * np.log1p(
+            np.asarray(u) ** 2),
+        np.arctan, lambda u: 1.0 / (1.0 + np.asarray(u) ** 2))
+    sa = ShockAnalyzer(Problem(fl, idata.sin_wave()))
+    us = []
+    rho = sa.flux.rho
+    sa.flux.rho = lambda u, v: us.append(u) or rho(u, v)
+    gp = sa.generation_point(0.0, 0.0)
+    assert (gp.t_p, gp.x_p, gp.case) == (1.0, 0.0, "I")
+    assert len(us) == 20
+
+
 def test_generation_uniqueness_fails_for_focusing():
     # exactly linear data focuses an entire interval at once: the strict
     # inequality of the uniqueness condition degenerates to equality
@@ -203,6 +219,13 @@ def test_development_root_not_bracketed(sin_sa):
     with pytest.raises((RootNotBracketed, ConditionFailed)):
         sin_sa.development_asymptotics(
             gp, {"gamma": 1.0, "sigma": 2.0, "Cbar_sigma_plus": -1.0,
+                 "Cbar_sigma_minus": 1.0})
+    # lambda_0 = 1 - 2.5e-12, just past the equal-constants case: both
+    # ends of the bracket round to one side of the root
+    with pytest.raises(RootNotBracketed):
+        sin_sa.development_asymptotics(
+            gp, {"gamma": 0.04049830091506562, "sigma": 67.51778278124726,
+                 "Cbar_sigma_plus": 0.9999999999974939,
                  "Cbar_sigma_minus": 1.0})
 
 
