@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import golden_many, runs
+from ._search import bisect_many, runs
 from .errors import HullInfinite, NoDivides
 from .variational_core import _checked_t
 
@@ -47,32 +47,76 @@ class HullReport:
 
     The envelope is stored as its vertices ``vx``, ``vy`` and ``slopes``:
     ``slopes[i]`` holds left of ``vx[i]``, so it reads ``slope_left``, the
-    segment slopes, then ``slope_right``.  A periodic envelope is the line
-    of the mean slope, one vertex at w_lo with both tails on it.  The
-    primitive is sampled at steps of 1e-3 max(window width, 1), over the
-    window joined with [-N, N] when N is given, and at every point where
-    phi breaks (``data.breakpoints``): a contact at a kink of the
-    primitive, such as a knot of sampled data, is a node, so K0 holds it
-    exactly.  K0 is never empty: on tailed data it holds every vertex of
-    the envelope, each a node where the envelope meets the primitive, and
-    on periodic data the node where the primitive less the mean line is
-    least.
+    segment slopes, then ``slope_right``.  Periodic data are tailed data
+    whose two tail slopes are both the period mean, so one builder serves
+    both.  The primitive is sampled at steps of 1e-3 max(window width, 1),
+    over the window (joined with [-N, N] on tailed data when N is given),
+    and at every point where phi breaks (``data.breakpoints``).  The
+    vertices lie between the tangencies of the two tail lines, and only the
+    nodes strictly below the chord joining those tangencies can be vertices
+    (``_envelope``).  K0 is the runs of nodes within ``hull_tol`` of the
+    envelope.  A run no wider than 1.5 steps that lies on a tail line of
+    slope s is one contact: its lowest node where that node is a kink of
+    the primitive, such as a knot of sampled data, else the root of
+    phi - s, where Phi - s x is lower there; the ends of wider runs and
+    contacts between the tangencies stay at nodes.  On periodic data the
+    last component is dropped where it is the first a period on.  K0 is
+    never empty: it holds the envelope's first vertex.
     ``gaps`` is the gap table that ``partition`` and the N-wave read.
     """
 
     def __init__(self, data, N):
         self.period = data.period
         ti = data.tail_invariants()
-        self.slope_left = ti.ubar_l
-        self.slope_right = ti.ulow_r
-        if self.slope_left > self.slope_right + 1e-12:
+        sl = self.slope_left = ti.ubar_l
+        sr = self.slope_right = ti.ulow_r
+        if sl > sr + 1e-12:
             raise HullInfinite("left tail mean exceeds right tail mean")
         self.finite = True
         h = 1e-3 * max(data.w_hi - data.w_lo, 1.0)
+        lo, hi = data.w_lo, data.w_hi
+        if self.period is None and N is not None:
+            lo, hi = min(lo, -abs(N)), max(hi, abs(N))
+        xs = self.xs = _nodes(data, lo, hi, h)
+        ys = data.primitive(xs)
+        self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(
+            ys - sl * xs))))
+        self._envelope(xs, ys)
+        ij = runs(ys - self.value(xs) <= self.hull_tol)
+        K0 = [(float(xs[i]), float(xs[j])) for i, j in ij]
+        # a short run on a tail line of slope s is its lowest node n, or
+        # where n is no kink, the root of phi - s next to it
+        kink, short = np.isin(xs, data.breakpoints()[0]), []
+        for k, (i, j) in enumerate(ij):
+            s = (sl if sl == sr or xs[i] <= self.vx[0] else
+                 sr if xs[j] >= self.vx[-1] else None)
+            if s is not None and xs[j] - xs[i] <= 1.5 * h:
+                n = i + int(np.argmin(ys[i:j + 1] - s * xs[i:j + 1]))
+                K0[k] = (float(xs[n]),) * 2
+                short += [] if kink[n] else [(k, n, s)]
+        if short:
+            k, n, s = (np.array(v) for v in zip(*short))
+            a, b = bisect_many(lambda u, o: data.phi(u) < s[o], xs[n] - h,
+                               xs[n] + h, 1e-12)
+            x = 0.5 * (a + b)
+            y = data.primitive(x)
+            take = y - s * x < ys[n] - s * xs[n]
+            for q, r in zip(k[take].tolist(), x[take].tolist()):
+                K0[q] = (r, r)
+            if take.any():
+                xs, ys = np.append(xs, x[take]), np.append(ys, y[take])
+                o = np.argsort(xs)
+                self._envelope(xs[o], ys[o])
         if self.period is not None:
-            self._build_periodic(data, h)
+            if len(K0) > 1 and abs(K0[-1][0] - self.period - K0[0][0]) <= 2 * h:
+                K0 = K0[:-1]       # same divide modulo the period
+            self.left_unbounded = self.right_unbounded = False
         else:
-            self._build_tailed(data, N, h)
+            ends = np.array([data.w_lo, data.w_hi])
+            self.left_unbounded, self.right_unbounded = (np.abs(
+                data.primitive(ends) - np.array([sl, sr]) * ends
+                - [self.b_left, self.b_right]) <= self.hull_tol).tolist()
+        self.K0 = tuple(K0)
         # the gap table (e, h, c) of arrays: the gap (e, h) between each two
         # consecutive K0 components, then on periodic data the wrap gap from
         # the last one to the first one a period on, where wider than
@@ -84,74 +128,25 @@ class HullReport:
             e, h = np.append(e, K0[-1, 1]), np.append(h, K0[0, 0] + self.period)
         self.gaps = (e, h, (data.primitive(h) - data.primitive(e)) / (h - e))
 
-    # -- construction ------------------------------------------------------
-
-    def _build_periodic(self, data, h):
-        m = self.slope_left
-        xs = _nodes(data, data.w_lo, data.w_hi, h)
-        g = data.primitive(xs) - m * xs
-        self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(g))))
-        b0 = float(np.min(g))
-        # one lockstep golden refinement of every short minimizer cluster;
-        # one lowest at a kink of the primitive keeps that node, exactly
-        ij = runs(g - b0 <= self.hull_tol)
-        refined = [(float(xs[i]), float(xs[j])) for i, j in ij]
-        short = [k for k, (lo, hi) in enumerate(refined)
-                 if hi - lo <= h * 1.5]
-        if short:
-            lo, hi = np.array([refined[k] for k in short]).T
-            x_star = golden_many(lambda x, _: data.primitive(x) - m * x,
-                                 lo - h, hi + h, 1e-12)
-            b0 = min(b0, float(np.min(data.primitive(x_star) - m * x_star)))
-            kink = np.isin(xs, data.breakpoints()[0])
-            for k, x in zip(short, x_star.tolist()):
-                low = ij[k][0] + int(np.argmin(g[ij[k][0]:ij[k][1] + 1]))
-                refined[k] = (float(xs[low]),) * 2 if kink[low] else (x, x)
-        if (len(refined) > 1
-                and abs(refined[-1][0] - data.period - refined[0][0]) <= 2 * h):
-            refined = refined[:-1]     # same divide modulo the period
-        self.K0 = tuple(refined)
-        self.xs = xs
-        self.left_unbounded = self.right_unbounded = False
-        self.b_left = self.b_right = b0
-        self._set_vertices([data.w_lo], [m * data.w_lo + b0])
-
-    def _build_tailed(self, data, N, h):
-        lo = data.w_lo if N is None else -abs(N)
-        hi = data.w_hi if N is None else abs(N)
-        lo, hi = min(lo, data.w_lo), max(hi, data.w_hi)
-        xs = _nodes(data, lo, hi, h)
-        ys = data.primitive(xs)
-        self.hull_tol = HULL_TOL_SCALE * (1.0 + float(np.max(np.abs(ys))))
-        vx, vy = _lower_hull(xs, ys)
+    def _envelope(self, xs, ys):
+        """Set the envelope of the nodes (xs, ys): the tail lines touch it
+        at the first node lowest under the left slope and the last lowest
+        under the right one, and its vertices, with slopes[i] left of vertex
+        i, are the lower hull of the nodes between that lie strictly below
+        the chord joining those two."""
         sl, sr = self.slope_left, self.slope_right
-        # tangency of the tail lines with the window hull
-        gl = vy - sl * vx
-        gr = vy - sr * vx
-        i_l = int(np.argmin(gl))
+        gl, gr = ys - sl * xs, ys - sr * xs
+        i = int(np.argmin(gl))
         # tail slopes within 1e-12 can cross the tangencies: keep one vertex
-        i_r = max(i_l, len(vx) - 1 - int(np.argmin(gr[::-1])))
-        self.b_left = float(gl[i_l])
-        self.b_right = float(gr[i_r])
-        self._set_vertices(vx[i_l:i_r + 1], vy[i_l:i_r + 1])
-        self.xs = xs
-        hull_ys = self.value(xs)
-        self.K0 = tuple((float(xs[i]), float(xs[j]))
-                        for i, j in runs(ys - hull_ys <= self.hull_tol))
-        self.left_unbounded = abs(
-            float(data.primitive(data.w_lo)) - sl * data.w_lo
-            - self.b_left) <= self.hull_tol
-        self.right_unbounded = abs(
-            float(data.primitive(data.w_hi)) - sr * data.w_hi
-            - self.b_right) <= self.hull_tol
-
-    def _set_vertices(self, vx, vy):
-        """Store the envelope: vertices, and slopes[i] left of vertex i."""
-        self.vx = np.asarray(vx, dtype=float)
-        self.vy = np.asarray(vy, dtype=float)
-        self.slopes = np.concatenate([[self.slope_left],
-                                      np.diff(self.vy) / np.diff(self.vx),
-                                      [self.slope_right]])
+        j = max(i, len(xs) - 1 - int(np.argmin(gr[::-1])))
+        self.b_left, self.b_right = float(gl[i]), float(gr[j])
+        # the chord in Phi - sl x, flat where sl == sr
+        x, g = xs[i:j + 1], gl[i:j + 1]
+        below = (g - g[0]) * (x[-1] - x[0]) < (g[-1] - g[0]) * (x - x[0])
+        below[[0, -1]] = True
+        self.vx, self.vy = _lower_hull(x[below], ys[i:j + 1][below])
+        self.slopes = np.concatenate([[sl], np.diff(self.vy) / np.diff(self.vx),
+                                      [sr]])
 
     # -- evaluation --------------------------------------------------------
 

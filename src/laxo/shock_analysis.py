@@ -9,14 +9,14 @@ shock set.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from ._search import bisect, tie
 from .characteristics import (T_TOL, CharacteristicAnalyzer,
                               critical_sign, phi_l)
-from .errors import (BracketError, ConditionFailed, LostCurve,
+from .errors import (BracketError, ConditionFailed, FitError, LostCurve,
                      RootNotBracketed)
 
 # offset of the one-sided probes in directional_limits
@@ -153,13 +153,20 @@ class ShockAnalyzer:
         source point: gamma, sigma, Cbar_sigma_plus/minus for Case I (plus
         rho, Cbar_rho when the sigma constants coincide); gamma, sigma,
         Cbar_sigma for Cases II/III.  A constant that is not finite raises
-        ValueError.
+        ValueError; in Case I a lambda bracket that floats cannot hold
+        raises RootNotBracketed, and a power law that overflows FitError.
         """
         if not all(math.isfinite(float(v)) for v in inputs.values()):
             raise ValueError("the expansion constants must be finite")
-        if gp.case == "I":
-            return self._case1(gp, inputs)
-        return self._case23(gp, inputs)
+        if gp.case != "I":
+            return self._case23(gp, inputs)
+        try:
+            out = self._case1(gp, inputs)
+        except OverflowError as err:
+            raise FitError("the case I power laws overflow") from err
+        if not all(map(math.isfinite, astuple(out)[1:8])):
+            raise FitError("the case I power laws overflow")
+        return out
 
     def _case1(self, gp, inputs):
         g = float(inputs["gamma"])
@@ -198,11 +205,15 @@ class ShockAnalyzer:
             return (g * s * (1 + lam) * (lam0 - lam ** (1 + g + s))
                     - (1 + g + s) * lam * (1 + lam ** g) * (lam ** s - lam0))
 
-        lo = lam0 ** (1.0 / (1 + g + s))
-        hi = lam0 ** (1.0 / s)
-        if lo > hi:
-            lo, hi = hi, lo
-        fl, fh = F(lo), F(hi)
+        try:
+            lo, hi = sorted((lam0 ** (1.0 / (1 + g + s)), lam0 ** (1.0 / s)))
+            fl, fh = F(lo), F(hi)
+        except OverflowError:
+            lo = hi = math.inf
+        # an F of +-inf still has its sign, but NaN has none
+        if not 0.0 < lo <= hi < math.inf or math.isnan(fl) or math.isnan(fh):
+            raise RootNotBracketed(
+                "the lambda bracket or F at its ends is 0, inf or NaN")
         if fl == 0.0:
             return lo
         if fh == 0.0:

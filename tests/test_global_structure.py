@@ -4,7 +4,7 @@ import pytest
 from laxo import flux, global_structure, initial_data as idata
 from laxo.characteristics import CharacteristicAnalyzer
 from laxo.errors import HullInfinite, NoDivides
-from laxo.global_structure import GlobalStructure
+from laxo.global_structure import GlobalStructure, HullReport, _lower_hull
 from laxo.variational_core import Problem
 
 
@@ -26,15 +26,35 @@ def test_periodic_hull_is_min_line(sin_gs):
 
 
 def test_periodic_contact_set_at_odd_pi(sin_gs):
-    h = sin_gs.convex_hull()
+    # the root of phi next to the node -pi is no lower there, so the
+    # contact is the node itself (golden sections read -pi - 1.8e-8)
+    assert sin_gs.convex_hull().K0 == ((-np.pi, -np.pi),)
+
+
+def _sawtooth():
+    """Period 2: 0.4 + x on [-1, 1], a sawtooth of mean 0.4."""
+    return idata.InitialData(
+        [idata.Piece(-1.0, 1.0, "poly", {"coeffs": [0.4, 1.0]})], period=2.0)
+
+
+@pytest.mark.parametrize("data, x0", [
+    (lambda: idata.sin_wave(c=0.5), np.pi - 0.5),
+    (lambda: idata.sin_wave(-1.0, 2.0, 0.3), 0.5 * (np.pi - 0.3)),
+    (lambda: _asym_sine(), -np.pi + np.arcsin(1.0 / (2.0 * np.pi))),
+    (_sawtooth, 0.0)], ids=["shifted", "doubled", "asym", "sawtooth"])
+def test_periodic_contact_is_the_root_of_phi_less_the_mean(data, x0):
+    # where phi crosses the period mean m upward, Phi - m x is least: the
+    # contact is that root, not a node near it
+    h = GlobalStructure(Problem(flux.burgers(), data())).convex_hull()
     assert len(h.K0) == 1
     lo, hi = h.K0[0]
-    assert lo == pytest.approx(-np.pi, abs=1e-6)
-    assert hi == pytest.approx(lo, abs=1e-6)
+    assert lo == hi and abs(lo - x0) <= 1e-12
 
 
 def test_hull_below_primitive(sin_gs, fan_gs):
-    for gs in (sin_gs, fan_gs):
+    shifted = [GlobalStructure(Problem(flux.burgers(), d)) for d in (
+        _sawtooth(), idata.sin_wave(c=0.5), idata.sin_wave(-1.0, 2.0, 0.3))]
+    for gs in (sin_gs, fan_gs, *shifted):
         h = gs.convex_hull()
         xs = np.linspace(-8.0, 8.0, 4001)
         assert np.all(gs.data.primitive(xs) - h.value(xs) >= -h.hull_tol)
@@ -635,3 +655,42 @@ def test_decay_rate_l2(sin_gs):
     assert e == pytest.approx(-1.0, abs=0.05)
     assert [t for t, _ in series] == [20.0, 40.0, 80.0]
     assert all(v > 0.0 for _, v in series)
+
+
+def _chord_draws():
+    """Random 17- and 65-knot data, periodic and with tails s_l <= s_r,
+    and sine pieces between tails s_l < s_r."""
+    rng = np.random.default_rng(49)
+    for n in (17, 65):
+        for _ in range(40):
+            us = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], n)
+            knots = np.linspace(-2.0, 2.0, n)
+            if rng.random() < 0.5:
+                us[-1] = us[0]
+                yield idata.SampledData(knots, us, period=4.0)
+            else:
+                us[[0, -1]] = np.sort(us[[0, -1]])
+                yield idata.SampledData(knots, us)
+    for _ in range(40):
+        a, b, c = rng.uniform(0.2, 2.0), rng.uniform(1.0, 5.0), rng.uniform(
+            -np.pi, np.pi)
+        sl, sr = np.sort(rng.uniform(-1.0, 1.0, 2))
+        yield idata.InitialData(
+            [idata.Piece(-2.0, 2.0, "sin", {"a": a, "b": b, "c": c})],
+            left_tail=sl, right_tail=sr)
+
+
+def test_chord_filter_keeps_every_vertex():
+    # the envelope's vertices are the lower hull of the nodes strictly
+    # below the chord between the tangencies; a node on or above it is no
+    # vertex, so the hull of every node between the tangencies is the same,
+    # bit for bit
+    for d in _chord_draws():
+        h = HullReport(d, None)
+        xs, ys = h.xs, d.primitive(h.xs)
+        h._envelope(xs, ys)
+        i = int(np.argmin(ys - h.slope_left * xs))
+        j = len(xs) - 1 - int(np.argmin((ys - h.slope_right * xs)[::-1]))
+        vx, vy = _lower_hull(xs[i:max(i, j) + 1], ys[i:max(i, j) + 1])
+        assert h.vx.tobytes() == vx.tobytes() and h.vy.tobytes() == (
+            vy.tobytes())

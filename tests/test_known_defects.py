@@ -12,8 +12,8 @@ the N-wave's shock is right, passes as the control, and its values left of
 the first divide.  The track's oracle is the closed form of the
 characteristic it follows and of the time that characteristic meets the
 standing shock of -sin x.  The Riemann case's oracle is its exact
-solution.  The tailed hull's oracle is the closed-form primitive and its
-divides.  The development constants' oracle is the error contract: a
+solution.  The hulls' oracle is the closed-form primitive and its contact
+set.  The development constants' oracle is the error contract: a
 finite answer or a typed error.
 """
 
@@ -85,15 +85,10 @@ def test_fine_sampled_data_reach_the_dense_maximum_early():
     assert p.maximize(0.05, 0.6).max_value >= top - p.val_tol
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: the tailed hull takes its contacts at nodes, with no refinement "
-    "between them: on -sin x over [-2 pi - 0.3, 2 pi + 0.3] K0 lies 5.2e-3 "
-    "from the divides +-pi and the envelope 1.3e-5 above the primitive "
-    "(ROADMAP item 11)"))
 def test_tailed_hull_between_nodes_meets_the_primitive():
-    # the primitive cos x - 1 (tails 0) touches its envelope, 0, at +-pi
-    # only; with the window [-2 pi, 2 pi] the nodes hit +-pi and the hull
-    # is exact (test_two_divides_and_a_gap)
+    # the primitive cos x - 1 (tails 0) touches its envelope, -2, at +-pi
+    # only, between two nodes: each short contact on the tail line is the
+    # root of phi there (the nodes alone put K0 5.2e-3 off)
     w = 2.0 * np.pi + 0.3
     d = idata.InitialData([idata.Piece(-w, w, "sin",
                                        {"a": -1.0, "b": 1.0, "c": 0.0})],
@@ -102,6 +97,29 @@ def test_tailed_hull_between_nodes_meets_the_primitive():
     assert len(h.K0) == 2
     for (lo, hi), x0 in zip(h.K0, (-np.pi, np.pi)):
         assert abs(lo - x0) <= 1e-9 and abs(hi - x0) <= 1e-9
+    xs = np.linspace(-7.0, 7.0, 200001)
+    assert np.max(h.value(xs) - d.primitive(xs)) <= h.hull_tol
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the ends of wide contact runs, and contacts between the "
+    "tangencies of the tail lines, stay at nodes: on sin 3x over [-pi, pi] "
+    "with tails -0.5 and 0.5 the ends of K0 lie 7.0e-4 and 2.1e-3 off and "
+    "the envelope 1.5e-5 above the primitive (ROADMAP item 11)"))
+def test_wide_runs_and_inner_contacts_meet_the_primitive():
+    # Phi = (1 - cos 3x) / 3 lies on its envelope on [-13 pi/18, -2 pi/3],
+    # where sin 3x rises from -1/2 to 0, at 0, and on [2 pi/3, 13 pi/18],
+    # where it rises from 0 to 1/2: the tail lines touch at -+13 pi/18,
+    # and the two chords between have slope 0
+    d = idata.InitialData([idata.Piece(-np.pi, np.pi, "sin",
+                                       {"a": 1.0, "b": 3.0, "c": 0.0})],
+                          left_tail=-0.5, right_tail=0.5)
+    h = GlobalStructure(Problem(flux.burgers(), d)).convex_hull()
+    exact = ((-13 * np.pi / 18, -2 * np.pi / 3), (0.0, 0.0),
+             (2 * np.pi / 3, 13 * np.pi / 18))
+    assert len(h.K0) == 3
+    for got, want in zip(h.K0, exact):
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
     xs = np.linspace(-7.0, 7.0, 200001)
     assert np.max(h.value(xs) - d.primitive(xs)) <= h.hull_tol
 
@@ -234,14 +252,11 @@ def test_jump_of_one_cell_at_the_bound_is_exact():
     assert abs(s.u_plus - 1.0) <= p.tol_u and abs(s.u_minus - 1.0) <= p.tol_u
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: where F at the lower end of the lambda bracket underflows to 0, "
-    "_solve_lambda returns lambda_1 = 0 and _case1 divides by it: a "
-    "ZeroDivisionError, not a LaxoError (ROADMAP item 10)"))
 def test_lambda_root_at_zero_gives_a_typed_error():
     # lambda_0 = 9.8e-284 and sigma = 1.4e-19 put the bracket at
     # [0, 9.8e-284], and F(0) = gamma sigma lambda_0 = 1.3e-327 is 0 in
-    # floats: every answer must be finite or a typed error
+    # floats: every answer must be finite or a typed error (lambda_1 = 0
+    # made _case1 raise ZeroDivisionError)
     sa = ShockAnalyzer(Problem(flux.burgers(), idata.sin_wave()))
     gp = sa.generation_point(0.0, 0.0)
     try:

@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 from laxo import flux, initial_data as idata, shock_analysis
 from laxo import variational_core as vc
 from laxo.characteristics import T_TOL
-from laxo.errors import ConditionFailed, LostCurve, RootNotBracketed
+from laxo.errors import (ConditionFailed, FitError, LaxoError, LostCurve,
+                         RootNotBracketed)
 from laxo.shock_analysis import ShockAnalyzer
 from laxo.variational_core import GeneralProblem, Problem
 
@@ -280,6 +281,37 @@ def test_case23_rejects_a_sigma_constant_not_positive(sin_sa, case, cs):
     with pytest.raises(ConditionFailed, match="sigma-constant"):
         sin_sa.development_asymptotics(gp, {"gamma": 1.0, "sigma": 1.0,
                                             "Cbar_sigma": cs})
+
+
+def test_case1_gives_finite_fields_or_a_typed_error(sin_sa):
+    # 2 000 log-uniform draws of the four constants on [1e-2, 1e2]: 85 of
+    # them overflowed lambda_0^(1/sigma) or F's powers, an untyped
+    # OverflowError, and now raise RootNotBracketed; the other 1 915
+    # answer, 16 of them with F = -inf at the bracket's upper end
+    gp = sin_sa.generation_point(0.0, 0.0)
+    assert gp.case == "I"
+    draws = 10.0 ** np.random.default_rng(1).uniform(-2.0, 2.0, (2000, 4))
+    typed = 0
+    for g, s, p, m in draws.tolist():
+        try:
+            out = sin_sa.development_asymptotics(gp, {
+                "gamma": g, "sigma": s, "Cbar_sigma_plus": p,
+                "Cbar_sigma_minus": m})
+        except LaxoError:
+            typed += 1
+            continue
+        assert all(math.isfinite(v) for v in dataclasses.astuple(out)[1:8])
+    assert 0 < typed <= 85
+
+
+def test_case1_power_that_overflows_gives_fit_error(sin_sa):
+    # lambda_1 is found, but (Q+ / Cbar_sigma_plus)^(1/sigma), about
+    # 100^200, overflows
+    gp = sin_sa.generation_point(0.0, 0.0)
+    with pytest.raises(FitError, match="overflow"):
+        sin_sa.development_asymptotics(gp, {
+            "gamma": 1.0, "sigma": 0.005, "Cbar_sigma_plus": 0.01,
+            "Cbar_sigma_minus": 0.02})
 
 
 def test_solve_lambda_matches_brentq():
