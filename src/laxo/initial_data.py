@@ -6,6 +6,7 @@ constant tails or by periodicity.  Everything the criteria consume (primitive,
 Dini derivatives, tail invariants, local power expansions) is exact.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -16,6 +17,9 @@ from .errors import FitError
 
 _EPS = 1e-12
 _KMAX = 12
+# the most zeros of phi'' that ``InitialData._falls`` lists for one sin or
+# cos piece; a piece of more makes every interval read the whole line's sup
+_BENDS = 4096
 _FMAX = np.finfo(float).max
 
 
@@ -120,48 +124,58 @@ def _pderivs(p, x0):
     return out
 
 
-def _critical_points(p):
-    """Points where the piece term can peak inside the piece.
-
-    For sin and cos every extremum has the same |value|, so one maximum
-    and one minimum stand for all of them; points that fall outside
-    [lo, hi] are clipped by the caller.
+def _stationary(p, k, most=2):
+    """Points of the piece, clipped to it, where the k-th derivative of its
+    term can vanish, so that its (k - 1)-th can peak: the real parts of
+    the roots of p^(k), a power term's x_ref, and for sin and cos the phase
+    points where phi^(k) = 0, the first ``most`` of them from the piece's
+    low end.  For sin and cos the (k - 1)-th derivative takes the same
+    |value| at every one of them, so two consecutive ones, one maximum and
+    one minimum, stand for all of them.
     """
     q = p.params
+    z = []
     if p.kind in ("sin", "cos"):
-        # b x + c = base + k pi at an extremum
-        base = math.pi / 2.0 if p.kind == "sin" else 0.0
-        lo, hi = sorted(((q["b"] * p.lo + q["c"] - base) / math.pi,
-                         (q["b"] * p.hi + q["c"] - base) / math.pi))
-        ks = np.arange(math.ceil(lo), min(math.ceil(lo) + 1, math.floor(hi)) + 1)
-        return (base + ks * math.pi - q["c"]) / q["b"]
-    if p.kind == "poly":
-        d = np.polynomial.polynomial.polyder(np.asarray(q["coeffs"], dtype=float))
-        d = np.polynomial.polynomial.polytrim(d)
-        return np.polynomial.polynomial.polyroots(d).real if len(d) > 1 else []
-    if p.kind == "power":
-        return [q["x_ref"]]
-    return []
+        # b x + c = base + j pi where phi^(k) = 0
+        base = math.pi / 2.0 * ((k + (p.kind == "cos")) % 2)
+        lo, hi = sorted((q["b"] * e + q["c"] - base) / math.pi
+                        for e in (p.lo, p.hi))
+        js = np.arange(math.ceil(lo),
+                       min(math.ceil(lo) + most - 1, math.floor(hi)) + 1)
+        z = (base + js * math.pi - q["c"]) / q["b"]
+    elif p.kind == "poly":
+        pv = np.polynomial.polynomial
+        d = pv.polytrim(pv.polyder(np.asarray(q["coeffs"], dtype=float), k))
+        z = pv.polyroots(d).real if len(d) > 1 else []
+    elif p.kind == "power":
+        z = [q["x_ref"]]
+    return np.clip(np.asarray(z, dtype=float), p.lo, p.hi)
 
 
-def _descent(p):
-    """sup of (-phi')_+ on the piece in closed form: |a b| for sin and cos,
-    -p' at the ends and at the roots of p'' for poly, 0 for const and for a
-    power term a sgn(s) |s|^g + b with a >= 0 or g = 0, else |a| g times
-    the farthest |s|^(g - 1) on the piece, or inf where g < 1."""
-    q = p.params
-    if p.kind in ("sin", "cos"):
-        return abs(q["a"] * q["b"])
-    if p.kind == "poly":
+def _slope(p):
+    """phi' of the piece term, as ``_terms`` gives phi: a function of float
+    points, its constants bound once.  A power term of 0 < g < 1 reads
+    +-inf at x_ref, with the sign of a; one of g = 0 or a = 0 reads 0, its
+    step at x_ref being a row of the side table."""
+    q, kind = p.params, p.kind
+    if kind == "poly":
         pv = np.polynomial.polynomial
         d = pv.polyder(np.asarray(q["coeffs"], dtype=float))
-        xs = np.concatenate([[p.lo, p.hi], np.clip(pv.polyroots(
-            pv.polytrim(pv.polyder(d))).real, p.lo, p.hi)])
-        return max(0.0, float(-pv.polyval(xs, d).min()))
-    if p.kind == "power" and q["a"] < 0.0 and q["g"] > 0.0:
-        g, s = q["g"], max(abs(p.lo - q["x_ref"]), abs(p.hi - q["x_ref"]))
-        return -q["a"] * g * s ** (g - 1.0) if g >= 1.0 else math.inf
-    return 0.0
+        return lambda x: pv.polyval(x, d)
+    if kind in ("sin", "cos"):
+        f = np.cos if kind == "sin" else (lambda v: -np.sin(v))
+        ab, b, c = (np.array(v, dtype=float)
+                    for v in (q["a"] * q["b"], q["b"], q["c"]))
+        return lambda x: ab * f(b * x + c)
+    if kind == "power" and q["a"] != 0 and q["g"] != 0:
+        xr, ag, g = np.array(q["x_ref"], dtype=float), np.array(
+            q["a"] * q["g"], dtype=float), q["g"] - 1.0
+
+        def slope(x):
+            with np.errstate(divide="ignore"):
+                return ag * np.abs(x - xr) ** g
+        return slope
+    return np.zeros_like
 
 
 def _end_limits(p, f):
@@ -520,19 +534,88 @@ class InitialData(_Extended):
                       > 1e-12 * (1.0 + np.abs(left) + np.abs(right)))
         self._set_sides(y, left, right, brk)
 
+    @functools.cached_property
+    def _falls(self):
+        """The tables of ``_descent_on``, built on first use.
+
+        z holds the sorted points where (-phi')_+ can peak, each twice,
+        and v its value there on one side after a 0: each piece's ends and
+        its zeros of phi'' (``_stationary``) read by its own ``_slope``,
+        and inf at the rows of the side table where phi jumps down, where
+        it falls from its left limit to its value there, or on to its
+        right limit, by more than 1e-12 of its size.  On periodic data z
+        runs on over a second period, as the engine's jump table does.
+        Then the sup of v, and phi' in the window.  z is None where a sin
+        or cos piece holds more than ``_BENDS`` zeros of phi''; the two it
+        lists still reach its sup.
+        """
+        slopes = [_slope(p) for p in self.pieces]
+        z, v = [], []
+        for p, f in zip(self.pieces, slopes):
+            zs = np.concatenate([[p.lo, p.hi], _stationary(p, 2, _BENDS + 1)])
+            z.append(zs)
+            v.append(np.maximum(-f(zs), 0.0))
+        dense = max(map(len, z), default=0) > _BENDS + 2
+        y, left, right = self._sides
+        mid = self.phi(y)
+        z.append(y[np.maximum(left, mid) - np.minimum(mid, right)
+                   > 1e-12 * (1.0 + np.abs(left) + np.abs(right))])
+        v.append(np.full(len(z[-1]), math.inf))
+        z, v = np.concatenate(z), np.concatenate(v)
+        top = float(v.max(initial=0.0))
+        if dense:
+            return None, None, top, None
+        if self.period is not None:
+            z, v = np.concatenate([z, z + self.period]), np.tile(v, 2)
+        k = np.argsort(z, kind="stable")
+        # each point twice, its value after a 0: a range that holds no
+        # point reads that 0 in ``reduceat``, and the last 0 closes the
+        # last range
+        vz = np.zeros(2 * len(k) + 1)
+        vz[1::2] = v[k]
+        return np.repeat(z[k], 2), vz, top, self._inner(slopes)
+
     def _descent(self):
-        """sup of (-phi')_+ off the breakpoints, over every piece
-        (``_descent``); the tails are constant.  A window of no pieces is
-        one point where phi reads 0: inf where the tails do not straddle
-        0, as phi falls and rises there."""
-        return max([_descent(p) for p in self.pieces] or [
-            0.0 if self.left_tail <= 0.0 <= self.right_tail else math.inf])
+        """sup of (-phi')_+ over the whole line, inf where phi jumps down
+        (``_falls``); the tails are constant."""
+        return self._falls[2]
+
+    def _descent_on(self, ab):
+        """An upper bound on sup (-phi')_+ over each interval [a, b], the
+        columns of the (2, m) array ab, a <= b; inf where phi jumps down in
+        it.
+
+        -phi' is monotone between the points of ``_falls``, so its sup is
+        the largest of (-phi')_+ at a, at b and at those points in [a, b],
+        whose values hold both one-sided limits.  On periodic data a is
+        reduced by ``_tile``, b by the same whole periods, onto the table
+        of two periods, which holds every point of an interval of a period
+        or more from a on.  Data whose table is None read the sup over the
+        whole line.
+        """
+        z, v, top, slope = self._falls
+        if z is None:
+            return np.full(ab.shape[1], top)
+        P = self.period
+        if P is not None:
+            k = self._tile(ab) * P
+            r = ab - k
+            a, b = r[0], ab[1] - k[0]
+        else:
+            a, b = ab
+            r = np.minimum(np.maximum(ab, self.w_lo), self.w_hi)
+        i, j = np.searchsorted(z, a, "left"), np.searchsorted(z, b, "right")
+        inner = np.maximum.reduceat(v, np.array([i, j]).T.ravel())[::2]
+        fall = -slope(r)
+        if P is None:
+            fall[r != ab] = 0.0             # phi' = 0 in the tails
+        return np.maximum(fall.max(axis=0), inner)
 
     def _estimate_bound(self):
         vals = []
         for p, (f, _) in zip(self.pieces, self._terms):
             xs = np.concatenate([np.linspace(p.lo, p.hi, 4097),
-                                 np.clip(_critical_points(p), p.lo, p.hi)])
+                                 _stationary(p, 1)])
             vals.append(np.max(np.abs(f(xs))))
         if self.period is None:
             vals += [abs(self.left_tail), abs(self.right_tail)]
@@ -746,8 +829,10 @@ class SampledData(_Extended):
         self._set_sides(self.xs[jump], left[jump], right[jump], True)
 
     def _descent(self):
-        """phi is constant between knots: phi' = 0 off the breakpoints."""
-        return 0.0
+        """phi is constant between knots: sup (-phi')_+ is 0, inf where phi
+        jumps down at a knot."""
+        return math.inf if np.count_nonzero(
+            self._sides[1] > self._sides[2]) else 0.0
 
     # -- one-sided structure ----------------------------------------------
 

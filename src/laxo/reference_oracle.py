@@ -56,39 +56,48 @@ class GodunovSolver:
         try:
             c = flux.invert_deriv(0.0, (-data.bound - 1.0, data.bound + 1.0))
             self._sonic = float(c)
+            self._f_sonic = flux.eval(self._sonic)
         except BracketError:
             self._sonic = None    # f monotone on the data range
 
-    def _interface_flux(self, ul, ur):
-        f = self.flux.eval
-        fl, fr = f(ul), f(ur)
+    def _interface_flux(self, pad, fp):
+        """The Godunov flux at every interface: pad is the state with one
+        ghost cell at each end, fp = f(pad); interface i lies between
+        pad[i] and pad[i + 1]."""
+        ul, ur, fl, fr = pad[:-1], pad[1:], fp[:-1], fp[1:]
         lo = np.minimum(fl, fr)
         if self._sonic is not None:
             s = self._sonic
-            lo = np.where((ul <= s) & (s <= ur), self.flux.eval(s), lo)
+            lo = np.where((ul <= s) & (s <= ur), self._f_sonic, lo)
         return np.where(ul <= ur, lo, np.maximum(fl, fr))
 
     def max_speed(self):
         return float(np.max(np.abs(self.flux.deriv(self.u))))
 
     def step(self, dt):
-        g = self.grid
+        """One step of dt; raises CflViolation past the CFL limit of the
+        present speed."""
         a = self.max_speed()
-        if a > 0 and dt > CFL * g.dx / a + 1e-15:
+        if a > 0 and dt > CFL * self.grid.dx / a + 1e-15:
             raise CflViolation(
-                f"dt={dt:g} exceeds cfl limit {CFL * g.dx / a:g}")
-        if g.boundary == "periodic":
-            ul = np.concatenate([[self.u[-1]], self.u])
-            ur = np.concatenate([self.u, [self.u[0]]])
+                f"dt={dt:g} exceeds cfl limit {CFL * self.grid.dx / a:g}")
+        self._step(dt)
+
+    def _step(self, dt):
+        """One step of dt, which the caller has checked: f is evaluated
+        once, on the state padded by its ghost cells."""
+        u = self.u
+        if self.grid.boundary == "periodic":
+            pad = np.concatenate([u[-1:], u, u[:1]])
         else:
-            ul = np.concatenate([[self.u[0]], self.u])
-            ur = np.concatenate([self.u, [self.u[-1]]])
-        F = self._interface_flux(ul, ur)
-        self.u = self.u - dt / g.dx * (F[1:] - F[:-1])
+            pad = np.concatenate([u[:1], u, u[-1:]])
+        F = self._interface_flux(pad, self.flux.eval(pad))
+        self.u = u - dt / self.grid.dx * (F[1:] - F[:-1])
         self.t += dt
 
     def advance(self, t_end):
-        """Step to t_end.  Raises ValueError, before any step, when the
+        """Step to t_end, each step of the CFL limit of the present speed,
+        read once per step.  Raises ValueError, before any step, when the
         present speed would take more than ``MAX_STEPS`` steps there."""
         g = self.grid
         if not (t_end - self.t) * self.max_speed() <= MAX_STEPS * CFL * g.dx:
@@ -96,9 +105,8 @@ class GodunovSolver:
                              f"steps away on this grid")
         while self.t < t_end - 1e-14:
             a = self.max_speed()
-            dt = CFL * self.grid.dx / a if a > 0 else t_end - self.t
-            dt = min(dt, t_end - self.t)
-            self.step(dt)
+            dt = CFL * g.dx / a if a > 0 else t_end - self.t
+            self._step(min(dt, t_end - self.t))
         return self.u
 
     def mass(self):

@@ -431,6 +431,10 @@ class GeneralProblem:
         A grid before ``t_one`` skips the levels: its rows are one
         ``_blocks`` call, which sends them to the one-root kernel; a row
         the kernel leaves to the scan is scanned over its whole window.
+        After it, the rows of one ``_blocks`` call that takes the coarse
+        pass (a short grid, or level 0) go to the kernel too when
+        ``_one_hull`` certifies every hull; the later levels' rows, each
+        of its own window, are scanned.
         """
         m = len(xs)
         w0, ww = (int(v[0]) for v in self._window(t))
@@ -480,7 +484,9 @@ class GeneralProblem:
         pair, or data with a down-jump) go to the one-root kernel
         ``_one_roots``; the rows it leaves, whose window ends bracket no
         sign change of psi, and every other row go to ``_scan``:
-        ``_maximize_block`` on rows packed in blocks of few enough cells.
+        ``_maximize_block`` on rows packed in blocks of few enough cells,
+        or the kernel again where the coarse pass leaves hulls that
+        ``_one_hull`` certifies to hold one falling stretch of psi.
 
         Row q, at the time t[q], scans the u-grid window start[q] ...
         start[q] + width[q] - 1, width[q] - 1 cells.  Rows that share one
@@ -489,7 +495,10 @@ class GeneralProblem:
         restart slice, a rescan, a point solve on a fine grid) first take
         the coarse pass (``_coarse``): each row's window becomes the hull
         of the cells that a Lipschitz bound on E cannot rule out, and its
-        set stays the whole window's, bit for bit.  The cell count is
+        set stays the whole window's, bit for bit.  Where ``_one_hull``
+        certifies psi to fall on every row's hull, the rows go to
+        ``_one_roots`` over their hulls, and the rows it leaves are
+        scanned over them (``_pack``).  The cell count is
         tested first, so a point solve over the default grid pays for no
         other test.  The rows are then packed in their given order, each
         block as many rows as fit in ``BLOCK_ELEMS`` cells, the sum of their
@@ -523,7 +532,18 @@ class GeneralProblem:
 
     def _scan(self, xs, t, start, width):
         """The scan of ``_blocks`` (see there), on the rows it does not
-        send to the one-root kernel."""
+        send to the one-root kernel before ``t_one``.
+
+        Rows that take the coarse pass go on to the one-root kernel when
+        ``_one_hull`` certifies every hull, all or none: the kernel gives
+        the scan's answer wherever the scan returns one point, and a hull
+        keeps every kept run and band of the whole window, so the answers
+        stay bit for bit.  Burgers/sine slices at t = 1 to 3 are certified
+        but where a row lies within 0.011-0.031 of the shock at x = 0, whose
+        hull holds both branches; ``power2n(2)`` slices whose rows come
+        near its shock are not either.  The rows the kernel leaves are
+        scanned over their hulls (``_pack``).
+        """
         m = len(xs)
         if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2
                 and not (np.count_nonzero(start != start[0])
@@ -531,6 +551,26 @@ class GeneralProblem:
                          or np.count_nonzero(t != t[0]))):
             start, width = self._coarse(xs, t[0], int(start[0]),
                                         int(width[0]))
+            if self._one_hull(xs, t[0], start, width):
+                out = self._one_roots(xs, t, start, width)
+                q = out.redo.nonzero()[0]
+                if len(q):
+                    out = _Rows.join([(np.arange(m), out), (q, self._pack(
+                        xs[q], t[q], start[q], width[q]))], m)
+                return out
+        return self._pack(xs, t, start, width)
+
+    def _one_hull(self, xs, t, start, width):
+        """Whether psi falls on every row's window at the one time t, so
+        that the one-root kernel may answer: never for a general pair
+        (``Problem`` tests named fluxes)."""
+        return False
+
+    def _pack(self, xs, t, start, width):
+        """The rows of ``_scan``, packed in their given order in blocks of
+        at most ``BLOCK_ELEMS`` cells; a row a block leaves ``redo`` is
+        scanned again over the whole grid."""
+        m = len(xs)
         if m <= 1:
             out = self._maximize_block(xs, t, start, width)
         else:
@@ -687,14 +727,16 @@ class GeneralProblem:
         return _Rows(*self._merge(own, lo, hi, rows), Emax, redo)
 
     def _one_roots(self, xs, t, start, width):
-        """The maximizer of each row below ``t_one``, as ``_Rows``; a row
-        whose window ends do not bracket a sign change of psi, or whose
-        refined value falls ``val_tol`` below its cell's grid values, is
-        marked ``redo``, left to the scan.
+        """The maximizer of each row on whose window psi falls, as
+        ``_Rows``: rows below ``t_one``, or rows whose coarse hulls
+        ``_one_hull`` certifies.  A row whose window ends do not bracket a
+        sign change of psi, or whose refined value falls ``val_tol`` below
+        its cell's grid values, is marked ``redo``, left to the scan.
 
-        Below t_one, psi falls across the u-grid, so E has one maximizer,
-        in the one grid cell [i, i + 1] with psi(s_i) > 0 >= psi(s_i+1)
-        (Hopf 1950; Lax 1957).  Lockstep k-ary rounds over grid indices
+        Below t_one psi falls across the u-grid, and on a certified hull
+        across the hull, so E has one maximizer there, in the one grid cell
+        [i, i + 1] with psi(s_i) > 0 >= psi(s_i+1) (Hopf 1950; Lax 1957;
+        Oleinik 1957).  Lockstep k-ary rounds over grid indices
         find it: the first reads psi at the window's ends and k - 1 points
         between, each later round k - 1 points of the bracket left, and
         the bracket narrows to the probes around the first read of psi <=
@@ -1269,9 +1311,13 @@ class GeneralProblem:
         breaking time ``t_one`` (``_blocks``) takes no coarse pass and no
         levels: its rows go to the one-root kernel, 3 rounds for 32 points
         of ``sin_wave()`` at t = 0.5, and only the rows it cannot bracket
-        are scanned.  On periodic
-        data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid is replaced
-        by the window that the period mean allows (``_window``): 17 points of
+        are scanned.  After it, the rows go to the kernel over their coarse
+        hulls where ``_one_hull`` certifies psi to fall on every hull (32
+        points of ``sin_wave()`` at t = 1.5 over [-3, 3]), and are scanned
+        where some row's hull holds two branches of E, as on a shock.
+        On periodic data after t_w = 2 P / (H(s_n) - H(s_0)) the whole grid
+        is replaced by the window that the period mean allows
+        (``_window``): 17 points of
         ``restart(0.5)`` of ``sin_wave()`` are one block from t = 0.6 to
         100, which takes the coarse pass up to t = 27.4.  A value of E the
         coarse pass rules out holds no kept run and no band, and every
@@ -1308,16 +1354,35 @@ class Problem(GeneralProblem):
     def __init__(self, flux, data, **kw):
         super().__init__(identity_pair(flux), data, **kw)
         self.flux = flux
-        # the breaking time t_one = 1 / (sup f'' sup(-phi')_+) of data with
-        # no down-jump (Lax 1957): before it, t f''(u) (-phi'(y)) < 1, so
-        # psi' = -t f'' phi' - 1 < 0 off the breakpoints and psi jumps down
+        # the breaking time t_one = 1 / (sup f'' sup(-phi')_+), 0 where phi
+        # jumps down (Lax 1957): before it, t f''(u) (-phi'(y)) < 1, so psi'
+        # = -t f'' phi' - 1 < 0 off the breakpoints and psi jumps down
         # across them, and psi falls across the u-grid.  f'' peaks at a
-        # grid end for every named flux.  The jumps are the engine's table
-        jumps = self._jumps
-        down = jumps is not None and np.count_nonzero(jumps[1] > jumps[2])
-        if flux.kind != "custom" and not down:
-            fall = data._descent() * np.max(flux.second(self._s[[0, -1]]))
+        # grid end for every named flux (``_one_hull``).  f'' on the grid
+        # is kept for ``_one_hull``, but for sampled data, whose hulls hold
+        # their knots' jumps
+        self._f2 = None
+        if flux.kind != "custom":
+            f2 = np.asarray(flux.second(self._s), dtype=float)
+            fall = data._descent() * np.max(f2[[0, -1]])
             self.t_one = math.inf if fall == 0.0 else float(1.0 / fall)
+            if not data.is_sampled:
+                self._f2 = f2
+
+    def _one_hull(self, xs, t, start, width):
+        """Whether psi falls on every row's window [s_a, s_b] at the time t
+        (Lax 1957; Oleinik 1957): t max(f''(s_a), f''(s_b)) sup(-phi')_+ <
+        1 over the feet [x - t H(s_b), x - t H(s_a)], with no down-jump of
+        phi there (``InitialData._descent_on``).  f'' peaks at an end of
+        every u-interval for every named flux: it is constant (Burgers),
+        even and convex (``power2n``) or monotone (``exponential``).  So
+        psi' = t f'' (-phi') - 1 < 0 off phi's breakpoints, psi jumps down
+        across them, and E has at most one maximum in the window."""
+        if self._f2 is None:
+            return False
+        ends = np.array([start + width - 1, start])
+        fall = self.data._descent_on(xs - t * self._Hs[ends])
+        return bool((t * self._f2[ends].max(axis=0) * fall < 1.0).all())
 
     def _preimage(self, v, a, b):
         """``GeneralProblem._preimage``, in closed form for named fluxes."""

@@ -317,3 +317,199 @@ def test_kernel_reads_and_rounds(monkeypatch):
     p.restart(0.5)
     assert reads == ([(2048, 3)] + [(2048, 1)] * 9 + [(2048, 5)]) * 2
     assert max(r * c for r, c in reads) <= vc.BLOCK_ELEMS
+
+
+# -- the interval query of the hull certificate -------------------------------
+
+@st.composite
+def _slope_data(draw):
+    """One to three pieces of every kind, power with g >= 1 and g < 1 among
+    them, periodic or between random tails, so that piece ends, the seam
+    and the window's ends may jump either way."""
+    lo = draw(st.floats(-3.0, 0.0))
+    ends = np.linspace(lo, lo + draw(st.floats(1.0, 5.0)),
+                       draw(st.integers(1, 3)) + 1).tolist()
+    # no subnormal values: a poly piece of a subnormal leading coefficient
+    # fails in its roots when the data are built
+    value = st.floats(-1.5, 1.5, allow_subnormal=False)
+    pieces = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        kind = draw(st.sampled_from(["sin", "cos", "poly", "const", "power"]))
+        if kind in ("sin", "cos"):
+            q = {"a": draw(value), "b": draw(st.floats(0.5, 3.0)),
+                 "c": draw(value)}
+        elif kind == "poly":
+            q = {"coeffs": draw(st.lists(value, min_size=1, max_size=4))}
+        elif kind == "const":
+            q = {"c": draw(value)}
+        else:
+            q = {"a": draw(value), "b": draw(value),
+                 "x_ref": draw(st.floats(a - 0.5, b + 0.5)),
+                 "g": draw(st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.5, 2.0,
+                                            3.0]))}
+        pieces.append(P(a, b, kind, q))
+    if draw(st.booleans()):
+        return idata.InitialData(pieces, period=ends[-1] - ends[0])
+    return idata.InitialData(pieces, left_tail=draw(value),
+                             right_tail=draw(value))
+
+
+def _falls_at(d, y):
+    """Whether phi, read from the left limit at y to its value there and on
+    to the right limit, falls by more than 1e-12 of its size."""
+    lo, hi, mid = d.phi_side(y, "left"), d.phi_side(y, "right"), d.phi(y)
+    return max(lo, mid) - min(mid, hi) > 1e-12 * (1.0 + abs(lo) + abs(hi))
+
+
+def _holds(d, a, b, y):
+    """Whether [a, b] holds one of the points y, or on periodic data a
+    point of y shifted by whole periods."""
+    y = np.asarray(y, dtype=float)
+    if d.period is not None:
+        y = y + d.period * np.ceil((a - y) / d.period)
+    return bool(np.count_nonzero((a <= y) & (y <= b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_descent_on_bounds_every_finite_difference(data):
+    # the bound is at least the largest of (-phi')_+ read as finite
+    # differences on 2^16 cells of [a, b], which read phi's values at
+    # breakpoints too, and +inf exactly where [a, b] holds a down-jump of
+    # phi or a falling power point of g < 1, whose -phi' is unbounded
+    # (read 1e-9 inside and outside [a, b], where the
+    # shifts by whole periods round); intervals cross piece ends, the seam
+    # and the window's ends, and some are a period long or longer
+    d = data.draw(_slope_data())
+    span = d.w_hi - d.w_lo
+    a = data.draw(st.floats(d.w_lo - 0.25 * span, d.w_hi))
+    b = a + span * data.draw(st.sampled_from([0.0, 1e-3, 0.1, 0.3, 0.6, 1.0,
+                                              2.5]))
+    bound = float(d._descent_on(np.array([[a], [b]]))[0])
+    # phi jumps down where it falls from its left limit to its value, or
+    # on to its right limit: at a piece end, or at a power piece's x_ref
+    down = [y for y in [p.lo for p in d.pieces] + [d.w_hi]
+            + [p.params["x_ref"] for p in d.pieces if p.kind == "power"]
+            if _falls_at(d, y)]
+    steep = [p.params["x_ref"] for p in d.pieces
+             if p.kind == "power" and p.params["a"] < 0.0
+             and 0.0 < p.params["g"] < 1.0
+             and p.lo <= p.params["x_ref"] <= p.hi]
+    y = np.array(down + steep)
+    eps = 1e-9 * (1.0 + abs(a) + abs(b))
+    if _holds(d, a + eps, b - eps, y):
+        assert bound == math.inf
+    if not _holds(d, a - eps, b + eps, y):
+        assert bound < math.inf
+        if b > a:
+            ys = np.linspace(a, b, 2 ** 16 + 1)
+            fd = -np.diff(d.phi(ys)) / (ys[1] - ys[0])
+            assert fd.max() <= bound + 1e-6 * (1.0 + bound)
+
+
+def test_descent_on_the_window_is_the_descent():
+    # the query over the window, or a period, reads the sup that t_one
+    # reads, inf where phi jumps down, for every piece data of the t_one
+    # table; sampled data read inf where a knot steps down
+    for make, t_one in _T_ONE.values():
+        d = make()
+        if not d.is_sampled:
+            ab = np.array([[d.w_lo], [d.w_hi]])
+            assert d._descent_on(ab)[0] == d._descent()
+        assert (d._descent() == math.inf) == (t_one == 0.0)
+
+
+def test_descent_on_sine_is_the_sup_of_cos():
+    # -phi' = cos y on sin_wave(): the sup over [a, b] is 1 where [a, b]
+    # holds a multiple of 2 pi, else the larger of cos a and cos b, 0 at
+    # least; a period or more reads 1
+    d = idata.sin_wave()
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-20.0, 20.0, 400)
+    b = a + rng.uniform(0.0, 8.0, 400)
+    got = d._descent_on(np.array([a, b]))
+    peak = np.floor(b / (2 * math.pi)) * 2 * math.pi >= a
+    want = np.where(peak, 1.0, np.maximum(np.maximum(np.cos(a), np.cos(b)),
+                                          0.0))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# -- the hull certificate after breaking --------------------------------------
+
+def test_second_derivative_peaks_at_an_interval_end():
+    # the hull certificate reads f'' at the two ends of a row's u-window:
+    # f'' is constant (Burgers), even and convex (power2n) or monotone
+    # (exponential), so its max on any interval is at an end
+    rng = np.random.default_rng(3)
+    ends = np.sort(rng.uniform(-2.0, 2.0, (2, 200)), axis=0)
+    for fl in (_B, flux.power2n(2), flux.power2n(3), flux.exponential(0.7),
+               flux.exponential(2.0)):
+        for a, b in ends.T.tolist():
+            inner = fl.second(np.linspace(a, b, 257)).max()
+            assert inner <= max(fl.second(a), fl.second(b))
+
+
+_NWAVE = idata.InitialData([P(-1.0, 1.0, "poly", {"coeffs": [0.0, 1.0]})],
+                           left_tail=0.0, right_tail=0.0)
+_HULL_PROBLEMS = {
+    "burgers": lambda: Problem(_B, idata.sin_wave()),
+    "quartic": lambda: Problem(flux.power2n(2), idata.sin_wave()),
+    "exponential": lambda: Problem(flux.exponential(0.7), idata.sin_wave()),
+    "nwave": lambda: Problem(_B, _NWAVE),
+}
+# (problem, lo, hi, points, t, route): slices after breaking whose every
+# hull the certificate takes ("kernel"), slices with a row on the shock,
+# whose hull holds both branches there ("shock"), and slices with rows near
+# a shock that the certificate refuses ("scan")
+_HULL_SLICES = [
+    ("burgers", 0.3, 2.9, 100, 1.0, "kernel"),
+    ("burgers", -3.0, 3.0, 32, 1.5, "kernel"),
+    ("burgers", -2.9, -0.3, 9, 3.0, "kernel"),
+    ("burgers", -1.5, 1.5, 9, 2.0, "shock"),
+    ("burgers", -3.0, 3.0, 57, 2.6, "shock"),
+    ("quartic", -3.0, 3.0, 9, 1.0, "kernel"),
+    ("quartic", 0.3, 2.9, 32, 3.0, "kernel"),
+    ("quartic", -1.5, 1.5, 57, 2.6, "shock"),
+    ("exponential", -2.9, -0.3, 57, 1.3, "kernel"),
+    ("exponential", -2.9, -0.3, 100, 2.6, "kernel"),
+    ("exponential", -3.0, 3.0, 32, 1.0, "scan"),
+    ("nwave", -3.0, 3.0, 9, 2.0, "kernel"),
+    ("nwave", -1.5, 1.5, 100, 3.0, "kernel"),
+    ("nwave", -3.0, 3.0, 100, 1.0, "scan"),
+]
+
+
+@pytest.mark.parametrize("case", _HULL_SLICES,
+                         ids=lambda c: "-".join(map(str, c[:5])))
+def test_certified_hulls_equal_the_point_solves(case):
+    # solve_grid equals the point solves bit for bit, where every row's
+    # coarse hull is certified and the one-root kernel answers it, and
+    # where a row on or near a shock keeps the whole slice on the scan;
+    # point solves take no coarse pass, so they scan
+    name, lo, hi, m, t, route = case
+    p = _HULL_PROBLEMS[name]()
+    assert t >= p.t_one
+    xs = np.linspace(lo, hi, m)
+    hull = p._coarse(xs, t, 0, len(p._s))
+    assert p._one_hull(xs, t, *hull) == (route == "kernel")
+    got = p.solve_grid(xs, t)
+    assert [repr(s) for s in got] == [repr(p.solve(x, t)) for x in xs]
+    assert any(s.is_shock for s in got) == (route == "shock")
+
+
+def test_sampled_data_custom_fluxes_and_general_pairs_opt_out():
+    # no hull certificate for sampled data, a custom flux or a general
+    # pair: the test answers before it reads the data
+    xs, t = np.linspace(0.3, 2.9, 9), 1.5
+    n = 2049
+    start, width = np.zeros(9, dtype=np.intp), np.full(9, n)
+    twin = flux.custom(_B.eval, _B.deriv, _B.second)
+    for p in (Problem(twin, idata.sin_wave()),
+              GeneralProblem(identity_pair(_B), idata.sin_wave()),
+              Problem(_B, idata.sin_wave()).restart(0.5).problem):
+        assert not p._one_hull(xs, t, start, width)
+    # the named flux on the piece data takes the same window: the whole
+    # grid's feet span a period, where -phi' reaches 1
+    p = Problem(_B, idata.sin_wave())
+    assert not p._one_hull(xs, t, start, width)
+    assert p._one_hull(xs, t, *p._coarse(xs, t, 0, n))

@@ -156,3 +156,41 @@ def test_compare_reads_the_u_plus_rows(monkeypatch):
     for t in (0.0, -1.0):
         with pytest.raises(ValueError, match="t positive"):
             compare(p, t, g)
+
+
+def test_advance_reads_the_speed_and_f_once_per_step():
+    # advance takes the steps that step(dt) takes at the CFL limit of the
+    # present speed, bit for bit, on the four grids of the benchmark's
+    # compare(); each step reads f' once, for its speed, and f once, on
+    # the state padded by its ghost cells (f at the sonic point is read
+    # when the solver is built)
+    calls = {"f": 0, "fp": 0}
+    for fl in (flux.burgers(), flux.power2n(2)):
+        def f(u, fl=fl):
+            calls["f"] += 1
+            return fl.eval(u)
+
+        def fp(u, fl=fl):
+            calls["fp"] += 1
+            return fl.deriv(u)
+
+        counted = flux.custom(f, fp, fl.second)
+        periodic = FvGrid(-np.pi, np.pi, 100, boundary="periodic")
+        cases = [(idata.sin_wave(), periodic)]
+        if fl.kind == "burgers":
+            cases += [(idata.step(1.0, 0.0), FvGrid(-1.0, 2.0, 100)),
+                      (idata.step(-1.0, 1.0), FvGrid(-3.0, 3.0, 100))]
+        for data, grid in cases:
+            ref = GodunovSolver(fl, data, grid)
+            steps = 0
+            while ref.t < 1.5 - 1e-14:
+                a = ref.max_speed()
+                dt = CFL * grid.dx / a if a > 0 else 1.5 - ref.t
+                ref.step(min(dt, 1.5 - ref.t))
+                steps += 1
+            s = GodunovSolver(counted, data, grid)
+            calls.update(f=0, fp=0)
+            u = s.advance(1.5)
+            assert np.array_equal(u, ref.u) and s.t == ref.t
+            # f' once more for the step cap, before the first step
+            assert calls == {"f": steps, "fp": steps + 1}

@@ -199,11 +199,20 @@ def test_solve_grid_keeps_order_and_repeats(neg_sin):
 
 
 def _scan_only(monkeypatch, *problems):
-    """Send every row of the problems to the scan, as for a problem with
-    no breaking-time certificate (a ``custom`` flux): t_one = 0.  The
-    scan's structure tests keep their inputs below the breaking time."""
+    """Send the rows of the problems below the breaking time to the scan,
+    as for a problem with no breaking-time certificate: t_one = 0.  The
+    scan's structure tests keep their inputs below the breaking time.
+    Rows whose coarse hulls ``_one_hull`` certifies still take the
+    one-root kernel; a problem of a ``_twin`` flux scans every row."""
     for p in problems:
         monkeypatch.setattr(p, "t_one", 0.0)
+
+
+def _twin(fl):
+    """fl as a ``custom`` flux of the same f, f' and f'': a problem of it
+    has no breaking-time certificate (t_one = 0) and no hull certificate
+    (``_one_hull``), so every row of it is scanned."""
+    return flux.custom(fl.eval, fl.deriv, fl.second)
 
 
 def _count_blocks(monkeypatch):
@@ -1218,12 +1227,12 @@ def test_block_assembly_matches_per_row_reference(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_block_assembly_matches_reference_on_random_problems(data):
+    # the custom twins scan every row, which the check reads
     fl = data.draw(st.sampled_from([flux.burgers(), flux.power2n(2)]))
-    p = Problem(fl, data.draw(_random_data()))
+    p = Problem(_twin(fl), data.draw(_random_data()))
     t = float(np.exp(data.draw(st.floats(np.log(0.05), np.log(50.0)))))
     xs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
     with pytest.MonkeyPatch.context() as mp:
-        _scan_only(mp, p)
         seen = _check_assembly(mp)
         p.solve_grid(xs, t)
     assert seen["rows"] >= len(set(xs))
@@ -1432,10 +1441,11 @@ def test_late_restart_slice_takes_one_block(monkeypatch):
     rp.solve_grid(xs, 10.0)
     assert len(calls) == 1
     # before t_w the slice scans the whole grid, as every tailed problem:
-    # one _blocks call over it, whose coarse pass leaves one block
+    # one _blocks call over it, whose coarse pass leaves one block (the
+    # custom twin, whose hulls take no one-root kernel)
     calls.clear()
     grids = _spy(monkeypatch, "_blocks")
-    p = Problem(flux.burgers(), idata.sin_wave())
+    p = Problem(_twin(flux.burgers()), idata.sin_wave())
     p.solve_grid(np.linspace(-3.0, 3.0, 8), 1.0)
     assert [list(zip(start.tolist(), width.tolist()))
             for _, _, start, width in grids] == [[(0, n)] * 8]
@@ -1462,11 +1472,11 @@ def test_one_window_rows_fill_one_block_after_the_pass(monkeypatch):
     # rows of one u-window are packed by the cells their coarse pass leaves
     # them, within BLOCK_ELEMS like rows of many windows: every late
     # 17-point restart slice is one block, with no join, equal to its point
-    # solves, and so is a 12-point slice over the whole grid.  Whole-grid
-    # rows each at their own time take no pass, and 16 of them fill two
-    # blocks of 8
-    p = Problem(flux.burgers(), idata.sin_wave())
-    rp = p.restart(0.5)
+    # solves, and so is a 12-point slice over the whole grid (of the custom
+    # twin, whose hulls take no one-root kernel).  Whole-grid rows each at
+    # their own time take no pass, and 16 of them fill two blocks of 8
+    p = Problem(_twin(flux.burgers()), idata.sin_wave())
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
     joins = []
     join = vc._Rows.join
 
@@ -1546,8 +1556,9 @@ def test_level_zero_is_one_block_of_whole_grid_rows(monkeypatch, n_scan):
     # a grid of m points whose rows cost at most 3 * BLOCK_ELEMS cells
     # after the coarse pass (128 at n_scan 2048, 96 at 4096) is one _blocks
     # call of whole-grid rows; one point more starts with level 0, one call
-    # of k whole-grid rows (85 and 64), packed after its coarse pass
-    p = Problem(flux.burgers(), idata.sin_wave(), n_scan=n_scan)
+    # of k whole-grid rows (85 and 64), packed after its coarse pass.  The
+    # custom twin's hulls take no one-root kernel, so every row is scanned
+    p = Problem(_twin(flux.burgers()), idata.sin_wave(), n_scan=n_scan)
     k = _level_zero_rows(n_scan + 1)
     short = _short_grid_rows(n_scan + 1)
     assert (k, short) == {2048: (85, 128), 4096: (64, 96)}[n_scan]
@@ -1582,13 +1593,13 @@ def test_slice_of_at_most_k_points_is_one_coarse_pass(monkeypatch, fl):
     # coarse pass covers every row, packed in blocks of at most BLOCK_ELEMS
     # cells, and each sample equals its point solve by repr.  Up to 32
     # points the hulls fit one block, but for power2n(2) on the sampled
-    # data, which spill into a second at t <= 0.5; k points take 1-3
+    # data, which spill into a second at t <= 0.5; k points take 1-3.  The
+    # custom twins send every row to the scan
     grids = _spy(monkeypatch, "_blocks")
     coarse = _spy(monkeypatch, "_coarse")
     calls = _count_blocks(monkeypatch)
     for dname, make in _SHORT_SLICE_DATA.items():
-        p = Problem(fl, make())
-        _scan_only(monkeypatch, p)
+        p = Problem(_twin(fl), make())
         k = _level_zero_rows(len(p._s))
         for m in (5, 32, k):
             xs = np.linspace(-3.0, 3.0, m) + 0.01
@@ -1610,10 +1621,11 @@ def test_slice_of_at_most_k_points_is_one_coarse_pass(monkeypatch, fl):
 
 
 def test_rows_that_fit_are_one_block_with_no_join(monkeypatch):
-    # a point solve, an 8-point whole-grid slice and a late 17-point
-    # restart slice each take one _maximize_block call, and no _Rows.join
-    p = Problem(flux.burgers(), idata.sin_wave())
-    rp = p.restart(0.5)
+    # a point solve, an 8-point whole-grid slice (of the custom twin, whose
+    # hulls take no one-root kernel) and a late 17-point restart slice each
+    # take one _maximize_block call, and no _Rows.join
+    p = Problem(_twin(flux.burgers()), idata.sin_wave())
+    rp = Problem(flux.burgers(), idata.sin_wave()).restart(0.5)
     joins = []
     join = vc._Rows.join
 
