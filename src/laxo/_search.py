@@ -208,7 +208,8 @@ def secant_many(f, a, b, fa, fb, curv, tol):
             walks.append(sec[~(more | done)])
             sec, A, B, FA, FB, K, w, s, cw2 = (v[more] for v in (
                 sec, A, B, FA, FB, K, w, s, cw2))
-    if walks:
+    # a round where no bracket stops pairing leaves an empty walk
+    if sum(map(len, walks)):
         i = np.concatenate(walks)
         a[i], b[i] = bisect_many(lambda u, j: f(u, i[j]) > 0.0, a[i], b[i],
                                  tol)

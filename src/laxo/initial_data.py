@@ -168,12 +168,13 @@ def _slope(p):
                     for v in (q["a"] * q["b"], q["b"], q["c"]))
         return lambda x: ab * f(b * x + c)
     if kind == "power" and q["a"] != 0 and q["g"] != 0:
-        xr, ag, g = np.array(q["x_ref"], dtype=float), np.array(
-            q["a"] * q["g"], dtype=float), q["g"] - 1.0
+        xr, a, g = (np.array(v, dtype=float)
+                    for v in (q["x_ref"], q["a"], q["g"]))
 
         def slope(x):
+            # a (g |s|^(g - 1)): a subnormal a times g would read 0 * inf
             with np.errstate(divide="ignore"):
-                return ag * np.abs(x - xr) ** g
+                return a * (g * np.abs(x - xr) ** (g - 1.0))
         return slope
     return np.zeros_like
 
@@ -216,6 +217,15 @@ def _check_piece(p):
         raise ValueError(f"a {p.kind} piece needs b != 0")
     if p.kind == "poly" and len(q["coeffs"]) == 0:
         raise ValueError("a poly piece needs coefficients")
+    if p.kind == "poly":
+        # the roots of phi' and phi'' (``_stationary``) divide by the last
+        # nonzero coefficient: quotients that overflow (5e-324 after 1) are
+        # refused, not handed to ``polyroots`` as inf
+        cs = np.trim_zeros(np.asarray(q["coeffs"], dtype=float)[1:], "b")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(cs / cs[-1:]).all():
+                raise ValueError("a poly piece's coefficients over its "
+                                 "leading one must be finite")
     if p.kind == "power" and not q["g"] >= 0:
         raise ValueError("a power piece needs g >= 0")
 
@@ -538,33 +548,37 @@ class InitialData(_Extended):
     def _falls(self):
         """The tables of ``_descent_on``, built on first use.
 
-        z holds the sorted points where (-phi')_+ can peak, each twice,
-        and v its value there on one side after a 0: each piece's ends and
-        its zeros of phi'' (``_stationary``) read by its own ``_slope``,
-        and inf at the rows of the side table where phi jumps down, where
-        it falls from its left limit to its value there, or on to its
-        right limit, by more than 1e-12 of its size.  On periodic data z
-        runs on over a second period, as the engine's jump table does.
-        Then the sup of v, and phi' in the window.  z is None where a sin
-        or cos piece holds more than ``_BENDS`` zeros of phi''; the two it
-        lists still reach its sup.
+        z holds the sorted points where phi' can peak either way, each
+        twice, and v the value of (-phi')_+ there on one side after a 0:
+        each piece's ends and its zeros of phi'' (``_stationary``) read by
+        its own ``_slope``, and inf at the rows of the side table where phi
+        jumps down, where it falls from its left limit to its value there,
+        or on to its right limit, by more than 1e-12 of its size.  On
+        periodic data z runs on over a second period, as the engine's jump
+        table does.  Then the sup of v, phi' in the window, and the sup of
+        (phi')_+ at the same points, inf where phi jumps up by the same
+        test (``_ascent``).  z is None where a sin or cos piece holds more
+        than ``_BENDS`` zeros of phi''; the two it lists still reach both
+        sups.
         """
         slopes = [_slope(p) for p in self.pieces]
-        z, v = [], []
-        for p, f in zip(self.pieces, slopes):
-            zs = np.concatenate([[p.lo, p.hi], _stationary(p, 2, _BENDS + 1)])
-            z.append(zs)
-            v.append(np.maximum(-f(zs), 0.0))
+        z = [np.concatenate([[p.lo, p.hi], _stationary(p, 2, _BENDS + 1)])
+             for p in self.pieces]
+        d = [f(zs) for f, zs in zip(slopes, z)]
         dense = max(map(len, z), default=0) > _BENDS + 2
         y, left, right = self._sides
         mid = self.phi(y)
-        z.append(y[np.maximum(left, mid) - np.minimum(mid, right)
-                   > 1e-12 * (1.0 + np.abs(left) + np.abs(right))])
-        v.append(np.full(len(z[-1]), math.inf))
-        z, v = np.concatenate(z), np.concatenate(v)
+        tol = 1e-12 * (1.0 + np.abs(left) + np.abs(right))
+        z.append(y[np.maximum(left, mid) - np.minimum(mid, right) > tol])
+        d.append(np.full(len(z[-1]), -math.inf))
+        z, d = np.concatenate(z), np.concatenate(d)
+        v = np.maximum(-d, 0.0)
         top = float(v.max(initial=0.0))
+        rise = (math.inf if np.count_nonzero(
+            np.maximum(mid, right) - np.minimum(left, mid) > tol)
+            else float(np.maximum(d, 0.0).max(initial=0.0)))
         if dense:
-            return None, None, top, None
+            return None, None, top, None, rise
         if self.period is not None:
             z, v = np.concatenate([z, z + self.period]), np.tile(v, 2)
         k = np.argsort(z, kind="stable")
@@ -573,12 +587,18 @@ class InitialData(_Extended):
         # last range
         vz = np.zeros(2 * len(k) + 1)
         vz[1::2] = v[k]
-        return np.repeat(z[k], 2), vz, top, self._inner(slopes)
+        return np.repeat(z[k], 2), vz, top, self._inner(slopes), rise
 
     def _descent(self):
         """sup of (-phi')_+ over the whole line, inf where phi jumps down
         (``_falls``); the tails are constant."""
         return self._falls[2]
+
+    def _ascent(self):
+        """sup of (phi')_+ over the whole line, inf where phi jumps up or
+        rises without bound (a g < 1 power point of a > 0), read from the
+        same points as ``_descent``."""
+        return self._falls[4]
 
     def _descent_on(self, ab):
         """An upper bound on sup (-phi')_+ over each interval [a, b], the
@@ -593,7 +613,7 @@ class InitialData(_Extended):
         or more from a on.  Data whose table is None read the sup over the
         whole line.
         """
-        z, v, top, slope = self._falls
+        z, v, top, slope, _ = self._falls
         if z is None:
             return np.full(ab.shape[1], top)
         P = self.period
@@ -833,6 +853,12 @@ class SampledData(_Extended):
         jumps down at a knot."""
         return math.inf if np.count_nonzero(
             self._sides[1] > self._sides[2]) else 0.0
+
+    def _ascent(self):
+        """sup (phi')_+ as ``_descent`` reads sup (-phi')_+: inf where
+        phi jumps up at a knot."""
+        return math.inf if np.count_nonzero(
+            self._sides[1] < self._sides[2]) else 0.0
 
     # -- one-sided structure ----------------------------------------------
 

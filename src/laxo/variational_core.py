@@ -76,6 +76,15 @@ def _fan_out(rows, cells):
         for d in range(1, max(1, cells.bit_length()) + 1)))[1]
 
 
+def _near(v):
+    """The max of a table of coarse cells, by the grid index of their
+    start, over each cell and the two cells beside it, clipped to the
+    grid."""
+    i, n = np.arange(len(v)), len(v) - 1
+    return np.maximum(np.maximum(v[np.maximum(i - COARSE_STEP, 0)], v),
+                      v[np.minimum(i + COARSE_STEP, n)])
+
+
 def _checked_t(t):
     if not (math.isfinite(t) and t > 0):
         raise ValueError("x and t must be finite, with t positive")
@@ -400,10 +409,12 @@ class GeneralProblem:
         Every row scans within the u-window of ``_window``, of ww points:
         the whole grid, or on periodic data after t_w the window the period
         mean allows.  The coarse pass of ``_blocks`` leaves such a row its
-        (ww - 1) / COARSE_STEP coarse points and a hull of about COARSE_STEP
-        coarse cells (a mean of 63-410 cells on the sine and Riemann data
-        of Burgers and ``power2n(2)`` at t = 0.3-3), or the whole window
-        where that is narrower: a cost of c cells per row.  Level 0 holds
+        (ww - 1) / COARSE_STEP coarse points and a hull of at most about
+        COARSE_STEP coarse cells (a mean of 20-72 cells on ``sin_wave()``
+        and ``step(1, 0)`` under Burgers and ``power2n(2)`` at t = 0.3-3,
+        67-182 on ``step(-1, 1)``, whose up-jump keeps the first-order
+        bound), or the whole window where that is narrower: a cost of c
+        cells per row.  Level 0 holds
         the k rows of that cost that fill 2 * BLOCK_ELEMS, at least 2: 85
         over the default whole grid, and on a window the pass hardly
         narrows about the rows whose whole windows fill 2 * BLOCK_ELEMS.
@@ -494,10 +505,10 @@ class GeneralProblem:
         together (a short grid solve or level 0 of a longer one, a late
         restart slice, a rescan, a point solve on a fine grid) first take
         the coarse pass (``_coarse``): each row's window becomes the hull
-        of the cells that a Lipschitz bound on E cannot rule out, and its
-        set stays the whole window's, bit for bit.  Where ``_one_hull``
-        certifies psi to fall on every row's hull, the rows go to
-        ``_one_roots`` over their hulls, and the rows it leaves are
+        of the cells that a first- or second-order bound on E cannot rule
+        out, and its set stays the whole window's, bit for bit.  Where
+        ``_one_hull`` certifies psi to fall on every row's hull, the rows go
+        to ``_one_roots`` over their hulls, and the rows it leaves are
         scanned over them (``_pack``).  The cell count is
         tested first, so a point solve over the default grid pays for no
         other test.  The rows are then packed in their given order, each
@@ -538,11 +549,11 @@ class GeneralProblem:
         ``_one_hull`` certifies every hull, all or none: the kernel gives
         the scan's answer wherever the scan returns one point, and a hull
         keeps every kept run and band of the whole window, so the answers
-        stay bit for bit.  Burgers/sine slices at t = 1 to 3 are certified
-        but where a row lies within 0.011-0.031 of the shock at x = 0, whose
-        hull holds both branches; ``power2n(2)`` slices whose rows come
-        near its shock are not either.  The rows the kernel leaves are
-        scanned over their hulls (``_pack``).
+        stay bit for bit.  With the second-order bound, 32-point Burgers/sine
+        and ``step(1, 0)`` slices at t = 1 to 3 were all certified on 40
+        draws, and ``power2n(2)``/sine slices on 39 of 40; a row on or very
+        near a shock, whose hull holds both branches, is not.  The rows the
+        kernel leaves are scanned over their hulls (``_pack``).
         """
         m = len(xs)
         if (m and m * (int(width[0]) - 1) > BLOCK_ELEMS // 2
@@ -857,40 +868,65 @@ class GeneralProblem:
 
     def _coarse(self, xs, t, j, w):
         """The u-windows of rows at the one time t that share the window
-        j ... j + w - 1, each narrowed to the cells that a Lipschitz bound
-        on E cannot rule out, as (start, width) arrays, which ``_blocks``
-        packs.
+        j ... j + w - 1, each narrowed to the cells that a bound on E
+        cannot rule out, as (start, width) arrays, which ``_blocks`` packs.
 
         The coarse points are every COARSE_STEP-th index of the window and
         its last, read as strided views of the grid and valued by one W
         call with each row's H(0) foot: each E is the float the scan
-        computes there.  As dE = t psi dH, psi(u) = U(phi(x - t H(u))) -
-        U(u), E is Lipschitz in H itself.  On the cell [a, b] between two
-        coarse points |psi| <= C = max|U| on the grid + max(|U(a)|, |U(b)|),
-        since phi lies within the grid and U rises, so E <= B = max(E_a,
-        E_b, (E_a + E_b)/2 + t C (H(b) - H(a))/2) there (Piyavskii 1972;
-        Shubert 1972, in the variable H).  This holds for every rising H,
-        whatever the shape of H', and reads H and U at grid points only; the
-        last cell, which may end short of COARSE_STEP grid cells, takes C
-        and the rise of H of the COARSE_STEP cells from its start, which
-        hold it.  The cell is ruled out when B < Emax_c - 10 val_tol -
-        t max C max dH - R, with Emax_c the row's best coarse value, max C
-        over the window's cells, max dH the largest of the keep filter's
-        rises of H (``_dH``) at the window's points, and R = 2**-40 (max|W|
-        over the row's coarse feet and its W0 + max|U| |x| + t (max|I| +
-        max|U| max|H|)) a rounding allowance, thousands of times the few
-        ulps by which the computed E, its foot and W(foot) may stray from
-        E.  Each row's window becomes the hull from its first to its last
-        cell left; it reads only that row and the window, so a row's hull
-        does not depend on the rows passed with it, nor on the block it is
+        computes there.  On the cell [a, b] between two coarse points the
+        smaller of two upper bounds on E rules it out.
+
+        * First order.  As dE = t psi dH, psi(u) = U(phi(x - t H(u))) -
+          U(u), E is Lipschitz in H itself.  On the cell |psi| <= C = max|U|
+          on the grid + max(|U(a)|, |U(b)|), since phi lies within the grid
+          and U rises, so E <= B1 = max(E_a, E_b, (E_a + E_b)/2 + t C (H(b)
+          - H(a))/2) there (Piyavskii 1972; Shubert 1972, in the variable
+          H).  This holds for every rising H, whatever the shape of H', and
+          reads H and U at grid points only.
+        * Second order, for a named flux.  In the variable H, E'' = -t**2
+          phi'(x - t H) - t / f''(u), so E'' >= -K on the cell, K = t**2
+          sup(phi')_+ + t / min f'' there (``_semi``): Oleinik's one-sided
+          condition read on E.  E + K H**2 / 2 is then convex, and E lies
+          at most K (H(b) - H(a))**2 / 8 above its chord: E <= B2 = max(E_a,
+          E_b) + K (H(b) - H(a))**2 / 8 (Breiman and Cutler 1993).  A
+          down-jump of phi makes psi jump up, a positive delta in E'', so it
+          costs nothing; an up-jump adds a negative one, so data with one
+          (sup(phi')_+ = inf), a cell where min f'' = 0 (the quartic's
+          cell at u = 0), a ``custom`` flux and a general pair keep B1.
+
+        The last cell, which may end short of COARSE_STEP grid cells, takes
+        C, min f'' and the rise of H of the COARSE_STEP cells from its
+        start, which hold it.  The cell is ruled out when min(B1, B2) <
+        Emax_c - 10 val_tol - m - R, with Emax_c the row's best coarse
+        value; m a margin, the largest over the window's cells of the
+        smaller of t C' dH' and K' dH'**2 / 8, where C', K' and dH' are the
+        largest C, K and keep-filter rise of H (``_dH``) at a grid point of
+        the cell or of the cells beside it; and R = 2**-40 (max|W| over the
+        row's coarse feet and its W0 + max|U| |x| + t (max|I| + max|U|
+        max|H|)) a rounding allowance, thousands of times the few ulps by
+        which the computed E, its foot, W(foot) and either bound may stray.
+        Each row's window becomes the hull from its first to its last cell
+        left; it reads only that row and the window, so a row's hull does
+        not depend on the rows passed with it, nor on the block it is
         packed in later.  Scanned over that hull, the row gets the whole
         window's maximizer set bit for bit:
 
-        * every grid value of a ruled-out cell lies below the keep filter's
-          threshold and below the band, so no kept run and no band point
-          lies there.  A run's three grid points lie in the window, each
-          with a dH of at most max dH and a |psi| of at most max C: its
-          gloc is at most max C max dH;
+        * every grid value of a ruled-out cell lies below the floor, so
+          below the band, and no run there makes a component or raises the
+          best value.  Take a run whose middle g lies outside the hull, or
+          on its edge, or one the edge cuts, whose values are the edge's,
+          so E at g lies below the floor; g lies in some cell of the
+          window, whose C', K' and dH' hold every grid point the run reads.
+          Where t C' dH' is the smaller, it bounds the run's gloc, as its
+          three grid points each have a dH of at most dH' and a |psi| of at
+          most C': the keep filter drops the run.  Where K' dH'**2 / 8 is,
+          the run's refined point lies in its bracket [g - 1, g + 1], which
+          reaches at most one grid cell into the hull, and its neighbours'
+          values do not exceed its middle's: E there lies at most K' dH'**2
+          / 8 <= m above E at g.  Either way its refined value stays below
+          Emax_c - 10 val_tol, below the keep threshold and the best grid
+          value;
         * the hull holds at least three points, as ``_maximize_block``
           needs: its start is clipped to e - 2, which widens only a hull
           of the last cell when that is one grid cell, by points of a
@@ -910,35 +946,55 @@ class GeneralProblem:
         Ec = Wp[:, -1:] - Wp[:, :-1]
         Ec[:, :nc] -= t * self._Is[j:e:S]
         Ec[:, nc] -= t * self._Is[e]
-        C, slack, Umax, tmag = self._lipschitz
+        C, slack, Umax, tmag, dH = self._lipschitz
         Ea, Eb = Ec[:, :-1], Ec[:, 1:]
-        B = 0.5 * (Ea + Eb) + t * slack[j:e:S]
-        np.maximum(B, Ea, out=B)
-        np.maximum(B, Eb, out=B)
+        top = np.maximum(Ea, Eb)
+        B = np.add(Ea, Eb)
+        B *= 0.5
+        B += t * slack[j:e:S]
+        np.maximum(B, top, out=B)
+        dH = dH[j:e:S]
+        margin = t * C[j:e:S] * dH
+        if self._semi is not None:
+            rise, g, q, gn = self._semi
+            c = t * (t * rise + g[j:e:S])   # inf where min f'' = 0
+            top += c * q[j:e:S]
+            np.minimum(B, top, out=B)
+            np.minimum(margin, 0.125 * t * (t * rise + gn[j:e:S]) * dH * dH,
+                       out=margin)
         R = 2.0 ** -40 * (np.abs(Wp).max(axis=1) + Umax * np.abs(xs)
                           + t * tmag)
-        floor = (Ec.max(axis=1) - 10.0 * self.val_tol
-                 - t * (C[j:e:S].max() * self._dH[j:e + 1].max()) - R)
-        live = ~(B < floor[:, None])    # a NaN rules nothing out
-        first = live.argmax(axis=1)
-        last = nc - 1 - live[:, ::-1].argmax(axis=1)
+        floor = Ec.max(axis=1) - 10.0 * self.val_tol - margin.max() - R
+        # the first and last live cells; a NaN rules nothing out
+        dead = B < floor[:, None]
+        first = dead.argmin(axis=1)
+        last = nc - 1 - dead[:, ::-1].argmin(axis=1)
         start = np.minimum(j + S * first, e - 2)
         return start, np.minimum(j + S * (last + 1), e) - start + 1
 
     @functools.cached_property
     def _lipschitz(self):
-        """The tables of ``_coarse``, built on its first call: C[i] = max|U|
+        """The tables of ``_coarse``, built on its first call, by the grid
+        index i of a coarse cell's start: C' (``_near``) of C[i] = max|U|
         on the grid + max(|U(s_i)|, |U(s_k)|), k = min(i + COARSE_STEP,
         n - 1), which bounds |psi| on the coarse cell [s_i, s_k]; C[i] (H(s_k)
-        - H(s_i)) / 2; max|U| on the grid; and max|I| + max|U| max|H|, which
-        with it scales the rounding allowance."""
+        - H(s_i)) / 2; max|U| on the grid; max|I| + max|U| max|H|, which
+        with it scales the rounding allowance; and dH', ``_near`` of the
+        largest ``_dH`` at the points s_i ... s_k."""
         Hs, n = self._Hs, len(self._s)
         aU = np.abs(np.asarray(self._U(self._s), dtype=float))
         Umax = float(aU.max())
         end = np.minimum(np.arange(n) + COARSE_STEP, n - 1)
         C = Umax + np.maximum(aU, aU[end])
-        return (C, 0.5 * C * (Hs[end] - Hs), Umax,
-                float(np.abs(self._Is).max() + Umax * np.abs(Hs).max()))
+        dH = self._dH.copy()
+        for k in range(1, COARSE_STEP + 1):
+            np.maximum(dH[:-k], self._dH[k:], out=dH[:-k])
+        return (_near(C), 0.5 * C * (Hs[end] - Hs), Umax,
+                float(np.abs(self._Is).max() + Umax * np.abs(Hs).max()),
+                _near(dH))
+
+    # the second-order tables of ``_coarse``; ``Problem`` builds them
+    _semi = None
 
     def _flat(self, xs, t, start, width):
         """Rows of many u-windows end to end, for ``_maximize_block``.
@@ -1298,10 +1354,10 @@ class GeneralProblem:
 
         Up to 128 points at the default n_scan (see ``_maximize_grid``)
         are one ``_blocks`` call over the whole u-grid; from 5 points on, it
-        first rules out the cells whose Lipschitz bound on E cannot reach
-        the keep threshold and scans only the hull of the others
-        (``_coarse``: 1 792 of 16 384 cells for 8 points of ``sin_wave()``
-        at t = 1.2, one block).  A longer grid is maximized in levels: such
+        first rules out the cells whose bound on E cannot reach the keep
+        threshold and scans only the hull of the others (``_coarse``: 288
+        of 16 384 cells for 8 points of ``sin_wave()`` at t = 1.2, one
+        block).  A longer grid is maximized in levels: such
         a call on 85 evenly spaced points, then each unsolved point over the
         u-window that its solved neighbours' characteristic feet leave it,
         rows packed in their order in blocks of at most ``BLOCK_ELEMS``
@@ -1383,6 +1439,28 @@ class Problem(GeneralProblem):
         ends = np.array([start + width - 1, start])
         fall = self.data._descent_on(xs - t * self._Hs[ends])
         return bool((t * self._f2[ends].max(axis=0) * fall < 1.0).all())
+
+    @functools.cached_property
+    def _semi(self):
+        """The tables of ``_coarse``'s second-order bound, built on its
+        first call: sup(phi')_+ (``_ascent``); 1 / min f'' over each coarse
+        cell [s_i, s_k], k as in ``_lipschitz``, inf where f'' reaches 0;
+        (H(s_k) - H(s_i))**2 / 8; and ``_near`` of the second.  f'' is
+        least at a cell end, or at 0 inside it, for every named flux:
+        constant, even and convex, or monotone.  None for a ``custom``
+        flux, and where phi jumps up."""
+        rise = self.data._ascent()
+        if self.flux.kind == "custom" or rise == math.inf:
+            return None
+        s, n = self._s, len(self._s)
+        end = np.minimum(np.arange(n) + COARSE_STEP, n - 1)
+        f2 = np.asarray(self.flux.second(s), dtype=float)
+        low = np.minimum(f2, f2[end])
+        across = (s < 0.0) & (s[end] > 0.0)
+        low[across] = np.minimum(low[across], float(self.flux.second(0.0)))
+        with np.errstate(divide="ignore"):
+            g = 1.0 / low
+        return rise, g, 0.125 * (self._Hs[end] - self._Hs) ** 2, _near(g)
 
     def _preimage(self, v, a, b):
         """``GeneralProblem._preimage``, in closed form for named fluxes."""

@@ -267,3 +267,19 @@ def test_lambda_root_at_zero_gives_a_typed_error():
     except LaxoError:
         return
     assert all(math.isfinite(v) for v in dataclasses.astuple(out)[1:])
+
+
+def test_subnormal_leading_coefficient_gives_a_typed_error():
+    # the roots of phi' and phi'' divide by the last nonzero coefficient:
+    # 1 / 5e-324 and 1 / 1e-310 overflow, and polyroots raised numpy's
+    # untyped LinAlgError on the companion matrix of inf; the contract is
+    # a typed error at construction.  A quotient of 1e300 still builds,
+    # with the right sups of (-+phi')_+ on [0, 1]: 0 and 1 + 1 + 3e-300
+    for tiny in (5e-324, 1e-310):
+        with pytest.raises((ValueError, LaxoError)):
+            idata.InitialData([idata.Piece(0.0, 1.0, "poly", {
+                "coeffs": [0.0, 1.0, 0.5, tiny]})],
+                left_tail=0.0, right_tail=1.5)
+    d = idata.InitialData([idata.Piece(0.0, 1.0, "poly", {
+        "coeffs": [0.0, 1.0, 0.5, 1e-300]})], left_tail=0.0, right_tail=1.5)
+    assert d._descent() == 0.0 and d._ascent() == 2.0

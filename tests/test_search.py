@@ -444,6 +444,23 @@ def test_secant_smooth_converges_in_three_calls():
         assert set(per.tolist()) == {2}
 
 
+def test_secant_pairs_that_all_finish_walk_nothing(monkeypatch):
+    # a round where some brackets finish and the rest pair again leaves no
+    # bracket to walk, so no bisect_many call of zero brackets follows
+    sizes, walk = [], _search.bisect_many
+
+    def spy(pred, a, b, tol):
+        sizes.append(len(a))
+        return walk(pred, a, b, tol)
+
+    monkeypatch.setattr(_search, "bisect_many", spy)
+    for seed in range(10):
+        fs, a, b = _smooth_roots(np.random.default_rng(seed), 9)
+        got, _ = _secant(fs, a, b, np.full(9, 1.5))
+        _assert_certified(fs, got, 1e-12)
+    assert 0 not in sizes
+
+
 def test_secant_certified_on_exit():
     rng = np.random.default_rng(4)
     for tol in (1e-12, 1e-9, 1e-6):

@@ -1850,7 +1850,7 @@ def _assert_coarse_bound_holds(p, bound, xs, ts):
     frac = np.linspace(0.0, 1.0, 32 * S + 1)
     lo, hi = p._s[i], p._s[np.minimum(i + S, e)]
     u = lo[:, None] + (hi - lo)[:, None] * frac
-    Umax, tmag = p._lipschitz[2:]
+    Umax, tmag = p._lipschitz[2:4]
     for x, t in zip(xs, ts):
         W0 = float(p._W(x - t * p._H0))
         Wc = p._W(x - t * p._Hs[ends])
@@ -1881,6 +1881,33 @@ def test_coarse_bound_holds_on_every_cell(fname, dname):
     ts = rng.uniform(0.1, 5.0, 4)
     xs = rng.uniform(-1.0, 1.0, 4) * ts
     _assert_coarse_bound_holds(p, _piyavskii_bound, xs, ts)
+
+
+def _second_order_bound(p, t, i, Ea, Eb):
+    """``_coarse``'s bound: the smaller of the first-order bound and
+    max(E_a, E_b) + K (H(s_k) - H(s_i))^2 / 8, K = t^2 sup(phi')_+ + t /
+    min f'' from its tables, as it combines them."""
+    rise, g, q, _ = p._semi
+    return np.minimum(_piyavskii_bound(p, t, i, Ea, Eb),
+                      np.maximum(Ea, Eb) + t * (t * rise + g[i]) * q[i])
+
+
+@pytest.mark.parametrize("dname", ["sine", "step_down"])
+@pytest.mark.parametrize("fname", ["burgers", "quartic", "exponential"])
+def test_second_order_bound_holds_on_every_cell(fname, dname):
+    # where phi has no up-jump, E'' >= -K in H on each coarse cell, and the
+    # pass rules a cell out by the smaller bound; data that jump up and
+    # custom fluxes take no second-order bound
+    fl = {"burgers": flux.burgers(), "quartic": flux.power2n(2),
+          "exponential": flux.exponential(0.7)}[fname]
+    p = Problem(fl, _BOUND_DATA[dname]())
+    rng = np.random.default_rng([list(_BOUND_DATA).index(dname), 53])
+    ts = rng.uniform(0.1, 5.0, 6)
+    xs = rng.uniform(-1.0, 1.0, 6) * ts
+    _assert_coarse_bound_holds(p, _second_order_bound, xs, ts)
+    for name in ("step_up", "sampled"):
+        assert Problem(fl, _BOUND_DATA[name]())._semi is None
+    assert Problem(_oscillating_flux(p._s), p.data)._semi is None
 
 
 @pytest.mark.parametrize("call", [
