@@ -17,8 +17,9 @@ from .errors import FitError
 
 _EPS = 1e-12
 _KMAX = 12
-# the most zeros of phi'' that ``InitialData._falls`` lists for one sin or
-# cos piece; a piece of more makes every interval read the whole line's sup
+# the most zeros of phi'' that the table of ``InitialData`` lists for one
+# sin or cos piece; a piece of more makes every interval read the whole
+# line's sup
 _BENDS = 4096
 _FMAX = np.finfo(float).max
 
@@ -144,9 +145,18 @@ def _stationary(p, k, most=2):
                        min(math.ceil(lo) + most - 1, math.floor(hi)) + 1)
         z = (base + js * math.pi - q["c"]) / q["b"]
     elif p.kind == "poly":
-        pv = np.polynomial.polynomial
-        d = pv.polytrim(pv.polyder(np.asarray(q["coeffs"], dtype=float), k))
-        z = pv.polyroots(d).real if len(d) > 1 else []
+        d = np.asarray(q["coeffs"], dtype=float)
+        for _ in range(k):      # as polyder, one step at a time
+            d = d[1:] * np.arange(1.0, len(d))
+        # drop each leading coefficient that moves p^(k) by at most an ulp
+        # of its size on the piece, |x| <= R: a tiny one (1.2e-19 x^2 after
+        # -2 + 3x) puts a huge root in the companion matrix, whose norm
+        # then drowns the small ones (2/3 read as 0)
+        R, n = max(abs(p.lo), abs(p.hi), 1.0), len(d)
+        while n > 1 and abs(d[n - 1]) <= 2.0 ** -52 * np.dot(
+                np.abs(d[:n]), R ** np.arange(1.0 - n, 1.0)):
+            n -= 1
+        z = np.polynomial.polynomial.polyroots(d[:n]).real if n > 1 else []
     elif p.kind == "power":
         z = [q["x_ref"]]
     return np.clip(np.asarray(z, dtype=float), p.lo, p.hi)
@@ -179,13 +189,14 @@ def _slope(p):
     return np.zeros_like
 
 
-def _end_limits(p, f):
-    """phi(lo+) and phi(hi-) on the piece, f its term: a power term of
-    g = 0 steps at x_ref, where sgn(0) reads 0, so an end at x_ref takes
-    the value of the piece's side."""
+def _end_limits(p, ends):
+    """phi(lo+) and phi(hi-) on the piece, from its term's values at lo and
+    hi in an array call, as ``phi`` reads them: a power term of g = 0
+    steps at x_ref, where sgn(0) reads 0, so an end at x_ref takes the
+    value of the piece's side."""
     q, g0 = p.params, p.kind == "power" and p.params["g"] == 0
-    return tuple(q.get("b", 0.0) + s * q["a"] if g0 and e == q["x_ref"]
-                 else float(f(float(e))) for e, s in ((p.lo, 1), (p.hi, -1)))
+    return [q.get("b", 0.0) + s * q["a"] if g0 and e == q["x_ref"]
+            else float(v) for e, s, v in zip((p.lo, p.hi), (1, -1), ends)]
 
 
 def _interval(edges, x, last):
@@ -250,7 +261,9 @@ class _Extended:
     set before ``_build``, which take a 1-D array, must not write to it,
     and return a new array.  ``_build`` makes each of ``phi`` and
     ``primitive`` one function, built once: a call runs the ufuncs of its
-    branch, with no test of the data's kind.
+    branch, with no test of the data's kind.  Subclasses then store the
+    side table (``_set_sides``) and the table of phi (``_set_table``),
+    with ``_inner_slope(r)``, phi' in the window, set as ``_inner_phi``.
 
     Evaluation contract of ``phi`` and ``primitive``:
 
@@ -277,6 +290,9 @@ class _Extended:
     # the right tail already holds at w_hi itself (a left-constant
     # interpolant takes its last value at the last knot)
     _tail_from_w_hi = False
+    # whether a piece holds more than ``_BENDS`` zeros of phi'', so that
+    # the table lists only some of them
+    _dense = False
 
     def _set_extension(self, period, left_tail, right_tail):
         """Tile [w_lo, w_hi] with the period, or continue it by the tails."""
@@ -398,6 +414,84 @@ class _Extended:
         """
         return tuple(v[self._brk] for v in self._sides)
 
+    def _set_table(self, phis, z, slopes, down, up, bound=None):
+        """Store the table of phi that ``bound``, ``_descent``, ``_ascent``
+        and ``_descent_on`` read, from the data's rows: phis, phi's values
+        at the points where |phi| can peak, the tails included; z, the
+        points where phi' can peak either way, and slopes, phi' there;
+        down and up, whether phi jumps down or up at each row of the side
+        table.  ``bound`` is the largest |phi| of phis, + 1e-12, unless
+        given.  (-phi')_+ reads inf at a down-jump, and (phi')_+ at an
+        up-jump.
+        """
+        self._rows = z, slopes, down
+        self._fall = (math.inf if np.count_nonzero(down) else
+                      float(np.maximum(-slopes, 0.0).max(initial=0.0)))
+        self._rise = (math.inf if np.count_nonzero(up) else
+                      float(np.maximum(slopes, 0.0).max(initial=0.0)))
+        self.bound = float(bound if bound is not None else
+                           np.abs(phis).max(initial=0.0) + 1e-12)
+
+    def _descent(self):
+        """sup of (-phi')_+ over the whole line, inf where phi jumps down
+        (``_set_table``); the tails are constant."""
+        return self._fall
+
+    def _ascent(self):
+        """sup of (phi')_+ over the whole line, inf where phi jumps up or
+        rises without bound (a g < 1 power point of a > 0), read from the
+        same rows as ``_descent``."""
+        return self._rise
+
+    @functools.cached_property
+    def _query(self):
+        """The rows of the table sorted for ``_descent_on``, built on first
+        use: each point twice, and its value of (-phi')_+ after a 0, so
+        that a range that holds no point reads that 0 in ``reduceat``, and
+        the last 0 closes the last range.  On periodic data the rows run on
+        over a second period, as the engine's jump table does."""
+        z, slopes, down = self._rows
+        z = np.concatenate([z, self._sides[0][down]])
+        v = np.concatenate([np.maximum(-slopes, 0.0),
+                            np.full(np.count_nonzero(down), math.inf)])
+        if self.period is not None:
+            z, v = np.concatenate([z, z + self.period]), np.tile(v, 2)
+        k = np.argsort(z, kind="stable")
+        vz = np.zeros(2 * len(k) + 1)
+        vz[1::2] = v[k]
+        return np.repeat(z[k], 2), vz
+
+    def _descent_on(self, ab):
+        """An upper bound on sup (-phi')_+ over each interval [a, b], the
+        columns of the (2, m) array ab, a <= b; inf where phi jumps down in
+        it.
+
+        -phi' is monotone between the points of the table, so its sup is
+        the largest of (-phi')_+ at a, at b and at those points in [a, b],
+        whose values hold both one-sided limits.  On periodic data a is
+        reduced by ``_tile``, b by the same whole periods, onto the rows of
+        two periods, which hold every point of an interval of a period or
+        more from a on.  Dense data (``_dense``) read the sup over the
+        whole line.
+        """
+        if self._dense:
+            return np.full(ab.shape[1], self._fall)
+        z, v = self._query
+        P = self.period
+        if P is not None:
+            k = self._tile(ab) * P
+            r = ab - k
+            a, b = r[0], ab[1] - k[0]
+        else:
+            a, b = ab
+            r = np.minimum(np.maximum(ab, self.w_lo), self.w_hi)
+        i, j = np.searchsorted(z, a, "left"), np.searchsorted(z, b, "right")
+        inner = np.maximum.reduceat(v, np.array([i, j]).T.ravel())[::2]
+        fall = -self._inner_slope(r)
+        if P is None:
+            fall[r != ab] = 0.0             # phi' = 0 in the tails
+        return np.maximum(fall.max(axis=0), inner)
+
     def _side(self, x0, side):
         """phi's one-sided limit at x0, and x0's point of the window: x0
         reduced as phi reduces it (on periodic data by the tile index
@@ -455,7 +549,13 @@ class _Extended:
 
 
 class InitialData(_Extended):
-    """phi in L-infinity from the representable class; immutable."""
+    """phi in L-infinity from the representable class; immutable.
+
+    ``bound``, the half-width of the u-grid of ``GeneralProblem``, is
+    sup |phi| + 1e-12, read exactly from the table (``_set_table``): the
+    largest |phi| at the piece ends, at the zeros of phi' and on the
+    tails.  A bound given instead is taken as it is.
+    """
 
     is_sampled = False
 
@@ -494,8 +594,22 @@ class InitialData(_Extended):
             lambda r, F=F, c=np.array(c, dtype=float): F(r) + c
             for (_, F), c in zip(self._terms, offs)])
         self._build()
-        self._side_table()
-        self.bound = float(bound) if bound is not None else self._estimate_bound()
+        # the rows of the table: phi at each piece's ends and zeros of phi'
+        # (those only for a bound not given), phi' at its ends and zeros of
+        # phi'', one array call each
+        slopes = [_slope(p) for p in self.pieces]
+        self._inner_slope = self._inner(slopes)
+        phis = [f(np.append([p.lo, p.hi],
+                            [] if bound is not None else _stationary(p, 1)))
+                for p, (f, _) in zip(self.pieces, self._terms)]
+        z = [np.append([p.lo, p.hi], _stationary(p, 2, _BENDS + 1))
+             for p in self.pieces]
+        self._dense = max(map(len, z), default=0) > _BENDS + 2
+        tails = [v for v in (self.left_tail, self.right_tail) if v is not None]
+        self._set_table(
+            np.concatenate([[], *phis, tails]), np.concatenate([[], *z]),
+            np.concatenate([[], *(s(v) for s, v in zip(slopes, z))]),
+            *self._side_table([v[:2] for v in phis]), bound)
         _check_finite("bound", self.bound)
 
     # -- evaluation -------------------------------------------------------
@@ -517,17 +631,20 @@ class InitialData(_Extended):
             return out
         return inner
 
-    def _side_table(self):
+    def _side_table(self, ends):
         """The side table of piece data: each piece end, the window's ends
         and the seam included, with phi's one-sided limits there as
-        ``_end_limits`` reads them (the tails beyond a window end, the far
-        end across the seam), and each power piece's x_ref inside its
-        piece.  Its breakpoints are the x_refs and the ends where phi jumps
-        by more than 1e-12 of its size there, so the seam of ``sin_wave``
-        is none."""
-        ends = [_end_limits(p, f)
-                for p, (f, _) in zip(self.pieces, self._terms)]
-        lims, seam = [v for e in ends for v in e], self.period is not None
+        ``_end_limits`` reads them from ends, each piece's term at its two
+        ends (the tails beyond a window end, the far end across the seam),
+        and each power piece's x_ref inside its piece.  Its breakpoints are
+        the x_refs and the ends where phi jumps by more than 1e-12 of its
+        size there, so the seam of ``sin_wave`` is none.  Returns whether
+        phi jumps down, and whether up, at each row: whether it moves from
+        its left limit to its value there, or on to its right limit, by
+        more than 1e-12 of its size."""
+        lims = [v for p, e in zip(self.pieces, ends)
+                for v in _end_limits(p, e)]
+        seam = self.period is not None
         lims = ([lims[-1] if seam else self.left_tail] + lims
                 + [lims[0] if seam else self.right_tail])
         rows = [(y, lv, rv, False) for y, lv, rv in
@@ -540,106 +657,11 @@ class InitialData(_Extended):
                 b = q.get("b", 0.0)
                 rows.append((q["x_ref"], b - jump, b + jump, True))
         y, left, right, kink = (np.array(v) for v in zip(*sorted(rows)))
-        brk = kink | (np.abs(left - right)
-                      > 1e-12 * (1.0 + np.abs(left) + np.abs(right)))
-        self._set_sides(y, left, right, brk)
-
-    @functools.cached_property
-    def _falls(self):
-        """The tables of ``_descent_on``, built on first use.
-
-        z holds the sorted points where phi' can peak either way, each
-        twice, and v the value of (-phi')_+ there on one side after a 0:
-        each piece's ends and its zeros of phi'' (``_stationary``) read by
-        its own ``_slope``, and inf at the rows of the side table where phi
-        jumps down, where it falls from its left limit to its value there,
-        or on to its right limit, by more than 1e-12 of its size.  On
-        periodic data z runs on over a second period, as the engine's jump
-        table does.  Then the sup of v, phi' in the window, and the sup of
-        (phi')_+ at the same points, inf where phi jumps up by the same
-        test (``_ascent``).  z is None where a sin or cos piece holds more
-        than ``_BENDS`` zeros of phi''; the two it lists still reach both
-        sups.
-        """
-        slopes = [_slope(p) for p in self.pieces]
-        z = [np.concatenate([[p.lo, p.hi], _stationary(p, 2, _BENDS + 1)])
-             for p in self.pieces]
-        d = [f(zs) for f, zs in zip(slopes, z)]
-        dense = max(map(len, z), default=0) > _BENDS + 2
-        y, left, right = self._sides
-        mid = self.phi(y)
         tol = 1e-12 * (1.0 + np.abs(left) + np.abs(right))
-        z.append(y[np.maximum(left, mid) - np.minimum(mid, right) > tol])
-        d.append(np.full(len(z[-1]), -math.inf))
-        z, d = np.concatenate(z), np.concatenate(d)
-        v = np.maximum(-d, 0.0)
-        top = float(v.max(initial=0.0))
-        rise = (math.inf if np.count_nonzero(
-            np.maximum(mid, right) - np.minimum(left, mid) > tol)
-            else float(np.maximum(d, 0.0).max(initial=0.0)))
-        if dense:
-            return None, None, top, None, rise
-        if self.period is not None:
-            z, v = np.concatenate([z, z + self.period]), np.tile(v, 2)
-        k = np.argsort(z, kind="stable")
-        # each point twice, its value after a 0: a range that holds no
-        # point reads that 0 in ``reduceat``, and the last 0 closes the
-        # last range
-        vz = np.zeros(2 * len(k) + 1)
-        vz[1::2] = v[k]
-        return np.repeat(z[k], 2), vz, top, self._inner(slopes), rise
-
-    def _descent(self):
-        """sup of (-phi')_+ over the whole line, inf where phi jumps down
-        (``_falls``); the tails are constant."""
-        return self._falls[2]
-
-    def _ascent(self):
-        """sup of (phi')_+ over the whole line, inf where phi jumps up or
-        rises without bound (a g < 1 power point of a > 0), read from the
-        same points as ``_descent``."""
-        return self._falls[4]
-
-    def _descent_on(self, ab):
-        """An upper bound on sup (-phi')_+ over each interval [a, b], the
-        columns of the (2, m) array ab, a <= b; inf where phi jumps down in
-        it.
-
-        -phi' is monotone between the points of ``_falls``, so its sup is
-        the largest of (-phi')_+ at a, at b and at those points in [a, b],
-        whose values hold both one-sided limits.  On periodic data a is
-        reduced by ``_tile``, b by the same whole periods, onto the table
-        of two periods, which holds every point of an interval of a period
-        or more from a on.  Data whose table is None read the sup over the
-        whole line.
-        """
-        z, v, top, slope, _ = self._falls
-        if z is None:
-            return np.full(ab.shape[1], top)
-        P = self.period
-        if P is not None:
-            k = self._tile(ab) * P
-            r = ab - k
-            a, b = r[0], ab[1] - k[0]
-        else:
-            a, b = ab
-            r = np.minimum(np.maximum(ab, self.w_lo), self.w_hi)
-        i, j = np.searchsorted(z, a, "left"), np.searchsorted(z, b, "right")
-        inner = np.maximum.reduceat(v, np.array([i, j]).T.ravel())[::2]
-        fall = -slope(r)
-        if P is None:
-            fall[r != ab] = 0.0             # phi' = 0 in the tails
-        return np.maximum(fall.max(axis=0), inner)
-
-    def _estimate_bound(self):
-        vals = []
-        for p, (f, _) in zip(self.pieces, self._terms):
-            xs = np.concatenate([np.linspace(p.lo, p.hi, 4097),
-                                 _stationary(p, 1)])
-            vals.append(np.max(np.abs(f(xs))))
-        if self.period is None:
-            vals += [abs(self.left_tail), abs(self.right_tail)]
-        return float(max(vals) if vals else 0.0) + 1e-12
+        self._set_sides(y, left, right, kink | (np.abs(left - right) > tol))
+        mid = self.phi(y)
+        return (np.maximum(left, mid) - np.minimum(mid, right) > tol,
+                np.maximum(mid, right) - np.minimum(left, mid) > tol)
 
     # -- one-sided structure ----------------------------------------------
 
@@ -785,8 +807,8 @@ class SampledData(_Extended):
         self._win = self._P[-1]
         self._build_buckets()
         self._build()
-        self._side_table()
-        self.bound = float(np.max(np.abs(us))) + 1e-12
+        self._inner_slope = np.zeros_like      # phi' = 0 between knots
+        self._set_table(us, np.zeros(0), np.zeros(0), *self._side_table())
 
     def _build_buckets(self):
         """The bucket table of ``_knot``, or ``_lut = None`` for clustered knots."""
@@ -838,7 +860,9 @@ class SampledData(_Extended):
     def _side_table(self):
         """The side table of sampled data: the knots where phi jumps, with
         phi(y-) and phi(y+), each one a breakpoint; on periodic data us[-2]
-        holds left of the seam and us[0] right of it."""
+        holds left of the seam and us[0] right of it.  Returns whether phi
+        steps down, and whether up, at each row: samples that differ at
+        all."""
         us = self.us
         if self.period is None:
             left, right = np.concatenate([us[:1], us[:-1]]), us
@@ -847,18 +871,7 @@ class SampledData(_Extended):
             right = np.concatenate([us[:-1], us[:1]])
         jump = left != right
         self._set_sides(self.xs[jump], left[jump], right[jump], True)
-
-    def _descent(self):
-        """phi is constant between knots: sup (-phi')_+ is 0, inf where phi
-        jumps down at a knot."""
-        return math.inf if np.count_nonzero(
-            self._sides[1] > self._sides[2]) else 0.0
-
-    def _ascent(self):
-        """sup (phi')_+ as ``_descent`` reads sup (-phi')_+: inf where
-        phi jumps up at a knot."""
-        return math.inf if np.count_nonzero(
-            self._sides[1] < self._sides[2]) else 0.0
+        return np.greater(*self._sides[1:]), np.less(*self._sides[1:])
 
     # -- one-sided structure ----------------------------------------------
 

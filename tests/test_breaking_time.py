@@ -420,13 +420,12 @@ def test_descent_on_bounds_every_finite_difference(data):
 
 def test_descent_on_the_window_is_the_descent():
     # the query over the window, or a period, reads the sup that t_one
-    # reads, inf where phi jumps down, for every piece data of the t_one
-    # table; sampled data read inf where a knot steps down
+    # reads, inf where phi jumps down, for all data of the t_one table;
+    # sampled data read inf where a knot steps down
     for make, t_one in _T_ONE.values():
         d = make()
-        if not d.is_sampled:
-            ab = np.array([[d.w_lo], [d.w_hi]])
-            assert d._descent_on(ab)[0] == d._descent()
+        ab = np.array([[d.w_lo], [d.w_hi]])
+        assert d._descent_on(ab)[0] == d._descent()
         assert (d._descent() == math.inf) == (t_one == 0.0)
 
 
@@ -486,6 +485,24 @@ def test_ascent_of_sine_and_sampled_data():
     assert idata.SampledData(xs, xs)._ascent() == math.inf
     assert idata.step(1.0, 0.0)._ascent() == 0.0
     assert idata.step(0.0, 1.0)._ascent() == math.inf
+
+
+def test_sampled_steps_of_one_ulp_are_jumps():
+    # sampled data test their knots exactly, not within piece data's
+    # 1e-12: a step of one ulp down reads sup(-phi')_+ = inf, so t_one =
+    # 0, and one up reads sup(phi')_+ = inf; periodic data step back at
+    # the seam
+    xs = np.linspace(0.0, 4.0, 5)
+    b = math.nextafter(1.0, 0.0)
+    for us, kw, fall, rise in (
+            ([1.0, 1.0, b, b, b], {}, math.inf, 0.0),
+            ([b, b, 1.0, 1.0, 1.0], {}, 0.0, math.inf),
+            ([1.0, 1.0, b, b, 1.0], {"period": 4.0}, math.inf, math.inf),
+            ([1.0] * 5, {}, 0.0, 0.0)):
+        d = idata.SampledData(xs, np.array(us), **kw)
+        assert (d._descent(), d._ascent()) == (fall, rise)
+        assert d._descent_on(np.array([[0.0], [4.0]]))[0] == fall
+        assert (Problem(_B, d).t_one == 0.0) == (fall == math.inf)
 
 
 # -- the hull certificate after breaking --------------------------------------

@@ -200,11 +200,74 @@ def test_bound_sees_peaks_between_samples():
 @pytest.mark.parametrize("piece, peak", [
     (idata.Piece(-1.0, 1.1, "poly", {"coeffs": [1.0, 0.0, -1.0]}), 1.0),
     (idata.Piece(0.0, 3.0, "cos", {"a": 2.0, "b": 1.0, "c": -1.0}), 2.0),
-], ids=["poly", "cos"])
+    # phi' = -2 + 3x + 1.2e-19 x^2: the tiny leading coefficient put a root
+    # near -2.5e19 in the companion matrix, whose norm drowned the peak at
+    # 2/3, and the bound read 0.66666664
+    (idata.Piece(0.0, 1.2, "poly", {"coeffs": [0.0, -2.0, 1.5, 4e-20]}),
+     2.0 / 3.0),
+], ids=["poly", "cos", "tiny_leading"])
 def test_bound_reaches_interior_peaks(piece, peak):
-    # neither peak (x = 0, x = 1) lies on the 4097-point grid of the piece
+    # neither peak (x = 0, x = 1, x = 2/3) lies on a 4097-point grid of
+    # the piece: the bound reads |phi| at the zeros of phi'
     d = idata.InitialData([piece], left_tail=0.0, right_tail=0.0)
     assert peak <= d.bound <= peak + 1e-9
+
+
+@st.composite
+def _piece_data(draw):
+    """One to four pieces of every kind, poly ones with a tiny leading
+    coefficient among them, power ones of g = 0 and g < 1 among them,
+    periodic or between random tails."""
+    lo = draw(st.floats(-3.0, 0.0))
+    ends = np.linspace(lo, lo + draw(st.floats(0.5, 5.0)),
+                       draw(st.integers(1, 4)) + 1).tolist()
+    # a subnormal leading coefficient is refused (``_check_piece``)
+    value = st.floats(-1.5, 1.5, allow_subnormal=False)
+    pieces = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        kind = draw(st.sampled_from(["sin", "cos", "poly", "const", "power"]))
+        if kind in ("sin", "cos"):
+            q = {"a": draw(value), "b": draw(st.floats(0.5, 8.0)),
+                 "c": draw(value)}
+        elif kind == "poly":
+            cs = draw(st.lists(value, min_size=1, max_size=5))
+            tiny = draw(st.sampled_from([None, 4e-20, 1e-12, 1e-300]))
+            q = {"coeffs": cs + ([] if tiny is None else [tiny])}
+        elif kind == "const":
+            q = {"c": draw(value)}
+        else:
+            q = {"a": draw(value), "b": draw(value),
+                 "x_ref": draw(st.sampled_from([a, b]) | st.floats(a - 0.5,
+                                                                   b + 0.5)),
+                 "g": draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, 3.0]))}
+        pieces.append(idata.Piece(a, b, kind, q))
+    tails = ({"period": ends[-1] - ends[0]} if draw(st.booleans()) else
+             {"left_tail": draw(value), "right_tail": draw(value)})
+    return idata.InitialData(pieces, **tails)
+
+
+def _steps_at(p, e):
+    """Whether p is a power piece of g = 0 whose step lies at e."""
+    q = p.params
+    return p.kind == "power" and q["g"] == 0 and q["x_ref"] == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=_piece_data())
+def test_bound_holds_and_side_limits_are_phi(d):
+    # the bound is at least |phi| on 2^16 points of every piece, and
+    # phi_side reads phi's own values, bit for bit, at every piece's low
+    # end and at w_hi on tailed data; a g = 0 step at the end reads its
+    # side instead
+    for p in d.pieces:
+        xs = np.linspace(p.lo, p.hi, 2 ** 16)
+        assert np.abs(d.phi(xs)).max() <= d.bound
+        if not _steps_at(p, p.lo):
+            assert d.phi_side(p.lo, "right") == d.phi(p.lo)
+    if d.period is None:
+        assert abs(d.left_tail) <= d.bound and abs(d.right_tail) <= d.bound
+        if not _steps_at(d.pieces[-1], d.w_hi):
+            assert d.phi_side(d.w_hi, "left") == d.phi(d.w_hi)
 
 
 def test_descriptor_roundtrip(neg_sin):

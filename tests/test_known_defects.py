@@ -14,7 +14,8 @@ characteristic it follows and of the time that characteristic meets the
 standing shock of -sin x.  The Riemann case's oracle is its exact
 solution.  The hulls' oracle is the closed-form primitive and its contact
 set.  The development constants' oracle is the error contract: a
-finite answer or a typed error.
+finite answer or a typed error.  The tiny leading coefficient's oracles
+are the dense scan and the breaking time of its twin with a 0 there.
 """
 
 import dataclasses
@@ -283,3 +284,19 @@ def test_subnormal_leading_coefficient_gives_a_typed_error():
     d = idata.InitialData([idata.Piece(0.0, 1.0, "poly", {
         "coeffs": [0.0, 1.0, 0.5, 1e-300]})], left_tail=0.0, right_tail=1.5)
     assert d._descent() == 0.0 and d._ascent() == 2.0
+
+
+@pytest.mark.parametrize("tiny", [1e-20, 1e-300])
+def test_tiny_leading_coefficient_keeps_the_small_roots(tiny):
+    # phi'' = -2 + 3x + 12 tiny x^2: polyroots gave [-2.5e19, 0], not 2/3,
+    # as the huge root's companion matrix drowned the small one, so
+    # sup(-phi')_+ read 0, t_one read inf for Burgers, and the one-root
+    # kernel answered u = -0.5697 at (-0.23, 3), past the breaking time
+    # 1.5 of the twin with a 0 leading coefficient, where u = -0.0254
+    p = Problem(flux.burgers(), idata.InitialData([idata.Piece(
+        -1.0, 2.0, "poly", {"coeffs": [0.0, 0.0, -1.0, 0.5, tiny]})],
+        left_tail=-1.5, right_tail=0.0))
+    assert p.t_one == pytest.approx(1.5, rel=1e-12)
+    _, u, du = _dense(p, -0.23, 3.0)
+    s = p.solve(-0.23, 3.0)
+    assert abs(s.u_minus - u) <= du and abs(s.u_plus - u) <= du
